@@ -5,29 +5,25 @@ The scaled-down benchmarks (``bench_fig5_memory``, ``bench_fig6_input_size``,
 and a few thousand elements so they run in CI seconds.  This module re-runs
 the same experiments at the paper's actual geometry - 64 KB blocks,
 3-32 MB of sort memory, 10^5..10^7 elements, ~3M-element Table-2 documents -
-under ``MergeOptions(kernel="columnar")``, which is what makes those sizes
-practical in pure Python.
+which the byte-record kernels (:mod:`repro.core.columnar`) make practical in
+pure Python.
 
 Two tiers:
 
 * the fast tier (``test_paper_scale_fast_tier``) runs in CI: the trimmed
-  Figure-5 point (10^5 elements), a scalar-vs-columnar counter-parity
-  check at full paper geometry, a verbatim Table-1 regeneration, and a
-  wall-time ceiling so a kernel regression that lands us back at scalar
-  speeds fails the build;
+  Figure-5 point (10^5 elements), a verbatim Table-1 regeneration, and a
+  wall-time ceiling so a performance regression fails the build;
 * the slow tier (``-m slow``) regenerates Figure 5 (memory sweep at 10^6
-  elements, plus the headline scalar-vs-columnar NEXSORT row whose
-  >= 3x speedup is this PR's acceptance bar), Figure 6 (input sweep to
-  10^7 elements), and Table 2 / Figure 7 (five ~3M-element shapes,
-  heights 2-6, 4 MB of memory).
+  elements), Figure 6 (input sweep to 10^7 elements), and Table 2 /
+  Figure 7 (five ~3M-element shapes, heights 2-6, 4 MB of memory).
 
 Every row lands in ``BENCH_paper_scale.json`` with wall clock, peak RSS,
 the per-phase trace breakdown, and the host environment columns
 (``python_version`` / ``numpy_version`` / ``platform``), merged in place
 so fast- and slow-tier runs update their own rows without clobbering the
 other tier's.  All figure-level assertions are on *simulated* metrics,
-which are deterministic for a given geometry; only the speedup floor and
-the CI ceiling measure the host.
+which are deterministic for a given geometry; only the CI ceiling measures
+the host.
 """
 
 import json
@@ -46,7 +42,6 @@ from repro.generators import (
     level_fanout_events,
     scaled_table2_shapes,
 )
-from repro.merge.engine import MergeOptions
 
 BLOCK_SIZE = 65536
 
@@ -72,9 +67,6 @@ FIG7_TARGET_ELEMENTS = 3_000_000
 
 _JSON_PATH = Path(__file__).parent / "BENCH_paper_scale.json"
 
-_COLUMNAR = MergeOptions(kernel="columnar")
-_SCALAR = MergeOptions(kernel="scalar")
-
 #: Paper Table 1 rows, asserted verbatim by the fast tier.
 PAPER_TABLE1 = [
     ("/", "<company>"),
@@ -96,37 +88,14 @@ def _factory(fanouts, seed):
     return events
 
 
-def _run(algorithm, fanouts, seed, memory_blocks, kernel="columnar",
-         **options):
+def _run(algorithm, fanouts, seed, memory_blocks, **options):
     runner = run_nexsort if algorithm == "nexsort" else run_merge_sort
     return runner(
         _factory(fanouts, seed),
         memory_blocks=memory_blocks,
         block_size=BLOCK_SIZE,
-        merge_options=_COLUMNAR if kernel == "columnar" else _SCALAR,
         **options,
     )
-
-
-def _counter_view(metrics):
-    """Everything the kernel axis must leave bit-identical.
-
-    Wall time and peak RSS measure the host, not the simulated sort;
-    they are the only detail fields excluded (the environment columns
-    are constant within one process, so they stay in).
-    """
-    detail = {
-        key: value
-        for key, value in metrics.detail.items()
-        if key != "peak_rss_bytes"
-    }
-    return {
-        "element_count": metrics.element_count,
-        "input_blocks": metrics.input_blocks,
-        "total_ios": metrics.total_ios,
-        "simulated_seconds": metrics.simulated_seconds,
-        "detail": detail,
-    }
 
 
 def _merge_depth_fields(metrics):
@@ -169,8 +138,7 @@ def _check_merge_depth(rows):
         )
 
 
-def _row(figure, workload, shape, metrics, kernel="columnar",
-         flat_optimization=False, speedup=None):
+def _row(figure, workload, shape, metrics, flat_optimization=False):
     detail = metrics.detail
     return {
         **_merge_depth_fields(metrics),
@@ -178,7 +146,9 @@ def _row(figure, workload, shape, metrics, kernel="columnar",
         "workload": workload,
         "shape": list(shape),
         "algorithm": metrics.algorithm,
-        "kernel": kernel,
+        # Rows recorded while a scalar implementation also existed carry
+        # "scalar" here; every new row measures the byte-record path.
+        "kernel": "columnar",
         "flat_optimization": flat_optimization,
         "element_count": metrics.element_count,
         "input_blocks": metrics.input_blocks,
@@ -187,9 +157,6 @@ def _row(figure, workload, shape, metrics, kernel="columnar",
         "total_ios": metrics.total_ios,
         "simulated_seconds": metrics.simulated_seconds,
         "wall_seconds": round(metrics.wall_seconds, 3),
-        "speedup_vs_scalar": (
-            round(speedup, 2) if speedup is not None else None
-        ),
         "peak_rss_bytes": detail.get("peak_rss_bytes"),
         "phases": detail.get("phases"),
         "python_version": detail.get("python_version"),
@@ -237,29 +204,19 @@ def _merge_rows(new_rows):
 
 
 def test_paper_scale_fast_tier(benchmark):
-    """CI tier: trimmed Figure-5 point + parity + Table 1, with a ceiling."""
-    nex_columnar = benchmark.pedantic(
+    """CI tier: trimmed Figure-5 point + Table 1, with a ceiling."""
+    nex = benchmark.pedantic(
         lambda: _run("nexsort", FIG5_FAST_SHAPE, 5, FIG5_MEMORY),
         rounds=1,
         iterations=1,
     )
-    nex_scalar = _run(
-        "nexsort", FIG5_FAST_SHAPE, 5, FIG5_MEMORY, kernel="scalar"
-    )
-    merge_columnar = _run("merge_sort", FIG5_FAST_SHAPE, 5, FIG5_MEMORY)
+    merge = _run("merge_sort", FIG5_FAST_SHAPE, 5, FIG5_MEMORY)
 
-    # The kernel axis changes nothing the simulator observes, at full
-    # paper geometry (64 KB blocks, 3 MB of memory).
-    assert _counter_view(nex_columnar) == _counter_view(nex_scalar)
-    # The columnar kernel really ran its fast path: numpy present means
-    # batch argsorts; either way the fused scan must hold the ceiling.
-    speedup = nex_scalar.wall_seconds / nex_columnar.wall_seconds
-    # Wall-time ceiling: at 10^5 elements the columnar run takes ~1-2 s
-    # on an idle host.  60 s catches a fall-back-to-scalar regression
-    # (scalar is ~4x slower and 10^6-sized CI documents would be ~40x)
-    # without flaking on a loaded CI runner.
-    assert nex_columnar.wall_seconds < 60.0, nex_columnar.wall_seconds
-    assert merge_columnar.wall_seconds < 60.0, merge_columnar.wall_seconds
+    # Wall-time ceiling: at 10^5 elements each run takes ~1-2 s on an
+    # idle host.  60 s catches a many-fold slowdown without flaking on
+    # a loaded CI runner.
+    assert nex.wall_seconds < 60.0, nex.wall_seconds
+    assert merge.wall_seconds < 60.0, merge.wall_seconds
 
     # Table 1 regenerates verbatim (scale-independent, but this file is
     # the one-stop paper-scale golden set).
@@ -269,26 +226,20 @@ def test_paper_scale_fast_tier(benchmark):
 
     _merge_rows(
         [
-            _row("fig5-fast", "1e5", FIG5_FAST_SHAPE, nex_scalar,
-                 kernel="scalar"),
-            _row("fig5-fast", "1e5", FIG5_FAST_SHAPE, nex_columnar,
-                 speedup=speedup),
-            _row("fig5-fast", "1e5", FIG5_FAST_SHAPE, merge_columnar),
+            _row("fig5-fast", "1e5", FIG5_FAST_SHAPE, nex),
+            _row("fig5-fast", "1e5", FIG5_FAST_SHAPE, merge),
         ]
     )
     record_table(
         "Paper scale, fast tier (Figure-5 point at 10^5 elements)",
-        ["algorithm", "kernel", "elements", "wall (s)", "speedup"],
+        ["algorithm", "elements", "sim (s)", "wall (s)"],
         [
-            ["nexsort", "scalar", f"{nex_scalar.element_count:,}",
-             f"{nex_scalar.wall_seconds:.2f}", ""],
-            ["nexsort", "columnar", f"{nex_columnar.element_count:,}",
-             f"{nex_columnar.wall_seconds:.2f}", f"{speedup:.1f}x"],
-            ["merge_sort", "columnar", f"{merge_columnar.element_count:,}",
-             f"{merge_columnar.wall_seconds:.2f}", ""],
+            [metrics.algorithm, f"{metrics.element_count:,}",
+             f"{metrics.simulated_seconds:.2f}",
+             f"{metrics.wall_seconds:.2f}"]
+            for metrics in (nex, merge)
         ],
         notes=[
-            "counters asserted bit-identical scalar vs columnar",
             "Table 1 regenerated verbatim",
             f"rows merged into {_JSON_PATH.name}",
         ],
@@ -297,7 +248,7 @@ def test_paper_scale_fast_tier(benchmark):
 
 @pytest.mark.slow
 def test_fig5_memory_paper_scale(benchmark):
-    """Figure 5 at 10^6 elements: 3-32 MB memory sweep + headline speedup."""
+    """Figure 5 at 10^6 elements: 3-32 MB memory sweep."""
 
     def sweep():
         rows = []
@@ -309,29 +260,14 @@ def test_fig5_memory_paper_scale(benchmark):
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    # The acceptance headline: NEXSORT proper, scalar vs columnar, at
-    # the Figure-5 geometry (10^6 elements, M = 3 MB).
-    nex_scalar = _run(
-        "nexsort", FIG5_SHAPE, 5, FIG5_MEMORY, kernel="scalar"
-    )
-    nex_columnar = next(nex for memory, nex, _ in rows
-                        if memory == FIG5_MEMORY)
-    assert _counter_view(nex_columnar) == _counter_view(nex_scalar)
-    speedup = nex_scalar.wall_seconds / nex_columnar.wall_seconds
-
-    records = [
-        _row("fig5", "1e6", FIG5_SHAPE, nex_scalar, kernel="scalar"),
-    ]
+    records = []
     table = []
     nex_times = []
     merge_times = []
     for memory, nex, merge in rows:
         nex_times.append(nex.simulated_seconds)
         merge_times.append(merge.simulated_seconds)
-        records.append(
-            _row("fig5", "1e6", FIG5_SHAPE, nex,
-                 speedup=speedup if memory == FIG5_MEMORY else None)
-        )
+        records.append(_row("fig5", "1e6", FIG5_SHAPE, nex))
         records.append(_row("fig5", "1e6", FIG5_SHAPE, merge))
         table.append(
             [
@@ -354,11 +290,7 @@ def test_fig5_memory_paper_scale(benchmark):
             {"NeXSort": nex_times, "Merge Sort": merge_times},
             y_label="simulated sort time (s) vs memory blocks",
         ),
-        notes=[
-            f"nexsort scalar->columnar speedup at M=48: {speedup:.2f}x"
-            " (acceptance floor 3.0x)",
-            f"rows merged into {_JSON_PATH.name}",
-        ],
+        notes=[f"rows merged into {_JSON_PATH.name}"],
     )
 
     # Paper: merge sort is 13-27% slower everywhere in the sweep, and
@@ -369,10 +301,6 @@ def test_fig5_memory_paper_scale(benchmark):
     nex_spread = max(nex_times) - min(nex_times)
     merge_spread = max(merge_times) - min(merge_times)
     assert nex_spread <= merge_spread
-
-    # This PR's acceptance bar: >= 3x over the scalar (PR 6) kernel at
-    # Figure-5 geometry; measured ~4.3x on an idle host.
-    assert speedup >= 3.0, speedup
 
 
 @pytest.mark.slow

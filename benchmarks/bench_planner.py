@@ -5,7 +5,7 @@ best measured configuration):
 
 1. **Live sweep** - a small Figure-5-shaped document is profiled the
    way the CLI would, the planner ranks a candidate grid over the
-   algorithm/formation/kernel/embedded-keys/cache axes, and every
+   algorithm/formation/merge-kernel/embedded-keys/cache axes, and every
    candidate is then actually run through the engine
    (:func:`repro.bench.run_config`).  The planner's first pick must
    measure within tolerance of the sweep's fastest row.
@@ -168,8 +168,12 @@ def _recorded_sweeps():
 
     data = _recorded("kernel")
     if data:
+        # Byte-path rows only: the recorded scalar rows measure an
+        # implementation that no longer exists.
         rows = [
-            r for r in data["rows"] if r["workload"] == "fig5-1e5"
+            r
+            for r in data["rows"]
+            if r["workload"] == "fig5-1e5" and r["kernel"] == "columnar"
         ]
         if rows:
             element_bytes = 65536 * 96 / rows[0]["element_count"]
@@ -181,16 +185,13 @@ def _recorded_sweeps():
                 profile, memory_blocks=48, block_size=65536
             )
             configs = {
-                (r["algorithm"], r["kernel"]): PlanConfig(
-                    algorithm=r["algorithm"],
-                    memory_blocks=48,
-                    kernel=r["kernel"],
+                r["algorithm"]: PlanConfig(
+                    algorithm=r["algorithm"], memory_blocks=48
                 )
                 for r in rows
             }
             measured = {
-                (r["algorithm"], r["kernel"]): r["simulated_seconds"]
-                for r in rows
+                r["algorithm"]: r["simulated_seconds"] for r in rows
             }
             sweeps.append(("kernel", planner, configs, measured))
 

@@ -3,18 +3,10 @@
 Read the whole document into a DOM, recursively sort every child list by
 reordering pointers.  It "takes full advantage of the document structure but
 assumes that the entire document fits in internal memory" (Section 1).  In
-this package it serves two roles:
-
-* the *oracle* against which both external sorters are verified in tests -
-  any correct sort must produce exactly this tree; and
-* the in-memory kernel NEXSORT uses when a popped subtree fits in memory.
-
-Both entry points accept ``kernel="columnar"``: every eligible child list
-is gathered into one batched stable argsort over engine-normalized key
-bytes (:func:`repro.core.columnar.argsort_groups`) instead of one
-``list.sort`` per list.  The resulting tree is identical - normalized keys
-are order- and equality-faithful and the batched argsort is stable, so
-ties keep document order exactly like the scalar sort.
+this package it is the *oracle* against which both external sorters are
+verified in tests - any correct sort must produce exactly this tree.  It is
+deliberately plain, one ``list.sort`` per child list, so it shares no code
+with the byte-record kernels it checks.
 """
 
 from __future__ import annotations
@@ -25,35 +17,10 @@ from ..keys import SortSpec
 from ..xml.model import Element
 
 
-def _sort_groups_columnar(
-    groups: list[list[Element]], spec: SortSpec
-) -> None:
-    """Batch-sort many child lists in place (stable, order-identical)."""
-    from ..core.columnar import argsort_groups, normalized_atom_bytes
-
-    key_of = spec.key_of_element
-    memo: dict[tuple, bytes] = {}
-    group_keys: list[list[bytes]] = []
-    for children in groups:
-        keys = []
-        append = keys.append
-        for child in children:
-            atom = key_of(child)
-            norm = memo.get(atom)
-            if norm is None:
-                norm = normalized_atom_bytes(atom)
-                memo[atom] = norm
-            append(norm)
-        group_keys.append(keys)
-    for children, order in zip(groups, argsort_groups(group_keys)):
-        children[:] = [children[i] for i in order]
-
-
 def sort_element(
     element: Element,
     spec: SortSpec,
     depth_limit: int | None = None,
-    kernel: str = "scalar",
 ) -> Element:
     """Return a new, fully sorted copy of ``element``.
 
@@ -78,19 +45,11 @@ def sort_element(
         order.append((node, level))
         for child in node.children:
             stack.append((child, level + 1))
-    columnar = kernel == "columnar"
-    groups: list[list[Element]] = []
     for node, level in reversed(order):
         copy = copies[id(node)]
         copy.children = [copies[id(child)] for child in node.children]
         if depth_limit is None or level <= depth_limit:
-            if columnar:
-                if len(copy.children) > 1:
-                    groups.append(copy.children)
-            else:
-                copy.children.sort(key=spec.key_of_element)
-    if groups:
-        _sort_groups_columnar(groups, spec)
+            copy.children.sort(key=spec.key_of_element)
     return copies[id(element)]
 
 
@@ -98,7 +57,6 @@ def sort_element_in_place(
     element: Element,
     spec: SortSpec,
     depth_limit: int | None = None,
-    kernel: str = "scalar",
 ) -> None:
     """Sort ``element``'s subtree in place (pointer reordering only)."""
     order: list[tuple[Element, int]] = []
@@ -108,17 +66,9 @@ def sort_element_in_place(
         order.append((node, level))
         for child in node.children:
             stack.append((child, level + 1))
-    columnar = kernel == "columnar"
-    groups: list[list[Element]] = []
     for node, level in reversed(order):
         if depth_limit is None or level <= depth_limit:
-            if columnar:
-                if len(node.children) > 1:
-                    groups.append(node.children)
-            else:
-                node.children.sort(key=spec.key_of_element)
-    if groups:
-        _sort_groups_columnar(groups, spec)
+            node.children.sort(key=spec.key_of_element)
 
 
 def comparison_count(element: Element) -> int:

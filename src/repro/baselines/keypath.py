@@ -29,7 +29,9 @@ from ..keys import KeyEvaluator, SortSpec
 from ..xml.codec import (
     decode_key_atom,
     encode_key_atom,
+    read_tag_attrs,
     read_varint,
+    write_tag_attrs,
     write_varint,
 )
 from ..xml.compact import NameDictionary
@@ -172,11 +174,7 @@ def encode_record(
         write_varint(out, record.element_count)
         write_varint(out, record.payload_bytes)
         return bytes(out)
-    _write_name(out, record.tag, names)
-    write_varint(out, len(record.attrs))
-    for name, value in record.attrs:
-        _write_name(out, name, names)
-        _write_str(out, value)
+    write_tag_attrs(out, record.tag, record.attrs, names)
     _write_str(out, record.text)
     return bytes(out)
 
@@ -203,17 +201,9 @@ def decode_record(
         )
     if kind != _KIND_ELEMENT:
         raise CodecError(f"unknown key-path record kind {kind}")
-    tag, pos = _read_name(data, pos, names)
-    attr_count, pos = read_varint(data, pos)
-    attrs = []
-    for _ in range(attr_count):
-        name, pos = _read_name(data, pos, names)
-        value, pos = _read_str(data, pos)
-        attrs.append((name, value))
+    tag, attrs, pos = read_tag_attrs(data, pos, names)
     text, pos = _read_str(data, pos)
-    return KeyPathRecord(
-        path=tuple(path), tag=tag, attrs=tuple(attrs), text=text
-    )
+    return KeyPathRecord(path=tuple(path), tag=tag, attrs=attrs, text=text)
 
 
 def _write_str(out: bytearray, value: str) -> None:
@@ -226,24 +216,6 @@ def _read_str(data: bytes, pos: int) -> tuple[str, int]:
     length, pos = read_varint(data, pos)
     end = pos + length
     return data[pos:end].decode("utf-8"), end
-
-
-def _write_name(
-    out: bytearray, name: str, names: NameDictionary | None
-) -> None:
-    if names is None:
-        _write_str(out, name)
-    else:
-        write_varint(out, names.intern(name))
-
-
-def _read_name(
-    data: bytes, pos: int, names: NameDictionary | None
-) -> tuple[str, int]:
-    if names is None:
-        return _read_str(data, pos)
-    name_id, pos = read_varint(data, pos)
-    return names.lookup(name_id), pos
 
 
 # -- decoding sorted records back to a token stream --------------------------

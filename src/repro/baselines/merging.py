@@ -54,7 +54,7 @@ from ..merge.engine import (
     sort_with_accounting,
 )
 
-#: Records per grouped writer call on the columnar merge path.
+#: Records per grouped writer call when a merge pass writes its output.
 _WRITE_CHUNK = 1024
 
 
@@ -69,17 +69,15 @@ def merge_pass(
     """Stream the records of ``runs`` merged into one sorted sequence.
 
     The caller guarantees the fan-in fits its memory budget.  Consumed runs
-    are freed as they drain.  With ``keyed`` (columnar internals only) the
-    stream yields ``(normalized key, record)`` pairs so the consumer can
-    capture the output run's key sidecar without re-evaluating keys.
+    are freed as they drain.  With ``keyed`` the stream yields
+    ``(normalized key, record)`` pairs so the consumer can capture the
+    output run's key sidecar without re-evaluating keys.
     """
     if options is not None and options.loser_tree:
         return _merge_pass_loser_tree(
-            store, runs, key_of, read_category, options, keyed
+            store, runs, key_of, read_category, keyed
         )
-    return _merge_pass_heap(
-        store, runs, key_of, read_category, options, keyed
-    )
+    return _merge_pass_heap(store, runs, key_of, read_category, keyed)
 
 
 def _merge_pass_heap(
@@ -87,17 +85,15 @@ def _merge_pass_heap(
     runs: list[RunHandle],
     key_of: Callable[[bytes], object],
     read_category: str,
-    options: MergeOptions | None = None,
     keyed: bool = False,
 ) -> Iterator[bytes]:
     if not runs:
         return
     device = store.device
-    columnar = options is not None and options.columnar
     comparisons_per_record = max(1, ceil(log2(len(runs)))) if len(
         runs
     ) > 1 else 0
-    if columnar and len(runs) > 1 and have_numpy():
+    if len(runs) > 1 and have_numpy():
         # Vectorized replay: when every input run carries a key sidecar,
         # the merged order is one stable argsort of the concatenated
         # sidecars (a heap merge with (key, run-index) tie-break IS the
@@ -112,62 +108,42 @@ def _merge_pass_heap(
             ]
             yield from replay_merge(
                 store, runs, readers, sidecars, comparisons_per_record,
-                keyed=keyed, prefix_width=options.keys.prefix_width,
+                keyed=keyed,
             )
             return
     readers = [
         store.open_reader(run, category=read_category) for run in runs
     ]
+    # Drain each reader's buffered block in one batched parse and compute
+    # its keys in one batch call (or serve them straight from the run's
+    # sidecar when present).  Block loads still happen at the pull index
+    # a record-at-a-time reader would issue them, so I/O counters are
+    # untouched.
+    batch_keys = batch_keys_for(key_of)
+    pulls = [
+        keyed_puller(reader, batch_keys, run_sidecar(store, run, key_of))
+        for run, reader in zip(runs, readers)
+    ]
     heap: list[tuple[object, int, bytes]] = []
-    if columnar:
-        # Columnar kernel: drain each reader's buffered block in one
-        # batched parse and compute its keys in one batch-kernel call
-        # (or serve them straight from the run's sidecar when present).
-        # Block loads still happen at the same pull index a scalar
-        # reader would issue them, so I/O counters are untouched.
-        batch_keys = batch_keys_for(key_of)
-        pulls = [
-            keyed_puller(
-                reader, batch_keys, run_sidecar(store, run, key_of)
-            )
-            for run, reader in zip(runs, readers)
-        ]
-        for index, pull in enumerate(pulls):
-            entry = pull()
-            if entry is not None:
-                heap.append((entry[0], index, entry[1]))
-        heapq.heapify(heap)
-        stats = device.stats
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        while heap:
-            key, index, record = heappop(heap)
-            if comparisons_per_record:
-                stats.record_merge_comparisons(comparisons_per_record)
-            yield (key, record) if keyed else record
-            entry = pulls[index]()
-            if entry is not None:
-                heappush(heap, (entry[0], index, entry[1]))
-            else:
-                store.free(runs[index])
-        device.stats.record_tokens(sum(run.record_count for run in runs))
-        return
-    for index, reader in enumerate(readers):
-        record = reader.read_record()
-        if record is not None:
-            heap.append((key_of(record), index, record))
+    for index, pull in enumerate(pulls):
+        entry = pull()
+        if entry is not None:
+            heap.append((entry[0], index, entry[1]))
     heapq.heapify(heap)
+    stats = device.stats
+    heappop = heapq.heappop
+    heappush = heapq.heappush
     while heap:
-        key, index, record = heapq.heappop(heap)
+        key, index, record = heappop(heap)
         if comparisons_per_record:
-            device.stats.record_merge_comparisons(comparisons_per_record)
-        yield record
-        nxt = readers[index].read_record()
-        if nxt is not None:
-            heapq.heappush(heap, (key_of(nxt), index, nxt))
+            stats.record_merge_comparisons(comparisons_per_record)
+        yield (key, record) if keyed else record
+        entry = pulls[index]()
+        if entry is not None:
+            heappush(heap, (entry[0], index, entry[1]))
         else:
             store.free(runs[index])
-    device.stats.record_tokens(sum(run.record_count for run in runs))
+    stats.record_tokens(sum(run.record_count for run in runs))
 
 
 def _merge_pass_loser_tree(
@@ -175,13 +151,11 @@ def _merge_pass_loser_tree(
     runs: list[RunHandle],
     key_of: Callable[[bytes], object],
     read_category: str,
-    options: MergeOptions | None = None,
     keyed: bool = False,
 ) -> Iterator[bytes]:
     if not runs:
         return
     device = store.device
-    columnar = options is not None and options.columnar
     # Each input run is its own sequential stream: interleaved per-run
     # reads must not be judged against each other, and in a real multi-file
     # setup (one file per run, OS readahead per descriptor) they would not
@@ -204,44 +178,27 @@ def _merge_pass_loser_tree(
             category=read_category, streams=streams,
         )
 
-    batch_keys = batch_keys_for(key_of) if columnar else None
+    batch_keys = batch_keys_for(key_of)
 
     def make_pull(index: int):
-        reader = readers[index]
-        if columnar:
-            # Columnar kernel: loser-tree sift pulls come from batch-
-            # parsed blocks with batch-computed (or sidecar-served)
-            # keys; the tournament (and its counted comparisons) is
-            # untouched.
-            pairs = keyed_puller(
-                reader, batch_keys,
-                run_sidecar(store, runs[index], key_of),
-            )
-
-            def pull():
-                entry = pairs()
-                if entry is None:
-                    if prefetcher is not None:
-                        prefetcher.exhausted(index)
-                    return None
-                if prefetcher is not None:
-                    prefetcher.note_head(index, entry[0])
-                    prefetcher.pump()
-                return entry
-
-            return pull
+        # Loser-tree sift pulls come from batch-parsed blocks with
+        # batch-computed (or sidecar-served) keys; the tournament (and
+        # its counted comparisons) is untouched.
+        pairs = keyed_puller(
+            readers[index], batch_keys,
+            run_sidecar(store, runs[index], key_of),
+        )
 
         def pull():
-            record = reader.read_record()
-            if record is None:
+            entry = pairs()
+            if entry is None:
                 if prefetcher is not None:
                     prefetcher.exhausted(index)
                 return None
-            key = key_of(record)
             if prefetcher is not None:
-                prefetcher.note_head(index, key)
+                prefetcher.note_head(index, entry[0])
                 prefetcher.pump()
-            return key, record
+            return entry
 
         return pull
 
@@ -281,19 +238,16 @@ def _merged_group(
     failed attempt already drained and freed, and re-merges the group.
     The completed run is recorded as a checkpoint.
     """
-    columnar = options is not None and options.columnar
     # Capture the output run's key sidecar while writing: the merged
     # stream already knows every record's normalized key, so the next
     # pass over this run can skip key evaluation (or replay outright).
     # Only the two normalized-bytes key functions qualify - custom keys
     # would poison later sidecar consumers.
-    collect = columnar and (
-        key_of is fast_path_key or key_of is embedded_key_of
-    )
+    collect = key_of is fast_path_key or key_of is embedded_key_of
     if recovery is None:
         if (
             collect
-            and not options.loser_tree
+            and (options is None or not options.loser_tree)
             and store.pool is None
             and len(group) > 1
             and have_numpy()
@@ -313,8 +267,7 @@ def _merged_group(
                 ]
                 keys = replay_merge_to_writer(
                     store, group, readers, sidecars,
-                    max(1, ceil(log2(len(group)))), writer,
-                    _WRITE_CHUNK, options.keys.prefix_width,
+                    max(1, ceil(log2(len(group)))), writer, _WRITE_CHUNK,
                 )
                 handle = writer.finish()
                 store.key_sidecars[handle.run_id] = keys
@@ -324,7 +277,7 @@ def _merged_group(
             store, group, key_of, read_category, options, keyed=collect
         )
         keys: list = []
-        if columnar and store.pool is None:
+        if store.pool is None:
             # Grouped writer calls reorder output writes relative to the
             # merge's input reads.  Without a shared buffer pool (eviction
             # order observes the global access sequence) or a recovery
@@ -506,9 +459,7 @@ def merge_to_stream(
         tracer.event("final-merge-stream", width=width, passes=passes)
     if width == 1:
         reader = store.open_reader(current[0], category=read_category)
-        if options is not None and options.columnar:
-            return _drained(reader), passes, width
-        return iter(reader), passes, width
+        return _drained(reader), passes, width
     return merge_pass(store, current, key_of, read_category, options), passes, width
 
 
@@ -543,11 +494,5 @@ def write_sorted_run(
     )
     store.device.stats.record_tokens(len(batch))
     writer = store.create_writer(write_category)
-    if options.columnar:
-        # Post-sort the whole batch is in memory either way; one grouped
-        # call issues the identical per-stream write sequence.
-        writer.write_records(batch)
-    else:
-        for record in batch:
-            writer.write_record(record)
+    writer.write_records(batch)
     return writer.finish()

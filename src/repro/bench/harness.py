@@ -86,7 +86,7 @@ def peak_rss_bytes() -> int | None:
 def environment_detail() -> dict:
     """Host-environment columns recorded in every bench row (ISSUE 7).
 
-    ``numpy_version`` is None exactly when the columnar kernels run on
+    ``numpy_version`` is None exactly when the byte-record kernels run on
     their pure-Python fallback, so a JSON diff across hosts shows at a
     glance whether two wall-clock columns used the same backend.
     """

@@ -1,10 +1,10 @@
-"""Batch-columnar kernels for the record hot path (ROADMAP item 5).
+"""Byte-record kernels: the record hot path of every sorter.
 
-The reference ("scalar") implementation moves one record at a time through
-tokenize -> key-evaluate -> encode -> form-runs -> merge -> decode, which is
-bit-faithful to the paper's accounting but pays Python interpreter overhead
-per element - the reproduction topped out around 10^6 elements.  This
-module provides the batch kernels behind ``MergeOptions(kernel="columnar")``:
+Both sorters move encoded records, not token objects, through scan ->
+key-evaluate -> form-runs -> merge -> output.  Keys are engine-normalized
+``bytes`` (order- and equality-faithful, :mod:`repro.merge.engine`), records
+are spliced from the stored encodings, and sorts are batch argsorts.  The
+pieces:
 
 * :class:`ColumnarBatch` - a run-formation batch held column-wise: one
   contiguous fixed-width array of normalized-key *prefixes* (numpy
@@ -14,11 +14,11 @@ module provides the batch kernels behind ``MergeOptions(kernel="columnar")``:
   comparisons;
 * :func:`argsort_normalized` - prefix argsort with a full-key tie-break
   on equal prefixes, producing exactly the order - including stability -
-  of the scalar ``list.sort`` over the same keys;
+  of ``list.sort`` over the same keys;
 * :func:`fast_path_key` - normalized key bytes straight from an encoded
   key-path record, parsing only the path prefix (merge passes never
   decode tags/attributes/text);
-* :func:`record_puller` / :func:`batched_pulls` - block-drain batched run
+* :func:`record_puller` / :func:`keyed_puller` - block-drain batched run
   reading for the heap and loser-tree merge kernels;
 * :func:`form_runs_columnar` / :func:`emit_output_columnar` - fused block
   encode/decode of the token format for the external merge sort scan and
@@ -30,16 +30,14 @@ module provides the batch kernels behind ``MergeOptions(kernel="columnar")``:
   and a popped subtree's raw data-stack records are parsed, sorted, and
   re-serialized by byte splicing without ever materializing tokens.
 
-**Parity guarantee.**  Every kernel here is counter-transparent: device
-accesses are issued in the same per-stream order at the same consumption
-points as the scalar path (draining an already-buffered block is free in
-the device model either way), comparison charges use the same analytic
-formulas (and counted mode keeps the scalar counting sort), and token
-charges are batched sums of the same per-record units.  Normalized keys
-are order- and equality-faithful (:mod:`repro.merge.engine`), so every
-comparison *outcome* - and therefore every sort order, tie-break, run
-boundary, and merge pop sequence - is identical.  The accounting-parity
-suite pins this across the full MergeOptions grid.
+**Accounting.**  Every kernel charges what the paper's record-at-a-time
+algorithm charges: device accesses are issued in the same per-stream order
+at the same consumption points (draining an already-buffered block is free
+in the device model), comparison charges use the analytic formulas (counted
+mode replays the exact comparison sequence), and token charges are batched
+sums of the same per-record units.  ``tests/scalar_reference.json`` holds
+the outputs, counters, and phase breakdowns of the retired token-object
+implementation, and the accounting-parity suite reproduces every cell.
 """
 
 from __future__ import annotations
@@ -57,9 +55,11 @@ except ImportError:  # pragma: no cover
 from ..errors import CodecError, RunError, SortSpecError
 from ..merge.engine import (
     DEFAULT_KEY_OPTIONS,
+    _normalize_atom,
     argsort_counted,
     dense_ranks,
     embedded_key_of,
+    normalize_number,
 )
 from ..xml.codec import (
     TYPE_END,
@@ -67,14 +67,14 @@ from ..xml.codec import (
     TYPE_START,
     TYPE_TEXT,
     encode_key_atom,
+    encode_tag_attrs,
     encode_varint,
-    read_varint,
-    write_varint,
+    read_tag_attrs,
+    read_varint_fast,
 )
 from ..xml.tokens import StartTag
 
 _DOUBLE_LE = struct.Struct("<d")
-_DOUBLE_BE = struct.Struct(">d")
 _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 
@@ -99,31 +99,8 @@ def have_numpy() -> bool:
 # -- small codec helpers ------------------------------------------------------
 
 
-def varint_bytes(value: int) -> bytes:
-    return encode_varint(value)
-
-
-def _read_varint_fast(data: bytes, pos: int) -> tuple[int, int]:
-    """Inline-friendly LEB128 read (single-byte fast path)."""
-    value = data[pos]
-    pos += 1
-    if value < 0x80:
-        return value, pos
-    value &= 0x7F
-    shift = 7
-    while True:
-        byte = data[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            return value, pos
-        shift += 7
-
-
 def normalized_atom_bytes(atom: tuple) -> bytes:
     """Byte-comparable form of one key atom (engine normalization)."""
-    from ..merge.engine import _normalize_atom
-
     out = bytearray()
     _normalize_atom(out, atom)
     return bytes(out)
@@ -136,17 +113,6 @@ def encoded_atom_bytes(atom: tuple) -> bytes:
     return bytes(out)
 
 
-def _normalize_number(value: float) -> bytes:
-    if value == 0.0:
-        value = 0.0  # collapse -0.0, as engine normalization does
-    (bits,) = _U64.unpack(_DOUBLE_BE.pack(value))
-    if bits & (1 << 63):
-        bits ^= (1 << 64) - 1
-    else:
-        bits ^= 1 << 63
-    return b"\x01" + _U64.pack(bits)
-
-
 def fast_path_key(record: bytes) -> bytes:
     """Normalized sort key of an encoded key-path record, path-only parse.
 
@@ -156,49 +122,55 @@ def fast_path_key(record: bytes) -> bytes:
     element and pointer records, with or without a name dictionary (path
     atoms are dictionary-independent).  Varint reads are inlined: this
     runs once per record per merge pass, the hottest loop in the sort.
+    Truncated records raise :class:`~repro.errors.CodecError`.
     """
-    byte = record[1]
-    pos = 2
-    if byte < 0x80:
-        depth = byte
-    else:
-        depth, pos = _read_varint_fast(record, 1)
-    parts = []
-    append = parts.append
-    for _ in range(depth):
-        kind = record[pos]
-        pos += 1
-        if kind == 2:  # string atom
-            length = record[pos]
-            pos += 1
-            if length >= 0x80:
-                length, pos = _read_varint_fast(record, pos - 1)
-            end = pos + length
-            raw = record[pos:end]
-            pos = end
-            if b"\x00" in raw:
-                raw = raw.replace(b"\x00", b"\x00\xff")
-            append(b"\x02" + raw + b"\x00")
-        elif kind == 1:  # number atom
-            append(_normalize_number(_DOUBLE_LE.unpack_from(record, pos)[0]))
-            pos += 8
-        elif kind == 0:  # missing atom
-            append(b"\x00")
+    try:
+        byte = record[1]
+        pos = 2
+        if byte < 0x80:
+            depth = byte
         else:
-            raise CodecError(f"unknown key atom kind {kind}")
-        position = record[pos]
-        pos += 1
-        if position >= 0x80:
-            position &= 0x7F
-            shift = 7
-            while True:
-                byte = record[pos]
+            depth, pos = read_varint_fast(record, 1)
+        parts = []
+        append = parts.append
+        for _ in range(depth):
+            kind = record[pos]
+            pos += 1
+            if kind == 2:  # string atom
+                length = record[pos]
                 pos += 1
-                position |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-        append(position.to_bytes(8, "big"))
+                if length >= 0x80:
+                    length, pos = read_varint_fast(record, pos - 1)
+                end = pos + length
+                raw = record[pos:end]
+                pos = end
+                if b"\x00" in raw:
+                    raw = raw.replace(b"\x00", b"\x00\xff")
+                append(b"\x02" + raw + b"\x00")
+            elif kind == 1:  # number atom
+                append(
+                    normalize_number(_DOUBLE_LE.unpack_from(record, pos)[0])
+                )
+                pos += 8
+            elif kind == 0:  # missing atom
+                append(b"\x00")
+            else:
+                raise CodecError(f"unknown key atom kind {kind}")
+            position = record[pos]
+            pos += 1
+            if position >= 0x80:
+                position &= 0x7F
+                shift = 7
+                while True:
+                    byte = record[pos]
+                    pos += 1
+                    position |= (byte & 0x7F) << shift
+                    if byte < 0x80:
+                        break
+                    shift += 7
+            append(position.to_bytes(8, "big"))
+    except (IndexError, struct.error) as exc:
+        raise CodecError(f"truncated key-path record: {exc}") from None
     return b"".join(parts)
 
 
@@ -212,13 +184,16 @@ def batch_embedded_keys(records: list[bytes]) -> list[bytes]:
     """Embedded normalized-key prefixes of a drained block of records."""
     out = []
     append = out.append
-    for record in records:
-        length = record[0]
-        if length < 0x80:
-            append(record[1 : 1 + length])
-        else:
-            length, pos = _read_varint_fast(record, 0)
-            append(record[pos : pos + length])
+    try:
+        for record in records:
+            length = record[0]
+            if length < 0x80:
+                append(record[1 : 1 + length])
+            else:
+                length, pos = read_varint_fast(record, 0)
+                append(record[pos : pos + length])
+    except IndexError as exc:
+        raise CodecError(f"truncated embedded-key record: {exc}") from None
     return out
 
 
@@ -336,9 +311,9 @@ def argsort_normalized(
     are then re-ordered by their full keys with a stable Python sort.
     Without numpy
     the whole argsort falls back to a stable sort on the full keys.
-    Either way the result equals the order a stable scalar sort of the
-    keys produces, which is what keeps the columnar kernel's run
-    contents bit-identical.
+    Either way the result equals the order a stable ``list.sort`` of the
+    keys produces, which is what keeps run contents bit-identical to the
+    paper's record-at-a-time sort.
     """
     n = len(keys)
     if n <= 1:
@@ -362,7 +337,7 @@ def argsort_normalized(
     # Tie-break equal padded prefixes on the full key.  The argsort is
     # stable, so rows inside a tie group arrive in ascending original
     # index; the stable Python sort below therefore preserves input
-    # order on fully equal keys, exactly like the scalar timsort.
+    # order on fully equal keys, exactly like a plain timsort.
     sorted_rows = rows[order]
     changed = sorted_rows[1:] != sorted_rows[:-1]
     order = order.tolist()
@@ -384,8 +359,8 @@ def argsort_keyed_batch(
 ) -> list[tuple[bytes, bytes]]:
     """Sort a run-formation ``(normalized key, payload)`` batch.
 
-    Drop-in for the scalar ``sort_keyed_batch`` ordering (the caller
-    charges comparisons); returns a new sorted list.
+    Same order as ``sort_keyed_batch`` (the caller charges
+    comparisons); returns a new sorted list.
     """
     keys = [key for key, _payload in batch]
     order = argsort_normalized(keys, prefix_width)
@@ -445,6 +420,45 @@ def argsort_groups(
     return orders
 
 
+def sort_sibling_groups(
+    groups: list[list],
+    group_keys: list[list[bytes]],
+    stats,
+    prefix_width: int | None = None,
+    counted: bool = False,
+) -> None:
+    """Reorder every sibling list in place by its normalized keys.
+
+    ``group_keys[i]`` holds one order- and equality-faithful key per
+    member of ``groups[i]``; all groups are ordered by one
+    :func:`argsort_groups` call.  The analytic ``n * ceil(log2 n)``
+    comparison charge per group is recorded as one total (charge order
+    inside the enclosing subtree-sort span is not observable).
+
+    ``counted=True`` keys each group down to dense ranks via the batched
+    order and replays a counted timsort over the rank ints
+    (:func:`~repro.merge.engine.argsort_counted`), per group in gather
+    order.  The rank lists are order- and equality-isomorphic to the
+    keys, so the replay performs - and charges - exactly the comparison
+    sequence of a counted sort of the groups, while key derivation and
+    the heavy lifting stay batched.
+    """
+    if not groups:
+        return
+    orders = argsort_groups(group_keys, prefix_width)
+    if counted:
+        for children, keys, order in zip(groups, group_keys, orders):
+            replay = argsort_counted(dense_ranks(keys, order), stats)
+            children[:] = [children[i] for i in replay]
+        return
+    comparisons = 0
+    for children, order in zip(groups, orders):
+        children[:] = [children[i] for i in order]
+        n = len(children)
+        comparisons += n * max(1, ceil(log2(n)))
+    stats.record_comparisons(comparisons)
+
+
 # -- batched run reading ------------------------------------------------------
 
 
@@ -454,8 +468,9 @@ def record_puller(reader) -> Callable[[], bytes | None]:
     Serves every record of the currently buffered block from one batched
     parse; the record that needs the next block is fetched through
     ``read_record`` so the block load happens at exactly the pull index a
-    scalar reader would issue it - the property merge prefetchers, pool
-    eviction order, and interleaved-stream seek judgments depend on.
+    record-at-a-time reader would issue it - the property merge
+    prefetchers, pool eviction order, and interleaved-stream seek
+    judgments depend on.
     """
     queue: list[bytes] = []
     index = 0
@@ -472,16 +487,6 @@ def record_puller(reader) -> Callable[[], bytes | None]:
         return record
 
     return pull
-
-
-def batched_pulls(readers) -> list[Callable[[], bytes | None]]:
-    """Block-drain pull functions for a bank of merge input readers.
-
-    The loser tree refills leaves through these, so its sift pulls come
-    from batch-parsed blocks ("loser-tree sift in batches") while the
-    tournament itself - and its counted comparisons - is untouched.
-    """
-    return [record_puller(reader) for reader in readers]
 
 
 def batch_keys_for(key_of) -> Callable[[list[bytes]], list]:
@@ -510,8 +515,8 @@ def keyed_puller(reader, batch_keys, sidecar=None) -> Callable[[], tuple | None]
     this is where the merge passes' per-record key cost collapses into a
     batch kernel.  With a key ``sidecar`` (the run's normalized keys in
     record order, captured when the run was written) keys are not even
-    recomputed, just indexed.  Block-load timing is the same as the
-    scalar reader's (see :func:`record_puller`).
+    recomputed, just indexed.  Block-load timing is the same as a
+    record-at-a-time reader's (see :func:`record_puller`).
     """
     queue: list[bytes] = []
     keys: list = []
@@ -583,7 +588,7 @@ def merge_sidecars(store, runs, key_of) -> list[list] | None:
     return sidecars
 
 
-def _replay_order(runs, sidecars, prefix_width):
+def _replay_order(runs, sidecars):
     """(concatenated keys, merged order, run index per merged record).
 
     A k-way merge of sorted runs with the heap's ``(key, run index)``
@@ -592,8 +597,7 @@ def _replay_order(runs, sidecars, prefix_width):
     ascending runs - timsort's best case: it detects each run and
     galloping-merges them in near-linear memcmp comparisons, which
     measures several times faster here than the prefix argsort (the
-    argsort cannot exploit presortedness).  ``prefix_width`` is kept
-    for callers but unused on this path.
+    argsort cannot exploit presortedness).
     """
     all_keys: list[bytes] = []
     for keys in sidecars:
@@ -615,7 +619,7 @@ def _replay_order(runs, sidecars, prefix_width):
 def _replay_heads(readers):
     """Initial head record of every reader, pulled in index order.
 
-    Matches the scalar heap's heapify-time reads: one ``read_record``
+    Matches the heap merge's heapify-time reads: one ``read_record``
     per reader, loading each run's first block in run order.  Returns
     (heads, queues, indices) - the inlined drain state the replay loops
     advance without closure calls.
@@ -643,7 +647,6 @@ def replay_merge(
     sidecars,
     comparisons_per_record: int,
     keyed: bool = False,
-    prefix_width: int | None = None,
 ):
     """Heap-kernel merge pass replayed from precomputed key sidecars.
 
@@ -651,7 +654,7 @@ def replay_merge(
     (:func:`_replay_order`), the merge just *replays* record pulls in
     the merged order.  No per-record key evaluation, no heap ops.
 
-    Counter parity with the scalar heap kernel:
+    Counter parity with the heap merge loop:
 
     * records are pulled from each run strictly sequentially, and the
       *global* interleaving of pulls across runs is the merged order -
@@ -664,9 +667,9 @@ def replay_merge(
       at init, matching the heap (empty runs are never freed by either);
     * the analytic ``ceil(log2 w)`` charge per emitted record is flushed
       incrementally on exit, so a device fault or early close mid-merge
-      leaves exactly the scalar charge total.
+      leaves exactly the heap loop's charge total.
     """
-    all_keys, order, run_of = _replay_order(runs, sidecars, prefix_width)
+    all_keys, order, run_of = _replay_order(runs, sidecars)
     heads, queues, indices = _replay_heads(readers)
     stats = store.device.stats
     free = store.free
@@ -721,7 +724,6 @@ def replay_merge_to_writer(
     comparisons_per_record: int,
     writer,
     chunk_records: int,
-    prefix_width: int | None = None,
 ) -> list[bytes]:
     """Materialized merge pass, fully replayed into grouped writer calls.
 
@@ -731,7 +733,7 @@ def replay_merge_to_writer(
     generator machinery.  Returns the output run's key sidecar (the
     merged key order) - no per-record key collection needed.
     """
-    all_keys, order, run_of = _replay_order(runs, sidecars, prefix_width)
+    all_keys, order, run_of = _replay_order(runs, sidecars)
     heads, queues, indices = _replay_heads(readers)
     stats = store.device.stats
     free = store.free
@@ -783,47 +785,17 @@ def replay_merge_to_writer(
 # -- fused scan: stored tokens -> key-path records -> run formation -----------
 
 
-class _StartKeyCache:
+class StartKeyCache:
     """Memoized start-tag key evaluation over raw ``tag+attrs`` bytes.
 
     The memo key is the encoded tag+attributes slice of the stored start
     token, which is exactly the information a start-computable rule may
     use - so one cache serves every rule shape with the evaluator's exact
     semantics (including numeric coercion and missing-attribute
-    fallbacks).  Entries hold the normalized and codec-encoded atom
-    bytes, never token objects.
-    """
-
-    __slots__ = ("spec", "names", "memo")
-
-    def __init__(self, spec, names=None):
-        self.spec = spec
-        self.names = names
-        self.memo: dict[bytes, tuple[bytes, bytes]] = {}
-
-    def key_for(self, tag_attrs: bytes) -> tuple[bytes, bytes]:
-        entry = self.memo.get(tag_attrs)
-        if entry is not None:
-            return entry
-        tag, attrs = _decode_tag_attrs(tag_attrs, self.names)
-        atom = self.spec.rule_for(tag).key_from_start(
-            StartTag(tag, attrs)
-        )
-        entry = (normalized_atom_bytes(atom), encoded_atom_bytes(atom))
-        if len(self.memo) >= _MEMO_LIMIT:
-            self.memo.clear()
-        self.memo[tag_attrs] = entry
-        return entry
-
-
-class ScanSpliceCache:
-    """Memoized splice pieces for the fused NEXSORT document scan.
-
-    Keyed like :class:`_StartKeyCache` by the raw ``tag+attrs`` slice of
-    a stored start record, but holding the pieces the scanning phase
-    splices onto the data stack: the codec-*encoded* key atom (the
-    annotated start carries the atom itself, not a normalized key) and
-    the encoded name field (an end-tag record's name is exactly the
+    fallbacks).  Entries hold the splice pieces the fused scans need,
+    never token objects: the normalized key atom (run-formation keys),
+    the codec-encoded key atom (annotated starts and key-path records),
+    and the encoded name field (an end-tag record's name is exactly the
     tag+attrs prefix, in either name dialect).
     """
 
@@ -833,83 +805,27 @@ class ScanSpliceCache:
         self.spec = spec
         self.names = names
         self.names_coded = names is not None
-        self.memo: dict[bytes, tuple[bytes, bytes]] = {}
+        self.memo: dict[bytes, tuple[bytes, bytes, bytes]] = {}
 
-    def pieces_for(self, tag_attrs: bytes) -> tuple[bytes, bytes]:
+    def pieces_for(self, tag_attrs: bytes) -> tuple[bytes, bytes, bytes]:
+        """(normalized atom, encoded atom, name field) of one start."""
         entry = self.memo.get(tag_attrs)
         if entry is not None:
             return entry
-        tag, attrs = _decode_tag_attrs(tag_attrs, self.names)
+        tag, attrs, _pos = read_tag_attrs(tag_attrs, 0, self.names)
         atom = self.spec.rule_for(tag).key_from_start(
             StartTag(tag, attrs)
         )
         name_field = tag_attrs[
             : _name_field_end(tag_attrs, 0, self.names_coded)
         ]
-        entry = (encoded_atom_bytes(atom), name_field)
+        entry = (
+            normalized_atom_bytes(atom), encoded_atom_bytes(atom), name_field
+        )
         if len(self.memo) >= _MEMO_LIMIT:
             self.memo.clear()
         self.memo[tag_attrs] = entry
         return entry
-
-
-def _decode_tag_attrs(
-    data: bytes, names=None
-) -> tuple[str, tuple[tuple[str, str], ...]]:
-    """Decode a tag+attrs byte slice (plain or dictionary-coded names)."""
-    if names is not None:
-        tag_id, pos = _read_varint_fast(data, 0)
-        count, pos = _read_varint_fast(data, pos)
-        ids = [tag_id]
-        values = []
-        for _ in range(count):
-            name_id, pos = _read_varint_fast(data, pos)
-            ids.append(name_id)
-            length, pos = _read_varint_fast(data, pos)
-            end = pos + length
-            values.append(data[pos:end].decode("utf-8"))
-            pos = end
-        resolved = names.names_of(ids)
-        return resolved[0], tuple(zip(resolved[1:], values))
-    length, pos = _read_varint_fast(data, 0)
-    end = pos + length
-    tag = data[pos:end].decode("utf-8")
-    count, pos = _read_varint_fast(data, end)
-    attrs = []
-    for _ in range(count):
-        length, pos = _read_varint_fast(data, pos)
-        end = pos + length
-        name = data[pos:end].decode("utf-8")
-        length, pos = _read_varint_fast(data, end)
-        end = pos + length
-        attrs.append((name, data[pos:end].decode("utf-8")))
-        pos = end
-    return tag, tuple(attrs)
-
-
-def _encode_tag_attrs(tag: str, attrs, names=None) -> bytes:
-    out = bytearray()
-    if names is not None:
-        out += names.intern_frame(tag)
-        write_varint(out, len(attrs))
-        for name, value in attrs:
-            out += names.intern_frame(name)
-            encoded = value.encode("utf-8")
-            write_varint(out, len(encoded))
-            out += encoded
-        return bytes(out)
-    encoded = tag.encode("utf-8")
-    write_varint(out, len(encoded))
-    out += encoded
-    write_varint(out, len(attrs))
-    for name, value in attrs:
-        encoded = name.encode("utf-8")
-        write_varint(out, len(encoded))
-        out += encoded
-        encoded = value.encode("utf-8")
-        write_varint(out, len(encoded))
-        out += encoded
-    return bytes(out)
 
 
 def _skip_frame(data: bytes, pos: int) -> int:
@@ -917,7 +833,7 @@ def _skip_frame(data: bytes, pos: int) -> int:
     length = data[pos]
     pos += 1
     if length >= 0x80:
-        length, pos = _read_varint_fast(data, pos - 1)
+        length, pos = read_varint_fast(data, pos - 1)
     return pos + length
 
 
@@ -938,13 +854,13 @@ def _skip_tag_attrs(data: bytes, pos: int, names_coded: bool) -> int:
     """End offset of a record's tag+attributes fields starting at ``pos``."""
     if names_coded:
         pos = _skip_varint(data, pos)  # tag id
-        count, pos = _read_varint_fast(data, pos)
+        count, pos = read_varint_fast(data, pos)
         for _ in range(count):
             pos = _skip_varint(data, pos)  # attr name id
             pos = _skip_frame(data, pos)  # attr value
         return pos
     pos = _skip_frame(data, pos)  # tag
-    count, pos = _read_varint_fast(data, pos)
+    count, pos = read_varint_fast(data, pos)
     for _ in range(count):
         pos = _skip_frame(data, pos)  # attr name
         pos = _skip_frame(data, pos)  # attr value
@@ -976,7 +892,7 @@ def _normalize_encoded_atom(data: bytes, pos: int) -> tuple[bytes, int]:
         length = data[pos]
         pos += 1
         if length >= 0x80:
-            length, pos = _read_varint_fast(data, pos - 1)
+            length, pos = read_varint_fast(data, pos - 1)
         end = pos + length
         raw = data[pos:end]
         if b"\x00" in raw:
@@ -984,7 +900,7 @@ def _normalize_encoded_atom(data: bytes, pos: int) -> tuple[bytes, int]:
         return b"\x02" + raw + b"\x00", end
     if kind == 1:
         return (
-            _normalize_number(_DOUBLE_LE.unpack_from(data, pos)[0]),
+            normalize_number(_DOUBLE_LE.unpack_from(data, pos)[0]),
             pos + 8,
         )
     if kind == 0:
@@ -992,13 +908,13 @@ def _normalize_encoded_atom(data: bytes, pos: int) -> tuple[bytes, int]:
     raise CodecError(f"unknown key atom kind {kind}")
 
 
-_ELEMENT_HEADS = [b"\x01" + varint_bytes(depth) for depth in range(64)]
+_ELEMENT_HEADS = [b"\x01" + encode_varint(depth) for depth in range(64)]
 
 
 def _element_head(depth: int) -> bytes:
     if depth < 64:
         return _ELEMENT_HEADS[depth]
-    return b"\x01" + varint_bytes(depth)
+    return b"\x01" + encode_varint(depth)
 
 
 def form_runs_columnar(document, spec, former, device) -> bool:
@@ -1010,15 +926,15 @@ def form_runs_columnar(document, spec, former, device) -> bool:
     already-encoded tag/attribute/text bytes, and the former receives
     normalized ``bytes`` keys.  Emission order (element end-tag order),
     record bytes, token charges, and input-scan block reads are identical
-    to the scalar pipeline.
+    to that token pipeline.
 
     Every storage dialect is covered: plain, dictionary-coded names
     (tag+attrs slices splice verbatim - key-path records use the same
     name encoding), and end-tag-eliminated streams (a dedicated loop
     synthesizes element closes from level transitions with
-    ``restore_end_tags``' exact rules).  Returns False - caller must run
-    the scalar path - only for non-start-computable specs.  Raises the
-    scalar path's own error for streams it rejects (annotated pointers,
+    ``restore_end_tags``' exact rules).  Returns False, having done
+    nothing, only for non-start-computable specs.  Raises the token
+    pipeline's own error for streams it rejects (annotated pointers,
     unbalanced nesting).
     """
     if not spec.start_computable:
@@ -1032,8 +948,7 @@ def form_runs_columnar(document, spec, former, device) -> bool:
     )
     read_available = reader.read_available_records
     read_one = reader.read_record
-    cache = _StartKeyCache(spec, names)
-    key_for = cache.key_for
+    pieces_for = StartKeyCache(spec, names).pieces_for
     add = former.bulk_adder()
     join = b"".join
 
@@ -1064,12 +979,12 @@ def form_runs_columnar(document, spec, former, device) -> bool:
                     # Annotated start (rare outside compaction): decode, then
                     # re-encode the bare tag+attrs the record layout needs.
                     token = document.codec.decode(record)
-                    tag_attrs = _encode_tag_attrs(token.tag, token.attrs, names)
+                    tag_attrs = encode_tag_attrs(token.tag, token.attrs, names)
                 else:
                     tag_attrs = record[2:]
                 pos = next_pos
                 next_pos += 1
-                norm_atom, enc_atom = key_for(tag_attrs)
+                norm_atom, enc_atom, _name = pieces_for(tag_attrs)
                 if pos < 0x80:
                     pos_varint = _VARINT1[pos]
                 else:
@@ -1088,7 +1003,7 @@ def form_runs_columnar(document, spec, former, device) -> bool:
                 text_stack.append(None)
             elif token_type == TYPE_END:
                 if not ta_stack:
-                    raise CodecError("unbalanced end tag during columnar scan")
+                    raise CodecError("unbalanced end tag during fused scan")
                 tag_attrs = ta_stack.pop()
                 pending = text_stack.pop()
                 norm = norm_stack.pop()
@@ -1099,7 +1014,7 @@ def form_runs_columnar(document, spec, former, device) -> bool:
                     joined = join(
                         [_frame_payload(frame) for frame in pending]
                     )
-                    text_frame = varint_bytes(len(joined)) + joined
+                    text_frame = encode_varint(len(joined)) + joined
                 else:
                     text_frame = pending
                 depth = len(ta_stack) + 1
@@ -1132,7 +1047,7 @@ def form_runs_columnar(document, spec, former, device) -> bool:
             else:
                 raise CodecError(f"unknown token type byte {token_type}")
     if ta_stack:
-        raise CodecError("unbalanced event stream during columnar scan")
+        raise CodecError("unbalanced event stream during fused scan")
     device.stats.record_tokens(records)
     return True
 
@@ -1146,8 +1061,7 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
     pointer at level ``l`` closes opens at levels ``>= l``; a text at
     level ``l`` closes opens deeper than ``l``; end of stream closes
     everything).  Emission order, record bytes, and token charges match
-    the scalar ``restore_end_tags -> annotate -> records -> encode``
-    pipeline.
+    the ``restore_end_tags -> annotate -> records -> encode`` pipeline.
     """
     names_coded = names is not None
     reader = document.store.open_reader(
@@ -1155,8 +1069,7 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
     )
     read_available = reader.read_available_records
     read_one = reader.read_record
-    cache = _StartKeyCache(spec, names)
-    key_for = cache.key_for
+    pieces_for = StartKeyCache(spec, names).pieces_for
     add = former.bulk_adder()
     join = b"".join
 
@@ -1176,7 +1089,7 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
             text_frame = b"\x00"
         elif type(pending) is list:
             joined = join([_frame_payload(frame) for frame in pending])
-            text_frame = varint_bytes(len(joined)) + joined
+            text_frame = encode_varint(len(joined)) + joined
         else:
             text_frame = pending
         depth = len(ta_stack) + 1
@@ -1200,14 +1113,14 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
                 if flags == 4:  # level-annotated start, the stored form
                     end = _skip_tag_attrs(record, 2, names_coded)
                     tag_attrs = record[2:end]
-                    level, _ = _read_varint_fast(record, end)
+                    level, _ = read_varint_fast(record, end)
                 else:
                     token = document.codec.decode(record)
                     if token.level is None:
                         raise CodecError(
                             "compacted stream contains a start without a level"
                         )
-                    tag_attrs = _encode_tag_attrs(
+                    tag_attrs = encode_tag_attrs(
                         token.tag, token.attrs, names
                     )
                     level = token.level
@@ -1215,7 +1128,7 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
                     close_top()
                 pos = next_pos
                 next_pos += 1
-                norm_atom, enc_atom = key_for(tag_attrs)
+                norm_atom, enc_atom, _name = pieces_for(tag_attrs)
                 if pos < 0x80:
                     pos_varint = _VARINT1[pos]
                 else:
@@ -1237,7 +1150,7 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
                 if record[1] & 4:
                     end = _skip_frame(record, 2)
                     frame = record[2:end]
-                    level, _ = _read_varint_fast(record, end)
+                    level, _ = read_varint_fast(record, end)
                     while open_levels and open_levels[-1] > level:
                         close_top()
                 else:
@@ -1268,13 +1181,13 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
 
 def _frame_payload(frame: bytes) -> bytes:
     """Strip the varint length header of a string frame."""
-    _, pos = _read_varint_fast(frame, 0)
+    _, pos = read_varint_fast(frame, 0)
     return frame[pos:]
 
 
 def _frame_string(text: str) -> bytes:
     encoded = text.encode("utf-8")
-    return varint_bytes(len(encoded)) + encoded
+    return encode_varint(len(encoded)) + encoded
 
 
 # -- fused internal subtree sorts ----------------------------------------------
@@ -1326,7 +1239,7 @@ def _raw_pointer(record: bytes) -> tuple[_RawNode, int]:
     """(_RawNode, element_count) of an encoded RunPointer record."""
     flags = record[1]
     pos = _skip_varint(record, 2)  # run_id
-    count, pos = _read_varint_fast(record, pos)  # element_count
+    count, pos = read_varint_fast(record, pos)  # element_count
     pos = _skip_varint(record, pos)  # payload_bytes
     body = record[2:pos]
     atom = None
@@ -1336,7 +1249,7 @@ def _raw_pointer(record: bytes) -> tuple[_RawNode, int]:
         atom = record[pos:end]
         pos = end
     if flags & 2:
-        position, pos = _read_varint_fast(record, pos)
+        position, pos = read_varint_fast(record, pos)
     return _RawNode(None, body, atom, position), count
 
 
@@ -1361,7 +1274,7 @@ def _parse_subtree_plain(
                 atom = record[end:stop]
                 end = stop
             if flags & 2:
-                position, end = _read_varint_fast(record, end)
+                position, end = read_varint_fast(record, end)
             node = _RawNode(tag_attrs, None, atom, position)
             root = _attach_raw_node(node, root, stack)
             stack.append(node)
@@ -1380,7 +1293,7 @@ def _parse_subtree_plain(
                 node.atom = record[end:stop]
                 end = stop
             if flags & 2:
-                node.pos, end = _read_varint_fast(record, end)
+                node.pos, end = read_varint_fast(record, end)
         elif token_type == TYPE_TEXT:
             if stack:
                 flags = record[1]
@@ -1420,7 +1333,7 @@ def _parse_subtree_compact(
             if flags & 4:
                 end = _skip_frame(record, 2)
                 frame = record[2:end]
-                level, _ = _read_varint_fast(record, end)
+                level, _ = read_varint_fast(record, end)
                 while levels and levels[-1] > level:
                     levels.pop()
                     stack.pop()
@@ -1440,10 +1353,10 @@ def _parse_subtree_compact(
                 atom = record[end:stop]
                 end = stop
             if flags & 2:
-                position, end = _read_varint_fast(record, end)
+                position, end = read_varint_fast(record, end)
             if not flags & 4:
                 raise CodecError("compacted token without level")
-            level, _ = _read_varint_fast(record, end)
+            level, _ = read_varint_fast(record, end)
             while levels and levels[-1] >= level:
                 levels.pop()
                 stack.pop()
@@ -1464,7 +1377,7 @@ def _parse_subtree_compact(
                 pos = _skip_atom(record, pos)
             if flags & 2:
                 pos = _skip_varint(record, pos)
-            level, _ = _read_varint_fast(record, pos)
+            level, _ = read_varint_fast(record, pos)
             while levels and levels[-1] >= level:
                 levels.pop()
                 stack.pop()
@@ -1490,23 +1403,12 @@ def sort_raw_tree(
 ) -> None:
     """Sort every sibling list of a raw-record subtree, batched.
 
-    The batch form of ``subtree.sort_node_tree``: one DFS gathers every
-    sibling group that the scalar path would sort (``n > 1``, level
-    within ``sort_levels``), group keys are the engine-normalized
-    ``atom + 8-byte position`` bytes (order- and equality-faithful to
-    the scalar ``(key, pos)`` tuple compare), and :func:`argsort_groups`
-    orders all groups in one batched stable argsort.  The analytic
-    ``n * ceil(log2 n)`` comparison charge per group is identical to the
-    scalar path's; charge *order* inside the surrounding subtree-sort
-    span is not observable, so the total is recorded in one call.
-
-    ``counted=True`` (comparison-charging mode) keys each group down to
-    dense ranks via the batched order and replays a counted timsort over
-    the rank ints (:func:`~repro.merge.engine.argsort_counted`).  Because
-    the rank lists are order- and equality-isomorphic to the scalar
-    ``(key, pos)`` tuples, the replay performs - and charges - exactly
-    the comparison sequence of the scalar per-group counted sort, while
-    key derivation and the heavy lifting stay batched.
+    The raw-record form of ``subtree.sort_node_tree``: one DFS gathers
+    every sibling group to sort (``n > 1``, level within
+    ``sort_levels``), group keys are the engine-normalized ``atom +
+    8-byte position`` bytes (order- and equality-faithful to the
+    ``(key, pos)`` tuple compare), and :func:`sort_sibling_groups`
+    orders and charges them all.
     """
     groups: list[list[_RawNode]] = []
     group_keys: list[list[bytes]] = []
@@ -1534,24 +1436,7 @@ def sort_raw_tree(
         for child in children:
             if child.body is None:  # pointers are leaves
                 work.append((child, level + 1))
-    if not groups:
-        return
-    if counted:
-        # Charge per group, in DFS gather order, exactly as the scalar
-        # path charges per sibling-group sort.
-        for children, keys, order in zip(
-            groups, group_keys, argsort_groups(group_keys, prefix_width)
-        ):
-            ranks = dense_ranks(keys, order)
-            replay = argsort_counted(ranks, stats)
-            children[:] = [children[i] for i in replay]
-        return
-    comparisons = 0
-    for children, order in zip(groups, argsort_groups(group_keys, prefix_width)):
-        children[:] = [children[i] for i in order]
-        n = len(children)
-        comparisons += n * max(1, ceil(log2(n)))
-    stats.record_comparisons(comparisons)
+    sort_sibling_groups(groups, group_keys, stats, prefix_width, counted)
 
 
 def _serialize_raw_tree(
@@ -1577,7 +1462,7 @@ def _serialize_raw_tree(
         if compact:
             tail = level_tails.get(level)
             if tail is None:
-                tail = varint_bytes(level)
+                tail = encode_varint(level)
                 level_tails[level] = tail
         if node.body is not None:  # pointer
             if compact:
@@ -1594,7 +1479,7 @@ def _serialize_raw_tree(
         if texts is not None:
             if type(texts) is list:
                 joined = join([_frame_payload(frame) for frame in texts])
-                frame = varint_bytes(len(joined)) + joined
+                frame = encode_varint(len(joined)) + joined
             else:
                 frame = texts
             if compact:
@@ -1640,7 +1525,7 @@ def subtree_root_summary(
         atom = first[pos:end]
         pos = end
     if flags & 2:
-        position, pos = _read_varint_fast(first, pos)
+        position, pos = read_varint_fast(first, pos)
     if not compact and (atom is None or atom[0] == 0):
         last = records[-1]
         if last[0] == TYPE_END and last[1] & 1:
@@ -1648,7 +1533,7 @@ def subtree_root_summary(
             lend = _skip_atom(last, lpos)
             atom = last[lpos:lend]
             if last[1] & 2:
-                position, _ = _read_varint_fast(last, lend)
+                position, _ = read_varint_fast(last, lend)
     return atom, position
 
 
@@ -1670,8 +1555,9 @@ def sort_subtree_records(
     argsort (:func:`sort_raw_tree`), and output records are spliced from
     the input's own encoded slices.  Returns ``(out_records, units,
     real_elements)``; output bytes, order, and the comparison charge are
-    identical to the scalar internal path (``counted=True`` replays the
-    counted comparison sequence exactly - see :func:`sort_raw_tree`).
+    identical to sorting the decoded token tree (``counted=True`` replays
+    the counted comparison sequence exactly - see
+    :func:`sort_sibling_groups`).
     """
     if compact:
         root, units, real = _parse_subtree_compact(records, names_coded)
@@ -1737,7 +1623,7 @@ def emit_output_columnar(
             if length < 0x80:
                 record = record[1 + length :]
             else:
-                length, pos = _read_varint_fast(record, 0)
+                length, pos = read_varint_fast(record, 0)
                 record = record[pos + length :]
         if record[0] != 1:  # element records only on this path
             raise CodecError(
@@ -1746,7 +1632,7 @@ def emit_output_columnar(
         depth = record[1]
         pos = 2
         if depth >= 0x80:
-            depth, pos = _read_varint_fast(record, 1)
+            depth, pos = read_varint_fast(record, 1)
         if depth == 0:
             raise CodecError("key-path record with empty path")
         # Skip the (atom, position) path components; varints inlined -
@@ -1758,7 +1644,7 @@ def emit_output_columnar(
                 length = record[pos]
                 pos += 1
                 if length >= 0x80:
-                    length, pos = _read_varint_fast(record, pos - 1)
+                    length, pos = read_varint_fast(record, pos - 1)
                 pos += length
             elif kind == 1:
                 pos += 8
@@ -1776,7 +1662,7 @@ def emit_output_columnar(
             count = record[pos]
             pos += 1
             if count >= 0x80:
-                count, pos = _read_varint_fast(record, pos - 1)
+                count, pos = read_varint_fast(record, pos - 1)
             for _ in range(count):
                 while record[pos] >= 0x80:  # attr name id varint
                     pos += 1
@@ -1784,24 +1670,24 @@ def emit_output_columnar(
                 length = record[pos]  # attr value frame
                 pos += 1
                 if length >= 0x80:
-                    length, pos = _read_varint_fast(record, pos - 1)
+                    length, pos = read_varint_fast(record, pos - 1)
                 pos += length
         else:
             length = record[pos]
             pos += 1
             if length >= 0x80:
-                length, pos = _read_varint_fast(record, pos - 1)
+                length, pos = read_varint_fast(record, pos - 1)
             pos += length
             tag_frame = record[tag_start:pos]
             count = record[pos]
             pos += 1
             if count >= 0x80:
-                count, pos = _read_varint_fast(record, pos - 1)
+                count, pos = read_varint_fast(record, pos - 1)
             for _ in range(2 * count):
                 length = record[pos]
                 pos += 1
                 if length >= 0x80:
-                    length, pos = _read_varint_fast(record, pos - 1)
+                    length, pos = read_varint_fast(record, pos - 1)
                 pos += length
         tag_attrs = record[tag_start:pos]
         text_frame = record[pos:]
@@ -1820,7 +1706,7 @@ def emit_output_columnar(
         # level == depth), exactly as tokens_from_sorted_records emits.
         tail = level_tails.get(depth)
         if tail is None:
-            tail = varint_bytes(depth)
+            tail = encode_varint(depth)
             level_tails[depth] = tail
         append(b"\x01\x04" + tag_attrs + tail)
         pending_tokens += 1

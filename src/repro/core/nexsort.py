@@ -45,6 +45,8 @@ from ..xml.codec import (
     TYPE_POINTER,
     TYPE_START,
     TYPE_TEXT,
+    encode_tag_attrs,
+    encode_varint,
     read_varint,
     write_varint,
 )
@@ -59,11 +61,9 @@ from ..xml.tokens import (
 from . import flat as flat_mod
 from .columnar import (
     _VARINT1,
-    ScanSpliceCache,
-    _encode_tag_attrs,
+    StartKeyCache,
     _skip_frame,
     _skip_tag_attrs,
-    varint_bytes,
 )
 from .output import output_phase
 from .report import NexsortReport, SubtreeSortInfo
@@ -128,8 +128,8 @@ class _OpenFrame:
         self.partial_runs: list = []
         self.flat_units = 0
         self.flat_real = 0
-        # Fused columnar scan only: the pre-spliced end-tag record this
-        # element pushes when it closes (plain storage).
+        # Fused scan only: the pre-spliced end-tag record this element
+        # pushes when it closes (plain storage).
         self.end_record: bytes | None = None
 
 
@@ -298,16 +298,11 @@ class NexSorter:
             evaluator = KeyEvaluator(self.spec)
             root_pointer: RunPointer | None = None
 
-            # Fused columnar scan (ISSUE 7): annotate stored records by
-            # byte splicing instead of decode -> KeyEvaluator -> encode.
-            # Start-computable keys only (the splice evaluates keys from
-            # raw tag+attrs slices); graceful degeneration keeps the
-            # token loop (its flush heuristics inspect decoded tokens).
-            fused = (
-                options.merge.columnar
-                and start_keyed
-                and not options.flat_optimization
-            )
+            # Fused scan: annotate stored records by byte splicing
+            # instead of decode -> KeyEvaluator -> encode.  Keys evaluated
+            # at end tags and the flush heuristics of graceful
+            # degeneration need the token scan instead.
+            fused = start_keyed and not options.flat_optimization
             with maybe_span(
                 tracer,
                 "document-scan",
@@ -317,7 +312,7 @@ class NexSorter:
                 flat=options.flat_optimization,
             ):
                 if fused:
-                    self._scan_columnar(
+                    self._scan_fused(
                         document,
                         frames,
                         data_stack,
@@ -333,7 +328,7 @@ class NexSorter:
                         fan_in,
                     )
                 else:
-                    self._scan_scalar(
+                    self._scan_tokens(
                         document,
                         evaluator,
                         frames,
@@ -369,8 +364,7 @@ class NexSorter:
             before_output = device.stats.snapshot()
             with maybe_span(tracer, "output-walk"):
                 handle, output_page_ins, output_page_outs = output_phase(
-                    store, root_pointer, tracer=tracer,
-                    columnar=options.merge.columnar,
+                    store, root_pointer, tracer=tracer
                 )
                 # Detach (and flush) the pool before the final snapshots so
                 # the write-back of any still-dirty output blocks is
@@ -405,7 +399,7 @@ class NexSorter:
 
     # -- sorting-phase internals ---------------------------------------------
 
-    def _scan_scalar(
+    def _scan_tokens(
         self,
         document: Document,
         evaluator: KeyEvaluator,
@@ -424,7 +418,12 @@ class NexSorter:
         start_keyed: bool,
         capacity_bytes: int,
     ) -> None:
-        """The reference scanning loop: decode, annotate, re-encode."""
+        """The token scanning loop: decode, annotate, re-encode.
+
+        Used where the fused scan cannot go: keys evaluated at end tags
+        (``ByText``/``ByChildPath`` need the closed subtree) and graceful
+        degeneration, whose flush heuristics inspect decoded tokens.
+        """
         for event in evaluator.annotate(
             document.iter_events("input_scan")
         ):
@@ -476,7 +475,7 @@ class NexSorter:
             else:  # pragma: no cover - evaluator only yields these
                 raise SortSpecError(f"unexpected event {event!r}")
 
-    def _scan_columnar(
+    def _scan_fused(
         self,
         document: Document,
         frames: list[_OpenFrame],
@@ -499,19 +498,18 @@ class NexSorter:
         pushed onto the data stack is assembled as ``type, flags,
         tag+attrs (verbatim slice), key atom (memoized per distinct
         tag+attrs), pos varint[, level varint]``, texts are pushed
-        verbatim (their stored bytes already equal the scalar re-encode),
+        verbatim (their stored bytes already equal the token re-encode),
         and plain end tags are pre-spliced at the matching start.  Every
         push - and therefore every data-stack byte, token charge, paging
         decision, and subtree-sort trigger - is bit-identical to
-        :meth:`_scan_scalar`; input block reads fire at the same record
+        :meth:`_scan_tokens`; input block reads fire at the same record
         pull index (draining an already-buffered block is free in the
         device model either way).
         """
         names = (
             document.compaction.names if document.compaction else None
         )
-        cache = ScanSpliceCache(self.spec, names)
-        pieces_for = cache.pieces_for
+        pieces_for = StartKeyCache(self.spec, names).pieces_for
         reader = store.open_reader(document.handle, category="input_scan")
         read_available = reader.read_available_records
         read_one = reader.read_record
@@ -560,7 +558,7 @@ class NexSorter:
                                     "compacted stream contains a start "
                                     "without a level"
                                 )
-                            tag_attrs = _encode_tag_attrs(
+                            tag_attrs = encode_tag_attrs(
                                 token.tag, token.attrs, names
                             )
                             stored_level = token.level
@@ -570,18 +568,18 @@ class NexSorter:
                         # Annotated start in plain storage (rare): decode,
                         # then re-encode the bare tag+attrs slice.
                         token = codec.decode(record)
-                        tag_attrs = _encode_tag_attrs(
+                        tag_attrs = encode_tag_attrs(
                             token.tag, token.attrs, names
                         )
                     else:
                         tag_attrs = record[2:]
                     pos = next_pos
                     next_pos += 1
-                    enc_atom, name_field = pieces_for(tag_attrs)
+                    _norm, enc_atom, name_field = pieces_for(tag_attrs)
                     if pos < 0x80:
                         pos_varint = _VARINT1[pos]
                     else:
-                        pos_varint = varint_bytes(pos)
+                        pos_varint = encode_varint(pos)
                     if compact:
                         # The evaluator annotates depth, not the stored
                         # level (equal on any well-formed stream).
@@ -594,7 +592,7 @@ class NexSorter:
                                 pos_varint,
                                 _VARINT1[depth]
                                 if depth < 0x80
-                                else varint_bytes(depth),
+                                else encode_varint(depth),
                             )
                         )
                     else:
@@ -603,7 +601,7 @@ class NexSorter:
                         )
                     loc = push(encoded)
                     push_path(
-                        _VARINT1[loc] if loc < 0x80 else varint_bytes(loc)
+                        _VARINT1[loc] if loc < 0x80 else encode_varint(loc)
                     )
                     frame = _OpenFrame(loc, loc + len(encoded))
                     if compact:
@@ -671,7 +669,7 @@ class NexSorter:
                 close_top()
         if frames:
             raise CodecError(
-                "unbalanced event stream during columnar scan"
+                "unbalanced event stream during fused scan"
             )
 
     def _handle_end(
@@ -756,16 +754,9 @@ class NexSorter:
             size=size,
             level=d_s,
         ) as span:
-            if self.options.merge.columnar:
-                # Fused path: sort straight from the encoded records
-                # (falls back internally for external-sized subtrees
-                # and counted-comparison mode).
-                result = sorter.sort_records(
-                    token_records, size, d_s, sort_levels
-                )
-            else:
-                tokens = [codec.decode(record) for record in token_records]
-                result = sorter.sort_tokens(tokens, size, d_s, sort_levels)
+            result = sorter.sort_records(
+                token_records, size, d_s, sort_levels
+            )
             if span is not None:
                 span.set(
                     internal=result.internal,

@@ -6,8 +6,10 @@ subtree, sorting on Line 11 may use either an internal-memory algorithm or
 an external-memory algorithm, e.g., internal-memory recursive sort or
 key-path external merge sort" (Section 3.1).  Both paths live here:
 
-* **internal** - build the node tree, recursively sort every child list by
-  ``(key, position)``, serialize depth-first into a run.
+* **internal** - parse the popped records into a node tree by field
+  offsets, sort every child list by ``(key, position)`` in one batched
+  argsort, and splice the run records from the input's own encodings
+  (:func:`repro.core.columnar.sort_subtree_records`).
 * **external** - the subtree exceeds the sorter's memory: generate its
   key-path records (paths relative to the subtree root), form runs of
   memory size, merge, and decode into the run.  This is the path taken when
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from math import ceil, log2
 from typing import Iterable, Iterator
 
 from ..baselines.keypath import (
@@ -44,19 +45,16 @@ from ..merge.engine import (
     DEFAULT_MERGE_OPTIONS,
     MergeOptions,
     RunFormer,
-    argsort_counted,
-    dense_ranks,
     embedded_key_of,
     normalized_path_key,
-    sort_with_accounting,
     strip_embedded_key,
 )
 from ..xml.codec import TokenCodec, decode_key_atom
 from ..xml.compact import restore_end_tags
 from .columnar import (
-    argsort_groups,
     fast_path_key,
     normalized_atom_bytes,
+    sort_sibling_groups,
     sort_subtree_records,
     subtree_root_summary,
 )
@@ -198,59 +196,20 @@ def sort_node_tree(
     sort_levels: int | None,
     device_stats,
     counted: bool = False,
-    kernel: str = "scalar",
+    prefix_width: int | None = None,
 ) -> None:
-    """Recursively sort every child list (iteratively, stack-safe).
+    """Sort every child list of a node tree by ``(key, position)``.
 
     ``sort_levels`` limits sorting to the top levels of the subtree
-    (None = all levels); comparisons are charged to the CPU model -
-    analytically (``n * ceil(log2 n)``, the seed behaviour) by default,
-    or as actually counted when ``counted`` is set.
-
-    ``kernel="columnar"`` gathers every sibling group the scalar path
-    would sort and orders all of them with one batched stable argsort
-    over engine-normalized ``key + position`` bytes
-    (:func:`repro.core.columnar.argsort_groups`); the resulting orders
-    and the analytic comparison total are identical to the scalar
-    per-group ``list.sort``.  Counted mode batches too: each group's
-    keys collapse to dense ranks via the batched order, and a counted
-    timsort replay over the rank ints charges exactly the comparison
-    sequence the scalar per-group sort performs (the ranks are order-
-    and equality-isomorphic to the ``(key, pos)`` tuples).
+    (None = all levels).  One DFS gathers every sibling group with more
+    than one member and :func:`repro.core.columnar.argsort_groups` orders
+    all of them in one batched stable argsort over engine-normalized
+    ``key + position`` bytes (order- and equality-faithful to the
+    ``(key, pos)`` tuples).  Comparisons are charged to the CPU model -
+    analytically (``n * ceil(log2 n)`` per group) by default, or as
+    actually counted when ``counted`` is set
+    (:func:`repro.core.columnar.sort_sibling_groups`).
     """
-    if kernel == "columnar":
-        _sort_node_tree_columnar(
-            root, sort_levels, device_stats, counted=counted
-        )
-        return
-    work: list[tuple[_Node, int]] = [(root, 1)]
-    while work:
-        node, level = work.pop()
-        if sort_levels is None or level <= sort_levels:
-            n = len(node.children)
-            if n > 1:
-                if counted:
-                    sort_with_accounting(
-                        node.children, _Node.order_key, device_stats, True
-                    )
-                else:
-                    node.children.sort(key=_Node.order_key)
-                    device_stats.record_comparisons(
-                        n * max(1, ceil(log2(n)))
-                    )
-        for child in node.children:
-            if not child.is_pointer:
-                work.append((child, level + 1))
-
-
-def _sort_node_tree_columnar(
-    root: _Node,
-    sort_levels: int | None,
-    device_stats,
-    prefix_width: int | None = None,
-    counted: bool = False,
-) -> None:
-    """Batched sibling-group form of :func:`sort_node_tree`."""
     groups: list[list[_Node]] = []
     group_keys: list[list[bytes]] = []
     memo: dict[tuple, bytes] = {}
@@ -276,24 +235,9 @@ def _sort_node_tree_columnar(
         for child in children:
             if not child.is_pointer:
                 work.append((child, level + 1))
-    if not groups:
-        return
-    if counted:
-        for children, keys, order in zip(
-            groups, group_keys, argsort_groups(group_keys, prefix_width)
-        ):
-            ranks = dense_ranks(keys, order)
-            replay = argsort_counted(ranks, device_stats)
-            children[:] = [children[i] for i in replay]
-        return
-    comparisons = 0
-    for children, order in zip(
-        groups, argsort_groups(group_keys, prefix_width)
-    ):
-        children[:] = [children[i] for i in order]
-        n = len(children)
-        comparisons += n * max(1, ceil(log2(n)))
-    device_stats.record_comparisons(comparisons)
+    sort_sibling_groups(
+        groups, group_keys, device_stats, prefix_width, counted
+    )
 
 
 def serialize_node_tree(
@@ -439,98 +383,6 @@ class SubtreeSorter:
         self.run_lengths: list[int] = []
         self._sorted_subtrees = 0
 
-    def sort_tokens(
-        self,
-        tokens: list[Token],
-        payload_bytes: int,
-        base_level: int,
-        sort_levels: int | None,
-    ) -> SubtreeResult:
-        """Sort one complete subtree and write it as a run.
-
-        Args:
-            tokens: the subtree's tokens, in document order.
-            payload_bytes: their total encoded size (known from the stack).
-            base_level: absolute level of the subtree root (``d_s``).
-            sort_levels: how many top relative levels to sort (None = all;
-                0 = none, the subtree is written through unsorted).
-        """
-        units, real = count_units(tokens)
-        root_token = tokens[0]
-        root_key = (
-            root_token.key if root_token.key is not None else MISSING_KEY
-        )
-        root_pos = root_token.pos if root_token.pos is not None else 0
-        if root_key == MISSING_KEY and not self.compact:
-            # Subtree-evaluated criteria put the root's key on its end tag.
-            last = tokens[-1]
-            if isinstance(last, EndTag) and last.key is not None:
-                root_key = last.key
-                root_pos = last.pos if last.pos is not None else root_pos
-
-        internal = payload_bytes <= self.capacity_bytes
-        run, written = self._sort_recoverably(
-            tokens, base_level, sort_levels, internal
-        )
-        return SubtreeResult(
-            run=run,
-            units=units,
-            real_elements=real,
-            payload_bytes=written,
-            root_key=root_key,
-            root_pos=root_pos,
-            internal=internal,
-        )
-
-    def _sort_recoverably(
-        self,
-        tokens: list[Token],
-        base_level: int,
-        sort_levels: int | None,
-        internal: bool,
-    ) -> tuple[RunHandle, int]:
-        """Run one subtree sort, restarting it on transient faults.
-
-        A subtree sort regenerates everything from the in-memory token
-        list, so no device hold is needed; a restart only has to clean up
-        what the failed attempt left behind - runs it registered (the
-        external path's formation/merge intermediates) and their
-        ``run_lengths`` entries.
-        """
-        sorter = (
-            self._sort_internal if internal else self._sort_external
-        )
-        return self._run_recoverably(
-            lambda: sorter(tokens, base_level, sort_levels)
-        )
-
-    def _run_recoverably(self, attempt) -> tuple[RunHandle, int]:
-        """Run one subtree-sort attempt under the recovery protocol."""
-        unit = self._sorted_subtrees
-        self._sorted_subtrees += 1
-        if self.recovery is None:
-            return attempt()
-
-        runs_before = self.store.live_run_ids()
-        lengths_before = len(self.run_lengths)
-
-        def attempt_once() -> tuple[RunHandle, int]:
-            try:
-                return attempt()
-            except DeviceFault:
-                for run_id in self.store.live_run_ids() - runs_before:
-                    self.store.free(run_id)
-                del self.run_lengths[lengths_before:]
-                raise
-
-        run, written = self.recovery.attempt(
-            "subtree-sort", unit, attempt_once
-        )
-        self.recovery.checkpoint("subtree-sort", unit, run_id=run.run_id)
-        return run, written
-
-    # -- fused raw-record path (columnar kernel) -----------------------------
-
     def sort_records(
         self,
         records: list[bytes],
@@ -540,19 +392,21 @@ class SubtreeSorter:
     ) -> SubtreeResult:
         """Sort one subtree straight from its encoded data-stack records.
 
-        The columnar analogue of :meth:`sort_tokens`: when the subtree
-        fits in memory the records are parsed by field offsets, sibling
-        groups are ordered with one batched argsort, and run records are
-        spliced from the input's own encoded slices
+        Args:
+            records: the subtree's encoded tokens, in document order.
+            payload_bytes: their total encoded size (known from the stack).
+            base_level: absolute level of the subtree root (``d_s``).
+            sort_levels: how many top relative levels to sort (None = all;
+                0 = none, the subtree is written through unsorted).
+
+        When the subtree fits in memory the records are parsed by field
+        offsets, sibling groups are ordered with one batched argsort, and
+        run records are spliced from the input's own encoded slices
         (:func:`repro.core.columnar.sort_subtree_records`) - no token is
-        ever materialized.  Output bytes, counters, and the RunPointer
-        key are identical to the scalar path (counted-comparison mode
-        replays the scalar comparison sequence over dense ranks - see
-        :func:`repro.core.columnar.sort_raw_tree`).  External-sized
-        subtrees decode and fall back to :meth:`sort_tokens`.
+        ever materialized.  External-sized subtrees decode and take
+        :meth:`sort_tokens`.
         """
-        internal = payload_bytes <= self.capacity_bytes
-        if not internal:
+        if payload_bytes > self.capacity_bytes:
             return self.sort_tokens(
                 self.codec.decode_batch(records),
                 payload_bytes,
@@ -607,35 +461,82 @@ class SubtreeSorter:
             internal=True,
         )
 
-    # -- internal-memory path ----------------------------------------------
-
-    def _sort_internal(
+    def sort_tokens(
         self,
         tokens: list[Token],
+        payload_bytes: int,
         base_level: int,
         sort_levels: int | None,
-    ) -> tuple[RunHandle, int]:
-        stats = self.store.device.stats
-        root = build_subtree(tokens, self.compact)
-        sort_node_tree(
-            root,
-            sort_levels,
-            stats,
-            self.options.counted_comparisons,
-            kernel=self.options.kernel,
+    ) -> SubtreeResult:
+        """Sort one complete subtree given as tokens and write it as a run.
+
+        Arguments as for :meth:`sort_records`.  A subtree that fits in
+        memory is re-encoded and sorted by :meth:`sort_records`; a larger
+        one takes the external key-path sort.
+        """
+        if payload_bytes <= self.capacity_bytes:
+            return self.sort_records(
+                self.codec.encode_batch(tokens),
+                payload_bytes,
+                base_level,
+                sort_levels,
+            )
+        units, real = count_units(tokens)
+        root_token = tokens[0]
+        root_key = (
+            root_token.key if root_token.key is not None else MISSING_KEY
         )
-        writer = self.store.create_writer("run_write")
-        count = 0
-        try:
-            for token in serialize_node_tree(root, base_level, self.compact):
-                writer.write_record(self.codec.encode(token))
-                count += 1
-        except DeviceFault:
-            writer.abandon()
-            raise
-        stats.record_tokens(count)
-        handle = writer.finish()
-        return handle, handle.payload_bytes
+        root_pos = root_token.pos if root_token.pos is not None else 0
+        if root_key == MISSING_KEY and not self.compact:
+            # Subtree-evaluated criteria put the root's key on its end tag.
+            last = tokens[-1]
+            if isinstance(last, EndTag) and last.key is not None:
+                root_key = last.key
+                root_pos = last.pos if last.pos is not None else root_pos
+        run, written = self._run_recoverably(
+            lambda: self._sort_external(tokens, base_level, sort_levels)
+        )
+        return SubtreeResult(
+            run=run,
+            units=units,
+            real_elements=real,
+            payload_bytes=written,
+            root_key=root_key,
+            root_pos=root_pos,
+            internal=False,
+        )
+
+    def _run_recoverably(self, attempt) -> tuple[RunHandle, int]:
+        """Run one subtree-sort attempt, restarting it on transient faults.
+
+        A subtree sort regenerates everything from its in-memory input,
+        so no device hold is needed; a restart only has to clean up what
+        the failed attempt left behind - runs it registered (the external
+        path's formation/merge intermediates) and their ``run_lengths``
+        entries.
+        """
+        unit = self._sorted_subtrees
+        self._sorted_subtrees += 1
+        if self.recovery is None:
+            return attempt()
+
+        runs_before = self.store.live_run_ids()
+        lengths_before = len(self.run_lengths)
+
+        def attempt_once() -> tuple[RunHandle, int]:
+            try:
+                return attempt()
+            except DeviceFault:
+                for run_id in self.store.live_run_ids() - runs_before:
+                    self.store.free(run_id)
+                del self.run_lengths[lengths_before:]
+                raise
+
+        run, written = self.recovery.attempt(
+            "subtree-sort", unit, attempt_once
+        )
+        self.recovery.checkpoint("subtree-sort", unit, run_id=run.run_id)
+        return run, written
 
     # -- external-memory (key-path) path -------------------------------------
 
@@ -676,18 +577,9 @@ class SubtreeSorter:
                 span.set(runs=len(runs))
         self.run_lengths.extend(former.run_lengths)
 
-        if embedded:
-            key_of = embedded_key_of
-        elif options.columnar:
-            # Path-only parse into normalized bytes: same ordering as
-            # the decoded tuple key, no tag/attr/text decode (exactly
-            # the baseline's columnar merge keying).
-            key_of = fast_path_key
-        else:
-
-            def key_of(encoded: bytes) -> tuple:
-                return decode_record(encoded, names).sort_key()
-
+        # Path-only parse into normalized bytes: same ordering as the
+        # decoded tuple key, no tag/attr/text decode.
+        key_of = embedded_key_of if embedded else fast_path_key
         stream, _passes, _width = merge_to_stream(
             self.store, runs, key_of, self.fan_in, options=options,
             tracer=self.tracer, recovery=self.recovery,

@@ -106,7 +106,7 @@ class RunStore:
         # dispatch on the handle's codec, so mixed stores (compressed
         # intermediates, plain output) just work.
         self.compression: CompressionConfig | None = None
-        # Columnar-kernel key sidecars: run_id -> the normalized key bytes
+        # Key sidecars: run_id -> the normalized key bytes
         # of the run's records, in record order.  Host-side acceleration
         # only - sidecars never touch the simulated device, they just let
         # later merge passes skip re-deriving keys the producing pass

@@ -45,9 +45,8 @@ from ..xml.tokens import KEY_MISSING, KEY_NUMBER, KEY_STRING
 
 RUN_FORMATION_MODES = ("load-sort", "replacement-selection")
 MERGE_KERNELS = ("heap", "loser-tree")
-SORT_KERNELS = ("scalar", "columnar")
 
-#: Widest key prefix the columnar kernel will materialize per record.
+#: Widest key prefix the batch argsort will materialize per record.
 #: Beyond this, a prefix array stops paying for itself (the full-key
 #: tie-break handles the tail either way).
 MAX_PREFIX_WIDTH = 256
@@ -61,7 +60,7 @@ class KeyOptions:
     """Knobs of the normalized-key representation.
 
     Attributes:
-        prefix_width: bytes of normalized key the columnar kernel packs
+        prefix_width: bytes of normalized key the batch argsort packs
             into its fixed-width prefix array (argsort discriminates on
             the prefix; equal prefixes fall back to full-key comparison).
             Clamped to a multiple of 8 in ``[8, MAX_PREFIX_WIDTH]`` so the
@@ -106,11 +105,6 @@ class MergeOptions:
             *counted* comparisons - and counted in-memory sorts too).
         embedded_keys: prefix run records with a byte-comparable normalized
             key so merge passes never decode records.
-        kernel: ``scalar`` (the element-at-a-time reference path) or
-            ``columnar`` (batch kernels over contiguous normalized-key
-            buffers, :mod:`repro.core.columnar`).  The kernel choice is an
-            *implementation* knob: every I/O, comparison, and token counter
-            stays bit-identical between the two.
         keys: normalized-key layout knobs (:class:`KeyOptions`).
         compress: run-compression codec (``container`` or ``zlib``), or
             None to store runs uncompressed.  Compression alone changes
@@ -126,7 +120,6 @@ class MergeOptions:
     run_formation: str = "load-sort"
     merge_kernel: str = "heap"
     embedded_keys: bool = False
-    kernel: str = "scalar"
     keys: KeyOptions = field(default_factory=KeyOptions)
     compress: str | None = None
     compress_capacity: bool = False
@@ -141,11 +134,6 @@ class MergeOptions:
             raise SortSpecError(
                 f"unknown merge kernel {self.merge_kernel!r}; "
                 f"choose from {MERGE_KERNELS}"
-            )
-        if self.kernel not in SORT_KERNELS:
-            raise SortSpecError(
-                f"unknown sort kernel {self.kernel!r}; "
-                f"choose from {SORT_KERNELS}"
             )
         if self.compress is not None and self.compress not in CODEC_NAMES:
             raise SortSpecError(
@@ -170,10 +158,6 @@ class MergeOptions:
     def counted_comparisons(self) -> bool:
         """Real counted comparisons ride with the loser-tree kernel."""
         return self.loser_tree
-
-    @property
-    def columnar(self) -> bool:
-        return self.kernel == "columnar"
 
     @property
     def is_default(self) -> bool:
@@ -253,8 +237,8 @@ def dense_ranks(keys: list, order: list[int]) -> list[int]:
     ``keys[i] < keys[j]`` and ``ranks[i] == ranks[j]`` iff
     ``keys[i] == keys[j]``.  Any comparison sort run over the ranks
     therefore performs *exactly* the comparison sequence it would have
-    performed over the keys - which is what lets the columnar kernel
-    batch counted sorts without perturbing the comparison charge.
+    performed over the keys - which is what lets counted sorts run
+    batched without perturbing the comparison charge.
     """
     ranks = [0] * len(keys)
     rank = -1
@@ -274,9 +258,9 @@ def argsort_counted(ranks: list[int], stats) -> list[int]:
 
     Sorting ``range(n)`` by counted rank reproduces the comparison
     sequence of sorting the original items by counted key (see
-    :func:`dense_ranks`), so the charge matches the scalar per-group
-    ``sort_with_accounting(..., counted=True)`` path bit for bit while
-    the expensive key derivation stays batched.
+    :func:`dense_ranks`), so the charge equals a per-group
+    ``sort_with_accounting(..., counted=True)`` bit for bit while the
+    expensive key derivation stays batched.
     """
     n = len(ranks)
     if n <= 1:
@@ -568,18 +552,17 @@ class RunFormer:
         self._rehydrate_chunks()
         batch = self._batch
         stats = self.store.device.stats
+        keyed_bytes = bool(batch) and type(batch[0][0]) is bytes
         if (
-            self.options.columnar
+            keyed_bytes
             and not self.options.counted_comparisons
             and len(batch) > 1
-            and type(batch[0][0]) is bytes
         ):
-            # Columnar fast path: argsort over the fixed-width normalized
-            # key prefixes, full-key tie-break.  Ordering is identical to
-            # the scalar sort (keys are order-faithful bytes), and so is
-            # the analytic comparison charge.  Counted mode stays on the
-            # scalar sort so the recorded count is the one the comparison
-            # sequence actually produces.
+            # Normalized bytes keys: argsort over the fixed-width key
+            # prefixes, full-key tie-break - the order of a stable sort
+            # of the keys, with the same analytic comparison charge.
+            # Counted mode keeps the counting sort so the recorded count
+            # is the one the comparison sequence actually produces.
             from ..core.columnar import argsort_keyed_batch
 
             batch = argsort_keyed_batch(
@@ -594,11 +577,7 @@ class RunFormer:
         writer = self.store.create_writer(self.write_category)
         writer.write_records([payload for _key, payload in batch])
         handle = writer.finish()
-        if (
-            self.options.columnar
-            and batch
-            and type(batch[0][0]) is bytes
-        ):
+        if keyed_bytes:
             # Key sidecar (host memory only): merge passes over this run
             # can reuse these keys instead of re-parsing every record.
             self.store.key_sidecars[handle.run_id] = [
@@ -636,11 +615,7 @@ class RunFormer:
             self._close_open_run()
             self._writer = self.store.create_writer(self.write_category)
             self._writer_records = 0
-            self._writer_keys = (
-                []
-                if self.options.columnar and type(key) is bytes
-                else None
-            )
+            self._writer_keys = [] if type(key) is bytes else None
             self._run_index = run
         self._writer.write_record(payload)
         self._writer_records += 1
@@ -691,22 +666,25 @@ class RunFormer:
 # -- normalized (byte-comparable) keys ---------------------------------------
 
 
+def normalize_number(value: float) -> bytes:
+    """Byte-comparable form of a number key atom, kind byte included."""
+    if value == 0.0:
+        value = 0.0  # collapse -0.0 (equal values, distinct bits)
+    bits = _U64.unpack(_DOUBLE.pack(value))[0]
+    if bits & (1 << 63):
+        bits ^= (1 << 64) - 1  # negative: invert everything
+    else:
+        bits ^= 1 << 63  # non-negative: flip the sign bit
+    return b"\x01" + _U64.pack(bits)
+
+
 def _normalize_atom(out: bytearray, atom: tuple) -> None:
     kind, value = atom
     if kind == KEY_MISSING:
         out.append(0)
         return
     if kind == KEY_NUMBER:
-        out.append(1)
-        value = float(value)
-        if value == 0.0:
-            value = 0.0  # collapse -0.0 (equal values, distinct bits)
-        bits = _U64.unpack(_DOUBLE.pack(value))[0]
-        if bits & (1 << 63):
-            bits ^= (1 << 64) - 1  # negative: invert everything
-        else:
-            bits ^= 1 << 63  # non-negative: flip the sign bit
-        out += _U64.pack(bits)
+        out += normalize_number(float(value))
         return
     if kind == KEY_STRING:
         out.append(2)

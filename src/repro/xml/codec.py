@@ -45,7 +45,7 @@ _TYPE_TEXT = 2
 _TYPE_END = 3
 _TYPE_POINTER = 4
 
-#: Public aliases of the record type bytes, for batch decoders
+#: Public aliases of the record type bytes, for the byte-record kernels
 #: (:mod:`repro.core.columnar`) that dispatch on the raw leading byte
 #: without materializing token objects.
 TYPE_START = _TYPE_START
@@ -93,6 +93,29 @@ def read_varint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
 
 
+def read_varint_fast(data: bytes, pos: int) -> tuple[int, int]:
+    """Unchecked LEB128 read for hot loops (single-byte fast path).
+
+    Same result as :func:`read_varint` on well-formed input.  Truncated
+    input raises ``IndexError``; the byte-record kernels convert that to
+    :class:`~repro.errors.CodecError` once, at their own boundary, so the
+    loops pay no per-byte bounds check.
+    """
+    value = data[pos]
+    pos += 1
+    if value < 0x80:
+        return value, pos
+    value &= 0x7F
+    shift = 7
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+
+
 def encode_varint(value: int) -> bytes:
     """The LEB128 frame of ``value`` as standalone bytes.
 
@@ -117,6 +140,59 @@ def _read_string(data: bytes, pos: int) -> tuple[str, int]:
     if end > len(data):
         raise CodecError("truncated string")
     return data[pos:end].decode("utf-8"), end
+
+
+def _write_name(out: bytearray, name: str, names) -> None:
+    if names is None:
+        _write_string(out, name)
+    else:
+        # One dict probe + cached varint frame: the dictionary keeps the
+        # encoded form of every id, so dictionary-coded encoding never
+        # re-serializes an integer (hot in compacted scans).
+        out += names.intern_frame(name)
+
+
+def _read_name(data: bytes, pos: int, names) -> tuple[str, int]:
+    if names is None:
+        return _read_string(data, pos)
+    name_id, pos = read_varint(data, pos)
+    return names.lookup(name_id), pos
+
+
+def write_tag_attrs(out: bytearray, tag: str, attrs, names=None) -> None:
+    """Append the tag+attributes fields of a start record.
+
+    This slice, in either name dialect, follows the type and flag bytes
+    of every encoded start tag and sits inside every key-path element
+    record, so the byte-record kernels splice it verbatim and memoize
+    keys per distinct slice.
+    """
+    _write_name(out, tag, names)
+    write_varint(out, len(attrs))
+    for name, value in attrs:
+        _write_name(out, name, names)
+        _write_string(out, value)
+
+
+def read_tag_attrs(
+    data: bytes, pos: int, names=None
+) -> tuple[str, tuple[tuple[str, str], ...], int]:
+    """Read tag+attributes fields; returns (tag, attrs, new_pos)."""
+    tag, pos = _read_name(data, pos, names)
+    count, pos = read_varint(data, pos)
+    attrs = []
+    for _ in range(count):
+        name, pos = _read_name(data, pos, names)
+        value, pos = _read_string(data, pos)
+        attrs.append((name, value))
+    return tag, tuple(attrs), pos
+
+
+def encode_tag_attrs(tag: str, attrs, names=None) -> bytes:
+    """:func:`write_tag_attrs` as standalone bytes."""
+    out = bytearray()
+    write_tag_attrs(out, tag, attrs, names)
+    return bytes(out)
 
 
 def encode_key_atom(out: bytearray, atom: tuple) -> None:
@@ -203,21 +279,6 @@ class TokenCodec:
             flags |= _FLAG_LEVEL
         return flags
 
-    def _write_name(self, out: bytearray, name: str) -> None:
-        if self.names is None:
-            _write_string(out, name)
-        else:
-            # One dict probe + cached varint frame: the dictionary keeps
-            # the encoded form of every id, so dictionary-coded encoding
-            # never re-serializes an integer (hot in compacted scans).
-            out += self.names.intern_frame(name)
-
-    def _read_name(self, data: bytes, pos: int) -> tuple[str, int]:
-        if self.names is None:
-            return _read_string(data, pos)
-        name_id, pos = read_varint(data, pos)
-        return self.names.lookup(name_id), pos
-
     def _encode_annotations(self, out: bytearray, token, flags: int) -> None:
         if flags & _FLAG_KEY:
             encode_key_atom(out, token.key)
@@ -230,18 +291,14 @@ class TokenCodec:
         out.append(_TYPE_START)
         flags = self._flags(token)
         out.append(flags)
-        self._write_name(out, token.tag)
-        write_varint(out, len(token.attrs))
-        for name, value in token.attrs:
-            self._write_name(out, name)
-            _write_string(out, value)
+        write_tag_attrs(out, token.tag, token.attrs, self.names)
         self._encode_annotations(out, token, flags)
 
     def _encode_end(self, out: bytearray, token: EndTag) -> None:
         out.append(_TYPE_END)
         flags = self._flags(token)
         out.append(flags)
-        self._write_name(out, token.tag)
+        _write_name(out, token.tag, self.names)
         self._encode_annotations(out, token, flags)
 
     def _encode_pointer(self, out: bytearray, token: RunPointer) -> None:
@@ -295,21 +352,15 @@ class TokenCodec:
 
     def _decode_start(self, data: bytes) -> StartTag:
         flags = data[1]
-        tag, pos = self._read_name(data, 2)
-        attr_count, pos = read_varint(data, pos)
-        attrs = []
-        for _ in range(attr_count):
-            name, pos = self._read_name(data, pos)
-            value, pos = _read_string(data, pos)
-            attrs.append((name, value))
+        tag, attrs, pos = read_tag_attrs(data, 2, self.names)
         key, position, level, pos = self._decode_annotations(data, pos, flags)
         return StartTag(
-            tag=tag, attrs=tuple(attrs), key=key, pos=position, level=level
+            tag=tag, attrs=attrs, key=key, pos=position, level=level
         )
 
     def _decode_end(self, data: bytes) -> EndTag:
         flags = data[1]
-        tag, pos = self._read_name(data, 2)
+        tag, pos = _read_name(data, 2, self.names)
         key, position, _, pos = self._decode_annotations(data, pos, flags)
         return EndTag(tag=tag, key=key, pos=position)
 

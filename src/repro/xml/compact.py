@@ -33,8 +33,8 @@ class NameDictionary:
     Besides the id mapping itself, the dictionary caches the LEB128
     *frame* (encoded varint) of every id: encoding a dictionary-coded
     name is then one dict probe plus one cached-bytes append, and batch
-    decoders index straight into the id table.  The columnar kernel
-    leans on both (:mod:`repro.core.columnar`).
+    decoders index straight into the id table.  The byte-record kernels
+    lean on both (:mod:`repro.core.columnar`).
     """
 
     def __init__(self, names: Iterable[str] = ()):

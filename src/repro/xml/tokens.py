@@ -28,7 +28,6 @@ Python's ordering without ever comparing a str to a float.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 #: Key atom kinds.
 KEY_MISSING = 0
@@ -146,18 +145,3 @@ def sort_key_of(token: Token) -> tuple:
     pos = token.pos if token.pos is not None else 0
     return (key, pos)
 
-
-def batch_sort_keys(tokens: Iterable[Token]) -> list[tuple]:
-    """The :func:`sort_key_of` tuples of a token batch.
-
-    The batch form the columnar kernel and the k-way merger use: one
-    function-call frame for the batch instead of one per token.
-    """
-    missing = MISSING_KEY
-    return [
-        (
-            token.key if token.key is not None else missing,
-            token.pos if token.pos is not None else 0,
-        )
-        for token in tokens
-    ]

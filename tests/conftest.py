@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from repro.core import columnar
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByAttribute, SortSpec
 from repro.xml import Document, Element
@@ -80,3 +85,41 @@ def store_tree(
     store: RunStore, tree: Element, compaction=None
 ) -> Document:
     return Document.from_element(store, tree, compaction=compaction)
+
+
+@functools.cache
+def _scalar_reference() -> dict:
+    path = Path(__file__).with_name("scalar_reference.json")
+    return json.loads(path.read_text(encoding="utf-8"))["cells"]
+
+
+def scalar_reference(cell: str) -> dict:
+    """One cell of ``scalar_reference.json``: what the retired token-object
+    sort path produced (output digest, counters, phase breakdown) for a
+    fixed input and configuration."""
+    return _scalar_reference()[cell]
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def sha256_records(records) -> str:
+    """Digest of a record sequence, each record length-framed."""
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(len(record).to_bytes(4, "big"))
+        digest.update(record)
+    return digest.hexdigest()
+
+
+def each_argsort_backend(monkeypatch):
+    """Yield once per argsort backend: numpy (when importable), then the
+    pure-Python fallback (``columnar._np = None``)."""
+    backends = ["numpy"] if columnar.have_numpy() else []
+    for backend in [*backends, "python"]:
+        if backend == "python":
+            # Last, so the fixture's own teardown restores numpy even
+            # when the caller stops iterating on a failed assertion.
+            monkeypatch.setattr(columnar, "_np", None)
+        yield backend

@@ -19,13 +19,13 @@ The exhaustive test pins the full run-formation x merge-kernel x
 embedded-keys grid for both sorters; the hypothesis test fuzzes the
 memory budget, pool size, and document shape on top.
 
-The columnar kernel (ISSUE 6) has a stricter contract than the pool:
-``kernel="columnar"`` must leave *every* counter - reads, writes,
+The byte-record implementation has a stricter contract than the pool: it
+replaced a token-object ("scalar") implementation and must reproduce
+*every* result of it - output bytes, every counter (reads, writes,
 sequential/random classification, tokens, comparisons, merge
-comparisons, cache traffic - and the per-phase trace breakdown
-bit-identical to the scalar path.  :class:`TestKernelParity` pins that
-across the same grid, pooled and unpooled, and the fuzz suite draws the
-kernel axis too.
+comparisons, cache traffic) and the per-phase trace breakdown.  The
+scalar results are frozen in ``scalar_reference.json``;
+:class:`TestKernelParity` checks each cell on both argsort backends.
 """
 
 import itertools
@@ -34,17 +34,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import external_merge_sort
+from repro.baselines import external_merge_sort, sort_element
 from repro.core import nexsort
 from repro.generators import level_fanout_events
 from repro.io import BlockDevice, RunStore
-from repro.keys import ByAttribute, SortSpec
+from repro.keys import ByAttribute, ByText, SortSpec
 from repro.merge.engine import MergeOptions
 from repro.obs import Tracer
 from repro.xml.compact import CompactionConfig
 from repro.xml.document import Document
 
+from .conftest import each_argsort_backend, scalar_reference, sha256_text
+
 SPEC = SortSpec(default=ByAttribute("name"))
+TEXT_SPEC = SortSpec(default=ByText())
 
 GRID = list(
     itertools.product(
@@ -94,25 +97,29 @@ def sort_once(
 
 def sort_traced(
     algorithm, memory, cache, options, fanouts=(6, 6, 6), seed=3,
-    compaction=None,
+    compaction=None, spec=SPEC, text_leaves=False, flat=False,
 ):
     """Like sort_once, plus the per-phase trace breakdown."""
     device = BlockDevice(block_size=512)
     store = RunStore(device)
     document = Document.from_events(
         store,
-        level_fanout_events(list(fanouts), seed=seed, pad_bytes=24),
+        level_fanout_events(
+            list(fanouts), seed=seed, pad_bytes=24, text_leaves=text_leaves
+        ),
         compaction=make_compaction(compaction),
     )
     tracer = Tracer(device.stats)
+    extra = {"flat_optimization": True} if flat else {}
     sorter = nexsort if algorithm == "nexsort" else external_merge_sort
     output, _report = sorter(
         document,
-        SPEC,
+        spec,
         memory_blocks=memory,
         cache_blocks=cache,
         merge_options=options,
         tracer=tracer,
+        **extra,
     )
     trace = tracer.finish()
     return (
@@ -158,88 +165,104 @@ class TestMergeOptionsGrid:
         assert pooled[1]["cache_misses"] > 0
 
 
-class TestKernelParity:
-    """``kernel="columnar"`` is counter-transparent, bit for bit.
+def assert_matches_reference(monkeypatch, cell, run):
+    """``run()`` reproduces a frozen scalar cell on both argsort backends."""
+    expected = scalar_reference(cell)
+    for backend in each_argsort_backend(monkeypatch):
+        text, totals, phases = run()
+        assert sha256_text(text) == expected["output_sha256"], backend
+        assert totals == expected["counters"], backend
+        assert phases == expected["phases"], backend
 
-    Unlike the pool contract (which may trade reads for hits), the
-    kernel axis allows no drift at all: same output bytes, same counter
-    totals including the sequential/random I/O split, same per-phase
-    breakdown.
-    """
+
+def grid_options(run_formation, merge_kernel, embedded_keys):
+    return MergeOptions(
+        run_formation=run_formation,
+        merge_kernel=merge_kernel,
+        embedded_keys=embedded_keys,
+    )
+
+
+#: Token-scan and external-subtree shapes of NEXSORT:
+#: (memory, keyword arguments of sort_traced).
+TOKEN_SCAN_CELLS = {
+    # Keys at end tags: the token scan, then an external region sort.
+    "text-key": (
+        6, dict(fanouts=(60, 4), spec=TEXT_SPEC, text_leaves=True)
+    ),
+    # Graceful degeneration: partial runs merged when the root closes.
+    "flat": (8, dict(fanouts=(400,), flat=True)),
+    # Fused scan, but the root subtree exceeds memory.
+    "external": (6, dict(fanouts=(60, 4))),
+}
+
+
+class TestKernelParity:
+    """The byte-record path reproduces the frozen scalar results, bit for
+    bit: same output bytes, same counter totals including the
+    sequential/random I/O split, same per-phase breakdown."""
 
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
     @pytest.mark.parametrize(
         "run_formation,merge_kernel,embedded_keys", GRID
     )
     def test_columnar_matches_scalar_unpooled(
-        self, algorithm, run_formation, merge_kernel, embedded_keys
+        self, monkeypatch, algorithm, run_formation, merge_kernel,
+        embedded_keys,
     ):
-        scalar = sort_traced(
-            algorithm,
-            12,
-            0,
-            MergeOptions(
-                run_formation=run_formation,
-                merge_kernel=merge_kernel,
-                embedded_keys=embedded_keys,
-                kernel="scalar",
-            ),
+        options = grid_options(run_formation, merge_kernel, embedded_keys)
+        assert_matches_reference(
+            monkeypatch,
+            f"grid/{algorithm}/{run_formation}/{merge_kernel}/"
+            f"{embedded_keys}/m12c0",
+            lambda: sort_traced(algorithm, 12, 0, options),
         )
-        columnar = sort_traced(
-            algorithm,
-            12,
-            0,
-            MergeOptions(
-                run_formation=run_formation,
-                merge_kernel=merge_kernel,
-                embedded_keys=embedded_keys,
-                kernel="columnar",
-            ),
-        )
-        assert columnar[0] == scalar[0]  # output document
-        assert columnar[1] == scalar[1]  # every counter total
-        assert columnar[2] == scalar[2]  # per-phase breakdown
 
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
     @pytest.mark.parametrize("compaction", ["names", "levels", "full"])
     @pytest.mark.parametrize("embedded_keys", [False, True])
     def test_columnar_matches_scalar_compacted(
-        self, algorithm, compaction, embedded_keys
+        self, monkeypatch, algorithm, compaction, embedded_keys
     ):
-        """The kernel contract holds under Section 3.2 compaction too.
-
-        ISSUE 7: ``kernel="columnar"`` no longer falls back to scalar on
-        dictionary-coded or end-tag-eliminated documents - and stays bit
-        identical on output, counters, and the per-phase breakdown.
-        """
-
-        def run(kernel):
-            return sort_traced(
-                algorithm,
-                12,
-                0,
-                MergeOptions(kernel=kernel, embedded_keys=embedded_keys),
+        """The contract holds under Section 3.2 compaction too."""
+        assert_matches_reference(
+            monkeypatch,
+            f"compacted/{algorithm}/{compaction}/{embedded_keys}",
+            lambda: sort_traced(
+                algorithm, 12, 0,
+                MergeOptions(embedded_keys=embedded_keys),
                 compaction=compaction,
-            )
-
-        assert run("columnar") == run("scalar")
+            ),
+        )
 
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
-    def test_columnar_matches_scalar_pooled(self, algorithm):
-        for kernel_options in ({}, {"embedded_keys": True}):
-            scalar = sort_traced(
-                algorithm,
-                16,
-                4,
-                MergeOptions(kernel="scalar", **kernel_options),
+    def test_columnar_matches_scalar_pooled(self, monkeypatch, algorithm):
+        for run_formation, merge_kernel, embedded_keys in GRID:
+            options = grid_options(
+                run_formation, merge_kernel, embedded_keys
             )
-            columnar = sort_traced(
-                algorithm,
-                16,
-                4,
-                MergeOptions(kernel="columnar", **kernel_options),
+            assert_matches_reference(
+                monkeypatch,
+                f"grid/{algorithm}/{run_formation}/{merge_kernel}/"
+                f"{embedded_keys}/m16c4",
+                lambda: sort_traced(algorithm, 16, 4, options),
             )
-            assert columnar == scalar
+
+    @pytest.mark.parametrize("shape", sorted(TOKEN_SCAN_CELLS))
+    @pytest.mark.parametrize(
+        "run_formation,merge_kernel,embedded_keys", GRID
+    )
+    def test_token_scan_matches_scalar(
+        self, monkeypatch, shape, run_formation, merge_kernel,
+        embedded_keys,
+    ):
+        memory, kwargs = TOKEN_SCAN_CELLS[shape]
+        options = grid_options(run_formation, merge_kernel, embedded_keys)
+        assert_matches_reference(
+            monkeypatch,
+            f"{shape}/{run_formation}/{merge_kernel}/{embedded_keys}",
+            lambda: sort_traced("nexsort", memory, 0, options, **kwargs),
+        )
 
 
 class TestFuzzedParity:
@@ -251,7 +274,6 @@ class TestFuzzedParity:
         ),
         merge_kernel=st.sampled_from(["heap", "loser-tree"]),
         embedded_keys=st.booleans(),
-        kernel=st.sampled_from(["scalar", "columnar"]),
         memory=st.integers(min_value=10, max_value=16),
         cache=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=1, max_value=4),
@@ -263,18 +285,12 @@ class TestFuzzedParity:
         run_formation,
         merge_kernel,
         embedded_keys,
-        kernel,
         memory,
         cache,
         seed,
         fanouts,
     ):
-        options = MergeOptions(
-            run_formation=run_formation,
-            merge_kernel=merge_kernel,
-            embedded_keys=embedded_keys,
-            kernel=kernel,
-        )
+        options = grid_options(run_formation, merge_kernel, embedded_keys)
         unpooled = sort_once(
             algorithm, memory, 0, options, fanouts=fanouts, seed=seed
         )
@@ -302,7 +318,7 @@ class TestFuzzedParity:
         fanouts=st.sampled_from([(6, 6, 6), (4, 5, 6), (3, 4, 4, 3)]),
         compaction=st.sampled_from([None, "names", "levels", "full"]),
     )
-    def test_kernels_bit_identical_fuzzed(
+    def test_matches_oracle_deterministically_fuzzed(
         self,
         algorithm,
         run_formation,
@@ -314,20 +330,27 @@ class TestFuzzedParity:
         fanouts,
         compaction,
     ):
-        def run(kernel):
+        """Output equals the DOM oracle, and a repeated run reproduces
+        every counter and phase (so ``sim_s`` is deterministic)."""
+
+        def run():
             return sort_traced(
                 algorithm,
                 memory + cache,
                 cache,
-                MergeOptions(
-                    run_formation=run_formation,
-                    merge_kernel=merge_kernel,
-                    embedded_keys=embedded_keys,
-                    kernel=kernel,
-                ),
+                grid_options(run_formation, merge_kernel, embedded_keys),
                 fanouts=fanouts,
                 seed=seed,
                 compaction=compaction,
             )
 
-        assert run("columnar") == run("scalar")
+        first = run()
+        assert run() == first
+        tree = Document.from_events(
+            RunStore(BlockDevice(block_size=512)),
+            level_fanout_events(list(fanouts), seed=seed, pad_bytes=24),
+        ).to_element()
+        expected = Document.from_element(
+            RunStore(BlockDevice(block_size=512)), sort_element(tree, SPEC)
+        ).to_string()
+        assert first[0] == expected

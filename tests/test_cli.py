@@ -198,6 +198,13 @@ class TestSortCommand:
         code = main(["sort", d1_file, "--tag-attr", "broken"])
         assert code == 2
 
+    def test_kernel_flag_is_gone(self, d1_file, capsys):
+        # One sort implementation: there is no kernel to choose.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sort", d1_file, "--kernel", "columnar"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
 
 class TestMergeCommand:
     def test_figure1_pipeline(self, d1_file, d2_file, tmp_path):

@@ -1,9 +1,10 @@
-"""Unit tests for the batch-columnar kernels (ISSUE 6).
+"""Unit tests for the byte-record kernels.
 
 The accounting-parity suite pins the end-to-end counter contract; these
-tests pin the individual kernels: the path-only key parse, the prefix
-argsort (numpy and pure-Python backends), key sidecars, and the replay
-merge against its record-at-a-time fallback.
+tests pin the individual kernels: the path-only key parse (and its typed
+errors on truncated input), the prefix argsort (numpy and pure-Python
+backends), key sidecars, and the replay merge against its keyed-puller
+fallback and the frozen record-at-a-time results.
 """
 
 import random
@@ -27,6 +28,7 @@ from repro.core.columnar import (
     merge_sidecars,
     run_sidecar,
 )
+from repro.errors import CodecError
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByAttribute, KeyEvaluator, SortSpec
 from repro.merge.engine import (
@@ -36,6 +38,9 @@ from repro.merge.engine import (
     normalized_path_key,
 )
 from repro.xml import parse_events
+from repro.xml.codec import read_tag_attrs
+
+from .conftest import each_argsort_backend, scalar_reference, sha256_records
 
 SPEC = SortSpec(default=ByAttribute("name"))
 
@@ -103,6 +108,21 @@ class TestFastPathKey:
         assert batch_embedded_keys(embedded) == [
             fast_path_key(record) for record in records
         ]
+
+    @pytest.mark.parametrize(
+        "parse,data",
+        [
+            (fast_path_key, b"\x02\x03\x02"),  # string atom cut short
+            (fast_path_key, b"\x02\x01\x01\x00"),  # number atom cut short
+            (fast_path_key, b"\x01"),  # no path depth
+            (lambda data: batch_embedded_keys([data]), b"\x85"),
+            (lambda data: read_tag_attrs(data, 0), b"\x05ab"),
+            (lambda data: read_tag_attrs(data, 0), b"\x01a\x01"),
+        ],
+    )
+    def test_truncated_input_raises_codec_error(self, parse, data):
+        with pytest.raises(CodecError):
+            parse(data)
 
 
 class TestArgsortNormalized:
@@ -184,7 +204,7 @@ def form_runs(options, capacity_bytes=220):
 
 class TestSidecars:
     def test_run_formation_attaches_sidecars(self):
-        options = MergeOptions(kernel="columnar")
+        options = MergeOptions()
         store, runs = form_runs(options)
         assert len(runs) > 1
         for run in runs:
@@ -196,7 +216,7 @@ class TestSidecars:
             ]
 
     def test_sidecars_match_embedded_keys(self):
-        options = MergeOptions(kernel="columnar", embedded_keys=True)
+        options = MergeOptions(embedded_keys=True)
         store, runs = form_runs(options)
         from repro.merge.engine import embedded_key_of
 
@@ -209,26 +229,30 @@ class TestSidecars:
             ]
 
     def test_custom_key_function_gets_no_sidecar(self):
-        options = MergeOptions(kernel="columnar")
+        options = MergeOptions()
         store, runs = form_runs(options)
         assert run_sidecar(store, runs[0], len) is None
         assert merge_sidecars(store, runs, len) is None
 
     def test_freed_run_drops_sidecar(self):
-        options = MergeOptions(kernel="columnar")
+        options = MergeOptions()
         store, runs = form_runs(options)
         assert runs[0].run_id in store.key_sidecars
         store.free(runs[0])
         assert runs[0].run_id not in store.key_sidecars
 
-    def test_scalar_kernel_attaches_no_sidecars(self):
-        store, _runs = form_runs(MergeOptions())
+    def test_tuple_keys_attach_no_sidecars(self):
+        store = RunStore(BlockDevice(block_size=128))
+        former = RunFormer(store, 220, MergeOptions())
+        for record in sample_records():
+            former.add(decode_record(record).sort_key(), record)
+        assert len(former.finish()) > 1
         assert store.key_sidecars == {}
 
 
 class TestKeyedPuller:
     def test_sidecar_and_batch_keys_agree(self):
-        options = MergeOptions(kernel="columnar")
+        options = MergeOptions()
         store, runs = form_runs(options)
         run = runs[0]
         sidecar = run_sidecar(store, run, fast_path_key)
@@ -255,38 +279,33 @@ class TestKeyedPuller:
 
 class TestReplayMerge:
     @pytest.mark.parametrize("embedded", [False, True])
-    def test_replay_equals_fallback_heap_merge(self, embedded):
+    def test_replay_equals_fallback_heap_merge(self, monkeypatch, embedded):
         from repro.baselines.merging import merge_pass
         from repro.merge.engine import embedded_key_of
 
-        options = MergeOptions(kernel="columnar", embedded_keys=embedded)
+        options = MergeOptions(embedded_keys=embedded)
         key_of = embedded_key_of if embedded else fast_path_key
+        # The retired record-at-a-time heap merge, frozen.
+        expected = scalar_reference(f"replay/{embedded}")
 
-        store, runs = form_runs(options)
-        assert len(runs) > 1
-        replayed = list(
-            merge_pass(store, runs, key_of, options=options)
-        )
-
-        # Same runs, sidecars dropped: forces the keyed-puller fallback.
-        store2, runs2 = form_runs(options)
-        store2.key_sidecars.clear()
-        fallback = list(
-            merge_pass(store2, runs2, key_of, options=options)
-        )
-        assert replayed == fallback
-
-        # And the scalar kernel agrees record for record.
-        store3, runs3 = form_runs(MergeOptions(embedded_keys=embedded))
-        scalar = list(
-            merge_pass(
-                store3,
-                runs3,
-                key_of,
-                options=MergeOptions(embedded_keys=embedded),
+        for _backend in each_argsort_backend(monkeypatch):
+            store, runs = form_runs(options)
+            assert len(runs) > 1
+            replayed = list(
+                merge_pass(store, runs, key_of, options=options)
             )
-        )
-        assert replayed == scalar
+
+            # Same runs, sidecars dropped: forces the keyed-puller path.
+            store2, runs2 = form_runs(options)
+            store2.key_sidecars.clear()
+            fallback = list(
+                merge_pass(store2, runs2, key_of, options=options)
+            )
+            assert replayed == fallback
+            assert sha256_records(replayed) == expected["records_sha256"]
+            for merged_store in (store, store2):
+                totals = merged_store.device.stats.snapshot().counter_totals()
+                assert totals == expected["counters"]
 
 
 class TestFusedScan:
@@ -296,8 +315,8 @@ class TestFusedScan:
 
         The fused scan handles dictionary-coded and level-annotated
         (end-tag-eliminated) storage directly, forming byte-identical
-        runs - same records, same order, same counters - as the scalar
-        tokenize -> key-evaluate -> encode pipeline.
+        runs - same records, same order, same counters - as the token
+        pipeline (tokenize -> key-evaluate -> encode).
         """
         from repro.xml import CompactionConfig, Document
 
@@ -308,14 +327,14 @@ class TestFusedScan:
                 return CompactionConfig(names=None)
             return CompactionConfig()
 
-        def scan(kernel):
+        def scan(fused):
             device = BlockDevice(block_size=128)
             store = RunStore(device)
             document = Document.from_events(
                 store, parse_events(XML), compaction=compaction()
             )
-            former = RunFormer(store, 600, MergeOptions(kernel=kernel))
-            if kernel == "columnar":
+            former = RunFormer(store, 600, MergeOptions())
+            if fused:
                 assert form_runs_columnar(document, SPEC, former, device)
             else:
                 names = document.compaction.names
@@ -331,7 +350,7 @@ class TestFusedScan:
             contents = [list(store.open_reader(run)) for run in runs]
             return contents, device.stats.snapshot().counter_totals()
 
-        assert scan("columnar") == scan("scalar")
+        assert scan(fused=True) == scan(fused=False)
 
     def test_non_start_computable_spec_falls_back(self):
         from repro.keys import ByText
@@ -341,7 +360,7 @@ class TestFusedScan:
         store = RunStore(device)
         document = Document.from_events(store, parse_events(XML))
         former = RunFormer(
-            store, 600, MergeOptions(kernel="columnar")
+            store, 600, MergeOptions()
         )
         spec = SortSpec(default=ByText())
         assert not form_runs_columnar(document, spec, former, device)

@@ -5,8 +5,10 @@ from repro.baselines.internal_sort import (
     comparison_count,
     sort_element_in_place,
 )
+from repro.core import nexsort
+from repro.io import BlockDevice, RunStore
 from repro.keys import ByAttribute, SortSpec
-from repro.xml import Element
+from repro.xml import Document, Element
 
 from .conftest import random_tree
 
@@ -81,34 +83,38 @@ class TestSortElement:
         assert comparison_count(Element("leaf")) == 0
 
 
+def byte_path_sort(tree, depth_limit=None):
+    """NEXSORT on ``tree`` with every subtree sort in memory."""
+    document = Document.from_element(
+        RunStore(BlockDevice(block_size=256)), tree
+    )
+    result, _report = nexsort(
+        document, spec(), memory_blocks=64, depth_limit=depth_limit
+    )
+    return result.to_element()
+
+
 class TestColumnarKernel:
-    """kernel="columnar" batches every child-list sort (ISSUE 7)."""
+    """NEXSORT's batched byte-record subtree sorts agree with the plain
+    ``list.sort`` oracle."""
 
     def test_matches_scalar_on_random_trees(self):
         for seed in range(8):
             tree = random_tree(seed, text_leaves=True)
-            assert sort_element(tree, spec(), kernel="columnar") == (
-                sort_element(tree, spec())
-            )
+            assert byte_path_sort(tree) == sort_element(tree, spec())
 
     def test_matches_scalar_with_depth_limit(self):
         tree = random_tree(4)
         for limit in (None, 1, 2):
-            assert sort_element(
-                tree, spec(), depth_limit=limit, kernel="columnar"
-            ) == sort_element(tree, spec(), depth_limit=limit)
-
-    def test_in_place_columnar(self):
-        tree = random_tree(6)
-        expected = sort_element(tree, spec())
-        sort_element_in_place(tree, spec(), kernel="columnar")
-        assert tree == expected
+            assert byte_path_sort(tree, depth_limit=limit) == sort_element(
+                tree, spec(), depth_limit=limit
+            )
 
     def test_stability_on_equal_keys(self):
         tree = Element.parse(
             '<r><a name="k" id="1"/><a name="k" id="2"/>'
             '<a name="a"/></r>'
         )
-        result = sort_element(tree, spec(), kernel="columnar")
+        result = byte_path_sort(tree)
         ids = [c.attrs.get("id") for c in result.children]
         assert ids == [None, "1", "2"]

@@ -71,6 +71,11 @@ class TestMergeOptions:
         with pytest.raises(SortSpecError):
             MergeOptions(merge_kernel="btree")
 
+    def test_no_sort_kernel_knob(self):
+        # The byte-record path is the only implementation.
+        with pytest.raises(TypeError):
+            MergeOptions(kernel="columnar")
+
 
 def _pulls_from_lists(sources):
     def make(items):

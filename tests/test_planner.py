@@ -164,8 +164,14 @@ class TestBenchRegression:
             )
 
     def test_kernel_algorithm_choice(self):
+        # The recorded byte-path (``columnar``) rows; the scalar rows of
+        # the same sweep measure an implementation that no longer exists.
         data = bench("kernel")
-        rows = [r for r in data["rows"] if r["workload"] == "fig5-1e5"]
+        rows = [
+            r
+            for r in data["rows"]
+            if r["workload"] == "fig5-1e5" and r["kernel"] == "columnar"
+        ]
         element_bytes = 65536 * 96 / rows[0]["element_count"]
         profile = DocumentProfile.from_fanouts(
             [11, 11, 11, 75], block_size=65536,
@@ -174,12 +180,8 @@ class TestBenchRegression:
         planner = Planner(profile, memory_blocks=48, block_size=65536)
         configs, measured = {}, {}
         for row in rows:
-            key = (row["algorithm"], row["kernel"])
-            configs[key] = PlanConfig(
-                algorithm=row["algorithm"],
-                memory_blocks=48,
-                kernel=row["kernel"],
-            )
+            key = row["algorithm"]
+            configs[key] = PlanConfig(algorithm=key, memory_blocks=48)
             measured[key] = row["simulated_seconds"]
         assert_pick_near_optimum("kernel", planner, configs, measured)
 
@@ -299,13 +301,11 @@ class TestPlannerContract:
             run_formation="replacement-selection",
             merge_kernel="loser-tree",
             embedded_keys=True,
-            kernel="columnar",
         )
         assert config.merge_options() == MergeOptions(
             run_formation="replacement-selection",
             merge_kernel="loser-tree",
             embedded_keys=True,
-            kernel="columnar",
         )
 
     def test_validate_rejects_bad_configs(self):
@@ -313,7 +313,6 @@ class TestPlannerContract:
             PlanConfig(algorithm="quicksort"),
             PlanConfig(run_formation="bogus"),
             PlanConfig(merge_kernel="bogus"),
-            PlanConfig(kernel="bogus"),
             PlanConfig(memory_blocks=4, cache_blocks=3),
             PlanConfig(threshold_blocks=0),
             PlanConfig(disks=0),

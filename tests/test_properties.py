@@ -6,10 +6,20 @@ from hypothesis import strategies as st
 from repro.baselines import external_merge_sort, is_fully_sorted, sort_element
 from repro.core import nexsort
 from repro.io import BlockDevice, RunStore
+from repro.io.budget import MINIMUM_NEXSORT_BLOCKS
 from repro.keys import ByAttribute, SortSpec
+from repro.merge.engine import MergeOptions
 from repro.xml import CompactionConfig, Document, Element
 
 SPEC = SortSpec(default=ByAttribute("name"))
+
+#: Ordering criteria of the oracle grid: the start-computable attribute key
+#: (fused scan) and a child-path key in the style of the auction spec,
+#: evaluated at end tags (token scan).
+ORACLE_SPECS = {
+    "*=@name": SPEC,
+    "item=k, *=@name": SortSpec.parse("item=k, *=@name"),
+}
 
 
 @st.composite
@@ -86,6 +96,84 @@ class TestSorterAgreement:
         )
         compact, _ = nexsort(compact_doc, SPEC, memory_blocks=6)
         assert plain.to_element() == compact.to_element()
+
+
+@st.composite
+def keyed_tree(draw, max_depth=4):
+    """Documents for the child-path spec: ``item`` elements whose sort key
+    is the text of an optional ``k`` child (numeric or not, often
+    duplicated or missing), nested among plain named elements."""
+
+    def node(depth):
+        children = []
+        if depth < max_depth:
+            count = draw(st.integers(min_value=0, max_value=4))
+            children = [node(depth + 1) for _ in range(count)]
+        name = f"k{draw(st.integers(min_value=0, max_value=30)):03d}"
+        if not draw(st.booleans()):
+            return Element("n", {"name": name}, "", children)
+        key = draw(
+            st.sampled_from(["", "7", "12", "7.5", "-3", "ab", "Ab", "ab"])
+        )
+        if key:
+            children.insert(
+                draw(st.integers(min_value=0, max_value=len(children))),
+                Element("k", {}, key, []),
+            )
+        return Element("item", {"name": name}, "", children)
+
+    return node(1)
+
+
+merge_options = st.builds(
+    MergeOptions,
+    run_formation=st.sampled_from(["load-sort", "replacement-selection"]),
+    merge_kernel=st.sampled_from(["heap", "loser-tree"]),
+    embedded_keys=st.booleans(),
+)
+
+
+class TestOracleAcrossConfigurations:
+    """Output equals the DOM oracle beyond the defaults: both scans, graceful
+    degeneration, every merge-engine combination, and memory at the
+    algorithm's floor and a few blocks above it."""
+
+    @settings(**settings_kwargs)
+    @given(
+        data=st.data(),
+        spec_name=st.sampled_from(sorted(ORACLE_SPECS)),
+        flat=st.booleans(),
+        options=merge_options,
+        extra_blocks=st.integers(min_value=0, max_value=3),
+    )
+    def test_nexsort_matches_oracle(
+        self, data, spec_name, flat, options, extra_blocks
+    ):
+        spec = ORACLE_SPECS[spec_name]
+        tree = data.draw(
+            document_tree() if spec is SPEC else keyed_tree()
+        )
+        doc = Document.from_element(RunStore(BlockDevice(block_size=256)), tree)
+        result, _report = nexsort(
+            doc, spec,
+            memory_blocks=MINIMUM_NEXSORT_BLOCKS + extra_blocks,
+            flat_optimization=flat,
+            merge_options=options,
+        )
+        assert result.to_element() == sort_element(tree, spec)
+
+    @settings(**settings_kwargs)
+    @given(
+        tree=document_tree(),
+        options=merge_options,
+        extra_blocks=st.integers(min_value=0, max_value=3),
+    )
+    def test_merge_sort_matches_oracle(self, tree, options, extra_blocks):
+        doc = Document.from_element(RunStore(BlockDevice(block_size=256)), tree)
+        result, _report = external_merge_sort(
+            doc, SPEC, memory_blocks=3 + extra_blocks, merge_options=options
+        )
+        assert result.to_element() == sort_element(tree, SPEC)
 
 
 class TestStructuralInvariants:

@@ -28,6 +28,8 @@ from repro.xml.tokens import (
     string_key,
 )
 
+from .conftest import each_argsort_backend, scalar_reference, sha256_records
+
 
 def plain_tokens():
     """<r key=5><a key=2>t</a><ptr key=9/><b key=1/></r> annotated."""
@@ -216,7 +218,7 @@ def sibling_case(name):
         ]
     elif name == "single-child-chain":
         # Every sibling list has one child: nothing to sort, all levels
-        # visited (n == 1 groups are skipped by both kernels).
+        # visited (n == 1 groups are skipped).
         inner = element("leaf", string_key("z"), text="deep")
         for depth in range(30):
             inner = element(f"n{depth}", number_key(depth), [inner])
@@ -306,84 +308,65 @@ def compact_subtree_tokens(plain):
 
 
 class TestColumnarSiblingGroups:
-    """sort_node_tree / sort_records columnar parity (ISSUE 7)."""
+    """Batched sibling-group sorts reproduce the frozen results of the
+    retired per-group ``list.sort`` path (``scalar_reference.json``)."""
 
     @pytest.mark.parametrize("name", SIBLING_CASES)
     @pytest.mark.parametrize("sort_levels", [None, 1, 0])
-    def test_sort_node_tree_kernel_parity(self, name, sort_levels):
-        tokens = sibling_case(name)
-        scalar_dev = BlockDevice(block_size=256)
-        columnar_dev = BlockDevice(block_size=256)
-        scalar_root = build_subtree(tokens, compact=False)
-        columnar_root = build_subtree(tokens, compact=False)
-        sort_node_tree(scalar_root, sort_levels, scalar_dev.stats)
-        sort_node_tree(
-            columnar_root,
-            sort_levels,
-            columnar_dev.stats,
-            kernel="columnar",
-        )
-        assert list(
-            serialize_node_tree(columnar_root, 1, compact=False)
-        ) == list(serialize_node_tree(scalar_root, 1, compact=False))
-        assert (
-            columnar_dev.stats.comparisons == scalar_dev.stats.comparisons
-        )
+    def test_sort_node_tree_kernel_parity(
+        self, monkeypatch, name, sort_levels
+    ):
+        expected = scalar_reference(f"sibling/{name}/{sort_levels}")
+        codec = TokenCodec()
+        for _backend in each_argsort_backend(monkeypatch):
+            device = BlockDevice(block_size=256)
+            root = build_subtree(sibling_case(name), compact=False)
+            sort_node_tree(root, sort_levels, device.stats)
+            tokens = serialize_node_tree(root, 1, compact=False)
+            assert sha256_records(codec.encode_batch(tokens)) == (
+                expected["tokens_sha256"]
+            )
+            assert device.stats.comparisons == expected["comparisons"]
 
     @pytest.mark.parametrize("name", SIBLING_CASES)
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("names_coded", [False, True])
     def test_sort_records_matches_sort_tokens(
-        self, name, compact, names_coded
+        self, monkeypatch, name, compact, names_coded
     ):
-        """The fused raw-record path equals decode -> sort_tokens, bit
-        for bit: run contents, counters, and the RunPointer summary."""
+        """The raw-record path equals the frozen decode -> sort_tokens
+        results, bit for bit: run contents, counters, and the RunPointer
+        summary."""
         plain = sibling_case(name)
         tokens = compact_subtree_tokens(plain) if compact else plain
         names = NameDictionary() if names_coded else None
         codec = TokenCodec(names)
         records = [codec.encode(token) for token in tokens]
-
-        def run(kernel):
+        expected = scalar_reference(
+            f"subtree/{name}/{compact}/{names_coded}"
+        )
+        for _backend in each_argsort_backend(monkeypatch):
             device = BlockDevice(block_size=256)
             store = RunStore(device)
             sorter = SubtreeSorter(
-                store,
-                codec,
-                compact,
-                capacity_bytes=10**6,
-                fan_in=2,
-                options=MergeOptions(kernel=kernel),
+                store, codec, compact, capacity_bytes=10**6, fan_in=2
             )
-            if kernel == "columnar":
-                result = sorter.sort_records(records, 500, 1, None)
-            else:
-                result = sorter.sort_tokens(
-                    [codec.decode(record) for record in records],
-                    500,
-                    1,
-                    None,
-                )
-            contents = list(store.open_reader(result.run))
-            return contents, result, device.stats.snapshot()
-
-        columnar_contents, columnar_result, columnar_stats = run("columnar")
-        scalar_contents, scalar_result, scalar_stats = run("scalar")
-        assert columnar_contents == scalar_contents
-        assert columnar_stats.counter_totals() == (
-            scalar_stats.counter_totals()
-        )
-        for field in (
-            "units",
-            "real_elements",
-            "payload_bytes",
-            "root_key",
-            "root_pos",
-            "internal",
-        ):
-            assert getattr(columnar_result, field) == getattr(
-                scalar_result, field
-            ), field
+            result = sorter.sort_records(records, 500, 1, None)
+            assert sha256_records(store.open_reader(result.run)) == (
+                expected["run_sha256"]
+            )
+            assert device.stats.snapshot().counter_totals() == (
+                expected["counters"]
+            )
+            assert list(result.root_key) == expected["root_key"]
+            for field in (
+                "units",
+                "real_elements",
+                "payload_bytes",
+                "root_pos",
+                "internal",
+            ):
+                assert getattr(result, field) == expected[field], field
 
     def test_sort_records_root_key_from_end_tag(self):
         """Plain-mode subtree-evaluated keys ride on the end tag; the
@@ -404,14 +387,13 @@ class TestColumnarSiblingGroups:
             compact=False,
             capacity_bytes=10**6,
             fan_in=2,
-            options=MergeOptions(kernel="columnar"),
         )
         result = sorter.sort_records(records, 100, 1, None)
         assert result.root_key == string_key("late")
         assert result.root_pos == 0
 
     def test_sort_records_counted_mode_falls_back(self):
-        """Counted-comparison mode must keep the scalar counting sort."""
+        """Counted-comparison mode charges the comparisons it performs."""
         codec = TokenCodec()
         records = [
             codec.encode(token)
@@ -432,10 +414,8 @@ class TestColumnarSiblingGroups:
             result = sorter.sort_records(records, 500, 1, None)
             return list(store.open_reader(result.run)), device.stats
 
-        counted = MergeOptions(
-            kernel="columnar", merge_kernel="loser-tree"
-        )
-        analytic = MergeOptions(kernel="columnar")
+        counted = MergeOptions(merge_kernel="loser-tree")
+        analytic = MergeOptions()
         counted_contents, counted_stats = run(counted)
         analytic_contents, analytic_stats = run(analytic)
         assert counted_contents == analytic_contents
