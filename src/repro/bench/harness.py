@@ -136,8 +136,8 @@ def _parallel_detail(device: BlockDevice, report) -> dict:
     """
     snap = report.stats
     return {
-        "disks": getattr(device, "disks", 1),
-        "prefetch_depth": getattr(device, "prefetch_depth", 0),
+        "disks": device.disks,
+        "prefetch_depth": device.prefetch_depth,
         "disk_seconds": snap.disk_seconds(),
         "overlap_seconds": snap.overlap_seconds(),
         "stall_seconds": snap.stall_seconds,

@@ -6,12 +6,6 @@ key-evaluate -> form-runs -> merge -> output.  Keys are engine-normalized
 are spliced from the stored encodings, and sorts are batch argsorts.  The
 pieces:
 
-* :class:`ColumnarBatch` - a run-formation batch held column-wise: one
-  contiguous fixed-width array of normalized-key *prefixes* (numpy
-  ``uint8`` matrix when numpy is importable, ``bytearray`` otherwise),
-  plus offset/payload arrays (:mod:`array`/``bytes``), so the formation
-  sort is an argsort over machine integers instead of a million tuple
-  comparisons;
 * :func:`argsort_normalized` - prefix argsort with a full-key tie-break
   on equal prefixes, producing exactly the order - including stability -
   of ``list.sort`` over the same keys;
@@ -43,7 +37,6 @@ implementation, and the accounting-parity suite reproduces every cell.
 from __future__ import annotations
 
 import struct
-from array import array
 from math import ceil, log2
 from typing import Callable, Iterable
 
@@ -197,64 +190,7 @@ def batch_embedded_keys(records: list[bytes]) -> list[bytes]:
     return out
 
 
-# -- columnar batches and the prefix argsort ----------------------------------
-
-
-class ColumnarBatch:
-    """Normalized keys and payloads of one batch, held column-wise.
-
-    Layout (``n`` records, prefix width ``W``):
-
-    * ``prefix`` - one contiguous ``n x W`` byte buffer of key prefixes
-      (after stripping the batch-wide common key prefix), zero-padded;
-      a numpy ``uint8`` matrix when available, else a ``bytearray``;
-    * ``keys`` - the full normalized key of every record (tie-break and
-      fallback comparisons);
-    * ``payload`` / ``offsets`` - record payloads packed into one blob
-      with an ``array('Q')`` offset column.
-    """
-
-    __slots__ = ("keys", "payload", "offsets", "prefix", "width", "strip")
-
-    def __init__(self, keys: list[bytes], payloads: list[bytes],
-                 prefix_width: int | None = None):
-        width = (
-            prefix_width
-            if prefix_width is not None
-            else DEFAULT_KEY_OPTIONS.prefix_width
-        )
-        self.keys = keys
-        self.width = width
-        self.strip = _common_prefix_length(keys)
-        blob = bytearray()
-        offsets = array("Q", [0]) if payloads else array("Q")
-        for payload in payloads:
-            blob += payload
-            offsets.append(len(blob))
-        self.payload = bytes(blob)
-        self.offsets = offsets
-        self.prefix = _prefix_buffer(keys, self.strip, width)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def record(self, index: int) -> bytes:
-        return self.payload[self.offsets[index] : self.offsets[index + 1]]
-
-    def compare(self, a: int, b: int) -> int:
-        """-1/0/1 ordering of two rows (full-key comparison)."""
-        ka, kb = self.keys[a], self.keys[b]
-        return -1 if ka < kb else (0 if ka == kb else 1)
-
-    def argsort(self) -> list[int]:
-        """Row order sorting the batch by full normalized key, stably."""
-        return argsort_normalized(
-            self.keys, self.width, strip=self.strip, prefix=self.prefix
-        )
-
-    def sorted_records(self) -> list[bytes]:
-        record = self.record
-        return [record(index) for index in self.argsort()]
+# -- the prefix argsort ------------------------------------------------------
 
 
 def _common_prefix_length(keys: list[bytes]) -> int:

@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import DeviceFault, FaultPlanError, SortRecoveryError
+from .io.device import DeviceLayer
 
 #: Operations a fault rule can target.  ``torn`` counts vectored writes
 #: (``write_blocks`` calls moving 2+ blocks), not individual blocks.
@@ -233,111 +234,7 @@ class FaultStats:
         self.by_op[op] = self.by_op.get(op, 0) + 1
 
 
-class _DeviceProxy:
-    """Delegates the full device surface to a wrapped device.
-
-    Both fault-layer wrappers are device-shaped, so they can sit anywhere
-    a :class:`~repro.io.device.BlockDevice` can: under a
-    :class:`~repro.io.bufferpool.BufferPool`, inside a
-    :class:`~repro.io.runs.RunStore`, behind an
-    :class:`~repro.io.stacks.ExternalStack`.
-    """
-
-    def __init__(self, device):
-        self._device = device
-
-    @property
-    def device(self):
-        """The wrapped device (possibly itself a wrapper)."""
-        return self._device
-
-    @property
-    def block_size(self) -> int:
-        return self._device.block_size
-
-    @property
-    def stats(self):
-        return self._device.stats
-
-    @property
-    def allocated_blocks(self) -> int:
-        return self._device.allocated_blocks
-
-    @property
-    def occupied_blocks(self) -> int:
-        return self._device.occupied_blocks
-
-    def allocate(self, count: int = 1, pool: str = "default") -> int:
-        return self._device.allocate(count, pool)
-
-    def bytes_to_blocks(self, nbytes: int) -> int:
-        return self._device.bytes_to_blocks(nbytes)
-
-    def free_blocks(self, block_ids) -> None:
-        self._device.free_blocks(block_ids)
-
-    def read_block(self, block_id, category="other", stream=None):
-        return self._device.read_block(block_id, category, stream=stream)
-
-    def write_block(self, block_id, data, category="other", stream=None):
-        self._device.write_block(block_id, data, category, stream=stream)
-
-    def read_blocks(self, block_ids, category="other", stream=None):
-        return self._device.read_blocks(block_ids, category, stream=stream)
-
-    def write_blocks(self, block_ids, datas, category="other", stream=None):
-        self._device.write_blocks(block_ids, datas, category, stream=stream)
-
-    # Recovery-hold surface (see BlockDevice.push_hold).
-
-    @property
-    def holding(self) -> bool:
-        return self._device.holding
-
-    def push_hold(self) -> None:
-        self._device.push_hold()
-
-    def pop_hold(self, restore: bool) -> None:
-        self._device.pop_hold(restore)
-
-    def stash_block(self, block_id, data) -> None:
-        self._device.stash_block(block_id, data)
-
-    def store_block_raw(self, block_id, data) -> None:
-        self._device.store_block_raw(block_id, data)
-
-    # Parallel-disk surface (see repro.io.parallel).
-
-    @property
-    def disks(self) -> int:
-        return getattr(self._device, "disks", 1)
-
-    @property
-    def prefetch_depth(self) -> int:
-        return getattr(self._device, "prefetch_depth", 0)
-
-    @property
-    def prefetch_policy(self):
-        return getattr(self._device, "prefetch_policy", None)
-
-    def disk_of(self, block_id) -> int:
-        disk_of = getattr(self._device, "disk_of", None)
-        return disk_of(block_id) if disk_of is not None else 0
-
-    def prefetch_blocks(self, block_ids, category="other", stream=None):
-        prefetch = getattr(self._device, "prefetch_blocks", None)
-        if prefetch is None:
-            return 0
-        return prefetch(block_ids, category, stream=stream)
-
-    def write_block_behind(self, block_id, data, category="other", stream=None):
-        behind = getattr(
-            self._device, "write_block_behind", self._device.write_block
-        )
-        behind(block_id, data, category, stream=stream)
-
-
-class FaultInjector(_DeviceProxy):
+class FaultInjector(DeviceLayer):
     """Raises :class:`DeviceFault` where a :class:`FaultPlan` says so.
 
     Attempts are counted per op, both device-wide and per category, and a
@@ -372,10 +269,10 @@ class FaultInjector(_DeviceProxy):
         """Blocks per member disk, for disk-scoped attempt counting."""
         if not self._disk_scoped or not block_ids:
             return {}
-        disk_of = getattr(self._device, "disk_of", None)
+        disk_of = self._device.disk_of
         counts: dict[int, int] = {}
         for block_id in block_ids:
-            disk = disk_of(block_id) if disk_of is not None else 0
+            disk = disk_of(block_id)
             counts[disk] = counts.get(disk, 0) + 1
         return counts
 
@@ -470,16 +367,15 @@ class FaultInjector(_DeviceProxy):
         )
 
     # -- faulting access paths ---------------------------------------------
-
-    def read_block(self, block_id, category="other", stream=None):
-        self._check("read", category, 1, [block_id])
-        return self._device.read_block(block_id, category, stream=stream)
+    #
+    # Single-block calls are length-1 vectors (DeviceLayer), so a read or
+    # write of one block advances its op counter by one and never tears.
 
     def read_blocks(self, block_ids, category="other", stream=None):
         block_ids = list(block_ids)
         if block_ids:
             self._check("read", category, len(block_ids), block_ids)
-        return self._device.read_blocks(block_ids, category, stream=stream)
+        return self._device.read_blocks(block_ids, category, stream)
 
     def prefetch_blocks(self, block_ids, category="other", stream=None):
         # Prefetch reads are read attempts: injected read faults hit the
@@ -487,21 +383,12 @@ class FaultInjector(_DeviceProxy):
         block_ids = list(block_ids)
         if block_ids:
             self._check("read", category, len(block_ids), block_ids)
-        prefetch = getattr(self._device, "prefetch_blocks", None)
-        if prefetch is None:
-            return 0
-        return prefetch(block_ids, category, stream=stream)
+        return self._device.prefetch_blocks(block_ids, category, stream)
 
-    def write_block(self, block_id, data, category="other", stream=None):
+    def write_block_behind(self, block_id, data, category="other",
+                           stream=None):
         self._check("write", category, 1, [block_id])
-        self._device.write_block(block_id, data, category, stream=stream)
-
-    def write_block_behind(self, block_id, data, category="other", stream=None):
-        self._check("write", category, 1, [block_id])
-        behind = getattr(
-            self._device, "write_block_behind", self._device.write_block
-        )
-        behind(block_id, data, category, stream=stream)
+        self._device.write_block_behind(block_id, data, category, stream)
 
     def write_blocks(self, block_ids, datas, category="other", stream=None):
         block_ids = list(block_ids)
@@ -510,7 +397,7 @@ class FaultInjector(_DeviceProxy):
             self._check_torn(block_ids, datas, category)
         if block_ids:
             self._check("write", category, len(block_ids), block_ids)
-        self._device.write_blocks(block_ids, datas, category, stream=stream)
+        self._device.write_blocks(block_ids, datas, category, stream)
 
     def _check_torn(self, block_ids, datas, category) -> None:
         # One torn attempt per call; disk scopes count a call once per
@@ -577,7 +464,7 @@ class RetryStats:
     exhausted: int = 0
 
 
-class RetryingDevice(_DeviceProxy):
+class RetryingDevice(DeviceLayer):
     """Absorbs transient :class:`DeviceFault`\\ s by retrying the access.
 
     Persistent faults, and transient faults still failing after
@@ -618,51 +505,30 @@ class RetryingDevice(_DeviceProxy):
                         backoff=delay,
                     )
 
-    def read_block(self, block_id, category="other", stream=None):
-        return self._with_retries(
-            "read",
-            category,
-            lambda: self._device.read_block(block_id, category, stream=stream),
-        )
-
     def read_blocks(self, block_ids, category="other", stream=None):
         block_ids = list(block_ids)
         return self._with_retries(
             "read",
             category,
-            lambda: self._device.read_blocks(
-                block_ids, category, stream=stream
-            ),
+            lambda: self._device.read_blocks(block_ids, category, stream),
         )
 
     def prefetch_blocks(self, block_ids, category="other", stream=None):
         block_ids = list(block_ids)
-        prefetch = getattr(self._device, "prefetch_blocks", None)
-        if prefetch is None:
-            return 0
         return self._with_retries(
             "read",
             category,
-            lambda: prefetch(block_ids, category, stream=stream),
+            lambda: self._device.prefetch_blocks(block_ids, category, stream),
         )
 
-    def write_block(self, block_id, data, category="other", stream=None):
+    def write_block_behind(self, block_id, data, category="other",
+                           stream=None):
         self._with_retries(
             "write",
             category,
-            lambda: self._device.write_block(
-                block_id, data, category, stream=stream
+            lambda: self._device.write_block_behind(
+                block_id, data, category, stream
             ),
-        )
-
-    def write_block_behind(self, block_id, data, category="other", stream=None):
-        behind = getattr(
-            self._device, "write_block_behind", self._device.write_block
-        )
-        self._with_retries(
-            "write",
-            category,
-            lambda: behind(block_id, data, category, stream=stream),
         )
 
     def write_blocks(self, block_ids, datas, category="other", stream=None):
@@ -672,7 +538,7 @@ class RetryingDevice(_DeviceProxy):
             "write",
             category,
             lambda: self._device.write_blocks(
-                block_ids, datas, category, stream=stream
+                block_ids, datas, category, stream
             ),
         )
 

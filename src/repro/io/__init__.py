@@ -7,7 +7,7 @@ from .budget import (
     Reservation,
 )
 from .bufferpool import BufferPool, DEFAULT_READAHEAD
-from .device import BlockDevice, DEFAULT_BLOCK_SIZE
+from .device import BlockDevice, DEFAULT_BLOCK_SIZE, DeviceLayer
 from .file_device import FileBackedBlockDevice
 from .lease import ResourceLease, ResourcePool, TeeIOStats
 from .parallel import (
@@ -45,6 +45,7 @@ __all__ = [
     "CategoryCounters",
     "CostModel",
     "DEFAULT_BLOCK_SIZE",
+    "DeviceLayer",
     "DiskTimeline",
     "ExternalStack",
     "FileBackedBlockDevice",

@@ -8,9 +8,9 @@ same* :class:`~repro.io.budget.MemoryBudget` that grants the stacks and the
 subtree sorter their blocks, so cached blocks are never memory the model
 does not account for.
 
-The pool is device-shaped - it exposes ``read_block`` / ``write_block`` /
-``read_blocks`` / ``write_blocks`` / ``allocate`` / ``free_blocks`` /
-``block_size`` / ``stats`` - so every component that takes a
+The pool is a :class:`~repro.io.device.DeviceLayer`: it overrides the
+read/write/prefetch primitives and ``free_blocks`` and forwards the rest of
+the device surface, so every component that takes a
 :class:`~repro.io.device.BlockDevice` (stacks, run readers and writers)
 works unchanged against a pool.
 
@@ -49,7 +49,7 @@ from collections import OrderedDict
 
 from ..errors import DeviceError
 from .budget import MemoryBudget, Reservation
-from .device import BlockDevice
+from .device import BlockDevice, DeviceLayer
 
 #: Readahead extent (in blocks) used when ``readahead`` is left automatic:
 #: deep enough to amortize per-call overhead, small enough not to thrash
@@ -76,7 +76,7 @@ class _Entry:
         self.pins = 0
 
 
-class BufferPool:
+class BufferPool(DeviceLayer):
     """An LRU, pin-aware, write-back block cache charged to the budget.
 
     Args:
@@ -107,7 +107,7 @@ class BufferPool:
             raise DeviceError(
                 f"buffer pool capacity cannot be negative: {capacity_blocks}"
             )
-        self._device = device
+        super().__init__(device)
         self.capacity = capacity_blocks
         self._reservation: Reservation | None = None
         if budget is not None:
@@ -120,43 +120,7 @@ class BufferPool:
         self._closed = False
         self._tracer = tracer
 
-    # -- device-shaped proxies ---------------------------------------------
-
-    @property
-    def device(self) -> BlockDevice:
-        return self._device
-
-    @property
-    def block_size(self) -> int:
-        return self._device.block_size
-
-    @property
-    def stats(self):
-        return self._device.stats
-
-    def allocate(self, count: int = 1, pool: str = "default") -> int:
-        return self._device.allocate(count, pool)
-
-    def bytes_to_blocks(self, nbytes: int) -> int:
-        return self._device.bytes_to_blocks(nbytes)
-
-    # -- parallel-disk surface (forwarded; see repro.io.parallel) ----------
-
-    @property
-    def disks(self) -> int:
-        return getattr(self._device, "disks", 1)
-
-    @property
-    def prefetch_depth(self) -> int:
-        return getattr(self._device, "prefetch_depth", 0)
-
-    @property
-    def prefetch_policy(self) -> str | None:
-        return getattr(self._device, "prefetch_policy", None)
-
-    def disk_of(self, block_id: int) -> int:
-        disk_of = getattr(self._device, "disk_of", None)
-        return disk_of(block_id) if disk_of is not None else 0
+    # -- prefetch and write-behind -----------------------------------------
 
     def prefetch_blocks(
         self,
@@ -178,10 +142,9 @@ class BufferPool:
         satisfied = len(block_ids) - len(uncached)
         if not uncached:
             return satisfied
-        prefetch = getattr(self._device, "prefetch_blocks", None)
-        if prefetch is None:
-            return satisfied
-        return satisfied + prefetch(uncached, category, stream=stream)
+        return satisfied + self._device.prefetch_blocks(
+            uncached, category, stream
+        )
 
     def write_block_behind(
         self,
@@ -197,12 +160,9 @@ class BufferPool:
         (pass-through) pool forwards to the device's pipeline.
         """
         if self.capacity == 0:
-            behind = getattr(
-                self._device, "write_block_behind", self._device.write_block
-            )
-            behind(block_id, data, category, stream=stream)
+            self._device.write_block_behind(block_id, data, category, stream)
             return
-        self.write_block(block_id, data, category, stream=stream)
+        self._write_cached(block_id, data, category, stream)
 
     # -- observers ---------------------------------------------------------
 
@@ -236,24 +196,6 @@ class BufferPool:
         return block_id in self._entries
 
     # -- access ------------------------------------------------------------
-
-    def read_block(
-        self,
-        block_id: int,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> bytes:
-        if self.capacity == 0:
-            return self._device.read_block(block_id, category, stream=stream)
-        entry = self._entries.get(block_id)
-        if entry is not None:
-            self._entries.move_to_end(block_id)
-            self.stats.record_cache_hit(category)
-            return entry.data
-        data = self._device.read_block(block_id, category, stream=stream)
-        self.stats.record_cache_miss(category)
-        self._insert(block_id, data, category, dirty=False, stream=stream)
-        return data
 
     def read_blocks(
         self,
@@ -290,16 +232,34 @@ class BufferPool:
                 )
         return [found[block_id] for block_id in block_ids]
 
-    def write_block(
+    def write_blocks(
         self,
-        block_id: int,
-        data: bytes,
+        block_ids,
+        datas,
         category: str = "other",
         stream: str | None = None,
     ) -> None:
+        block_ids = list(block_ids)
+        datas = list(datas)
+        if len(block_ids) != len(datas):
+            raise DeviceError(
+                f"write_blocks got {len(block_ids)} ids but "
+                f"{len(datas)} payloads"
+            )
         if self.capacity == 0:
-            self._device.write_block(block_id, data, category, stream=stream)
+            self._device.write_blocks(block_ids, datas, category, stream)
             return
+        for block_id, data in zip(block_ids, datas):
+            self._write_cached(block_id, data, category, stream)
+
+    def _write_cached(
+        self,
+        block_id: int,
+        data: bytes,
+        category: str,
+        stream: str | None,
+    ) -> None:
+        """Write one block into the pool (write-back; see module docs)."""
         if len(data) > self.block_size:
             raise DeviceError(
                 f"write of {len(data)} bytes exceeds block size "
@@ -321,27 +281,7 @@ class BufferPool:
         if not self._insert(block_id, data, category, dirty=True, stream=stream):
             # Nothing evictable (everything pinned): write through, under
             # the caller's stream so sequentiality is judged correctly.
-            self._device.write_block(block_id, data, category, stream=stream)
-
-    def write_blocks(
-        self,
-        block_ids,
-        datas,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> None:
-        block_ids = list(block_ids)
-        datas = list(datas)
-        if len(block_ids) != len(datas):
-            raise DeviceError(
-                f"write_blocks got {len(block_ids)} ids but "
-                f"{len(datas)} payloads"
-            )
-        if self.capacity == 0:
-            self._device.write_blocks(block_ids, datas, category, stream=stream)
-            return
-        for block_id, data in zip(block_ids, datas):
-            self.write_block(block_id, data, category, stream=stream)
+            self._device.write_block(block_id, data, category, stream)
 
     def free_blocks(self, block_ids) -> None:
         """Drop freed blocks from pool and device; dirty data is discarded
@@ -359,7 +299,7 @@ class BufferPool:
                     f"free of pinned block {block_id} "
                     f"({entry.pins} pin(s) outstanding)"
                 )
-        holding = getattr(self._device, "holding", False)
+        holding = self._device.holding
         for block_id in block_ids:
             entry = self._entries.pop(block_id, None)
             if entry is not None and entry.dirty and holding:

@@ -21,12 +21,7 @@ are not allowed to use for free*, not literally a spinning platter.
 from __future__ import annotations
 
 from ..errors import DeviceError
-from .stats import (
-    CostModel,
-    IOStats,
-    classify_extent,
-    is_sequential_access,
-)
+from .stats import CostModel, IOStats, classify_extent
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -46,8 +41,8 @@ class BlockDevice:
 
     #: Parallel-disk surface (see :mod:`repro.io.parallel`): a plain
     #: device is one disk with no prefetch pipeline.  Striped devices
-    #: shadow these, and everything layered above (pools, fault proxies,
-    #: run writers) can query them without isinstance checks.
+    #: shadow these, and everything layered above (device layers, run
+    #: writers) can query them without isinstance checks.
     disks = 1
     prefetch_depth = 0
     prefetch_policy: str | None = None
@@ -111,6 +106,10 @@ class BlockDevice:
         return len(self._blocks)
 
     # -- access --------------------------------------------------------
+    #
+    # The device protocol has four primitives: read_blocks, write_blocks,
+    # prefetch_blocks and write_block_behind.  The single-block calls are
+    # length-1 vectors, defined here once for every device and layer.
 
     def read_block(
         self,
@@ -118,21 +117,8 @@ class BlockDevice:
         category: str = "other",
         stream: str | None = None,
     ) -> bytes:
-        """Read one block, counting the access under ``category``.
-
-        ``stream`` optionally names a finer-grained access stream for the
-        sequentiality judgment (e.g. one run among many being merged);
-        counters still accrue to ``category``.
-        """
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"read of unallocated block {block_id}")
-        data = self._blocks.get(block_id)
-        if data is None:
-            raise DeviceError(f"read of never-written block {block_id}")
-        key = stream or category
-        self.stats.record_read(category, self._is_sequential(key, block_id))
-        self._last_by_category[key] = block_id
-        return data
+        """Read one block: a length-1 :meth:`read_blocks`."""
+        return self.read_blocks((block_id,), category, stream)[0]
 
     def write_block(
         self,
@@ -141,18 +127,8 @@ class BlockDevice:
         category: str = "other",
         stream: str | None = None,
     ) -> None:
-        """Write one block, counting the access under ``category``."""
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"write of unallocated block {block_id}")
-        if len(data) > self.block_size:
-            raise DeviceError(
-                f"write of {len(data)} bytes exceeds block size "
-                f"{self.block_size}"
-            )
-        key = stream or category
-        self.stats.record_write(category, self._is_sequential(key, block_id))
-        self._last_by_category[key] = block_id
-        self._blocks[block_id] = bytes(data)
+        """Write one block: a length-1 :meth:`write_blocks`."""
+        self.write_blocks((block_id,), (data,), category, stream)
 
     def read_blocks(
         self,
@@ -162,11 +138,13 @@ class BlockDevice:
     ) -> list[bytes]:
         """Vectored read: fetch several blocks in one call.
 
-        Accounting is identical to an equivalent :meth:`read_block` loop -
-        each block is judged against the one before it (the first against
-        the category's last access), so a contiguous extent costs one
-        sequentiality judgment and the rest count sequential.  Subclasses
-        override this to move whole extents per OS call.
+        Each block is judged against the one before it (the first against
+        the stream's last access), exactly as a loop of single-block reads
+        would be, so a contiguous extent costs one sequentiality judgment
+        and the rest count sequential.  ``stream`` optionally names a
+        finer-grained access stream for that judgment (e.g. one run among
+        many being merged); counters still accrue to ``category``.
+        Subclasses override this to move whole extents per OS call.
         """
         block_ids = list(block_ids)
         if not block_ids:
@@ -199,7 +177,7 @@ class BlockDevice:
         """Vectored write: store several blocks in one call.
 
         Accounting mirrors :meth:`read_blocks`: one sequentiality judgment
-        per extent, identical counters to a :meth:`write_block` loop.
+        per extent, identical counters to a loop of single-block writes.
         """
         block_ids = list(block_ids)
         datas = list(datas)
@@ -327,11 +305,6 @@ class BlockDevice:
             )
         self._blocks[block_id] = bytes(data)
 
-    def _is_sequential(self, category: str, block_id: int) -> bool:
-        return is_sequential_access(
-            self._last_by_category.get(category), block_id
-        )
-
     # -- parallel-disk surface ---------------------------------------------
 
     def disk_of(self, block_id: int) -> int:
@@ -364,7 +337,7 @@ class BlockDevice:
         On a serial device there is no pipeline to hide the write in, so
         this degenerates to a plain (identically accounted) write.
         """
-        self.write_block(block_id, data, category, stream=stream)
+        self.write_blocks((block_id,), (data,), category, stream)
 
     # -- convenience -------------------------------------------------------
 
@@ -378,3 +351,102 @@ class BlockDevice:
             f"allocated={self._next_block}, "
             f"ios={self.stats.total_ios})"
         )
+
+
+class DeviceLayer:
+    """A device-shaped layer over another device; forwards by default.
+
+    Buffer pools and the fault wrappers sit wherever a :class:`BlockDevice`
+    can - under a run store, behind a stack, on top of each other.  This
+    base forwards the whole device surface to the wrapped device, so a
+    layer overrides only what it changes, usually some of the four
+    primitives.  The single-block calls are :class:`BlockDevice`'s
+    length-1 vectors, so they run through the layer's own primitives.
+    """
+
+    def __init__(self, device):
+        self._device = device
+
+    @property
+    def device(self):
+        """The wrapped device (possibly itself a layer)."""
+        return self._device
+
+    @property
+    def block_size(self) -> int:
+        return self._device.block_size
+
+    @property
+    def stats(self) -> IOStats:
+        return self._device.stats
+
+    # -- allocation --------------------------------------------------------
+
+    @property
+    def allocated_blocks(self) -> int:
+        return self._device.allocated_blocks
+
+    @property
+    def occupied_blocks(self) -> int:
+        return self._device.occupied_blocks
+
+    def allocate(self, count: int = 1, pool: str = "default") -> int:
+        return self._device.allocate(count, pool)
+
+    def free_blocks(self, block_ids) -> None:
+        self._device.free_blocks(block_ids)
+
+    bytes_to_blocks = BlockDevice.bytes_to_blocks
+
+    # -- recovery holds and raw stores ---------------------------------------
+
+    @property
+    def holding(self) -> bool:
+        return self._device.holding
+
+    def push_hold(self) -> None:
+        self._device.push_hold()
+
+    def pop_hold(self, restore: bool) -> None:
+        self._device.pop_hold(restore)
+
+    def stash_block(self, block_id: int, data: bytes) -> None:
+        self._device.stash_block(block_id, data)
+
+    def store_block_raw(self, block_id: int, data: bytes) -> None:
+        self._device.store_block_raw(block_id, data)
+
+    # -- parallel-disk surface ---------------------------------------------
+
+    @property
+    def disks(self) -> int:
+        return self._device.disks
+
+    @property
+    def prefetch_depth(self) -> int:
+        return self._device.prefetch_depth
+
+    @property
+    def prefetch_policy(self) -> str | None:
+        return self._device.prefetch_policy
+
+    def disk_of(self, block_id: int) -> int:
+        return self._device.disk_of(block_id)
+
+    # -- the four primitives -------------------------------------------------
+
+    def read_blocks(self, block_ids, category="other", stream=None):
+        return self._device.read_blocks(block_ids, category, stream)
+
+    def write_blocks(self, block_ids, datas, category="other", stream=None):
+        self._device.write_blocks(block_ids, datas, category, stream)
+
+    def prefetch_blocks(self, block_ids, category="other", stream=None):
+        return self._device.prefetch_blocks(block_ids, category, stream)
+
+    def write_block_behind(self, block_id, data, category="other",
+                           stream=None):
+        self._device.write_block_behind(block_id, data, category, stream)
+
+    read_block = BlockDevice.read_block
+    write_block = BlockDevice.write_block

@@ -41,44 +41,6 @@ class FileBackedBlockDevice(BlockDevice):
 
     # -- storage overrides ---------------------------------------------------
 
-    def read_block(
-        self,
-        block_id: int,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> bytes:
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"read of unallocated block {block_id}")
-        if block_id not in self._written:
-            raise DeviceError(f"read of never-written block {block_id}")
-        key = stream or category
-        self.stats.record_read(category, self._is_sequential(key, block_id))
-        self._last_by_category[key] = block_id
-        self._file.seek(block_id * self.block_size)
-        return self._file.read(self.block_size)
-
-    def write_block(
-        self,
-        block_id: int,
-        data: bytes,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> None:
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"write of unallocated block {block_id}")
-        if len(data) > self.block_size:
-            raise DeviceError(
-                f"write of {len(data)} bytes exceeds block size "
-                f"{self.block_size}"
-            )
-        key = stream or category
-        self.stats.record_write(category, self._is_sequential(key, block_id))
-        self._last_by_category[key] = block_id
-        self._file.seek(block_id * self.block_size)
-        padded = data + b"\x00" * (self.block_size - len(data))
-        self._file.write(padded)
-        self._written.add(block_id)
-
     def read_blocks(
         self,
         block_ids,
@@ -87,8 +49,8 @@ class FileBackedBlockDevice(BlockDevice):
     ) -> list[bytes]:
         """Vectored read: one ``seek`` + ``read`` per contiguous extent.
 
-        Counters are identical to a :meth:`read_block` loop; only the
-        number of OS calls changes.
+        Counters are identical to the in-memory device's; only the number
+        of OS calls changes.
         """
         block_ids = list(block_ids)
         if not block_ids:

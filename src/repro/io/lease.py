@@ -58,10 +58,6 @@ class TeeIOStats(IOStats):
 
     # -- event helpers ---------------------------------------------------
 
-    def _io_event(self, sequential: bool) -> None:
-        if self.listener is not None:
-            self.listener("io", self.cost_model.access_seconds(sequential))
-
     def _io_events(self, count: int, sequential_count: int) -> None:
         if self.listener is None or count == 0:
             return
@@ -77,16 +73,6 @@ class TeeIOStats(IOStats):
             self.listener("cpu", seconds)
 
     # -- mirrored recording ---------------------------------------------
-
-    def record_read(self, category: str, sequential: bool) -> None:
-        super().record_read(category, sequential)
-        self.mirror.record_read(category, sequential)
-        self._io_event(sequential)
-
-    def record_write(self, category: str, sequential: bool) -> None:
-        super().record_write(category, sequential)
-        self.mirror.record_write(category, sequential)
-        self._io_event(sequential)
 
     def record_reads(
         self, category: str, count: int, sequential_count: int

@@ -15,9 +15,9 @@ On top of the striping sits an asynchronous scheduler in simulated time:
   is already servicing,
 * demand reads stall the consumer until the block's completion time,
 * :meth:`StripedDevice.write_block_behind` queues writes and only stalls
-  when more than :attr:`StripedDevice.write_buffers` writes are still in
-  flight for the same stream (double-buffered write-behind - the run
-  writers use this so run output overlaps with compute and reads),
+  when more than :data:`WRITE_BUFFERS` writes are still in flight for the
+  same stream (double-buffered write-behind - the run writers use this so
+  run output overlaps with compute and reads),
 * :meth:`StripedDevice.prefetch_blocks` issues reads ahead of demand into a
   bounded window of ``prefetch_depth`` slots; a later demand read of a
   prefetched block costs *no new counters* (it was charged at issue time)
@@ -52,7 +52,7 @@ PREFETCH_POLICIES = ("forecast", "round-robin")
 
 #: Write-behind depth per stream: one block being filled by the writer plus
 #: this many in flight before the writer must wait (double buffering).
-DEFAULT_WRITE_BUFFERS = 2
+WRITE_BUFFERS = 2
 
 
 class StripedDevice(BlockDevice):
@@ -72,7 +72,6 @@ class StripedDevice(BlockDevice):
             disables prefetching entirely.
         prefetch_policy: advisory scheduling policy consumed by
             :class:`MergePrefetcher` (``forecast`` or ``round-robin``).
-        write_buffers: write-behind depth per stream (see module docs).
     """
 
     def __init__(
@@ -82,7 +81,6 @@ class StripedDevice(BlockDevice):
         cost_model: CostModel | None = None,
         prefetch_depth: int = 0,
         prefetch_policy: str = "forecast",
-        write_buffers: int = DEFAULT_WRITE_BUFFERS,
     ):
         if disks < 1:
             raise DeviceError(f"need at least one disk, got {disks}")
@@ -95,15 +93,10 @@ class StripedDevice(BlockDevice):
                 f"unknown prefetch policy {prefetch_policy!r}; "
                 f"expected one of {PREFETCH_POLICIES}"
             )
-        if write_buffers < 1:
-            raise DeviceError(
-                f"need at least one write buffer, got {write_buffers}"
-            )
         super().__init__(block_size=block_size, cost_model=cost_model)
         self.disks = disks
         self.prefetch_depth = prefetch_depth
         self.prefetch_policy = prefetch_policy
-        self.write_buffers = write_buffers
         self._shards = [
             BlockDevice(block_size=block_size, cost_model=cost_model)
             for _ in range(disks)
@@ -178,14 +171,8 @@ class StripedDevice(BlockDevice):
             self.stats.record_stall(done - self._now)
             self._now = done
 
-    def _busy(self, disk: int, sequential: bool) -> float:
-        cost = self.stats.cost_model.access_seconds(sequential)
-        self.stats.record_disk_busy(disk, cost)
-        return cost
-
-    def _busy_extent(
-        self, disk: int, count: int, sequential: int
-    ) -> float:
+    def _busy(self, disk: int, count: int, sequential: int) -> float:
+        """Charge ``disk`` the service time of one extent; returns it."""
         cost = self.stats.cost_model.io_seconds(
             sequential, count - sequential
         )
@@ -225,86 +212,19 @@ class StripedDevice(BlockDevice):
             raise DeviceError(f"read of never-written block {block_id}")
         return disk, local
 
-    def read_block(
-        self,
-        block_id: int,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> bytes:
-        disk, local = self._check_readable(block_id)
-        self._advance_cpu()
-        entry = self._prefetched.pop(block_id, None)
-        if entry is not None:
-            data, done = entry
-            self._stall_until(done)
-            return data
+    def _read_extent(
+        self, disk: int, locals_: list[int], category: str, key: str
+    ) -> tuple[list[bytes], float]:
+        """Queue one disk's share of a read; returns (data, completion)."""
         shard = self._shards[disk]
-        key = stream or category
-        sequential = shard._is_sequential(key, local)
-        data = shard.read_block(local, category, stream=key)
-        self.stats.record_read(category, sequential)
-        done = self._service(disk, self._busy(disk, sequential))
-        self._stall_until(done)
-        return data
-
-    def write_block(
-        self,
-        block_id: int,
-        data: bytes,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> None:
-        """Synchronous write: the consumer waits for completion."""
-        done = self._submit_write(block_id, data, category, stream)
-        self._stall_until(done)
-
-    def write_block_behind(
-        self,
-        block_id: int,
-        data: bytes,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> None:
-        """Queue a write; wait only when the stream's buffers are full.
-
-        Models double-buffered run output: the writer owns
-        :attr:`write_buffers` in-flight slots per stream and stalls only
-        when submitting a write while all slots are still busy.
-        """
-        key = stream or category
-        queue = self._write_queues.setdefault(key, deque())
-        self._advance_cpu()
-        while queue and queue[0] <= self._now:
-            queue.popleft()
-        if len(queue) >= self.write_buffers:
-            self._stall_until(queue.popleft())
-            while queue and queue[0] <= self._now:
-                queue.popleft()
-        queue.append(self._submit_write(block_id, data, category, stream))
-
-    def _submit_write(
-        self,
-        block_id: int,
-        data: bytes,
-        category: str,
-        stream: str | None,
-    ) -> float:
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"write of unallocated block {block_id}")
-        if len(data) > self.block_size:
-            raise DeviceError(
-                f"write of {len(data)} bytes exceeds block size "
-                f"{self.block_size}"
-            )
-        disk, local = self._locate(block_id)
-        shard = self._shards[disk]
-        key = stream or category
-        sequential = shard._is_sequential(key, local)
-        shard.write_block(local, data, category, stream=key)
-        self.stats.record_write(category, sequential)
-        self._prefetched.pop(block_id, None)
-        self._advance_cpu()
-        return self._service(disk, self._busy(disk, sequential))
+        sequential, _ = classify_extent(
+            locals_, shard._last_by_category.get(key)
+        )
+        datas = shard.read_blocks(locals_, category, key)
+        self.stats.record_reads(category, len(locals_), sequential)
+        return datas, self._service(
+            disk, self._busy(disk, len(locals_), sequential)
+        )
 
     def read_blocks(
         self,
@@ -314,10 +234,11 @@ class StripedDevice(BlockDevice):
     ) -> list[bytes]:
         """Vectored read: per-disk extents are serviced concurrently.
 
-        Counters match a :meth:`read_block` loop on the same device: each
-        disk judges its sub-sequence of the extent against its own last
-        access, so ``D=1`` is bit-identical to the serial device.  The
-        consumer stalls until the last involved disk completes.
+        Counters match the serial device's: each disk judges its
+        sub-sequence of the extent against its own last access, so ``D=1``
+        is bit-identical to the serial device.  A prefetched block costs
+        no new counters and stalls only for its remaining service time.
+        The consumer stalls until the last involved disk completes.
         """
         block_ids = list(block_ids)
         if not block_ids:
@@ -339,20 +260,12 @@ class StripedDevice(BlockDevice):
             disk, local = locations[position]
             per_disk.setdefault(disk, []).append((position, local))
         for disk, entries in per_disk.items():
-            shard = self._shards[disk]
-            locals_ = [local for _, local in entries]
-            sequential, _ = classify_extent(
-                locals_, shard._last_by_category.get(key)
+            datas, done = self._read_extent(
+                disk, [local for _, local in entries], category, key
             )
-            datas = shard.read_blocks(locals_, category, stream=key)
             for (position, _), data in zip(entries, datas):
                 out[position] = data
-            self.stats.record_reads(category, len(locals_), sequential)
-            done_times.append(
-                self._service(
-                    disk, self._busy_extent(disk, len(locals_), sequential)
-                )
-            )
+            done_times.append(done)
         self._stall_until(max(done_times))
         return out
 
@@ -364,6 +277,43 @@ class StripedDevice(BlockDevice):
         stream: str | None = None,
     ) -> None:
         """Vectored synchronous write; per-disk extents run concurrently."""
+        done_times = self._submit_writes(block_ids, datas, category, stream)
+        if done_times:
+            self._stall_until(max(done_times))
+
+    def write_block_behind(
+        self,
+        block_id: int,
+        data: bytes,
+        category: str = "other",
+        stream: str | None = None,
+    ) -> None:
+        """Queue a write; wait only when the stream's buffers are full.
+
+        Models double-buffered run output: the writer owns
+        :data:`WRITE_BUFFERS` in-flight slots per stream and stalls only
+        when submitting a write while all slots are still busy.
+        """
+        key = stream or category
+        queue = self._write_queues.setdefault(key, deque())
+        self._advance_cpu()
+        while queue and queue[0] <= self._now:
+            queue.popleft()
+        if len(queue) >= WRITE_BUFFERS:
+            self._stall_until(queue.popleft())
+            while queue and queue[0] <= self._now:
+                queue.popleft()
+        (done,) = self._submit_writes((block_id,), (data,), category, stream)
+        queue.append(done)
+
+    def _submit_writes(
+        self,
+        block_ids,
+        datas,
+        category: str,
+        stream: str | None,
+    ) -> list[float]:
+        """Queue a vectored write per disk; returns completion times."""
         block_ids = list(block_ids)
         datas = list(datas)
         if len(block_ids) != len(datas):
@@ -372,7 +322,7 @@ class StripedDevice(BlockDevice):
                 f"{len(datas)} payloads"
             )
         if not block_ids:
-            return
+            return []
         key = stream or category
         for block_id, data in zip(block_ids, datas):
             if not 0 <= block_id < self._next_block:
@@ -396,14 +346,14 @@ class StripedDevice(BlockDevice):
             sequential, _ = classify_extent(
                 locals_, shard._last_by_category.get(key)
             )
-            shard.write_blocks(locals_, payloads, category, stream=key)
+            shard.write_blocks(locals_, payloads, category, key)
             self.stats.record_writes(category, len(locals_), sequential)
             done_times.append(
                 self._service(
-                    disk, self._busy_extent(disk, len(locals_), sequential)
+                    disk, self._busy(disk, len(locals_), sequential)
                 )
             )
-        self._stall_until(max(done_times))
+        return done_times
 
     # -- prefetch ----------------------------------------------------------
 
@@ -424,6 +374,7 @@ class StripedDevice(BlockDevice):
         """
         if not self.prefetch_depth:
             return 0
+        key = stream or category
         issued = 0
         for block_id in block_ids:
             if block_id in self._prefetched:
@@ -431,13 +382,8 @@ class StripedDevice(BlockDevice):
             if len(self._prefetched) >= self.prefetch_depth:
                 break
             disk, local = self._check_readable(block_id)
-            shard = self._shards[disk]
-            key = stream or category
-            sequential = shard._is_sequential(key, local)
-            data = shard.read_block(local, category, stream=key)
-            self.stats.record_read(category, sequential)
             self._advance_cpu()
-            done = self._service(disk, self._busy(disk, sequential))
+            (data,), done = self._read_extent(disk, [local], category, key)
             self._prefetched[block_id] = (data, done)
             issued += 1
         return issued
@@ -523,7 +469,7 @@ class MergePrefetcher:
         streams: list[str],
         policy: str | None = None,
     ):
-        policy = policy or getattr(device, "prefetch_policy", None)
+        policy = policy or device.prefetch_policy
         if policy not in PREFETCH_POLICIES:
             policy = "forecast"
         self._device = device
@@ -610,10 +556,8 @@ class MergePrefetcher:
 
 
 def supports_prefetch(io_target) -> bool:
-    """True when ``io_target`` (device/pool/proxy) can prefetch blocks."""
-    return getattr(io_target, "prefetch_depth", 0) > 0 and callable(
-        getattr(io_target, "prefetch_blocks", None)
-    )
+    """True when ``io_target`` (a device or layer) can prefetch blocks."""
+    return io_target.prefetch_depth > 0
 
 
 class DiskTimeline:

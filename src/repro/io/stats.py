@@ -169,22 +169,10 @@ class IOStats:
 
     # -- recording -------------------------------------------------------
 
-    def record_read(self, category: str, sequential: bool) -> None:
-        counters = self._category(category)
-        counters.reads += 1
-        if sequential:
-            counters.seq_reads += 1
-
-    def record_write(self, category: str, sequential: bool) -> None:
-        counters = self._category(category)
-        counters.writes += 1
-        if sequential:
-            counters.seq_writes += 1
-
     def record_reads(
         self, category: str, count: int, sequential_count: int
     ) -> None:
-        """Bulk form of :meth:`record_read` for vectored device reads."""
+        """Count ``count`` block reads, ``sequential_count`` sequential."""
         counters = self._category(category)
         counters.reads += count
         counters.seq_reads += sequential_count
@@ -192,7 +180,7 @@ class IOStats:
     def record_writes(
         self, category: str, count: int, sequential_count: int
     ) -> None:
-        """Bulk form of :meth:`record_write` for vectored device writes."""
+        """Count ``count`` block writes, ``sequential_count`` sequential."""
         counters = self._category(category)
         counters.writes += count
         counters.seq_writes += sequential_count

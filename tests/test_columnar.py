@@ -18,7 +18,6 @@ from repro.baselines.keypath import (
 )
 from repro.core import columnar
 from repro.core.columnar import (
-    ColumnarBatch,
     argsort_normalized,
     batch_embedded_keys,
     batch_path_keys,
@@ -164,28 +163,6 @@ class TestArgsortNormalized:
         order = argsort_normalized(keys, 24)
         positions = [i for i in order if keys[i] == b"dup"]
         assert positions == sorted(positions)
-
-
-class TestColumnarBatch:
-    def test_sorted_records_match_scalar_sort(self):
-        records = sample_records()
-        keys = [fast_path_key(record) for record in records]
-        batch = ColumnarBatch(keys, records)
-        expected = [
-            record
-            for _key, record in sorted(
-                zip(keys, records), key=lambda pair: pair[0]
-            )
-        ]
-        assert batch.sorted_records() == expected
-
-    def test_record_roundtrip(self):
-        records = sample_records()
-        keys = [fast_path_key(record) for record in records]
-        batch = ColumnarBatch(keys, records)
-        assert [
-            batch.record(i) for i in range(len(batch))
-        ] == records
 
 
 def form_runs(options, capacity_bytes=220):

@@ -59,8 +59,7 @@ class TestGeometryPredictors:
 class TestMeasuredOverBound:
     def snapshot(self, ios: int):
         stats = IOStats()
-        for _ in range(ios):
-            stats.record_read("x", sequential=True)
+        stats.record_reads("x", ios, ios)
         return stats.snapshot()
 
     def test_ratio(self):

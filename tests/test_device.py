@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import DeviceError
-from repro.io import BlockDevice, CostModel
+from repro.faults import FaultInjector, FaultPlan, RetryingDevice
+from repro.io import BlockDevice, BufferPool, CostModel, StripedDevice
+from repro.io.file_device import FileBackedBlockDevice
+from repro.io.parallel import supports_prefetch
 
 
 class TestAllocation:
@@ -360,3 +363,84 @@ class TestCostModel:
             times.append(device.stats.elapsed_seconds())
         assert times == sorted(times)
         assert times[0] > 0
+
+
+#: The device layers, each built over an inner device.
+LAYERS = {
+    "pool": lambda device: BufferPool(device, 0),
+    "injector": lambda device: FaultInjector(device, FaultPlan()),
+    "retrier": lambda device: RetryingDevice(
+        FaultInjector(device, FaultPlan())
+    ),
+}
+
+#: The devices a layer can sit on, all serial and 64-byte blocked.
+BASES = {
+    "block": lambda tmp_path: BlockDevice(block_size=64),
+    "file": lambda tmp_path: FileBackedBlockDevice(
+        str(tmp_path / "device.bin"), block_size=64
+    ),
+    "striped": lambda tmp_path: StripedDevice(disks=1, block_size=64),
+}
+
+
+def _mixed_script(device) -> list[bytes]:
+    """Single-block, vectored, write-behind and held-free traffic."""
+    full = [bytes([i]) * 64 for i in range(5)]  # no file-device padding
+    start = device.allocate(5, "s")
+    device.write_block(start, full[0], "w")
+    device.write_blocks([start + 1, start + 2], full[1:3], "w", "w-stream")
+    device.write_block_behind(start + 3, full[3], "w")
+    device.write_block(start + 4, full[4], "w")
+    out = [device.read_block(start + 4, "r")]
+    out += device.read_blocks([start, start + 1, start + 2], "r", "r-stream")
+    device.push_hold()
+    device.free_blocks([start + 1, start + 2])
+    device.pop_hold(restore=True)
+    out += device.read_blocks([start + 2, start + 1], "r")
+    out.append(device.read_block(start + 3, "r"))
+    return out
+
+
+class TestDeviceLayer:
+    @pytest.mark.parametrize("base", sorted(BASES))
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_layer_matches_bare_device(self, layer, base, tmp_path):
+        bare = BlockDevice(block_size=64)
+        expected = _mixed_script(bare)
+        inner = BASES[base](tmp_path)
+        try:
+            assert _mixed_script(LAYERS[layer](inner)) == expected
+            assert inner.stats.summary() == bare.stats.summary()
+        finally:
+            if base == "file":
+                inner.close()
+
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_layer_forwards_device_surface(self, layer):
+        device = StripedDevice(
+            disks=2, block_size=64, prefetch_depth=2,
+            prefetch_policy="round-robin",
+        )
+        wrapped = LAYERS[layer](device)
+        assert wrapped.block_size == 64
+        assert wrapped.stats is device.stats
+        assert wrapped.bytes_to_blocks(65) == 2
+        assert wrapped.disks == 2
+        assert wrapped.prefetch_depth == 2
+        assert wrapped.prefetch_policy == "round-robin"
+        assert supports_prefetch(wrapped)
+        start = wrapped.allocate(4)
+        assert wrapped.allocated_blocks == device.allocated_blocks
+        assert [wrapped.disk_of(start + i) for i in range(4)] == [
+            device.disk_of(start + i) for i in range(4)
+        ]
+        wrapped.write_blocks(
+            range(start, start + 4), [bytes([i]) for i in range(4)], "w"
+        )
+        assert wrapped.prefetch_blocks([start], "r") == 1
+        assert device.prefetched_blocks == 1
+        wrapped.write_block_behind(start + 1, b"z", "w")
+        assert device.read_block(start + 1, "r") == b"z"
+        wrapped.free_blocks([start + 3])
+        assert wrapped.occupied_blocks == device.occupied_blocks == 3

@@ -256,17 +256,38 @@ class TestFaultInjector:
         assert stats.torn == 1
         assert stats.by_op == {"read": 1, "write": 1, "torn": 1}
 
-    def test_proxy_preserves_device_surface(self):
-        device, start = make_device()
-        faulty = FaultInjector(device, FaultPlan())
-        assert faulty.block_size == device.block_size
-        assert faulty.stats is device.stats
-        assert faulty.bytes_to_blocks(300) == 2
-        block = faulty.allocate(1)
-        faulty.write_block(block, b"via-proxy", "s")
-        assert device.read_block(block) == b"via-proxy"
-        faulty.free_blocks([block])
-        assert device.occupied_blocks == 32
+    def test_mixed_single_and_vectored_attempt_numbering(self):
+        # A k-block call advances its op counter by k; a single-block
+        # call advances it by one and never tears.
+        device, start = make_device(block_size=64)
+        faulty = FaultInjector(
+            device, FaultPlan.parse("read@3;write@2*2;torn@1")
+        )
+        pair = [start + 2, start + 3]
+        script = [
+            lambda: faulty.read_blocks([start, start + 1], "r"),
+            lambda: faulty.read_block(start + 2, "r"),
+            lambda: faulty.read_block(start + 2, "r"),
+            lambda: faulty.write_block(start, b"a", "w"),
+            lambda: faulty.write_block(start + 1, b"b", "w"),
+            lambda: faulty.write_blocks(pair, [b"c", b"d"], "w"),
+            lambda: faulty.write_blocks(pair, [b"c", b"d"], "w"),
+            lambda: faulty.write_block_behind(start + 4, b"e", "w"),
+            lambda: faulty.write_blocks(pair, [b"c", b"d"], "w"),
+        ]
+        raised = []
+        for step, call in enumerate(script):
+            try:
+                call()
+            except DeviceFault as fault:
+                raised.append((step, fault.op, fault.attempt))
+        assert raised == [
+            (1, "read", 3),
+            (4, "write", 2),
+            (5, "torn", 1),
+            (6, "write", 3),
+        ]
+        assert device.stats.summary()["w"]["writes"] == 4
 
 
 class TestRetryPolicy:

@@ -11,12 +11,7 @@ import pytest
 
 from repro.bench.harness import run_merge_sort, run_nexsort
 from repro.errors import DeviceError, DeviceFault, FaultPlanError
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    RetryingDevice,
-    RetryPolicy,
-)
+from repro.faults import FaultInjector, FaultPlan
 from repro.generators import level_fanout_events
 from repro.io import BlockDevice, BufferPool, RunStore, StripedDevice
 from repro.io.parallel import MergePrefetcher, supports_prefetch
@@ -63,8 +58,6 @@ class TestLayout:
             StripedDevice(disks=2, prefetch_depth=-1)
         with pytest.raises(DeviceError):
             StripedDevice(disks=2, prefetch_policy="psychic")
-        with pytest.raises(DeviceError):
-            StripedDevice(disks=2, write_buffers=0)
 
     def test_allocation_spans_shards(self):
         device = StripedDevice(disks=3, block_size=BLOCK)
@@ -416,17 +409,6 @@ class TestFaultDiskScoping:
         assert excinfo.value.disk is None
         assert faulty.read_block(start + 3, "r") == bytes([3]) * 8
 
-    def test_retrying_device_forwards_parallel_surface(self):
-        device, start = make_striped(disks=2, nblocks=4, prefetch_depth=2)
-        faulty = FaultInjector(device, FaultPlan.parse("read@100"))
-        retrier = RetryingDevice(faulty, RetryPolicy(max_retries=2))
-        assert retrier.disks == 2
-        assert retrier.prefetch_depth == 2
-        assert retrier.disk_of(start + 1) == device.disk_of(start + 1)
-        assert retrier.prefetch_blocks([start], "r") == 1
-        retrier.write_block_behind(start + 1, b"z", "w")
-        assert device.read_block(start + 1, "r") == b"z"
-
     def test_prefetch_path_is_fault_checked(self):
         device, start = make_striped(disks=2, nblocks=4, prefetch_depth=2)
         faulty = FaultInjector(device, FaultPlan.parse("read@1"))
@@ -448,21 +430,6 @@ class TestStripedThroughPool:
         assert sum(
             s.stats.total_ios for s in device.shards
         ) == device.stats.total_ios
-
-    def test_pool_forwards_parallel_surface(self):
-        device = StripedDevice(
-            disks=2, block_size=BLOCK, prefetch_depth=4,
-            prefetch_policy="round-robin",
-        )
-        start = device.allocate(4)
-        for i in range(4):
-            device.write_block(start + i, bytes([i]), "setup")
-        pool = BufferPool(device, 4)
-        assert pool.disks == 2
-        assert pool.prefetch_depth == 4
-        assert pool.prefetch_policy == "round-robin"
-        assert pool.disk_of(start + 1) == device.disk_of(start + 1)
-        assert supports_prefetch(pool)
 
     def test_pool_prefetch_reports_cached_as_satisfied(self):
         device = StripedDevice(disks=2, block_size=BLOCK, prefetch_depth=4)
