@@ -85,7 +85,12 @@ def records_from_annotated_events(
     open, which is exactly why the external merge sort baseline cannot
     handle subtree-evaluated criteria (paper Section 1) while NEXSORT can.
 
-    Records are emitted in document preorder.
+    An element's record is emitted when the element closes (at its end
+    tag, once all of its text is known), so elements come out in
+    postorder; a pointer's record is emitted where the pointer appears.
+    Run formation sees records in this order, which is why the byte-record
+    twins (:func:`repro.core.columnar.form_runs_columnar`,
+    :func:`repro.core.columnar.form_subtree_runs`) keep it.
     """
     path: list[PathComponent] = []
     pending_text: list[list[str]] = []
@@ -114,10 +119,8 @@ def records_from_annotated_events(
                     "start-computable SortSpec (the paper's merge-sort "
                     "baseline has the same restriction)"
                 )
-            # A parent's record can be completed once we are sure no more
-            # of its text will arrive - but text may follow children, so we
-            # only finalize at the matching end tag.  We emit in preorder by
-            # recording the element now and patching text in at the end...
+            # Text may follow children, so the record is only final at
+            # the matching end tag; keep it pending until then.
             path.append((event.key, event.pos))
             pending.append(
                 KeyPathRecord(

@@ -22,7 +22,11 @@ pieces:
   in-memory subtree sorts as batch kernels: sibling groups are gathered
   into one prefixed key batch and ordered with a single stable argsort,
   and a popped subtree's raw data-stack records are parsed, sorted, and
-  re-serialized by byte splicing without ever materializing tokens.
+  re-serialized by byte splicing without ever materializing tokens;
+* :func:`form_subtree_runs` - NEXSORT's external (key-path) subtree
+  sort: the popped records spliced into key-path records for run
+  formation; the same :func:`emit_output_columnar` writes the sorted
+  records back in the run dialect.
 
 **Accounting.**  Every kernel charges what the paper's record-at-a-time
 algorithm charges: device accesses are issued in the same per-stream order
@@ -941,18 +945,9 @@ def form_runs_columnar(document, spec, former, device) -> bool:
                 if not ta_stack:
                     raise CodecError("unbalanced end tag during fused scan")
                 tag_attrs = ta_stack.pop()
-                pending = text_stack.pop()
+                text_frame = _text_frame(text_stack.pop())
                 norm = norm_stack.pop()
                 enc = enc_stack.pop()
-                if pending is None:
-                    text_frame = b"\x00"
-                elif type(pending) is list:
-                    joined = join(
-                        [_frame_payload(frame) for frame in pending]
-                    )
-                    text_frame = encode_varint(len(joined)) + joined
-                else:
-                    text_frame = pending
                 depth = len(ta_stack) + 1
                 add(
                     norm,
@@ -968,13 +963,7 @@ def form_runs_columnar(document, spec, former, device) -> bool:
                 else:
                     frame = record[2:]
                 if text_stack:
-                    pending = text_stack[-1]
-                    if pending is None:
-                        text_stack[-1] = frame
-                    elif type(pending) is list:
-                        pending.append(frame)
-                    else:
-                        text_stack[-1] = [pending, frame]
+                    text_stack[-1] = _with_frame(text_stack[-1], frame)
             elif token_type == TYPE_POINTER:
                 # Scalar scan rejects pointers too (KeyEvaluator.annotate).
                 raise SortSpecError(
@@ -1020,14 +1009,7 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
     def close_top() -> None:
         nonlocal records
         tag_attrs = ta_stack.pop()
-        pending = text_stack.pop()
-        if pending is None:
-            text_frame = b"\x00"
-        elif type(pending) is list:
-            joined = join([_frame_payload(frame) for frame in pending])
-            text_frame = encode_varint(len(joined)) + joined
-        else:
-            text_frame = pending
+        text_frame = _text_frame(text_stack.pop())
         depth = len(ta_stack) + 1
         norm = norm_stack.pop()
         enc = enc_stack.pop()
@@ -1092,13 +1074,7 @@ def _form_runs_compact(document, spec, former, device, names) -> bool:
                 else:
                     frame = record[2:]
                 if text_stack:
-                    pending = text_stack[-1]
-                    if pending is None:
-                        text_stack[-1] = frame
-                    elif type(pending) is list:
-                        pending.append(frame)
-                    else:
-                        text_stack[-1] = [pending, frame]
+                    text_stack[-1] = _with_frame(text_stack[-1], frame)
             elif token_type == TYPE_END:
                 raise CodecError(
                     "compacted stream already contains end tags"
@@ -1124,6 +1100,27 @@ def _frame_payload(frame: bytes) -> bytes:
 def _frame_string(text: str) -> bytes:
     encoded = text.encode("utf-8")
     return encode_varint(len(encoded)) + encoded
+
+
+def _with_frame(pending, frame: bytes):
+    """An element's collected text frames (None / one frame / a list of
+    frames) with ``frame`` appended."""
+    if pending is None:
+        return frame
+    if type(pending) is list:
+        pending.append(frame)
+        return pending
+    return [pending, frame]
+
+
+def _text_frame(pending) -> bytes:
+    """The one string frame of an element's collected text frames."""
+    if pending is None:
+        return b"\x00"
+    if type(pending) is list:
+        joined = b"".join([_frame_payload(frame) for frame in pending])
+        return encode_varint(len(joined)) + joined
+    return pending
 
 
 # -- fused internal subtree sorts ----------------------------------------------
@@ -1152,13 +1149,7 @@ class _RawNode:
 
 
 def _attach_raw_text(node: _RawNode, frame: bytes) -> None:
-    pending = node.texts
-    if pending is None:
-        node.texts = frame
-    elif type(pending) is list:
-        pending.append(frame)
-    else:
-        node.texts = [pending, frame]
+    node.texts = _with_frame(node.texts, frame)
 
 
 def _attach_raw_node(node, root, stack):
@@ -1387,7 +1378,6 @@ def _serialize_raw_tree(
     out: list[bytes] = []
     append = out.append
     level_tails: dict[int, bytes] = {}
-    join = b"".join
     work: list = [(root, base_level)]
     while work:
         item = work.pop()
@@ -1413,11 +1403,7 @@ def _serialize_raw_tree(
             append(b"\x01\x00" + tag_attrs)
         texts = node.texts
         if texts is not None:
-            if type(texts) is list:
-                joined = join([_frame_payload(frame) for frame in texts])
-                frame = encode_varint(len(joined)) + joined
-            else:
-                frame = texts
+            frame = _text_frame(texts)
             if compact:
                 append(b"\x02\x04" + frame + tail)
             else:
@@ -1439,10 +1425,10 @@ def subtree_root_summary(
 ) -> tuple[bytes | None, int]:
     """(encoded root key atom or None, root position) of a subtree.
 
-    Reproduces ``SubtreeSorter.sort_tokens``' root-key rule exactly: the
-    root's start annotations, falling back - in plain mode, when the
-    start's key is missing - to the key/pos the final end tag carries
-    (subtree-evaluated criteria).
+    The key the run pointer of a sorted subtree carries: the root's start
+    annotations, falling back - in plain mode, when the start's key is
+    missing - to the key/pos the final end tag carries (subtree-evaluated
+    criteria).
     """
     first = records[0]
     if first[0] != TYPE_START and first[0] != TYPE_POINTER:
@@ -1504,6 +1490,210 @@ def sort_subtree_records(
     return out, units, real
 
 
+# -- fused external subtree sorts ---------------------------------------------
+
+
+def _end_tag_annotations(
+    records: list[bytes], names_coded: bool
+) -> dict[int, tuple[bytes | None, int | None]]:
+    """Keys that plain-mode end tags carry for under-annotated starts.
+
+    Maps the index of every start record lacking its key or position to
+    the ``(encoded atom or None, position or None)`` of its end tag -
+    where the token scan puts subtree-evaluated keys.  A start's path
+    component is needed while its children are still open, so this
+    pre-pass runs before key-path records are built.
+    """
+    fixes: dict[int, tuple[bytes | None, int | None]] = {}
+    open_starts: list[int] = []
+    for index, record in enumerate(records):
+        token_type = record[0]
+        if token_type == TYPE_START:
+            open_starts.append(index)
+        elif token_type == TYPE_END:
+            if not open_starts:
+                raise CodecError("subtree tokens are unbalanced")
+            start = open_starts.pop()
+            if records[start][1] & 3 == 3:
+                continue
+            flags = record[1]
+            pos = _name_field_end(record, 2, names_coded)
+            atom = position = None
+            if flags & 1:
+                end = _skip_atom(record, pos)
+                atom = record[pos:end]
+                pos = end
+            if flags & 2:
+                position, pos = read_varint_fast(record, pos)
+            fixes[start] = (atom, position)
+    return fixes
+
+
+def form_subtree_runs(
+    records: list[bytes],
+    compact: bool,
+    names_coded: bool,
+    sort_levels: int | None,
+    add,
+    charge_tokens,
+) -> tuple[int, int]:
+    """Feed a popped subtree's key-path records into run formation.
+
+    One pass over the raw data-stack records replaces ``decode ->
+    restore_end_tags / move end-tag keys onto starts -> mask keys below
+    sort_levels -> records_from_annotated_events -> encode_record``:
+    a path component is the start's own encoded ``atom + position``
+    slice, run-formation keys are engine-normalized ``bytes``
+    (:func:`fast_path_key` of the record), texts are joined as frames,
+    and a pointer contributes its run_id/count/payload body verbatim.
+    Paths are relative to the subtree root (depth 1).
+
+    Emission order, record bytes and token charges match the token
+    pipeline: an element's record is added when the element closes, a
+    pointer's where it appears, and ``charge_tokens(1)`` precedes every
+    ``add`` (a device fault inside ``add`` leaves the same charge).
+
+    * Plain mode: keys evaluated at end tags (the token scan) fill in
+      starts that lack a key or position, found by one pre-pass.
+    * Compacted mode: elements close by ``restore_end_tags``' level rules.
+    * ``sort_levels``: components deeper than it carry the missing atom
+      ``b"\\x00"``, so their position tie-break keeps document order.
+
+    Returns ``(units, real elements)`` of the subtree.  The per-byte
+    loops are unchecked; truncated records raise ``IndexError`` (the
+    caller converts it to :class:`~repro.errors.CodecError`).
+    """
+    join = b"".join
+    memo: dict[bytes, bytes] = {}
+    fixes = None
+    norm_stack: list[bytes] = [b""]
+    enc_stack: list[bytes] = [b""]
+    ta_stack: list[bytes] = []
+    text_stack: list = []
+    open_levels: list[int] = []
+    units = 0
+    real = 0
+
+    def close_top() -> None:
+        tag_attrs = ta_stack.pop()
+        text_frame = _text_frame(text_stack.pop())
+        head = _element_head(len(ta_stack) + 1)
+        charge_tokens(1)
+        record = join((head, enc_stack.pop(), tag_attrs, text_frame))
+        add(norm_stack.pop(), record)
+        if compact:
+            open_levels.pop()
+
+    for index, record in enumerate(records):
+        token_type = record[0]
+        if token_type == TYPE_TEXT:
+            if record[1] & 4:
+                end = _skip_frame(record, 2)
+                frame = record[2:end]
+                if compact:
+                    level, _ = read_varint_fast(record, end)
+                    while open_levels and open_levels[-1] > level:
+                        close_top()
+            else:
+                frame = record[2:]
+            if text_stack:
+                text_stack[-1] = _with_frame(text_stack[-1], frame)
+            continue
+        if token_type == TYPE_END:
+            if compact:
+                raise CodecError("compacted stream already contains end tags")
+            if not ta_stack:
+                raise CodecError("subtree tokens are unbalanced")
+            close_top()
+            continue
+        flags = record[1]
+        if token_type == TYPE_START:
+            body = None
+            end = _skip_tag_attrs(record, 2, names_coded)
+            tag_attrs = record[2:end]
+        elif token_type == TYPE_POINTER:
+            end = _skip_varint(record, 2)  # run_id
+            count, end = read_varint_fast(record, end)  # element_count
+            end = _skip_varint(record, end)  # payload_bytes
+            body = record[2:end]
+        else:
+            raise CodecError(f"unknown token type byte {token_type}")
+        # Annotation fields: key atom, position, level (each by flag).
+        # With both key and position present, ``record[comp_start:end]``
+        # is the encoded path component, unless a fix-up or mask below
+        # replaces the atom or position (``spliced = False``).
+        comp_start = end
+        atom = None
+        if flags & 1:
+            end = _skip_atom(record, end)
+            atom = record[comp_start:end]
+        position = None
+        if flags & 2:
+            position, end = read_varint_fast(record, end)
+        spliced = True
+        if compact:
+            if not flags & 4:
+                raise CodecError(
+                    "compacted stream contains a start without a level"
+                )
+            level, _ = read_varint_fast(record, end)
+            while open_levels and open_levels[-1] >= level:
+                close_top()
+        elif flags & 3 != 3 and body is None:
+            if fixes is None:
+                fixes = _end_tag_annotations(records, names_coded)
+            fix = fixes.get(index)
+            if fix is not None:
+                if fix[0] is not None:
+                    atom = fix[0]
+                if fix[1] is not None:
+                    position = fix[1]
+            spliced = False
+        depth = len(ta_stack) + 1
+        if sort_levels is not None and depth > sort_levels:
+            atom = b"\x00"
+            spliced = False
+        if atom is None or position is None:
+            if body is not None:
+                raise CodecError("run pointer without key annotations")
+            raise SortSpecError(
+                "key-path records need a key and position on every "
+                "element of the subtree"
+            )
+        norm_atom = memo.get(atom)
+        if norm_atom is None:
+            norm_atom, _ = _normalize_encoded_atom(atom, 0)
+            memo[atom] = norm_atom
+        if spliced:
+            component = record[comp_start:end]
+        else:
+            component = atom + (
+                _VARINT1[position] if position < 0x80
+                else encode_varint(position)
+            )
+        norm = norm_stack[-1] + norm_atom + position.to_bytes(8, "big")
+        enc = enc_stack[-1] + component
+        units += 1
+        if body is not None:
+            real += count
+            charge_tokens(1)
+            add(norm, join((b"\x02" + encode_varint(depth), enc, body)))
+            continue
+        real += 1
+        norm_stack.append(norm)
+        enc_stack.append(enc)
+        ta_stack.append(tag_attrs)
+        text_stack.append(None)
+        if compact:
+            open_levels.append(level)
+    if compact:
+        while ta_stack:
+            close_top()
+    elif ta_stack:
+        raise CodecError("subtree tokens are unbalanced")
+    return units, real
+
+
 # -- fused output: sorted records -> stored output tokens ---------------------
 
 
@@ -1515,40 +1705,52 @@ def emit_output_columnar(
     chunk_records: int = 0,
     names_coded: bool = False,
     emit_ends: bool = True,
-) -> None:
+    base_level: int = 1,
+    levels: bool = True,
+    charge_tokens: bool = True,
+) -> int:
     """Fused output phase: path-sorted records back to stored tokens.
 
-    Turns path-sorted element records back into the stored token stream by
-    splicing: the output start/text/end token encodings are byte slices of
-    the record plus constant headers, so no token objects, string decodes,
-    or re-encodes happen.  Token counts and the emitted byte stream are
-    identical to ``tokens_from_sorted_records`` + ``codec.encode``.
+    Turns path-sorted key-path records back into the stored token stream
+    by splicing: the output start/text/end/pointer token encodings are
+    byte slices of the record plus constant headers, so no token objects,
+    string decodes, or re-encodes happen.  Token counts and the emitted
+    byte stream are identical to ``tokens_from_sorted_records`` +
+    ``codec.encode``.  Returns the number of tokens written.
 
     ``names_coded`` switches tag/attribute-name parsing to dictionary id
     varints (the spliced slices stay dialect-consistent end to end);
     ``emit_ends=False`` is end-tag-eliminated output - no end records,
     depth tracking only (``tokens_from_sorted_records`` with
-    ``emit_end_tags=False``).
+    ``emit_end_tags=False``).  Depth-1 records sit at ``base_level``;
+    ``levels`` puts the level on starts and pointers (``False`` is the
+    plain run dialect of a NEXSORT subtree sort).  Texts never carry one.
 
     ``chunk_records > 0`` additionally groups writer calls (safe only when
     no buffer pool or recovery context is attached - grouping reorders
     writes relative to the final merge's reads, which a shared pool would
-    observe); 0 writes token-at-a-time, preserving the exact global
-    device-access interleaving.
+    observe); 0 writes one record's tokens at a time, preserving the
+    exact global device-access interleaving.  ``charge_tokens=False``
+    leaves the token charge to the caller (the returned count).
     """
     stats = device.stats
     open_tags: list[bytes] = []
     out: list[bytes] = []
     append = out.append
     pending_tokens = 0
+    written = 0
+    start_head = b"\x01\x04" if levels else b"\x01\x00"
+    pointer_head = b"\x04\x04" if levels else b"\x04\x00"
 
     def flush() -> None:
-        nonlocal pending_tokens
+        nonlocal pending_tokens, written
         if out:
             # write_records frames the payloads synchronously, so the
             # list can be reused (keeps `append` a stable bound method).
             writer.write_records(out)
-            stats.record_tokens(pending_tokens)
+            if charge_tokens:
+                stats.record_tokens(pending_tokens)
+            written += pending_tokens
             out.clear()
             pending_tokens = 0
 
@@ -1561,10 +1763,9 @@ def emit_output_columnar(
             else:
                 length, pos = read_varint_fast(record, 0)
                 record = record[pos + length :]
-        if record[0] != 1:  # element records only on this path
-            raise CodecError(
-                "columnar output emit expects element key-path records"
-            )
+        record_kind = record[0]
+        if record_kind != 1 and record_kind != 2:
+            raise CodecError(f"unknown key-path record kind {record_kind}")
         depth = record[1]
         pos = 2
         if depth >= 0x80:
@@ -1589,6 +1790,32 @@ def emit_output_columnar(
             while record[pos] >= 0x80:
                 pos += 1
             pos += 1
+        while len(open_tags) >= depth:
+            tag = open_tags.pop()
+            if emit_ends:
+                append(b"\x03\x00" + tag)
+                pending_tokens += 1
+        if len(open_tags) != depth - 1:
+            raise CodecError(
+                "key-path records out of order: jumped from depth "
+                f"{len(open_tags)} to {depth}"
+            )
+        # Output starts and pointers carry their absolute level, exactly
+        # as tokens_from_sorted_records emits (base level 1 -> level ==
+        # depth).
+        if levels:
+            tail = level_tails.get(depth)
+            if tail is None:
+                tail = encode_varint(base_level + depth - 1)
+                level_tails[depth] = tail
+        else:
+            tail = b""
+        if record_kind == 2:  # pointer: the run_id/count/payload body
+            append(pointer_head + record[pos:] + tail)
+            pending_tokens += 1
+            if not chunk_records or len(out) >= chunk_records:
+                flush()
+            continue
         tag_start = pos
         if names_coded:
             while record[pos] >= 0x80:  # tag id varint
@@ -1627,24 +1854,7 @@ def emit_output_columnar(
                 pos += length
         tag_attrs = record[tag_start:pos]
         text_frame = record[pos:]
-
-        while len(open_tags) >= depth:
-            tag = open_tags.pop()
-            if emit_ends:
-                append(b"\x03\x00" + tag)
-                pending_tokens += 1
-        if len(open_tags) != depth - 1:
-            raise CodecError(
-                "key-path records out of order: jumped from depth "
-                f"{len(open_tags)} to {depth}"
-            )
-        # Output starts carry their absolute level (base level 1 ->
-        # level == depth), exactly as tokens_from_sorted_records emits.
-        tail = level_tails.get(depth)
-        if tail is None:
-            tail = encode_varint(depth)
-            level_tails[depth] = tail
-        append(b"\x01\x04" + tag_attrs + tail)
+        append(start_head + tag_attrs + tail)
         pending_tokens += 1
         if text_frame != b"\x00":
             append(b"\x02\x00" + text_frame)
@@ -1662,3 +1872,4 @@ def emit_output_columnar(
             append(b"\x03\x00" + tag)
             pending_tokens += 1
     flush()
+    return written

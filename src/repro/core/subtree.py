@@ -10,10 +10,18 @@ key-path external merge sort" (Section 3.1).  Both paths live here:
   offsets, sort every child list by ``(key, position)`` in one batched
   argsort, and splice the run records from the input's own encodings
   (:func:`repro.core.columnar.sort_subtree_records`).
-* **external** - the subtree exceeds the sorter's memory: generate its
-  key-path records (paths relative to the subtree root), form runs of
-  memory size, merge, and decode into the run.  This is the path taken when
-  a subtree approaches the ``k * t`` size bound of Section 3.
+* **external** - the subtree exceeds the sorter's memory: splice its
+  key-path records (paths relative to the subtree root) from the same raw
+  records, form runs of memory size under normalized byte keys, merge,
+  and splice the sorted records back into the run
+  (:func:`repro.core.columnar.form_subtree_runs` and
+  :func:`repro.core.columnar.emit_output_columnar`).  This is the path
+  taken when a subtree approaches the ``k * t`` size bound of Section 3.
+
+Neither path decodes a token.  The token-object helpers kept here
+(:func:`build_subtree`, :func:`sort_node_tree`,
+:func:`serialize_node_tree`, :func:`count_units`) serve graceful
+degeneration (:mod:`repro.core.flat`).
 
 Tokens inside a finished run carry no keys or positions (they are never
 sorted again; only the RunPointer pushed back on the data stack keeps the
@@ -21,8 +29,8 @@ root's key), which is itself a small compaction.
 
 Depth-limited sorting (Section 3.2): only the top ``sort_levels`` relative
 levels have their child lists reordered; deeper levels keep document order.
-The external path implements this by masking the keys of too-deep elements
-to MISSING so their position tie-break preserves the original order.
+The external path implements this by giving too-deep path components the
+missing key atom, so their position tie-break preserves the original order.
 """
 
 from __future__ import annotations
@@ -31,12 +39,6 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..baselines.keypath import (
-    decode_record,
-    encode_record,
-    records_from_annotated_events,
-    tokens_from_sorted_records,
-)
 from ..baselines.merging import merge_to_stream
 from ..errors import CodecError, DeviceFault
 from ..io.runs import RunHandle, RunStore
@@ -46,13 +48,12 @@ from ..merge.engine import (
     MergeOptions,
     RunFormer,
     embedded_key_of,
-    normalized_path_key,
-    strip_embedded_key,
 )
 from ..xml.codec import TokenCodec, decode_key_atom
-from ..xml.compact import restore_end_tags
 from .columnar import (
+    emit_output_columnar,
     fast_path_key,
+    form_subtree_runs,
     normalized_atom_bytes,
     sort_sibling_groups,
     sort_subtree_records,
@@ -291,71 +292,6 @@ def count_units(tokens: Iterable[Token]) -> tuple[int, int]:
     return units, real
 
 
-def annotate_starts_from_ends(tokens: list[Token]) -> list[Token]:
-    """Move keys from end tags onto the matching start tags.
-
-    The external (key-path) sorting path needs keys on starts; for
-    subtree-evaluated criteria NEXSORT's scan put them on the end tags.
-    The popped subtree is fully available here, so the fix-up is a single
-    in-memory pass.
-    """
-    fixed = list(tokens)
-    stack: list[int] = []
-    for index, token in enumerate(fixed):
-        if isinstance(token, StartTag):
-            stack.append(index)
-        elif isinstance(token, EndTag):
-            start_index = stack.pop()
-            start = fixed[start_index]
-            if start.key is None or start.pos is None:
-                fixed[start_index] = start.with_annotations(
-                    key=token.key, pos=token.pos
-                )
-    return fixed
-
-
-def mask_keys_below(tokens: list[Token], sort_levels: int) -> list[Token]:
-    """Mask keys of elements deeper than ``sort_levels`` to MISSING.
-
-    With a MISSING key, the position tie-break keeps those siblings in
-    document order - exactly depth-limited semantics under key-path sort.
-    Relative levels are computed from the token stream (root = 1).
-    """
-    masked: list[Token] = []
-    depth = 0
-    for token in tokens:
-        if isinstance(token, StartTag):
-            depth += 1
-            if depth > sort_levels:
-                token = StartTag(
-                    token.tag,
-                    token.attrs,
-                    key=MISSING_KEY,
-                    pos=token.pos,
-                    level=token.level,
-                )
-            masked.append(token)
-        elif isinstance(token, EndTag):
-            if depth > sort_levels:
-                token = EndTag(token.tag, key=MISSING_KEY, pos=token.pos)
-            masked.append(token)
-            depth -= 1
-        elif isinstance(token, RunPointer):
-            if depth + 1 > sort_levels:
-                token = RunPointer(
-                    run_id=token.run_id,
-                    key=MISSING_KEY,
-                    pos=token.pos,
-                    level=token.level,
-                    element_count=token.element_count,
-                    payload_bytes=token.payload_bytes,
-                )
-            masked.append(token)
-        else:
-            masked.append(token)
-    return masked
-
-
 class SubtreeSorter:
     """Sorts popped subtrees into runs, choosing internal vs. external."""
 
@@ -399,57 +335,34 @@ class SubtreeSorter:
             sort_levels: how many top relative levels to sort (None = all;
                 0 = none, the subtree is written through unsorted).
 
-        When the subtree fits in memory the records are parsed by field
-        offsets, sibling groups are ordered with one batched argsort, and
-        run records are spliced from the input's own encoded slices
-        (:func:`repro.core.columnar.sort_subtree_records`) - no token is
-        ever materialized.  External-sized subtrees decode and take
-        :meth:`sort_tokens`.
+        No token is ever materialized.  When the subtree fits in memory
+        the records are parsed by field offsets, sibling groups are
+        ordered with one batched argsort, and run records are spliced
+        from the input's own encoded slices
+        (:func:`repro.core.columnar.sort_subtree_records`).  A larger
+        subtree takes the key-path external merge sort over spliced
+        records (:meth:`_sort_external`).  Malformed records raise
+        :class:`~repro.errors.CodecError`.
         """
-        if payload_bytes > self.capacity_bytes:
-            return self.sort_tokens(
-                self.codec.decode_batch(records),
-                payload_bytes,
-                base_level,
-                sort_levels,
-            )
-        names_coded = self.codec.names is not None
-        atom, root_pos = subtree_root_summary(
-            records, self.compact, names_coded
-        )
-        root_key = (
-            decode_key_atom(atom, 0)[0] if atom is not None else MISSING_KEY
-        )
-        stats = self.store.device.stats
+        internal = payload_bytes <= self.capacity_bytes
+        sort = self._sort_internal if internal else self._sort_external
         counts: list[tuple[int, int]] = []
-        prefix_width = self.options.keys.prefix_width
-
-        def attempt() -> tuple[RunHandle, int]:
-            out, units, real = sort_subtree_records(
-                records,
-                self.compact,
-                names_coded,
-                base_level,
-                sort_levels,
-                stats,
-                prefix_width,
-                counted=self.options.counted_comparisons,
+        try:
+            atom, root_pos = subtree_root_summary(
+                records, self.compact, self.codec.names is not None
             )
-            counts.append((units, real))
-            writer = self.store.create_writer("run_write")
-            count = 0
-            try:
-                for record in out:
-                    writer.write_record(record)
-                    count += 1
-            except DeviceFault:
-                writer.abandon()
-                raise
-            stats.record_tokens(count)
-            handle = writer.finish()
-            return handle, handle.payload_bytes
-
-        run, written = self._run_recoverably(attempt)
+            root_key = (
+                decode_key_atom(atom, 0)[0]
+                if atom is not None
+                else MISSING_KEY
+            )
+            run, written = self._run_recoverably(
+                lambda: sort(records, base_level, sort_levels, counts)
+            )
+        except (IndexError, OverflowError, struct.error,
+                UnicodeDecodeError) as exc:
+            # The byte-record kernels index without bounds checks.
+            raise CodecError(f"malformed subtree records: {exc}") from None
         units, real = counts[-1]
         return SubtreeResult(
             run=run,
@@ -458,7 +371,7 @@ class SubtreeSorter:
             payload_bytes=written,
             root_key=root_key,
             root_pos=root_pos,
-            internal=True,
+            internal=internal,
         )
 
     def sort_tokens(
@@ -468,42 +381,10 @@ class SubtreeSorter:
         base_level: int,
         sort_levels: int | None,
     ) -> SubtreeResult:
-        """Sort one complete subtree given as tokens and write it as a run.
-
-        Arguments as for :meth:`sort_records`.  A subtree that fits in
-        memory is re-encoded and sorted by :meth:`sort_records`; a larger
-        one takes the external key-path sort.
-        """
-        if payload_bytes <= self.capacity_bytes:
-            return self.sort_records(
-                self.codec.encode_batch(tokens),
-                payload_bytes,
-                base_level,
-                sort_levels,
-            )
-        units, real = count_units(tokens)
-        root_token = tokens[0]
-        root_key = (
-            root_token.key if root_token.key is not None else MISSING_KEY
-        )
-        root_pos = root_token.pos if root_token.pos is not None else 0
-        if root_key == MISSING_KEY and not self.compact:
-            # Subtree-evaluated criteria put the root's key on its end tag.
-            last = tokens[-1]
-            if isinstance(last, EndTag) and last.key is not None:
-                root_key = last.key
-                root_pos = last.pos if last.pos is not None else root_pos
-        run, written = self._run_recoverably(
-            lambda: self._sort_external(tokens, base_level, sort_levels)
-        )
-        return SubtreeResult(
-            run=run,
-            units=units,
-            real_elements=real,
-            payload_bytes=written,
-            root_key=root_key,
-            root_pos=root_pos,
-            internal=False,
+        """:meth:`sort_records` of the encoded tokens."""
+        return self.sort_records(
+            self.codec.encode_batch(tokens), payload_bytes, base_level,
+            sort_levels,
         )
 
     def _run_recoverably(self, attempt) -> tuple[RunHandle, int]:
@@ -538,27 +419,63 @@ class SubtreeSorter:
         self.recovery.checkpoint("subtree-sort", unit, run_id=run.run_id)
         return run, written
 
+    def _sort_internal(
+        self,
+        records: list[bytes],
+        base_level: int,
+        sort_levels: int | None,
+        counts: list[tuple[int, int]],
+    ) -> tuple[RunHandle, int]:
+        """In-memory sort of one subtree's raw records into a run."""
+        stats = self.store.device.stats
+        out, units, real = sort_subtree_records(
+            records,
+            self.compact,
+            self.codec.names is not None,
+            base_level,
+            sort_levels,
+            stats,
+            self.options.keys.prefix_width,
+            counted=self.options.counted_comparisons,
+        )
+        counts.append((units, real))
+        writer = self.store.create_writer("run_write")
+        count = 0
+        try:
+            for record in out:
+                writer.write_record(record)
+                count += 1
+        except DeviceFault:
+            writer.abandon()
+            raise
+        stats.record_tokens(count)
+        handle = writer.finish()
+        return handle, handle.payload_bytes
+
     # -- external-memory (key-path) path -------------------------------------
 
     def _sort_external(
         self,
-        tokens: list[Token],
+        records: list[bytes],
         base_level: int,
         sort_levels: int | None,
+        counts: list[tuple[int, int]],
     ) -> tuple[RunHandle, int]:
-        device = self.store.device
-        names = self.codec.names
-        prepared: Iterable[Token]
-        if self.compact:
-            prepared = list(restore_end_tags(tokens))
-        else:
-            prepared = annotate_starts_from_ends(tokens)
-        if sort_levels is not None:
-            prepared = mask_keys_below(list(prepared), sort_levels)
+        """Key-path external merge sort of one subtree's raw records.
 
-        # Run formation under the sorter's memory capacity.
+        Run formation takes spliced key-path records and normalized keys
+        (:func:`repro.core.columnar.form_subtree_runs`), the merge keys
+        by path bytes without decoding, and the sorted records are
+        spliced back into the run dialect
+        (:func:`repro.core.columnar.emit_output_columnar`).  Tokens are
+        charged where the token pipeline charged them: one per formed
+        record as it is added, and the run's tokens once it is written.
+        """
+        device = self.store.device
+        stats = device.stats
         options = self.options
         embedded = options.embedded_keys
+        names_coded = self.codec.names is not None
         former = RunFormer(
             self.store, self.capacity_bytes, options, tracer=self.tracer,
             recovery=self.recovery,
@@ -566,52 +483,43 @@ class SubtreeSorter:
         with maybe_span(
             self.tracer, "run-formation", mode=options.run_formation
         ) as span:
-            for record in records_from_annotated_events(iter(prepared)):
-                encoded = encode_record(record, names)
-                sort_key = record.sort_key()
-                key = normalized_path_key(sort_key) if embedded else sort_key
-                device.stats.record_tokens(1)
-                former.add(key, encoded)
+            counts.append(
+                form_subtree_runs(
+                    records, self.compact, names_coded, sort_levels,
+                    former.bulk_adder(), stats.record_tokens,
+                )
+            )
             runs = former.finish()
             if span is not None:
                 span.set(runs=len(runs))
         self.run_lengths.extend(former.run_lengths)
+        if not embedded:
+            # Without embedded keys the first merge pass has always run
+            # the record-at-a-time heap, charging comparisons as records
+            # move; a pass replayed from key sidecars charges them at its
+            # end, which a striped device's stall clock observes.
+            for run in runs:
+                self.store.key_sidecars.pop(run.run_id, None)
 
-        # Path-only parse into normalized bytes: same ordering as the
-        # decoded tuple key, no tag/attr/text decode.
         key_of = embedded_key_of if embedded else fast_path_key
         stream, _passes, _width = merge_to_stream(
             self.store, runs, key_of, self.fan_in, options=options,
             tracer=self.tracer, recovery=self.recovery,
         )
-        if embedded:
-            decoded = (
-                decode_record(strip_embedded_key(record), names)
-                for record in stream
-            )
-        else:
-            decoded = (decode_record(record, names) for record in stream)
         writer = self.store.create_writer("run_write")
-        count = 0
         try:
-            for token in tokens_from_sorted_records(
-                decoded, base_level=base_level, emit_end_tags=not self.compact
-            ):
-                if not self.compact:
-                    # Plain-mode run tokens carry no levels.
-                    if token.__class__ is StartTag:
-                        token = StartTag(token.tag, token.attrs)
-                    elif token.__class__ is RunPointer:
-                        token = RunPointer(
-                            run_id=token.run_id,
-                            element_count=token.element_count,
-                            payload_bytes=token.payload_bytes,
-                        )
-                writer.write_record(self.codec.encode(token))
-                count += 1
+            count = emit_output_columnar(
+                stream, writer, device,
+                strip_embedded=embedded,
+                names_coded=names_coded,
+                emit_ends=not self.compact,
+                base_level=base_level,
+                levels=self.compact,
+                charge_tokens=False,
+            )
         except DeviceFault:
             writer.abandon()
             raise
-        device.stats.record_tokens(count)
+        stats.record_tokens(count)
         handle = writer.finish()
         return handle, handle.payload_bytes

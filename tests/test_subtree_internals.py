@@ -3,21 +3,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.keypath import (
+    decode_record,
+    encode_record,
+    records_from_annotated_events,
+)
+from repro.core.columnar import fast_path_key, form_subtree_runs
 from repro.core.subtree import (
     SubtreeSorter,
-    annotate_starts_from_ends,
     build_subtree,
     count_units,
-    mask_keys_below,
     serialize_node_tree,
     sort_node_tree,
 )
-from repro.errors import CodecError
+from repro.errors import CodecError, ReproError, SortSpecError
 from repro.io import BlockDevice, RunStore
-from repro.merge.engine import MergeOptions
+from repro.merge.engine import MergeOptions, normalized_path_key
 from repro.xml import TokenCodec
-from repro.xml.compact import NameDictionary
+from repro.xml.compact import NameDictionary, restore_end_tags
 from repro.xml.tokens import (
     EndTag,
     MISSING_KEY,
@@ -150,28 +156,6 @@ class TestHelpers:
         units, real = count_units(plain_tokens())
         assert units == 4  # r, a, pointer, b
         assert real == 3 + 4  # three real starts + pointer's 4 elements
-
-    def test_annotate_starts_from_ends(self):
-        tokens = [
-            StartTag("r", pos=0),
-            StartTag("a", pos=1),
-            EndTag("a", key=string_key("k1"), pos=1),
-            EndTag("r", key=string_key("k0"), pos=0),
-        ]
-        fixed = annotate_starts_from_ends(tokens)
-        assert fixed[0].key == string_key("k0")
-        assert fixed[1].key == string_key("k1")
-
-    def test_mask_keys_below(self):
-        masked = mask_keys_below(plain_tokens(), sort_levels=1)
-        # Root (level 1) keeps its key; children (level 2) are masked.
-        assert masked[0].key == number_key(5)
-        child_starts = [
-            t
-            for t in masked[1:]
-            if isinstance(t, (StartTag, RunPointer))
-        ]
-        assert all(t.key == MISSING_KEY for t in child_starts)
 
 
 class TestSorterDispatch:
@@ -307,6 +291,75 @@ def compact_subtree_tokens(plain):
     return out
 
 
+def form(tokens, compact=False, sort_levels=None, names=None):
+    """(added (key, record) pairs, (units, real), token charges) of
+    form_subtree_runs over the encoded tokens."""
+    records = TokenCodec(names).encode_batch(tokens)
+    added = []
+    charges = []
+    counts = form_subtree_runs(
+        records, compact, names is not None, sort_levels,
+        lambda key, record: added.append((key, record)), charges.append,
+    )
+    return added, counts, charges
+
+
+class TestFormSubtreeRuns:
+    """Key-path records spliced straight from a subtree's raw records."""
+
+    def test_end_tag_keys_fill_starts(self):
+        tokens = [
+            StartTag("r", pos=0),
+            StartTag("a", pos=1),
+            EndTag("a", key=string_key("k1"), pos=1),
+            EndTag("r", key=string_key("k0"), pos=0),
+        ]
+        added, _counts, _charges = form(tokens)
+        paths = [decode_record(record).path for _key, record in added]
+        assert paths == [
+            ((string_key("k0"), 0), (string_key("k1"), 1)),
+            ((string_key("k0"), 0),),
+        ]
+
+    def test_sort_levels_mask_deep_components(self):
+        added, _counts, _charges = form(plain_tokens(), sort_levels=1)
+        # Root (depth 1) keeps its key; children (depth 2) are masked.
+        paths = [decode_record(record).path for _key, record in added]
+        assert all(path[0] == (number_key(5), 0) for path in paths)
+        assert [len(path) for path in paths] == [2, 2, 2, 1]
+        assert all(
+            atom == MISSING_KEY for path in paths for atom, _ in path[1:]
+        )
+
+    @pytest.mark.parametrize("name", SIBLING_CASES)
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("names_coded", [False, True])
+    def test_matches_token_pipeline(self, name, compact, names_coded):
+        """Same records, keys, order and charges as decoding to tokens
+        and running records_from_annotated_events + encode_record."""
+        plain = sibling_case(name)
+        tokens = compact_subtree_tokens(plain) if compact else plain
+        names = NameDictionary() if names_coded else None
+        added, counts, charges = form(tokens, compact, names=names)
+        events = restore_end_tags(tokens) if compact else tokens
+        expected = [
+            (normalized_path_key(record.path), encode_record(record, names))
+            for record in records_from_annotated_events(events)
+        ]
+        assert added == expected
+        assert charges == [1] * len(expected)
+        assert counts == count_units(tokens)
+        # The keys double as merge sidecars: they must be what the merge
+        # would compute from the records.
+        assert [key for key, _ in added] == [
+            fast_path_key(record) for _, record in added
+        ]
+
+    def test_unkeyed_start_rejected(self):
+        with pytest.raises(SortSpecError):
+            form([StartTag("r", pos=0), EndTag("r", pos=0)])
+
+
 class TestColumnarSiblingGroups:
     """Batched sibling-group sorts reproduce the frozen results of the
     retired per-group ``list.sort`` path (``scalar_reference.json``)."""
@@ -424,24 +477,140 @@ class TestColumnarSiblingGroups:
         assert counted_stats.comparisons != analytic_stats.comparisons
 
 
-def test_internal_and_external_subtree_sorts_agree():
-    """The two subtree-sort paths must produce identical runs."""
-    codec = TokenCodec()
+def end_tag_key_tokens():
+    """Keys evaluated at end tags, as NEXSORT's token scan leaves them."""
+    return [
+        StartTag("r", pos=0),
+        StartTag("a", pos=1),
+        Text("x"),
+        EndTag("a", key=string_key("k2"), pos=1),
+        StartTag("b", pos=2),
+        StartTag("c", pos=3),
+        EndTag("c", key=number_key(1), pos=3),
+        EndTag("b", key=string_key("k1"), pos=2),
+        EndTag("r", key=string_key("root"), pos=0),
+    ]
 
-    def run_tokens(capacity):
+
+def test_internal_and_external_subtree_sorts_agree():
+    """The two subtree-sort paths must produce identical runs.
+
+    Covered: plain and names-coded input, keys on end tags, pointer
+    children, and compacted mode, each fully sorted and with
+    ``sort_levels=0``.  In compacted mode the external path writes texts
+    without a level while the internal path writes the owning element's
+    level (both restore the same document); the runs are compared with
+    text levels ignored.  With ``sort_levels >= 1`` the paths differ: the
+    external path leaves the child lists of level ``sort_levels`` unsorted.
+    """
+    cases = [
+        ("plain", plain_tokens(), False, None),
+        ("names-coded", plain_tokens(), False, NameDictionary()),
+        ("end-tag keys", end_tag_key_tokens(), False, None),
+        ("pointer children", sibling_case("pointer-children"), False, None),
+        ("wide siblings", sibling_case("wide-siblings"), False, None),
+        (
+            "compact",
+            compact_subtree_tokens(sibling_case("wide-siblings")),
+            True,
+            None,
+        ),
+        (
+            "compact pointers",
+            compact_subtree_tokens(sibling_case("pointer-children")),
+            True,
+            NameDictionary(),
+        ),
+    ]
+
+    def run_tokens(tokens, compact, names, capacity, sort_levels):
+        codec = TokenCodec(names)
         device = BlockDevice(block_size=256)
         store = RunStore(device)
         sorter = SubtreeSorter(
-            store, codec, compact=False, capacity_bytes=capacity, fan_in=2
+            store, codec, compact=compact, capacity_bytes=capacity, fan_in=2
         )
-        result = sorter.sort_tokens(plain_tokens(), 500, 1, None)
-        return [
-            codec.decode(record)
-            for record in store.open_reader(result.run)
-        ], result
+        result = sorter.sort_tokens(tokens, 500, 1, sort_levels)
+        out = []
+        for record in store.open_reader(result.run):
+            token = codec.decode(record)
+            if isinstance(token, Text):
+                token = Text(token.text)
+            out.append(token)
+        return out, result
 
-    internal_tokens, internal_result = run_tokens(10**6)
-    external_tokens, external_result = run_tokens(16)
-    assert internal_result.internal
-    assert not external_result.internal
-    assert internal_tokens == external_tokens
+    for label, tokens, compact, names in cases:
+        for sort_levels in (None, 0):
+            internal, internal_result = run_tokens(
+                tokens, compact, names, 10**6, sort_levels
+            )
+            external, external_result = run_tokens(
+                tokens, compact, names, 16, sort_levels
+            )
+            assert internal_result.internal, label
+            assert not external_result.internal, label
+            assert internal == external, (label, sort_levels)
+            for field in ("units", "real_elements", "root_key", "root_pos"):
+                assert getattr(internal_result, field) == getattr(
+                    external_result, field
+                ), (label, field)
+
+
+def mutated(records, rng):
+    """One seeded mutation or truncation of a record list."""
+    records = list(records)
+    index = rng.randrange(len(records))
+    record = records[index]
+    action = rng.randrange(5) if record else 2
+    if action == 0:
+        records[index] = record[: rng.randrange(len(record))]
+    elif action == 1:
+        position = rng.randrange(len(record))
+        records[index] = (
+            record[:position]
+            + bytes([rng.randrange(256)])
+            + record[position + 1 :]
+        )
+    elif action == 2:
+        del records[index]
+    elif action == 3:
+        records.insert(index, record)
+    else:
+        records = records[: index + 1]
+    return records
+
+
+class TestMalformedRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        capacity=st.sampled_from([10**6, 16]),
+        compact=st.booleans(),
+        names_coded=st.booleans(),
+        sort_levels=st.sampled_from([None, 0, 1]),
+    )
+    def test_sort_records_raises_typed_errors(
+        self, seed, capacity, compact, names_coded, sort_levels
+    ):
+        """Mutated or truncated subtree records either sort or raise a
+        ReproError subclass - never IndexError, struct.error or
+        UnicodeDecodeError - on both the internal and external path."""
+        rng = random.Random(seed)
+        names = NameDictionary() if names_coded else None
+        codec = TokenCodec(names)
+        plain = sibling_case("pointer-children")
+        plain.insert(1, Text("é"))
+        tokens = compact_subtree_tokens(plain) if compact else plain
+        records = codec.encode_batch(tokens)
+        for _ in range(rng.randrange(1, 4)):
+            if records:
+                records = mutated(records, rng)
+        device = BlockDevice(block_size=256)
+        sorter = SubtreeSorter(
+            RunStore(device), codec, compact=compact,
+            capacity_bytes=capacity, fan_in=2,
+        )
+        try:
+            sorter.sort_records(records, 500, 1, sort_levels)
+        except ReproError:
+            pass
