@@ -51,7 +51,6 @@ except ImportError:  # pragma: no cover
 
 from ..errors import CodecError, RunError, SortSpecError
 from ..merge.engine import (
-    DEFAULT_KEY_OPTIONS,
     _normalize_atom,
     argsort_counted,
     dense_ranks,
@@ -80,6 +79,12 @@ _MEMO_LIMIT = 1 << 16
 
 #: Single-byte varints, indexed by value.
 _VARINT1 = [bytes([value]) for value in range(128)]
+
+#: Bytes of normalized key the numpy argsort packs into its fixed-width
+#: prefix array (equal prefixes fall back to a full-key comparison, so
+#: the width changes speed, never order).  A multiple of 8, so the
+#: prefix matrix views cleanly as big-endian u64 columns.
+PREFIX_WIDTH = 24
 
 #: Batches smaller than this sort faster with the pure-Python stable
 #: sort (memcmp-based timsort) than with the numpy prefix argsort,
@@ -237,7 +242,6 @@ def _prefix_buffer(keys: list[bytes], strip: int, width: int):
 
 def argsort_normalized(
     keys: list[bytes],
-    prefix_width: int | None = None,
     strip: int | None = None,
     prefix=None,
 ) -> list[int]:
@@ -263,11 +267,7 @@ def argsort_normalized(
         # (buffer build, argsort setup) loses to a straight stable sort
         # of the bytes keys; the order is identical either way.
         return sorted(range(n), key=keys.__getitem__)
-    width = (
-        prefix_width
-        if prefix_width is not None
-        else DEFAULT_KEY_OPTIONS.prefix_width
-    )
+    width = PREFIX_WIDTH
     if strip is None:
         strip = _common_prefix_length(keys)
     if prefix is None:
@@ -295,7 +295,7 @@ def argsort_normalized(
 
 
 def argsort_keyed_batch(
-    batch: list[tuple[bytes, bytes]], prefix_width: int | None = None
+    batch: list[tuple[bytes, bytes]],
 ) -> list[tuple[bytes, bytes]]:
     """Sort a run-formation ``(normalized key, payload)`` batch.
 
@@ -303,7 +303,7 @@ def argsort_keyed_batch(
     comparisons); returns a new sorted list.
     """
     keys = [key for key, _payload in batch]
-    order = argsort_normalized(keys, prefix_width)
+    order = argsort_normalized(keys)
     return [batch[index] for index in order]
 
 
@@ -314,9 +314,7 @@ def argsort_keyed_batch(
 _GROUP_SOLO = 4096
 
 
-def argsort_groups(
-    groups: list[list[bytes]], prefix_width: int | None = None
-) -> list[list[int]]:
+def argsort_groups(groups: list[list[bytes]]) -> list[list[int]]:
     """Per-group stable argsorts of many key lists, batched into one call.
 
     Semantically ``[argsort_normalized(g) for g in groups]`` - this is
@@ -339,14 +337,14 @@ def argsort_groups(
         if n <= 1:
             orders[index] = list(range(n))
         elif n >= _GROUP_SOLO:
-            orders[index] = argsort_normalized(keys, prefix_width)
+            orders[index] = argsort_normalized(keys)
         else:
             batch.append((index, base, n))
             batch_keys.extend(keys)
             base += n
     if len(batch) == 1:
         index, _base, _n = batch[0]
-        orders[index] = argsort_normalized(batch_keys, prefix_width)
+        orders[index] = argsort_normalized(batch_keys)
     elif batch:
         pack = _U32.pack
         prefixed: list[bytes] = []
@@ -354,7 +352,7 @@ def argsort_groups(
         for slot, (_index, lo, n) in enumerate(batch):
             tag = pack(slot)
             extend([tag + key for key in batch_keys[lo : lo + n]])
-        order = argsort_normalized(prefixed, prefix_width)
+        order = argsort_normalized(prefixed)
         for _slot, (index, lo, n) in enumerate(batch):
             orders[index] = [order[lo + i] - lo for i in range(n)]
     return orders
@@ -364,7 +362,6 @@ def sort_sibling_groups(
     groups: list[list],
     group_keys: list[list[bytes]],
     stats,
-    prefix_width: int | None = None,
     counted: bool = False,
 ) -> None:
     """Reorder every sibling list in place by its normalized keys.
@@ -385,7 +382,7 @@ def sort_sibling_groups(
     """
     if not groups:
         return
-    orders = argsort_groups(group_keys, prefix_width)
+    orders = argsort_groups(group_keys)
     if counted:
         for children, keys, order in zip(groups, group_keys, orders):
             replay = argsort_counted(dense_ranks(keys, order), stats)
@@ -736,7 +733,9 @@ class StartKeyCache:
     never token objects: the normalized key atom (run-formation keys),
     the codec-encoded key atom (annotated starts and key-path records),
     and the encoded name field (an end-tag record's name is exactly the
-    tag+attrs prefix, in either name dialect).
+    tag+attrs prefix, in either name dialect).  Specs whose keys are
+    evaluated at end tags use :meth:`rule_pieces_for` instead (one cache
+    serves one of the two methods).
     """
 
     __slots__ = ("spec", "names", "names_coded", "memo")
@@ -745,7 +744,7 @@ class StartKeyCache:
         self.spec = spec
         self.names = names
         self.names_coded = names is not None
-        self.memo: dict[bytes, tuple[bytes, bytes, bytes]] = {}
+        self.memo: dict[bytes, tuple] = {}
 
     def pieces_for(self, tag_attrs: bytes) -> tuple[bytes, bytes, bytes]:
         """(normalized atom, encoded atom, name field) of one start."""
@@ -762,6 +761,30 @@ class StartKeyCache:
         entry = (
             normalized_atom_bytes(atom), encoded_atom_bytes(atom), name_field
         )
+        if len(self.memo) >= _MEMO_LIMIT:
+            self.memo.clear()
+        self.memo[tag_attrs] = entry
+        return entry
+
+    def rule_pieces_for(self, tag_attrs: bytes) -> tuple:
+        """(tag, rule, start-computable key atom or None, end head) of one
+        start, for a spec whose keys are evaluated at end tags: what
+        :func:`repro.keys.enter_element` takes, plus the element's
+        key-carrying end record up to its position - type, flags, name
+        and, for a start-computable rule, the encoded key."""
+        entry = self.memo.get(tag_attrs)
+        if entry is not None:
+            return entry
+        tag, attrs, _pos = read_tag_attrs(tag_attrs, 0, self.names)
+        rule = self.spec.rule_for(tag)
+        end_head = b"\x03\x03" + tag_attrs[
+            : _name_field_end(tag_attrs, 0, self.names_coded)
+        ]
+        atom = None
+        if rule.start_computable:
+            atom = rule.key_from_start(StartTag(tag, attrs))
+            end_head += encoded_atom_bytes(atom)
+        entry = (tag, rule, atom, end_head)
         if len(self.memo) >= _MEMO_LIMIT:
             self.memo.clear()
         self.memo[tag_attrs] = entry
@@ -805,6 +828,30 @@ def _skip_tag_attrs(data: bytes, pos: int, names_coded: bool) -> int:
         pos = _skip_frame(data, pos)  # attr name
         pos = _skip_frame(data, pos)  # attr value
     return pos
+
+
+def record_level(record: bytes, names_coded: bool) -> int | None:
+    """The level annotation of an encoded start, text or pointer record
+    (None when it carries none)."""
+    flags = record[1]
+    if not flags & 4:
+        return None
+    token_type = record[0]
+    if token_type == TYPE_TEXT:
+        return read_varint_fast(record, _skip_frame(record, 2))[0]
+    if token_type == TYPE_START:
+        pos = _skip_tag_attrs(record, 2, names_coded)
+    elif token_type == TYPE_POINTER:
+        pos = _skip_varint(record, 2)  # run_id
+        pos = _skip_varint(record, pos)  # element_count
+        pos = _skip_varint(record, pos)  # payload_bytes
+    else:
+        raise CodecError(f"record type {token_type} carries no level")
+    if flags & 1:
+        pos = _skip_atom(record, pos)
+    if flags & 2:
+        pos = _skip_varint(record, pos)
+    return read_varint_fast(record, pos)[0]
 
 
 def _skip_atom(data: bytes, pos: int) -> int:
@@ -1129,8 +1176,7 @@ def _text_frame(pending) -> bytes:
 class _RawNode:
     """One element (or collapsed pointer) of a subtree, from raw records.
 
-    The analogue of ``subtree._Node`` that never materializes tokens:
-    ``tag_attrs`` keeps the record's encoded tag+attributes slice
+    No token is materialized: ``tag_attrs`` keeps the record's encoded tag+attributes slice
     verbatim (None for pointers), ``body`` keeps a pointer's
     run_id/element_count/payload_bytes varint slice (None for elements),
     ``atom`` the encoded key atom slice (None = missing), and ``texts``
@@ -1153,7 +1199,8 @@ def _attach_raw_text(node: _RawNode, frame: bytes) -> None:
 
 
 def _attach_raw_node(node, root, stack):
-    """build_subtree's attach rule: parent, else root, else error."""
+    """Attach a parsed node to its parent, else make it the root; a
+    second root is an error."""
     if stack:
         stack[-1].children.append(node)
         return root
@@ -1214,7 +1261,7 @@ def _parse_subtree_plain(
             flags = record[1]
             end = _name_field_end(record, 2, names_coded)
             # End tags may carry the element's key/pos (subtree-evaluated
-            # criteria); they override the start's, as build_subtree does.
+            # criteria); they override the start's.
             if flags & 1:
                 stop = _skip_atom(record, end)
                 node.atom = record[end:stop]
@@ -1294,17 +1341,10 @@ def _parse_subtree_compact(
             units += 1
             real += 1
         elif token_type == TYPE_POINTER:
-            flags = record[1]
-            if not flags & 4:
+            level = record_level(record, names_coded)
+            if level is None:
                 raise CodecError("compacted token without level")
             node, count = _raw_pointer(record)
-            # Pointer level: the last annotation field; skip key/pos by flags.
-            pos = 2 + len(node.body)
-            if flags & 1:
-                pos = _skip_atom(record, pos)
-            if flags & 2:
-                pos = _skip_varint(record, pos)
-            level, _ = read_varint_fast(record, pos)
             while levels and levels[-1] >= level:
                 levels.pop()
                 stack.pop()
@@ -1325,13 +1365,11 @@ def sort_raw_tree(
     root: _RawNode,
     sort_levels: int | None,
     stats,
-    prefix_width: int | None = None,
     counted: bool = False,
 ) -> None:
     """Sort every sibling list of a raw-record subtree, batched.
 
-    The raw-record form of ``subtree.sort_node_tree``: one DFS gathers
-    every sibling group to sort (``n > 1``, level within
+    One DFS gathers every sibling group to sort (``n > 1``, level within
     ``sort_levels``), group keys are the engine-normalized ``atom +
     8-byte position`` bytes (order- and equality-faithful to the
     ``(key, pos)`` tuple compare), and :func:`sort_sibling_groups`
@@ -1363,7 +1401,7 @@ def sort_raw_tree(
         for child in children:
             if child.body is None:  # pointers are leaves
                 work.append((child, level + 1))
-    sort_sibling_groups(groups, group_keys, stats, prefix_width, counted)
+    sort_sibling_groups(groups, group_keys, stats, counted)
 
 
 def _serialize_raw_tree(
@@ -1371,8 +1409,8 @@ def _serialize_raw_tree(
 ) -> list[bytes]:
     """Encoded run records of a sorted raw subtree (annotations stripped).
 
-    Byte-for-byte what ``serialize_node_tree`` + ``codec.encode`` emit:
-    run tokens carry no keys or positions; starts/texts/pointers carry
+    Byte-for-byte the encoding of the run's tokens: they carry no keys
+    or positions; starts/texts/pointers carry
     levels only in compacted mode; plain mode appends end tags.
     """
     out: list[bytes] = []
@@ -1466,14 +1504,12 @@ def sort_subtree_records(
     base_level: int,
     sort_levels: int | None,
     stats,
-    prefix_width: int | None = None,
     counted: bool = False,
 ) -> tuple[list[bytes], int, int]:
     """Fused internal subtree sort over raw encoded data-stack records.
 
-    ``build_subtree -> sort_node_tree -> serialize_node_tree -> encode``
-    without decoding a single token: records are parsed into a raw node
-    tree by field offsets, sibling groups are ordered with one batched
+    No token is decoded: records are parsed into a raw node tree by
+    field offsets, sibling groups are ordered with one batched
     argsort (:func:`sort_raw_tree`), and output records are spliced from
     the input's own encoded slices.  Returns ``(out_records, units,
     real_elements)``; output bytes, order, and the comparison charge are
@@ -1485,7 +1521,7 @@ def sort_subtree_records(
         root, units, real = _parse_subtree_compact(records, names_coded)
     else:
         root, units, real = _parse_subtree_plain(records, names_coded)
-    sort_raw_tree(root, sort_levels, stats, prefix_width, counted=counted)
+    sort_raw_tree(root, sort_levels, stats, counted=counted)
     out = _serialize_raw_tree(root, base_level, compact, names_coded)
     return out, units, real
 
@@ -1500,7 +1536,7 @@ def _end_tag_annotations(
 
     Maps the index of every start record lacking its key or position to
     the ``(encoded atom or None, position or None)`` of its end tag -
-    where the token scan puts subtree-evaluated keys.  A start's path
+    where the document scan puts subtree-evaluated keys.  A start's path
     component is needed while its children are still open, so this
     pre-pass runs before key-path records are built.
     """
@@ -1553,11 +1589,15 @@ def form_subtree_runs(
     pointer's where it appears, and ``charge_tokens(1)`` precedes every
     ``add`` (a device fault inside ``add`` leaves the same charge).
 
-    * Plain mode: keys evaluated at end tags (the token scan) fill in
+    * Plain mode: keys evaluated at end tags (by the document scan) fill in
       starts that lack a key or position, found by one pre-pass.
     * Compacted mode: elements close by ``restore_end_tags``' level rules.
-    * ``sort_levels``: components deeper than it carry the missing atom
-      ``b"\\x00"``, so their position tie-break keeps document order.
+    * ``sort_levels``: the child lists of relative levels ``1 ..
+      sort_levels`` are sorted.  A component orders the child list
+      above it, so only depths ``2 .. sort_levels + 1`` keep their key;
+      the others (the root's, which orders nothing, and everything
+      deeper) carry the missing atom ``b"\\x00"``, and their position
+      tie-break keeps document order.
 
     Returns ``(units, real elements)`` of the subtree.  The per-byte
     loops are unchecked; truncated records raise ``IndexError`` (the
@@ -1650,7 +1690,9 @@ def form_subtree_runs(
                     position = fix[1]
             spliced = False
         depth = len(ta_stack) + 1
-        if sort_levels is not None and depth > sort_levels:
+        if sort_levels is not None and (
+            depth == 1 or depth > sort_levels + 1
+        ):
             atom = b"\x00"
             spliced = False
         if atom is None or position is None:

@@ -25,26 +25,17 @@ from ..errors import CodecError
 from ..io.runs import RunHandle, RunStore
 from ..merge.engine import MergeOptions, sort_with_accounting
 from ..xml.codec import (
+    TYPE_END,
+    TYPE_POINTER,
+    TYPE_START,
+    TYPE_TEXT,
     decode_key_atom,
     encode_key_atom,
     read_varint,
     write_varint,
 )
-from ..xml.tokens import (
-    EndTag,
-    KeyAtom,
-    MISSING_KEY,
-    RunPointer,
-    StartTag,
-    Text,
-    Token,
-)
-from .subtree import (
-    build_subtree,
-    count_units,
-    serialize_node_tree,
-    sort_node_tree,
-)
+from ..xml.tokens import KeyAtom, MISSING_KEY
+from .columnar import record_level, sort_subtree_records, subtree_root_summary
 
 
 class ChildGroup:
@@ -104,24 +95,26 @@ def group_sort_key(data: bytes) -> tuple:
     return (key, position)
 
 
-def split_region(
-    tokens: list[Token], compact: bool
-) -> tuple[list[str], list[list[Token]]]:
-    """Split an open element's content region into its texts and children.
+def split_children(
+    records: list[bytes], compact: bool, names_coded: bool
+) -> tuple[list[bytes], list[list[bytes]]]:
+    """Split an open element's content region into its text records and
+    the record lists of its children.
 
-    The region is everything pushed after the element's start tag while the
-    element is the deepest open one, so it consists exclusively of the
-    element's own text and *complete* child subtrees.
+    The region is everything pushed after the element's start record
+    while the element is the deepest open one, so it consists
+    exclusively of the element's own text and *complete* child subtrees
+    (a collapsed child is one pointer record).
     """
-    texts: list[str] = []
-    children: list[list[Token]] = []
-    depth = 0
-    current: list[Token] = []
+    texts: list[bytes] = []
+    children: list[list[bytes]] = []
+    current: list[bytes] = []
     if compact:
         base_level: int | None = None
-        for token in tokens:
-            if isinstance(token, (StartTag, RunPointer)):
-                level = token.level
+        for record in records:
+            token_type = record[0]
+            if token_type == TYPE_START or token_type == TYPE_POINTER:
+                level = record_level(record, names_coded)
                 if level is None:
                     raise CodecError("compacted token without level")
                 if base_level is None:
@@ -129,89 +122,86 @@ def split_region(
                 if level == base_level:
                     if current:
                         children.append(current)
-                    current = [token]
+                    current = [record]
                 else:
-                    current.append(token)
-            elif isinstance(token, Text):
+                    current.append(record)
+            elif token_type == TYPE_TEXT:
                 # The text's level says whether it belongs to the open
                 # element (one above the child roots) or to a child.
+                level = record_level(record, names_coded)
                 owner_is_frame = (
-                    token.level is not None
+                    level is not None
                     and base_level is not None
-                    and token.level < base_level
+                    and level < base_level
                 ) or not current
                 if owner_is_frame:
-                    texts.append(token.text)
+                    texts.append(record)
                 else:
-                    current.append(token)
+                    current.append(record)
             else:
                 raise CodecError(
-                    f"unexpected token in compact region: {token!r}"
+                    f"unexpected record in compact region: type byte "
+                    f"{token_type}"
                 )
         if current:
             children.append(current)
-    else:
-        for token in tokens:
-            if isinstance(token, StartTag):
-                depth += 1
-                current.append(token)
-            elif isinstance(token, EndTag):
-                current.append(token)
-                depth -= 1
-                if depth == 0:
-                    children.append(current)
-                    current = []
-            elif isinstance(token, RunPointer):
-                if depth == 0:
-                    children.append([token])
-                else:
-                    current.append(token)
-            elif isinstance(token, Text):
-                if depth == 0:
-                    texts.append(token.text)
-                else:
-                    current.append(token)
-        if depth != 0:
-            raise CodecError("open-element region contains an open child")
+        return texts, children
+    depth = 0
+    for record in records:
+        token_type = record[0]
+        if token_type == TYPE_START:
+            depth += 1
+            current.append(record)
+        elif token_type == TYPE_END:
+            current.append(record)
+            depth -= 1
+            if depth == 0:
+                children.append(current)
+                current = []
+        elif token_type == TYPE_POINTER:
+            if depth == 0:
+                children.append([record])
+            else:
+                current.append(record)
+        elif token_type == TYPE_TEXT:
+            if depth == 0:
+                texts.append(record)
+            else:
+                current.append(record)
+        else:
+            raise CodecError(f"unknown token type byte {token_type}")
+    if depth != 0:
+        raise CodecError("open-element region contains an open child")
     return texts, children
 
 
 def groups_from_region(
-    tokens: list[Token],
+    records: list[bytes],
     compact: bool,
+    names_coded: bool,
     child_level: int,
     sort_levels: int | None,
-    codec,
     device_stats,
     counted: bool = False,
-) -> tuple[list[str], list[ChildGroup]]:
+) -> tuple[list[bytes], list[ChildGroup]]:
     """Sort each complete child subtree of the region into a ChildGroup.
 
-    Groups come back ordered by ``(key, position)``, ready to be written as
-    one partial run.  ``sort_levels`` applies relative to each child root
-    (depth-limited sorting composes with graceful degeneration).
+    Returns the element's own text records and the groups, ordered by
+    ``(key, position)`` and ready to be written as one partial run.  Each
+    child is sorted by :func:`repro.core.columnar.sort_subtree_records`
+    (a pointer child passes through as its stripped pointer record);
+    ``sort_levels`` applies relative to each child root (depth-limited
+    sorting composes with graceful degeneration).
     """
-    texts, children = split_region(tokens, compact)
+    texts, children = split_children(records, compact, names_coded)
     groups: list[ChildGroup] = []
-    for child_tokens in children:
-        units, real = count_units(child_tokens)
-        first = child_tokens[0]
-        key = first.key if first.key is not None else MISSING_KEY
-        pos = first.pos if first.pos is not None else 0
-        if key == MISSING_KEY and not compact:
-            last = child_tokens[-1]
-            if isinstance(last, EndTag) and last.key is not None:
-                key = last.key
-                pos = last.pos if last.pos is not None else pos
-        if isinstance(first, RunPointer):
-            encoded = [codec.encode(_strip_pointer(first, compact))]
-        else:
-            root = build_subtree(child_tokens, compact)
-            sort_node_tree(root, sort_levels, device_stats, counted)
-            encoded = [
-                codec.encode(token)
-                for token in serialize_node_tree(root, child_level, compact)
-            ]
+    for child in children:
+        atom, pos = subtree_root_summary(child, compact, names_coded)
+        key = decode_key_atom(atom, 0)[0] if atom is not None else MISSING_KEY
+        encoded, units, real = sort_subtree_records(
+            child, compact, names_coded, child_level, sort_levels,
+            device_stats, counted=counted,
+        )
         device_stats.record_tokens(len(encoded))
         groups.append(ChildGroup(key, pos, units, real, encoded))
     count = len(groups)
@@ -226,15 +216,6 @@ def groups_from_region(
                 count * max(1, ceil(log2(count)))
             )
     return texts, groups
-
-
-def _strip_pointer(pointer: RunPointer, compact: bool) -> RunPointer:
-    return RunPointer(
-        run_id=pointer.run_id,
-        level=pointer.level if compact else None,
-        element_count=pointer.element_count,
-        payload_bytes=pointer.payload_bytes,
-    )
 
 
 def write_partial_run(

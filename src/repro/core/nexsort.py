@@ -24,8 +24,14 @@ Extensions from Section 3.2, all selectable via :class:`NexsortOptions`:
   dictionaries, end-tag elimination); with end tags eliminated, end events
   still trigger sorting decisions but are never pushed onto the data stack.
 * **complex ordering criteria**: subtree-evaluated keys (ByText,
-  ByChildPath) ride on end tags, evaluated in the single scanning pass by
-  :class:`~repro.keys.KeyEvaluator`.
+  ByChildPath) ride on end tags, evaluated in the single scanning pass
+  with one constant-size evaluator frame per open element
+  (:func:`repro.keys.enter_element` and its sibling steps).
+
+There is one scan (:meth:`NexSorter._scan`) for every input: it moves the
+stored records onto the data stack by byte splicing, and every subtree
+sort, partial-run flush and flat-element merge works on the popped raw
+records (:mod:`repro.core.columnar`) rather than on decoded tokens.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from ..io.budget import MemoryBudget, MINIMUM_NEXSORT_BLOCKS
 from ..io.bufferpool import BufferPool
 from ..io.compress import CompressionConfig
 from ..io.stacks import ExternalStack
-from ..keys import KeyEvaluator, SortSpec
+from ..keys import SortSpec, element_text, end_key, enter_element, leave_element
 from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions
 from ..obs.tracer import Tracer, maybe_span
 from ..xml.codec import (
@@ -45,25 +51,24 @@ from ..xml.codec import (
     TYPE_POINTER,
     TYPE_START,
     TYPE_TEXT,
+    decode_key_atom,
     encode_tag_attrs,
     encode_varint,
     read_varint,
-    write_varint,
 )
 from ..xml.document import Document
-from ..xml.tokens import (
-    EndTag,
-    MISSING_KEY,
-    RunPointer,
-    StartTag,
-    Text,
-)
+from ..xml.tokens import MISSING_KEY, RunPointer, Text
 from . import flat as flat_mod
 from .columnar import (
     _VARINT1,
     StartKeyCache,
+    _frame_payload,
+    _name_field_end,
     _skip_frame,
     _skip_tag_attrs,
+    _text_frame,
+    encoded_atom_bytes,
+    subtree_root_summary,
 )
 from .output import output_phase
 from .report import NexsortReport, SubtreeSortInfo
@@ -128,8 +133,9 @@ class _OpenFrame:
         self.partial_runs: list = []
         self.flat_units = 0
         self.flat_real = 0
-        # Fused scan only: the pre-spliced end-tag record this element
-        # pushes when it closes (plain storage).
+        # Plain storage: the pre-spliced end-tag record this element
+        # pushes when it closes - or, when keys are evaluated at end tags,
+        # the record up to its position (see ``rule_pieces_for``).
         self.end_record: bytes | None = None
 
 
@@ -293,16 +299,8 @@ class NexSorter:
             data_stack = ExternalStack(paging_target, data_blocks, "data_stack")
             path_stack = ExternalStack(paging_target, 2, "path_stack")
             frames: list[_OpenFrame] = []
-            start_keyed = self.spec.start_computable
-
-            evaluator = KeyEvaluator(self.spec)
             root_pointer: RunPointer | None = None
 
-            # Fused scan: annotate stored records by byte splicing
-            # instead of decode -> KeyEvaluator -> encode.  Keys evaluated
-            # at end tags and the flush heuristics of graceful
-            # degeneration need the token scan instead.
-            fused = start_keyed and not options.flat_optimization
             with maybe_span(
                 tracer,
                 "document-scan",
@@ -311,41 +309,22 @@ class NexSorter:
                 depth_limit=depth_limit,
                 flat=options.flat_optimization,
             ):
-                if fused:
-                    self._scan_fused(
-                        document,
-                        frames,
-                        data_stack,
-                        path_stack,
-                        codec,
-                        store,
-                        device,
-                        sorter,
-                        report,
-                        compact,
-                        threshold,
-                        depth_limit,
-                        fan_in,
-                    )
-                else:
-                    self._scan_tokens(
-                        document,
-                        evaluator,
-                        frames,
-                        data_stack,
-                        path_stack,
-                        codec,
-                        store,
-                        device,
-                        sorter,
-                        report,
-                        compact,
-                        threshold,
-                        depth_limit,
-                        fan_in,
-                        start_keyed,
-                        capacity_bytes,
-                    )
+                self._scan(
+                    document,
+                    frames,
+                    data_stack,
+                    path_stack,
+                    codec,
+                    store,
+                    device,
+                    sorter,
+                    report,
+                    compact,
+                    threshold,
+                    depth_limit,
+                    fan_in,
+                    capacity_bytes,
+                )
 
                 # The data stack now holds exactly the root pointer.
                 assert self._open_partial is None, "unclosed partial run"
@@ -399,10 +378,9 @@ class NexSorter:
 
     # -- sorting-phase internals ---------------------------------------------
 
-    def _scan_tokens(
+    def _scan(
         self,
         document: Document,
-        evaluator: KeyEvaluator,
         frames: list[_OpenFrame],
         data_stack: ExternalStack,
         path_stack: ExternalStack,
@@ -415,101 +393,60 @@ class NexSorter:
         threshold: int,
         depth_limit: int | None,
         fan_in: int,
-        start_keyed: bool,
         capacity_bytes: int,
     ) -> None:
-        """The token scanning loop: decode, annotate, re-encode.
+        """The document scan: annotate stored records by byte splicing.
 
-        Used where the fused scan cannot go: keys evaluated at end tags
-        (``ByText``/``ByChildPath`` need the closed subtree) and graceful
-        degeneration, whose flush heuristics inspect decoded tokens.
-        """
-        for event in evaluator.annotate(
-            document.iter_events("input_scan")
-        ):
-            if isinstance(event, StartTag):
-                token = StartTag(
-                    event.tag,
-                    event.attrs,
-                    key=event.key if start_keyed else None,
-                    pos=event.pos,
-                    level=event.level if compact else None,
-                )
-                encoded = codec.encode(token)
-                loc = data_stack.push(encoded)
-                path_stack.push(_encode_path_entry(loc))
-                frames.append(_OpenFrame(loc, loc + len(encoded)))
-                device.stats.record_tokens(1)
-            elif isinstance(event, Text):
-                token = Text(
-                    event.text, level=len(frames) if compact else None
-                )
-                data_stack.push(codec.encode(token))
-                device.stats.record_tokens(1)
-                self._maybe_flush_partial(
-                    frames, data_stack, codec, store, device, report,
-                    compact, capacity_bytes, depth_limit,
-                )
-            elif isinstance(event, EndTag):
-                self._handle_end(
-                    event,
-                    frames,
-                    data_stack,
-                    path_stack,
-                    codec,
-                    store,
-                    device,
-                    sorter,
-                    report,
-                    compact,
-                    threshold,
-                    depth_limit,
-                    fan_in,
-                    start_keyed,
-                )
-                if frames:
-                    self._maybe_flush_partial(
-                        frames, data_stack, codec, store, device,
-                        report, compact, capacity_bytes, depth_limit,
-                    )
-            else:  # pragma: no cover - evaluator only yields these
-                raise SortSpecError(f"unexpected event {event!r}")
+        One pass over the raw stored records.  The annotated start pushed
+        onto the data stack is assembled as ``type, flags, tag+attrs
+        (verbatim slice), key atom (memoized per distinct tag+attrs), pos
+        varint[, level varint]``, texts are pushed verbatim (their stored
+        bytes already equal the token re-encode), and plain end tags are
+        pre-spliced at the matching start.  Input block reads fire at the
+        record pull that needs them (draining an already-buffered block is
+        free in the device model).
 
-    def _scan_fused(
-        self,
-        document: Document,
-        frames: list[_OpenFrame],
-        data_stack: ExternalStack,
-        path_stack: ExternalStack,
-        codec,
-        store,
-        device,
-        sorter: SubtreeSorter,
-        report: NexsortReport,
-        compact: bool,
-        threshold: int,
-        depth_limit: int | None,
-        fan_in: int,
-    ) -> None:
-        """Fused scanning loop: annotate stored records by byte splicing.
-
-        Replaces ``iter_events -> KeyEvaluator.annotate -> codec.encode``
-        with one pass over the raw stored records: the annotated start
-        pushed onto the data stack is assembled as ``type, flags,
-        tag+attrs (verbatim slice), key atom (memoized per distinct
-        tag+attrs), pos varint[, level varint]``, texts are pushed
-        verbatim (their stored bytes already equal the token re-encode),
-        and plain end tags are pre-spliced at the matching start.  Every
-        push - and therefore every data-stack byte, token charge, paging
-        decision, and subtree-sort trigger - is bit-identical to
-        :meth:`_scan_tokens`; input block reads fire at the same record
-        pull index (draining an already-buffered block is free in the
-        device model either way).
+        Keys evaluated at end tags (``ByText``/``ByChildPath`` in the
+        spec; plain storage only) run the single-pass evaluator of
+        :mod:`repro.keys` beside the scan: starts carry only ``pos``, and
+        the end record carries the element's key and ``pos``.  With
+        graceful degeneration, every text push and every close that leaves
+        an element open may flush the deepest open element's complete
+        children into an incomplete sorted run.
         """
         names = (
             document.compaction.names if document.compaction else None
         )
-        pieces_for = StartKeyCache(self.spec, names).pieces_for
+        names_coded = names is not None
+        key_cache = StartKeyCache(self.spec, names)
+        pieces_for = key_cache.pieces_for
+        flat = self.options.flat_optimization
+        # Keys evaluated at end tags: the evaluator's open-element frames
+        # (None for start keys).
+        key_frames: list | None = None
+        if not self.spec.start_computable:
+            key_frames = []
+            rule_pieces_for = key_cache.rule_pieces_for
+
+            def keyed_end(end_head: bytes) -> bytes:
+                """The end record of the innermost element, carrying the
+                key and pos the single pass evaluated."""
+                key_frame = leave_element(key_frames)
+                pos = key_frame.pos
+                pos_varint = (
+                    _VARINT1[pos] if pos < 0x80 else encode_varint(pos)
+                )
+                if key_frame.start_key is None:
+                    # A subtree-evaluated key: known only now.
+                    return join(
+                        (
+                            end_head,
+                            encoded_atom_bytes(end_key(key_frame)),
+                            pos_varint,
+                        )
+                    )
+                return end_head + pos_varint
+
         reader = store.open_reader(document.handle, category="input_scan")
         read_available = reader.read_available_records
         read_one = reader.read_record
@@ -518,6 +455,31 @@ class NexSorter:
         record_tokens = device.stats.record_tokens
         join = b"".join
         next_pos = 0
+
+        def flush() -> None:
+            self._maybe_flush_partial(
+                frames, data_stack, codec, store, device, report,
+                compact, capacity_bytes, depth_limit,
+            )
+
+        def close(frame: _OpenFrame) -> None:
+            """Sort, flat-merge or keep a just-closed element."""
+            if flat and (
+                frame.partial_runs or self._owns_open_partial(frame)
+            ):
+                self._finish_flat_element(
+                    frame, frames, data_stack, codec, store, device,
+                    report, compact, depth_limit, fan_in,
+                )
+            else:
+                self._close_subtree(
+                    frame, frames, data_stack, codec, store, device,
+                    sorter, report, compact, threshold, depth_limit,
+                    fan_in,
+                )
+            if flat and frames:
+                flush()
+
         if compact:
             # No stored end tags: element closes are synthesized from
             # level transitions with ``restore_end_tags``' exact rules.
@@ -525,13 +487,8 @@ class NexSorter:
 
             def close_top() -> None:
                 path_stack.pop()
-                frame = frames.pop()
                 open_levels.pop()
-                self._close_subtree(
-                    frame, frames, data_stack, codec, store, device,
-                    sorter, report, compact, threshold, depth_limit,
-                    fan_in,
-                )
+                close(frames.pop())
 
         while True:
             chunk = read_available()
@@ -546,9 +503,7 @@ class NexSorter:
                     flags = record[1]
                     if compact:
                         if flags == 4:  # level-annotated, the stored form
-                            end = _skip_tag_attrs(
-                                record, 2, names is not None
-                            )
+                            end = _skip_tag_attrs(record, 2, names_coded)
                             tag_attrs = record[2:end]
                             stored_level, _ = read_varint(record, end)
                         else:
@@ -575,12 +530,19 @@ class NexSorter:
                         tag_attrs = record[2:]
                     pos = next_pos
                     next_pos += 1
-                    _norm, enc_atom, name_field = pieces_for(tag_attrs)
                     if pos < 0x80:
                         pos_varint = _VARINT1[pos]
                     else:
                         pos_varint = encode_varint(pos)
-                    if compact:
+                    if key_frames is not None:
+                        # Plain storage: the key waits for the end tag.
+                        tag, rule, start_key, end_head = rule_pieces_for(
+                            tag_attrs
+                        )
+                        enter_element(key_frames, tag, rule, start_key, pos)
+                        encoded = join((b"\x01\x02", tag_attrs, pos_varint))
+                    elif compact:
+                        _norm, enc_atom, name_field = pieces_for(tag_attrs)
                         # The evaluator annotates depth, not the stored
                         # level (equal on any well-formed stream).
                         depth = len(frames) + 1
@@ -596,6 +558,7 @@ class NexSorter:
                             )
                         )
                     else:
+                        _norm, enc_atom, name_field = pieces_for(tag_attrs)
                         encoded = join(
                             (b"\x01\x03", tag_attrs, enc_atom, pos_varint)
                         )
@@ -606,6 +569,8 @@ class NexSorter:
                     frame = _OpenFrame(loc, loc + len(encoded))
                     if compact:
                         open_levels.append(stored_level)
+                    elif key_frames is not None:
+                        frame.end_record = end_head
                     else:
                         frame.end_record = join(
                             (b"\x03\x02", name_field, pos_varint)
@@ -636,12 +601,20 @@ class NexSorter:
                                     Text(token.text, level=len(frames))
                                 )
                             )
-                    elif record[1]:
-                        token = codec.decode(record)
-                        push(codec.encode(Text(token.text)))
                     else:
+                        if record[1]:  # annotated text in plain storage
+                            record = codec.encode(
+                                Text(codec.decode(record).text)
+                            )
                         push(record)
                     record_tokens(1)
+                    if key_frames:
+                        element_text(
+                            key_frames,
+                            _frame_payload(record[2:]).decode("utf-8"),
+                        )
+                    if flat and frames:
+                        flush()
                 elif token_type == TYPE_END:
                     if compact:
                         raise CodecError(
@@ -649,13 +622,12 @@ class NexSorter:
                         )
                     path_stack.pop()
                     frame = frames.pop()
-                    push(frame.end_record)
+                    if key_frames is None:
+                        push(frame.end_record)
+                    else:
+                        push(keyed_end(frame.end_record))
                     record_tokens(1)
-                    self._close_subtree(
-                        frame, frames, data_stack, codec, store, device,
-                        sorter, report, compact, threshold, depth_limit,
-                        fan_in,
-                    )
+                    close(frame)
                 elif token_type == TYPE_POINTER:
                     raise SortSpecError(
                         "unexpected run pointer in a document scan"
@@ -668,51 +640,7 @@ class NexSorter:
             while open_levels:
                 close_top()
         if frames:
-            raise CodecError(
-                "unbalanced event stream during fused scan"
-            )
-
-    def _handle_end(
-        self,
-        event: EndTag,
-        frames: list[_OpenFrame],
-        data_stack: ExternalStack,
-        path_stack: ExternalStack,
-        codec,
-        store,
-        device,
-        sorter: SubtreeSorter,
-        report: NexsortReport,
-        compact: bool,
-        threshold: int,
-        depth_limit: int | None,
-        fan_in: int,
-        start_keyed: bool,
-    ) -> None:
-        path_stack.pop()
-        frame = frames.pop()
-        d_s = len(frames) + 1
-
-        if not compact:
-            end_token = EndTag(
-                event.tag,
-                key=event.key if not start_keyed else None,
-                pos=event.pos,
-            )
-            data_stack.push(codec.encode(end_token))
-            device.stats.record_tokens(1)
-
-        if frame.partial_runs or self._owns_open_partial(frame):
-            self._finish_flat_element(
-                frame, event, frames, data_stack, codec, store, device,
-                report, compact, d_s, depth_limit, fan_in,
-            )
-            return
-
-        self._close_subtree(
-            frame, frames, data_stack, codec, store, device, sorter,
-            report, compact, threshold, depth_limit, fan_in,
-        )
+            raise CodecError("unbalanced event stream during the scan")
 
     def _close_subtree(
         self,
@@ -797,8 +725,12 @@ class NexSorter:
         depth_limit: int | None,
     ) -> None:
         """Graceful degeneration: flush the deepest open element's complete
-        children into an incomplete sorted run when memory has filled."""
-        if not self.options.flat_optimization or not frames:
+        children into an incomplete sorted run when memory has filled.
+
+        An element below the depth limit keeps its children in document
+        order, so it never flushes; its subtree pages as in plain NEXSORT.
+        """
+        if depth_limit is not None and len(frames) > depth_limit:
             return
         frame = frames[-1]
         region_bytes = data_stack.total_bytes - frame.content_loc
@@ -814,9 +746,9 @@ class NexSorter:
         if depth_limit is not None:
             sort_levels = max(0, depth_limit + 1 - child_level)
         records = data_stack.pop_through(frame.content_loc)
-        tokens = [codec.decode(record) for record in records]
         texts, groups = flat_mod.groups_from_region(
-            tokens, compact, child_level, sort_levels, codec, device.stats,
+            records, compact, codec.names is not None, child_level,
+            sort_levels, device.stats,
             self.options.merge.counted_comparisons,
         )
         if not groups:
@@ -829,8 +761,7 @@ class NexSorter:
         frame.flat_real += sum(group.real for group in groups)
         # The element's own text stays on the stack for its final close.
         for text in texts:
-            token = Text(text, level=len(frames) if compact else None)
-            data_stack.push(codec.encode(token))
+            data_stack.push(text)
 
     # -- partial-run management (graceful degeneration) ----------------------
 
@@ -905,7 +836,6 @@ class NexSorter:
     def _finish_flat_element(
         self,
         frame: _OpenFrame,
-        event: EndTag,
         frames: list[_OpenFrame],
         data_stack: ExternalStack,
         codec,
@@ -913,31 +843,29 @@ class NexSorter:
         device,
         report: NexsortReport,
         compact: bool,
-        d_s: int,
         depth_limit: int | None,
         fan_in: int,
     ) -> None:
         """Close an element that has incomplete sorted runs: sort the
         remaining children into a final partial run, merge all of its
         partial runs, and collapse the element to a pointer."""
+        d_s = len(frames) + 1
         child_level = d_s + 1
         sort_levels = None
         if depth_limit is not None:
             sort_levels = max(0, depth_limit + 1 - child_level)
+        names_coded = codec.names is not None
         records = data_stack.pop_through(frame.loc)
-        tokens = [codec.decode(record) for record in records]
-        start_token = tokens[0]
-        assert isinstance(start_token, StartTag)
-        end_key = event.key if event.key is not None else start_token.key
-        if end_key is None:
-            end_key = MISSING_KEY
-        pos = event.pos if event.pos is not None else 0
-        region = tokens[1:]
-        if region and isinstance(region[-1], EndTag):
+        atom, pos = subtree_root_summary(records, compact, names_coded)
+        key = decode_key_atom(atom, 0)[0] if atom is not None else MISSING_KEY
+        start = records[0]
+        tag_attrs = start[2 : _skip_tag_attrs(start, 2, names_coded)]
+        region = records[1:]
+        if region and region[-1][0] == TYPE_END:
             region = region[:-1]
         texts, groups = flat_mod.groups_from_region(
-            region, compact, child_level, sort_levels, codec, device.stats,
-            self.options.merge.counted_comparisons,
+            region, compact, names_coded, child_level, sort_levels,
+            device.stats, self.options.merge.counted_comparisons,
         )
         if groups:
             self._write_partial_groups(frame, groups, store, device, report)
@@ -961,19 +889,22 @@ class NexSorter:
             level=d_s,
             fanin=flat_fan_in,
         ):
+            # The run's own records: annotations stripped, the texts
+            # joined into one, the level only in compacted mode.
+            level = encode_varint(d_s) if compact else None
             writer = store.create_writer("run_write")
-            clean_start = StartTag(
-                start_token.tag,
-                start_token.attrs,
-                level=d_s if compact else None,
-            )
-            writer.write_record(codec.encode(clean_start))
+            if compact:
+                writer.write_record(b"\x01\x04" + tag_attrs + level)
+            else:
+                writer.write_record(b"\x01\x00" + tag_attrs)
             if texts:
-                writer.write_record(
-                    codec.encode(
-                        Text("".join(texts), level=d_s if compact else None)
-                    )
+                frame_bytes = _text_frame(
+                    [text[2 : _skip_frame(text, 2)] for text in texts]
                 )
+                if compact:
+                    writer.write_record(b"\x02\x04" + frame_bytes + level)
+                else:
+                    writer.write_record(b"\x02\x00" + frame_bytes)
             for group in flat_mod.iter_merged_groups(
                 store, frame.partial_runs, flat_fan_in,
                 options=self.options.merge,
@@ -982,7 +913,10 @@ class NexSorter:
                 for token_bytes in group.token_bytes:
                     writer.write_record(token_bytes)
             if not compact:
-                writer.write_record(codec.encode(EndTag(start_token.tag)))
+                writer.write_record(
+                    b"\x03\x00"
+                    + tag_attrs[: _name_field_end(tag_attrs, 0, names_coded)]
+                )
             handle = writer.finish()
             report.flat_final_merges += 1
 
@@ -1000,7 +934,7 @@ class NexSorter:
         )
         pointer = RunPointer(
             run_id=handle.run_id,
-            key=end_key,
+            key=key,
             pos=pos,
             level=d_s if compact else None,
             element_count=real,
@@ -1008,17 +942,6 @@ class NexSorter:
         )
         data_stack.push(codec.encode(pointer))
         device.stats.record_tokens(1)
-
-
-def _encode_path_entry(location: int) -> bytes:
-    out = bytearray()
-    write_varint(out, location)
-    return bytes(out)
-
-
-def _decode_path_entry(data: bytes) -> int:
-    value, _ = read_varint(data, 0)
-    return value
 
 
 def nexsort(

@@ -18,10 +18,9 @@ key-path external merge sort" (Section 3.1).  Both paths live here:
   :func:`repro.core.columnar.emit_output_columnar`).  This is the path
   taken when a subtree approaches the ``k * t`` size bound of Section 3.
 
-Neither path decodes a token.  The token-object helpers kept here
-(:func:`build_subtree`, :func:`sort_node_tree`,
-:func:`serialize_node_tree`, :func:`count_units`) serve graceful
-degeneration (:mod:`repro.core.flat`).
+Neither path decodes a token, and there is no token-object subtree tree:
+graceful degeneration (:mod:`repro.core.flat`) sorts its child groups with
+the same raw-record kernel as the internal path.
 
 Tokens inside a finished run carry no keys or positions (they are never
 sorted again; only the RunPointer pushed back on the data stack keeps the
@@ -29,15 +28,15 @@ root's key), which is itself a small compaction.
 
 Depth-limited sorting (Section 3.2): only the top ``sort_levels`` relative
 levels have their child lists reordered; deeper levels keep document order.
-The external path implements this by giving too-deep path components the
-missing key atom, so their position tie-break preserves the original order.
+The external path implements this by giving the path components deeper
+than ``sort_levels + 1`` the missing key atom, so their position tie-break
+preserves the original order.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from ..baselines.merging import merge_to_stream
 from ..errors import CodecError, DeviceFault
@@ -54,45 +53,10 @@ from .columnar import (
     emit_output_columnar,
     fast_path_key,
     form_subtree_runs,
-    normalized_atom_bytes,
-    sort_sibling_groups,
     sort_subtree_records,
     subtree_root_summary,
 )
-from ..xml.tokens import (
-    EndTag,
-    MISSING_KEY,
-    RunPointer,
-    StartTag,
-    Text,
-    Token,
-)
-
-
-class _Node:
-    """One element (or collapsed pointer) in a subtree being sorted."""
-
-    __slots__ = ("start", "pointer", "texts", "children", "key", "pos")
-
-    def __init__(
-        self,
-        start: StartTag | None = None,
-        pointer: RunPointer | None = None,
-    ):
-        self.start = start
-        self.pointer = pointer
-        self.texts: list[str] = []
-        self.children: list[_Node] = []
-        token = start if start is not None else pointer
-        self.key = token.key if token.key is not None else MISSING_KEY
-        self.pos = token.pos if token.pos is not None else 0
-
-    @property
-    def is_pointer(self) -> bool:
-        return self.pointer is not None
-
-    def order_key(self) -> tuple:
-        return (self.key, self.pos)
+from ..xml.tokens import MISSING_KEY, Token
 
 
 @dataclass(frozen=True)
@@ -106,190 +70,6 @@ class SubtreeResult:
     root_key: tuple
     root_pos: int
     internal: bool
-
-
-def build_subtree(tokens: list[Token], compact: bool) -> _Node:
-    """Assemble the node tree of a popped subtree.
-
-    In plain mode the tokens are matched Start/End pairs; keys may travel
-    on either (end tags for subtree-evaluated criteria).  In compacted mode
-    there are no end tags and nesting is recovered from levels.
-    """
-    root: _Node | None = None
-    stack: list[_Node] = []
-    if compact:
-        levels: list[int] = []
-        for token in tokens:
-            if isinstance(token, Text):
-                if token.level is not None:
-                    while levels and levels[-1] > token.level:
-                        levels.pop()
-                        stack.pop()
-                if stack:
-                    stack[-1].texts.append(token.text)
-                continue
-            if isinstance(token, (StartTag, RunPointer)):
-                level = token.level
-                if level is None:
-                    raise CodecError("compacted token without level")
-                while levels and levels[-1] >= level:
-                    levels.pop()
-                    stack.pop()
-                node = (
-                    _Node(start=token)
-                    if isinstance(token, StartTag)
-                    else _Node(pointer=token)
-                )
-                if stack:
-                    stack[-1].children.append(node)
-                elif root is None:
-                    root = node
-                else:
-                    raise CodecError("subtree tokens have two roots")
-                if isinstance(token, StartTag):
-                    stack.append(node)
-                    levels.append(level)
-            else:
-                raise CodecError(f"unexpected token in compact subtree: "
-                                 f"{token!r}")
-    else:
-        for token in tokens:
-            if isinstance(token, StartTag):
-                node = _Node(start=token)
-                if stack:
-                    stack[-1].children.append(node)
-                elif root is None:
-                    root = node
-                else:
-                    raise CodecError("subtree tokens have two roots")
-                stack.append(node)
-            elif isinstance(token, Text):
-                if stack:
-                    stack[-1].texts.append(token.text)
-            elif isinstance(token, EndTag):
-                node = stack.pop()
-                if token.key is not None:
-                    node.key = token.key
-                if token.pos is not None:
-                    node.pos = token.pos
-            elif isinstance(token, RunPointer):
-                node = _Node(pointer=token)
-                if stack:
-                    stack[-1].children.append(node)
-                elif root is None:
-                    root = node
-                else:
-                    raise CodecError("subtree tokens have two roots")
-            else:  # pragma: no cover - defensive
-                raise CodecError(f"unexpected token {token!r}")
-        if stack:
-            raise CodecError("subtree tokens are unbalanced")
-    if root is None:
-        raise CodecError("subtree tokens contain no element")
-    return root
-
-
-_POS = struct.Struct(">Q")
-
-
-def sort_node_tree(
-    root: _Node,
-    sort_levels: int | None,
-    device_stats,
-    counted: bool = False,
-    prefix_width: int | None = None,
-) -> None:
-    """Sort every child list of a node tree by ``(key, position)``.
-
-    ``sort_levels`` limits sorting to the top levels of the subtree
-    (None = all levels).  One DFS gathers every sibling group with more
-    than one member and :func:`repro.core.columnar.argsort_groups` orders
-    all of them in one batched stable argsort over engine-normalized
-    ``key + position`` bytes (order- and equality-faithful to the
-    ``(key, pos)`` tuples).  Comparisons are charged to the CPU model -
-    analytically (``n * ceil(log2 n)`` per group) by default, or as
-    actually counted when ``counted`` is set
-    (:func:`repro.core.columnar.sort_sibling_groups`).
-    """
-    groups: list[list[_Node]] = []
-    group_keys: list[list[bytes]] = []
-    memo: dict[tuple, bytes] = {}
-    pack_pos = _POS.pack
-    work: list[tuple[_Node, int]] = [(root, 1)]
-    while work:
-        node, level = work.pop()
-        children = node.children
-        if (
-            (sort_levels is None or level <= sort_levels)
-            and len(children) > 1
-        ):
-            keys = []
-            append = keys.append
-            for child in children:
-                norm = memo.get(child.key)
-                if norm is None:
-                    norm = normalized_atom_bytes(child.key)
-                    memo[child.key] = norm
-                append(norm + pack_pos(child.pos))
-            groups.append(children)
-            group_keys.append(keys)
-        for child in children:
-            if not child.is_pointer:
-                work.append((child, level + 1))
-    sort_sibling_groups(
-        groups, group_keys, device_stats, prefix_width, counted
-    )
-
-
-def serialize_node_tree(
-    root: _Node, base_level: int, compact: bool
-) -> Iterator[Token]:
-    """Emit the sorted subtree as clean run tokens (annotations stripped)."""
-    work: list[tuple[str, _Node, int]] = [("node", root, base_level)]
-    while work:
-        kind, node, level = work.pop()
-        if kind == "end":
-            yield EndTag(node.start.tag)
-            continue
-        if node.is_pointer:
-            pointer = node.pointer
-            yield RunPointer(
-                run_id=pointer.run_id,
-                level=level if compact else None,
-                element_count=pointer.element_count,
-                payload_bytes=pointer.payload_bytes,
-            )
-            continue
-        yield StartTag(
-            node.start.tag,
-            node.start.attrs,
-            level=level if compact else None,
-        )
-        if node.texts:
-            yield Text("".join(node.texts), level=level if compact else None)
-        if not compact:
-            work.append(("end", node, level))
-        for child in reversed(node.children):
-            work.append(("node", child, level + 1))
-
-
-def count_units(tokens: Iterable[Token]) -> tuple[int, int]:
-    """(units, real elements) of a token sequence.
-
-    A unit is one element as seen by *this* sort: a start tag or a pointer
-    (the paper's ``s_i`` counts collapsed subtrees as single elements).
-    Real elements expand pointers to what their runs contain.
-    """
-    units = 0
-    real = 0
-    for token in tokens:
-        if isinstance(token, StartTag):
-            units += 1
-            real += 1
-        elif isinstance(token, RunPointer):
-            units += 1
-            real += token.element_count
-    return units, real
 
 
 class SubtreeSorter:
@@ -435,7 +215,6 @@ class SubtreeSorter:
             base_level,
             sort_levels,
             stats,
-            self.options.keys.prefix_width,
             counted=self.options.counted_comparisons,
         )
         counts.append((units, real))

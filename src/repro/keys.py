@@ -21,9 +21,13 @@ Keys are made unique among siblings by appending the element's document
 position ("if not [unique], we can make it unique by appending it with the
 element's location in the input"), which also makes every sort stable.
 
-:class:`KeyEvaluator` is the streaming annotator NEXSORT runs during its
-scan; it implements the paper's path-stack augmentation for subtree
-expressions with one small state machine per open element that needs one.
+Streaming key evaluation implements the paper's path-stack augmentation
+for subtree expressions: one constant-size frame per open element, with a
+small state machine for each element that needs one.  Its three steps -
+:func:`enter_element`, :func:`element_text` and :func:`leave_element`
+(with :func:`end_key`) - are driven over token streams by
+:class:`KeyEvaluator` and over raw stored records by NEXSORT's document
+scan.
 """
 
 from __future__ import annotations
@@ -383,29 +387,91 @@ class _PathMatchState:
 
 
 class _Frame:
-    """Per-open-element state during streaming key evaluation."""
+    """Per-open-element state during streaming key evaluation: the
+    constant-size entry the paper's augmented path stack carries."""
 
     __slots__ = (
-        "tag",
         "pos",
         "rule",
-        "start",
+        "start_key",
         "own_text",
         "matcher",
         "advanced",
     )
 
-    def __init__(self, tag: str, pos: int, rule: KeyRule, start: StartTag):
-        self.tag = tag
+    def __init__(self, pos: int, rule: KeyRule, start_key: KeyAtom | None):
         self.pos = pos
         self.rule = rule
-        self.start = start
+        # The rule's key when it is start-computable, else None.
+        self.start_key = start_key
         self.own_text: list[str] = []
         self.matcher = (
             _PathMatchState(rule) if isinstance(rule, ByChildPath) else None
         )
         # Which ancestor matchers this element advanced (to undo on close).
         self.advanced: list[_PathMatchState] = []
+
+
+# The three steps of streaming key evaluation.  ``frames`` is the caller's
+# stack of open elements; KeyEvaluator.annotate and NEXSORT's document scan
+# both drive it through these steps.
+
+
+def enter_element(
+    frames: list[_Frame],
+    tag: str,
+    rule: KeyRule,
+    start_key: KeyAtom | None,
+    pos: int,
+) -> None:
+    """An element opened: advance the ancestors' child-path matchers and
+    push its frame.  ``start_key`` is ``rule``'s key from the start tag
+    when the rule is start-computable, else None."""
+    frame = _Frame(pos, rule, start_key)
+    for depth_below, ancestor in enumerate(reversed(frames), start=1):
+        matcher = ancestor.matcher
+        if matcher is not None and matcher.enter(tag, depth_below):
+            frame.advanced.append(matcher)
+    frames.append(frame)
+
+
+def element_text(frames: list[_Frame], text: str) -> None:
+    """Text inside the innermost open element."""
+    frames[-1].own_text.append(text)
+    for frame in frames:
+        if frame.matcher is not None:
+            frame.matcher.text(text)
+
+
+def leave_element(frames: list[_Frame]) -> _Frame:
+    """The innermost element closed: pop its frame and undo the matcher
+    steps it took.  :func:`end_key` of the frame is its key."""
+    frame = frames.pop()
+    for matcher in frame.advanced:
+        matcher.leave()
+    return frame
+
+
+def end_key(frame: _Frame) -> KeyAtom:
+    """The key of a closed element, as the single pass evaluates it."""
+    rule = frame.rule
+    if rule.start_computable:
+        # Mixed spec: this rule could have keyed the start, but the
+        # spec as a whole is end-keyed, so the key travels on the end.
+        return frame.start_key
+    if isinstance(rule, ByChildPath):
+        assert frame.matcher is not None
+        return frame.matcher.key()
+    if isinstance(rule, ByText):
+        text = "".join(frame.own_text)
+        if not text:
+            return MISSING_KEY
+        return (
+            coerce_key(text)
+            if rule.numeric_coercion
+            else string_key(text)
+        )
+    raise SortSpecError(f"rule {rule!r} cannot be evaluated at end tag")
 
 
 class KeyEvaluator:
@@ -423,66 +489,37 @@ class KeyEvaluator:
 
     def annotate(self, events: Iterable[Token]) -> Iterator[Token]:
         frames: list[_Frame] = []
+        rule_for = self.spec.rule_for
+        start_keyed = self._start_computable
         next_pos = 0
         for event in events:
             if isinstance(event, StartTag):
                 pos = next_pos
                 next_pos += 1
-                frame = _Frame(
-                    event.tag, pos, self.spec.rule_for(event.tag), event
+                rule = rule_for(event.tag)
+                start_key = (
+                    rule.key_from_start(event)
+                    if rule.start_computable
+                    else None
                 )
-                # Advance ancestor ByChildPath matchers.
-                for depth_below, ancestor in enumerate(
-                    reversed(frames), start=1
-                ):
-                    matcher = ancestor.matcher
-                    if matcher is not None and matcher.enter(
-                        event.tag, depth_below
-                    ):
-                        frame.advanced.append(matcher)
-                frames.append(frame)
-                key = None
-                if self._start_computable:
-                    key = frame.rule.key_from_start(event)
+                enter_element(frames, event.tag, rule, start_key, pos)
                 yield event.with_annotations(
-                    key=key, pos=pos, level=len(frames)
+                    key=start_key if start_keyed else None,
+                    pos=pos,
+                    level=len(frames),
                 )
             elif isinstance(event, Text):
                 if frames:
-                    frames[-1].own_text.append(event.text)
-                    for frame in frames:
-                        if frame.matcher is not None:
-                            frame.matcher.text(event.text)
+                    element_text(frames, event.text)
                 yield event
             elif isinstance(event, EndTag):
-                frame = frames.pop()
-                for matcher in frame.advanced:
-                    matcher.leave()
-                key = None
-                if not self._start_computable:
-                    key = self._end_key(frame)
-                yield EndTag(event.tag, key=key, pos=frame.pos)
+                frame = leave_element(frames)
+                yield EndTag(
+                    event.tag,
+                    key=None if start_keyed else end_key(frame),
+                    pos=frame.pos,
+                )
             else:
                 raise SortSpecError(
                     f"unexpected token during key evaluation: {event!r}"
                 )
-
-    def _end_key(self, frame: _Frame) -> KeyAtom:
-        rule = frame.rule
-        if rule.start_computable:
-            # Mixed spec: this rule could have keyed the start, but the
-            # spec as a whole is end-keyed, so the key travels on the end.
-            return rule.key_from_start(frame.start)
-        if isinstance(rule, ByChildPath):
-            assert frame.matcher is not None
-            return frame.matcher.key()
-        if isinstance(rule, ByText):
-            text = "".join(frame.own_text)
-            if not text:
-                return MISSING_KEY
-            return (
-                coerce_key(text)
-                if rule.numeric_coercion
-                else string_key(text)
-            )
-        raise SortSpecError(f"rule {rule!r} cannot be evaluated at end tag")

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log2
 from typing import Callable, Iterable, Iterator
 
@@ -46,47 +46,8 @@ from ..xml.tokens import KEY_MISSING, KEY_NUMBER, KEY_STRING
 RUN_FORMATION_MODES = ("load-sort", "replacement-selection")
 MERGE_KERNELS = ("heap", "loser-tree")
 
-#: Widest key prefix the batch argsort will materialize per record.
-#: Beyond this, a prefix array stops paying for itself (the full-key
-#: tie-break handles the tail either way).
-MAX_PREFIX_WIDTH = 256
-
 _DOUBLE = struct.Struct(">d")
 _U64 = struct.Struct(">Q")
-
-
-@dataclass(frozen=True)
-class KeyOptions:
-    """Knobs of the normalized-key representation.
-
-    Attributes:
-        prefix_width: bytes of normalized key the batch argsort packs
-            into its fixed-width prefix array (argsort discriminates on
-            the prefix; equal prefixes fall back to full-key comparison).
-            Clamped to a multiple of 8 in ``[8, MAX_PREFIX_WIDTH]`` so the
-            prefix matrix views cleanly as big-endian u64 columns.
-    """
-
-    prefix_width: int = 24
-
-    def __post_init__(self):
-        if not isinstance(self.prefix_width, int):
-            raise SortSpecError(
-                f"prefix_width must be an int, got "
-                f"{type(self.prefix_width).__name__}"
-            )
-        if self.prefix_width < 1:
-            raise SortSpecError(
-                f"prefix_width must be positive, got {self.prefix_width}"
-            )
-        # Clamp rather than reject: any positive width is a valid request,
-        # the kernel just rounds it to the nearest supported geometry.
-        width = min(self.prefix_width, MAX_PREFIX_WIDTH)
-        width = ((width + 7) // 8) * 8
-        object.__setattr__(self, "prefix_width", width)
-
-
-DEFAULT_KEY_OPTIONS = KeyOptions()
 
 
 @dataclass(frozen=True)
@@ -105,7 +66,6 @@ class MergeOptions:
             *counted* comparisons - and counted in-memory sorts too).
         embedded_keys: prefix run records with a byte-comparable normalized
             key so merge passes never decode records.
-        keys: normalized-key layout knobs (:class:`KeyOptions`).
         compress: run-compression codec (``container`` or ``zlib``), or
             None to store runs uncompressed.  Compression alone changes
             only byte and CPU counters: the records, comparisons, and
@@ -120,7 +80,6 @@ class MergeOptions:
     run_formation: str = "load-sort"
     merge_kernel: str = "heap"
     embedded_keys: bool = False
-    keys: KeyOptions = field(default_factory=KeyOptions)
     compress: str | None = None
     compress_capacity: bool = False
 
@@ -565,9 +524,7 @@ class RunFormer:
             # is the one the comparison sequence actually produces.
             from ..core.columnar import argsort_keyed_batch
 
-            batch = argsort_keyed_batch(
-                batch, self.options.keys.prefix_width
-            )
+            batch = argsort_keyed_batch(batch)
             count = len(batch)
             stats.record_comparisons(count * max(1, ceil(log2(count))))
         else:

@@ -183,10 +183,11 @@ def grid_options(run_formation, merge_kernel, embedded_keys):
     )
 
 
-#: Token-scan and external-subtree shapes of NEXSORT:
+#: End-tag keys, graceful degeneration and an external root sort
+#: (the first two took NEXSORT's token scan when the results were frozen):
 #: (memory, keyword arguments of sort_traced).
 TOKEN_SCAN_CELLS = {
-    # Keys at end tags: the token scan, then an external region sort.
+    # Keys at end tags, then an external region sort.
     "text-key": (
         6, dict(fanouts=(60, 4), spec=TEXT_SPEC, text_leaves=True)
     ),

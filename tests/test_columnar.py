@@ -125,9 +125,9 @@ class TestFastPathKey:
 
 
 class TestArgsortNormalized:
-    def assert_stable_order(self, keys, width=24):
+    def assert_stable_order(self, keys):
         expected = sorted(range(len(keys)), key=keys.__getitem__)
-        assert argsort_normalized(keys, width) == expected
+        assert argsort_normalized(keys) == expected
 
     def test_small_batch_python_path(self):
         self.assert_stable_order(random_keys(500))
@@ -141,13 +141,10 @@ class TestArgsortNormalized:
 
     def test_forced_prefix_path_with_ties(self):
         keys = random_keys(3000, seed=5)
-        width = 24
         strip = columnar._common_prefix_length(keys)
-        prefix = columnar._prefix_buffer(keys, strip, width)
+        prefix = columnar._prefix_buffer(keys, strip, columnar.PREFIX_WIDTH)
         expected = sorted(range(len(keys)), key=keys.__getitem__)
-        got = argsort_normalized(
-            keys, width, strip=strip, prefix=prefix
-        )
+        got = argsort_normalized(keys, strip=strip, prefix=prefix)
         assert got == expected
 
     def test_pure_python_fallback(self, monkeypatch):
@@ -155,12 +152,12 @@ class TestArgsortNormalized:
         self.assert_stable_order(random_keys(2000))
 
     def test_empty_and_single(self):
-        assert argsort_normalized([], 24) == []
-        assert argsort_normalized([b"only"], 24) == [0]
+        assert argsort_normalized([]) == []
+        assert argsort_normalized([b"only"]) == [0]
 
     def test_stability_on_equal_keys(self):
         keys = [b"dup", b"a", b"dup", b"dup", b"a"] * 400
-        order = argsort_normalized(keys, 24)
+        order = argsort_normalized(keys)
         positions = [i for i in order if keys[i] == b"dup"]
         assert positions == sorted(positions)
 

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines import sort_element
 from repro.core import nexsort
 from repro.faults import RecoveryContext, build_faulty_device
 from repro.generators import level_fanout_events
@@ -82,7 +83,7 @@ CELLS = {
         fanouts=(60, 4, 2), depth_limit=1, compaction="full"
     ),
     "pooled": _cell(memory=10, cache_blocks=4),
-    # Keys at end tags (token scan) on dictionary-coded names.
+    # Keys at end tags on dictionary-coded names.
     "text-key/names": _cell(
         compaction="names", spec=TEXT_SPEC, text_leaves=True
     ),
@@ -190,6 +191,24 @@ def test_external_subtree_matches_reference(monkeypatch, cell):
         got = json.loads(json.dumps(run_cell(CELLS[cell])))
         for field in expected:
             assert got[field] == expected[field], (backend, field)
+
+
+@pytest.mark.parametrize(
+    "cell", ["depth-limit/0", "depth-limit/1", "depth-limit/1/full"]
+)
+def test_depth_limit_cells_match_oracle(cell):
+    """Depth-limited external subtree sorts produce the DOM oracle's
+    ``sort_element(..., depth_limit)`` document."""
+    config = CELLS[cell]
+    tree = Document.from_events(
+        RunStore(BlockDevice(block_size=512)),
+        level_fanout_events(list(config["fanouts"]), seed=3, pad_bytes=24),
+    ).to_element()
+    expected = Document.from_element(
+        RunStore(BlockDevice(block_size=512)),
+        sort_element(tree, config["spec"], depth_limit=config["depth_limit"]),
+    ).to_string()
+    assert _reference()[cell]["output_sha256"] == sha256_text(expected)
 
 
 def test_fault_cells_fault():

@@ -8,7 +8,7 @@ from repro.core.flat import (
     encode_group,
     group_sort_key,
     groups_from_region,
-    split_region,
+    split_children,
     write_partial_run,
 )
 from repro.errors import CodecError
@@ -21,6 +21,8 @@ from repro.xml.tokens import (
     Text,
     number_key,
 )
+
+CODEC = TokenCodec()
 
 
 def region_tokens():
@@ -37,9 +39,24 @@ def region_tokens():
     ]
 
 
+def region_records():
+    return CODEC.encode_batch(region_tokens())
+
+
+def split(tokens, compact):
+    """split_children of the encoded tokens, decoded back to tokens."""
+    texts, children = split_children(
+        CODEC.encode_batch(tokens), compact, False
+    )
+    return (
+        [CODEC.decode(text).text for text in texts],
+        [CODEC.decode_batch(child) for child in children],
+    )
+
+
 class TestSplitRegion:
     def test_plain_split(self):
-        texts, children = split_region(region_tokens(), compact=False)
+        texts, children = split(region_tokens(), compact=False)
         assert texts == ["frame text"]
         assert len(children) == 2
         assert isinstance(children[0][0], StartTag)
@@ -52,7 +69,7 @@ class TestSplitRegion:
             EndTag("b", pos=2),
             EndTag("a", pos=1),
         ]
-        _texts, children = split_region(tokens, compact=False)
+        _texts, children = split(tokens, compact=False)
         assert len(children) == 1
         assert len(children[0]) == 4
 
@@ -64,7 +81,7 @@ class TestSplitRegion:
             StartTag("b", pos=2, level=4),
             StartTag("c", key=number_key(9), pos=3, level=3),
         ]
-        texts, children = split_region(tokens, compact=True)
+        texts, children = split(tokens, compact=True)
         assert texts == ["frame"]
         assert len(children) == 2
         assert len(children[0]) == 3  # a, its text, b
@@ -72,7 +89,7 @@ class TestSplitRegion:
     def test_open_child_rejected(self):
         tokens = [StartTag("a", pos=1)]  # no matching end
         with pytest.raises(CodecError):
-            split_region(tokens, compact=False)
+            split(tokens, compact=False)
 
 
 class TestGroupCodec:
@@ -101,9 +118,9 @@ class TestGroupsFromRegion:
         device = BlockDevice(block_size=256)
         codec = TokenCodec()
         texts, groups = groups_from_region(
-            region_tokens(), False, 2, None, codec, device.stats
+            region_records(), False, False, 2, None, device.stats
         )
-        assert texts == ["frame text"]
+        assert [codec.decode(text).text for text in texts] == ["frame text"]
         assert [g.key for g in groups] == [number_key(1), number_key(2)]
         # The pointer child contributes its run's element count.
         assert groups[0].real == 5
@@ -112,9 +129,8 @@ class TestGroupsFromRegion:
     def test_partial_run_round_trip(self):
         device = BlockDevice(block_size=256)
         store = RunStore(device)
-        codec = TokenCodec()
         _texts, groups = groups_from_region(
-            region_tokens(), False, 2, None, codec, device.stats
+            region_records(), False, False, 2, None, device.stats
         )
         handle = write_partial_run(store, groups)
         decoded = [
@@ -135,7 +151,7 @@ class TestGroupsFromRegion:
             EndTag("parent", pos=1),
         ]
         _texts, groups = groups_from_region(
-            tokens, False, 2, None, codec, device.stats
+            codec.encode_batch(tokens), False, False, 2, None, device.stats
         )
         decoded = [codec.decode(b) for b in groups[0].token_bytes]
         inner_tags = [

@@ -328,20 +328,17 @@ class TestNormalizedKeyEdgeCases:
         )
 
     def test_keys_longer_than_prefix_tiebreak_on_tail(self):
-        from repro.core.columnar import argsort_normalized
-        from repro.merge.engine import (
-            DEFAULT_KEY_OPTIONS,
-            normalized_path_key,
-        )
+        from repro.core.columnar import PREFIX_WIDTH, argsort_normalized
+        from repro.merge.engine import normalized_path_key
 
-        width = DEFAULT_KEY_OPTIONS.prefix_width
+        width = PREFIX_WIDTH
         shared = "x" * (width + 8)  # identical well past the prefix
         keys = [
             normalized_path_key((((KEY_STRING, shared + tail), 0),))
             for tail in ("d", "b", "c", "a", "b")
         ]
         assert all(len(key) > width for key in keys)
-        order = argsort_normalized(keys, width)
+        order = argsort_normalized(keys)
         assert order == sorted(range(len(keys)), key=keys.__getitem__)
         # Stability: the two equal keys keep input order.
         assert order.index(1) < order.index(4)
@@ -367,38 +364,3 @@ class TestNormalizedKeyEdgeCases:
         child_key = normalized_path_key(child)
         assert child_key.startswith(parent_key)
         assert parent_key < child_key
-
-
-class TestKeyOptions:
-    def test_default_width(self):
-        from repro.merge.engine import KeyOptions
-
-        assert KeyOptions().prefix_width == 24
-
-    @pytest.mark.parametrize(
-        "requested,clamped",
-        [(1, 8), (8, 8), (9, 16), (24, 24), (25, 32)],
-    )
-    def test_width_rounds_up_to_multiple_of_8(self, requested, clamped):
-        from repro.merge.engine import KeyOptions
-
-        assert KeyOptions(prefix_width=requested).prefix_width == clamped
-
-    def test_width_clamped_to_maximum(self):
-        from repro.merge.engine import KeyOptions, MAX_PREFIX_WIDTH
-
-        huge = KeyOptions(prefix_width=10**6)
-        assert huge.prefix_width == MAX_PREFIX_WIDTH
-
-    @pytest.mark.parametrize("bad", [0, -1, -24])
-    def test_nonpositive_width_rejected(self, bad):
-        from repro.merge.engine import KeyOptions
-
-        with pytest.raises(SortSpecError):
-            KeyOptions(prefix_width=bad)
-
-    def test_non_int_width_rejected(self):
-        from repro.merge.engine import KeyOptions
-
-        with pytest.raises(SortSpecError):
-            KeyOptions(prefix_width=24.0)

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import is_fully_sorted, sort_element
 from repro.core import NexSorter, NexsortOptions, nexsort
 from repro.errors import SortSpecError
+from repro.generators import level_fanout_events
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByChildPath, ByText, SortSpec
 from repro.xml import CompactionConfig, Document, Element
@@ -125,11 +126,56 @@ class TestComplexCriteria:
             run_nexsort(tree, spec, compaction=CompactionConfig())
 
 
+def _depth_limit_cases():
+    """(shape, depth_limit, flat_optimization) with readable ids."""
+    cases = []
+    for shape in ("random", "external", "flat"):
+        limits = (0, 1, 2, 3) if shape == "random" else (0, 1, 2)
+        for depth_limit in limits:
+            for flat in (False, True):
+                parts = [] if shape == "random" else [shape]
+                parts.append(str(depth_limit))
+                if flat:
+                    parts.append("flat")
+                cases.append(
+                    pytest.param(
+                        shape, depth_limit, flat, id="-".join(parts)
+                    )
+                )
+    return cases
+
+
+def _depth_limit_shape(shape):
+    """(tree, block size, memory blocks) of one oracle shape: a random
+    tree; a (60, 4, 2) fan-out tree whose root subtree is sorted
+    externally; a flat 400-child tree that graceful degeneration
+    flushes."""
+    if shape == "random":
+        return random_tree(11, depth=5, max_fanout=4), 256, 8
+    fanouts, memory = ([60, 4, 2], 6) if shape == "external" else ([400], 8)
+    document = Document.from_events(
+        RunStore(BlockDevice(block_size=512)),
+        level_fanout_events(fanouts, seed=3, pad_bytes=24),
+    )
+    return document.to_element(), 512, memory
+
+
 class TestDepthLimited:
-    @pytest.mark.parametrize("depth_limit", [1, 2, 3])
-    def test_matches_depth_limited_oracle(self, spec, depth_limit):
-        tree = random_tree(11, depth=5, max_fanout=4)
-        result, _report = run_nexsort(tree, spec, depth_limit=depth_limit)
+    @pytest.mark.parametrize(
+        "shape,depth_limit,flat", _depth_limit_cases()
+    )
+    def test_matches_depth_limited_oracle(
+        self, spec, shape, depth_limit, flat
+    ):
+        tree, block_size, memory = _depth_limit_shape(shape)
+        store = RunStore(BlockDevice(block_size=block_size))
+        result, _report = nexsort(
+            Document.from_element(store, tree),
+            spec,
+            memory_blocks=memory,
+            depth_limit=depth_limit,
+            flat_optimization=flat,
+        )
         assert result.to_element() == sort_element(
             tree, spec, depth_limit=depth_limit
         )

@@ -11,18 +11,19 @@ from repro.baselines.keypath import (
     encode_record,
     records_from_annotated_events,
 )
-from repro.core.columnar import fast_path_key, form_subtree_runs
-from repro.core.subtree import (
-    SubtreeSorter,
-    build_subtree,
-    count_units,
-    serialize_node_tree,
-    sort_node_tree,
+from repro.core.columnar import (
+    _parse_subtree_compact,
+    _parse_subtree_plain,
+    fast_path_key,
+    form_subtree_runs,
+    sort_subtree_records,
 )
+from repro.core.subtree import SubtreeSorter
 from repro.errors import CodecError, ReproError, SortSpecError
 from repro.io import BlockDevice, RunStore
 from repro.merge.engine import MergeOptions, normalized_path_key
 from repro.xml import TokenCodec
+from repro.xml.codec import decode_key_atom
 from repro.xml.compact import NameDictionary, restore_end_tags
 from repro.xml.tokens import (
     EndTag,
@@ -54,17 +55,56 @@ def plain_tokens():
     ]
 
 
+def parse_subtree(tokens, compact):
+    """The raw-record node tree of the encoded tokens."""
+    records = TokenCodec().encode_batch(tokens)
+    parse = _parse_subtree_compact if compact else _parse_subtree_plain
+    root, _units, _real = parse(records, False)
+    return root
+
+
+def key_of(node):
+    return decode_key_atom(node.atom, 0)[0] if node.atom else MISSING_KEY
+
+
+def sorted_tokens(tokens, sort_levels=None, compact=False, base_level=1):
+    """(run tokens, units, real, stats) of an internal subtree sort."""
+    device = BlockDevice(block_size=256)
+    codec = TokenCodec()
+    out, units, real = sort_subtree_records(
+        codec.encode_batch(tokens), compact, False, base_level,
+        sort_levels, device.stats,
+    )
+    return codec.decode_batch(out), units, real, device.stats
+
+
+def unit_counts(tokens):
+    """(units, real elements) of a token sequence: a unit is a start
+    or a pointer; real elements expand pointers."""
+    units = real = 0
+    for token in tokens:
+        if isinstance(token, StartTag):
+            units += 1
+            real += 1
+        elif isinstance(token, RunPointer):
+            units += 1
+            real += token.element_count
+    return units, real
+
+
 class TestBuildSubtree:
+    """Parsing popped records into the raw-record node tree."""
+
     def test_plain_structure(self):
-        root = build_subtree(plain_tokens(), compact=False)
-        assert root.start.tag == "r"
-        assert [c.key for c in root.children] == [
+        root = parse_subtree(plain_tokens(), compact=False)
+        assert root.tag_attrs == TokenCodec().encode(StartTag("r"))[2:]
+        assert [key_of(c) for c in root.children] == [
             number_key(2),
             number_key(9),
             number_key(1),
         ]
-        assert root.children[1].is_pointer
-        assert root.children[0].texts == ["t"]
+        assert root.children[1].body is not None  # the pointer
+        assert root.children[0].texts == b"\x01t"
 
     def test_compact_structure(self):
         tokens = [
@@ -77,75 +117,82 @@ class TestBuildSubtree:
             ),
             StartTag("b", key=number_key(1), pos=3, level=4),
         ]
-        root = build_subtree(tokens, compact=True)
+        root = parse_subtree(tokens, compact=True)
         assert len(root.children) == 3
-        assert root.children[1].is_pointer
+        assert root.children[1].body is not None
 
     def test_end_tag_keys_override(self):
         tokens = [
             StartTag("r", pos=0),
             EndTag("r", key=string_key("late"), pos=0),
         ]
-        root = build_subtree(tokens, compact=False)
-        assert root.key == string_key("late")
+        root = parse_subtree(tokens, compact=False)
+        assert key_of(root) == string_key("late")
 
     def test_unbalanced_rejected(self):
         with pytest.raises(CodecError):
-            build_subtree([StartTag("r")], compact=False)
+            parse_subtree([StartTag("r")], compact=False)
 
     def test_two_roots_rejected(self):
         tokens = [
             StartTag("a"), EndTag("a"), StartTag("b"), EndTag("b")
         ]
         with pytest.raises(CodecError):
-            build_subtree(tokens, compact=False)
+            parse_subtree(tokens, compact=False)
 
     def test_compact_without_levels_rejected(self):
         with pytest.raises(CodecError):
-            build_subtree([StartTag("r")], compact=True)
+            parse_subtree([StartTag("r")], compact=True)
 
 
 class TestSortAndSerialize:
     def test_sorting_orders_children(self):
-        device = BlockDevice(block_size=256)
-        root = build_subtree(plain_tokens(), compact=False)
-        sort_node_tree(root, None, device.stats)
-        assert [c.key for c in root.children] == [
-            number_key(1),
-            number_key(2),
-            number_key(9),
+        tokens, _units, _real, stats = sorted_tokens(plain_tokens())
+        # Children by key: b (1), a (2), the pointer (9).
+        assert tokens == [
+            StartTag("r"),
+            StartTag("b"),
+            EndTag("b"),
+            StartTag("a"),
+            Text("t"),
+            EndTag("a"),
+            RunPointer(run_id=7, element_count=4, payload_bytes=100),
+            EndTag("r"),
         ]
-        assert device.stats.comparisons > 0
+        assert stats.comparisons > 0
 
     def test_sort_levels_zero_keeps_order(self):
-        device = BlockDevice(block_size=256)
-        root = build_subtree(plain_tokens(), compact=False)
-        sort_node_tree(root, 0, device.stats)
-        assert [c.key for c in root.children] == [
-            number_key(2),
-            number_key(9),
-            number_key(1),
+        tokens, _units, _real, stats = sorted_tokens(
+            plain_tokens(), sort_levels=0
+        )
+        children = [
+            t.tag if isinstance(t, StartTag) else "pointer"
+            for t in tokens[1:]
+            if isinstance(t, (StartTag, RunPointer))
         ]
+        assert children == ["a", "pointer", "b"]
+        assert stats.comparisons == 0
 
     def test_serialize_strips_annotations(self):
-        root = build_subtree(plain_tokens(), compact=False)
-        tokens = list(serialize_node_tree(root, 1, compact=False))
+        tokens, _units, _real, _stats = sorted_tokens(plain_tokens())
         for token in tokens:
-            if isinstance(token, (StartTag, EndTag)):
+            if isinstance(token, (StartTag, EndTag, RunPointer)):
                 assert token.key is None
                 assert token.pos is None
 
     def test_serialize_compact_has_levels_no_ends(self):
-        root = build_subtree(plain_tokens(), compact=False)
-        tokens = list(serialize_node_tree(root, 5, compact=True))
+        tokens, _units, _real, _stats = sorted_tokens(
+            compact_subtree_tokens(plain_tokens()),
+            compact=True,
+            base_level=5,
+        )
         assert not any(isinstance(t, EndTag) for t in tokens)
         starts = [t for t in tokens if isinstance(t, StartTag)]
         assert starts[0].level == 5
         assert all(s.level == 6 for s in starts[1:])
 
     def test_serialize_preserves_pointer_counts(self):
-        root = build_subtree(plain_tokens(), compact=False)
-        tokens = list(serialize_node_tree(root, 1, compact=False))
+        tokens, _units, _real, _stats = sorted_tokens(plain_tokens())
         pointer = [t for t in tokens if isinstance(t, RunPointer)][0]
         assert pointer.element_count == 4
         assert pointer.run_id == 7
@@ -153,9 +200,10 @@ class TestSortAndSerialize:
 
 class TestHelpers:
     def test_count_units(self):
-        units, real = count_units(plain_tokens())
+        _tokens, units, real, _stats = sorted_tokens(plain_tokens())
         assert units == 4  # r, a, pointer, b
         assert real == 3 + 4  # three real starts + pointer's 4 elements
+        assert (units, real) == unit_counts(plain_tokens())
 
 
 class TestSorterDispatch:
@@ -322,14 +370,19 @@ class TestFormSubtreeRuns:
         ]
 
     def test_sort_levels_mask_deep_components(self):
-        added, _counts, _charges = form(plain_tokens(), sort_levels=1)
-        # Root (depth 1) keeps its key; children (depth 2) are masked.
-        paths = [decode_record(record).path for _key, record in added]
-        assert all(path[0] == (number_key(5), 0) for path in paths)
-        assert [len(path) for path in paths] == [2, 2, 2, 1]
-        assert all(
-            atom == MISSING_KEY for path in paths for atom, _ in path[1:]
-        )
+        """A component orders the child list above it: only depths
+        ``2 .. sort_levels + 1`` keep their keys."""
+        tokens = sibling_case("wide-siblings")  # three levels, no MISSING
+        for sort_levels in (0, 1, 2):
+            added, _counts, _charges = form(tokens, sort_levels=sort_levels)
+            depths = set()
+            for _key, record in added:
+                path = decode_record(record).path
+                for depth, (atom, _pos) in enumerate(path, start=1):
+                    depths.add(depth)
+                    kept = 2 <= depth <= sort_levels + 1
+                    assert (atom != MISSING_KEY) == kept, (sort_levels, depth)
+            assert depths == {1, 2, 3}
 
     @pytest.mark.parametrize("name", SIBLING_CASES)
     @pytest.mark.parametrize("compact", [False, True])
@@ -348,7 +401,7 @@ class TestFormSubtreeRuns:
         ]
         assert added == expected
         assert charges == [1] * len(expected)
-        assert counts == count_units(tokens)
+        assert counts == unit_counts(tokens)
         # The keys double as merge sidecars: they must be what the merge
         # would compute from the records.
         assert [key for key, _ in added] == [
@@ -369,16 +422,16 @@ class TestColumnarSiblingGroups:
     def test_sort_node_tree_kernel_parity(
         self, monkeypatch, name, sort_levels
     ):
+        """The raw-record node tree sorts and serializes exactly as the
+        retired token-object tree did."""
         expected = scalar_reference(f"sibling/{name}/{sort_levels}")
-        codec = TokenCodec()
+        records = TokenCodec().encode_batch(sibling_case(name))
         for _backend in each_argsort_backend(monkeypatch):
             device = BlockDevice(block_size=256)
-            root = build_subtree(sibling_case(name), compact=False)
-            sort_node_tree(root, sort_levels, device.stats)
-            tokens = serialize_node_tree(root, 1, compact=False)
-            assert sha256_records(codec.encode_batch(tokens)) == (
-                expected["tokens_sha256"]
+            out, _units, _real = sort_subtree_records(
+                records, False, False, 1, sort_levels, device.stats
             )
+            assert sha256_records(out) == expected["tokens_sha256"]
             assert device.stats.comparisons == expected["comparisons"]
 
     @pytest.mark.parametrize("name", SIBLING_CASES)
@@ -497,11 +550,10 @@ def test_internal_and_external_subtree_sorts_agree():
 
     Covered: plain and names-coded input, keys on end tags, pointer
     children, and compacted mode, each fully sorted and with
-    ``sort_levels=0``.  In compacted mode the external path writes texts
-    without a level while the internal path writes the owning element's
-    level (both restore the same document); the runs are compared with
-    text levels ignored.  With ``sort_levels >= 1`` the paths differ: the
-    external path leaves the child lists of level ``sort_levels`` unsorted.
+    ``sort_levels`` 0 and 1.  In compacted mode the external path writes
+    texts without a level while the internal path writes the owning
+    element's level (both restore the same document); the runs are
+    compared with text levels ignored.
     """
     cases = [
         ("plain", plain_tokens(), False, None),
@@ -540,7 +592,7 @@ def test_internal_and_external_subtree_sorts_agree():
         return out, result
 
     for label, tokens, compact, names in cases:
-        for sort_levels in (None, 0):
+        for sort_levels in (None, 0, 1):
             internal, internal_result = run_tokens(
                 tokens, compact, names, 10**6, sort_levels
             )
