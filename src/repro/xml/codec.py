@@ -123,9 +123,14 @@ def encode_varint(value: int) -> bytes:
     carry private copies (:mod:`repro.xml.compact`'s frame cache, the
     run-compression layer) all frame through here.
     """
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     out = bytearray()
     write_varint(out, value)
     return bytes(out)
+
+
+_ONE_BYTE = [bytes([value]) for value in range(0x80)]
 
 
 def _write_string(out: bytearray, value: str) -> None:
@@ -150,6 +155,13 @@ def _write_name(out: bytearray, name: str, names) -> None:
         # encoded form of every id, so dictionary-coded encoding never
         # re-serializes an integer (hot in compacted scans).
         out += names.intern_frame(name)
+
+
+def encode_name(name: str, names=None) -> bytes:
+    """One name field (string frame, or dictionary id) as bytes."""
+    out = bytearray()
+    _write_name(out, name, names)
+    return bytes(out)
 
 
 def _read_name(data: bytes, pos: int, names) -> tuple[str, int]:
@@ -193,6 +205,89 @@ def encode_tag_attrs(tag: str, attrs, names=None) -> bytes:
     out = bytearray()
     write_tag_attrs(out, tag, attrs, names)
     return bytes(out)
+
+
+# -- offset skippers: walk the record grammar without decoding it. --------
+#
+# Unchecked like read_varint_fast: truncated input raises IndexError, which
+# callers turn into CodecError at their own boundary.
+
+
+def _skip_frame(data: bytes, pos: int) -> int:
+    """End offset of a length-framed field starting at ``pos``."""
+    length = data[pos]
+    pos += 1
+    if length >= 0x80:
+        length, pos = read_varint_fast(data, pos - 1)
+    return pos + length
+
+
+def _skip_varint(data: bytes, pos: int) -> int:
+    """End offset of a varint starting at ``pos``."""
+    while data[pos] >= 0x80:
+        pos += 1
+    return pos + 1
+
+
+def _name_field_end(data: bytes, pos: int, names_coded: bool) -> int:
+    """End offset of one encoded name (id varint or string frame)."""
+    if names_coded:
+        return _skip_varint(data, pos)
+    return _skip_frame(data, pos)
+
+
+def _skip_tag_attrs(data: bytes, pos: int, names_coded: bool) -> int:
+    """End offset of a record's tag+attributes fields starting at ``pos``."""
+    if names_coded:
+        pos = _skip_varint(data, pos)  # tag id
+        count, pos = read_varint_fast(data, pos)
+        for _ in range(count):
+            pos = _skip_varint(data, pos)  # attr name id
+            pos = _skip_frame(data, pos)  # attr value
+        return pos
+    pos = _skip_frame(data, pos)  # tag
+    count, pos = read_varint_fast(data, pos)
+    for _ in range(count):
+        pos = _skip_frame(data, pos)  # attr name
+        pos = _skip_frame(data, pos)  # attr value
+    return pos
+
+
+def _skip_atom(data: bytes, pos: int) -> int:
+    """End offset of one codec-encoded key atom starting at ``pos``."""
+    kind = data[pos]
+    pos += 1
+    if kind == 0:
+        return pos
+    if kind == 1:
+        return pos + 8
+    if kind == 2:
+        return _skip_frame(data, pos)
+    raise CodecError(f"unknown key atom kind {kind}")
+
+
+def record_level(record: bytes, names_coded: bool) -> int | None:
+    """The level annotation of an encoded start, text or pointer record
+    (None when it carries none)."""
+    flags = record[1]
+    if not flags & 4:
+        return None
+    token_type = record[0]
+    if token_type == TYPE_TEXT:
+        return read_varint_fast(record, _skip_frame(record, 2))[0]
+    if token_type == TYPE_START:
+        pos = _skip_tag_attrs(record, 2, names_coded)
+    elif token_type == TYPE_POINTER:
+        pos = _skip_varint(record, 2)  # run_id
+        pos = _skip_varint(record, pos)  # element_count
+        pos = _skip_varint(record, pos)  # payload_bytes
+    else:
+        raise CodecError(f"record type {token_type} carries no level")
+    if flags & 1:
+        pos = _skip_atom(record, pos)
+    if flags & 2:
+        pos = _skip_varint(record, pos)
+    return read_varint_fast(record, pos)[0]
 
 
 def encode_key_atom(out: bytearray, atom: tuple) -> None:

@@ -32,9 +32,8 @@ class NameDictionary:
 
     Besides the id mapping itself, the dictionary caches the LEB128
     *frame* (encoded varint) of every id: encoding a dictionary-coded
-    name is then one dict probe plus one cached-bytes append, and batch
-    decoders index straight into the id table.  The byte-record kernels
-    lean on both (:mod:`repro.core.columnar`).
+    name is then one dict probe plus one cached-bytes append, which the
+    byte-record kernels (:mod:`repro.core.columnar`) lean on.
     """
 
     def __init__(self, names: Iterable[str] = ()):
@@ -61,27 +60,11 @@ class NameDictionary:
             name_id = self.intern(name)
         return self._frames[name_id]
 
-    def id_frame(self, name_id: int) -> bytes:
-        """The encoded varint of an already-assigned id."""
-        try:
-            return self._frames[name_id]
-        except IndexError:
-            raise CodecError(f"unknown name id {name_id}") from None
-
     def lookup(self, name_id: int) -> str:
         try:
             return self._by_id[name_id]
         except IndexError:
             raise CodecError(f"unknown name id {name_id}") from None
-
-    def names_of(self, name_ids: Iterable[int]) -> list[str]:
-        """Batch id -> name lookup (one bounds check per batch)."""
-        table = self._by_id
-        try:
-            return [table[name_id] for name_id in name_ids]
-        except IndexError:
-            bad = [i for i in name_ids if i >= len(table)]
-            raise CodecError(f"unknown name id {bad[0]}") from None
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -1,10 +1,17 @@
 """Disk-resident XML documents.
 
 A :class:`Document` is a token stream stored on the simulated block device
-(one record per token), plus the structural metadata the analysis needs
-(element count ``N``, maximum fan-out ``k``, height).  Scanning a document
-costs real, counted block reads - this is the ``O(N/B)`` "reading the input"
-term of Theorem 4.5.
+(one codec record per token), plus the structural metadata the analysis
+needs (element count ``N``, maximum fan-out ``k``, height).  Scanning a
+document costs real, counted block reads - this is the ``O(N/B)`` "reading
+the input" term of Theorem 4.5.
+
+Text is loaded and emitted without token objects: :meth:`from_string` and
+:meth:`from_file` write the tokenizer's constructs straight to the records
+``TokenCodec.encode`` would build (one start record memoized per distinct
+raw tag), measuring the document on the way, and :meth:`to_string`
+serializes straight from the records.  :meth:`from_events` and
+:meth:`from_element` keep the token path for generators and trees.
 
 Documents can be stored plain or compacted
 (:class:`~repro.xml.compact.CompactionConfig`); either way,
@@ -21,12 +28,18 @@ from typing import Iterable, Iterator
 from ..errors import XMLSyntaxError
 from ..io.device import BlockDevice
 from ..io.runs import RunHandle, RunStore
-from .codec import TokenCodec
+from .codec import TokenCodec, encode_name, encode_varint, write_tag_attrs
 from .compact import CompactionConfig, eliminate_end_tags, restore_end_tags
 from .model import Element
-from .parser import parse_events
+from .parser import START, TEXT, tokenize
+from .streaming import DEFAULT_CHUNK_CHARS, read_chunks
 from .tokens import EndTag, StartTag, Text, Token
-from .writer import events_to_string
+from .writer import record_pieces, serialize
+
+#: Distinct raw tags whose start records the loader remembers at once.
+_MEMO_LIMIT = 1 << 13
+#: Records the loader buffers per framing call.
+_BATCH = 1024
 
 
 @dataclass
@@ -153,8 +166,9 @@ class Document:
         category: str = "load",
     ) -> "Document":
         """Parse XML text and store it as a document."""
-        return cls.from_events(
-            store, parse_events(text), compaction, category
+        return cls(
+            store, *_store(store, tokenize((text,)), compaction, category),
+            compaction,
         )
 
     @classmethod
@@ -166,23 +180,12 @@ class Document:
         category: str = "load",
         chunk_chars: int | None = None,
     ) -> "Document":
-        """Stream an XML file onto the device without loading it whole.
-
-        Uses the incremental tokenizer, so memory stays bounded by the
-        chunk size regardless of file size.
-        """
-        from .streaming import DEFAULT_CHUNK_CHARS, parse_events_incremental
-
+        """Stream an XML file onto the device without loading it whole:
+        memory stays bounded by the chunk size regardless of file size."""
         with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_events(
-                store,
-                parse_events_incremental(
-                    handle,
-                    chunk_chars=chunk_chars or DEFAULT_CHUNK_CHARS,
-                ),
-                compaction,
-                category,
-            )
+            chunks = read_chunks(handle, chunk_chars or DEFAULT_CHUNK_CHARS)
+            stored = _store(store, tokenize(chunks), compaction, category)
+        return cls(store, *stored, compaction)
 
     @classmethod
     def from_element(
@@ -219,8 +222,18 @@ class Document:
     def to_string(
         self, indent: str | None = None, category: str = "export"
     ) -> str:
-        """Serialize the document back to XML text."""
-        return events_to_string(self.iter_events(category), indent=indent)
+        """Serialize the document back to XML text, straight from its
+        records (same text as ``events_to_string(iter_events())``)."""
+        reader = self.store.open_reader(self.handle, category=category)
+        return serialize(
+            record_pieces(
+                _record_batches(reader),
+                self.codec.names,
+                self.compaction is not None
+                and self.compaction.eliminate_end_tags,
+            ),
+            indent,
+        )
 
     def free(self) -> None:
         """Release the document's blocks (bookkeeping only)."""
@@ -231,3 +244,86 @@ class Document:
             f"Document(N={self.element_count}, k={self.max_fanout}, "
             f"height={self.height}, blocks={self.block_count})"
         )
+
+
+def _record_batches(reader):
+    """A reader's records in lists, loading blocks exactly when
+    ``read_record`` would."""
+    while True:
+        batch = reader.read_available_records()
+        if not batch:
+            record = reader.read_record()
+            if record is None:
+                return
+            batch = [record]
+        yield batch
+
+
+def _store(
+    store: RunStore, constructs, compaction: CompactionConfig | None, category
+) -> tuple[RunHandle, DocumentStats]:
+    """Write tokenizer constructs as records, measuring on the way: the
+    bytes and name-interning order ``from_events`` has for their tokens."""
+    names = compaction.names if compaction else None
+    levels = compaction is not None and compaction.eliminate_end_tags
+    writer = store.create_writer(category)
+    start_head = b"\x01\x04" if levels else b"\x01\x00"
+    text_head = b"\x02\x04" if levels else b"\x02\x00"
+    starts: dict[str, bytes] = {}  # raw tag -> start record (no level)
+    ends: dict[str, bytes] = {}  # name -> end record
+    open_children: list[int] = []  # children so far, per open element
+    out: list[bytes] = []
+    append = out.append
+    root = ""
+    elements = texts = height = fanout = depth = 0
+    for construct in constructs:
+        kind = construct[0]
+        name = None  # set when an element closes
+        if kind == START:
+            record = starts.get(construct[1])
+            if record is None:
+                head = bytearray(start_head)
+                write_tag_attrs(head, construct[2], construct[3], names)
+                record = bytes(head)
+                if len(starts) >= _MEMO_LIMIT:
+                    starts.clear()
+                starts[construct[1]] = record
+            if depth:
+                children = open_children[-1] + 1
+                open_children[-1] = children
+                if children > fanout:
+                    fanout = children
+            else:
+                root = construct[2]
+            elements += 1
+            depth += 1
+            if depth > height:
+                height = depth
+            append(record + encode_varint(depth) if levels else record)
+            if construct[4]:
+                name = construct[2]
+                depth -= 1
+            else:
+                open_children.append(0)
+        elif kind == TEXT:
+            texts += 1
+            data = construct[1].encode("utf-8")
+            record = text_head + encode_varint(len(data)) + data
+            if levels:
+                record += encode_varint(depth)
+            append(record)
+        else:
+            name = construct[1]
+            open_children.pop()
+            depth -= 1
+        if name is not None and not levels:
+            record = ends.get(name)
+            if record is None:
+                record = ends[name] = b"\x03\x00" + encode_name(name, names)
+            append(record)
+        if len(out) >= _BATCH:
+            writer.write_records(out)
+            out.clear()
+    writer.write_records(out)
+    stats = DocumentStats(elements, fanout, height, texts, root)
+    return writer.finish(), stats

@@ -1,12 +1,28 @@
-"""Unit and property tests for the streaming XML parser."""
+"""Unit and property tests for the XML tokenizer."""
+
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import XMLSyntaxError
-from repro.xml import Element, element_to_string, parse_events
+from repro.xml import (
+    Element,
+    element_to_string,
+    parse_events,
+    parse_events_incremental,
+)
 from repro.xml.tokens import EndTag, StartTag, Text
+
+#: Character references that are not well-formed or denote no character.
+MALFORMED_REFERENCES = [
+    "&#xZZ;",
+    "&#;",
+    "&#-5;",
+    "&#x110000;",
+    "&#99999999999;",
+]
 
 
 def events(text, **kwargs):
@@ -123,14 +139,57 @@ class TestErrors:
         with pytest.raises(XMLSyntaxError):
             events(bad)
 
-    def test_error_carries_line_number(self):
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            events,
+            lambda text: list(parse_events_incremental(StringIO(text))),
+            lambda text: list(
+                parse_events_incremental(StringIO(text), chunk_chars=2)
+            ),
+        ],
+        ids=["one-shot", "incremental", "incremental-chunk-2"],
+    )
+    def test_error_carries_line_number(self, parse):
         with pytest.raises(XMLSyntaxError) as info:
-            events("<a>\n<b>\n</a>")
+            parse("<a>\n<b>\n</a>")
         assert info.value.line == 3
+        assert info.value.position == 8
 
     def test_text_outside_root_rejected(self):
         with pytest.raises(XMLSyntaxError):
             events("<a/>trailing")
+
+    @pytest.mark.parametrize("reference", MALFORMED_REFERENCES)
+    @pytest.mark.parametrize("where", ["text", "attribute"])
+    def test_malformed_character_reference_is_a_syntax_error(
+        self, reference, where
+    ):
+        text = (
+            f"<a>\nx{reference}</a>"
+            if where == "text"
+            else f'<a>\n<b v="{reference}"/></a>'
+        )
+        with pytest.raises(XMLSyntaxError) as info:
+            events(text)
+        assert info.value.line == 2
+
+    def test_reference_to_an_illegal_character_rejected(self):
+        for reference in ("&#0;", "&#xD800;", "&#xFFFE;"):
+            with pytest.raises(XMLSyntaxError):
+                events(f"<a>{reference}</a>")
+
+
+class TestByteOrderMark:
+    def test_leading_bom_is_skipped(self):
+        assert events("\ufeff<a/>") == events("<a/>")
+
+    def test_only_one_leading_bom(self):
+        with pytest.raises(XMLSyntaxError):
+            events("\ufeff\ufeff<a/>")
+
+    def test_bom_inside_the_root_is_text(self):
+        assert events("<a>\ufeff</a>")[1] == Text("\ufeff")
 
 
 @st.composite
