@@ -14,7 +14,13 @@ Two merge kernels are available (:class:`~repro.merge.engine.MergeOptions`):
 
 * ``heap`` (default, paper-faithful): ``heapq`` over ``(key, index)``
   entries; CPU accounting charges the analytic ``ceil(log2 w)`` comparisons
-  per record moved, exactly as the seed did.
+  per record moved, exactly as the seed did.  When every input run carries
+  a key sidecar (the normalized keys captured when the run was written) the
+  pass is *replayed* from one stable sort of the sidecars instead
+  (:func:`~repro.core.columnar.replay_merge`): the same reads, frees and
+  per-record comparison charges at the same points, so every counter -
+  the simulated clock a striped device reads at each access included - is
+  the heap loop's, on either argsort backend.
 * ``loser-tree``: a tournament tree that performs - and *counts* - at most
   ``ceil(log2 w)`` real comparisons per record, reading each input run as
   its own sequential stream for honest seek accounting.
@@ -29,30 +35,22 @@ from __future__ import annotations
 import heapq
 from itertools import islice
 from math import ceil, log2
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from ..core.columnar import (
     batch_keys_for,
     fast_path_key,
-    have_numpy,
     keyed_puller,
     merge_sidecars,
     record_puller,
     replay_merge,
-    replay_merge_to_writer,
     run_sidecar,
 )
 from ..errors import DeviceFault, RunError
 from ..io.parallel import MergePrefetcher, supports_prefetch
 from ..io.runs import RunHandle, RunStore
 from ..obs.tracer import Tracer, maybe_span
-from ..merge.engine import (
-    DEFAULT_MERGE_OPTIONS,
-    LoserTree,
-    MergeOptions,
-    embedded_key_of,
-    sort_with_accounting,
-)
+from ..merge.engine import LoserTree, MergeOptions, embedded_key_of
 
 #: Records per grouped writer call when a merge pass writes its output.
 _WRITE_CHUNK = 1024
@@ -89,31 +87,23 @@ def _merge_pass_heap(
 ) -> Iterator[bytes]:
     if not runs:
         return
-    device = store.device
-    comparisons_per_record = max(1, ceil(log2(len(runs)))) if len(
-        runs
-    ) > 1 else 0
-    if len(runs) > 1 and have_numpy():
-        # Vectorized replay: when every input run carries a key sidecar,
-        # the merged order is one stable argsort of the concatenated
-        # sidecars (a heap merge with (key, run-index) tie-break IS the
-        # stable sort of the run-order concatenation), and the pass just
-        # replays record pulls in that order.  Pull interleaving, free
-        # timing, and charge totals match the heap loop below exactly.
-        sidecars = merge_sidecars(store, runs, key_of)
-        if sidecars is not None:
-            readers = [
-                store.open_reader(run, category=read_category)
-                for run in runs
-            ]
-            yield from replay_merge(
-                store, runs, readers, sidecars, comparisons_per_record,
-                keyed=keyed,
-            )
-            return
+    comparisons_per_record = ceil(log2(len(runs)))
+    sidecars = merge_sidecars(store, runs, key_of)
     readers = [
         store.open_reader(run, category=read_category) for run in runs
     ]
+    if sidecars is not None:
+        # Replay: when every input run carries a key sidecar, the merged
+        # order is one stable sort of the concatenated sidecars (a heap
+        # merge with (key, run-index) tie-break IS the stable sort of the
+        # run-order concatenation), and the pass just replays record
+        # pulls in that order.  Pulls, frees and the per-record
+        # comparison charges land exactly where the loop below puts them.
+        yield from replay_merge(
+            store, runs, readers, sidecars, comparisons_per_record,
+            keyed=keyed,
+        )
+        return
     # Drain each reader's buffered block in one batched parse and compute
     # its keys in one batch call (or serve them straight from the run's
     # sidecar when present).  Block loads still happen at the pull index
@@ -130,7 +120,7 @@ def _merge_pass_heap(
         if entry is not None:
             heap.append((entry[0], index, entry[1]))
     heapq.heapify(heap)
-    stats = device.stats
+    stats = store.device.stats
     heappop = heapq.heappop
     heappush = heapq.heappush
     while heap:
@@ -240,71 +230,17 @@ def _merged_group(
     """
     # Capture the output run's key sidecar while writing: the merged
     # stream already knows every record's normalized key, so the next
-    # pass over this run can skip key evaluation (or replay outright).
-    # Only the two normalized-bytes key functions qualify - custom keys
-    # would poison later sidecar consumers.
+    # pass over this run replays instead of re-evaluating keys.  Only the
+    # two normalized-bytes key functions qualify - custom keys would
+    # poison later sidecar consumers.
     collect = key_of is fast_path_key or key_of is embedded_key_of
-    if recovery is None:
-        if (
-            collect
-            and (options is None or not options.loser_tree)
-            and store.pool is None
-            and len(group) > 1
-            and have_numpy()
-        ):
-            # Heap kernel only: the loser tree *counts* its tournament
-            # comparisons and reads each run as its own stream, neither
-            # of which a replay reproduces.
-            sidecars = merge_sidecars(store, group, key_of)
-            if sidecars is not None:
-                # Fully-replayed materialized pass: merged order from the
-                # sidecar argsort, grouped reads and writes, and the
-                # output sidecar comes straight from the sorted keys.
-                writer = store.create_writer(write_category)
-                readers = [
-                    store.open_reader(run, category=read_category)
-                    for run in group
-                ]
-                keys = replay_merge_to_writer(
-                    store, group, readers, sidecars,
-                    max(1, ceil(log2(len(group)))), writer, _WRITE_CHUNK,
-                )
-                handle = writer.finish()
-                store.key_sidecars[handle.run_id] = keys
-                return handle
-        writer = store.create_writer(write_category)
-        stream = merge_pass(
-            store, group, key_of, read_category, options, keyed=collect
-        )
-        keys: list = []
-        if store.pool is None:
-            # Grouped writer calls reorder output writes relative to the
-            # merge's input reads.  Without a shared buffer pool (eviction
-            # order observes the global access sequence) or a recovery
-            # context (fault points interact with the partial writer
-            # state) that reordering is invisible to every counter: each
-            # stream's own access sequence - and every per-category fault
-            # trigger index - is unchanged.
-            while True:
-                batch = list(islice(stream, _WRITE_CHUNK))
-                if not batch:
-                    break
-                if collect:
-                    keys.extend(entry[0] for entry in batch)
-                    writer.write_records([entry[1] for entry in batch])
-                else:
-                    writer.write_records(batch)
-        elif collect:
-            for key, record in stream:
-                keys.append(key)
-                writer.write_record(record)
-        else:
-            for record in stream:
-                writer.write_record(record)
-        handle = writer.finish()
-        if collect:
-            store.key_sidecars[handle.run_id] = keys
-        return handle
+    # Grouped writer calls reorder output writes relative to the merge's
+    # input reads.  Without a shared buffer pool (eviction order observes
+    # the global access sequence) or a recovery context (fault points
+    # interact with the partial writer state) that reordering is
+    # invisible to every counter: each stream's own access sequence - and
+    # every per-category fault trigger index - is unchanged.
+    chunk = _WRITE_CHUNK if store.pool is None and recovery is None else 1
 
     def attempt_once() -> RunHandle:
         writer = store.create_writer(write_category)
@@ -314,13 +250,11 @@ def _merged_group(
                 store, group, key_of, read_category, options,
                 keyed=collect,
             )
-            if collect:
-                for key, record in stream:
-                    writer.write_record(record)
-                    keys.append(key)
-            else:
-                for record in stream:
-                    writer.write_record(record)
+            while batch := list(islice(stream, chunk)):
+                if collect:
+                    keys.extend(key for key, _record in batch)
+                    batch = [record for _key, record in batch]
+                writer.write_records(batch)
         except DeviceFault:
             writer.abandon()
             raise
@@ -329,9 +263,76 @@ def _merged_group(
             store.key_sidecars[handle.run_id] = keys
         return handle
 
+    if recovery is None:
+        return attempt_once()
     handle = recovery.attempt(phase, unit, attempt_once, device=store.device)
     recovery.checkpoint(phase, unit, run_id=handle.run_id)
     return handle
+
+
+def _merge_down(
+    store: RunStore,
+    runs: list[RunHandle],
+    key_of: Callable[[bytes], object],
+    fan_in: int,
+    target: int,
+    read_category: str,
+    write_category: str,
+    options: MergeOptions | None,
+    tracer: Tracer | None,
+    recovery,
+) -> tuple[list[RunHandle], int]:
+    """Materialized merge passes until at most ``target`` runs remain.
+
+    A full pass merges every ``fan_in`` consecutive runs.  With
+    ``target > 1`` under the loser-tree kernel the first pass is partial
+    (new merge engine only, so the default pass structure stays
+    bit-identical): it merges just enough head groups to bring the run
+    count down to exactly ``fan_in``, and the tail runs skip
+    materialization.  Groups stay contiguous and in run order, so ties
+    still resolve by original run index and the output matches the
+    full-pass kernels record for record.  A partial pass copies a
+    one-run group instead of carrying it over, and with more than
+    ``fan_in ** 2`` runs its head groups run out of runs: the groups
+    past the end write empty runs, and full passes follow.  Returns
+    (runs, passes).
+    """
+    if fan_in < 2:
+        raise RunError(f"fan-in must be at least 2, got {fan_in}")
+    passes = 0
+    current = list(runs)
+    partial = target > 1 and options is not None and options.loser_tree
+    while len(current) > target:
+        passes += 1
+        span = dict(index=passes, fanin=fan_in, runs=len(current))
+        if partial:
+            excess = len(current) - fan_in
+            group_count = ceil(excess / (fan_in - 1))
+            sizes = [excess - (group_count - 1) * (fan_in - 1) + 1]
+            sizes += [fan_in] * (group_count - 1)
+            span["partial"] = True
+        else:
+            sizes = [fan_in] * ceil(len(current) / fan_in)
+        with maybe_span(tracer, "merge-pass", **span):
+            merged: list[RunHandle] = []
+            start = 0
+            for size in sizes:
+                group = current[start : start + size]
+                start += size
+                if len(group) == 1 and not partial:
+                    merged.append(group[0])
+                    continue
+                merged.append(
+                    _merged_group(
+                        store, group, key_of, read_category,
+                        write_category, options, recovery,
+                        f"merge-pass-{passes}", len(merged),
+                    )
+                )
+            merged.extend(current[start:])
+            current = merged
+        partial = False
+    return current, passes
 
 
 def merge_to_single_run(
@@ -346,32 +347,12 @@ def merge_to_single_run(
     recovery=None,
 ) -> tuple[RunHandle, int]:
     """Repeatedly merge until one run remains; returns (run, passes)."""
-    if fan_in < 2:
-        raise RunError(f"fan-in must be at least 2, got {fan_in}")
-    if not runs:
+    current, passes = _merge_down(
+        store, runs, key_of, fan_in, 1, read_category, write_category,
+        options, tracer, recovery,
+    )
+    if not current:
         raise RunError("nothing to merge")
-    passes = 0
-    current = list(runs)
-    while len(current) > 1:
-        passes += 1
-        with maybe_span(
-            tracer, "merge-pass",
-            index=passes, fanin=fan_in, runs=len(current),
-        ):
-            merged: list[RunHandle] = []
-            for group_start in range(0, len(current), fan_in):
-                group = current[group_start : group_start + fan_in]
-                if len(group) == 1:
-                    merged.append(group[0])
-                    continue
-                merged.append(
-                    _merged_group(
-                        store, group, key_of, read_category,
-                        write_category, options, recovery,
-                        f"merge-pass-{passes}", len(merged),
-                    )
-                )
-            current = merged
     return current[0], passes
 
 
@@ -396,62 +377,10 @@ def merge_to_stream(
     ``fan_in``, and the rest flow unmaterialized into the final merge.
     Returns (record iterator, materialized passes, final merge width).
     """
-    if fan_in < 2:
-        raise RunError(f"fan-in must be at least 2, got {fan_in}")
-    passes = 0
-    current = list(runs)
-    partial = options is not None and options.loser_tree
-    if partial and len(current) > fan_in:
-        # Partial-pass scheduling (new merge engine only, so the default
-        # pass structure stays bit-identical): one pass merges just
-        # enough head groups to bring the run count down to exactly
-        # ``fan_in``; the tail runs skip materialization and go straight
-        # into the streamed final merge.  Groups stay contiguous and in
-        # run order, so ties still resolve by original run index and the
-        # output matches the full-pass kernels record for record.
-        passes += 1
-        with maybe_span(
-            tracer, "merge-pass",
-            index=passes, fanin=fan_in, runs=len(current), partial=True,
-        ):
-            excess = len(current) - fan_in
-            group_count = ceil(excess / (fan_in - 1))
-            sizes = [excess - (group_count - 1) * (fan_in - 1) + 1]
-            sizes += [fan_in] * (group_count - 1)
-            merged = []
-            start = 0
-            for size in sizes:
-                group = current[start : start + size]
-                start += size
-                merged.append(
-                    _merged_group(
-                        store, group, key_of, read_category,
-                        write_category, options, recovery,
-                        f"merge-pass-{passes}", len(merged),
-                    )
-                )
-            merged.extend(current[start:])
-            current = merged
-    while len(current) > fan_in:
-        passes += 1
-        with maybe_span(
-            tracer, "merge-pass",
-            index=passes, fanin=fan_in, runs=len(current),
-        ):
-            merged: list[RunHandle] = []
-            for group_start in range(0, len(current), fan_in):
-                group = current[group_start : group_start + fan_in]
-                if len(group) == 1:
-                    merged.append(group[0])
-                    continue
-                merged.append(
-                    _merged_group(
-                        store, group, key_of, read_category,
-                        write_category, options, recovery,
-                        f"merge-pass-{passes}", len(merged),
-                    )
-                )
-            current = merged
+    current, passes = _merge_down(
+        store, runs, key_of, fan_in, fan_in, read_category,
+        write_category, options, tracer, recovery,
+    )
     width = len(current)
     if tracer is not None:
         # The final merge streams lazily; its I/O lands in whichever span
@@ -471,28 +400,3 @@ def _drained(reader) -> Iterator[bytes]:
         if record is None:
             return
         yield record
-
-
-def write_sorted_run(
-    store: RunStore,
-    records: Iterable[bytes],
-    key_of: Callable[[bytes], object],
-    write_category: str = "merge_write",
-    options: MergeOptions | None = None,
-) -> RunHandle:
-    """Sort a batch of records in memory and write it as one run.
-
-    Charges ``n * ceil(log2 n)`` comparisons - the standard in-memory sort
-    bound - unless ``options`` selects counted accounting, in which case
-    the comparisons the sort actually performed are recorded instead.
-    """
-    if options is None:
-        options = DEFAULT_MERGE_OPTIONS
-    batch = list(records)
-    sort_with_accounting(
-        batch, key_of, store.device.stats, options.counted_comparisons
-    )
-    store.device.stats.record_tokens(len(batch))
-    writer = store.create_writer(write_category)
-    writer.write_records(batch)
-    return writer.finish()

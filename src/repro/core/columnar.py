@@ -14,6 +14,8 @@ pieces:
   decode tags/attributes/text);
 * :func:`record_puller` / :func:`keyed_puller` - block-drain batched run
   reading for the heap and loser-tree merge kernels;
+* :func:`replay_merge` - a heap merge pass replayed from the runs' key
+  sidecars, reading, freeing and charging where the heap loop does;
 * :func:`form_runs_columnar` / :func:`emit_output_columnar` - fused block
   encode/decode of the token format for the external merge sort scan and
   output phases, covering plain, dictionary-coded, and end-tag-eliminated
@@ -88,8 +90,7 @@ _VARINT1 = [bytes([value]) for value in range(128)]
 
 #: Bytes of normalized key the numpy argsort packs into its fixed-width
 #: prefix array (equal prefixes fall back to a full-key comparison, so
-#: the width changes speed, never order).  A multiple of 8, so the
-#: prefix matrix views cleanly as big-endian u64 columns.
+#: the width changes speed, never order).
 PREFIX_WIDTH = 24
 
 #: Batches smaller than this sort faster with the pure-Python stable
@@ -231,36 +232,17 @@ def _common_prefix_length(keys: list[bytes]) -> int:
     return len(prefix)
 
 
-def _prefix_buffer(keys: list[bytes], strip: int, width: int):
-    """The contiguous zero-padded prefix matrix (numpy or bytearray)."""
-    end = strip + width
-    if _np is None:
-        padded = b"".join(
-            key[strip:end].ljust(width, b"\x00") for key in keys
-        )
-        return bytearray(padded)
-    # numpy's S-dtype constructor truncates long entries and NUL-pads
-    # short ones - exactly the ljust window above, built in C.
-    trimmed = [key[strip:end] for key in keys] if strip else keys
-    rows = _np.array(trimmed, dtype=f"S{width}")
-    return rows.view(_np.uint8).reshape(len(keys), width)
+def argsort_normalized(keys: list[bytes]) -> list[int]:
+    """Stable argsort of normalized-key bytes via a fixed-width prefix.
 
-
-def argsort_normalized(
-    keys: list[bytes],
-    strip: int | None = None,
-    prefix=None,
-) -> list[int]:
-    """Stable argsort of normalized-key bytes via the prefix matrix.
-
-    With numpy: the zero-padded prefix matrix is viewed as one
-    fixed-width bytes (``S<width>``) column and ordered with a single
-    stable ``argsort`` - numpy's bytes comparison is memcmp with
-    lowest-ranked implicit trailing NULs, exactly the order of the
-    zero-padded prefixes; groups of rows with identical padded prefixes
-    are then re-ordered by their full keys with a stable Python sort.
-    Without numpy
-    the whole argsort falls back to a stable sort on the full keys.
+    With numpy: the zero-padded key prefixes form one fixed-width bytes
+    (``S<width>``) column, ordered with a single stable ``argsort`` -
+    numpy's bytes comparison is memcmp with lowest-ranked implicit
+    trailing NULs, exactly the order of the zero-padded prefixes; groups
+    of rows with identical padded prefixes are then re-ordered by their
+    full keys with a stable Python sort.  Without numpy (or below
+    ``_SMALL_ARGSORT`` keys) the whole argsort is a stable sort on the
+    full keys.
     Either way the result equals the order a stable ``list.sort`` of the
     keys produces, which is what keeps run contents bit-identical to the
     paper's record-at-a-time sort.
@@ -268,17 +250,19 @@ def argsort_normalized(
     n = len(keys)
     if n <= 1:
         return list(range(n))
-    if _np is None or (n < _SMALL_ARGSORT and prefix is None):
+    if _np is None or n < _SMALL_ARGSORT:
         # Below a few hundred rows the fixed numpy dispatch overhead
         # (buffer build, argsort setup) loses to a straight stable sort
         # of the bytes keys; the order is identical either way.
         return sorted(range(n), key=keys.__getitem__)
-    width = PREFIX_WIDTH
-    if strip is None:
-        strip = _common_prefix_length(keys)
-    if prefix is None:
-        prefix = _prefix_buffer(keys, strip, width)
-    rows = prefix.view(f"S{width}").ravel()
+    strip = _common_prefix_length(keys)
+    end = strip + PREFIX_WIDTH
+    # numpy's S-dtype constructor truncates long entries and NUL-pads
+    # short ones: one zero-padded prefix window per key, built in C.
+    rows = _np.array(
+        [key[strip:end] for key in keys] if strip else keys,
+        dtype=f"S{PREFIX_WIDTH}",
+    )
     order = rows.argsort(kind="stable")
     # Tie-break equal padded prefixes on the full key.  The argsort is
     # stable, so rows inside a tie group arrive in ascending original
@@ -531,8 +515,8 @@ def merge_sidecars(store, runs, key_of) -> list[list] | None:
     return sidecars
 
 
-def _replay_order(runs, sidecars):
-    """(concatenated keys, merged order, run index per merged record).
+def _replay_order(sidecars):
+    """(concatenated keys, merged order, run index per concatenated key).
 
     A k-way merge of sorted runs with the heap's ``(key, run index)``
     tie-break is exactly a *stable sort* of the runs' concatenation in
@@ -543,44 +527,12 @@ def _replay_order(runs, sidecars):
     argsort cannot exploit presortedness).
     """
     all_keys: list[bytes] = []
-    for keys in sidecars:
+    run_ids: list[int] = []
+    for index, keys in enumerate(sidecars):
         all_keys.extend(keys)
+        run_ids.extend([index] * len(keys))
     order = sorted(range(len(all_keys)), key=all_keys.__getitem__)
-    counts = [len(keys) for keys in sidecars]
-    if _np is not None:
-        run_of = _np.repeat(
-            _np.arange(len(runs), dtype=_np.int64), counts
-        )[_np.asarray(order, dtype=_np.int64)].tolist()
-    else:
-        ids: list[int] = []
-        for index, count in enumerate(counts):
-            ids.extend([index] * count)
-        run_of = [ids[j] for j in order]
-    return all_keys, order, run_of
-
-
-def _replay_heads(readers):
-    """Initial head record of every reader, pulled in index order.
-
-    Matches the heap merge's heapify-time reads: one ``read_record``
-    per reader, loading each run's first block in run order.  Returns
-    (heads, queues, indices) - the inlined drain state the replay loops
-    advance without closure calls.
-    """
-    heads: list = []
-    queues: list = []
-    indices: list[int] = []
-    for reader in readers:
-        queue = reader.read_available_records()
-        if queue:
-            heads.append(queue[0])
-            queues.append(queue)
-            indices.append(1)
-        else:
-            heads.append(reader.read_record())
-            queues.append(())
-            indices.append(0)
-    return heads, queues, indices
+    return all_keys, order, run_ids
 
 
 def replay_merge(
@@ -597,132 +549,72 @@ def replay_merge(
     (:func:`_replay_order`), the merge just *replays* record pulls in
     the merged order.  No per-record key evaluation, no heap ops.
 
-    Counter parity with the heap merge loop:
+    Indistinguishable from the heap merge loop on every counter, the
+    simulated clock included:
 
     * records are pulled from each run strictly sequentially, and the
       *global* interleaving of pulls across runs is the merged order -
       identical to the heap's, so the shared merge-read stream sees the
       same access sequence (same seq/random judgments, same pool
-      evictions, same fault trigger points); each run's next block load
-      still fires right after its current record is emitted, exactly
+      evictions, same fault trigger points); each run's first block
+      loads in run order before the first record, and its next block
+      load fires right after its current record is emitted, exactly
       when the heap would refill;
     * runs are freed at the pull that discovers their exhaustion, never
       at init, matching the heap (empty runs are never freed by either);
-    * the analytic ``ceil(log2 w)`` charge per emitted record is flushed
-      incrementally on exit, so a device fault or early close mid-merge
-      leaves exactly the heap loop's charge total.
+    * the analytic ``ceil(log2 w)`` comparisons are charged before each
+      record is yielded, where the heap loop charges them, so a device
+      that reads the CPU clock at every access (a striped device's stall
+      time) sees the same clock at every access.
     """
-    all_keys, order, run_of = _replay_order(runs, sidecars)
-    heads, queues, indices = _replay_heads(readers)
+    all_keys, order, run_ids = _replay_order(sidecars)
+    # Inlined drain state per run: the head record, its block's parsed
+    # records, and the index of the next one.
+    heads: list = []
+    queues: list = []
+    indices: list[int] = []
+    for reader in readers:
+        queue = reader.read_available_records()
+        if queue:
+            heads.append(queue[0])
+            queues.append(queue)
+            indices.append(1)
+        else:
+            heads.append(reader.read_record())
+            queues.append(())
+            indices.append(0)
     stats = store.device.stats
+    charge = stats.record_merge_comparisons
     free = store.free
-    yielded = 0
-    try:
-        steps = zip(order, run_of) if keyed else run_of
-        for step in steps:
-            if keyed:
-                j, r = step
+    for j in order:
+        r = run_ids[j]
+        record = heads[r]
+        if record is None:
+            raise RunError("merge key sidecar out of sync with run contents")
+        if comparisons_per_record:
+            charge(comparisons_per_record)
+        if keyed:
+            yield all_keys[j], record
+        else:
+            yield record
+        index = indices[r]
+        queue = queues[r]
+        if index < len(queue):
+            heads[r] = queue[index]
+            indices[r] = index + 1
+        else:
+            reader = readers[r]
+            queue = reader.read_available_records()
+            if queue:
+                heads[r] = queue[0]
+                queues[r] = queue
+                indices[r] = 1
             else:
-                r = step
-            record = heads[r]
-            if record is None:
-                raise RunError(
-                    "merge key sidecar out of sync with run contents"
-                )
-            yielded += 1
-            if keyed:
-                yield all_keys[j], record
-            else:
-                yield record
-            index = indices[r]
-            queue = queues[r]
-            if index < len(queue):
-                heads[r] = queue[index]
-                indices[r] = index + 1
-            else:
-                reader = readers[r]
-                queue = reader.read_available_records()
-                if queue:
-                    heads[r] = queue[0]
-                    queues[r] = queue
-                    indices[r] = 1
-                else:
-                    head = reader.read_record()
-                    heads[r] = head
-                    if head is None:
-                        free(runs[r])
-    finally:
-        if comparisons_per_record and yielded:
-            stats.record_merge_comparisons(
-                comparisons_per_record * yielded
-            )
+                head = reader.read_record()
+                heads[r] = head
+                if head is None:
+                    free(runs[r])
     stats.record_tokens(sum(run.record_count for run in runs))
-
-
-def replay_merge_to_writer(
-    store,
-    runs,
-    readers,
-    sidecars,
-    comparisons_per_record: int,
-    writer,
-    chunk_records: int,
-) -> list[bytes]:
-    """Materialized merge pass, fully replayed into grouped writer calls.
-
-    The no-pool, no-recovery fast path of a materialized heap-kernel
-    merge: observationally identical to consuming :func:`replay_merge`
-    through ``chunk_records``-sized ``write_records`` groups, minus the
-    generator machinery.  Returns the output run's key sidecar (the
-    merged key order) - no per-record key collection needed.
-    """
-    all_keys, order, run_of = _replay_order(runs, sidecars)
-    heads, queues, indices = _replay_heads(readers)
-    stats = store.device.stats
-    free = store.free
-    write_records = writer.write_records
-    out: list[bytes] = []
-    append = out.append
-    emitted = 0
-    try:
-        for r in run_of:
-            record = heads[r]
-            if record is None:
-                raise RunError(
-                    "merge key sidecar out of sync with run contents"
-                )
-            emitted += 1
-            append(record)
-            if len(out) >= chunk_records:
-                write_records(out)
-                out = []
-                append = out.append
-            index = indices[r]
-            queue = queues[r]
-            if index < len(queue):
-                heads[r] = queue[index]
-                indices[r] = index + 1
-            else:
-                reader = readers[r]
-                queue = reader.read_available_records()
-                if queue:
-                    heads[r] = queue[0]
-                    queues[r] = queue
-                    indices[r] = 1
-                else:
-                    head = reader.read_record()
-                    heads[r] = head
-                    if head is None:
-                        free(runs[r])
-        if out:
-            write_records(out)
-    finally:
-        if comparisons_per_record and emitted:
-            stats.record_merge_comparisons(
-                comparisons_per_record * emitted
-            )
-    stats.record_tokens(sum(run.record_count for run in runs))
-    return [all_keys[j] for j in order]
 
 
 # -- fused scan: stored tokens -> key-path records -> run formation -----------

@@ -272,13 +272,6 @@ class SubtreeSorter:
             if span is not None:
                 span.set(runs=len(runs))
         self.run_lengths.extend(former.run_lengths)
-        if not embedded:
-            # Without embedded keys the first merge pass has always run
-            # the record-at-a-time heap, charging comparisons as records
-            # move; a pass replayed from key sidecars charges them at its
-            # end, which a striped device's stall clock observes.
-            for run in runs:
-                self.store.key_sidecars.pop(run.run_id, None)
 
         key_of = embedded_key_of if embedded else fast_path_key
         stream, _passes, _width = merge_to_stream(

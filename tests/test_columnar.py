@@ -28,7 +28,7 @@ from repro.core.columnar import (
     run_sidecar,
 )
 from repro.errors import CodecError
-from repro.io import BlockDevice, RunStore
+from repro.io import BlockDevice, RunStore, StripedDevice
 from repro.keys import ByAttribute, KeyEvaluator, SortSpec
 from repro.merge.engine import (
     MergeOptions,
@@ -53,8 +53,19 @@ XML = (
 )
 
 
-def sample_records():
-    annotated = KeyEvaluator(SPEC).annotate(parse_events(XML))
+#: Enough records for 18+ runs, so a 3-way merge takes three passes or more.
+WIDE_XML = (
+    '<site name="root">'
+    + "".join(
+        f'<region name="r{i * 37 % 50}"><city name="c{i % 7}"/></region>'
+        for i in range(60)
+    )
+    + "</site>"
+)
+
+
+def sample_records(xml=XML):
+    annotated = KeyEvaluator(SPEC).annotate(parse_events(xml))
     return [
         encode_record(record)
         for record in records_from_annotated_events(annotated)
@@ -139,13 +150,11 @@ class TestArgsortNormalized:
             random_keys(columnar._SMALL_ARGSORT + 1000)
         )
 
-    def test_forced_prefix_path_with_ties(self):
-        keys = random_keys(3000, seed=5)
-        strip = columnar._common_prefix_length(keys)
-        prefix = columnar._prefix_buffer(keys, strip, columnar.PREFIX_WIDTH)
-        expected = sorted(range(len(keys)), key=keys.__getitem__)
-        got = argsort_normalized(keys, strip=strip, prefix=prefix)
-        assert got == expected
+    def test_forced_prefix_path_with_ties(self, monkeypatch):
+        # No small-batch cutoff: a 3000-key batch takes the prefix
+        # argsort (with numpy) and its tie-group re-sort.
+        monkeypatch.setattr(columnar, "_SMALL_ARGSORT", 0)
+        self.assert_stable_order(random_keys(3000, seed=5))
 
     def test_pure_python_fallback(self, monkeypatch):
         monkeypatch.setattr(columnar, "_np", None)
@@ -162,11 +171,10 @@ class TestArgsortNormalized:
         assert positions == sorted(positions)
 
 
-def form_runs(options, capacity_bytes=220):
-    device = BlockDevice(block_size=128)
-    store = RunStore(device)
+def form_runs(options, capacity_bytes=220, device=None, xml=XML):
+    store = RunStore(device or BlockDevice(block_size=128))
     former = RunFormer(store, capacity_bytes, options)
-    records = sample_records()
+    records = sample_records(xml)
     for record in records:
         key = fast_path_key(record)
         payload = (
@@ -280,6 +288,50 @@ class TestReplayMerge:
             for merged_store in (store, store2):
                 totals = merged_store.device.stats.snapshot().counter_totals()
                 assert totals == expected["counters"]
+
+    @pytest.mark.parametrize("materialized", [False, True])
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_striped_clock_equals_heap_merge(
+        self, monkeypatch, embedded, materialized
+    ):
+        """A replayed pass charges its comparisons where the heap loop
+        does, record by record, so a striped device - which reads the
+        CPU clock at every access - sees the same stall and overlap
+        time whether the pass replays or runs the heap."""
+        from repro.baselines.merging import merge_pass, merge_to_single_run
+        from repro.merge.engine import embedded_key_of
+
+        options = MergeOptions(embedded_keys=embedded)
+        key_of = embedded_key_of if embedded else fast_path_key
+
+        def drive(keep_sidecars):
+            store, runs = form_runs(
+                options,
+                device=StripedDevice(disks=2, block_size=128),
+                xml=WIDE_XML,
+            )
+            assert len(runs) > 9
+            if not keep_sidecars:
+                store.key_sidecars.clear()
+            if materialized:
+                run, _passes = merge_to_single_run(
+                    store, runs, key_of, fan_in=3, options=options
+                )
+                totals = store.device.stats.snapshot().counter_totals()
+                records = list(store.open_reader(run))
+            else:
+                records = list(
+                    merge_pass(store, runs, key_of, options=options)
+                )
+                totals = store.device.stats.snapshot().counter_totals()
+            return records, totals
+
+        for _backend in each_argsort_backend(monkeypatch):
+            replayed, replayed_totals = drive(keep_sidecars=True)
+            heap, heap_totals = drive(keep_sidecars=False)
+            assert replayed == heap
+            assert replayed_totals["stall_seconds"] > 0
+            assert replayed_totals == heap_totals
 
 
 class TestFusedScan:

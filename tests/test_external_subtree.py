@@ -181,12 +181,9 @@ def test_reference_covers_every_cell():
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_external_subtree_matches_reference(monkeypatch, cell):
-    frozen = dict(_reference()[cell])
-    assert frozen["external_sorts"] > 0
-    fallback = frozen.pop("python_backend", {})
-    by_backend = {"numpy": frozen, "python": {**frozen, **fallback}}
+    expected = _reference()[cell]
+    assert expected["external_sorts"] > 0
     for backend in each_argsort_backend(monkeypatch):
-        expected = by_backend[backend]
         # JSON turns phase tuples into lists; compare in that form.
         got = json.loads(json.dumps(run_cell(CELLS[cell])))
         for field in expected:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines import merge_pass, merge_to_single_run, merge_to_stream
-from repro.baselines.merging import write_sorted_run
 from repro.errors import RunError
 from repro.io import BlockDevice, RunStore
 
@@ -110,17 +109,3 @@ class TestMultiPass:
         # 30 -> 8 -> 2 -> 1
         assert passes == 3
 
-
-class TestWriteSortedRun:
-    def test_sorts_before_writing(self):
-        _, store = make_store()
-        records = [value.to_bytes(4, "big") for value in [5, 1, 4, 2, 3]]
-        handle = write_sorted_run(store, records, key_of)
-        assert read_values(store, handle) == [1, 2, 3, 4, 5]
-
-    def test_charges_comparisons(self):
-        device, store = make_store()
-        records = [value.to_bytes(4, "big") for value in range(100)]
-        before = device.stats.comparisons
-        write_sorted_run(store, records, key_of)
-        assert device.stats.comparisons >= before + 100
