@@ -3,11 +3,12 @@
 The paper's generators produce uniform shapes; real exchanged XML (the
 auction-site workload of the XMark benchmark family) mixes wide fan-outs,
 deep personalia paths, text, and skewed subtree sizes.  This bench runs
-all three sorters on such a document and checks that the advisor's
-recommendation holds up outside the paper's synthetic shapes.
+all three sorters on such a document and checks that the planner's pick
+(the plan ``repro sort --plan auto`` and ``repro analyze`` print) holds up
+outside the paper's synthetic shapes.
 """
 
-from repro.analysis import recommend
+from repro.analysis import Planner, profile_document
 from repro.baselines import xsort
 from repro.bench import (
     bench_scale,
@@ -30,7 +31,11 @@ def _run():
     spec = auction_spec()
 
     document = load_document(_events())
-    verdict = recommend(document, MEMORY_BLOCKS)
+    plan = Planner(
+        profile_document(document),
+        memory_blocks=MEMORY_BLOCKS,
+        block_size=document.device.block_size,
+    ).choose(fixed={"memory_blocks": MEMORY_BLOCKS, "disks": 1})
 
     doc = load_document(_events())
     _out, nexsort_report = nexsort(doc, spec, memory_blocks=MEMORY_BLOCKS)
@@ -46,11 +51,11 @@ def _run():
     merge_metrics = run_merge_sort(
         _events, memory_blocks=MEMORY_BLOCKS, spec=spec
     )
-    return document, verdict, nexsort_report, xsort_stats, merge_metrics
+    return document, plan, nexsort_report, xsort_stats, merge_metrics
 
 
 def test_realistic_auction_workload(benchmark):
-    document, verdict, nexsort_report, xsort_stats, merge_metrics = (
+    document, plan, nexsort_report, xsort_stats, merge_metrics = (
         benchmark.pedantic(_run, rounds=1, iterations=1)
     )
 
@@ -81,8 +86,9 @@ def test_realistic_auction_workload(benchmark):
         notes=[
             f"document: {document.element_count} elements, height "
             f"{document.height}, max fan-out {document.max_fanout}",
-            f"advisor recommends: {verdict.algorithm} (on the paper's "
-            "I/O-count metric)",
+            f"planner picks: {plan.config.algorithm} (predicted "
+            f"{plan.cost.total_seconds:.3f} s, "
+            f"{plan.cost.total_ios:.0f} I/Os)",
             "NEXSORT wins the I/O count; on this small, pointer-dense "
             "document the output phase's run-to-run jumps are seek-heavy, "
             "so the simulated-time winner depends on the disk model - the "
@@ -91,9 +97,9 @@ def test_realistic_auction_workload(benchmark):
         ],
     )
 
-    # The advisor picks NEXSORT on this hierarchical document, and
+    # The planner picks NEXSORT on this hierarchical document, and
     # NEXSORT indeed wins on the paper's primary metric (block I/Os).
-    assert verdict.algorithm == "nexsort"
+    assert plan.config.algorithm == "nexsort"
     assert nexsort_report.total_ios < merge_metrics.total_ios
     # XSort (one level) is the cheapest, as the related work predicts.
     assert xsort_stats.elapsed_seconds() < nexsort_report.simulated_seconds

@@ -1,31 +1,22 @@
-"""Workload profiling and algorithm selection.
+"""Workload profiling: the document statistics the planner prices.
 
 The paper's evaluation establishes *when* each algorithm wins: NEXSORT on
 hierarchical documents (Figures 5-7), external merge sort on flat ones
-(Figure 7 at height 2), with the sort threshold best near twice the block
-size.  This module packages those findings as a profiler and an advisor,
-so a downstream user can ask "which sorter, with which knobs, for this
-document?" and get the paper's answer together with the predicted costs.
-
-The advisor answers the paper's narrow Figure-7 question; the full
-knob-grid planner built on top of the same :class:`DocumentProfile`
-lives in :mod:`repro.analysis.planner`.
+(Figure 7 at height 2).  What decides it is the document's shape - size,
+height, fan-outs, subtree sizes per level - which this module measures
+(:func:`profile_document`, one counted scan) or derives analytically
+(:meth:`DocumentProfile.from_fanouts`).  The choice of sorter and knobs
+itself is :mod:`repro.analysis.planner`'s, for ``repro sort --plan auto``
+and ``repro analyze`` alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
 
 from ..errors import ReproError
 from ..xml.document import Document
-from .bounds import (
-    merge_sort_ios,
-    merge_sort_passes,
-    nexsort_upper_bound_ios,
-    sorting_lower_bound_ios,
-)
-from .cost_model import ModelGeometry
 
 #: Encoded bytes of a padless generated element - header, tag, key
 #: attribute.  The same estimate admission control uses before any bytes
@@ -193,112 +184,4 @@ def profile_document(document: Document) -> DocumentProfile:
             for d in range(len(depth_sums))
             if depth_counts[d]
         ),
-    )
-
-
-@dataclass
-class Recommendation:
-    """The advisor's verdict for one document + memory budget."""
-
-    algorithm: str  # 'nexsort' or 'merge_sort'
-    threshold_bytes: int | None
-    flat_optimization: bool
-    predicted_nexsort_ios: float
-    predicted_merge_sort_ios: float
-    lower_bound_ios: float
-    merge_sort_passes: int
-    rationale: list[str] = field(default_factory=list)
-
-
-def recommend(
-    document: Document,
-    memory_blocks: int,
-    block_size: int | None = None,
-) -> Recommendation:
-    """Pick the sorter and knobs the paper's evaluation would pick.
-
-    ``block_size`` defaults to the device's own; passing one explicitly
-    must agree with the device (the model geometry is derived from blocks
-    the device actually stores), and zero/negative sizes are errors
-    rather than a silent fallback.
-    """
-    if block_size is None:
-        block = document.device.block_size
-    else:
-        if block_size <= 0:
-            raise ReproError(
-                f"block_size must be positive, got {block_size}"
-            )
-        if block_size != document.device.block_size:
-            raise ReproError(
-                f"block_size {block_size} does not match the document "
-                f"device's {document.device.block_size}"
-            )
-        block = block_size
-    geometry = ModelGeometry.from_document(document, memory_blocks)
-    profile = profile_document(document)
-
-    threshold = 2 * block  # the paper's "roughly twice the block size"
-    t_elements = max(1, round(threshold / max(1, profile.average_element_bytes)))
-    nexsort_ios = nexsort_upper_bound_ios(
-        geometry.N, geometry.B, geometry.M, geometry.k, t_elements
-    )
-    merge_ios = merge_sort_ios(geometry.N, geometry.B, geometry.M)
-    lower = sorting_lower_bound_ios(
-        geometry.N, geometry.B, geometry.M, geometry.k
-    )
-    passes = merge_sort_passes(geometry.N, geometry.B, geometry.M)
-
-    rationale: list[str] = []
-    if profile.is_nearly_flat:
-        rationale.append(
-            f"document is nearly flat (height {profile.height}, "
-            f"flatness {profile.flatness:.2f}): the Figure 7 regime "
-            "where plain NEXSORT wastes its staging pass"
-        )
-        if passes <= 2:
-            rationale.append(
-                f"merge sort completes in {passes} pass(es) at this "
-                "memory size"
-            )
-            algorithm = "merge_sort"
-            flat_optimization = False
-        else:
-            rationale.append(
-                "memory is tight; NEXSORT with graceful degeneration "
-                "forms initial runs like merge sort without the "
-                "staging pass"
-            )
-            algorithm = "nexsort"
-            flat_optimization = True
-    else:
-        rationale.append(
-            f"hierarchical document (height {profile.height}, max "
-            f"fan-out {profile.max_fanout}): NEXSORT's bound "
-            f"{nexsort_ios:.0f} I/Os beats merge sort's "
-            f"{merge_ios:.0f}"
-            if nexsort_ios < merge_ios
-            else f"bounds are close ({nexsort_ios:.0f} vs "
-            f"{merge_ios:.0f} I/Os); NEXSORT additionally enables "
-            "single-pass structural merge"
-        )
-        algorithm = "nexsort"
-        flat_optimization = profile.flatness > 0.25
-        if flat_optimization:
-            rationale.append(
-                "moderate flatness: enabling graceful degeneration as "
-                "insurance"
-            )
-    rationale.append(
-        f"threshold {threshold} bytes (2x block), the paper's setting"
-    )
-    return Recommendation(
-        algorithm=algorithm,
-        threshold_bytes=threshold if algorithm == "nexsort" else None,
-        flat_optimization=flat_optimization,
-        predicted_nexsort_ios=nexsort_ios,
-        predicted_merge_sort_ios=merge_ios,
-        lower_bound_ios=lower,
-        merge_sort_passes=passes,
-        rationale=rationale,
     )

@@ -1,12 +1,13 @@
 """Cost-based self-tuning planner over the full engine knob grid.
 
-ROADMAP item 2: the advisor answers the paper's Figure-7 question
-(NEXSORT vs. merge sort); this module answers the operational one -
-*given this workload sketch and these resources, how should every knob
-be set?*  It enumerates candidate :class:`PlanConfig` settings over the
-grid the engine actually exposes (algorithm, threshold, cache blocks,
-run formation, merge kernel, embedded keys, compression, disks,
-prefetch), prices each with the shared :class:`~repro.io.stats.CostModel`
+The one answer to the paper's Section-5 question (NEXSORT or merge
+sort?) and to the operational one around it - *given this workload
+sketch and these resources, how should every knob be set?*  Both
+``repro sort --plan auto`` and ``repro analyze`` print its plan.  It
+enumerates candidate :class:`PlanConfig` settings over the grid the
+engine actually exposes (algorithm, threshold, cache blocks, run
+formation, merge kernel, embedded keys, compression, disks, prefetch),
+prices each with the shared :class:`~repro.io.stats.CostModel`
 using :func:`~repro.analysis.bounds.iterated_merge_depth` (the
 Arge-Thorup merge-depth oracle) as the pass-count oracle, and returns a
 :class:`Plan` carrying the chosen config, the predicted I/O/CPU/disk-time

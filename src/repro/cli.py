@@ -357,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_cmd = sub.add_parser(
         "analyze",
-        help="print the document's external-memory geometry and the "
-        "paper's bounds",
+        help="print the document's external-memory geometry, the "
+        "paper's bounds, and the plan `sort --plan auto` would run",
     )
     analyze_cmd.add_argument("input")
     add_common(analyze_cmd, with_spec=False)
@@ -415,33 +415,40 @@ def _make_merge_options(args) -> MergeOptions:
     )
 
 
+def _make_planner(args, document, base_device):
+    """The planner ``sort --plan auto`` and ``analyze`` both consult.
+
+    Returns it with the axes the hardware pins: the memory grant and the
+    disks (the device is already built).
+    """
+    from .analysis import Planner, profile_document
+
+    disks = getattr(args, "disks", 1)
+    planner = Planner(
+        profile_document(document),
+        memory_blocks=args.memory,
+        block_size=args.block_size,
+        disks=disks,
+        cost_model=getattr(base_device.stats, "cost_model", None),
+    )
+    return planner, {"memory_blocks": args.memory, "disks": disks}
+
+
 def _plan_auto(args, document, base_device):
     """Fill the knobs the user left unset with the planner's picks.
 
     Explicit flags win: anything recorded in ``args._provided`` is
     pinned for the planner, which then optimizes only the free axes.
-    Disks are hardware (the device is already built), so that axis is
-    always pinned; a planned prefetch window is applied to the striped
-    device in place.
+    Disks are hardware, so that axis is always pinned; a planned
+    prefetch window is applied to the striped device in place.
     """
-    from .analysis import Planner, profile_document
-
     provided = getattr(args, "_provided", set())
     if args.algorithm == "xsort":
         raise ReproError(
             "--plan auto covers nexsort and mergesort; xsort's "
             "target-path semantics are outside the planner's grid"
         )
-    profile = profile_document(document)
-    disks = getattr(args, "disks", 1)
-    planner = Planner(
-        profile,
-        memory_blocks=args.memory,
-        block_size=args.block_size,
-        disks=disks,
-        cost_model=getattr(base_device.stats, "cost_model", None),
-    )
-    fixed = {"memory_blocks": args.memory, "disks": disks}
+    planner, fixed = _make_planner(args, document, base_device)
     if "algorithm" in provided:
         fixed["algorithm"] = (
             "merge_sort" if args.algorithm == "mergesort" else "nexsort"
@@ -996,8 +1003,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .analysis import recommend
-
     device = _make_device(args)
     store = RunStore(device)
     document = _load(store, args.input)
@@ -1018,14 +1023,9 @@ def cmd_analyze(args) -> int:
     print(f"Thm 4.4 lower bound:   {lower:.0f} I/Os")
     print(f"Thm 4.5 NEXSORT bound: {upper:.0f} I/Os")
     print(f"merge sort passes:     {passes}")
-    verdict = recommend(document, args.memory)
-    print(f"\nrecommended algorithm: {verdict.algorithm}")
-    if verdict.threshold_bytes is not None:
-        print(f"  threshold:           {verdict.threshold_bytes} bytes")
-    if verdict.flat_optimization:
-        print("  graceful degeneration: on")
-    for line in verdict.rationale:
-        print(f"  - {line}")
+    planner, fixed = _make_planner(args, document, device)
+    print()
+    print(planner.choose(fixed=fixed).describe())
     return 0
 
 

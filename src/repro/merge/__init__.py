@@ -2,11 +2,11 @@
 
 The engine (:mod:`repro.merge.engine`) is imported eagerly - it is a leaf
 module that the low-level merge machinery in :mod:`repro.baselines.merging`
-depends on.  The document-merging applications (archive, dedup, k-way,
-batch...) sit *above* the core algorithms in the dependency graph, so they
-are loaded lazily on first attribute access; importing them eagerly here
-would close an import cycle (baselines -> merge -> archive -> core ->
-baselines).
+depends on.  The document-merging applications (structural merge,
+archive, dedup, batch...) sit *above* the core algorithms in the
+dependency graph, so they are loaded lazily on first attribute access;
+importing them eagerly here would close an import cycle (baselines ->
+merge -> archive -> core -> baselines).
 """
 
 from .engine import (
@@ -30,9 +30,6 @@ _LAZY = {
     "XMLArchive": ("archive", "XMLArchive"),
     "DedupReport": ("dedup", "DedupReport"),
     "deduplicate": ("dedup", "deduplicate"),
-    "KWayMerger": ("kway", "KWayMerger"),
-    "KWayMergeReport": ("kway", "KWayMergeReport"),
-    "kway_merge": ("kway", "kway_merge"),
     "BatchApplier": ("batch", "BatchApplier"),
     "BatchReport": ("batch", "BatchReport"),
     "apply_batch": ("batch", "apply_batch"),
@@ -48,6 +45,7 @@ _LAZY = {
     "strip_sequence_numbers": ("order_preserving", "strip_sequence_numbers"),
     "MergeReport": ("structural", "MergeReport"),
     "StructuralMerger": ("structural", "StructuralMerger"),
+    "kway_merge": ("structural", "kway_merge"),
     "structural_merge": ("structural", "structural_merge"),
 }
 
@@ -75,8 +73,6 @@ __all__ = [
     "BatchReport",
     "DEFAULT_MERGE_OPTIONS",
     "DedupReport",
-    "KWayMergeReport",
-    "KWayMerger",
     "LoserTree",
     "MERGE_KERNELS",
     "MergeOptions",

@@ -88,7 +88,7 @@ class XMLArchive:
                 self.spec, attribute_merger=_merge_version_sets
             )
             self.document, _merge_report = merger.merge(
-                self.document, sorted_version
+                [self.document, sorted_version]
             )
         self.version_ids.append(version_id)
 

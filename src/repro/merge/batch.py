@@ -15,6 +15,12 @@ structure; each leaf-level element carries an ``op`` attribute:
 * ``op="delete"`` - remove the matching element and its subtree.
 
 Interior batch elements just navigate: they match by key and recurse.
+
+The walk reuses the structural merge's cursor and subtree helpers
+(:mod:`repro.merge.structural`).  Like the merge, it checks that the
+document's children arrive in key order and raises
+:class:`~repro.errors.MergeError` on an unsorted document instead of
+producing a wrong result.
 """
 
 from __future__ import annotations
@@ -27,7 +33,15 @@ from ..errors import MergeError
 from ..io.stats import StatsSnapshot
 from ..keys import KeyEvaluator, SortSpec
 from ..xml.document import Document
-from ..xml.tokens import EndTag, MISSING_KEY, StartTag, Text, Token
+from ..xml.tokens import EndTag, StartTag, Text, Token
+from .structural import (
+    _Cursor,
+    _check_order,
+    _collect_text,
+    _copy_subtree,
+    _expect_end,
+    _key_of,
+)
 
 #: Attribute naming the operation on a batch element.
 OP_ATTRIBUTE = "op"
@@ -49,28 +63,6 @@ class BatchReport:
     @property
     def simulated_seconds(self) -> float:
         return self.stats.elapsed_seconds()
-
-
-class _Cursor:
-    __slots__ = ("_events", "_peeked")
-
-    def __init__(self, events: Iterator[Token]):
-        self._events = events
-        self._peeked: Token | None = None
-
-    def peek(self) -> Token | None:
-        if self._peeked is None:
-            self._peeked = next(self._events, None)
-        return self._peeked
-
-    def next(self) -> Token | None:
-        token = self.peek()
-        self._peeked = None
-        return token
-
-
-def _key_of(token: StartTag) -> tuple:
-    return token.key if token.key is not None else MISSING_KEY
 
 
 def _op_of(token: StartTag) -> str:
@@ -171,13 +163,17 @@ class BatchApplier:
         if text:
             yield Text(text)
 
+        last_doc_key = None
         while True:
             next_doc = doc.peek()
             next_batch = batch.peek()
             doc_open = isinstance(next_doc, StartTag)
             batch_open = isinstance(next_batch, StartTag)
-            if doc_open and batch_open:
+            if doc_open:
                 key_doc = _key_of(next_doc)
+                _check_order(key_doc, last_doc_key, "document")
+                last_doc_key = key_doc
+            if doc_open and batch_open:
                 key_batch = _key_of(next_batch)
                 if key_doc < key_batch:
                     yield from _copy_subtree(doc)
@@ -229,40 +225,6 @@ class BatchApplier:
                 yield EndTag(token.tag)
                 if depth == 0:
                     return
-
-
-def _collect_text(cursor: _Cursor) -> str:
-    parts = []
-    while isinstance(cursor.peek(), Text):
-        parts.append(cursor.next().text)
-    return "".join(parts)
-
-
-def _copy_subtree(cursor: _Cursor) -> Iterator[Token]:
-    depth = 0
-    while True:
-        token = cursor.next()
-        if token is None:
-            raise MergeError("unexpected end of input while copying")
-        if isinstance(token, StartTag):
-            depth += 1
-            yield StartTag(token.tag, token.attrs)
-        elif isinstance(token, Text):
-            yield Text(token.text)
-        elif isinstance(token, EndTag):
-            depth -= 1
-            yield EndTag(token.tag)
-            if depth == 0:
-                return
-
-
-def _expect_end(cursor: _Cursor, tag: str) -> None:
-    token = cursor.next()
-    if not isinstance(token, EndTag) or token.tag != tag:
-        raise MergeError(
-            f"expected </{tag}>, found {token!r}; are both inputs sorted "
-            f"under the same criterion?"
-        )
 
 
 def _skip_subtree(cursor: _Cursor) -> None:

@@ -1,4 +1,4 @@
-"""Tests for workload profiling and algorithm recommendation."""
+"""Tests for workload profiling."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.analysis import (
     DocumentProfile,
     nearest_rank_percentile,
     profile_document,
-    recommend,
 )
 from repro.errors import ReproError
 from repro.generators import level_fanout_events
@@ -117,89 +116,3 @@ class TestProfile:
     def test_average_element_bytes_positive(self):
         doc = load(flat_tree(20))
         assert profile_document(doc).average_element_bytes > 0
-
-
-class TestRecommendation:
-    def test_hierarchical_gets_nexsort(self):
-        doc = load(level_fanout_events([8, 8, 8], seed=3, pad_bytes=24))
-        verdict = recommend(doc, memory_blocks=24)
-        assert verdict.algorithm == "nexsort"
-        assert verdict.threshold_bytes == 2 * 256
-        assert verdict.rationale
-
-    def test_flat_with_ample_memory_gets_merge_sort(self):
-        doc = load(flat_tree(300))
-        verdict = recommend(doc, memory_blocks=64)
-        assert verdict.algorithm == "merge_sort"
-        assert verdict.merge_sort_passes <= 2
-
-    def test_flat_with_tight_memory_gets_degenerating_nexsort(self):
-        doc = load(flat_tree(2000, pad=32))
-        verdict = recommend(doc, memory_blocks=6)
-        assert verdict.algorithm == "nexsort"
-        assert verdict.flat_optimization
-
-    def test_explicit_block_size_matching_device_accepted(self):
-        doc = load(level_fanout_events([8, 8], seed=3))
-        explicit = recommend(doc, memory_blocks=24, block_size=256)
-        defaulted = recommend(doc, memory_blocks=24)
-        assert explicit.algorithm == defaulted.algorithm
-        assert explicit.threshold_bytes == defaulted.threshold_bytes
-
-    def test_zero_block_size_is_an_error_not_a_fallback(self):
-        # The old `block_size or device.block_size` silently swallowed
-        # an explicit 0; a falsy-but-provided size must be rejected.
-        doc = load(level_fanout_events([8, 8], seed=3))
-        with pytest.raises(ReproError, match="positive"):
-            recommend(doc, memory_blocks=24, block_size=0)
-        with pytest.raises(ReproError, match="positive"):
-            recommend(doc, memory_blocks=24, block_size=-512)
-
-    def test_mismatched_block_size_rejected(self):
-        doc = load(level_fanout_events([8, 8], seed=3))
-        with pytest.raises(ReproError, match="does not match"):
-            recommend(doc, memory_blocks=24, block_size=4096)
-
-    def test_bounds_reported(self):
-        doc = load(level_fanout_events([8, 8, 8], seed=4))
-        verdict = recommend(doc, memory_blocks=24)
-        assert verdict.lower_bound_ios > 0
-        assert (
-            verdict.predicted_nexsort_ios >= verdict.lower_bound_ios - 1e-9
-        )
-        assert verdict.predicted_merge_sort_ios > 0
-
-    def test_recommendation_actually_wins(self):
-        """Following the advice beats the alternative on both regimes."""
-        from repro.baselines import external_merge_sort
-        from repro.core import nexsort
-        from repro.keys import ByAttribute, SortSpec
-
-        spec = SortSpec(default=ByAttribute("name"))
-        for generator, memory in (
-            (lambda: level_fanout_events([11, 11, 11], seed=5,
-                                         pad_bytes=24), 24),
-            (lambda: level_fanout_events([1500], seed=5, pad_bytes=24), 64),
-        ):
-            probe = load(generator(), block_size=512)
-            verdict = recommend(probe, memory_blocks=memory)
-
-            doc = load(generator(), block_size=512)
-            _out, nreport = nexsort(
-                doc,
-                spec,
-                memory_blocks=memory,
-                flat_optimization=verdict.flat_optimization,
-            )
-            doc = load(generator(), block_size=512)
-            _out, mreport = external_merge_sort(
-                doc, spec, memory_blocks=memory
-            )
-            if verdict.algorithm == "nexsort":
-                assert (
-                    nreport.simulated_seconds < mreport.simulated_seconds
-                )
-            else:
-                assert (
-                    mreport.simulated_seconds < nreport.simulated_seconds
-                )

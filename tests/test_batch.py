@@ -180,3 +180,14 @@ class TestValidation:
         batch = batch_of(store, "<wrong/>")
         with pytest.raises(MergeError):
             apply_batch(base, batch, spec, memory_blocks=8)
+
+    def test_unsorted_document_rejected(self, spec):
+        """A document out of key order raises instead of yielding a wrong
+        result (here, one with ``<a name="1">`` twice)."""
+        _device, store = fresh_store()
+        document = batch_of(
+            store, '<r name="r"><a name="3"/><a name="1"/></r>'
+        )
+        batch = batch_of(store, '<r name="r"><a name="1" x="y"/></r>')
+        with pytest.raises(MergeError, match="not sorted"):
+            apply_batch(document, batch, spec, batch_is_sorted=True)

@@ -269,6 +269,11 @@ class TestValidateCommand:
         assert "violation" in capsys.readouterr().err
 
 
+def _plan_line(text: str) -> str:
+    [line] = [line for line in text.splitlines() if line.startswith("plan:")]
+    return line
+
+
 class TestAnalyzeCommand:
     def test_prints_geometry_and_bounds(self, d1_file, capsys):
         code = main(["analyze", d1_file, "--memory", "16"])
@@ -277,6 +282,44 @@ class TestAnalyzeCommand:
         assert "max fan-out" in out
         assert "Thm 4.4 lower bound" in out
         assert "merge sort passes" in out
+        lines = out.splitlines()
+        assert any(line.startswith("plan: ") for line in lines)
+        assert any(line.startswith("predicted: ") for line in lines)
+
+    @pytest.mark.parametrize(
+        "fanouts, block_size, memory",
+        [
+            ([60, 4, 2], 512, 6),
+            ([2000], 1024, 6),
+            ([5000], 4096, 8),
+            ([8, 8, 8], 256, 24),
+            ([1500], 512, 64),
+            ([11, 11, 11], 512, 24),
+            ([20, 20], 1024, 16),
+        ],
+    )
+    def test_plans_what_sort_plan_auto_runs(
+        self, tmp_path, capsys, fanouts, block_size, memory
+    ):
+        """One answer: analyze prints the plan ``sort --plan auto`` runs."""
+        from repro.generators import level_fanout_events
+        from repro.xml.writer import events_to_string
+
+        doc = tmp_path / "doc.xml"
+        doc.write_text(
+            events_to_string(
+                level_fanout_events(fanouts, seed=3, pad_bytes=24)
+            )
+        )
+        geometry = ["--memory", str(memory), "--block-size", str(block_size)]
+        assert main(["analyze", str(doc), *geometry]) == 0
+        analyzed = _plan_line(capsys.readouterr().out)
+        out = tmp_path / "out.xml"
+        assert main(
+            ["sort", str(doc), "-o", str(out), "--plan", "auto", "--stats",
+             *geometry]
+        ) == 0
+        assert analyzed == _plan_line(capsys.readouterr().err)
 
 
 class TestDedupCommand:

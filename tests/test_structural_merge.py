@@ -14,7 +14,7 @@ from repro.generators import (
 )
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByText, SortSpec
-from repro.merge import StructuralMerger, structural_merge
+from repro.merge import StructuralMerger, kway_merge, structural_merge
 from repro.xml import Document, Element
 
 
@@ -72,8 +72,7 @@ class TestSemantics:
         right = sort_doc(store, tree, spec)
         merged, report = structural_merge(left, right, spec)
         assert merged.to_element() == left.to_element()
-        assert report.elements_left_only == 0
-        assert report.elements_right_only == 0
+        assert report.elements_copied == [0, 0]
 
     def test_disjoint_children_union(self, spec):
         _device, store = fresh_store()
@@ -86,8 +85,7 @@ class TestSemantics:
         merged, report = structural_merge(left, right, spec)
         names = [c.attrs["name"] for c in merged.to_element().children]
         assert names == ["1", "2", "3", "4"]
-        assert report.elements_left_only == 2
-        assert report.elements_right_only == 2
+        assert report.elements_copied == [2, 2]
 
     def test_attribute_union_left_wins(self, spec):
         _device, store = fresh_store()
@@ -145,11 +143,11 @@ class TestSinglePass:
         right, _ = nexsort(right_doc, spec, memory_blocks=8)
         _merged, report = structural_merge(left, right, spec)
         assert (
-            report.stats.category_total("merge_scan_left")
+            report.stats.category_total("merge_scan_0")
             == left.block_count
         )
         assert (
-            report.stats.category_total("merge_scan_right")
+            report.stats.category_total("merge_scan_1")
             == right.block_count
         )
 
@@ -186,3 +184,40 @@ class TestValidation:
         right = sort_doc(store, Element.parse("<b/>"), spec)
         with pytest.raises(MergeError):
             structural_merge(left, right, spec)
+
+    @pytest.mark.parametrize("unsorted_side", [0, 1])
+    @pytest.mark.parametrize("how", ["structural_merge", "kway_merge"])
+    def test_unsorted_input_rejected(self, spec, how, unsorted_side):
+        """An input out of key order raises instead of emitting a wrong
+        document (here, one with ``<a name="1">`` twice)."""
+        _device, store = fresh_store()
+        texts = [
+            '<r name="r"><a name="3"/><a name="1"/></r>',
+            '<r name="r"><a name="1" x="y"/><a name="3"/></r>',
+        ]
+        if unsorted_side == 1:
+            texts.reverse()
+        left, right = (
+            Document.from_element(store, Element.parse(text))
+            for text in texts
+        )
+        with pytest.raises(MergeError, match="not sorted"):
+            if how == "structural_merge":
+                structural_merge(left, right, spec)
+            else:
+                kway_merge([left, right], spec)
+
+    def test_unsorted_below_depth_limit_is_concatenated(self, spec):
+        """Below the merge depth children are not matched, so their order
+        is not checked."""
+        _device, store = fresh_store()
+        left, right = (
+            Document.from_element(store, Element.parse(text))
+            for text in (
+                '<r name="r"><a name="1"><b name="9"/><b name="2"/></a></r>',
+                '<r name="r"><a name="1"><b name="5"/></a></r>',
+            )
+        )
+        merged, _report = structural_merge(left, right, spec, depth_limit=1)
+        [a] = merged.to_element().children
+        assert [b.attrs["name"] for b in a.children] == ["9", "2", "5"]
