@@ -19,9 +19,8 @@ Two tiers:
 
 Every row lands in ``BENCH_paper_scale.json`` with wall clock, peak RSS,
 the per-phase trace breakdown, and the host environment columns
-(``python_version`` / ``numpy_version`` / ``platform``), merged in place
-so fast- and slow-tier runs update their own rows without clobbering the
-other tier's.  All figure-level assertions are on *simulated* metrics,
+(``python_version`` / ``platform``), merged in place so fast- and
+slow-tier runs update their own rows without clobbering the other tier's.  All figure-level assertions are on *simulated* metrics,
 which are deterministic for a given geometry; only the CI ceiling measures
 the host.
 """
@@ -160,7 +159,6 @@ def _row(figure, workload, shape, metrics, flat_optimization=False):
         "peak_rss_bytes": detail.get("peak_rss_bytes"),
         "phases": detail.get("phases"),
         "python_version": detail.get("python_version"),
-        "numpy_version": detail.get("numpy_version"),
         "platform": detail.get("platform"),
     }
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..baselines.merge_sort import external_merge_sort
-from ..core import columnar as _columnar
 from ..core.nexsort import nexsort
 from ..io.device import BlockDevice
 from ..io.parallel import StripedDevice
@@ -84,17 +83,9 @@ def peak_rss_bytes() -> int | None:
 
 
 def environment_detail() -> dict:
-    """Host-environment columns recorded in every bench row (ISSUE 7).
-
-    ``numpy_version`` is None exactly when the byte-record kernels run on
-    their pure-Python fallback, so a JSON diff across hosts shows at a
-    glance whether two wall-clock columns used the same backend.
-    """
+    """Host-environment columns recorded in every bench row."""
     return {
         "python_version": _platform.python_version(),
-        "numpy_version": (
-            _columnar._np.__version__ if _columnar.have_numpy() else None
-        ),
         "platform": _platform.platform(),
     }
 

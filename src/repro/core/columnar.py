@@ -6,9 +6,8 @@ key-evaluate -> form-runs -> merge -> output.  Keys are engine-normalized
 are spliced from the stored encodings, and sorts are batch argsorts.  The
 pieces:
 
-* :func:`argsort_normalized` - prefix argsort with a full-key tie-break
-  on equal prefixes, producing exactly the order - including stability -
-  of ``list.sort`` over the same keys;
+* :func:`argsort_normalized` - stable argsort of normalized keys, exactly
+  the order - including stability - of ``list.sort`` over the same keys;
 * :func:`fast_path_key` - normalized key bytes straight from an encoded
   key-path record, parsing only the path prefix (merge passes never
   decode tags/attributes/text);
@@ -22,7 +21,7 @@ pieces:
   (level-annotated) storage;
 * :func:`argsort_groups` / :func:`sort_subtree_records` - NEXSORT's
   in-memory subtree sorts as batch kernels: sibling groups are gathered
-  into one prefixed key batch and ordered with a single stable argsort,
+  with their normalized keys and each ordered by a stable argsort,
   and a popped subtree's raw data-stack records are parsed, sorted, and
   re-serialized by byte splicing without ever materializing tokens;
 * :func:`form_subtree_runs` - NEXSORT's external (key-path) subtree
@@ -45,11 +44,6 @@ from __future__ import annotations
 import struct
 from math import ceil, log2
 from typing import Callable, Iterable
-
-try:  # pragma: no cover - exercised via both-backends tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 from ..errors import CodecError, RunError, SortSpecError
 from ..merge.engine import (
@@ -80,30 +74,12 @@ from ..xml.tokens import StartTag
 
 _DOUBLE_LE = struct.Struct("<d")
 _U64 = struct.Struct(">Q")
-_U32 = struct.Struct(">I")
 
 #: Keep the start-key memo bounded on high-cardinality documents.
 _MEMO_LIMIT = 1 << 16
 
 #: Single-byte varints, indexed by value.
 _VARINT1 = [bytes([value]) for value in range(128)]
-
-#: Bytes of normalized key the numpy argsort packs into its fixed-width
-#: prefix array (equal prefixes fall back to a full-key comparison, so
-#: the width changes speed, never order).
-PREFIX_WIDTH = 24
-
-#: Batches smaller than this sort faster with the pure-Python stable
-#: sort (memcmp-based timsort) than with the numpy prefix argsort,
-#: whose per-call cost is dominated by building the padded prefix
-#: buffer; the vectorized path pulls ahead on merge-pass-sized inputs.
-_SMALL_ARGSORT = 1 << 16
-
-
-def have_numpy() -> bool:
-    """True when the vectorized argsort backend is active."""
-    return _np is not None
-
 
 # -- small codec helpers ------------------------------------------------------
 
@@ -206,146 +182,22 @@ def batch_embedded_keys(records: list[bytes]) -> list[bytes]:
     return out
 
 
-# -- the prefix argsort ------------------------------------------------------
-
-
-def _common_prefix_length(keys: list[bytes]) -> int:
-    """Length of the byte prefix shared by every key in the batch.
-
-    Stripping it before building the prefix array keeps the fixed-width
-    window over the *discriminating* bytes - key paths share their root
-    component, which would otherwise waste most of the window.
-    """
-    if not keys:
-        return 0
-    prefix = keys[0]
-    for key in keys:
-        if key.startswith(prefix):
-            continue
-        limit = min(len(prefix), len(key))
-        i = 0
-        while i < limit and prefix[i] == key[i]:
-            i += 1
-        prefix = prefix[:i]
-        if not prefix:
-            return 0
-    return len(prefix)
+# -- the argsort --------------------------------------------------------------
 
 
 def argsort_normalized(keys: list[bytes]) -> list[int]:
-    """Stable argsort of normalized-key bytes via a fixed-width prefix.
+    """Stable argsort of normalized-key bytes.
 
-    With numpy: the zero-padded key prefixes form one fixed-width bytes
-    (``S<width>``) column, ordered with a single stable ``argsort`` -
-    numpy's bytes comparison is memcmp with lowest-ranked implicit
-    trailing NULs, exactly the order of the zero-padded prefixes; groups
-    of rows with identical padded prefixes are then re-ordered by their
-    full keys with a stable Python sort.  Without numpy (or below
-    ``_SMALL_ARGSORT`` keys) the whole argsort is a stable sort on the
-    full keys.
-    Either way the result equals the order a stable ``list.sort`` of the
-    keys produces, which is what keeps run contents bit-identical to the
+    The result equals the order a stable ``list.sort`` of the keys
+    produces, which is what keeps run contents bit-identical to the
     paper's record-at-a-time sort.
     """
-    n = len(keys)
-    if n <= 1:
-        return list(range(n))
-    if _np is None or n < _SMALL_ARGSORT:
-        # Below a few hundred rows the fixed numpy dispatch overhead
-        # (buffer build, argsort setup) loses to a straight stable sort
-        # of the bytes keys; the order is identical either way.
-        return sorted(range(n), key=keys.__getitem__)
-    strip = _common_prefix_length(keys)
-    end = strip + PREFIX_WIDTH
-    # numpy's S-dtype constructor truncates long entries and NUL-pads
-    # short ones: one zero-padded prefix window per key, built in C.
-    rows = _np.array(
-        [key[strip:end] for key in keys] if strip else keys,
-        dtype=f"S{PREFIX_WIDTH}",
-    )
-    order = rows.argsort(kind="stable")
-    # Tie-break equal padded prefixes on the full key.  The argsort is
-    # stable, so rows inside a tie group arrive in ascending original
-    # index; the stable Python sort below therefore preserves input
-    # order on fully equal keys, exactly like a plain timsort.
-    sorted_rows = rows[order]
-    changed = sorted_rows[1:] != sorted_rows[:-1]
-    order = order.tolist()
-    if not changed.all():
-        starts = [0] + [int(i) + 1 for i in _np.flatnonzero(changed)]
-        starts.append(n)
-        out: list[int] = []
-        for begin, end in zip(starts, starts[1:]):
-            group = order[begin:end]
-            if len(group) > 1:
-                group.sort(key=keys.__getitem__)
-            out.extend(group)
-        return out
-    return order
-
-
-def argsort_keyed_batch(
-    batch: list[tuple[bytes, bytes]],
-) -> list[tuple[bytes, bytes]]:
-    """Sort a run-formation ``(normalized key, payload)`` batch.
-
-    Same order as ``sort_keyed_batch`` (the caller charges
-    comparisons); returns a new sorted list.
-    """
-    keys = [key for key, _payload in batch]
-    order = argsort_normalized(keys)
-    return [batch[index] for index in order]
-
-
-#: Sibling groups at least this large get a dedicated argsort call;
-#: smaller groups are concatenated into one prefixed batch so a subtree
-#: with thousands of small sibling lists pays one sort dispatch, not
-#: thousands.
-_GROUP_SOLO = 4096
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def argsort_groups(groups: list[list[bytes]]) -> list[list[int]]:
-    """Per-group stable argsorts of many key lists, batched into one call.
-
-    Semantically ``[argsort_normalized(g) for g in groups]`` - this is
-    how NEXSORT's sibling-group sorts run as a batch kernel.  Small
-    groups are concatenated with a fixed-width big-endian *group-index
-    prefix* and ordered with a single stable :func:`argsort_normalized`:
-    the distinct ascending prefixes keep each group's rows contiguous in
-    the output (groups never interleave), so slicing the global order
-    back apart and rebasing indices recovers every group's local order,
-    including stability (equal keys inside a group keep their relative
-    input order because the global sort is stable and their prefixed
-    keys are adjacent duplicates).
-    """
-    orders: list[list[int] | None] = [None] * len(groups)
-    batch: list[tuple[int, int, int]] = []  # (group index, base, n)
-    batch_keys: list[bytes] = []
-    base = 0
-    for index, keys in enumerate(groups):
-        n = len(keys)
-        if n <= 1:
-            orders[index] = list(range(n))
-        elif n >= _GROUP_SOLO:
-            orders[index] = argsort_normalized(keys)
-        else:
-            batch.append((index, base, n))
-            batch_keys.extend(keys)
-            base += n
-    if len(batch) == 1:
-        index, _base, _n = batch[0]
-        orders[index] = argsort_normalized(batch_keys)
-    elif batch:
-        pack = _U32.pack
-        prefixed: list[bytes] = []
-        extend = prefixed.extend
-        for slot, (_index, lo, n) in enumerate(batch):
-            tag = pack(slot)
-            extend([tag + key for key in batch_keys[lo : lo + n]])
-        order = argsort_normalized(prefixed)
-        for _slot, (index, lo, n) in enumerate(batch):
-            orders[index] = [order[lo + i] - lo for i in range(n)]
-    return orders
+    """Per-group stable argsorts: ``[argsort_normalized(g) for g in groups]``."""
+    return [sorted(range(len(keys)), key=keys.__getitem__) for keys in groups]
 
 
 def sort_sibling_groups(
@@ -357,8 +209,8 @@ def sort_sibling_groups(
     """Reorder every sibling list in place by its normalized keys.
 
     ``group_keys[i]`` holds one order- and equality-faithful key per
-    member of ``groups[i]``; all groups are ordered by one
-    :func:`argsort_groups` call.  The analytic ``n * ceil(log2 n)``
+    member of ``groups[i]``; the groups are ordered by
+    :func:`argsort_groups`.  The analytic ``n * ceil(log2 n)``
     comparison charge per group is recorded as one total (charge order
     inside the enclosing subtree-sort span is not observable).
 
@@ -522,9 +374,7 @@ def _replay_order(sidecars):
     tie-break is exactly a *stable sort* of the runs' concatenation in
     run order.  The concatenation is a sequence of ``w`` presorted
     ascending runs - timsort's best case: it detects each run and
-    galloping-merges them in near-linear memcmp comparisons, which
-    measures several times faster here than the prefix argsort (the
-    argsort cannot exploit presortedness).
+    galloping-merges them in near-linear memcmp comparisons.
     """
     all_keys: list[bytes] = []
     run_ids: list[int] = []
@@ -1331,8 +1181,8 @@ def sort_subtree_records(
     """Fused internal subtree sort over raw encoded data-stack records.
 
     No token is decoded: records are parsed into a raw node tree by
-    field offsets, sibling groups are ordered with one batched
-    argsort (:func:`sort_raw_tree`), and output records are spliced from
+    field offsets, sibling groups are ordered by stable argsorts
+    (:func:`sort_raw_tree`), and output records are spliced from
     the input's own encoded slices.  Returns ``(out_records, units,
     real_elements)``; output bytes, order, and the comparison charge are
     identical to sorting the decoded token tree (``counted=True`` replays

@@ -18,7 +18,6 @@ partial runs can be merged by key when the element finally closes.
 
 from __future__ import annotations
 
-from math import ceil, log2
 from typing import Iterator
 
 from ..errors import CodecError
@@ -83,8 +82,11 @@ def decode_group(data: bytes) -> ChildGroup:
     tokens = []
     for _ in range(count):
         length, pos = read_varint(data, pos)
-        tokens.append(data[pos : pos + length])
-        pos += length
+        end = pos + length
+        if end > len(data):
+            raise CodecError("truncated child-group token")
+        tokens.append(data[pos:end])
+        pos = end
     return ChildGroup(key, position, units, real, tokens)
 
 
@@ -204,17 +206,7 @@ def groups_from_region(
         )
         device_stats.record_tokens(len(encoded))
         groups.append(ChildGroup(key, pos, units, real, encoded))
-    count = len(groups)
-    if count > 1:
-        if counted:
-            sort_with_accounting(
-                groups, ChildGroup.order_key, device_stats, True
-            )
-        else:
-            groups.sort(key=ChildGroup.order_key)
-            device_stats.record_comparisons(
-                count * max(1, ceil(log2(count)))
-            )
+    sort_with_accounting(groups, ChildGroup.order_key, device_stats, counted)
     return texts, groups
 
 

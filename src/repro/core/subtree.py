@@ -7,7 +7,7 @@ an external-memory algorithm, e.g., internal-memory recursive sort or
 key-path external merge sort" (Section 3.1).  Both paths live here:
 
 * **internal** - parse the popped records into a node tree by field
-  offsets, sort every child list by ``(key, position)`` in one batched
+  offsets, sort every child list by ``(key, position)`` with a stable
   argsort, and splice the run records from the input's own encodings
   (:func:`repro.core.columnar.sort_subtree_records`).
 * **external** - the subtree exceeds the sorter's memory: splice its
@@ -117,7 +117,7 @@ class SubtreeSorter:
 
         No token is ever materialized.  When the subtree fits in memory
         the records are parsed by field offsets, sibling groups are
-        ordered with one batched argsort, and run records are spliced
+        ordered by stable argsorts, and run records are spliced
         from the input's own encoded slices
         (:func:`repro.core.columnar.sort_subtree_records`).  A larger
         subtree takes the key-path external merge sort over spliced

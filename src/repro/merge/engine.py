@@ -510,31 +510,13 @@ class RunFormer:
     def _flush_batch(self) -> None:
         self._rehydrate_chunks()
         batch = self._batch
-        stats = self.store.device.stats
-        keyed_bytes = bool(batch) and type(batch[0][0]) is bytes
-        if (
-            keyed_bytes
-            and not self.options.counted_comparisons
-            and len(batch) > 1
-        ):
-            # Normalized bytes keys: argsort over the fixed-width key
-            # prefixes, full-key tie-break - the order of a stable sort
-            # of the keys, with the same analytic comparison charge.
-            # Counted mode keeps the counting sort so the recorded count
-            # is the one the comparison sequence actually produces.
-            from ..core.columnar import argsort_keyed_batch
-
-            batch = argsort_keyed_batch(batch)
-            count = len(batch)
-            stats.record_comparisons(count * max(1, ceil(log2(count))))
-        else:
-            sort_keyed_batch(
-                batch, stats, self.options.counted_comparisons
-            )
+        sort_keyed_batch(
+            batch, self.store.device.stats, self.options.counted_comparisons
+        )
         writer = self.store.create_writer(self.write_category)
         writer.write_records([payload for _key, payload in batch])
         handle = writer.finish()
-        if keyed_bytes:
+        if batch and type(batch[0][0]) is bytes:
             # Key sidecar (host memory only): merge passes over this run
             # can reuse these keys instead of re-parsing every record.
             self.store.key_sidecars[handle.run_id] = [

@@ -144,7 +144,10 @@ def _read_string(data: bytes, pos: int) -> tuple[str, int]:
     end = pos + length
     if end > len(data):
         raise CodecError("truncated string")
-    return data[pos:end].decode("utf-8"), end
+    try:
+        return data[pos:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"invalid UTF-8 in string: {exc}") from None
 
 
 def _write_name(out: bytearray, name: str, names) -> None:

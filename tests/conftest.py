@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import columnar
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByAttribute, SortSpec
 from repro.xml import Document, Element
@@ -111,15 +110,3 @@ def sha256_records(records) -> str:
         digest.update(len(record).to_bytes(4, "big"))
         digest.update(record)
     return digest.hexdigest()
-
-
-def each_argsort_backend(monkeypatch):
-    """Yield once per argsort backend: numpy (when importable), then the
-    pure-Python fallback (``columnar._np = None``)."""
-    backends = ["numpy"] if columnar.have_numpy() else []
-    for backend in [*backends, "python"]:
-        if backend == "python":
-            # Last, so the fixture's own teardown restores numpy even
-            # when the caller stops iterating on a failed assertion.
-            monkeypatch.setattr(columnar, "_np", None)
-        yield backend

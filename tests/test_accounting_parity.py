@@ -25,7 +25,7 @@ replaced a token-object ("scalar") implementation and must reproduce
 sequential/random classification, tokens, comparisons, merge
 comparisons, cache traffic) and the per-phase trace breakdown.  The
 scalar results are frozen in ``scalar_reference.json``;
-:class:`TestKernelParity` checks each cell on both argsort backends.
+:class:`TestKernelParity` checks each cell.
 """
 
 import itertools
@@ -44,7 +44,7 @@ from repro.obs import Tracer
 from repro.xml.compact import CompactionConfig
 from repro.xml.document import Document
 
-from .conftest import each_argsort_backend, scalar_reference, sha256_text
+from .conftest import scalar_reference, sha256_text
 
 SPEC = SortSpec(default=ByAttribute("name"))
 TEXT_SPEC = SortSpec(default=ByText())
@@ -165,14 +165,13 @@ class TestMergeOptionsGrid:
         assert pooled[1]["cache_misses"] > 0
 
 
-def assert_matches_reference(monkeypatch, cell, run):
-    """``run()`` reproduces a frozen scalar cell on both argsort backends."""
+def assert_matches_reference(cell, run):
+    """``run()`` reproduces a frozen scalar cell."""
     expected = scalar_reference(cell)
-    for backend in each_argsort_backend(monkeypatch):
-        text, totals, phases = run()
-        assert sha256_text(text) == expected["output_sha256"], backend
-        assert totals == expected["counters"], backend
-        assert phases == expected["phases"], backend
+    text, totals, phases = run()
+    assert sha256_text(text) == expected["output_sha256"]
+    assert totals == expected["counters"]
+    assert phases == expected["phases"]
 
 
 def grid_options(run_formation, merge_kernel, embedded_keys):
@@ -208,12 +207,10 @@ class TestKernelParity:
         "run_formation,merge_kernel,embedded_keys", GRID
     )
     def test_columnar_matches_scalar_unpooled(
-        self, monkeypatch, algorithm, run_formation, merge_kernel,
-        embedded_keys,
+        self, algorithm, run_formation, merge_kernel, embedded_keys
     ):
         options = grid_options(run_formation, merge_kernel, embedded_keys)
         assert_matches_reference(
-            monkeypatch,
             f"grid/{algorithm}/{run_formation}/{merge_kernel}/"
             f"{embedded_keys}/m12c0",
             lambda: sort_traced(algorithm, 12, 0, options),
@@ -223,11 +220,10 @@ class TestKernelParity:
     @pytest.mark.parametrize("compaction", ["names", "levels", "full"])
     @pytest.mark.parametrize("embedded_keys", [False, True])
     def test_columnar_matches_scalar_compacted(
-        self, monkeypatch, algorithm, compaction, embedded_keys
+        self, algorithm, compaction, embedded_keys
     ):
         """The contract holds under Section 3.2 compaction too."""
         assert_matches_reference(
-            monkeypatch,
             f"compacted/{algorithm}/{compaction}/{embedded_keys}",
             lambda: sort_traced(
                 algorithm, 12, 0,
@@ -237,13 +233,12 @@ class TestKernelParity:
         )
 
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
-    def test_columnar_matches_scalar_pooled(self, monkeypatch, algorithm):
+    def test_columnar_matches_scalar_pooled(self, algorithm):
         for run_formation, merge_kernel, embedded_keys in GRID:
             options = grid_options(
                 run_formation, merge_kernel, embedded_keys
             )
             assert_matches_reference(
-                monkeypatch,
                 f"grid/{algorithm}/{run_formation}/{merge_kernel}/"
                 f"{embedded_keys}/m16c4",
                 lambda: sort_traced(algorithm, 16, 4, options),
@@ -254,13 +249,11 @@ class TestKernelParity:
         "run_formation,merge_kernel,embedded_keys", GRID
     )
     def test_token_scan_matches_scalar(
-        self, monkeypatch, shape, run_formation, merge_kernel,
-        embedded_keys,
+        self, shape, run_formation, merge_kernel, embedded_keys
     ):
         memory, kwargs = TOKEN_SCAN_CELLS[shape]
         options = grid_options(run_formation, merge_kernel, embedded_keys)
         assert_matches_reference(
-            monkeypatch,
             f"{shape}/{run_formation}/{merge_kernel}/{embedded_keys}",
             lambda: sort_traced("nexsort", memory, 0, options, **kwargs),
         )

@@ -2,21 +2,25 @@
 
 The accounting-parity suite pins the end-to-end counter contract; these
 tests pin the individual kernels: the path-only key parse (and its typed
-errors on truncated input), the prefix argsort (numpy and pure-Python
-backends), key sidecars, and the replay merge against its keyed-puller
+errors on truncated input), the stable argsort, key sidecars, and the replay merge against its keyed-puller
 fallback and the frozen record-at-a-time results.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.baselines.keypath import (
     decode_record,
     encode_record,
     records_from_annotated_events,
 )
-from repro.core import columnar
 from repro.core.columnar import (
     argsort_normalized,
     batch_embedded_keys,
@@ -36,10 +40,10 @@ from repro.merge.engine import (
     embed_key,
     normalized_path_key,
 )
-from repro.xml import parse_events
+from repro.xml import TokenCodec, parse_events
 from repro.xml.codec import read_tag_attrs
 
-from .conftest import each_argsort_backend, scalar_reference, sha256_records
+from .conftest import scalar_reference, sha256_records
 
 SPEC = SortSpec(default=ByAttribute("name"))
 
@@ -128,6 +132,8 @@ class TestFastPathKey:
             (lambda data: batch_embedded_keys([data]), b"\x85"),
             (lambda data: read_tag_attrs(data, 0), b"\x05ab"),
             (lambda data: read_tag_attrs(data, 0), b"\x01a\x01"),
+            # A string frame whose bytes are not UTF-8.
+            (TokenCodec().decode, b"\x01\x00\x01a\x01\x01\xf5\x011"),
         ],
     )
     def test_truncated_input_raises_codec_error(self, parse, data):
@@ -143,23 +149,6 @@ class TestArgsortNormalized:
     def test_small_batch_python_path(self):
         self.assert_stable_order(random_keys(500))
 
-    def test_large_batch_vectorized_path(self):
-        # Above the _SMALL_ARGSORT cutoff: exercises the numpy backend
-        # (prefix argsort + tie-group full-key re-sort) when available.
-        self.assert_stable_order(
-            random_keys(columnar._SMALL_ARGSORT + 1000)
-        )
-
-    def test_forced_prefix_path_with_ties(self, monkeypatch):
-        # No small-batch cutoff: a 3000-key batch takes the prefix
-        # argsort (with numpy) and its tie-group re-sort.
-        monkeypatch.setattr(columnar, "_SMALL_ARGSORT", 0)
-        self.assert_stable_order(random_keys(3000, seed=5))
-
-    def test_pure_python_fallback(self, monkeypatch):
-        monkeypatch.setattr(columnar, "_np", None)
-        self.assert_stable_order(random_keys(2000))
-
     def test_empty_and_single(self):
         assert argsort_normalized([]) == []
         assert argsort_normalized([b"only"]) == [0]
@@ -169,6 +158,22 @@ class TestArgsortNormalized:
         order = argsort_normalized(keys)
         positions = [i for i in order if keys[i] == b"dup"]
         assert positions == sorted(positions)
+
+    def test_package_import_does_not_load_numpy(self):
+        """The argsort is a stable ``sorted``; importing the package,
+        its CLI and its bench harness never pays for numpy, even where
+        numpy is installed."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = (
+            "import sys, repro, repro.cli, repro.bench.harness; "
+            "print('numpy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        assert out.stdout.strip() == "False"
 
 
 def form_runs(options, capacity_bytes=220, device=None, xml=XML):
@@ -261,7 +266,7 @@ class TestKeyedPuller:
 
 class TestReplayMerge:
     @pytest.mark.parametrize("embedded", [False, True])
-    def test_replay_equals_fallback_heap_merge(self, monkeypatch, embedded):
+    def test_replay_equals_fallback_heap_merge(self, embedded):
         from repro.baselines.merging import merge_pass
         from repro.merge.engine import embedded_key_of
 
@@ -270,30 +275,27 @@ class TestReplayMerge:
         # The retired record-at-a-time heap merge, frozen.
         expected = scalar_reference(f"replay/{embedded}")
 
-        for _backend in each_argsort_backend(monkeypatch):
-            store, runs = form_runs(options)
-            assert len(runs) > 1
-            replayed = list(
-                merge_pass(store, runs, key_of, options=options)
-            )
+        store, runs = form_runs(options)
+        assert len(runs) > 1
+        replayed = list(
+            merge_pass(store, runs, key_of, options=options)
+        )
 
-            # Same runs, sidecars dropped: forces the keyed-puller path.
-            store2, runs2 = form_runs(options)
-            store2.key_sidecars.clear()
-            fallback = list(
-                merge_pass(store2, runs2, key_of, options=options)
-            )
-            assert replayed == fallback
-            assert sha256_records(replayed) == expected["records_sha256"]
-            for merged_store in (store, store2):
-                totals = merged_store.device.stats.snapshot().counter_totals()
-                assert totals == expected["counters"]
+        # Same runs, sidecars dropped: forces the keyed-puller path.
+        store2, runs2 = form_runs(options)
+        store2.key_sidecars.clear()
+        fallback = list(
+            merge_pass(store2, runs2, key_of, options=options)
+        )
+        assert replayed == fallback
+        assert sha256_records(replayed) == expected["records_sha256"]
+        for merged_store in (store, store2):
+            totals = merged_store.device.stats.snapshot().counter_totals()
+            assert totals == expected["counters"]
 
     @pytest.mark.parametrize("materialized", [False, True])
     @pytest.mark.parametrize("embedded", [False, True])
-    def test_striped_clock_equals_heap_merge(
-        self, monkeypatch, embedded, materialized
-    ):
+    def test_striped_clock_equals_heap_merge(self, embedded, materialized):
         """A replayed pass charges its comparisons where the heap loop
         does, record by record, so a striped device - which reads the
         CPU clock at every access - sees the same stall and overlap
@@ -326,12 +328,11 @@ class TestReplayMerge:
                 totals = store.device.stats.snapshot().counter_totals()
             return records, totals
 
-        for _backend in each_argsort_backend(monkeypatch):
-            replayed, replayed_totals = drive(keep_sidecars=True)
-            heap, heap_totals = drive(keep_sidecars=False)
-            assert replayed == heap
-            assert replayed_totals["stall_seconds"] > 0
-            assert replayed_totals == heap_totals
+        replayed, replayed_totals = drive(keep_sidecars=True)
+        heap, heap_totals = drive(keep_sidecars=False)
+        assert replayed == heap
+        assert replayed_totals["stall_seconds"] > 0
+        assert replayed_totals == heap_totals
 
 
 class TestFusedScan:

@@ -10,8 +10,8 @@ both emits, and the sha256 of ``to_string()`` and ``to_string(indent="  ")``.
 ``sorted`` cells hold the emitted text of NEXSORT and merge-sort outputs,
 whose starts carry sort annotations.
 
-Every cell must reproduce on both argsort backends, through
-``Document.from_file`` and ``Document.from_string`` alike.
+Every cell must reproduce through ``Document.from_file`` and
+``Document.from_string`` alike.
 """
 
 import dataclasses
@@ -32,7 +32,6 @@ from repro.xml.compact import CompactionConfig
 from repro.xml.writer import events_to_string
 
 from .conftest import (
-    each_argsort_backend,
     random_tree,
     sha256_records,
     sha256_text,
@@ -201,22 +200,20 @@ def test_reference_covers_every_cell():
 
 
 @pytest.mark.parametrize("cell", CELLS)
-def test_load_and_emit_match_reference(monkeypatch, tmp_path, cell):
+def test_load_and_emit_match_reference(tmp_path, cell):
     expected = _reference()[cell]
-    for backend in each_argsort_backend(monkeypatch):
-        for via in ("file", "string"):
-            got = json.loads(json.dumps(load_cell(cell, tmp_path, via)))
-            for field in expected:
-                assert got[field] == expected[field], (backend, via, field)
+    for via in ("file", "string"):
+        got = json.loads(json.dumps(load_cell(cell, tmp_path, via)))
+        for field in expected:
+            assert got[field] == expected[field], (via, field)
 
 
 @pytest.mark.parametrize("cell", SORTED_CELLS)
-def test_sorted_output_text_matches_reference(monkeypatch, cell):
+def test_sorted_output_text_matches_reference(cell):
     expected = _reference()[cell]
-    for backend in each_argsort_backend(monkeypatch):
-        got = json.loads(json.dumps(sorted_cell(cell)))
-        for field in expected:
-            assert got[field] == expected[field], (backend, field)
+    got = json.loads(json.dumps(sorted_cell(cell)))
+    for field in expected:
+        assert got[field] == expected[field], field
 
 
 def test_rich_shape_exercises_every_construct():

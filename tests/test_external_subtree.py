@@ -13,8 +13,7 @@ transient device faults absorbed by retries or by a unit restart, and a
 two-disk striped device (whose stall time depends on where CPU is charged
 between device calls).
 
-Every cell must contain at least one external subtree sort, and must
-reproduce on both argsort backends.
+Every cell must contain at least one external subtree sort.
 """
 
 import functools
@@ -34,7 +33,7 @@ from repro.obs import Tracer
 from repro.xml.compact import CompactionConfig
 from repro.xml.document import Document
 
-from .conftest import each_argsort_backend, sha256_text
+from .conftest import sha256_text
 
 SPEC = SortSpec(default=ByAttribute("name"))
 TEXT_SPEC = SortSpec(default=ByText())
@@ -180,14 +179,13 @@ def test_reference_covers_every_cell():
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_external_subtree_matches_reference(monkeypatch, cell):
+def test_external_subtree_matches_reference(cell):
     expected = _reference()[cell]
     assert expected["external_sorts"] > 0
-    for backend in each_argsort_backend(monkeypatch):
-        # JSON turns phase tuples into lists; compare in that form.
-        got = json.loads(json.dumps(run_cell(CELLS[cell])))
-        for field in expected:
-            assert got[field] == expected[field], (backend, field)
+    # JSON turns phase tuples into lists; compare in that form.
+    got = json.loads(json.dumps(run_cell(CELLS[cell])))
+    for field in expected:
+        assert got[field] == expected[field], field
 
 
 @pytest.mark.parametrize(

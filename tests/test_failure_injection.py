@@ -27,9 +27,7 @@ class TestCorruptTokenRecords:
             codec.decode(garbage)
         except ReproError:
             pass  # typed failure: good
-        except (UnicodeDecodeError, OverflowError, ValueError):
-            pass  # string decode of random bytes: acceptable, contained
-        # Anything else (IndexError, KeyError...) fails the test.
+        # Anything else (IndexError, UnicodeDecodeError...) fails the test.
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -48,7 +46,7 @@ class TestCorruptTokenRecords:
     def test_key_atom_decoder_contained(self, data):
         try:
             decode_key_atom(data, 0)
-        except (CodecError, UnicodeDecodeError):
+        except CodecError:
             pass
 
     def test_truncated_token_record(self):
@@ -61,7 +59,7 @@ class TestCorruptTokenRecords:
         for cut in range(1, len(encoded)):
             try:
                 codec.decode(encoded[:cut])
-            except (ReproError, UnicodeDecodeError):
+            except ReproError:
                 pass
 
 

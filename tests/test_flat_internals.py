@@ -108,6 +108,12 @@ class TestGroupCodec:
         assert decoded.real == group.real
         assert decoded.token_bytes == group.token_bytes
 
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_truncated_token_raises_codec_error(self, cut):
+        group = ChildGroup(number_key(3), 4, 1, 1, [b"\x03\x04"])
+        with pytest.raises(CodecError):
+            decode_group(encode_group(group)[:-cut])
+
     def test_sort_key_reads_header_only(self):
         group = ChildGroup(number_key(7), 12, 1, 1, [b"payload"])
         assert group_sort_key(encode_group(group)) == (number_key(7), 12)

@@ -13,8 +13,6 @@ simulated seconds, which two-way cells do not: the two-way merge used to
 charge no comparisons.  Two-way scans were recorded under the categories
 ``merge_scan_left``/``merge_scan_right``, which are now ``merge_scan_0``/
 ``merge_scan_1``; batch updates keep the left/right names.
-
-Every cell must reproduce on both argsort backends.
 """
 
 import functools
@@ -38,7 +36,7 @@ from repro.merge import (
 )
 from repro.xml import Document, Element
 
-from .conftest import each_argsort_backend, random_tree, sha256_text
+from .conftest import random_tree, sha256_text
 
 SPEC = SortSpec.parse("*=@name")
 
@@ -241,6 +239,5 @@ def test_reference_covers_every_cell():
 @pytest.mark.parametrize("cell", CELLS)
 def test_merge_matches_reference(monkeypatch, cell):
     expected = _reference()[cell]
-    for backend in each_argsort_backend(monkeypatch):
-        got = json.loads(json.dumps(merge_cell(cell, monkeypatch)))
-        assert got == expected, (backend, cell)
+    got = json.loads(json.dumps(merge_cell(cell, monkeypatch)))
+    assert got == expected, cell

@@ -13,8 +13,6 @@ the report's run and graceful-degeneration figures:
   mode, with replacement selection and counted comparisons on compacted
   input, with a ``text()`` key, with a buffer pool, with pointer children
   inside the flushed regions, and with flushes of a non-root element.
-
-Every cell must reproduce on both argsort backends.
 """
 
 import functools
@@ -32,7 +30,7 @@ from repro.obs import Tracer
 from repro.xml.compact import CompactionConfig
 from repro.xml.document import Document
 
-from .conftest import each_argsort_backend, sha256_text
+from .conftest import sha256_text
 
 SPECS = {
     "name": SortSpec(default=ByAttribute("name")),
@@ -167,13 +165,12 @@ def test_reference_covers_every_cell():
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_scan_matches_reference(monkeypatch, cell):
+def test_scan_matches_reference(cell):
     expected = _reference()[cell]
-    for backend in each_argsort_backend(monkeypatch):
-        # JSON turns phase tuples into lists; compare in that form.
-        got = json.loads(json.dumps(run_cell(CELLS[cell])))
-        for field in expected:
-            assert got[field] == expected[field], (backend, field)
+    # JSON turns phase tuples into lists; compare in that form.
+    got = json.loads(json.dumps(run_cell(CELLS[cell])))
+    for field in expected:
+        assert got[field] == expected[field], field
 
 
 def test_cells_exercise_their_shapes():

@@ -35,7 +35,7 @@ from repro.xml.tokens import (
     string_key,
 )
 
-from .conftest import each_argsort_backend, scalar_reference, sha256_records
+from .conftest import scalar_reference, sha256_records
 
 
 def plain_tokens():
@@ -419,27 +419,22 @@ class TestColumnarSiblingGroups:
 
     @pytest.mark.parametrize("name", SIBLING_CASES)
     @pytest.mark.parametrize("sort_levels", [None, 1, 0])
-    def test_sort_node_tree_kernel_parity(
-        self, monkeypatch, name, sort_levels
-    ):
+    def test_sort_node_tree_kernel_parity(self, name, sort_levels):
         """The raw-record node tree sorts and serializes exactly as the
         retired token-object tree did."""
         expected = scalar_reference(f"sibling/{name}/{sort_levels}")
         records = TokenCodec().encode_batch(sibling_case(name))
-        for _backend in each_argsort_backend(monkeypatch):
-            device = BlockDevice(block_size=256)
-            out, _units, _real = sort_subtree_records(
-                records, False, False, 1, sort_levels, device.stats
-            )
-            assert sha256_records(out) == expected["tokens_sha256"]
-            assert device.stats.comparisons == expected["comparisons"]
+        device = BlockDevice(block_size=256)
+        out, _units, _real = sort_subtree_records(
+            records, False, False, 1, sort_levels, device.stats
+        )
+        assert sha256_records(out) == expected["tokens_sha256"]
+        assert device.stats.comparisons == expected["comparisons"]
 
     @pytest.mark.parametrize("name", SIBLING_CASES)
     @pytest.mark.parametrize("compact", [False, True])
     @pytest.mark.parametrize("names_coded", [False, True])
-    def test_sort_records_matches_sort_tokens(
-        self, monkeypatch, name, compact, names_coded
-    ):
+    def test_sort_records_matches_sort_tokens(self, name, compact, names_coded):
         """The raw-record path equals the frozen decode -> sort_tokens
         results, bit for bit: run contents, counters, and the RunPointer
         summary."""
@@ -451,28 +446,27 @@ class TestColumnarSiblingGroups:
         expected = scalar_reference(
             f"subtree/{name}/{compact}/{names_coded}"
         )
-        for _backend in each_argsort_backend(monkeypatch):
-            device = BlockDevice(block_size=256)
-            store = RunStore(device)
-            sorter = SubtreeSorter(
-                store, codec, compact, capacity_bytes=10**6, fan_in=2
-            )
-            result = sorter.sort_records(records, 500, 1, None)
-            assert sha256_records(store.open_reader(result.run)) == (
-                expected["run_sha256"]
-            )
-            assert device.stats.snapshot().counter_totals() == (
-                expected["counters"]
-            )
-            assert list(result.root_key) == expected["root_key"]
-            for field in (
-                "units",
-                "real_elements",
-                "payload_bytes",
-                "root_pos",
-                "internal",
-            ):
-                assert getattr(result, field) == expected[field], field
+        device = BlockDevice(block_size=256)
+        store = RunStore(device)
+        sorter = SubtreeSorter(
+            store, codec, compact, capacity_bytes=10**6, fan_in=2
+        )
+        result = sorter.sort_records(records, 500, 1, None)
+        assert sha256_records(store.open_reader(result.run)) == (
+            expected["run_sha256"]
+        )
+        assert device.stats.snapshot().counter_totals() == (
+            expected["counters"]
+        )
+        assert list(result.root_key) == expected["root_key"]
+        for field in (
+            "units",
+            "real_elements",
+            "payload_bytes",
+            "root_pos",
+            "internal",
+        ):
+            assert getattr(result, field) == expected[field], field
 
     def test_sort_records_root_key_from_end_tag(self):
         """Plain-mode subtree-evaluated keys ride on the end tag; the
