@@ -237,9 +237,12 @@ def _merged_group(
     # Grouped writer calls reorder output writes relative to the merge's
     # input reads.  Without a shared buffer pool (eviction order observes
     # the global access sequence) or a recovery context (fault points
-    # interact with the partial writer state) that reordering is
-    # invisible to every counter: each stream's own access sequence - and
-    # every per-category fault trigger index - is unchanged.
+    # interact with the partial writer state) the I/O and CPU counters
+    # stay the same: each stream's own access sequence - and every
+    # per-category fault trigger index - is unchanged.  The striped
+    # clock is not: a striped device stalls by when each write is
+    # submitted relative to reads and CPU, so this grouping sets
+    # ``stall_seconds`` there (the frozen striped cells depend on it).
     chunk = _WRITE_CHUNK if store.pool is None and recovery is None else 1
 
     def attempt_once() -> RunHandle:

@@ -1440,12 +1440,20 @@ def emit_output_columnar(
     ``levels`` puts the level on starts and pointers (``False`` is the
     plain run dialect of a NEXSORT subtree sort).  Texts never carry one.
 
-    ``chunk_records > 0`` additionally groups writer calls (safe only when
-    no buffer pool or recovery context is attached - grouping reorders
-    writes relative to the final merge's reads, which a shared pool would
-    observe); 0 writes one record's tokens at a time, preserving the
-    exact global device-access interleaving.  ``charge_tokens=False``
-    leaves the token charge to the caller (the returned count).
+    ``chunk_records=0`` (the default) is block-aligned: tokens collect
+    until their framed bytes reach the writer's :attr:`room`
+    (:attr:`repro.io.runs.RunWriter.room`), then go over in one
+    ``write_records`` call.  That call performs the device write a
+    record-at-a-time loop would have performed at the same record, and
+    each record's tokens are charged right after it, so the global
+    device-access order - and the ``tokens`` count every access sees -
+    is exactly that of one writer call per record.  This mode is safe
+    under a shared buffer pool, a recovery context and a striped clock.
+    ``chunk_records > 0`` instead writes every ``chunk_records`` tokens
+    and charges them per call; it reorders writes relative to the final
+    merge's reads, so it is for callers with no pool or recovery context
+    attached.  ``charge_tokens=False`` leaves the token charge to the
+    caller (the returned count).
     """
     stats = device.stats
     open_tags: list[bytes] = []
@@ -1453,20 +1461,27 @@ def emit_output_columnar(
     append = out.append
     pending_tokens = 0
     written = 0
+    # Framed bytes in ``out`` (each token: a 4-byte length header, its
+    # 2-byte type/flags head, its body), and the writer's room before
+    # its next device write.
+    framed = 0
+    room = writer.room
     start_head = b"\x01\x04" if levels else b"\x01\x00"
     pointer_head = b"\x04\x04" if levels else b"\x04\x00"
 
     def flush() -> None:
-        nonlocal pending_tokens, written
+        nonlocal pending_tokens, written, framed, room
         if out:
             # write_records frames the payloads synchronously, so the
             # list can be reused (keeps `append` a stable bound method).
             writer.write_records(out)
-            if charge_tokens:
-                stats.record_tokens(pending_tokens)
-            written += pending_tokens
             out.clear()
-            pending_tokens = 0
+            framed = 0
+            room = writer.room
+        if charge_tokens:
+            stats.record_tokens(pending_tokens)
+        written += pending_tokens
+        pending_tokens = 0
 
     level_tails: dict[int, bytes] = {}
     for record in stream:
@@ -1508,6 +1523,7 @@ def emit_output_columnar(
             tag = open_tags.pop()
             if emit_ends:
                 append(b"\x03\x00" + tag)
+                framed += 6 + len(tag)
                 pending_tokens += 1
         if len(open_tags) != depth - 1:
             raise CodecError(
@@ -1525,61 +1541,68 @@ def emit_output_columnar(
         else:
             tail = b""
         if record_kind == 2:  # pointer: the run_id/count/payload body
-            append(pointer_head + record[pos:] + tail)
+            token = pointer_head + record[pos:] + tail
+            append(token)
+            framed += 4 + len(token)
             pending_tokens += 1
-            if not chunk_records or len(out) >= chunk_records:
-                flush()
-            continue
-        tag_start = pos
-        if names_coded:
-            while record[pos] >= 0x80:  # tag id varint
-                pos += 1
-            pos += 1
-            tag_frame = record[tag_start:pos]
-            count = record[pos]
-            pos += 1
-            if count >= 0x80:
-                count, pos = read_varint_fast(record, pos - 1)
-            for _ in range(count):
-                while record[pos] >= 0x80:  # attr name id varint
+        else:
+            tag_start = pos
+            if names_coded:
+                while record[pos] >= 0x80:  # tag id varint
                     pos += 1
                 pos += 1
-                length = record[pos]  # attr value frame
+                tag_frame = record[tag_start:pos]
+                count = record[pos]
                 pos += 1
-                if length >= 0x80:
-                    length, pos = read_varint_fast(record, pos - 1)
-                pos += length
-        else:
-            length = record[pos]
-            pos += 1
-            if length >= 0x80:
-                length, pos = read_varint_fast(record, pos - 1)
-            pos += length
-            tag_frame = record[tag_start:pos]
-            count = record[pos]
-            pos += 1
-            if count >= 0x80:
-                count, pos = read_varint_fast(record, pos - 1)
-            for _ in range(2 * count):
+                if count >= 0x80:
+                    count, pos = read_varint_fast(record, pos - 1)
+                for _ in range(count):
+                    while record[pos] >= 0x80:  # attr name id varint
+                        pos += 1
+                    pos += 1
+                    length = record[pos]  # attr value frame
+                    pos += 1
+                    if length >= 0x80:
+                        length, pos = read_varint_fast(record, pos - 1)
+                    pos += length
+            else:
                 length = record[pos]
                 pos += 1
                 if length >= 0x80:
                     length, pos = read_varint_fast(record, pos - 1)
                 pos += length
-        tag_attrs = record[tag_start:pos]
-        text_frame = record[pos:]
-        append(start_head + tag_attrs + tail)
-        pending_tokens += 1
-        if text_frame != b"\x00":
-            append(b"\x02\x00" + text_frame)
+                tag_frame = record[tag_start:pos]
+                count = record[pos]
+                pos += 1
+                if count >= 0x80:
+                    count, pos = read_varint_fast(record, pos - 1)
+                for _ in range(2 * count):
+                    length = record[pos]
+                    pos += 1
+                    if length >= 0x80:
+                        length, pos = read_varint_fast(record, pos - 1)
+                    pos += length
+            tag_attrs = record[tag_start:pos]
+            text_frame = record[pos:]
+            append(start_head + tag_attrs + tail)
+            framed += 6 + len(tag_attrs) + len(tail)
             pending_tokens += 1
-        open_tags.append(tag_frame)
-
+            if text_frame != b"\x00":
+                append(b"\x02\x00" + text_frame)
+                framed += 6 + len(text_frame)
+                pending_tokens += 1
+            open_tags.append(tag_frame)
+        # The record's tokens are in ``out``: write, then charge.
         if chunk_records:
             if len(out) >= chunk_records:
                 flush()
-        else:
+        elif framed >= room:
             flush()
+        else:
+            if charge_tokens:
+                stats.record_tokens(pending_tokens)
+            written += pending_tokens
+            pending_tokens = 0
     while open_tags:
         tag = open_tags.pop()
         if emit_ends:

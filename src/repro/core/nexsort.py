@@ -471,7 +471,9 @@ class NexSorter:
                     frame, frames, data_stack, codec, store, device,
                     report, compact, depth_limit, fan_in,
                 )
-            else:
+            elif not frames or data_stack.total_bytes - frame.loc >= threshold:
+                # Most closes keep the element: only the root or a
+                # subtree at the threshold can sort.
                 self._close_subtree(
                     frame, frames, data_stack, codec, store, device,
                     sorter, report, compact, threshold, depth_limit,
@@ -910,8 +912,8 @@ class NexSorter:
                 options=self.options.merge,
                 tracer=self._tracer,
             ):
-                for token_bytes in group.token_bytes:
-                    writer.write_record(token_bytes)
+                # No read inside a group: one call per group.
+                writer.write_records(group.token_bytes)
             if not compact:
                 writer.write_record(
                     b"\x03\x00"

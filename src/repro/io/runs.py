@@ -322,6 +322,17 @@ class RunWriter:
     def record_count(self) -> int:
         return self._record_count
 
+    @property
+    def room(self) -> int:
+        """Framed bytes this writer accepts before its next device write.
+
+        Appending fewer buffers them; appending ``room`` or more fills
+        the block and flushes it.  Batching callers hand over records up
+        to this point, so a batch write touches the device exactly where
+        a record-at-a-time loop would.
+        """
+        return self._device.block_size - len(self._buffer)
+
     def _flush_block(self, data: bytes) -> None:
         block_id = self._device.allocate(1, pool=self._category)
         # Write-behind: on a striped device the flush is queued (double
@@ -627,6 +638,12 @@ class CompressedRunWriter:
     @property
     def record_count(self) -> int:
         return self._record_count
+
+    @property
+    def room(self) -> int:
+        """Framed bytes this writer accepts before its next device write
+        (the next segment close); see :attr:`RunWriter.room`."""
+        return self._segment_bytes - self._pending_bytes
 
 
 class CompressedRunReader:

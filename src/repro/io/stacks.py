@@ -139,7 +139,7 @@ class ExternalStack:
 
     def push(self, record: bytes) -> int:
         """Push a record; returns its start location (payload offset)."""
-        location = self.total_bytes
+        location = self._spilled_bytes + self._memory_bytes
         self._memory.append(record)
         self._memory_bytes += len(record)
         self._record_count += 1
@@ -164,22 +164,42 @@ class ExternalStack:
         ``location`` must be the exact start location of some pushed record
         (or the current top, yielding an empty list).  This is how NEXSORT
         pops a complete subtree off the data stack (Figure 4, Line 10).
+
+        The buffered records above ``location`` come off as one slice;
+        when the buffer empties first, the last spilled segment is paged
+        in and the slicing repeats.  Page-ins happen in the same order and
+        number as a loop of :meth:`pop` calls, and a ``location`` inside a
+        record raises :class:`~repro.errors.StackError` with the stack
+        left where that loop would stop.
         """
-        if location > self.total_bytes:
+        top = self._spilled_bytes + self._memory_bytes
+        if location > top:
             raise StackError(
-                f"pop_through({location}) beyond stack top "
-                f"{self.total_bytes}"
+                f"pop_through({location}) beyond stack top {top}"
             )
-        popped: list[bytes] = []
-        while self.total_bytes > location:
-            popped.append(self.pop())
-        if self.total_bytes != location:
+        slices: list[list[bytes]] = []
+        memory = self._memory
+        while top > location:
+            if not memory:
+                self._page_in_last_segment()
+            # Walk down the buffer to the first record that starts at or
+            # below ``location``; everything above it is popped.
+            cut = len(memory)
+            while cut and top > location:
+                cut -= 1
+                top -= len(memory[cut])
+            slices.append(memory[cut:])
+            del memory[cut:]
+            self._memory_bytes = top - self._spilled_bytes
+            self._record_count -= len(slices[-1])
+        if top != location:
             raise StackError(
                 f"pop_through({location}) did not land on a record "
-                f"boundary (stopped at {self.total_bytes})"
+                f"boundary (stopped at {top})"
             )
-        popped.reverse()
-        return popped
+        if len(slices) == 1:
+            return slices[0]
+        return [record for part in reversed(slices) for record in part]
 
     # -- paging ------------------------------------------------------------
 

@@ -125,6 +125,13 @@ def encode_varint(value: int) -> bytes:
     """
     if 0 <= value < 0x80:
         return _ONE_BYTE[value]
+    # Two- and three-byte fast paths: positions and stack locations.
+    if 0 <= value < 0x4000:
+        return bytes((value & 0x7F | 0x80, value >> 7))
+    if 0 <= value < 0x200000:
+        return bytes(
+            (value & 0x7F | 0x80, (value >> 7) & 0x7F | 0x80, value >> 14)
+        )
     out = bytearray()
     write_varint(out, value)
     return bytes(out)

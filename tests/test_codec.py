@@ -9,6 +9,7 @@ from repro.xml import NameDictionary, TokenCodec
 from repro.xml.codec import (
     decode_key_atom,
     encode_key_atom,
+    encode_varint,
     is_pointer_record,
     read_varint,
     write_varint,
@@ -51,6 +52,27 @@ class TestVarint:
         out = bytearray()
         write_varint(out, value)
         assert read_varint(bytes(out), 0) == (value, len(out))
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 0x7F, 0x80, 0x3FFF, 0x4000, 0x1FFFFF, 0x200000, 2**63],
+    )
+    def test_encode_varint_matches_write_varint(self, value):
+        """Each fast path and its boundaries frame like the loop."""
+        out = bytearray()
+        write_varint(out, value)
+        assert encode_varint(value) == bytes(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.integers(min_value=0, max_value=2**64))
+    def test_encode_varint_round_trip(self, value):
+        encoded = encode_varint(value)
+        assert read_varint(encoded, 0) == (value, len(encoded))
+
+    @pytest.mark.parametrize("value", [-1, -0x80, -0x4000, -(2**63)])
+    def test_encode_varint_negative_rejected(self, value):
+        with pytest.raises(CodecError):
+            encode_varint(value)
 
 
 class TestKeyAtoms:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RunError
-from repro.io import BlockDevice, RunStore
+from repro.io import BlockDevice, CompressionConfig, RunStore
 
 
 def make_store(block_size: int = 256):
@@ -199,6 +199,59 @@ class TestReadaheadClamp:
         assert len(rest) == 3
         delta = device.stats.since(before)
         assert delta.total_reads == 2  # blocks 2 and 3, nothing beyond
+
+
+class _CountingDevice(BlockDevice):
+    """Counts device write calls (a vectored write is one call)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.write_calls = 0
+
+    def write_blocks(self, block_ids, datas, category="other", stream=None):
+        self.write_calls += 1
+        super().write_blocks(block_ids, datas, category, stream)
+
+
+class TestWriterRoom:
+    """``room`` is exactly the framed bytes before the next device write:
+    a block for a plain writer, a segment for a compressed one."""
+
+    @pytest.fixture(params=[("plain", 256), ("compressed", 512)])
+    def setup(self, request):
+        kind, initial_room = request.param
+        device = _CountingDevice(block_size=256)
+        store = RunStore(device)
+        if kind == "compressed":
+            store.compression = CompressionConfig(segment_blocks=2)
+        return store.create_writer("run_write"), device, initial_room
+
+    def test_room_starts_at_a_block_or_segment(self, setup):
+        writer, _device, initial_room = setup
+        assert writer.room == initial_room
+        writer.write_record(b"x" * 6)  # 10 framed bytes
+        assert writer.room == initial_room - 10
+
+    @pytest.mark.parametrize("head", [0, 1, 37])
+    def test_fewer_bytes_than_room_write_nothing(self, setup, head):
+        writer, device, _ = setup
+        if head:
+            writer.write_record(b"h" * head)
+        room = writer.room
+        # Two records framing to room - 1 bytes (a 4-byte header each).
+        writer.write_records([b"a" * 10, b"b" * (room - 1 - 8 - 10)])
+        assert device.write_calls == 0
+        assert writer.room == 1
+
+    @pytest.mark.parametrize("head", [0, 1, 37])
+    def test_exactly_room_bytes_write_once(self, setup, head):
+        writer, device, initial_room = setup
+        if head:
+            writer.write_record(b"h" * head)
+        room = writer.room
+        writer.write_records([b"a" * 10, b"b" * (room - 8 - 10)])
+        assert device.write_calls == 1
+        assert writer.room == initial_room
 
 
 class TestHypothesisRoundTrip:

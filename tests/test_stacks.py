@@ -191,3 +191,99 @@ class TestHypothesisModel:
         popped = stack.pop_through(target)
         assert popped == records[cut:]
         assert len(stack) == cut
+
+
+def _pop_through_by_pops(stack, location):
+    """``pop_through`` as a loop of single pops (the reference)."""
+    popped = []
+    while stack.total_bytes > location:
+        popped.append(stack.pop())
+    if stack.total_bytes != location:
+        raise StackError("not on a record boundary")
+    popped.reverse()
+    return popped
+
+
+def _observed(device, stack):
+    return (
+        stack.page_ins,
+        stack.page_outs,
+        stack.total_bytes,
+        stack.in_memory_bytes,
+        stack.record_count,
+        device.stats.snapshot().counter_totals(),
+    )
+
+
+class TestSlicedPopThrough:
+    """The sliced ``pop_through`` equals a loop of ``pop()`` calls."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        operations=st.lists(
+            st.one_of(
+                # push: records up to ~2.5 blocks of 64 bytes
+                st.binary(min_size=1, max_size=160),
+                st.just(None),  # pop
+                # pop_through: which record boundary, and whether to aim
+                # one byte inside that record instead
+                st.tuples(st.floats(0, 1), st.booleans()),
+            ),
+            max_size=200,
+        ),
+        buffer_blocks=st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_a_loop_of_pops(self, operations, buffer_blocks):
+        sliced_device, sliced = make_stack(buffer_blocks, block_size=64)
+        looped_device, looped = make_stack(buffer_blocks, block_size=64)
+        locations: list[int] = []
+        for operation in operations:
+            if isinstance(operation, bytes):
+                locations.append(sliced.push(operation))
+                assert looped.push(operation) == locations[-1]
+            elif operation is None:
+                if locations:
+                    assert sliced.pop() == looped.pop()
+                    locations.pop()
+            else:
+                fraction, inside = operation
+                index = int(fraction * len(locations))
+                if index == len(locations):
+                    target = sliced.total_bytes
+                    inside = False
+                else:
+                    target = locations[index]
+                end = (
+                    locations[index + 1]
+                    if index + 1 < len(locations)
+                    else sliced.total_bytes
+                )
+                if inside and end - target > 1:
+                    with pytest.raises(StackError):
+                        sliced.pop_through(target + 1)
+                    with pytest.raises(StackError):
+                        _pop_through_by_pops(looped, target + 1)
+                    # Both popped the straddled record and stopped.
+                    del locations[index:]
+                else:
+                    assert sliced.pop_through(
+                        target
+                    ) == _pop_through_by_pops(looped, target)
+                    del locations[index:]
+            assert _observed(sliced_device, sliced) == _observed(
+                looped_device, looped
+            )
+        assert sliced.pop_through(0) == _pop_through_by_pops(looped, 0)
+        assert _observed(sliced_device, sliced) == _observed(
+            looped_device, looped
+        )
+
+    def test_misaligned_location_raises(self):
+        device, stack = make_stack(buffer_blocks=1, block_size=64)
+        for size in (10, 90, 20, 30, 40):
+            stack.push(b"r" * size)
+        with pytest.raises(StackError):
+            stack.pop_through(5)
+        # The pops stopped below the straddled record, as single pops do.
+        assert stack.total_bytes == 0
+        assert stack.record_count == 0
