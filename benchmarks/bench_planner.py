@@ -5,7 +5,7 @@ best measured configuration):
 
 1. **Live sweep** - a small Figure-5-shaped document is profiled the
    way the CLI would, the planner ranks a candidate grid over the
-   algorithm/formation/merge-kernel/embedded-keys/cache axes, and every
+   algorithm/formation/merge-kernel/cache axes, and every
    candidate is then actually run through the engine
    (:func:`repro.bench.run_config`).  The planner's first pick must
    measure within tolerance of the sweep's fastest row.
@@ -58,14 +58,12 @@ def _live_candidates():
     for algorithm in ("nexsort", "merge_sort"):
         for formation in ("load-sort", "replacement-selection"):
             for merge_kernel in ("heap", "loser-tree"):
-                for embedded in (False, True):
-                    configs.append(PlanConfig(
-                        algorithm=algorithm,
-                        memory_blocks=LIVE_MEMORY,
-                        run_formation=formation,
-                        merge_kernel=merge_kernel,
-                        embedded_keys=embedded,
-                    ))
+                configs.append(PlanConfig(
+                    algorithm=algorithm,
+                    memory_blocks=LIVE_MEMORY,
+                    run_formation=formation,
+                    merge_kernel=merge_kernel,
+                ))
     for cache in (2, 6):
         configs.append(PlanConfig(
             algorithm="nexsort",
@@ -96,8 +94,6 @@ def _config_label(config):
         parts.append("rs")
     if config.merge_kernel != "heap":
         parts.append(config.merge_kernel)
-    if config.embedded_keys:
-        parts.append("embed")
     if config.disks > 1:
         parts.append(f"disks={config.disks}")
     return "/".join(parts)
@@ -147,19 +143,17 @@ def _recorded_sweeps():
                 r for r in data["rows"] if r["workload"] == workload
             ]
             configs = {
-                (r["run_formation"], r["merge_kernel"],
-                 r["embedded_keys"]): PlanConfig(
+                (r["run_formation"], r["merge_kernel"]): PlanConfig(
                     algorithm="merge_sort",
                     memory_blocks=24,
                     run_formation=r["run_formation"],
                     merge_kernel=r["merge_kernel"],
-                    embedded_keys=r["embedded_keys"],
                 )
                 for r in rows
             }
             measured = {
-                (r["run_formation"], r["merge_kernel"],
-                 r["embedded_keys"]): r["simulated_seconds"]
+                (r["run_formation"], r["merge_kernel"]):
+                    r["simulated_seconds"]
                 for r in rows
             }
             sweeps.append(

@@ -5,7 +5,7 @@ MergeOptions` grid on the paper's two baseline workloads:
 
 * Figure 5 shape ``[11, 11, 11, deep]`` (seed 5) - the memory-sweep
   document, here at the mid-range budget, to measure what the
-  loser-tree kernel and embedded normalized keys do to CPU cost;
+  loser-tree kernel does to CPU cost;
 * Figure 6 largest shape ``[12, 85, 24]`` (seed 6) - the big flat-ish
   input where replacement selection's longer runs matter most.
 
@@ -15,9 +15,8 @@ Expectations checked at the end:
   load-sort formation on the Figure-6 workload (theory says ~2x longer
   runs on random input), and never increases merge-pass I/Os on any
   workload;
-* the loser tree with embedded keys strictly lowers both counted key
-  comparisons and simulated CPU seconds against the heap kernel on the
-  Figure-5 workload (<= ceil(log2 k) comparisons per record versus the
+* the loser tree strictly lowers both counted key comparisons and
+  simulated CPU seconds against the heap kernel on the Figure-5 workload (<= ceil(log2 k) comparisons per record versus the
   analytic heap charge).
 
 Results land in ``BENCH_runformation.json`` next to this file so the
@@ -36,17 +35,13 @@ MEMORY_BLOCKS = 24
 
 _JSON_PATH = Path(__file__).parent / "BENCH_runformation.json"
 
-#: The MergeOptions grid: both formation modes crossed with the heap
-#: kernel, the loser tree, and the loser tree over embedded keys (the
-#: embedded representation only pays off when merges compare bytes, so
-#: heap+embedded is not an interesting point).
+#: The MergeOptions grid: both formation modes crossed with both merge
+#: kernels.
 CONFIGS = [
-    ("load-sort", "heap", False),
-    ("load-sort", "loser-tree", False),
-    ("load-sort", "loser-tree", True),
-    ("replacement-selection", "heap", False),
-    ("replacement-selection", "loser-tree", False),
-    ("replacement-selection", "loser-tree", True),
+    ("load-sort", "heap"),
+    ("load-sort", "loser-tree"),
+    ("replacement-selection", "heap"),
+    ("replacement-selection", "loser-tree"),
 ]
 
 
@@ -74,25 +69,22 @@ def _merge_pass_ios(detail: dict) -> int:
     )
 
 
-def _config_label(formation: str, kernel: str, embedded: bool) -> str:
+def _config_label(formation: str, kernel: str) -> str:
     short = "RS" if formation == "replacement-selection" else "LS"
-    tail = "+embed" if embedded else ""
-    return f"{short}/{kernel}{tail}"
+    return f"{short}/{kernel}"
 
 
 def _sweep():
     rows = []
     for workload, _desc, events in WORKLOADS:
-        for formation, kernel, embedded in CONFIGS:
+        for formation, kernel in CONFIGS:
             options = MergeOptions(
-                run_formation=formation,
-                merge_kernel=kernel,
-                embedded_keys=embedded,
+                run_formation=formation, merge_kernel=kernel
             )
             metrics = run_merge_sort(
                 events, memory_blocks=MEMORY_BLOCKS, merge_options=options
             )
-            rows.append((workload, formation, kernel, embedded, metrics))
+            rows.append((workload, formation, kernel, metrics))
     return rows
 
 
@@ -102,14 +94,14 @@ def test_runformation_merge_kernel_sweep(benchmark):
     table = []
     records = []
     by_key = {}
-    for workload, formation, kernel, embedded, metrics in rows:
+    for workload, formation, kernel, metrics in rows:
         detail = metrics.detail
         merge_ios = _merge_pass_ios(detail)
-        by_key[(workload, formation, kernel, embedded)] = metrics
+        by_key[(workload, formation, kernel)] = metrics
         table.append(
             [
                 workload,
-                _config_label(formation, kernel, embedded),
+                _config_label(formation, kernel),
                 detail["initial_runs"],
                 f"{detail['avg_run_length']:.1f}",
                 detail["max_run_length"],
@@ -123,7 +115,6 @@ def test_runformation_merge_kernel_sweep(benchmark):
                 "workload": workload,
                 "run_formation": formation,
                 "merge_kernel": kernel,
-                "embedded_keys": embedded,
                 "memory_blocks": MEMORY_BLOCKS,
                 "initial_runs": detail["initial_runs"],
                 "avg_run_length": round(detail["avg_run_length"], 2),
@@ -154,10 +145,8 @@ def test_runformation_merge_kernel_sweep(benchmark):
     )
 
     fig6_runs = {
-        _config_label(f, k, e): by_key[
-            ("fig6", f, k, e)
-        ].detail["initial_runs"]
-        for f, k, e in CONFIGS
+        _config_label(f, k): by_key[("fig6", f, k)].detail["initial_runs"]
+        for f, k in CONFIGS
     }
     record_table(
         "Run formation & merge kernel "
@@ -186,33 +175,30 @@ def test_runformation_merge_kernel_sweep(benchmark):
     )
 
     # Replacement selection: >= 30% fewer initial runs on the big
-    # Figure-6 input (compare like with like: same kernel/embedding).
-    for kernel, embedded in {(k, e) for _f, k, e in CONFIGS}:
-        load = by_key[("fig6", "load-sort", kernel, embedded)]
-        rs = by_key[
-            ("fig6", "replacement-selection", kernel, embedded)
-        ]
+    # Figure-6 input (compare like with like: same kernel).
+    kernels = sorted({k for _f, k in CONFIGS})
+    for kernel in kernels:
+        load = by_key[("fig6", "load-sort", kernel)]
+        rs = by_key[("fig6", "replacement-selection", kernel)]
         assert (
             rs.detail["initial_runs"]
             <= 0.7 * load.detail["initial_runs"]
-        ), (kernel, embedded)
+        ), kernel
 
     # ... and never pays for it with extra merge-pass I/Os.
     for workload, _desc, _events in WORKLOADS:
-        for kernel, embedded in {(k, e) for _f, k, e in CONFIGS}:
-            load = by_key[(workload, "load-sort", kernel, embedded)]
-            rs = by_key[
-                (workload, "replacement-selection", kernel, embedded)
-            ]
+        for kernel in kernels:
+            load = by_key[(workload, "load-sort", kernel)]
+            rs = by_key[(workload, "replacement-selection", kernel)]
             assert _merge_pass_ios(rs.detail) <= _merge_pass_ios(
                 load.detail
-            ), (workload, kernel, embedded)
+            ), (workload, kernel)
 
-    # Loser tree over embedded keys: strictly cheaper CPU than the
-    # heap kernel on the Figure-5 workload, for both formation modes.
+    # Loser tree: strictly cheaper CPU than the heap kernel on the
+    # Figure-5 workload, for both formation modes.
     for formation in ("load-sort", "replacement-selection"):
-        heap = by_key[("fig5", formation, "heap", False)]
-        fast = by_key[("fig5", formation, "loser-tree", True)]
+        heap = by_key[("fig5", formation, "heap")]
+        fast = by_key[("fig5", formation, "loser-tree")]
         assert (
             fast.detail["comparisons"] < heap.detail["comparisons"]
         ), formation

@@ -57,7 +57,7 @@ def _run_all():
         for disks in DISK_SWEEP
     ]
 
-    options = MergeOptions(merge_kernel="loser-tree", embedded_keys=True)
+    options = MergeOptions(merge_kernel="loser-tree")
     policies = {}
     for name, depth, policy in (
         ("off", 0, "forecast"),

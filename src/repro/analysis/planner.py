@@ -6,7 +6,7 @@ sketch and these resources, how should every knob be set?*  Both
 ``repro sort --plan auto`` and ``repro analyze`` print its plan.  It
 enumerates candidate :class:`PlanConfig` settings over the grid the
 engine actually exposes (algorithm, threshold, cache blocks, run
-formation, merge kernel, embedded keys, compression, disks, prefetch),
+formation, merge kernel, compression, disks, prefetch),
 prices each with the shared :class:`~repro.io.stats.CostModel`
 using :func:`~repro.analysis.bounds.iterated_merge_depth` (the
 Arge-Thorup merge-depth oracle) as the pass-count oracle, and returns a
@@ -17,9 +17,9 @@ The predictors are calibrated against the recorded ``BENCH_*.json``
 phase breakdowns rather than the loose Theorem 4.5 constants:
 
 * merge sort moves ``n`` input blocks plus ``r*n`` annotated run-record
-  blocks per pass (``r`` = key-path annotation inflation, larger still
-  with embedded keys), with partial intermediate merges and a streamed
-  final pass - so I/O ~= ``2n + r*n * (1 + merge work)``;
+  blocks per pass (``r`` = key-path annotation inflation), with partial
+  intermediate merges and a streamed final pass - so
+  I/O ~= ``2n + r*n * (1 + merge work)``;
 * NEXSORT pays the scan/stage/output-walk pipeline (~``4n`` in the
   *internal regime*, where the smallest sort unit above the threshold
   fits in memory) plus two ``n``-passes per materialized merge level of
@@ -48,10 +48,6 @@ from .bounds import iterated_merge_depth
 #: Key-path annotation bytes a merge-sort run record adds per element
 #: (calibrated: run-formation writes / input blocks across BENCH rows).
 RUN_ANNOTATION_BYTES = 34.0
-
-#: Extra bytes per record when normalized keys are embedded in runs
-#: (calibrated from the embedded-keys run counts in BENCH_runformation).
-EMBEDDED_KEY_BYTES = 74.0
 
 #: NEXSORT's staging-pass size relative to the input (structural keys).
 STAGE_INFLATION = 1.08
@@ -93,7 +89,6 @@ class PlanConfig:
     flat_optimization: bool = False
     run_formation: str = "load-sort"
     merge_kernel: str = "heap"
-    embedded_keys: bool = False
     disks: int = 1
     prefetch_depth: int = 0
     prefetch_policy: str = "forecast"
@@ -109,7 +104,6 @@ class PlanConfig:
         return MergeOptions(
             run_formation=self.run_formation,
             merge_kernel=self.merge_kernel,
-            embedded_keys=self.embedded_keys,
             compress=self.compress,
             compress_capacity=self.compress_capacity,
         )
@@ -181,7 +175,6 @@ class Plan:
             f"plan: {c.algorithm} memory={c.memory_blocks} "
             f"cache={c.cache_blocks} threshold={c.threshold_blocks}B "
             f"formation={c.run_formation} kernel={c.merge_kernel} "
-            f"embedded_keys={c.embedded_keys} "
             f"compress={c.compress or 'off'}"
             f"{'+capacity' if c.compress_capacity else ''} "
             f"disks={c.disks} prefetch={c.prefetch_depth}/"
@@ -303,8 +296,6 @@ class Planner:
         working = config.working_blocks
         fan_in = max(2, working - 1)
         record_bytes = self.element_bytes + RUN_ANNOTATION_BYTES
-        if config.embedded_keys:
-            record_bytes += EMBEDDED_KEY_BYTES
         run_blocks = n * record_bytes / self.element_bytes
         ratio = PLANNED_COMPRESSION_RATIO if config.compress else 1.0
         # Run blocks *on disk*: the merge tree reads and writes stored
@@ -331,8 +322,7 @@ class Planner:
         comparisons = N * max(1.0, log2(max(2, run_length * self.B)))
         comparisons += merge_cmp
         tokens = 2.0 * TOKENS_PER_ELEMENT * N
-        if not config.embedded_keys:
-            tokens += TOKENS_PER_ELEMENT * N * depth
+        tokens += TOKENS_PER_ELEMENT * N * depth
         compress_raw = decompress_raw = 0.0
         if config.compress:
             # Every stored run block is written once and read once per
@@ -378,11 +368,9 @@ class Planner:
         if config.flat_optimization and self.profile.is_nearly_flat:
             # Graceful degeneration: runs form like merge sort but carry
             # the short structural keys instead of full key paths.
-            degenerate = replace(
-                config, algorithm="merge_sort", embedded_keys=False
+            return self._merge_sort_cost(
+                replace(config, algorithm="merge_sort")
             )
-            base = self._merge_sort_cost(degenerate)
-            return base
         n = self.n
         N = self.profile.element_count
         working = config.working_blocks
@@ -531,7 +519,7 @@ class Planner:
         seen: set[PlanConfig] = set()
         for (
             algorithm, cache, threshold, flat, formation,
-            merge_kernel, embedded, disks, compress, compress_capacity,
+            merge_kernel, disks, compress, compress_capacity,
         ) in itertools.product(
             axis("algorithm", ["nexsort", "merge_sort"]),
             axis("cache_blocks", caches),
@@ -539,7 +527,6 @@ class Planner:
             axis("flat_optimization", [False, True]),
             axis("run_formation", sorted(RUN_FORMATION_MODES)),
             axis("merge_kernel", sorted(MERGE_KERNELS)),
-            axis("embedded_keys", [False, True]),
             axis("disks", disk_values),
             axis("compress", [None, "container"]),
             axis("compress_capacity", [False, True]),
@@ -564,7 +551,6 @@ class Planner:
                 flat_optimization=flat,
                 run_formation=formation,
                 merge_kernel=merge_kernel,
-                embedded_keys=embedded,
                 disks=disks,
                 prefetch_depth=prefetch,
                 prefetch_policy=fixed.get("prefetch_policy", "forecast"),
@@ -596,8 +582,8 @@ class Planner:
             1
             for name in (
                 "cache_blocks", "threshold_blocks", "flat_optimization",
-                "run_formation", "merge_kernel", "embedded_keys",
-                "compress", "compress_capacity",
+                "run_formation", "merge_kernel", "compress",
+                "compress_capacity",
             )
             if getattr(config, name) != getattr(defaults, name)
         )
@@ -682,16 +668,6 @@ class Planner:
             lines.append(
                 "loser tree: ~log2(f) comparisons per record and "
                 "sequential merge reads"
-            )
-        if best.embedded_keys:
-            lines.append(
-                "embedded keys pay off: decode savings beat the run-"
-                "record inflation here"
-            )
-        else:
-            lines.append(
-                "embedded keys rejected: run-record inflation would "
-                "cost more I/O than decoding saves"
             )
         if best.compress:
             saved = 1.0 - 1.0 / PLANNED_COMPRESSION_RATIO

@@ -28,12 +28,7 @@ from ..io.compress import CompressionConfig
 from ..io.stats import StatsSnapshot
 from ..keys import SortSpec
 from ..obs.tracer import Tracer, maybe_span
-from ..merge.engine import (
-    DEFAULT_MERGE_OPTIONS,
-    MergeOptions,
-    RunFormer,
-    embedded_key_of,
-)
+from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions, RunFormer
 from ..xml.document import Document
 from .merging import merge_to_stream
 
@@ -94,7 +89,7 @@ class ExternalMergeSorter:
             :class:`~repro.io.bufferpool.BufferPool`; 0 keeps the classic
             unpooled behaviour bit-for-bit.  The cache comes out of the
             merge fan-in - it is charged memory, not spare memory.
-        merge_options: run-formation / merge-kernel / key-embedding knobs
+        merge_options: run-formation / merge-kernel / compression knobs
             (:class:`~repro.merge.engine.MergeOptions`); the defaults
             reproduce the paper's algorithm bit-for-bit.
     """
@@ -192,7 +187,6 @@ class ExternalMergeSorter:
         if self.merge_options.compress is not None:
             store.compression = CompressionConfig(
                 codec=self.merge_options.compress,
-                embedded_keys=self.merge_options.embedded_keys,
                 capacity=self.merge_options.compress_capacity,
             )
 
@@ -207,7 +201,6 @@ class ExternalMergeSorter:
 
             # Pass 1: scan the input, form sorted initial runs.
             options = self.merge_options
-            embedded = options.embedded_keys
             former = RunFormer(
                 store, capacity_bytes, options, tracer=tracer,
                 recovery=recovery,
@@ -236,9 +229,8 @@ class ExternalMergeSorter:
             # Merge passes, streaming the final merge into the output.
             # Path-only parse into normalized bytes: same ordering as
             # the decoded tuple key, no tag/attr/text decode.
-            key_of = embedded_key_of if embedded else fast_path_key
             stream, passes, width = merge_to_stream(
-                store, initial_runs, key_of, fan_in, options=options,
+                store, initial_runs, fast_path_key, fan_in, options=options,
                 tracer=tracer, recovery=recovery,
             )
             report.materialized_merge_passes = passes
@@ -259,7 +251,6 @@ class ExternalMergeSorter:
                 writer = store.create_writer("output")
                 emit_output_columnar(
                     stream, writer, device,
-                    strip_embedded=embedded,
                     chunk_records=(
                         _EMIT_CHUNK
                         if store.pool is None and recovery is None

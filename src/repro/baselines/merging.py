@@ -24,10 +24,6 @@ Two merge kernels are available (:class:`~repro.merge.engine.MergeOptions`):
 * ``loser-tree``: a tournament tree that performs - and *counts* - at most
   ``ceil(log2 w)`` real comparisons per record, reading each input run as
   its own sequential stream for honest seek accounting.
-
-With ``options.embedded_keys`` the records carry a byte-comparable
-normalized key prefix; ``key_of`` then never decodes a record during a
-merge pass, it just slices bytes.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from ..errors import DeviceFault, RunError
 from ..io.parallel import MergePrefetcher, supports_prefetch
 from ..io.runs import RunHandle, RunStore
 from ..obs.tracer import Tracer, maybe_span
-from ..merge.engine import LoserTree, MergeOptions, embedded_key_of
+from ..merge.engine import LoserTree, MergeOptions
 
 #: Records per grouped writer call when a merge pass writes its output.
 _WRITE_CHUNK = 1024
@@ -230,10 +226,10 @@ def _merged_group(
     """
     # Capture the output run's key sidecar while writing: the merged
     # stream already knows every record's normalized key, so the next
-    # pass over this run replays instead of re-evaluating keys.  Only the
-    # two normalized-bytes key functions qualify - custom keys would
-    # poison later sidecar consumers.
-    collect = key_of is fast_path_key or key_of is embedded_key_of
+    # pass over this run replays instead of re-evaluating keys.  Only
+    # ``fast_path_key`` qualifies - custom keys would poison later
+    # sidecar consumers.
+    collect = key_of is fast_path_key
     # Grouped writer calls reorder output writes relative to the merge's
     # input reads.  Without a shared buffer pool (eviction order observes
     # the global access sequence) or a recovery context (fault points

@@ -172,17 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
             "(<= ceil(log2 k) per record) instead of the analytic charge",
         )
         p.add_argument(
-            "--embedded-keys", action=_TrackedFlag,
-            help="embed byte-comparable normalized keys in run records so "
-            "merges compare bytes instead of decoding",
-        )
-        p.add_argument(
             "--compress",
             choices=["off", "container", "zlib"],
             default="off",
             action=_TrackedStore,
             help="compress sorted runs on disk: container (split each "
-            "record into structure/text/key containers, delta + "
+            "record into structure/text containers, delta + "
             "dictionary coding) or zlib (whole-segment reference "
             "backend); output is bit-identical either way, only byte "
             "and CPU counters move (default off)",
@@ -409,7 +404,6 @@ def _make_merge_options(args) -> MergeOptions:
     return MergeOptions(
         run_formation=getattr(args, "run_formation", "load-sort"),
         merge_kernel=getattr(args, "merge_kernel", "heap"),
-        embedded_keys=getattr(args, "embedded_keys", False),
         compress=None if compress in (None, "off") else compress,
         compress_capacity=getattr(args, "compress_capacity", False),
     )
@@ -462,7 +456,6 @@ def _plan_auto(args, document, base_device):
         ("flat_opt", "flat_optimization"),
         ("run_formation", "run_formation"),
         ("merge_kernel", "merge_kernel"),
-        ("embedded_keys", "embedded_keys"),
         ("prefetch_depth", "prefetch_depth"),
         ("prefetch_policy", "prefetch_policy"),
         ("compress_capacity", "compress_capacity"),
@@ -484,7 +477,6 @@ def _plan_auto(args, document, base_device):
     args.cache_blocks = chosen.cache_blocks
     args.run_formation = chosen.run_formation
     args.merge_kernel = chosen.merge_kernel
-    args.embedded_keys = chosen.embedded_keys
     args.compress = chosen.compress or "off"
     args.compress_capacity = chosen.compress_capacity
     if (
@@ -576,7 +568,6 @@ def cmd_sort(args) -> int:
                         cache_blocks=plan.config.cache_blocks,
                         run_formation=plan.config.run_formation,
                         merge_kernel=plan.config.merge_kernel,
-                        embedded_keys=plan.config.embedded_keys,
                         predicted_seconds=round(
                             plan.cost.total_seconds, 6
                         ),
@@ -615,8 +606,8 @@ def cmd_sort(args) -> int:
         else:
             if not merge_options.is_default:
                 print(
-                    "note: xsort ignores --run-formation, --merge-kernel, "
-                    "--embedded-keys and --compress",
+                    "note: xsort ignores --run-formation, --merge-kernel "
+                    "and --compress",
                     file=sys.stderr,
                 )
             if recovery is not None:

@@ -50,7 +50,6 @@ from ..merge.engine import (
     _normalize_atom,
     argsort_counted,
     dense_ranks,
-    embedded_key_of,
     normalize_number,
 )
 from ..xml.codec import (
@@ -103,9 +102,9 @@ def fast_path_key(record: bytes) -> bytes:
 
     Equivalent to ``normalized_path_key(decode_record(record).sort_key())``
     but skips the tag/attribute/text payload entirely - this is what merge
-    passes call per record per pass when keys are not embedded.  Works for
-    element and pointer records, with or without a name dictionary (path
-    atoms are dictionary-independent).  Varint reads are inlined: this
+    passes call per record per pass.  Works for element and pointer
+    records, with or without a name dictionary (path atoms are
+    dictionary-independent).  Varint reads are inlined: this
     runs once per record per merge pass, the hottest loop in the sort.
     Truncated records raise :class:`~repro.errors.CodecError`.
     """
@@ -163,23 +162,6 @@ def batch_path_keys(records: list[bytes]) -> list[bytes]:
     """:func:`fast_path_key` of every record in a drained block."""
     key = fast_path_key
     return [key(record) for record in records]
-
-
-def batch_embedded_keys(records: list[bytes]) -> list[bytes]:
-    """Embedded normalized-key prefixes of a drained block of records."""
-    out = []
-    append = out.append
-    try:
-        for record in records:
-            length = record[0]
-            if length < 0x80:
-                append(record[1 : 1 + length])
-            else:
-                length, pos = read_varint_fast(record, 0)
-                append(record[pos : pos + length])
-    except IndexError as exc:
-        raise CodecError(f"truncated embedded-key record: {exc}") from None
-    return out
 
 
 # -- the argsort --------------------------------------------------------------
@@ -271,15 +253,13 @@ def record_puller(reader) -> Callable[[], bytes | None]:
 def batch_keys_for(key_of) -> Callable[[list[bytes]], list]:
     """The batched form of a merge key function.
 
-    The two key functions the columnar sorter installs have dedicated
-    batch kernels; anything else (custom key functions from NEXSORT's
-    degeneration mode) is wrapped, which still amortizes the pull
-    machinery even though the key calls stay element-wise.
+    :func:`fast_path_key`, the key function the columnar sorter installs,
+    has a dedicated batch kernel; anything else (custom key functions
+    from NEXSORT's degeneration mode) is wrapped, which still amortizes
+    the pull machinery even though the key calls stay element-wise.
     """
     if key_of is fast_path_key:
         return batch_path_keys
-    if key_of is embedded_key_of:
-        return batch_embedded_keys
 
     def generic(records: list[bytes]) -> list:
         return [key_of(record) for record in records]
@@ -344,11 +324,11 @@ def run_sidecar(store, run, key_of):
 
     A sidecar holds the normalized key bytes of a run's records in record
     order, captured host-side when the run was written.  It only stands
-    in for ``key_of`` when that function *is* one of the two normalized-
-    bytes key functions - custom key functions (NEXSORT's degeneration
-    merges) have different key semantics and must be evaluated.
+    in for ``key_of`` when that function *is* :func:`fast_path_key` -
+    custom key functions (NEXSORT's degeneration merges) have different
+    key semantics and must be evaluated.
     """
-    if key_of is not fast_path_key and key_of is not embedded_key_of:
+    if key_of is not fast_path_key:
         return None
     keys = store.key_sidecars.get(run.run_id)
     if keys is not None and len(keys) != run.record_count:
@@ -1415,7 +1395,6 @@ def emit_output_columnar(
     stream: Iterable[bytes],
     writer,
     device,
-    strip_embedded: bool = False,
     chunk_records: int = 0,
     names_coded: bool = False,
     emit_ends: bool = True,
@@ -1485,13 +1464,6 @@ def emit_output_columnar(
 
     level_tails: dict[int, bytes] = {}
     for record in stream:
-        if strip_embedded:
-            length = record[0]
-            if length < 0x80:
-                record = record[1 + length :]
-            else:
-                length, pos = read_varint_fast(record, 0)
-                record = record[pos + length :]
         record_kind = record[0]
         if record_kind != 1 and record_kind != 2:
             raise CodecError(f"unknown key-path record kind {record_kind}")

@@ -33,15 +33,7 @@ from ..errors import SortSpecError
 from ..io.runs import RunHandle, RunStore
 from ..keys import ByAttribute, KeyRule, SortSpec
 from ..obs.tracer import Tracer, maybe_span
-from ..merge.engine import (
-    DEFAULT_MERGE_OPTIONS,
-    MergeOptions,
-    RunFormer,
-    embedded_key_of,
-    normalized_int_key,
-    normalized_string_key,
-    strip_embedded_key,
-)
+from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions, RunFormer
 from ..xml.codec import (
     decode_key_atom,
     encode_key_atom,
@@ -182,27 +174,17 @@ def _sorted_run(
     capacity_bytes: int,
     fan_in: int,
     options: MergeOptions,
-    normalize=None,
     tracer: Tracer | None = None,
     label: str = "idref",
 ) -> list[RunHandle]:
-    """Form sorted runs of a record stream under the memory budget.
-
-    With ``options.embedded_keys`` the ``normalize`` callable renders each
-    key into byte-comparable form, which is both the formation sort key
-    and the prefix embedded into the run records.
-    """
+    """Form sorted runs of a record stream under the memory budget."""
     former = RunFormer(
         store, capacity_bytes, options, write_category="idref_sort",
         tracer=tracer,
     )
-    embedded = options.embedded_keys
     with maybe_span(tracer, "run-formation", stream=label) as span:
         for record in records:
-            key = key_of(record)
-            if embedded:
-                key = normalize(key)
-            former.add(key, record)
+            former.add(key_of(record), record)
         runs = former.finish()
         if span is not None:
             span.set(runs=len(runs))
@@ -217,29 +199,18 @@ def _merged_stream(
     options: MergeOptions,
     tracer: Tracer | None = None,
 ) -> Iterator[bytes]:
-    """Merge id/ref/pos runs into one stream of *plain* records."""
-    merge_key = embedded_key_of if options.embedded_keys else key_of
+    """Merge id/ref/pos runs into one record stream."""
     stream, _passes, _width = merge_to_stream(
         store,
         runs,
-        merge_key,
+        key_of,
         fan_in,
         "idref_merge",
         "idref_sort",
         options=options,
         tracer=tracer,
     )
-    if options.embedded_keys:
-        return (strip_embedded_key(record) for record in stream)
     return stream
-
-
-def _normalize_str(value: str) -> bytes:
-    return normalized_string_key(value)
-
-
-def _normalize_pos(value: int) -> bytes:
-    return normalized_int_key(value)
 
 
 def resolve_idref_keys(
@@ -308,11 +279,11 @@ def resolve_idref_keys(
         # Sort both streams by id (externally, counted).
         id_runs = _sorted_run(
             store, iter(id_records), _id_of, capacity, fan_in, options,
-            _normalize_str, tracer=tracer, label="id-keys",
+            tracer=tracer, label="id-keys",
         )
         ref_runs = _sorted_run(
             store, iter(ref_records), _ref_of, capacity, fan_in, options,
-            _normalize_str, tracer=tracer, label="references",
+            tracer=tracer, label="references",
         )
         resolved: list[bytes] = []
         if id_runs and ref_runs:
@@ -348,7 +319,7 @@ def resolve_idref_keys(
         if resolved:
             pos_runs = _sorted_run(
                 store, iter(resolved), _pos_of, capacity, fan_in, options,
-                _normalize_pos, tracer=tracer, label="positions",
+                tracer=tracer, label="positions",
             )
             pos_stream = _merged_stream(
                 store, pos_runs, _pos_of, fan_in, options, tracer=tracer

@@ -95,7 +95,7 @@ class NexsortOptions:
             positive value is reserved from ``M`` like any other component
             and makes the output phase's run re-reads and stack paging
             cache hits instead of device I/Os.
-        merge: run-formation / merge-kernel / key-embedding knobs shared
+        merge: run-formation / merge-kernel / compression knobs shared
             with the baselines (:class:`~repro.merge.engine.MergeOptions`);
             the defaults are the paper-faithful load-sort + heap + analytic
             accounting.
@@ -269,7 +269,6 @@ class NexSorter:
         if options.merge.compress is not None:
             store.compression = CompressionConfig(
                 codec=options.merge.compress,
-                embedded_keys=options.merge.embedded_keys,
                 capacity=options.merge.compress_capacity,
             )
 

@@ -42,12 +42,7 @@ from ..baselines.merging import merge_to_stream
 from ..errors import CodecError, DeviceFault
 from ..io.runs import RunHandle, RunStore
 from ..obs.tracer import Tracer, maybe_span
-from ..merge.engine import (
-    DEFAULT_MERGE_OPTIONS,
-    MergeOptions,
-    RunFormer,
-    embedded_key_of,
-)
+from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions, RunFormer
 from ..xml.codec import TokenCodec, decode_key_atom
 from .columnar import (
     emit_output_columnar,
@@ -253,7 +248,6 @@ class SubtreeSorter:
         device = self.store.device
         stats = device.stats
         options = self.options
-        embedded = options.embedded_keys
         names_coded = self.codec.names is not None
         former = RunFormer(
             self.store, self.capacity_bytes, options, tracer=self.tracer,
@@ -273,16 +267,14 @@ class SubtreeSorter:
                 span.set(runs=len(runs))
         self.run_lengths.extend(former.run_lengths)
 
-        key_of = embedded_key_of if embedded else fast_path_key
         stream, _passes, _width = merge_to_stream(
-            self.store, runs, key_of, self.fan_in, options=options,
+            self.store, runs, fast_path_key, self.fan_in, options=options,
             tracer=self.tracer, recovery=self.recovery,
         )
         writer = self.store.create_writer("run_write")
         try:
             count = emit_output_columnar(
                 stream, writer, device,
-                strip_embedded=embedded,
                 names_coded=names_coded,
                 emit_ends=not self.compact,
                 base_level=base_level,

@@ -7,10 +7,6 @@ separate containers, each with a codec suited to its statistics, than
 when one byte-level codec sees the interleaved stream.  This module
 implements that split at *run granularity*:
 
-* **key container** - the embedded normalized key of every record
-  (``varint(len) + key``), stored **raw**: merge kernels compare and
-  replay orders straight from stored bytes, so keys must never need a
-  decode.
 * **layout container** - one varint per record: payload length and a
   structure/text discriminator bit.  This is the glue that reassembles
   records in order.
@@ -73,8 +69,6 @@ _CODEC_BY_ID = {v: k for k, v in _CODEC_IDS.items()}
 _SEGMENT_MAGIC = 0xC5
 _WIRE_MAGIC = b"RXW1"
 
-_FLAG_EMBEDDED_KEYS = 1
-
 # Per-container storage modes (the fallback machinery): every container
 # records how it was coded so decode never guesses.
 _MODE_RAW = 0
@@ -105,8 +99,6 @@ class CompressionConfig:
             also the codec's working-set knob.
         categories: writer categories whose runs compress; anything else
             (notably ``output``) stays uncompressed.
-        embedded_keys: whether records carry embedded normalized keys
-            (``varint(len) + key`` prefix) to peel into the key container.
         capacity: opt-in run-formation capacity mode - the former
             compresses *pending* formation batches so longer initial
             runs fit the same memory (fewer runs, possibly fewer merge
@@ -117,7 +109,6 @@ class CompressionConfig:
     codec: str = "container"
     segment_blocks: int = 4
     categories: frozenset = field(default=DEFAULT_COMPRESS_CATEGORIES)
-    embedded_keys: bool = False
     capacity: bool = False
 
     def __post_init__(self):
@@ -164,25 +155,6 @@ def framed_bytes(records: Iterable[bytes]) -> int:
 
 
 # -- container coding ---------------------------------------------------------
-
-
-def _split_record(payload: bytes, embedded_keys: bool):
-    """(key_part, rest, is_text) for one record payload."""
-    if embedded_keys:
-        try:
-            klen, pos = read_varint(payload, 0)
-        except Exception as exc:
-            raise RunCodecError(
-                f"record has no embedded-key frame: {exc}"
-            ) from exc
-        end = pos + klen
-        if end > len(payload):
-            raise RunCodecError("embedded key frame overruns its record")
-        key_part, rest = payload[:end], payload[end:]
-    else:
-        key_part, rest = b"", payload
-    is_text = bool(rest) and rest[0] == TYPE_TEXT
-    return key_part, rest, is_text
 
 
 def _front_code(entries: list[bytes]) -> bytes:
@@ -349,14 +321,16 @@ def _unpack_container(
 # -- segment blobs ------------------------------------------------------------
 
 
-def encode_records(
-    records: list[bytes], embedded_keys: bool, codec: str
-) -> bytes:
-    """Container-split a group of whole records into one segment blob."""
+def encode_records(records: list[bytes], codec: str) -> bytes:
+    """Container-split a group of whole records into one segment blob.
+
+    The header's flags byte is always 0 and the first of the four
+    length-prefixed containers is always empty: the layout a reader
+    checks, kept so existing segments and wire blobs stay decodable.
+    """
     codec_id = _CODEC_IDS.get(codec)
     if codec_id is None:
         raise RunCodecError(f"unknown run codec {codec!r}")
-    key_container = bytearray()
     layout = bytearray()
     structure: list[bytes] = []
     text: list[bytes] = []
@@ -364,20 +338,19 @@ def encode_records(
     for payload in records:
         crc = zlib.crc32(_LEN.pack(len(payload)), crc)
         crc = zlib.crc32(payload, crc)
-        key_part, rest, is_text = _split_record(payload, embedded_keys)
-        key_container += key_part
-        write_varint(layout, (len(rest) << 1) | int(is_text))
-        (text if is_text else structure).append(rest)
+        is_text = bool(payload) and payload[0] == TYPE_TEXT
+        write_varint(layout, (len(payload) << 1) | int(is_text))
+        (text if is_text else structure).append(payload)
 
     out = bytearray()
     out.append(_SEGMENT_MAGIC)
     out.append(codec_id)
-    out.append(_FLAG_EMBEDDED_KEYS if embedded_keys else 0)
+    out.append(0)  # flags
     write_varint(out, len(records))
     write_varint(out, framed_bytes(records))
     write_varint(out, crc)
     for container in (
-        bytes(key_container),
+        b"",
         bytes(layout),
         _pack_structure(structure, codec),
         _pack_text(text, codec),
@@ -409,7 +382,8 @@ def _decode_records(blob: bytes) -> list[bytes]:
     codec = _CODEC_BY_ID.get(blob[1])
     if codec is None:
         raise RunCodecError(f"unknown codec id {blob[1]}")
-    embedded_keys = bool(blob[2] & _FLAG_EMBEDDED_KEYS)
+    if blob[2]:
+        raise RunCodecError(f"unknown segment flags {blob[2]:#04x}")
     pos = 3
     record_count, pos = read_varint(blob, pos)
     raw_bytes, pos = read_varint(blob, pos)
@@ -425,7 +399,9 @@ def _decode_records(blob: bytes) -> list[bytes]:
         pos = end
     if pos != len(blob):
         raise RunCodecError("trailing bytes after segment")
-    key_container, layout, structure_blob, text_blob = containers
+    reserved, layout, structure_blob, text_blob = containers
+    if reserved:
+        raise RunCodecError("non-empty reserved segment container")
 
     kinds: list[int] = []
     struct_lengths: list[int] = []
@@ -443,24 +419,9 @@ def _decode_records(blob: bytes) -> list[bytes]:
     structure = _unpack_container(structure_blob, struct_lengths, "structure")
     text = _unpack_container(text_blob, text_lengths, "text")
 
-    records: list[bytes] = []
-    kpos = 0
     siter = iter(structure)
     titer = iter(text)
-    for is_text in kinds:
-        if embedded_keys:
-            klen, after = read_varint(key_container, kpos)
-            kend = after + klen
-            if kend > len(key_container):
-                raise RunCodecError("truncated key container")
-            key_part = key_container[kpos:kend]
-            kpos = kend
-        else:
-            key_part = b""
-        rest = next(titer) if is_text else next(siter)
-        records.append(key_part + rest)
-    if kpos != len(key_container):
-        raise RunCodecError("trailing bytes after key container")
+    records = [next(titer) if is_text else next(siter) for is_text in kinds]
 
     crc = 0
     total = 0
@@ -493,7 +454,7 @@ def encode_document_wire(events, codec: str = "container") -> bytes:
     names = NameDictionary()
     token_codec = TokenCodec(names)
     records = [token_codec.encode(token) for token in events]
-    body = encode_records(records, embedded_keys=False, codec=codec)
+    body = encode_records(records, codec)
 
     out = bytearray()
     out += _WIRE_MAGIC
@@ -511,7 +472,12 @@ def encode_document_wire(events, codec: str = "container") -> bytes:
 
 
 def decode_document_wire(blob: bytes):
-    """Decode a wire blob back to the exact submitted token list."""
+    """Decode a wire blob back to the exact submitted token list.
+
+    Any corruption raises :class:`RunCodecError`.  The record body is
+    checksummed; the name table is not, so a name byte replaced by
+    another valid one decodes to tokens carrying the altered name.
+    """
     from ..xml.compact import NameDictionary
 
     if blob[: len(_WIRE_MAGIC)] != _WIRE_MAGIC:
@@ -528,18 +494,25 @@ def decode_document_wire(blob: bytes):
         names = []
         for _ in range(count):
             length, tpos = read_varint(table, tpos)
-            names.append(table[tpos : tpos + length].decode("utf-8"))
-            tpos += length
+            end = tpos + length
+            if end > len(table):
+                raise RunCodecError("wire name overruns its table")
+            names.append(table[tpos:end].decode("utf-8"))
+            tpos = end
+        if tpos != len(table):
+            raise RunCodecError("trailing bytes after wire name table")
+        if len(set(names)) != len(names):
+            raise RunCodecError("duplicate name in wire name table")
         body_len, pos = read_varint(blob, pos)
         if pos + body_len != len(blob):
             raise RunCodecError("wire body length mismatch")
         records = decode_records(blob[pos:])
+        token_codec = TokenCodec(NameDictionary(names))
+        return [token_codec.decode(record) for record in records]
     except RunCodecError:
         raise
     except Exception as exc:
         raise RunCodecError(f"corrupt wire blob: {exc}") from exc
-    token_codec = TokenCodec(NameDictionary(names))
-    return [token_codec.decode(record) for record in records]
 
 
 __all__ = [

@@ -32,9 +32,10 @@ the busiest disk, i.e. the phase's disk time under PDM), ``overlap_seconds``
 consumer actually waited).
 
 :class:`MergePrefetcher` implements the forecast rule for the merge path:
-during a k-way merge the loser tree's embedded keys reveal each run's
-current head, and the run with the *smallest* head key is the one that will
-drain its buffer soonest - so its next block is fetched first (Knuth's
+during a k-way merge each run's head merge key - the key the merge
+kernel computed for the run's next record - reveals its current head, and
+the run with the *smallest* head key is the one that will drain its buffer
+soonest - so its next block is fetched first (Knuth's
 forecasting, vol. 3 §5.4.9).  A round-robin policy is kept as the naive
 baseline the benchmark compares against.
 """
@@ -445,9 +446,9 @@ class MergePrefetcher:
     """Forecast-driven block prefetch for one k-way merge.
 
     One prefetcher accompanies one merge pass.  The merge kernel reports
-    each run's freshly pulled head key (:meth:`note_head`) - with embedded
-    normalized keys these are exactly the loser tree's comparison keys -
-    and the prefetcher keeps each live run at most one block ahead of its
+    each run's freshly pulled head key (:meth:`note_head`) - the same
+    merge key the kernel compares, read from the record or its run's key
+    sidecar - and the prefetcher keeps each live run at most one block ahead of its
     reader, choosing *which* runs get the device's limited prefetch slots:
 
     * ``forecast``: the run with the smallest head key drains first, so it

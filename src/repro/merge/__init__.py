@@ -16,12 +16,9 @@ from .engine import (
     MergeOptions,
     RUN_FORMATION_MODES,
     RunFormer,
-    embed_key,
-    embedded_key_of,
     normalized_component_key,
     normalized_path_key,
     sort_with_accounting,
-    strip_embedded_key,
 )
 
 #: name -> (submodule, attribute) for lazily exported symbols.
@@ -88,14 +85,11 @@ __all__ = [
     "annotate_sequence_numbers",
     "apply_batch",
     "deduplicate",
-    "embed_key",
-    "embedded_key_of",
     "kway_merge",
     "merge_preserving_order",
     "nested_loop_merge",
     "normalized_component_key",
     "normalized_path_key",
     "sort_with_accounting",
-    "strip_embedded_key",
     "structural_merge",
 ]

@@ -1,5 +1,5 @@
 """Run-formation and merge kernels: replacement selection, loser trees,
-and embedded normalized keys.
+and normalized keys.
 
 The paper fixes load-sort-flush run formation and a heap merge; this module
 provides the engineering upgrades that real external sorters use (Arge &
@@ -15,19 +15,19 @@ togglable so the paper-faithful defaults stay bit-identical:
   ``ceil(log2 k)`` *actual counted* key comparisons (the heap costs up to
   ``2 log2 k`` real comparisons but is charged the analytic bound), and
   comparisons are recorded as they happen instead of analytically.
-* **embedded normalized keys** (:func:`embed_key` and friends): a
-  byte-comparable rendering of the sort key is prefixed to each run record
-  at formation time, so merge passes compare ``bytes`` directly instead of
-  decoding every record on every pass.
 
-Normalized keys are order-faithful: for any two keys built from the same
-domain (key-path tuples, ``(atom, position)`` pairs, strings, ints), the
-``bytes`` comparison of their normalizations equals the Python comparison
-of the originals.  Numbers use the IEEE-754 sign-flip trick; strings are
-UTF-8 with NUL escaped as ``00 FF`` and terminated by ``00`` (sound while
-the byte following a terminator is below ``FF``, which holds for every
-encoding this module emits); a strict tuple prefix is a strict byte prefix
-and therefore sorts first, matching tuple semantics.
+Run records are stored as they are.  The key-path sorters order them by
+normalized keys, a byte-comparable rendering of the sort key that merge
+passes parse straight from each record's path prefix
+(:func:`repro.core.columnar.fast_path_key`).  Normalized keys are
+order-faithful: for any two keys built from the same domain (key-path
+tuples, ``(atom, position)`` pairs), the ``bytes`` comparison of their
+normalizations equals the Python comparison of the originals.  Numbers use
+the IEEE-754 sign-flip trick; strings are UTF-8 with NUL escaped as
+``00 FF`` and terminated by ``00`` (sound while the byte following a
+terminator is below ``FF``, which holds for every encoding this module
+emits); a strict tuple prefix is a strict byte prefix and therefore sorts
+first, matching tuple semantics.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Callable, Iterable, Iterator
 
 from ..errors import SortSpecError
 from ..io.compress import CODEC_NAMES, decode_records, encode_records
-from ..xml.codec import read_varint, write_varint
 from ..xml.tokens import KEY_MISSING, KEY_NUMBER, KEY_STRING
 
 RUN_FORMATION_MODES = ("load-sort", "replacement-selection")
@@ -55,8 +54,7 @@ class MergeOptions:
     """Knobs of the run-formation / merge engine.
 
     The defaults reproduce the paper's algorithm bit-for-bit: load-sort
-    run formation, ``heapq`` merging, analytic comparison accounting, and
-    no key embedding.
+    run formation, ``heapq`` merging, and analytic comparison accounting.
 
     Attributes:
         run_formation: ``load-sort`` (sort a memory-full batch, flush) or
@@ -64,8 +62,6 @@ class MergeOptions:
         merge_kernel: ``heap`` (binary heap, analytic ``ceil(log2 k)``
             comparison charges) or ``loser-tree`` (tournament tree,
             *counted* comparisons - and counted in-memory sorts too).
-        embedded_keys: prefix run records with a byte-comparable normalized
-            key so merge passes never decode records.
         compress: run-compression codec (``container`` or ``zlib``), or
             None to store runs uncompressed.  Compression alone changes
             only byte and CPU counters: the records, comparisons, and
@@ -79,7 +75,6 @@ class MergeOptions:
 
     run_formation: str = "load-sort"
     merge_kernel: str = "heap"
-    embedded_keys: bool = False
     compress: str | None = None
     compress_capacity: bool = False
 
@@ -345,9 +340,6 @@ class RunFormer:
     deferred to the next run, so runs average twice the capacity on random
     input (and a single run covers any already-sorted input).
 
-    With ``options.embedded_keys`` the caller passes normalized ``bytes``
-    keys and the payload written to the run is ``embed_key(key, payload)``.
-
     Heap accounting charges ``ceil(log2 h)`` comparisons per record sifted
     through a heap of size ``h``, plus one comparison per arriving record
     for the run-assignment test - the replacement-selection analogue of the
@@ -394,8 +386,6 @@ class RunFormer:
         self._have_last = False
 
     def add(self, key, payload: bytes) -> None:
-        if self.options.embedded_keys:
-            payload = embed_key(key, payload)
         if self.options.replacement_selection:
             self._add_replacement(key, payload)
         elif self._capacity_mode:
@@ -423,37 +413,14 @@ class RunFormer:
         the per-record option lookups are paid once here instead.
         """
         if self.options.replacement_selection:
-            if not self.options.embedded_keys:
-                return self._add_replacement
-
-            def add_embedded_replacement(key, payload: bytes) -> None:
-                self._add_replacement(key, embed_key(key, payload))
-
-            return add_embedded_replacement
-        embedded = self.options.embedded_keys
+            return self._add_replacement
         if self._capacity_mode:
-
-            def add_capacity(key, payload: bytes) -> None:
-                if embedded:
-                    payload = embed_key(key, payload)
-                self._batch.append((key, payload))
-                self._batch_bytes += len(payload)
-                if self._batch_bytes >= self._chunk_trigger:
-                    self._compress_chunk()
-                if (
-                    self._chunk_bytes + self._batch_bytes
-                    >= self.capacity_bytes
-                ):
-                    self._flush_batch()
-
-            return add_capacity
+            return self.add
         capacity = self.capacity_bytes
         batch_append = self._batch.append
 
         def add(key, payload: bytes) -> None:
             nonlocal batch_append
-            if embedded:
-                payload = embed_key(key, payload)
             batch_append((key, payload))
             total = self._batch_bytes + len(payload)
             self._batch_bytes = total
@@ -483,7 +450,7 @@ class RunFormer:
         keys = [key for key, _payload in self._batch]
         payloads = [payload for _key, payload in self._batch]
         raw_bytes = sum(4 + len(payload) for payload in payloads)
-        blob = encode_records(payloads, False, self.options.compress)
+        blob = encode_records(payloads, self.options.compress)
         stats.record_compression(raw_bytes, len(blob))
         self._chunks.append((keys, blob, raw_bytes))
         self._chunk_bytes += len(blob)
@@ -627,14 +594,10 @@ def _normalize_atom(out: bytearray, atom: tuple) -> None:
         return
     if kind == KEY_STRING:
         out.append(2)
-        _normalize_str(out, value)
+        out += value.encode("utf-8").replace(b"\x00", b"\x00\xff")
+        out.append(0)
         return
     raise SortSpecError(f"cannot normalize key atom kind {kind}")
-
-
-def _normalize_str(out: bytearray, value: str) -> None:
-    out += value.encode("utf-8").replace(b"\x00", b"\x00\xff")
-    out.append(0)
 
 
 def _normalize_int(out: bytearray, value: int) -> None:
@@ -661,45 +624,3 @@ def normalized_path_key(path: tuple) -> bytes:
         _normalize_atom(out, atom)
         _normalize_int(out, position)
     return bytes(out)
-
-
-def normalized_string_key(value: str) -> bytes:
-    """Byte-comparable form of a plain string key."""
-    out = bytearray()
-    _normalize_str(out, value)
-    return bytes(out)
-
-
-def normalized_int_key(value: int) -> bytes:
-    """Byte-comparable form of a non-negative int key."""
-    out = bytearray()
-    _normalize_int(out, value)
-    return bytes(out)
-
-
-# -- embedded keys in run records --------------------------------------------
-
-
-def embed_key(key_bytes: bytes, payload: bytes) -> bytes:
-    """Prefix a run record with its normalized key (length-framed)."""
-    out = bytearray()
-    write_varint(out, len(key_bytes))
-    out += key_bytes
-    out += payload
-    return bytes(out)
-
-
-def embedded_key_of(record: bytes) -> bytes:
-    """The normalized key prefix of an embedded-key record.
-
-    This is the whole point of embedding: a merge pass calls this instead
-    of decoding the record, and the returned ``bytes`` compare directly.
-    """
-    length, pos = read_varint(record, 0)
-    return record[pos : pos + length]
-
-
-def strip_embedded_key(record: bytes) -> bytes:
-    """The original payload of an embedded-key record."""
-    length, pos = read_varint(record, 0)
-    return record[pos + length :]

@@ -32,6 +32,9 @@ _NAME_START = set(
 )
 _NAME_CHARS = _NAME_START | set("0123456789-.")
 
+#: The ``#``-keyword attribute defaults of an ATTLIST declaration.
+_PRESENCES = ("#REQUIRED", "#IMPLIED", "#FIXED")
+
 
 # -- content-model expression tree -------------------------------------------
 
@@ -451,6 +454,8 @@ def _parse_model(text: str, pos: int):
     separators: set[str] = set()
     while True:
         pos = _skip_ws(text, pos)
+        if pos >= len(text):
+            raise XMLSyntaxError("unterminated content model")
         if text[pos] == "(":
             node, pos = _parse_model(text, pos)
         else:
@@ -507,6 +512,10 @@ def _parse_attlist_declaration(
             break
         attr, pos = _read_name(body, pos)
         pos = _skip_ws(body, pos)
+        if pos >= len(body):
+            raise XMLSyntaxError(
+                f"ATTLIST {element}: attribute {attr} has no type"
+            )
         enum_values: tuple = ()
         if body[pos] == "(":
             end = body.find(")", pos)
@@ -531,6 +540,11 @@ def _parse_attlist_declaration(
                 hash_name_end += 1
             presence = body[pos:hash_name_end]
             pos = hash_name_end
+            if presence not in _PRESENCES:
+                raise XMLSyntaxError(
+                    f"ATTLIST {element}: unknown default {presence!r} "
+                    f"for attribute {attr}"
+                )
             if presence == "#FIXED":
                 pos = _skip_ws(body, pos)
                 default, pos = _read_quoted(body, pos)
@@ -548,7 +562,7 @@ def _parse_attlist_declaration(
 
 
 def _read_quoted(text: str, pos: int) -> tuple[str, int]:
-    quote = text[pos]
+    quote = text[pos : pos + 1]
     if quote not in ("'", '"'):
         raise XMLSyntaxError("expected a quoted default value")
     end = text.find(quote, pos + 1)

@@ -15,8 +15,8 @@ change what the sort computes:
   ``reads_pooled + cache_hits >= reads_unpooled`` (readahead may
   overshoot, so reads alone may exceed the unpooled count).
 
-The exhaustive test pins the full run-formation x merge-kernel x
-embedded-keys grid for both sorters; the hypothesis test fuzzes the
+The exhaustive test pins the full run-formation x merge-kernel grid for
+both sorters; the hypothesis test fuzzes the
 memory budget, pool size, and document shape on top.
 
 The byte-record implementation has a stricter contract than the pool: it
@@ -53,7 +53,6 @@ GRID = list(
     itertools.product(
         ["load-sort", "replacement-selection"],
         ["heap", "loser-tree"],
-        [False, True],
     )
 )
 
@@ -146,16 +145,10 @@ def assert_parity(unpooled, pooled):
 
 class TestMergeOptionsGrid:
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
-    @pytest.mark.parametrize(
-        "run_formation,merge_kernel,embedded_keys", GRID
-    )
-    def test_pool_is_transparent(
-        self, algorithm, run_formation, merge_kernel, embedded_keys
-    ):
+    @pytest.mark.parametrize("run_formation,merge_kernel", GRID)
+    def test_pool_is_transparent(self, algorithm, run_formation, merge_kernel):
         options = MergeOptions(
-            run_formation=run_formation,
-            merge_kernel=merge_kernel,
-            embedded_keys=embedded_keys,
+            run_formation=run_formation, merge_kernel=merge_kernel
         )
         cache = 4
         unpooled = sort_once(algorithm, 12, 0, options)
@@ -174,11 +167,9 @@ def assert_matches_reference(cell, run):
     assert phases == expected["phases"]
 
 
-def grid_options(run_formation, merge_kernel, embedded_keys):
+def grid_options(run_formation, merge_kernel):
     return MergeOptions(
-        run_formation=run_formation,
-        merge_kernel=merge_kernel,
-        embedded_keys=embedded_keys,
+        run_formation=run_formation, merge_kernel=merge_kernel
     )
 
 
@@ -203,58 +194,45 @@ class TestKernelParity:
     sequential/random I/O split, same per-phase breakdown."""
 
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
-    @pytest.mark.parametrize(
-        "run_formation,merge_kernel,embedded_keys", GRID
-    )
+    @pytest.mark.parametrize("run_formation,merge_kernel", GRID)
     def test_columnar_matches_scalar_unpooled(
-        self, algorithm, run_formation, merge_kernel, embedded_keys
+        self, algorithm, run_formation, merge_kernel
     ):
-        options = grid_options(run_formation, merge_kernel, embedded_keys)
+        options = grid_options(run_formation, merge_kernel)
         assert_matches_reference(
-            f"grid/{algorithm}/{run_formation}/{merge_kernel}/"
-            f"{embedded_keys}/m12c0",
+            f"grid/{algorithm}/{run_formation}/{merge_kernel}/m12c0",
             lambda: sort_traced(algorithm, 12, 0, options),
         )
 
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
     @pytest.mark.parametrize("compaction", ["names", "levels", "full"])
-    @pytest.mark.parametrize("embedded_keys", [False, True])
-    def test_columnar_matches_scalar_compacted(
-        self, algorithm, compaction, embedded_keys
-    ):
+    def test_columnar_matches_scalar_compacted(self, algorithm, compaction):
         """The contract holds under Section 3.2 compaction too."""
         assert_matches_reference(
-            f"compacted/{algorithm}/{compaction}/{embedded_keys}",
+            f"compacted/{algorithm}/{compaction}",
             lambda: sort_traced(
-                algorithm, 12, 0,
-                MergeOptions(embedded_keys=embedded_keys),
-                compaction=compaction,
+                algorithm, 12, 0, MergeOptions(), compaction=compaction
             ),
         )
 
     @pytest.mark.parametrize("algorithm", ["nexsort", "merge_sort"])
     def test_columnar_matches_scalar_pooled(self, algorithm):
-        for run_formation, merge_kernel, embedded_keys in GRID:
-            options = grid_options(
-                run_formation, merge_kernel, embedded_keys
-            )
+        for run_formation, merge_kernel in GRID:
+            options = grid_options(run_formation, merge_kernel)
             assert_matches_reference(
-                f"grid/{algorithm}/{run_formation}/{merge_kernel}/"
-                f"{embedded_keys}/m16c4",
+                f"grid/{algorithm}/{run_formation}/{merge_kernel}/m16c4",
                 lambda: sort_traced(algorithm, 16, 4, options),
             )
 
     @pytest.mark.parametrize("shape", sorted(TOKEN_SCAN_CELLS))
-    @pytest.mark.parametrize(
-        "run_formation,merge_kernel,embedded_keys", GRID
-    )
+    @pytest.mark.parametrize("run_formation,merge_kernel", GRID)
     def test_token_scan_matches_scalar(
-        self, shape, run_formation, merge_kernel, embedded_keys
+        self, shape, run_formation, merge_kernel
     ):
         memory, kwargs = TOKEN_SCAN_CELLS[shape]
-        options = grid_options(run_formation, merge_kernel, embedded_keys)
+        options = grid_options(run_formation, merge_kernel)
         assert_matches_reference(
-            f"{shape}/{run_formation}/{merge_kernel}/{embedded_keys}",
+            f"{shape}/{run_formation}/{merge_kernel}",
             lambda: sort_traced("nexsort", memory, 0, options, **kwargs),
         )
 
@@ -267,7 +245,6 @@ class TestFuzzedParity:
             ["load-sort", "replacement-selection"]
         ),
         merge_kernel=st.sampled_from(["heap", "loser-tree"]),
-        embedded_keys=st.booleans(),
         memory=st.integers(min_value=10, max_value=16),
         cache=st.integers(min_value=1, max_value=5),
         seed=st.integers(min_value=1, max_value=4),
@@ -278,13 +255,12 @@ class TestFuzzedParity:
         algorithm,
         run_formation,
         merge_kernel,
-        embedded_keys,
         memory,
         cache,
         seed,
         fanouts,
     ):
-        options = grid_options(run_formation, merge_kernel, embedded_keys)
+        options = grid_options(run_formation, merge_kernel)
         unpooled = sort_once(
             algorithm, memory, 0, options, fanouts=fanouts, seed=seed
         )
@@ -305,7 +281,6 @@ class TestFuzzedParity:
             ["load-sort", "replacement-selection"]
         ),
         merge_kernel=st.sampled_from(["heap", "loser-tree"]),
-        embedded_keys=st.booleans(),
         memory=st.integers(min_value=10, max_value=16),
         cache=st.integers(min_value=0, max_value=4),
         seed=st.integers(min_value=1, max_value=4),
@@ -317,7 +292,6 @@ class TestFuzzedParity:
         algorithm,
         run_formation,
         merge_kernel,
-        embedded_keys,
         memory,
         cache,
         seed,
@@ -332,7 +306,7 @@ class TestFuzzedParity:
                 algorithm,
                 memory + cache,
                 cache,
-                grid_options(run_formation, merge_kernel, embedded_keys),
+                grid_options(run_formation, merge_kernel),
                 fanouts=fanouts,
                 seed=seed,
                 compaction=compaction,

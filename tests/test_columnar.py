@@ -23,7 +23,6 @@ from repro.baselines.keypath import (
 )
 from repro.core.columnar import (
     argsort_normalized,
-    batch_embedded_keys,
     batch_path_keys,
     fast_path_key,
     form_runs_columnar,
@@ -34,12 +33,7 @@ from repro.core.columnar import (
 from repro.errors import CodecError
 from repro.io import BlockDevice, RunStore, StripedDevice
 from repro.keys import ByAttribute, KeyEvaluator, SortSpec
-from repro.merge.engine import (
-    MergeOptions,
-    RunFormer,
-    embed_key,
-    normalized_path_key,
-)
+from repro.merge.engine import MergeOptions, RunFormer, normalized_path_key
 from repro.xml import TokenCodec, parse_events
 from repro.xml.codec import read_tag_attrs
 
@@ -113,23 +107,12 @@ class TestFastPathKey:
             fast_path_key(record) for record in records
         ]
 
-    def test_batch_embedded_keys_strips_frames(self):
-        records = sample_records()
-        embedded = [
-            embed_key(fast_path_key(record), record)
-            for record in records
-        ]
-        assert batch_embedded_keys(embedded) == [
-            fast_path_key(record) for record in records
-        ]
-
     @pytest.mark.parametrize(
         "parse,data",
         [
             (fast_path_key, b"\x02\x03\x02"),  # string atom cut short
             (fast_path_key, b"\x02\x01\x01\x00"),  # number atom cut short
             (fast_path_key, b"\x01"),  # no path depth
-            (lambda data: batch_embedded_keys([data]), b"\x85"),
             (lambda data: read_tag_attrs(data, 0), b"\x05ab"),
             (lambda data: read_tag_attrs(data, 0), b"\x01a\x01"),
             # A string frame whose bytes are not UTF-8.
@@ -181,11 +164,7 @@ def form_runs(options, capacity_bytes=220, device=None, xml=XML):
     former = RunFormer(store, capacity_bytes, options)
     records = sample_records(xml)
     for record in records:
-        key = fast_path_key(record)
-        payload = (
-            embed_key(key, record) if options.embedded_keys else record
-        )
-        former.add(key, payload)
+        former.add(fast_path_key(record), record)
     return store, former.finish()
 
 
@@ -200,19 +179,6 @@ class TestSidecars:
             reader = store.open_reader(run)
             assert sidecar == [
                 fast_path_key(record) for record in reader
-            ]
-
-    def test_sidecars_match_embedded_keys(self):
-        options = MergeOptions(embedded_keys=True)
-        store, runs = form_runs(options)
-        from repro.merge.engine import embedded_key_of
-
-        for run in runs:
-            sidecar = run_sidecar(store, run, embedded_key_of)
-            assert sidecar is not None
-            reader = store.open_reader(run)
-            assert sidecar == [
-                embedded_key_of(record) for record in reader
             ]
 
     def test_custom_key_function_gets_no_sidecar(self):
@@ -265,27 +231,24 @@ class TestKeyedPuller:
 
 
 class TestReplayMerge:
-    @pytest.mark.parametrize("embedded", [False, True])
-    def test_replay_equals_fallback_heap_merge(self, embedded):
+    def test_replay_equals_fallback_heap_merge(self):
         from repro.baselines.merging import merge_pass
-        from repro.merge.engine import embedded_key_of
 
-        options = MergeOptions(embedded_keys=embedded)
-        key_of = embedded_key_of if embedded else fast_path_key
+        options = MergeOptions()
         # The retired record-at-a-time heap merge, frozen.
-        expected = scalar_reference(f"replay/{embedded}")
+        expected = scalar_reference("replay")
 
         store, runs = form_runs(options)
         assert len(runs) > 1
         replayed = list(
-            merge_pass(store, runs, key_of, options=options)
+            merge_pass(store, runs, fast_path_key, options=options)
         )
 
         # Same runs, sidecars dropped: forces the keyed-puller path.
         store2, runs2 = form_runs(options)
         store2.key_sidecars.clear()
         fallback = list(
-            merge_pass(store2, runs2, key_of, options=options)
+            merge_pass(store2, runs2, fast_path_key, options=options)
         )
         assert replayed == fallback
         assert sha256_records(replayed) == expected["records_sha256"]
@@ -294,17 +257,14 @@ class TestReplayMerge:
             assert totals == expected["counters"]
 
     @pytest.mark.parametrize("materialized", [False, True])
-    @pytest.mark.parametrize("embedded", [False, True])
-    def test_striped_clock_equals_heap_merge(self, embedded, materialized):
+    def test_striped_clock_equals_heap_merge(self, materialized):
         """A replayed pass charges its comparisons where the heap loop
         does, record by record, so a striped device - which reads the
         CPU clock at every access - sees the same stall and overlap
         time whether the pass replays or runs the heap."""
         from repro.baselines.merging import merge_pass, merge_to_single_run
-        from repro.merge.engine import embedded_key_of
 
-        options = MergeOptions(embedded_keys=embedded)
-        key_of = embedded_key_of if embedded else fast_path_key
+        options = MergeOptions()
 
         def drive(keep_sidecars):
             store, runs = form_runs(
@@ -317,13 +277,13 @@ class TestReplayMerge:
                 store.key_sidecars.clear()
             if materialized:
                 run, _passes = merge_to_single_run(
-                    store, runs, key_of, fan_in=3, options=options
+                    store, runs, fast_path_key, fan_in=3, options=options
                 )
                 totals = store.device.stats.snapshot().counter_totals()
                 records = list(store.open_reader(run))
             else:
                 records = list(
-                    merge_pass(store, runs, key_of, options=options)
+                    merge_pass(store, runs, fast_path_key, options=options)
                 )
                 totals = store.device.stats.snapshot().counter_totals()
             return records, totals

@@ -53,25 +53,15 @@ class TestCodec:
     @pytest.mark.parametrize("codec", ["container", "zlib"])
     def test_round_trip(self, codec):
         records = _records(40)
-        blob = encode_records(records, False, codec)
-        assert decode_records(blob) == records
-
-    def test_embedded_keys_round_trip(self):
-        records = [
-            encode_varint(len(key)) + key + payload
-            for key, payload in zip(
-                [b"k%03d" % i for i in range(20)], _records(20)
-            )
-        ]
-        blob = encode_records(records, True, "container")
+        blob = encode_records(records, codec)
         assert decode_records(blob) == records
 
     def test_empty_group(self):
-        assert decode_records(encode_records([], False, "container")) == []
+        assert decode_records(encode_records([], "container")) == []
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(RunCodecError):
-            encode_records([b"x"], False, "snappy")
+            encode_records([b"x"], "snappy")
 
     @pytest.mark.parametrize(
         "mutate",
@@ -87,9 +77,25 @@ class TestCodec:
         ],
     )
     def test_corruption_is_typed(self, mutate):
-        blob = encode_records(_records(12), False, "container")
+        blob = encode_records(_records(12), "container")
         with pytest.raises(RunCodecError):
             decode_records(mutate(blob))
+
+    def test_foreign_segment_flags_rejected(self):
+        blob = encode_records(_records(12), "container")
+        assert blob[2] == 0
+        assert decode_records(blob) == _records(12)
+        with pytest.raises(RunCodecError):
+            decode_records(blob[:2] + b"\x80" + blob[3:])
+
+    def test_non_empty_reserved_container_rejected(self):
+        blob = encode_records(_records(12), "container")
+        pos = 3
+        for _ in range(3):  # record count, framed bytes, checksum
+            _value, pos = read_varint(blob, pos)
+        assert blob[pos] == 0  # the reserved container is empty
+        with pytest.raises(RunCodecError):
+            decode_records(blob[:pos] + b"\x01\x00" + blob[pos + 1 :])
 
     @given(values=st.lists(st.integers(min_value=0, max_value=2**40)))
     @settings(max_examples=50, deadline=None)
@@ -319,6 +325,80 @@ class TestFaultInteraction:
         for key, value in clean.counters.items():
             if key not in moved:
                 assert faulty.counters[key] == value, key
+
+
+def _mutate(data, blob: bytes) -> tuple[bytes, list]:
+    """Apply 1-3 random byte edits; returns the blob and the edits."""
+    out = bytearray(blob)
+    edits = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        op = data.draw(st.sampled_from(["replace", "delete", "insert", "cut"]))
+        if not out:
+            op = "insert"
+        index = data.draw(st.integers(0, max(0, len(out) - 1)))
+        if op == "replace":
+            out[index] = data.draw(st.integers(0, 255))
+        elif op == "delete":
+            del out[index]
+        elif op == "insert":
+            out.insert(index, data.draw(st.integers(0, 255)))
+        else:
+            del out[index:]
+        edits.append((op, index))
+    return bytes(out), edits
+
+
+def _wire_name_bytes(blob: bytes) -> set[int]:
+    """Offsets of the name strings in a wire blob's (unchecksummed) table."""
+    _table_len, pos = read_varint(blob, 4)
+    count, pos = read_varint(blob, pos)
+    offsets = set()
+    for _ in range(count):
+        length, pos = read_varint(blob, pos)
+        offsets.update(range(pos, pos + length))
+        pos += length
+    return offsets
+
+
+_SEGMENT_RECORDS = _records(30)
+_SEGMENT_BLOBS = {
+    codec: encode_records(_SEGMENT_RECORDS, codec)
+    for codec in ("container", "zlib")
+}
+_WIRE_EVENTS = list(level_fanout_events([4, 4], seed=1))
+_WIRE_BLOB = encode_document_wire(_WIRE_EVENTS)
+
+
+class TestDecoderFuzz:
+    """Mutated segment and wire blobs fail typed or decode exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), codec=st.sampled_from(["container", "zlib"]))
+    def test_mutated_segment_is_typed_or_exact(self, data, codec):
+        mutated, _edits = _mutate(data, _SEGMENT_BLOBS[codec])
+        try:
+            records = decode_records(mutated)
+        except RunCodecError:
+            return
+        assert records == _SEGMENT_RECORDS
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_wire_blob_is_typed_or_exact(self, data):
+        mutated, edits = _mutate(data, _WIRE_BLOB)
+        try:
+            events = decode_document_wire(mutated)
+        except RunCodecError:
+            return
+        names = _wire_name_bytes(_WIRE_BLOB)
+        if all(op == "replace" and index in names for op, index in edits):
+            # The name table carries no checksum: a replaced name byte
+            # renames tokens, but the token stream keeps its shape.
+            assert [type(e) for e in events] == [
+                type(e) for e in _WIRE_EVENTS
+            ]
+        else:
+            assert events == _WIRE_EVENTS
 
 
 class TestWireFormat:

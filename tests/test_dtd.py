@@ -1,8 +1,10 @@
 """Tests for DTD parsing, validation, and dictionary seeding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import XMLSyntaxError
+from repro.errors import ReproError, XMLSyntaxError
 from repro.xml import Document, Element
 from repro.xml.dtd import DTD
 
@@ -71,6 +73,44 @@ class TestParsing:
     def test_bad_model_rejected(self):
         with pytest.raises(XMLSyntaxError):
             DTD.parse("<!ELEMENT a WRONG>")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<!ATTLIST a id>",  # attribute without a type
+            "<!ELEMENT a (b*|>",  # content model cut after a separator
+            "<!ATTLIST a id ID #>",  # '#' names no default keyword
+        ],
+    )
+    def test_malformed_declaration_is_syntax_error(self, text):
+        with pytest.raises(XMLSyntaxError):
+            DTD.parse(text)
+
+
+_DTD_ALPHABET = "<>!()|,*?+#\"' \nabEMPTYANYPCDATAREQUIREDFIXEDATTLIST"
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_dtd_parses_or_fails_typed(self, data):
+        """Byte-level edits of a valid DTD either parse or raise a
+        ``ReproError`` - never ``IndexError`` or another untyped error."""
+        text = list(COMPANY_DTD)
+        for _ in range(data.draw(st.integers(1, 4))):
+            index = data.draw(st.integers(0, max(0, len(text) - 1)))
+            op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+            char = data.draw(st.sampled_from(_DTD_ALPHABET))
+            if op == "insert" or not text:
+                text.insert(index, char)
+            elif op == "replace":
+                text[index] = char
+            else:
+                del text[index]
+        try:
+            DTD.parse("".join(text))
+        except ReproError:
+            pass
 
 
 class TestValidation:

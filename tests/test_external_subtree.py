@@ -5,8 +5,8 @@ external merge sort (Section 3.1).  ``external_subtree_reference.json``
 holds what that path produced - output sha256, ``counter_totals()``, the
 per-phase trace breakdown and the report's run-length figures - for the
 shapes the older ``scalar_reference.json`` cells do not reach: Section
-3.2 compaction (dictionary names, end-tag elimination, both) with and
-without embedded keys, depth-limited sorting (``sort_levels`` 0 and 1),
+3.2 compaction (dictionary names, end-tag elimination, both),
+depth-limited sorting (``sort_levels`` 0 and 1),
 a buffer pool, keys evaluated at end tags on dictionary-coded input,
 pointer children (collapsed subtrees inside an external sort),
 transient device faults absorbed by retries or by a unit restart, and a
@@ -69,11 +69,8 @@ def _cell(
 #: root of a (60, 4) document too large for an in-memory subtree sort.
 CELLS = {
     **{
-        f"compaction/{mode}/{embedded}": _cell(
-            compaction=mode, options=dict(embedded_keys=embedded)
-        )
+        f"compaction/{mode}": _cell(compaction=mode)
         for mode in ("names", "levels", "full")
-        for embedded in (False, True)
     },
     # The root subtree is sorted externally with sort_levels 0 / 1.
     "depth-limit/0": _cell(fanouts=(60, 4, 2), depth_limit=0),
@@ -89,9 +86,6 @@ CELLS = {
     # 120 level-2 subtrees sort first; the root sorts their pointers.
     "pointers/plain": _cell(fanouts=(120, 20)),
     "pointers/levels": _cell(fanouts=(120, 20), compaction="levels"),
-    "pointers/embedded": _cell(
-        fanouts=(120, 20), options=dict(embedded_keys=True)
-    ),
     "replacement-selection/full": _cell(
         compaction="full",
         options=dict(run_formation="replacement-selection"),

@@ -294,10 +294,10 @@ class TestByAttributes:
 class TestNormalizedKeyEdgeCases:
     """Normalized-key ordering edge cases the columnar argsort leans on.
 
-    The columnar kernel discriminates on a fixed-width prefix of these
-    bytes and tie-breaks on the full key, so the byte order must be total
-    and match tuple-key order exactly - including empty strings,
-    multi-byte UTF-8, and keys longer than the embedded prefix width.
+    Sorts and merges compare these bytes directly, so the byte order must
+    be total and match tuple-key order exactly - including empty strings,
+    multi-byte UTF-8, and keys that differ only after a long common
+    prefix.
     """
 
     def test_empty_text_sorts_before_everything(self):
@@ -313,19 +313,18 @@ class TestNormalizedKeyEdgeCases:
         assert missing < empty
 
     def test_multibyte_utf8_orders_by_codepoint(self):
-        from repro.merge.engine import normalized_string_key
+        from repro.merge.engine import normalized_path_key
+
+        def key(value):
+            return normalized_path_key((((KEY_STRING, value), 0),))
 
         # UTF-8 byte order == codepoint order; check across 1-, 2-, 3-
         # and 4-byte encodings.
         values = ["z", "é", "Ł", "中", "\U0001f600"]
-        normalized = sorted(normalized_string_key(v) for v in values)
-        by_codepoint = [
-            normalized_string_key(v) for v in sorted(values)
-        ]
+        normalized = sorted(key(v) for v in values)
+        by_codepoint = [key(v) for v in sorted(values)]
         assert normalized == by_codepoint
-        assert normalized_string_key("z") < normalized_string_key(
-            "é"
-        )
+        assert key("z") < key("é")
 
     def test_keys_longer_than_prefix_tiebreak_on_tail(self):
         from repro.core.columnar import argsort_normalized

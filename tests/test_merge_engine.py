@@ -27,10 +27,7 @@ from repro.merge.engine import (
     LoserTree,
     MergeOptions,
     RunFormer,
-    embed_key,
-    embedded_key_of,
     normalized_path_key,
-    strip_embedded_key,
 )
 from repro.xml import Document, Element
 from repro.xml.tokens import KEY_NUMBER, KEY_STRING, MISSING_KEY
@@ -40,11 +37,9 @@ from .conftest import flat_tree, random_tree
 SPEC = SortSpec(default=ByAttribute("name"))
 
 ALL_OPTIONS = [
-    MergeOptions(run_formation=formation, merge_kernel=kernel,
-                 embedded_keys=embedded)
+    MergeOptions(run_formation=formation, merge_kernel=kernel)
     for formation in ("load-sort", "replacement-selection")
     for kernel in ("heap", "loser-tree")
-    for embedded in (False, True)
 ]
 
 
@@ -213,21 +208,6 @@ class TestRunFormer:
         assert len(runs) == 1
         assert _read_run(store, runs[0]) == payloads
 
-    def test_embedded_keys_round_trip_through_runs(self, store):
-        pairs = [(normalized_path_key(()), b"payload")]
-        former = RunFormer(
-            store,
-            64,
-            MergeOptions(
-                run_formation="replacement-selection", embedded_keys=True
-            ),
-        )
-        former.add(pairs[0][0], pairs[0][1])
-        (handle,) = former.finish()
-        (record,) = _read_run(store, handle)
-        assert embedded_key_of(record) == pairs[0][0]
-        assert strip_embedded_key(record) == b"payload"
-
 
 _atoms = st.one_of(
     st.just(MISSING_KEY),
@@ -260,12 +240,6 @@ class TestNormalizedKeys:
         plus = normalized_path_key((((KEY_NUMBER, 0.0), 1),))
         minus = normalized_path_key((((KEY_NUMBER, -0.0), 1),))
         assert plus == minus
-
-    def test_embed_round_trip(self):
-        key = normalized_path_key((((KEY_STRING, "k\x00v"), 3),))
-        record = embed_key(key, b"\x01\x02payload")
-        assert embedded_key_of(record) == key
-        assert strip_embedded_key(record) == b"\x01\x02payload"
 
 
 class TestPerRunSequentiality:

@@ -46,11 +46,9 @@ SPEC = SortSpec(default=ByAttribute("name"))
 
 #: The full engine-knob grid; every combination must trace cleanly.
 OPTION_GRID = [
-    MergeOptions(run_formation=formation, merge_kernel=kernel,
-                 embedded_keys=embedded)
+    MergeOptions(run_formation=formation, merge_kernel=kernel)
     for formation in ("load-sort", "replacement-selection")
     for kernel in ("heap", "loser-tree")
-    for embedded in (False, True)
 ]
 
 #: Figure-5 totals of the unpooled seed (see tests/test_bufferpool.py):

@@ -567,9 +567,7 @@ class TestEndToEndMergePrefetch:
     def test_counters_identical_and_stall_reduced(self):
         factory = lambda: level_fanout_events([9, 8, 7], seed=5,
                                               pad_bytes=24)
-        options = MergeOptions(
-            merge_kernel="loser-tree", embedded_keys=True
-        )
+        options = MergeOptions(merge_kernel="loser-tree")
         off = run_merge_sort(
             factory, memory_blocks=12, merge_options=options, disks=4
         )

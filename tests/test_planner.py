@@ -93,17 +93,12 @@ class TestBenchRegression:
         for row in data["rows"]:
             if row["workload"] != workload:
                 continue
-            key = (
-                row["run_formation"],
-                row["merge_kernel"],
-                row["embedded_keys"],
-            )
+            key = (row["run_formation"], row["merge_kernel"])
             configs[key] = PlanConfig(
                 algorithm="merge_sort",
                 memory_blocks=24,
                 run_formation=row["run_formation"],
                 merge_kernel=row["merge_kernel"],
-                embedded_keys=row["embedded_keys"],
             )
             measured[key] = row["simulated_seconds"]
         assert_pick_near_optimum(
@@ -300,12 +295,10 @@ class TestPlannerContract:
         config = PlanConfig(
             run_formation="replacement-selection",
             merge_kernel="loser-tree",
-            embedded_keys=True,
         )
         assert config.merge_options() == MergeOptions(
             run_formation="replacement-selection",
             merge_kernel="loser-tree",
-            embedded_keys=True,
         )
 
     def test_validate_rejects_bad_configs(self):

@@ -129,7 +129,6 @@ merge_options = st.builds(
     MergeOptions,
     run_formation=st.sampled_from(["load-sort", "replacement-selection"]),
     merge_kernel=st.sampled_from(["heap", "loser-tree"]),
-    embedded_keys=st.booleans(),
 )
 
 
