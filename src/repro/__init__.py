@@ -22,140 +22,89 @@ Quickstart::
     print(report.total_ios, report.simulated_seconds)
 """
 
-from .baselines import (
-    ExternalMergeSorter,
-    MergeSortReport,
-    external_merge_sort,
-    is_fully_sorted,
-    key_path_table,
-    sort_element,
-)
-from .core import (
-    NexSorter,
-    NexsortOptions,
-    NexsortReport,
-    nexsort,
-)
-from .errors import (
-    CodecError,
-    DeviceError,
-    DeviceFault,
-    FaultPlanError,
-    MemoryBudgetExceeded,
-    MergeError,
-    ReproError,
-    RunError,
-    SortRecoveryError,
-    SortSpecError,
-    StackError,
-    XMLSyntaxError,
-)
-from .faults import (
-    Checkpoint,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    RecoveryContext,
-    RetryingDevice,
-    RetryPolicy,
-    build_faulty_device,
-)
-from .io import (
-    BlockDevice,
-    CostModel,
-    ExternalStack,
-    IOStats,
-    MemoryBudget,
-    RunStore,
-)
-from .keys import (
-    ByAttribute,
-    ByAttributes,
-    ByChildPath,
-    ByTag,
-    ByText,
-    DocumentOrder,
-    KeyEvaluator,
-    KeyRule,
-    SortSpec,
-)
-from .merge import (
-    BatchReport,
-    MergeReport,
-    NestedLoopReport,
-    apply_batch,
-    nested_loop_merge,
-    structural_merge,
-)
-from .xml import (
-    CompactionConfig,
-    Document,
-    Element,
-    NameDictionary,
-    element_to_string,
-    events_to_string,
-    parse_events,
-)
+from ._lazy import lazy_exports
+
+# The quickstart's sort entry points load eagerly: a caller that imports
+# the package goes on to sort, and paying for that code here keeps it out
+# of the first sort call.  Every other name loads its module on first
+# access (see ``_lazy``).
+from .baselines.merge_sort import external_merge_sort
+from .core.nexsort import nexsort
+from .io.device import BlockDevice
+from .io.runs import RunStore
+from .keys import SortSpec
+from .xml.document import Document
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "baselines": (
+        "ExternalMergeSorter",
+        "MergeSortReport",
+        "external_merge_sort",
+        "is_fully_sorted",
+        "key_path_table",
+        "sort_element",
+    ),
+    "core": ("NexSorter", "NexsortOptions", "NexsortReport", "nexsort"),
+    "errors": (
+        "CodecError",
+        "DeviceError",
+        "DeviceFault",
+        "FaultPlanError",
+        "MemoryBudgetExceeded",
+        "MergeError",
+        "ReproError",
+        "RunError",
+        "SortRecoveryError",
+        "SortSpecError",
+        "StackError",
+        "XMLSyntaxError",
+    ),
+    "faults": (
+        "Checkpoint",
+        "FaultInjector",
+        "FaultPlan",
+        "FaultRule",
+        "RecoveryContext",
+        "RetryingDevice",
+        "RetryPolicy",
+        "build_faulty_device",
+    ),
+    "io": (
+        "BlockDevice",
+        "CostModel",
+        "ExternalStack",
+        "IOStats",
+        "MemoryBudget",
+        "RunStore",
+    ),
+    "keys": (
+        "ByAttribute",
+        "ByAttributes",
+        "ByChildPath",
+        "ByTag",
+        "ByText",
+        "DocumentOrder",
+        "KeyEvaluator",
+        "KeyRule",
+        "SortSpec",
+    ),
+    "merge": (
+        "BatchReport",
+        "MergeReport",
+        "NestedLoopReport",
+        "apply_batch",
+        "nested_loop_merge",
+        "structural_merge",
+    ),
+    "xml": (
+        "CompactionConfig",
+        "Document",
+        "Element",
+        "NameDictionary",
+        "element_to_string",
+        "events_to_string",
+        "parse_events",
+    ),
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "BatchReport",
-    "BlockDevice",
-    "ByAttribute",
-    "ByAttributes",
-    "ByChildPath",
-    "ByTag",
-    "ByText",
-    "Checkpoint",
-    "CodecError",
-    "CompactionConfig",
-    "CostModel",
-    "DeviceError",
-    "DeviceFault",
-    "Document",
-    "DocumentOrder",
-    "Element",
-    "ExternalMergeSorter",
-    "ExternalStack",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "FaultRule",
-    "IOStats",
-    "KeyEvaluator",
-    "KeyRule",
-    "MemoryBudget",
-    "MemoryBudgetExceeded",
-    "MergeError",
-    "MergeReport",
-    "MergeSortReport",
-    "NameDictionary",
-    "NestedLoopReport",
-    "NexSorter",
-    "NexsortOptions",
-    "NexsortReport",
-    "RecoveryContext",
-    "ReproError",
-    "RetryPolicy",
-    "RetryingDevice",
-    "RunError",
-    "RunStore",
-    "SortRecoveryError",
-    "SortSpec",
-    "SortSpecError",
-    "StackError",
-    "XMLSyntaxError",
-    "apply_batch",
-    "build_faulty_device",
-    "element_to_string",
-    "events_to_string",
-    "external_merge_sort",
-    "is_fully_sorted",
-    "key_path_table",
-    "nested_loop_merge",
-    "nexsort",
-    "parse_events",
-    "sort_element",
-    "structural_merge",
-]

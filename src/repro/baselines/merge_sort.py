@@ -23,8 +23,6 @@ from ..core.columnar import (
 )
 from ..errors import DeviceFault, SortSpecError
 from ..io.budget import MemoryBudget
-from ..io.bufferpool import BufferPool
-from ..io.compress import CompressionConfig
 from ..io.stats import StatsSnapshot
 from ..keys import SortSpec
 from ..obs.tracer import Tracer, maybe_span
@@ -171,6 +169,8 @@ class ExternalMergeSorter:
             budget = MemoryBudget(self.memory_blocks)
         buffers = budget.reserve(_RESERVED_BLOCKS, "io-buffers")
         if self.cache_blocks:
+            from ..io.bufferpool import BufferPool
+
             store.attach_pool(
                 BufferPool(
                     device,
@@ -185,6 +185,8 @@ class ExternalMergeSorter:
         fan_in = max(2, self.memory_blocks - 1 - self.cache_blocks)
         prior_compression = store.compression
         if self.merge_options.compress is not None:
+            from ..io.compress import CompressionConfig
+
             store.compression = CompressionConfig(
                 codec=self.merge_options.compress,
                 capacity=self.merge_options.compress_capacity,

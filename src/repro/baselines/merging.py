@@ -43,7 +43,6 @@ from ..core.columnar import (
     run_sidecar,
 )
 from ..errors import DeviceFault, RunError
-from ..io.parallel import MergePrefetcher, supports_prefetch
 from ..io.runs import RunHandle, RunStore
 from ..obs.tracer import Tracer, maybe_span
 from ..merge.engine import LoserTree, MergeOptions
@@ -158,7 +157,9 @@ def _merge_pass_loser_tree(
     # Prefetch only reorders the reads this merge was about to issue, so
     # counters stay identical with it on or off.
     prefetcher = None
-    if len(runs) > 1 and supports_prefetch(store.io_target):
+    if len(runs) > 1 and store.io_target.prefetch_depth > 0:
+        from ..io.parallel import MergePrefetcher
+
         prefetcher = MergePrefetcher(
             store.io_target, runs, readers,
             category=read_category, streams=streams,

@@ -21,28 +21,18 @@ import argparse
 import sys
 import time
 
-from .analysis import (
-    ModelGeometry,
-    merge_sort_passes,
-    nexsort_upper_bound_ios,
-    sorting_lower_bound_ios,
-)
-from .baselines import external_merge_sort, key_path_table, xsort
-from .core import nexsort
+from .baselines.merge_sort import external_merge_sort
+from .core.nexsort import nexsort
 from .errors import DeviceFault, ReproError
-from .faults import RecoveryContext, RetryPolicy, build_faulty_device
-from .io import (
-    BlockDevice,
-    FileBackedBlockDevice,
-    PREFETCH_POLICIES,
-    RunStore,
-    StripedDevice,
-)
+from .io.device import PREFETCH_POLICIES, BlockDevice
+from .io.runs import RunStore
 from .keys import ByAttribute, SortSpec
-from .merge import MergeOptions, merge_preserving_order, structural_merge
-from .obs import TRACE_WRITERS, Tracer, diff_files, maybe_span
-from .xml import CompactionConfig, Document
-from .xml.dtd import DTD
+from .merge.engine import MergeOptions
+from .obs.tracer import Tracer, maybe_span
+from .xml.document import Document
+
+# Subcommands and opt-in flags import what they use where they use it,
+# so ``repro sort`` with default flags loads only the sort path.
 
 
 class _TrackedStore(argparse.Action):
@@ -259,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sort_cmd.add_argument(
         "--trace-format",
-        choices=sorted(TRACE_WRITERS),
+        choices=["chrome", "jsonl", "tree"],
         default="chrome",
         help="trace file format: chrome (chrome://tracing / Perfetto), "
         "jsonl, or tree (human-readable summary); default chrome",
@@ -479,6 +469,8 @@ def _plan_auto(args, document, base_device):
     args.merge_kernel = chosen.merge_kernel
     args.compress = chosen.compress or "off"
     args.compress_capacity = chosen.compress_capacity
+    from .io.parallel import StripedDevice
+
     if (
         isinstance(base_device, StripedDevice)
         and "prefetch_depth" not in provided
@@ -500,10 +492,14 @@ def _make_device(args):
                 "--disks/--prefetch-depth model the simulated parallel "
                 "device and cannot be combined with --scratch"
             )
+        from .io.file_device import FileBackedBlockDevice
+
         return FileBackedBlockDevice(
             args.scratch, block_size=args.block_size
         )
     if disks > 1 or prefetch_depth:
+        from .io.parallel import StripedDevice
+
         return StripedDevice(
             disks=disks,
             block_size=args.block_size,
@@ -539,23 +535,32 @@ def _print_stats(label: str, stats_obj, out=sys.stdout) -> None:
 def cmd_sort(args) -> int:
     base_device = _make_device(args)
     tracer = Tracer(base_device.stats) if args.trace else None
-    device, injector, retrier = build_faulty_device(
-        base_device,
-        args.faults,
-        policy=(
-            RetryPolicy(max_retries=args.retries) if args.retries else None
-        ),
-        tracer=tracer,
-    )
-    recovery = (
-        RecoveryContext(max_restarts=args.max_restarts, tracer=tracer)
-        if args.faults
-        else None
-    )
+    device, injector, retrier, recovery = base_device, None, None, None
+    if args.faults or args.retries:
+        from .faults import RecoveryContext, RetryPolicy, build_faulty_device
+
+        device, injector, retrier = build_faulty_device(
+            base_device,
+            args.faults,
+            policy=(
+                RetryPolicy(max_retries=args.retries)
+                if args.retries
+                else None
+            ),
+            tracer=tracer,
+        )
+        if args.faults:
+            recovery = RecoveryContext(
+                max_restarts=args.max_restarts, tracer=tracer
+            )
     try:
         store = RunStore(device)
         spec = _make_spec(args)
-        compaction = CompactionConfig() if args.compact else None
+        compaction = None
+        if args.compact:
+            from .xml.compact import CompactionConfig
+
+            compaction = CompactionConfig()
         with maybe_span(tracer, "document-load", input=args.input):
             document = _load(store, args.input, compaction)
         plan = None
@@ -616,6 +621,8 @@ def cmd_sort(args) -> int:
                     "absorbed by --retries only",
                     file=sys.stderr,
                 )
+            from .baselines.xsort import xsort
+
             # xsort is not instrumented internally; one covering span
             # keeps its I/O attributed so the trace still tiles.
             with maybe_span(tracer, "xsort", target=args.target or "/"):
@@ -635,6 +642,8 @@ def cmd_sort(args) -> int:
                 ).print_stats()
             print(f"profile: stats -> {args.profile}", file=sys.stderr)
         if tracer is not None:
+            from .obs.sinks import TRACE_WRITERS
+
             trace = tracer.finish()
             with open(args.trace, "w", encoding="utf-8") as handle:
                 TRACE_WRITERS[args.trace_format](trace, handle)
@@ -754,7 +763,7 @@ def cmd_sort(args) -> int:
             raise recovery.to_error(fault) from fault
         raise
     finally:
-        if isinstance(base_device, FileBackedBlockDevice):
+        if args.scratch:
             base_device.close()
 
 
@@ -762,6 +771,7 @@ def cmd_serve(args) -> int:
     import os
 
     from .io.lease import ResourcePool
+    from .obs.sinks import TRACE_WRITERS
     from .service import (
         AdmissionController,
         Scheduler,
@@ -899,6 +909,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    from .merge import merge_preserving_order, structural_merge
+
     device = _make_device(args)
     try:
         store = RunStore(device)
@@ -931,7 +943,7 @@ def cmd_merge(args) -> int:
             _print_stats("merge", report, out=sys.stderr)
         return 0
     finally:
-        if isinstance(device, FileBackedBlockDevice):
+        if args.scratch:
             device.close()
 
 
@@ -960,11 +972,13 @@ def cmd_dedup(args) -> int:
             )
         return 0
     finally:
-        if isinstance(device, FileBackedBlockDevice):
+        if args.scratch:
             device.close()
 
 
 def cmd_table1(args) -> int:
+    from .baselines.keypath import key_path_table
+
     device = _make_device(args)
     store = RunStore(device)
     spec = _make_spec(args)
@@ -978,6 +992,8 @@ def cmd_table1(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .xml.dtd import DTD
+
     with open(args.dtd, "r", encoding="utf-8") as handle:
         dtd = DTD.parse(handle.read())
     device = _make_device(args)
@@ -994,6 +1010,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import (
+        ModelGeometry,
+        merge_sort_passes,
+        nexsort_upper_bound_ios,
+        sorting_lower_bound_ios,
+    )
+
     device = _make_device(args)
     store = RunStore(device)
     document = _load(store, args.input)
@@ -1021,6 +1044,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .obs.diff import diff_files
+
     diff = diff_files(
         args.a,
         args.b,

@@ -1,27 +1,20 @@
-"""NEXSORT core: the paper's primary contribution."""
+"""NEXSORT core: the paper's primary contribution.
 
-from .idref import (
-    ByIdRef,
-    nexsort_with_idrefs,
-    resolve_idref_keys,
-    sortable_atom_string,
-)
-from .nexsort import NexSorter, NexsortOptions, nexsort
-from .output import output_phase
-from .report import NexsortReport, SubtreeSortInfo
-from .subtree import SubtreeResult, SubtreeSorter
+Names load their module on first access (see :mod:`repro._lazy`), so the
+IDREF extension stays unloaded until a caller asks for it.
+"""
 
-__all__ = [
-    "ByIdRef",
-    "NexSorter",
-    "nexsort_with_idrefs",
-    "resolve_idref_keys",
-    "sortable_atom_string",
-    "NexsortOptions",
-    "NexsortReport",
-    "SubtreeResult",
-    "SubtreeSorter",
-    "SubtreeSortInfo",
-    "nexsort",
-    "output_phase",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "idref": (
+        "ByIdRef",
+        "nexsort_with_idrefs",
+        "resolve_idref_keys",
+        "sortable_atom_string",
+    ),
+    "nexsort": ("NexSorter", "NexsortOptions", "nexsort"),
+    "output": ("output_phase",),
+    "report": ("NexsortReport", "SubtreeSortInfo"),
+    "subtree": ("SubtreeResult", "SubtreeSorter"),
+})

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 
 from ..errors import CodecError, DeviceFault, SortSpecError
 from ..io.budget import MemoryBudget, MINIMUM_NEXSORT_BLOCKS
-from ..io.bufferpool import BufferPool
-from ..io.compress import CompressionConfig
 from ..io.stacks import ExternalStack
 from ..keys import SortSpec, element_text, end_key, enter_element, leave_element
 from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions
@@ -58,7 +56,6 @@ from ..xml.codec import (
 )
 from ..xml.document import Document
 from ..xml.tokens import MISSING_KEY, RunPointer, Text
-from . import flat as flat_mod
 from .columnar import (
     _VARINT1,
     StartKeyCache,
@@ -249,6 +246,8 @@ class NexSorter:
         output_reservation = budget.reserve(1, "output-location-stack")
         buffer_reservation = budget.reserve(2, "transfer-buffers")
         if options.cache_blocks:
+            from ..io.bufferpool import BufferPool
+
             # The pool reserves its capacity from the same budget: cached
             # blocks are memory the model granted, not a free lunch.
             store.attach_pool(
@@ -267,6 +266,8 @@ class NexSorter:
         paging_target = store.io_target
         prior_compression = store.compression
         if options.merge.compress is not None:
+            from ..io.compress import CompressionConfig
+
             store.compression = CompressionConfig(
                 codec=options.merge.compress,
                 capacity=options.merge.compress_capacity,
@@ -746,6 +747,8 @@ class NexSorter:
         sort_levels = None
         if depth_limit is not None:
             sort_levels = max(0, depth_limit + 1 - child_level)
+        from . import flat as flat_mod
+
         records = data_stack.pop_through(frame.content_loc)
         texts, groups = flat_mod.groups_from_region(
             records, compact, codec.names is not None, child_level,
@@ -806,6 +809,8 @@ class NexSorter:
         partial runs - the data stack plays the role of the selection
         heap, so no extra workspace is needed.
         """
+        from . import flat as flat_mod
+
         if not self.options.merge.replacement_selection:
             handle = flat_mod.write_partial_run(store, groups)
             frame.partial_runs.append(handle)
@@ -850,6 +855,8 @@ class NexSorter:
         """Close an element that has incomplete sorted runs: sort the
         remaining children into a final partial run, merge all of its
         partial runs, and collapse the element to a pointer."""
+        from . import flat as flat_mod
+
         d_s = len(frames) + 1
         child_level = d_s + 1
         sort_levels = None

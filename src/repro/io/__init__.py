@@ -1,77 +1,51 @@
-"""External-memory substrate: simulated device, budget, stacks, runs."""
+"""External-memory substrate: simulated device, budget, stacks, runs.
 
-from .budget import (
-    CarvedBudget,
-    MemoryBudget,
-    MINIMUM_NEXSORT_BLOCKS,
-    Reservation,
-)
-from .bufferpool import BufferPool, DEFAULT_READAHEAD
-from .device import BlockDevice, DEFAULT_BLOCK_SIZE, DeviceLayer
-from .file_device import FileBackedBlockDevice
-from .lease import ResourceLease, ResourcePool, TeeIOStats
-from .parallel import (
-    DiskTimeline,
-    MergePrefetcher,
-    PREFETCH_POLICIES,
-    StripedDevice,
-    supports_prefetch,
-)
-from .compress import (
-    CODEC_NAMES,
-    CompressionConfig,
-    RunSegment,
-    decode_document_wire,
-    decode_records,
-    encode_document_wire,
-    encode_records,
-)
-from .runs import (
-    CompressedRunReader,
-    CompressedRunWriter,
-    RunHandle,
-    RunReader,
-    RunStore,
-    RunWriter,
-)
-from .stacks import ExternalStack
-from .stats import CategoryCounters, CostModel, IOStats, StatsSnapshot
+Names load their module on first access (see :mod:`repro._lazy`): the
+buffer pool, run compression, the striped device, leases and the file
+device stay unloaded until a caller asks for them.
+"""
 
-__all__ = [
-    "BlockDevice",
-    "BufferPool",
-    "CarvedBudget",
-    "DEFAULT_READAHEAD",
-    "CategoryCounters",
-    "CostModel",
-    "DEFAULT_BLOCK_SIZE",
-    "DeviceLayer",
-    "DiskTimeline",
-    "ExternalStack",
-    "FileBackedBlockDevice",
-    "IOStats",
-    "MemoryBudget",
-    "MINIMUM_NEXSORT_BLOCKS",
-    "MergePrefetcher",
-    "PREFETCH_POLICIES",
-    "Reservation",
-    "ResourceLease",
-    "ResourcePool",
-    "TeeIOStats",
-    "CODEC_NAMES",
-    "CompressedRunReader",
-    "CompressedRunWriter",
-    "CompressionConfig",
-    "RunHandle",
-    "RunReader",
-    "RunSegment",
-    "RunStore",
-    "RunWriter",
-    "decode_document_wire",
-    "decode_records",
-    "encode_document_wire",
-    "encode_records",
-    "StatsSnapshot",
-    "StripedDevice",
-    "supports_prefetch",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "budget": (
+        "CarvedBudget",
+        "MemoryBudget",
+        "MINIMUM_NEXSORT_BLOCKS",
+        "Reservation",
+    ),
+    "bufferpool": ("BufferPool", "DEFAULT_READAHEAD"),
+    "compress": (
+        "CODEC_NAMES",
+        "CompressionConfig",
+        "RunSegment",
+        "decode_document_wire",
+        "decode_records",
+        "encode_document_wire",
+        "encode_records",
+    ),
+    "device": (
+        "BlockDevice",
+        "DEFAULT_BLOCK_SIZE",
+        "DeviceLayer",
+        "PREFETCH_POLICIES",
+    ),
+    "file_device": ("FileBackedBlockDevice",),
+    "lease": ("ResourceLease", "ResourcePool", "TeeIOStats"),
+    "parallel": (
+        "DiskTimeline",
+        "MergePrefetcher",
+        "StripedDevice",
+        "supports_prefetch",
+    ),
+    "runs": (
+        "CompressedRunReader",
+        "CompressedRunWriter",
+        "RunHandle",
+        "RunReader",
+        "RunStore",
+        "RunWriter",
+    ),
+    "stacks": ("ExternalStack",),
+    "stats": ("CategoryCounters", "CostModel", "IOStats", "StatsSnapshot"),
+})

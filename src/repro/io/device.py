@@ -23,6 +23,10 @@ from __future__ import annotations
 from ..errors import DeviceError
 from .stats import CostModel, IOStats, classify_extent
 
+#: Recognized prefetch scheduling policies (``prefetch_policy``; the
+#: striped device in :mod:`repro.io.parallel` implements them).
+PREFETCH_POLICIES = ("forecast", "round-robin")
+
 DEFAULT_BLOCK_SIZE = 4096
 
 #: Blocks grabbed per pool refill (a filesystem-extent analogue).

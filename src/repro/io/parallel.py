@@ -45,11 +45,8 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import DeviceError
-from .device import BlockDevice, DEFAULT_BLOCK_SIZE
+from .device import BlockDevice, DEFAULT_BLOCK_SIZE, PREFETCH_POLICIES
 from .stats import CostModel, classify_extent
-
-#: Recognized prefetch scheduling policies.
-PREFETCH_POLICIES = ("forecast", "round-robin")
 
 #: Write-behind depth per stream: one block being filled by the writer plus
 #: this many in flight before the writer must wait (double buffering).

@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import RunCodecError, RunError
-from .compress import (
-    CompressionConfig,
-    RunSegment,
-    decode_records,
-    encode_records,
-)
 from .device import BlockDevice
+
+if TYPE_CHECKING:
+    from .compress import CompressionConfig, RunSegment
 
 _LEN = struct.Struct("<I")
 
@@ -562,6 +559,8 @@ class CompressedRunWriter:
 
     def _close_segment(self, final: bool = False) -> None:
         """Encode a prefix of pending records into one stored segment."""
+        from .compress import RunSegment, encode_records
+
         header = _LEN.size
         take_bytes = 0
         count = 0
@@ -800,6 +799,8 @@ class CompressedRunReader:
         return lo
 
     def _load_segment(self, index: int) -> None:
+        from .compress import decode_records
+
         segment = self._handle.segments[index]
         block_ids = self._handle.block_ids[
             segment.block_start : segment.block_start + segment.block_count

@@ -33,10 +33,9 @@ scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import SortSpecError
-from .xml.model import Element
 from .xml.tokens import (
     EndTag,
     KeyAtom,
@@ -47,6 +46,9 @@ from .xml.tokens import (
     coerce_key,
     string_key,
 )
+
+if TYPE_CHECKING:
+    from .xml.model import Element
 
 
 class KeyRule:

@@ -39,7 +39,6 @@ from math import ceil, log2
 from typing import Callable, Iterable, Iterator
 
 from ..errors import SortSpecError
-from ..io.compress import CODEC_NAMES, decode_records, encode_records
 from ..xml.tokens import KEY_MISSING, KEY_NUMBER, KEY_STRING
 
 RUN_FORMATION_MODES = ("load-sort", "replacement-selection")
@@ -89,11 +88,14 @@ class MergeOptions:
                 f"unknown merge kernel {self.merge_kernel!r}; "
                 f"choose from {MERGE_KERNELS}"
             )
-        if self.compress is not None and self.compress not in CODEC_NAMES:
-            raise SortSpecError(
-                f"unknown run compression codec {self.compress!r}; "
-                f"choose from {CODEC_NAMES}"
-            )
+        if self.compress is not None:
+            from ..io.compress import CODEC_NAMES
+
+            if self.compress not in CODEC_NAMES:
+                raise SortSpecError(
+                    f"unknown run compression codec {self.compress!r}; "
+                    f"choose from {CODEC_NAMES}"
+                )
         if self.compress_capacity and self.compress is None:
             raise SortSpecError(
                 "compress_capacity requires a compression codec "
@@ -446,6 +448,8 @@ class RunFormer:
         """Container-encode the pending batch; keep only keys raw."""
         if not self._batch:
             return
+        from ..io.compress import encode_records
+
         stats = self.store.device.stats
         keys = [key for key, _payload in self._batch]
         payloads = [payload for _key, payload in self._batch]
@@ -461,6 +465,8 @@ class RunFormer:
         """Decode compressed pending chunks back into the raw batch."""
         if not self._chunks:
             return
+        from ..io.compress import decode_records
+
         stats = self.store.device.stats
         restored: list[tuple[object, bytes]] = []
         for keys, blob, raw_bytes in self._chunks:

@@ -7,41 +7,26 @@ comparison to the phase that caused it, on the simulated clock.  Sinks
 render the finished trace as JSONL, Chrome ``trace_event`` JSON, or a
 terminal tree; :mod:`repro.obs.diff` compares two trace files for
 regressions.
+
+Names load their module on first access (see :mod:`repro._lazy`): a
+sort that traces with :class:`Tracer` never loads the sinks or the diff.
 """
 
-from .diff import TraceDiff, diff_files, diff_traces, load_trace
-from .sinks import (
-    TRACE_WRITERS,
-    ChromeTraceSink,
-    JsonlSink,
-    TraceSink,
-    TreeSummarySink,
-    attach_sink,
-    render_tree,
-    write_chrome_trace,
-    write_jsonl,
-    write_tree,
-)
-from .tracer import Span, Trace, TraceEvent, Tracer, maybe_span
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "Trace",
-    "Span",
-    "TraceEvent",
-    "maybe_span",
-    "TraceSink",
-    "JsonlSink",
-    "ChromeTraceSink",
-    "TreeSummarySink",
-    "TRACE_WRITERS",
-    "attach_sink",
-    "render_tree",
-    "write_jsonl",
-    "write_chrome_trace",
-    "write_tree",
-    "TraceDiff",
-    "load_trace",
-    "diff_traces",
-    "diff_files",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "diff": ("TraceDiff", "diff_files", "diff_traces", "load_trace"),
+    "sinks": (
+        "TRACE_WRITERS",
+        "ChromeTraceSink",
+        "JsonlSink",
+        "TraceSink",
+        "TreeSummarySink",
+        "attach_sink",
+        "render_tree",
+        "write_chrome_trace",
+        "write_jsonl",
+        "write_tree",
+    ),
+    "tracer": ("Span", "Trace", "TraceEvent", "Tracer", "maybe_span"),
+})

@@ -1,66 +1,43 @@
-"""XML substrate: tokens, codec, parser, tree model, writer, compaction."""
+"""XML substrate: tokens, codec, parser, tree model, writer, compaction.
 
-from .codec import TokenCodec
-from .compact import (
-    CompactionConfig,
-    NameDictionary,
-    annotate_levels,
-    eliminate_end_tags,
-    restore_end_tags,
-)
-from .document import Document, DocumentStats
-from .dtd import DTD, AttributeDef, ContentModel, Violation
-from .model import Element
-from .parser import parse_events
-from .streaming import parse_events_incremental
-from .tokens import (
-    EndTag,
-    KEY_MISSING,
-    KEY_NUMBER,
-    KEY_STRING,
-    MISSING_KEY,
-    RunPointer,
-    StartTag,
-    Text,
-    Token,
-    coerce_key,
-    number_key,
-    sort_key_of,
-    string_key,
-)
-from .writer import element_to_string, escape_attr, escape_text, events_to_string
+Names load their module on first access (see :mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "AttributeDef",
-    "CompactionConfig",
-    "ContentModel",
-    "DTD",
-    "Document",
-    "Violation",
-    "DocumentStats",
-    "Element",
-    "EndTag",
-    "KEY_MISSING",
-    "KEY_NUMBER",
-    "KEY_STRING",
-    "MISSING_KEY",
-    "NameDictionary",
-    "RunPointer",
-    "StartTag",
-    "Text",
-    "Token",
-    "TokenCodec",
-    "annotate_levels",
-    "coerce_key",
-    "element_to_string",
-    "eliminate_end_tags",
-    "escape_attr",
-    "escape_text",
-    "events_to_string",
-    "number_key",
-    "parse_events",
-    "parse_events_incremental",
-    "restore_end_tags",
-    "sort_key_of",
-    "string_key",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "codec": ("TokenCodec",),
+    "compact": (
+        "CompactionConfig",
+        "NameDictionary",
+        "annotate_levels",
+        "eliminate_end_tags",
+        "restore_end_tags",
+    ),
+    "document": ("Document", "DocumentStats"),
+    "dtd": ("DTD", "AttributeDef", "ContentModel", "Violation"),
+    "model": ("Element",),
+    "parser": ("parse_events",),
+    "streaming": ("parse_events_incremental",),
+    "tokens": (
+        "EndTag",
+        "KEY_MISSING",
+        "KEY_NUMBER",
+        "KEY_STRING",
+        "MISSING_KEY",
+        "RunPointer",
+        "StartTag",
+        "Text",
+        "Token",
+        "coerce_key",
+        "number_key",
+        "sort_key_of",
+        "string_key",
+    ),
+    "writer": (
+        "element_to_string",
+        "escape_attr",
+        "escape_text",
+        "events_to_string",
+    ),
+})

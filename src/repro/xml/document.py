@@ -23,18 +23,20 @@ eliminated on disk, so consumers are storage-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import XMLSyntaxError
 from ..io.device import BlockDevice
 from ..io.runs import RunHandle, RunStore
 from .codec import TokenCodec, encode_name, encode_varint, write_tag_attrs
-from .compact import CompactionConfig, eliminate_end_tags, restore_end_tags
-from .model import Element
 from .parser import START, TEXT, tokenize
 from .streaming import DEFAULT_CHUNK_CHARS, read_chunks
 from .tokens import EndTag, StartTag, Text, Token
 from .writer import record_pieces, serialize
+
+if TYPE_CHECKING:
+    from .compact import CompactionConfig
+    from .model import Element
 
 #: Distinct raw tags whose start records the loader remembers at once.
 _MEMO_LIMIT = 1 << 13
@@ -116,6 +118,8 @@ class Document:
 
         measured = cls._measure(events, stats, open_children)
         if compaction is not None and compaction.eliminate_end_tags:
+            from .compact import eliminate_end_tags
+
             stored: Iterable[Token] = eliminate_end_tags(measured)
         else:
             stored = measured
@@ -212,11 +216,15 @@ class Document:
         """Yield a full Start/Text/End event stream regardless of storage."""
         tokens = self.iter_tokens(category)
         if self.compaction is not None and self.compaction.eliminate_end_tags:
+            from .compact import restore_end_tags
+
             return restore_end_tags(tokens)
         return tokens
 
     def to_element(self, category: str = "export") -> Element:
         """Materialize the document as an in-memory tree."""
+        from .model import Element
+
         return Element.from_events(self.iter_events(category))
 
     def to_string(

@@ -10,7 +10,7 @@ two cannot drift apart.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import CodecError, XMLSyntaxError
 from .codec import (
@@ -22,9 +22,11 @@ from .codec import (
     read_varint,
     record_level,
 )
-from .model import Element
 from .parser import END, START, TEXT
 from .tokens import EndTag, StartTag, Text, Token
+
+if TYPE_CHECKING:
+    from .model import Element
 
 #: Distinct start records remembered before the emit memo starts over.
 _MEMO_LIMIT = 1 << 13

@@ -1,10 +1,19 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+import repro
+from repro.cli import build_parser, main
+from repro.core import nexsort
 from repro.generators import figure1_d1, figure1_d2, figure1_merged
-from repro.xml import Element, element_to_string
+from repro.io import BlockDevice, RunStore
+from repro.keys import ByAttribute, SortSpec
+from repro.xml import Document, Element, element_to_string
 
 DTD_TEXT = """
 <!ELEMENT company (region*)>
@@ -204,6 +213,54 @@ class TestSortCommand:
             main(["sort", d1_file, "--kernel", "columnar"])
         assert excinfo.value.code == 2
         assert "--kernel" in capsys.readouterr().err
+
+    def test_default_sort_loads_only_the_sort_path(self, d1_file, tmp_path):
+        """``python -m repro sort`` with default flags writes what
+        ``nexsort`` returns, without loading the opt-in subsystems."""
+        out = tmp_path / "out.xml"
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        child = subprocess.run(
+            [
+                sys.executable, "-X", "importtime", "-m", "repro",
+                "sort", d1_file, "-o", str(out),
+            ],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in child.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "repro.core.nexsort" in loaded
+        for module in (
+            "repro.faults",
+            "repro.analysis",
+            "repro.service",
+            "repro.xml.dtd",
+            "repro.obs.sinks",
+        ):
+            assert module not in loaded
+        document = Document.from_file(
+            RunStore(BlockDevice(block_size=4096)), d1_file
+        )
+        spec = SortSpec(default=ByAttribute("name", missing_uses_tag=True))
+        expected, _ = nexsort(document, spec, memory_blocks=24)
+        assert out.read_text(encoding="utf-8") == expected.to_string(
+            indent="  "
+        )
+
+    def test_trace_formats_are_the_trace_writers(self):
+        from repro.obs import TRACE_WRITERS
+
+        sort_parser = build_parser()._subparsers._group_actions[0].choices[
+            "sort"
+        ]
+        (action,) = [
+            a for a in sort_parser._actions if a.dest == "trace_format"
+        ]
+        assert sorted(action.choices) == sorted(TRACE_WRITERS)
 
 
 class TestMergeCommand:

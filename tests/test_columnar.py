@@ -6,15 +6,9 @@ errors on truncated input), the stable argsort, key sidecars, and the replay mer
 fallback and the frozen record-at-a-time results.
 """
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-import repro
 
 from repro.baselines.keypath import (
     decode_record,
@@ -141,22 +135,6 @@ class TestArgsortNormalized:
         order = argsort_normalized(keys)
         positions = [i for i in order if keys[i] == b"dup"]
         assert positions == sorted(positions)
-
-    def test_package_import_does_not_load_numpy(self):
-        """The argsort is a stable ``sorted``; importing the package,
-        its CLI and its bench harness never pays for numpy, even where
-        numpy is installed."""
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        probe = (
-            "import sys, repro, repro.cli, repro.bench.harness; "
-            "print('numpy' in sys.modules)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, check=True, env=env,
-        )
-        assert out.stdout.strip() == "False"
 
 
 def form_runs(options, capacity_bytes=220, device=None, xml=XML):
