@@ -42,6 +42,7 @@ implementation, and the accounting-parity suite reproduces every cell.
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 from math import ceil, log2
 from typing import Callable, Iterable
 
@@ -879,15 +880,41 @@ def _raw_pointer(record: bytes) -> tuple[_RawNode, int]:
     return _RawNode(None, body, atom, position), count
 
 
+#: A record's fields for a pre-spliced end tag: it overrides nothing.
+END_FIELDS = ()
+
+
 def _parse_subtree_plain(
-    records: list[bytes], names_coded: bool
+    records: list[bytes], names_coded: bool, fields: list | None = None
 ) -> tuple[_RawNode, int, int]:
-    """(root, units, real elements) of a plain-mode record subtree."""
+    """(root, units, real elements) of a plain-mode record subtree.
+
+    ``fields``, aligned with ``records``, holds what the document scan
+    already split out of a record that never left memory: ``(tag+attrs
+    end offset, encoded key atom, position)`` of an annotated start, or
+    :data:`END_FIELDS` for an end tag that repeats its start's position.
+    Records without fields (None) are parsed from their bytes.
+    """
     root: _RawNode | None = None
     stack: list[_RawNode] = []
     units = 0
     real = 0
-    for record in records:
+    for record, known in zip(
+        records, repeat(None) if fields is None else fields
+    ):
+        if known is not None:
+            if known:
+                end, atom, position = known
+                node = _RawNode(record[2:end], None, atom, position)
+                root = _attach_raw_node(node, root, stack)
+                stack.append(node)
+                units += 1
+                real += 1
+            elif stack:
+                stack.pop()
+            else:
+                raise CodecError("subtree tokens are unbalanced")
+            continue
         token_type = record[0]
         if token_type == TYPE_START:
             flags = record[1]
@@ -1157,6 +1184,7 @@ def sort_subtree_records(
     sort_levels: int | None,
     stats,
     counted: bool = False,
+    fields: list | None = None,
 ) -> tuple[list[bytes], int, int]:
     """Fused internal subtree sort over raw encoded data-stack records.
 
@@ -1167,12 +1195,14 @@ def sort_subtree_records(
     real_elements)``; output bytes, order, and the comparison charge are
     identical to sorting the decoded token tree (``counted=True`` replays
     the counted comparison sequence exactly - see
-    :func:`sort_sibling_groups`).
+    :func:`sort_sibling_groups`).  ``fields`` are the plain-mode
+    records' per-record fields from the data stack
+    (:func:`_parse_subtree_plain`); they change no output.
     """
     if compact:
         root, units, real = _parse_subtree_compact(records, names_coded)
     else:
-        root, units, real = _parse_subtree_plain(records, names_coded)
+        root, units, real = _parse_subtree_plain(records, names_coded, fields)
     sort_raw_tree(root, sort_levels, stats, counted=counted)
     out = _serialize_raw_tree(root, base_level, compact, names_coded)
     return out, units, real

@@ -58,6 +58,7 @@ from ..xml.document import Document
 from ..xml.tokens import MISSING_KEY, RunPointer, Text
 from .columnar import (
     _VARINT1,
+    END_FIELDS,
     StartKeyCache,
     _frame_payload,
     _name_field_end,
@@ -543,6 +544,7 @@ class NexSorter:
                         )
                         enter_element(key_frames, tag, rule, start_key, pos)
                         encoded = join((b"\x01\x02", tag_attrs, pos_varint))
+                        loc = push(encoded)
                     elif compact:
                         _norm, enc_atom, name_field = pieces_for(tag_attrs)
                         # The evaluator annotates depth, not the stored
@@ -559,12 +561,18 @@ class NexSorter:
                                 else encode_varint(depth),
                             )
                         )
+                        loc = push(encoded)
                     else:
                         _norm, enc_atom, name_field = pieces_for(tag_attrs)
                         encoded = join(
                             (b"\x01\x03", tag_attrs, enc_atom, pos_varint)
                         )
-                    loc = push(encoded)
+                        # The fields this split already found: an internal
+                        # subtree sort reads them instead of the bytes.
+                        loc = push(
+                            encoded,
+                            fields=(len(tag_attrs) + 2, enc_atom, pos),
+                        )
                     push_path(
                         _VARINT1[loc] if loc < 0x80 else encode_varint(loc)
                     )
@@ -625,7 +633,8 @@ class NexSorter:
                     path_stack.pop()
                     frame = frames.pop()
                     if key_frames is None:
-                        push(frame.end_record)
+                        # Pre-spliced: it repeats the start's position.
+                        push(frame.end_record, fields=END_FIELDS)
                     else:
                         push(keyed_end(frame.end_record))
                     record_tokens(1)
@@ -676,7 +685,10 @@ class NexSorter:
         sort_levels = None
         if depth_limit is not None:
             sort_levels = max(0, depth_limit + 1 - d_s)
-        token_records = data_stack.pop_through(frame.loc)
+        # Fields of the records that never left memory, for an internal
+        # sort (an external one parses every record).
+        fields = [] if sorter.sorts_internally(size) else None
+        token_records = data_stack.pop_through(frame.loc, fields=fields)
         with maybe_span(
             self._tracer,
             "subtree-sort",
@@ -685,7 +697,7 @@ class NexSorter:
             level=d_s,
         ) as span:
             result = sorter.sort_records(
-                token_records, size, d_s, sort_levels
+                token_records, size, d_s, sort_levels, fields=fields
             )
             if span is not None:
                 span.set(

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 from ..baselines.merging import merge_to_stream
 from ..errors import CodecError, DeviceFault
@@ -100,6 +101,7 @@ class SubtreeSorter:
         payload_bytes: int,
         base_level: int,
         sort_levels: int | None,
+        fields: list | None = None,
     ) -> SubtreeResult:
         """Sort one subtree straight from its encoded data-stack records.
 
@@ -109,6 +111,10 @@ class SubtreeSorter:
             base_level: absolute level of the subtree root (``d_s``).
             sort_levels: how many top relative levels to sort (None = all;
                 0 = none, the subtree is written through unsorted).
+            fields: the records' data-stack fields, aligned with
+                ``records`` (see
+                :func:`repro.core.columnar._parse_subtree_plain`); only
+                an internal sort reads them, and they change no output.
 
         No token is ever materialized.  When the subtree fits in memory
         the records are parsed by field offsets, sibling groups are
@@ -119,8 +125,12 @@ class SubtreeSorter:
         records (:meth:`_sort_external`).  Malformed records raise
         :class:`~repro.errors.CodecError`.
         """
-        internal = payload_bytes <= self.capacity_bytes
-        sort = self._sort_internal if internal else self._sort_external
+        internal = self.sorts_internally(payload_bytes)
+        sort = (
+            partial(self._sort_internal, fields=fields)
+            if internal
+            else self._sort_external
+        )
         counts: list[tuple[int, int]] = []
         try:
             atom, root_pos = subtree_root_summary(
@@ -148,6 +158,10 @@ class SubtreeSorter:
             root_pos=root_pos,
             internal=internal,
         )
+
+    def sorts_internally(self, payload_bytes: int) -> bool:
+        """True if a subtree of ``payload_bytes`` fits the internal sort."""
+        return payload_bytes <= self.capacity_bytes
 
     def sort_tokens(
         self,
@@ -200,6 +214,7 @@ class SubtreeSorter:
         base_level: int,
         sort_levels: int | None,
         counts: list[tuple[int, int]],
+        fields: list | None = None,
     ) -> tuple[RunHandle, int]:
         """In-memory sort of one subtree's raw records into a run."""
         stats = self.store.device.stats
@@ -211,6 +226,7 @@ class SubtreeSorter:
             sort_levels,
             stats,
             counted=self.options.counted_comparisons,
+            fields=fields,
         )
         counts.append((units, real))
         writer = self.store.create_writer("run_write")

@@ -20,11 +20,19 @@ against real counters.
 Stack *locations* are measured in payload bytes pushed (framing overhead
 excluded), which is the measure NEXSORT's size test on Line 9 of Figure 4
 uses to decide whether a subtree has reached the sort threshold.
+
+A push may carry *fields*: values the caller already derived from the
+record's bytes (NEXSORT's scan hands over a start's tag+attributes end,
+key atom and position).  Fields live only while their record is buffered:
+a page-out drops them and a paged-in record carries none, so bytes that
+passed through the device are always parsed again.  They are kept sparse,
+by record ordinal, so pushes without fields and page-ins do no extra work.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 
 from ..errors import StackError
 from .device import BlockDevice
@@ -96,6 +104,10 @@ class ExternalStack:
         self._segments: list[_PackedSegment | _BigSegment] = []
         self._spilled_bytes = 0
         self._record_count = 0
+        # Fields of buffered records that were never paged out: ordinals
+        # (records below them on the stack), ascending, and the values.
+        self._field_ordinals: list[int] = []
+        self._field_values: list = []
         self._page_ins = 0
         self._page_outs = 0
 
@@ -137,9 +149,16 @@ class ExternalStack:
 
     # -- mutation ----------------------------------------------------------
 
-    def push(self, record: bytes) -> int:
-        """Push a record; returns its start location (payload offset)."""
+    def push(self, record: bytes, fields=None) -> int:
+        """Push a record; returns its start location (payload offset).
+
+        ``fields`` (anything but None) is kept beside the record while it
+        stays buffered and handed back by :meth:`pop_through`.
+        """
         location = self._spilled_bytes + self._memory_bytes
+        if fields is not None:
+            self._field_ordinals.append(self._record_count)
+            self._field_values.append(fields)
         self._memory.append(record)
         self._memory_bytes += len(record)
         self._record_count += 1
@@ -156,9 +175,15 @@ class ExternalStack:
         record = self._memory.pop()
         self._memory_bytes -= len(record)
         self._record_count -= 1
+        ordinals = self._field_ordinals
+        if ordinals and ordinals[-1] == self._record_count:
+            ordinals.pop()
+            self._field_values.pop()
         return record
 
-    def pop_through(self, location: int) -> list[bytes]:
+    def pop_through(
+        self, location: int, fields: list | None = None
+    ) -> list[bytes]:
         """Pop every record at or above ``location``; oldest first.
 
         ``location`` must be the exact start location of some pushed record
@@ -171,6 +196,10 @@ class ExternalStack:
         number as a loop of :meth:`pop` calls, and a ``location`` inside a
         record raises :class:`~repro.errors.StackError` with the stack
         left where that loop would stop.
+
+        ``fields``, when given, is extended with one entry per returned
+        record: the fields it was pushed with if it was never paged out,
+        else None.
         """
         top = self._spilled_bytes + self._memory_bytes
         if location > top:
@@ -192,14 +221,39 @@ class ExternalStack:
             del memory[cut:]
             self._memory_bytes = top - self._spilled_bytes
             self._record_count -= len(slices[-1])
+        if len(slices) == 1:
+            records = slices[0]
+        else:
+            records = [record for part in reversed(slices) for record in part]
+        self._pop_fields(len(records), fields)
         if top != location:
             raise StackError(
                 f"pop_through({location}) did not land on a record "
                 f"boundary (stopped at {top})"
             )
-        if len(slices) == 1:
-            return slices[0]
-        return [record for part in reversed(slices) for record in part]
+        return records
+
+    def _pop_fields(self, popped: int, out: list | None) -> None:
+        """Drop the fields of the ``popped`` records just taken off the
+        top, extending ``out`` (if given) with one entry per record."""
+        base = self._record_count
+        ordinals = self._field_ordinals
+        if not ordinals or ordinals[-1] < base:
+            if out is not None:
+                out.extend([None] * popped)
+            return
+        start = bisect_left(ordinals, base)
+        if out is not None:
+            values = self._field_values[start:]
+            if len(values) == popped:  # every popped record has fields
+                out.extend(values)
+            else:
+                aligned = [None] * popped
+                for ordinal, value in zip(ordinals[start:], values):
+                    aligned[ordinal - base] = value
+                out.extend(aligned)
+        del ordinals[start:]
+        del self._field_values[start:]
 
     # -- paging ------------------------------------------------------------
 
@@ -216,6 +270,14 @@ class ExternalStack:
         if self._memory_bytes > self._capacity_bytes:
             # A single record larger than the whole buffer: spill it anyway.
             self._spill_one_block(allow_newest=True)
+        ordinals = self._field_ordinals
+        if ordinals:
+            # Paged-out records lose their fields.
+            spilled = self._record_count - len(self._memory)
+            if ordinals[0] < spilled:
+                drop = bisect_left(ordinals, spilled)
+                del ordinals[:drop]
+                del self._field_values[:drop]
 
     def _spill_one_block(self, allow_newest: bool = False) -> None:
         limit = len(self._memory) if allow_newest else len(self._memory) - 1
@@ -283,21 +345,37 @@ class ExternalStack:
             data = self._device.read_block(segment.block_id, self._category)
             self._page_ins += 1
             self._device.free_blocks([segment.block_id])
-            records = self._unpack_block(data, segment.record_count)
+            records = self._unpack_block(
+                data, segment.record_count, segment.payload_bytes
+            )
         else:
             chunks = self._device.read_blocks(
                 segment.block_ids, self._category
             )
             self._page_ins += len(segment.block_ids)
             self._device.free_blocks(segment.block_ids)
-            records = [b"".join(chunks)[: segment.payload_bytes]]
+            record = b"".join(chunks)[: segment.payload_bytes]
+            if len(record) != segment.payload_bytes:
+                raise StackError(
+                    f"corrupt stack extent: expected "
+                    f"{segment.payload_bytes} bytes, found {len(record)}"
+                )
+            records = [record]
         # Paged-in records are older than everything currently buffered.
         self._memory[:0] = records
         self._memory_bytes += segment.payload_bytes
         self._spilled_bytes -= segment.payload_bytes
 
     @staticmethod
-    def _unpack_block(data: bytes, expected: int) -> list[bytes]:
+    def _unpack_block(
+        data: bytes, expected: int, payload_bytes: int
+    ) -> list[bytes]:
+        """The records of one packed block; any framing that disagrees
+        with the segment (count, lengths, payload) raises
+        :class:`~repro.errors.StackError`."""
+        size = len(data)
+        if size < _COUNT.size:
+            raise StackError("corrupt stack block: no record count")
         (count,) = _COUNT.unpack_from(data, 0)
         if count != expected:
             raise StackError(
@@ -307,10 +385,24 @@ class ExternalStack:
         records = []
         pos = _COUNT.size
         for _ in range(count):
+            if pos + _LEN.size > size:
+                raise StackError("corrupt stack block: truncated length")
             (length,) = _LEN.unpack_from(data, pos)
             pos += _LEN.size
-            records.append(data[pos : pos + length])
-            pos += length
+            end = pos + length
+            if end > size:
+                raise StackError(
+                    f"corrupt stack block: a {length}-byte record "
+                    f"overruns the block"
+                )
+            records.append(data[pos:end])
+            pos = end
+        found = pos - _COUNT.size - count * _LEN.size
+        if found != payload_bytes:
+            raise StackError(
+                f"corrupt stack block: expected {payload_bytes} payload "
+                f"bytes, found {found}"
+            )
         return records
 
     def __len__(self) -> int:

@@ -90,3 +90,25 @@ class TestOutputLocationStack:
         tree = random_tree(8, depth=3, max_fanout=4)
         _device, _result, report = run(tree, spec)
         assert report.output_stack_page_outs == 0
+
+
+class TestCorruptRuns:
+    def test_empty_record_is_typed(self):
+        """A run record with no type byte raises RunError, not
+        IndexError, when the walk looks for pointers."""
+        import pytest
+
+        from repro.core.output import output_phase
+        from repro.errors import RunError
+        from repro.xml import TokenCodec
+        from repro.xml.tokens import EndTag, RunPointer, StartTag
+
+        store = RunStore(BlockDevice(block_size=256))
+        codec = TokenCodec()
+        writer = store.create_writer()
+        writer.write_records(
+            [codec.encode(StartTag("a")), b"", codec.encode(EndTag("a"))]
+        )
+        run = writer.finish()
+        with pytest.raises(RunError):
+            output_phase(store, RunPointer(run_id=run.run_id))

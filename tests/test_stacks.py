@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StackError
 from repro.io import BlockDevice, ExternalStack
+from repro.io.stacks import _COUNT, _LEN
 
 
 def make_stack(buffer_blocks: int = 1, block_size: int = 256):
@@ -287,3 +288,298 @@ class TestSlicedPopThrough:
         # The pops stopped below the straddled record, as single pops do.
         assert stack.total_bytes == 0
         assert stack.record_count == 0
+
+
+def _push_all(stack, records, fields):
+    """Push ``records``, each with its entry of ``fields``; locations."""
+    return [
+        stack.push(record, fields=value)
+        for record, value in zip(records, fields)
+    ]
+
+
+def _never_paged_out(stack, locations, resident):
+    """Clear ``resident[i]`` for every record now below the spill line."""
+    spilled = stack.spilled_bytes
+    for index, location in enumerate(locations):
+        if location < spilled:
+            resident[index] = False
+
+
+class TestFields:
+    """Fields ride with buffered records only."""
+
+    def test_resident_records_return_their_fields(self):
+        _, stack = make_stack(buffer_blocks=4)
+        records = [bytes([65 + i]) * 5 for i in range(6)]
+        fields = [("f", i) if i % 2 else None for i in range(6)]
+        locations = _push_all(stack, records, fields)
+        out = []
+        assert stack.pop_through(locations[1], fields=out) == records[1:]
+        assert out == fields[1:]
+        out = []
+        assert stack.pop_through(0, fields=out) == records[:1]
+        assert out == [None]
+        assert stack.page_outs == 0
+
+    def test_paged_in_records_return_none(self):
+        _, stack = make_stack(buffer_blocks=1, block_size=64)
+        records = [bytes([65 + i]) * 20 for i in range(8)]
+        locations = _push_all(stack, records, [i for i in range(8)])
+        assert stack.page_outs > 0
+        spilled = stack.spilled_bytes
+        out = []
+        assert stack.pop_through(0, fields=out) == records
+        assert stack.page_ins > 0
+        assert out == [
+            None if location < spilled else index
+            for index, location in enumerate(locations)
+        ]
+        assert out[0] is None and out[-1] == 7
+
+    def test_page_in_then_push_starts_fresh(self):
+        _, stack = make_stack(buffer_blocks=1, block_size=64)
+        locations = _push_all(stack, [b"x" * 20] * 6, range(6))
+        stack.pop_through(locations[1])  # pages the spilled records in
+        stack.push(b"y" * 20, fields="new")
+        out = []
+        stack.pop_through(locations[0], fields=out)
+        assert out == [None, "new"]
+
+    def test_single_pops_drop_fields(self):
+        _, stack = make_stack(buffer_blocks=4)
+        stack.push(b"a", fields=1)
+        stack.push(b"b", fields=2)
+        assert stack.pop() == b"b"
+        stack.push(b"c")  # no fields: must not inherit the popped one's
+        out = []
+        assert stack.pop_through(0, fields=out) == [b"a", b"c"]
+        assert out == [1, None]
+
+    def test_misaligned_pop_through_keeps_fields_aligned(self):
+        _, stack = make_stack(buffer_blocks=4)
+        sizes = (10, 90, 20, 30, 40)
+        locations = _push_all(
+            stack, [b"r" * size for size in sizes], range(len(sizes))
+        )
+        with pytest.raises(StackError):
+            stack.pop_through(locations[2] + 1)
+        # A loop of pops stops below the straddled record.
+        assert stack.total_bytes == locations[2]
+        stack.push(b"n", fields="n")
+        out = []
+        assert stack.pop_through(locations[1], fields=out) == [
+            b"r" * 90,
+            b"n",
+        ]
+        assert out == [1, "n"]
+
+    def test_pushes_without_fields_return_none(self):
+        _, stack = make_stack(buffer_blocks=1, block_size=64)
+        for index in range(10):
+            stack.push(bytes([index]) * 15)
+        out = []
+        assert len(stack.pop_through(0, fields=out)) == 10
+        assert out == [None] * 10
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        operations=st.lists(
+            st.one_of(
+                # push a record, with fields or without
+                st.tuples(st.binary(min_size=1, max_size=160), st.booleans()),
+                st.just(None),  # pop
+                # pop_through: which boundary, and whether to aim inside
+                st.tuples(st.floats(0, 1), st.booleans()),
+            ),
+            max_size=200,
+        ),
+        buffer_blocks=st.integers(min_value=1, max_value=3),
+    )
+    def test_fields_follow_a_loop_of_pops(self, operations, buffer_blocks):
+        """With fields, the stack still matches a fieldless stack popped
+        one record at a time, and hands back exactly the fields of the
+        records that were never paged out."""
+        device, stack = make_stack(buffer_blocks, block_size=64)
+        plain_device, plain = make_stack(buffer_blocks, block_size=64)
+        locations: list[int] = []
+        pushed: list = []
+        resident: list[bool] = []
+        for step, operation in enumerate(operations):
+            if operation is None:
+                if locations:
+                    assert stack.pop() == plain.pop()
+                    del locations[-1], pushed[-1], resident[-1]
+            elif isinstance(operation[0], bytes):
+                record, with_fields = operation
+                value = ("fields", step) if with_fields else None
+                locations.append(stack.push(record, fields=value))
+                assert plain.push(record) == locations[-1]
+                pushed.append(value)
+                resident.append(True)
+            else:
+                fraction, inside = operation
+                index = int(fraction * len(locations))
+                if index == len(locations):
+                    target, inside = stack.total_bytes, False
+                else:
+                    target = locations[index]
+                end = (
+                    locations[index + 1]
+                    if index + 1 < len(locations)
+                    else stack.total_bytes
+                )
+                out: list = []
+                if inside and end - target > 1:
+                    with pytest.raises(StackError):
+                        stack.pop_through(target + 1, fields=out)
+                    with pytest.raises(StackError):
+                        _pop_through_by_pops(plain, target + 1)
+                    # Records and fields both stopped below the straddled
+                    # record.
+                    assert out == [
+                        value if alive else None
+                        for value, alive in zip(
+                            pushed[index:], resident[index:]
+                        )
+                    ]
+                else:
+                    assert stack.pop_through(
+                        target, fields=out
+                    ) == _pop_through_by_pops(plain, target)
+                    assert out == [
+                        value if alive else None
+                        for value, alive in zip(
+                            pushed[index:], resident[index:]
+                        )
+                    ]
+                del locations[index:], pushed[index:], resident[index:]
+            _never_paged_out(stack, locations, resident)
+            assert _observed(device, stack) == _observed(plain_device, plain)
+        out = []
+        assert stack.pop_through(0, fields=out) == _pop_through_by_pops(
+            plain, 0
+        )
+        assert out == [
+            value if alive else None for value, alive in zip(pushed, resident)
+        ]
+        assert _observed(device, stack) == _observed(plain_device, plain)
+
+
+def _spilled_blocks(records, block_size=64):
+    """(block bytes, record count, payload bytes, records) of every packed
+    block a one-block stack spills while ``records`` are pushed."""
+    device, stack = make_stack(buffer_blocks=1, block_size=block_size)
+    for record in records:
+        stack.push(record)
+    blocks = []
+    start = 0
+    for segment in stack._segments:
+        count = segment.record_count
+        blocks.append(
+            (
+                device._blocks[segment.block_id],
+                count,
+                segment.payload_bytes,
+                records[start : start + count],
+            )
+        )
+        start += count
+    return blocks
+
+
+_FUZZ_BLOCKS = _spilled_blocks(
+    [bytes([33 + i % 90]) * (1 + (7 * i) % 17) for i in range(40)]
+)
+
+
+class TestBlockDecoder:
+    """A spilled block that disagrees with its segment fails typed."""
+
+    def test_length_past_the_block_is_typed(self):
+        data = _COUNT.pack(2) + _LEN.pack(1000) + b"abc"
+        with pytest.raises(StackError):
+            ExternalStack._unpack_block(data, 2, 3)
+
+    def test_short_record_is_typed(self):
+        data = _COUNT.pack(1) + _LEN.pack(10) + b"abc"
+        with pytest.raises(StackError):
+            ExternalStack._unpack_block(data, 1, 10)
+
+    def test_payload_mismatch_is_typed(self):
+        data = _COUNT.pack(1) + _LEN.pack(3) + b"abc"
+        assert ExternalStack._unpack_block(data, 1, 3) == [b"abc"]
+        with pytest.raises(StackError):
+            ExternalStack._unpack_block(data, 1, 4)
+
+    def test_empty_block_is_typed(self):
+        with pytest.raises(StackError):
+            ExternalStack._unpack_block(b"\x01", 1, 1)
+
+    def test_corrupt_block_surfaces_on_pop(self):
+        device, stack = make_stack(buffer_blocks=1, block_size=64)
+        for index in range(8):
+            stack.push(bytes([65 + index]) * 20)
+        segment = stack._segments[-1]
+        data = device._blocks[segment.block_id]
+        device._blocks[segment.block_id] = data[:-1]
+        with pytest.raises(StackError):
+            stack.pop_through(0)
+
+    def test_short_big_record_extent_is_typed(self):
+        device, stack = make_stack(buffer_blocks=1, block_size=64)
+        stack.push(b"b" * 150)  # spilled as a three-block extent
+        stack.push(b"top")
+        last = stack._segments[-1].block_ids[-1]
+        device._blocks[last] = b""
+        assert stack.pop() == b"top"
+        with pytest.raises(StackError):
+            stack.pop()
+
+    def test_fuzz_blocks_round_trip(self):
+        assert len(_FUZZ_BLOCKS) > 3
+        for data, count, payload, records in _FUZZ_BLOCKS:
+            assert ExternalStack._unpack_block(data, count, payload) == records
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        block=st.sampled_from(_FUZZ_BLOCKS),
+        op=st.sampled_from(["replace", "delete", "insert", "cut"]),
+    )
+    def test_mutated_block_is_typed_or_exact(self, data, block, op):
+        blob, count, payload, records = block
+        out = bytearray(blob)
+        index = data.draw(st.integers(0, len(out) - 1))
+        if op == "replace":
+            out[index] = data.draw(st.integers(0, 255))
+        elif op == "delete":
+            del out[index]
+        elif op == "insert":
+            out.insert(index, data.draw(st.integers(0, 255)))
+        else:
+            del out[index:]
+        try:
+            decoded = ExternalStack._unpack_block(bytes(out), count, payload)
+        except StackError:
+            return
+        framing = _framing_offsets(blob)
+        if all(f < len(out) and out[f] == blob[f] for f in framing):
+            # Plain stack blocks carry no checksum (fail-stop device): an
+            # edit that leaves every count and length byte in place can
+            # change record bytes, never the framing.
+            assert [len(r) for r in decoded] == [len(r) for r in records]
+        else:
+            assert decoded == records
+
+
+def _framing_offsets(blob: bytes) -> list[int]:
+    """Offsets of the count and length bytes of a packed block."""
+    (count,) = _COUNT.unpack_from(blob, 0)
+    offsets = list(range(_COUNT.size))
+    pos = _COUNT.size
+    for _ in range(count):
+        (length,) = _LEN.unpack_from(blob, pos)
+        offsets.extend(range(pos, pos + _LEN.size))
+        pos += _LEN.size + length
+    return offsets

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Document, SortSpec, nexsort
 from repro.baselines.keypath import (
     decode_record,
     encode_record,
@@ -20,6 +21,7 @@ from repro.core.columnar import (
 )
 from repro.core.subtree import SubtreeSorter
 from repro.errors import CodecError, ReproError, SortSpecError
+from repro.generators import level_fanout_events
 from repro.io import BlockDevice, RunStore
 from repro.merge.engine import MergeOptions, normalized_path_key
 from repro.xml import TokenCodec
@@ -660,3 +662,106 @@ class TestMalformedRecords:
             sorter.sort_records(records, 500, 1, sort_levels)
         except ReproError:
             pass
+
+
+def captured_internal_sorts(monkeypatch, events, block_size, memory_blocks,
+                            **options):
+    """(records, fields, base_level, sort_levels) of every internal subtree
+    sort a NEXSORT run of ``events`` hands its sorter."""
+    calls = []
+    original = SubtreeSorter.sort_records
+
+    def capture(self, records, payload_bytes, base_level, sort_levels,
+                fields=None):
+        if self.sorts_internally(payload_bytes):
+            calls.append(
+                (list(records), list(fields), base_level, sort_levels)
+            )
+        else:
+            assert fields is None  # an external sort parses every record
+        return original(
+            self, records, payload_bytes, base_level, sort_levels,
+            fields=fields,
+        )
+
+    monkeypatch.setattr(SubtreeSorter, "sort_records", capture)
+    document = Document.from_events(
+        RunStore(BlockDevice(block_size=block_size)), events
+    )
+    nexsort(document, SortSpec.parse("*=@name"), memory_blocks, **options)
+    return calls
+
+
+def start_residency(records, fields):
+    """(starts with fields, starts without) of one captured sort."""
+    with_fields = without = 0
+    for record, known in zip(records, fields):
+        if record[0] == 1:
+            if known:
+                with_fields += 1
+            else:
+                without += 1
+    return with_fields, without
+
+
+def assert_fields_change_nothing(calls, counted=False):
+    """Each captured sort gives the same records, units, real elements
+    and comparison charge with its fields as from its bytes alone."""
+    for records, fields, base_level, sort_levels in calls:
+        results = []
+        for given in (fields, None):
+            device = BlockDevice(block_size=256)
+            out, units, real = sort_subtree_records(
+                records, False, False, base_level, sort_levels,
+                device.stats, counted=counted, fields=given,
+            )
+            results.append((out, units, real, device.stats.comparisons))
+        assert results[0] == results[1]
+
+
+class TestResidentFields:
+    """Internal subtree sorts read the scan's fields where records stayed
+    in memory, and match the byte parse exactly."""
+
+    def test_all_resident_figure5_shape(self, monkeypatch):
+        calls = captured_internal_sorts(
+            monkeypatch,
+            level_fanout_events([6, 6, 6, 8], seed=3, pad_bytes=24),
+            block_size=1024, memory_blocks=48,
+        )
+        assert calls
+        for records, fields, _base, _levels in calls:
+            assert start_residency(records, fields)[1] == 0
+        assert_fields_change_nothing(calls)
+
+    def test_mixed_residency(self, monkeypatch):
+        calls = captured_internal_sorts(
+            monkeypatch,
+            level_fanout_events([11, 11, 11, 5], seed=5, pad_bytes=24),
+            block_size=512, memory_blocks=16,
+        )
+        residency = [start_residency(r, f) for r, f, _b, _l in calls]
+        # Some sort mixes resident starts with paged-in ones: a spill
+        # policy change must not silently drop this case.
+        assert any(resident and paged for resident, paged in residency)
+        assert any(not paged for _resident, paged in residency)
+        assert_fields_change_nothing(calls)
+
+    def test_depth_limited(self, monkeypatch):
+        calls = captured_internal_sorts(
+            monkeypatch,
+            level_fanout_events([6, 6, 6, 8], seed=4, pad_bytes=24),
+            block_size=1024, memory_blocks=48, depth_limit=1,
+        )
+        assert any(levels is not None for _r, _f, _b, levels in calls)
+        assert_fields_change_nothing(calls)
+
+    def test_counted_comparisons(self, monkeypatch):
+        calls = captured_internal_sorts(
+            monkeypatch,
+            level_fanout_events([6, 6, 6, 8], seed=5, pad_bytes=24),
+            block_size=1024, memory_blocks=48,
+            merge_options=MergeOptions(merge_kernel="loser-tree"),
+        )
+        assert calls
+        assert_fields_change_nothing(calls, counted=True)
