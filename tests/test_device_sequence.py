@@ -19,7 +19,12 @@ externally) and on a Figure-5-shaped one (internal subtree sorts only),
 each plain, with a buffer pool, on two striped disks and under a
 recovery context with a transient fault plan; one graceful-degeneration
 (``flat_optimization``) cell; external merge sort with a pool and under
-recovery.
+recovery.  The ``paging/*`` cells pin the stacks' paging regimes: a deep
+chain whose path stack pages out and back in; a deep comb, plain and
+compacted, whose path pops interleave with pushes at every depth; an
+end-keyed, text-bearing auction document whose data stack pages
+throughout the scan, plain and under graceful degeneration; and mixed
+content whose text pushes flush incomplete runs.
 """
 
 import functools
@@ -33,12 +38,15 @@ import pytest
 from repro.baselines import external_merge_sort
 from repro.core import nexsort
 from repro.faults import RecoveryContext, build_faulty_device
-from repro.generators import level_fanout_events
+from repro.generators import auction_events, level_fanout_events
 from repro.io import BlockDevice, RunStore, StripedDevice
 from repro.keys import ByAttribute, SortSpec
+from repro.xml.compact import CompactionConfig
+from repro.xml import Element
 from repro.xml.document import Document
+from repro.xml.tokens import EndTag, StartTag, Text
 
-from .conftest import sha256_text
+from .conftest import chain_tree, sha256_text
 
 SPEC = SortSpec(default=ByAttribute("name"))
 
@@ -85,7 +93,71 @@ CELLS = {
     "mergesort/faults/restart": _cell(
         FIG6, algorithm="mergesort", faults=RESTARTED["mergesort"]
     ),
+    # No subtree sorts before the root closes: a 400-deep path pages the
+    # 2-block path stack out and back in (Lemma 4.11).
+    "paging/path-stack": dict(
+        algorithm="nexsort", chain=400, block_size=256, memory=6,
+        threshold=10**9,
+    ),
+    # A 400-deep comb - a leaf closes before each deeper link - plain and
+    # compacted (dictionary names, no end tags: closes come from level
+    # transitions): path pops interleave with pushes at every depth.
+    "paging/path-stack/comb": dict(
+        algorithm="nexsort", comb=400, block_size=256, memory=6,
+        threshold=10**9,
+    ),
+    "paging/path-stack/comb/compact": dict(
+        algorithm="nexsort", comb=400, compact=True, block_size=256,
+        memory=6, threshold=10**9,
+    ),
+    # Keys at end tags over a text-bearing document, on a 3-block data
+    # stack that pages out and in throughout the scan.
+    "paging/data-stack": dict(
+        algorithm="nexsort",
+        auction=dict(auctions_per_region=10, max_bids=8, regions=2),
+        spec="*=@name, open_auction=item/quantity, bid=@amount+@at, "
+        "item=@id",
+        memory=8,
+    ),
+    # Graceful degeneration over mixed content: a text after each child
+    # of the root, so text pushes flush incomplete runs.
+    "paging/data-stack/flat/mixed": dict(
+        algorithm="nexsort", mixed=300, memory=8, flat=True,
+    ),
+    # The auction document under graceful degeneration.
+    "paging/data-stack/flat": dict(
+        algorithm="nexsort",
+        auction=dict(auctions_per_region=10, max_bids=8, regions=2),
+        spec="*=@name, open_auction=item/quantity, bid=@amount+@at, "
+        "item=@id",
+        memory=8,
+        flat=True,
+    ),
 }
+
+
+def comb_tree(height: int) -> Element:
+    """A chain of ``height`` elements with a leaf before each link."""
+    node = Element("leaf", {"name": "end"})
+    for index in range(height - 1):
+        node = Element(
+            "link",
+            {"name": f"l{index:05d}"},
+            "",
+            [Element("leaf", {"name": f"s{index:05d}"}), node],
+        )
+    return node
+
+
+def mixed_events(children: int):
+    """A root whose ``children`` named children are each followed by a
+    text of the root."""
+    yield StartTag("root")
+    for index in range(children):
+        yield StartTag("item", (("name", f"n{index * 7919 % 1000:03d}"),))
+        yield EndTag("item")
+        yield Text(f"text {index:04d} " * 3)
+    yield EndTag("root")
 
 
 class _Recording:
@@ -150,10 +222,11 @@ class RecordingStripedDevice(_Recording, StripedDevice):
 def run_cell(config: dict) -> dict:
     """Run one cell on a recording device; summarize its access log."""
     disks = config.get("disks")
+    block_size = config.get("block_size", 512)
     base = (
-        RecordingStripedDevice(disks=disks, block_size=512)
+        RecordingStripedDevice(disks=disks, block_size=block_size)
         if disks is not None
-        else RecordingDevice(block_size=512)
+        else RecordingDevice(block_size=block_size)
     )
     faults = config.get("faults")
     device, _injector, _retrier = build_faulty_device(
@@ -161,26 +234,54 @@ def run_cell(config: dict) -> dict:
     )
     recovery = RecoveryContext() if faults is not None else None
     store = RunStore(device)
-    document = Document.from_events(
-        store,
-        level_fanout_events(list(config["fanouts"]), seed=3, pad_bytes=24),
-    )
+    spec = SortSpec.parse(config["spec"]) if "spec" in config else SPEC
+    if "chain" in config or "comb" in config:
+        tree = (
+            chain_tree(config["chain"])
+            if "chain" in config
+            else comb_tree(config["comb"])
+        )
+        document = Document.from_element(
+            store,
+            tree,
+            compaction=CompactionConfig() if config.get("compact") else None,
+        )
+    elif "mixed" in config:
+        document = Document.from_events(store, mixed_events(config["mixed"]))
+    elif "auction" in config:
+        document = Document.from_events(
+            store, auction_events(seed=3, **config["auction"])
+        )
+    else:
+        document = Document.from_events(
+            store,
+            level_fanout_events(
+                list(config["fanouts"]), seed=3, pad_bytes=24
+            ),
+        )
     base.log.clear()
+    stacks = partial_runs = None
     if config["algorithm"] == "mergesort":
         output, _report = external_merge_sort(
-            document, SPEC, config["memory"],
+            document, spec, config["memory"],
             cache_blocks=config.get("cache_blocks", 0), recovery=recovery,
         )
         external_sorts = None
     else:
         output, report = nexsort(
-            document, SPEC, config["memory"],
+            document, spec, config["memory"],
+            threshold_bytes=config.get("threshold"),
             flat_optimization=config.get("flat", False),
             cache_blocks=config.get("cache_blocks", 0), recovery=recovery,
         )
         external_sorts = sum(
             1 for info in report.subtree_sorts if not info.internal
         )
+        stacks = [
+            report.data_stack_page_outs, report.data_stack_page_ins,
+            report.path_stack_page_outs, report.path_stack_page_ins,
+        ]
+        partial_runs = report.flat_partial_runs
     log = json.dumps(base.log, separators=(",", ":"))
     return {
         "accesses": len(base.log),
@@ -188,6 +289,8 @@ def run_cell(config: dict) -> dict:
         "counters": base.stats.snapshot().counter_totals(),
         "output_sha256": sha256_text(output.to_string()),
         "external_sorts": external_sorts,
+        "stack_pages": stacks,
+        "partial_runs": partial_runs,
         "restarts": recovery.restarts if recovery is not None else 0,
     }
 
@@ -222,3 +325,16 @@ def test_cells_reach_their_paths():
             assert cell["counters"]["penalty_seconds"] > 0, name
         elif name.endswith("/faults/restart"):
             assert cell["restarts"] >= 1, name
+    for name in (
+        "paging/path-stack",
+        "paging/path-stack/comb",
+        "paging/path-stack/comb/compact",
+    ):
+        _outs, _ins, path_outs, path_ins = _reference()[name]["stack_pages"]
+        assert path_outs > 0 and path_ins > 0, name
+    data_outs, data_ins, path_outs, path_ins = _reference()[
+        "paging/data-stack"
+    ]["stack_pages"]
+    assert data_outs > 10 and data_ins > 10
+    for name in ("paging/data-stack/flat", "paging/data-stack/flat/mixed"):
+        assert _reference()[name]["partial_runs"] > 0, name
