@@ -20,19 +20,20 @@ nested descent, so the resume re-read is a guaranteed cache hit: the
 phase behaves exactly as before.
 
 Non-pointer records are copied byte-for-byte into the output document (the
-tokens inside runs already carry no sorting annotations), a block-drained
-batch at a time: each batch up to the first pointer goes out in one grouped
-writer call.  The framed output stream is the same as copying one record at
-a time, so blocks fill and flush at the same offsets and reads fire at the
+tokens inside runs already carry no sorting annotations), a buffered span at
+a time: the records of the current block up to the next pointer go to the
+writer as the framed bytes the run already holds
+(:meth:`~repro.io.runs.RunReader.read_available_span`,
+:meth:`~repro.io.runs.RunWriter.write_framed`), never unframed and
+re-framed.  The framed output stream is the same as copying one record at a
+time, so blocks fill and flush at the same offsets and reads fire at the
 same pull indices.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from ..errors import RunError
-from ..io.runs import _LEN, RunHandle, RunStore
+from ..io.runs import RunHandle, RunStore
 from ..io.stacks import ExternalStack
 from ..xml.codec import (
     TYPE_POINTER,
@@ -41,8 +42,6 @@ from ..xml.codec import (
     write_varint,
 )
 from ..xml.tokens import RunPointer
-
-_type_byte = itemgetter(0)
 
 
 def output_phase(
@@ -104,39 +103,29 @@ def output_phase(
             current, category="run_read", readahead=0
         )
 
-    header = _LEN.size
+    stats = device.stats
     while True:
-        chunk = reader.read_available_records()
-        if not chunk:
-            record = reader.read_record()
-            if record is None:
-                if not resume_parent():
-                    break
-                continue
-            chunk = [record]
-        # Copy records up to the first pointer with one grouped call; on
-        # a pointer, descend.  Drained records past the pointer are
-        # abandoned with the reader - the resume re-reads their block,
-        # exactly the ``1 + p(b)`` accounting of Lemma 4.12.
-        try:
-            # Type bytes of the whole chunk, searched in one C-level scan.
-            jump = bytes(map(_type_byte, chunk)).find(TYPE_POINTER)
-        except IndexError:
-            raise RunError("corrupt run: empty record") from None
-        if jump < 0:
-            writer.write_records(chunk)
-            device.stats.record_tokens(len(chunk))
+        # The buffered block's records up to the next pointer go out as
+        # one framed span; a pointer, or a record that needs a block load,
+        # is read on its own.  Records past a pointer stay unread - the
+        # resume re-reads their block, exactly the ``1 + p(b)`` accounting
+        # of Lemma 4.12.
+        span, count, payload_bytes = reader.read_available_span(TYPE_POINTER)
+        if count:
+            writer.write_framed(span, count, payload_bytes)
+            stats.record_tokens(count)
             continue
-        if jump:
-            writer.write_records(chunk[:jump])
-            device.stats.record_tokens(jump)
-        # Framed-stream offset just past the pointer record: the drain
-        # already advanced the reader past the whole chunk, so subtract
-        # the abandoned tail.
-        offset = reader.tell() - sum(
-            header + len(record) for record in chunk[jump + 1 :]
-        )
-        descend(chunk[jump], offset)
+        record = reader.read_record()
+        if record is None:
+            if not resume_parent():
+                break
+        elif not record:
+            raise RunError("corrupt run: empty record")
+        elif record[0] == TYPE_POINTER:
+            descend(record, reader.tell())
+        else:
+            writer.write_record(record)
+            stats.record_tokens(1)
 
     handle = writer.finish()
     for run in finished_runs:

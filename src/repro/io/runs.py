@@ -31,6 +31,29 @@ if TYPE_CHECKING:
 _LEN = struct.Struct("<I")
 
 
+def _scan_span(
+    buffer: bytes, intra: int, limit: int, stop_type: int
+) -> tuple[int, int]:
+    """(end offset, record count) of the complete framed records in
+    ``buffer[intra:limit]`` that precede the first record of type byte
+    ``stop_type`` or the first empty record (which has no type byte)."""
+    unpack_from = _LEN.unpack_from
+    header = _LEN.size
+    count = 0
+    while intra + header <= limit:
+        (length,) = unpack_from(buffer, intra)
+        record_end = intra + header + length
+        if (
+            record_end > limit
+            or not length
+            or buffer[intra + header] == stop_type
+        ):
+            break
+        intra = record_end
+        count += 1
+    return intra, count
+
+
 @dataclass(frozen=True)
 class RunHandle:
     """Identifies one run on the device.
@@ -266,7 +289,26 @@ class RunWriter:
             parts.append(payload)
             payload_bytes += len(payload)
             count += 1
-        framed = b"".join(parts)
+        self._add_framed(b"".join(parts), count, payload_bytes)
+
+    def write_framed(
+        self, framed: bytes, count: int, payload_bytes: int
+    ) -> None:
+        """Append ``count`` records that are already framed as a run frames
+        them, ``payload_bytes`` of payload in all - a span from
+        :meth:`RunReader.read_available_span`.
+
+        Byte-identical to :meth:`write_records` of the same records,
+        without unframing and re-framing them.
+        """
+        if self._finished:
+            raise RunError("write to a finished run")
+        self._add_framed(framed, count, payload_bytes)
+
+    def _add_framed(
+        self, framed: bytes, count: int, payload_bytes: int
+    ) -> None:
+        """Buffer framed records and flush every full block."""
         self._buffer += framed
         self._stream_bytes += len(framed)
         self._payload_bytes += payload_bytes
@@ -450,6 +492,34 @@ class RunReader:
         self._pos = base + intra
         return out
 
+    def read_available_span(self, stop_type: int) -> tuple[bytes, int, int]:
+        """The buffered block's next records as one framed span.
+
+        Returns (framed bytes, record count, payload bytes) of the records
+        :meth:`read_available_records` would return, cut before the first
+        record whose type byte is ``stop_type`` - or before an empty
+        record, which has no type byte.  The reader stops there:
+        :meth:`read_record` returns that record next, and a record that
+        needs a block load is never read.
+        """
+        end = self._handle.stream_bytes
+        if self._pos >= end or self._block_index < 0:
+            return b"", 0, 0
+        size = self._device.block_size
+        base = self._block_index * size
+        start = self._pos - base
+        if start < 0 or start >= size:
+            return b"", 0, 0
+        stop, count = _scan_span(
+            self._block, start, min(size, end - base), stop_type
+        )
+        self._pos = base + stop
+        return (
+            self._block[start:stop],
+            count,
+            stop - start - count * _LEN.size,
+        )
+
     def _read_bytes(self, count: int) -> bytes:
         if self._pos + count > self._handle.stream_bytes:
             raise RunError(
@@ -542,6 +612,28 @@ class CompressedRunWriter:
             raise RunError("write to a finished run")
         if not payloads:
             return
+        self._append(payloads)
+
+    def write_framed(
+        self, framed: bytes, count: int, payload_bytes: int
+    ) -> None:
+        """Append ``count`` already-framed records (see
+        :meth:`RunWriter.write_framed`); segments are coded from the
+        records, so the span is unframed here."""
+        unpack_from = _LEN.unpack_from
+        header = _LEN.size
+        payloads = []
+        pos = 0
+        for _ in range(count):
+            (length,) = unpack_from(framed, pos)
+            pos += header
+            payloads.append(framed[pos : pos + length])
+            pos += length
+        if pos != len(framed) or pos - count * header != payload_bytes:
+            raise RunError(
+                f"framed span of {len(framed)} bytes does not hold "
+                f"{count} records of {payload_bytes} payload bytes"
+            )
         self._append(payloads)
 
     def _append(self, payloads) -> None:
@@ -746,6 +838,19 @@ class CompressedRunReader:
             intra = record_end
         self._pos = self._buffer_start + intra
         return out
+
+    def read_available_span(self, stop_type: int) -> tuple[bytes, int, int]:
+        """The decoded segment's next records as one framed span; see
+        :meth:`RunReader.read_available_span`."""
+        if self.exhausted or self._segment_index < 0:
+            return b"", 0, 0
+        buffer = self._buffer
+        start = self._pos - self._buffer_start
+        if start < 0 or start >= len(buffer):
+            return b"", 0, 0
+        stop, count = _scan_span(buffer, start, len(buffer), stop_type)
+        self._pos = self._buffer_start + stop
+        return buffer[start:stop], count, stop - start - count * _LEN.size
 
     def _read_bytes(self, count: int) -> bytes:
         if self._pos + count > self._handle.stream_bytes:

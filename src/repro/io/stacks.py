@@ -27,6 +27,11 @@ key atom and position).  Fields live only while their record is buffered:
 a page-out drops them and a paged-in record carries none, so bytes that
 passed through the device are always parsed again.  They are kept sparse,
 by record ordinal, so pushes without fields and page-ins do no extra work.
+
+A caller that moves many records can ask for :attr:`ExternalStack.room`
+and hand over every record that fits in one :meth:`ExternalStack.extend`
+call: the result is the state a loop of pushes leaves, with no device
+access, so the push that pages out still fires at the same record.
 """
 
 from __future__ import annotations
@@ -147,6 +152,15 @@ class ExternalStack:
         """True when another push is likely to force a page-out."""
         return self._memory_bytes >= self._capacity_bytes
 
+    @property
+    def room(self) -> int:
+        """Payload bytes pushable before the next page-out.
+
+        Pushes totalling at most ``room`` bytes stay buffered; a push that
+        takes the total past it pages out.
+        """
+        return self._capacity_bytes - self._memory_bytes
+
     # -- mutation ----------------------------------------------------------
 
     def push(self, record: bytes, fields=None) -> int:
@@ -165,6 +179,40 @@ class ExternalStack:
         if self._memory_bytes > self._capacity_bytes:
             self._spill()
         return location
+
+    def extend(self, records: list[bytes], fields: list | None = None) -> None:
+        """Push ``records`` (oldest first) without paging out.
+
+        Leaves the state one :meth:`push` per record would leave, provided
+        the records fit in :attr:`room`; records that would not fit raise
+        :class:`~repro.errors.StackError` and push nothing.  ``fields``,
+        when given, is aligned with ``records``: the fields of each record,
+        or None for a record pushed without any.
+        """
+        size = sum(map(len, records))
+        if size > self._capacity_bytes - self._memory_bytes:
+            raise StackError(
+                f"extend of {size} bytes exceeds the stack's room of "
+                f"{self._capacity_bytes - self._memory_bytes}"
+            )
+        base = self._record_count
+        count = len(records)
+        if fields is not None:
+            if len(fields) != count:
+                raise StackError(
+                    f"{len(fields)} fields for {count} records"
+                )
+            if None not in fields:
+                self._field_ordinals.extend(range(base, base + count))
+                self._field_values.extend(fields)
+            else:
+                for ordinal, value in enumerate(fields, base):
+                    if value is not None:
+                        self._field_ordinals.append(ordinal)
+                        self._field_values.append(value)
+        self._memory.extend(records)
+        self._memory_bytes += size
+        self._record_count += count
 
     def pop(self) -> bytes:
         """Pop and return the newest record, paging in if necessary."""

@@ -1,5 +1,7 @@
 """Tests for the output phase: expanding the tree of sorted runs."""
 
+import pytest
+
 from repro.baselines import sort_element
 from repro.core import nexsort
 from repro.io import BlockDevice, RunStore
@@ -112,3 +114,146 @@ class TestCorruptRuns:
         run = writer.finish()
         with pytest.raises(RunError):
             output_phase(store, RunPointer(run_id=run.run_id))
+
+
+def _walk_one_record_at_a_time(store, root_run_id):
+    """The output walk as a loop of ``read_record`` calls: the reference
+    for the span-at-a-time walk (same reads, writes and tokens)."""
+    from repro.errors import RunError
+    from repro.xml import TokenCodec
+    from repro.xml.codec import TYPE_POINTER
+
+    codec = TokenCodec()
+    writer = store.create_writer("output")
+    saved = []
+    current = store.get(root_run_id)
+    reader = store.open_reader(current, category="run_read", readahead=0)
+    while True:
+        record = reader.read_record()
+        if record is None:
+            if not saved:
+                return writer.finish()
+            current, offset = saved.pop()
+            reader = store.open_reader(
+                current, offset=offset, category="run_read", readahead=0
+            )
+        elif not record:
+            raise RunError("corrupt run: empty record")
+        elif record[0] == TYPE_POINTER:
+            saved.append((current, reader.tell()))
+            current = store.get(codec.decode(record).run_id)
+            reader = store.open_reader(
+                current, category="run_read", readahead=0
+            )
+        else:
+            writer.write_record(record)
+            store.device.stats.record_tokens(1)
+
+
+_TEXT_M = object()
+
+
+def _pointer_tree(block_size, pad, middle=_TEXT_M):
+    """A store holding a child run and a root run whose pointer to it
+    follows a start and a ``pad``-character text; ``middle`` is a record
+    placed between the text and the pointer (default: a one-character
+    text; None: no record)."""
+    from repro.xml import TokenCodec
+    from repro.xml.tokens import EndTag, RunPointer, StartTag, Text
+
+    codec = TokenCodec()
+    device = BlockDevice(block_size=block_size)
+    store = RunStore(device)
+    child = store.create_writer()
+    child.write_records(
+        [codec.encode(StartTag("c")), codec.encode(Text("child")),
+         codec.encode(EndTag("c"))]
+    )
+    child = child.finish()
+    root = store.create_writer()
+    records = [codec.encode(StartTag("r")), codec.encode(Text("t" * pad))]
+    if middle is _TEXT_M:
+        middle = codec.encode(Text("m"))
+    if middle is not None:
+        records.append(middle)
+    pointer = codec.encode(RunPointer(run_id=child.run_id))
+    records += [pointer, codec.encode(Text("after")),
+                codec.encode(EndTag("r"))]
+    root.write_records(records)
+    root = root.finish()
+    # Framed offset and size of the pointer record.
+    start = sum(4 + len(record) for record in records[: records.index(pointer)])
+    return device, store, root.run_id, start, 4 + len(pointer)
+
+
+def _walks_agree(block_size, pad, middle=_TEXT_M):
+    from repro.core.output import output_phase
+    from repro.xml.tokens import RunPointer
+
+    device, store, root, start, size = _pointer_tree(block_size, pad, middle)
+    ref_device, ref_store, ref_root, _start, _size = _pointer_tree(
+        block_size, pad, middle
+    )
+    before = device.stats.snapshot()
+    handle, _ins, _outs = output_phase(store, RunPointer(run_id=root))
+    ref_before = ref_device.stats.snapshot()
+    ref_handle = _walk_one_record_at_a_time(ref_store, ref_root)
+    assert device.stats.since(before).counter_totals() == (
+        ref_device.stats.since(ref_before).counter_totals()
+    )
+    assert list(store.open_reader(handle)) == list(
+        ref_store.open_reader(ref_handle)
+    )
+    return start, size
+
+
+class TestSpanWalk:
+    """The walk copies framed spans up to each pointer, and reads, writes
+    and charges exactly what a record-at-a-time walk does."""
+
+    BLOCK = 64
+
+    def _pad_for(self, where):
+        """A text pad that puts the pointer record where asked."""
+        for pad in range(200):
+            _d, _s, _r, start, size = _pointer_tree(self.BLOCK, pad)
+            offset = start % self.BLOCK
+            if where == "start" and offset == 0:
+                return pad
+            if where == "middle" and 0 < offset and offset + size < self.BLOCK:
+                return pad
+            if where == "end" and offset + size == self.BLOCK:
+                return pad
+            if where == "straddle" and offset + size > self.BLOCK > offset:
+                return pad
+        raise AssertionError(where)
+
+    @pytest.mark.parametrize("where", ["start", "middle", "end", "straddle"])
+    def test_pointer_positions(self, where):
+        start, size = _walks_agree(self.BLOCK, self._pad_for(where))
+        offset = start % self.BLOCK
+        assert {
+            "start": offset == 0,
+            "middle": 0 < offset and offset + size < self.BLOCK,
+            "end": offset + size == self.BLOCK,
+            "straddle": offset + size > self.BLOCK > offset,
+        }[where]
+
+    def test_straddling_text_record(self):
+        # A 90-character text spans two 64-byte blocks.
+        _walks_agree(self.BLOCK, 90)
+
+    def test_no_pointer(self):
+        _walks_agree(self.BLOCK, 30, middle=None)
+
+    @pytest.mark.parametrize("pad", [3, 20, 40])
+    def test_empty_record_is_typed(self, pad):
+        from repro.core.output import output_phase
+        from repro.errors import RunError
+        from repro.xml.tokens import RunPointer
+
+        _device, store, root, _start, _size = _pointer_tree(
+            self.BLOCK, pad, middle=b""
+        )
+        with pytest.raises(RunError):
+            output_phase(store, RunPointer(run_id=root))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import RunError
+from repro.errors import ReproError, RunError
 from repro.io import BlockDevice, CompressionConfig, RunStore
 
 
@@ -276,3 +276,179 @@ class TestHypothesisRoundTrip:
         assert list(store.open_reader(handle, offset=offset)) == records[
             resume_at:
         ]
+
+
+#: The type byte the span walks stop at (a run pointer's).
+_STOP = 4
+
+
+def _span_walk(reader, writer):
+    """Copy a run with ``read_available_span`` + ``write_framed``,
+    stopping at every ``_STOP`` record: (offsets past each stop record,
+    error type or None, reader offset at the end or error)."""
+    stops = []
+    try:
+        while True:
+            span, count, payload = reader.read_available_span(_STOP)
+            if count:
+                writer.write_framed(span, count, payload)
+                continue
+            record = reader.read_record()
+            if record is None:
+                return stops, None, reader.tell()
+            if not record:
+                raise RunError("empty record")
+            if record[0] == _STOP:
+                stops.append(reader.tell())
+            else:
+                writer.write_record(record)
+    except ReproError as exc:
+        return stops, type(exc), reader.tell()
+
+
+class _EmptyRecord(RunError):
+    """An empty record met inside a drained chunk."""
+
+
+def _records_walk(reader, writer):
+    """The same copy from ``read_available_records`` + ``write_records``,
+    record by record within each drained chunk."""
+    stops = []
+    offset = reader.tell()
+    try:
+        while True:
+            chunk = reader.read_available_records()
+            if not chunk:
+                record = reader.read_record()
+                if record is None:
+                    return stops, None, reader.tell()
+                chunk = [record]
+            offset = reader.tell() - sum(4 + len(r) for r in chunk)
+            pending = []
+            for record in chunk:
+                offset += 4 + len(record)
+                if not record:
+                    writer.write_records(pending)
+                    raise _EmptyRecord("empty record")
+                if record[0] == _STOP:
+                    writer.write_records(pending)
+                    pending = []
+                    stops.append(offset)
+                else:
+                    pending.append(record)
+            writer.write_records(pending)
+    except _EmptyRecord:
+        # Found in a drained chunk: the reader is already past it.
+        return stops, RunError, offset
+    except ReproError as exc:
+        return stops, type(exc), reader.tell()
+
+
+def _copy(records, block_size, compressed, corrupt, walk):
+    """Write ``records`` as a run, apply ``corrupt``, copy it with
+    ``walk``; everything the copy observed and produced."""
+    device = BlockDevice(block_size=block_size)
+    store = RunStore(device)
+    if compressed:
+        store.compression = CompressionConfig(segment_blocks=2)
+    writer = store.create_writer("run_write")
+    writer.write_records(records)
+    run = writer.finish()
+    if corrupt is not None and run.block_ids:
+        which, at, value = corrupt
+        block_id = run.block_ids[int(which * len(run.block_ids))]
+        data = bytearray(device._blocks[block_id])
+        data[int(at * len(data))] = value
+        device._blocks[block_id] = bytes(data)
+    before = device.stats.snapshot()
+    out = store.create_writer("run_write")
+    stops, error, position = walk(store.open_reader(run), out)
+    copied = out.finish()
+    return (
+        stops,
+        error,
+        position,
+        list(store.open_reader(copied)),
+        (copied.stream_bytes, copied.payload_bytes, copied.record_count),
+        device.stats.since(before).counter_totals(),
+    )
+
+
+class TestFramedSpans:
+    """``read_available_span`` + ``write_framed`` copy a run exactly as
+    ``read_available_records`` + ``write_records`` do: same output
+    stream, stop offsets, device counters and error types."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=st.lists(
+            st.one_of(
+                st.binary(min_size=1, max_size=120),
+                st.binary(max_size=12).map(lambda tail: b"\x04" + tail),
+                st.just(b""),
+            ),
+            max_size=60,
+        ),
+        block_size=st.sampled_from([64, 128, 256]),
+        compressed=st.booleans(),
+        corrupt=st.none()
+        | st.tuples(
+            st.floats(0, 0.999), st.floats(0, 0.999), st.integers(0, 255)
+        ),
+    )
+    def test_matches_records_walk(
+        self, records, block_size, compressed, corrupt
+    ):
+        assert _copy(
+            records, block_size, compressed, corrupt, _span_walk
+        ) == _copy(records, block_size, compressed, corrupt, _records_walk)
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_span_stops_before_the_stop_record(self, compressed):
+        _, store = make_store(block_size=256)
+        if compressed:
+            store.compression = CompressionConfig(segment_blocks=2)
+        writer = store.create_writer("run_write")
+        writer.write_records([b"\x01a", b"\x02bc", b"\x04p", b"\x03d"])
+        reader = store.open_reader(writer.finish())
+        assert reader.read_available_span(_STOP) == (b"", 0, 0)
+        assert reader.read_record() == b"\x01a"  # loads the block
+        span, count, payload = reader.read_available_span(_STOP)
+        assert (span, count, payload) == (b"\x03\x00\x00\x00\x02bc", 1, 3)
+        assert reader.tell() == 6 + 7
+        assert reader.read_available_span(_STOP) == (b"", 0, 0)
+        assert reader.read_record() == b"\x04p"
+        assert reader.read_available_span(_STOP)[1:] == (1, 2)
+        assert reader.exhausted
+
+    def test_write_framed_equals_write_records(self):
+        records = [bytes([i % 7 + 1]) * (i * 13 % 90 + 1) for i in range(40)]
+        _, framed_store = make_store(block_size=64)
+        _, plain_store = make_store(block_size=64)
+        framed = framed_store.create_writer()
+        framed.write_framed(
+            b"".join(len(r).to_bytes(4, "little") + r for r in records),
+            len(records),
+            sum(map(len, records)),
+        )
+        plain = plain_store.create_writer()
+        plain.write_records(records)
+        a, b = framed.finish(), plain.finish()
+        assert (a.stream_bytes, a.payload_bytes, a.record_count) == (
+            b.stream_bytes, b.payload_bytes, b.record_count
+        )
+        assert list(framed_store.open_reader(a)) == records
+
+    def test_compressed_write_framed_checks_the_span(self):
+        _, store = make_store()
+        store.compression = CompressionConfig(segment_blocks=2)
+        writer = store.create_writer("run_write")
+        with pytest.raises(RunError):
+            writer.write_framed(b"\x02\x00\x00\x00ab", 1, 3)
+
+    def test_write_framed_after_finish_fails(self):
+        _, store = make_store()
+        writer = store.create_writer()
+        writer.finish()
+        with pytest.raises(RunError):
+            writer.write_framed(b"\x01\x00\x00\x00a", 1, 1)

@@ -583,3 +583,128 @@ def _framing_offsets(blob: bytes) -> list[int]:
         offsets.extend(range(pos, pos + _LEN.size))
         pos += _LEN.size + length
     return offsets
+
+
+class TestExtend:
+    """``extend`` within ``room`` leaves what one push per record leaves."""
+
+    def test_room_counts_down_to_the_page_out(self):
+        _, stack = make_stack(buffer_blocks=1, block_size=64)
+        assert stack.room == 64
+        stack.push(b"x" * 60)
+        assert stack.room == 4
+        stack.extend([b"y" * 3, b"z"])
+        assert stack.room == 0 and stack.page_outs == 0
+        stack.push(b"w")
+        assert stack.page_outs == 1
+
+    def test_extend_past_room_raises_and_pushes_nothing(self):
+        device, stack = make_stack(buffer_blocks=1, block_size=64)
+        stack.push(b"a" * 40)
+        with pytest.raises(StackError):
+            stack.extend([b"b" * 20, b"c" * 5], [1, 2])
+        assert (stack.total_bytes, stack.record_count, stack.room) == (
+            40, 1, 24,
+        )
+        stack.extend([b"b" * 20, b"c" * 4], [1, None])
+        assert stack.room == 0 and stack.page_outs == 0
+        out = []
+        assert stack.pop_through(0, fields=out) == [
+            b"a" * 40, b"b" * 20, b"c" * 4,
+        ]
+        assert out == [None, 1, None]
+        assert device.stats.total_ios == 0
+
+    def test_misaligned_fields_raise(self):
+        _, stack = make_stack()
+        with pytest.raises(StackError):
+            stack.extend([b"a", b"b"], [1])
+        assert stack.is_empty
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        operations=st.lists(
+            st.one_of(
+                # extend: the longest prefix that fits in room
+                st.lists(
+                    st.tuples(
+                        st.binary(min_size=1, max_size=40), st.booleans()
+                    ),
+                    min_size=1,
+                    max_size=8,
+                ),
+                # push a record, with fields or without
+                st.tuples(st.binary(min_size=1, max_size=160), st.booleans()),
+                st.just(None),  # pop
+                st.floats(0, 1),  # pop_through a record boundary
+            ),
+            max_size=120,
+        ),
+        buffer_blocks=st.integers(min_value=1, max_value=3),
+        with_fields=st.booleans(),
+    )
+    def test_matches_one_push_per_record(
+        self, operations, buffer_blocks, with_fields
+    ):
+        device, stack = make_stack(buffer_blocks, block_size=64)
+        ref_device, ref = make_stack(buffer_blocks, block_size=64)
+        locations: list[int] = []
+        for step, operation in enumerate(operations):
+            if operation is None:
+                if locations:
+                    assert stack.pop() == ref.pop()
+                    locations.pop()
+            elif isinstance(operation, float):
+                index = int(operation * len(locations))
+                target = (
+                    locations[index]
+                    if index < len(locations)
+                    else stack.total_bytes
+                )
+                got: list = []
+                want: list = []
+                assert stack.pop_through(target, fields=got) == (
+                    ref.pop_through(target, fields=want)
+                )
+                assert got == want
+                del locations[index:]
+            else:
+                batch = (
+                    operation if isinstance(operation, list) else [operation]
+                )
+                values = [
+                    (step, index) if with_fields and keep else None
+                    for index, (_record, keep) in enumerate(batch)
+                ]
+                records = [record for record, _keep in batch]
+                if isinstance(operation, list):
+                    fit = 0
+                    room = stack.room
+                    while fit < len(records) and len(records[fit]) <= room:
+                        room -= len(records[fit])
+                        fit += 1
+                    if fit < len(records):
+                        with pytest.raises(StackError):
+                            stack.extend(
+                                records[: fit + 1],
+                                values[: fit + 1] if with_fields else None,
+                            )
+                    records, values = records[:fit], values[:fit]
+                    top = stack.total_bytes
+                    stack.extend(records, values if with_fields else None)
+                    assert stack.page_outs == ref.page_outs
+                    for record in records:
+                        locations.append(top)
+                        top += len(record)
+                else:
+                    locations.append(stack.push(records[0], values[0]))
+                for record, value in zip(records, values):
+                    ref.push(record, value)
+            assert _observed(device, stack) == _observed(ref_device, ref)
+        got = []
+        want = []
+        assert stack.pop_through(0, fields=got) == ref.pop_through(
+            0, fields=want
+        )
+        assert got == want
+        assert _observed(device, stack) == _observed(ref_device, ref)
