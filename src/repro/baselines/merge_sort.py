@@ -264,16 +264,24 @@ class ExternalMergeSorter:
                 tracer, "output-emit", final_merge_width=width
             ):
                 writer = store.create_writer("output")
-                emit_output_columnar(
-                    stream, writer, device,
-                    chunk_records=(
-                        _EMIT_CHUNK
-                        if store.pool is None and recovery is None
-                        else 0
-                    ),
-                    names_coded=names is not None,
-                    emit_ends=emit_ends,
-                )
+                try:
+                    emit_output_columnar(
+                        stream, writer, device,
+                        chunk_records=(
+                            _EMIT_CHUNK
+                            if store.pool is None and recovery is None
+                            else 0
+                        ),
+                        names_coded=names is not None,
+                        emit_ends=emit_ends,
+                    )
+                except (IndexError, UnicodeDecodeError) as exc:
+                    # The emit indexes run records without bounds checks.
+                    if not raised_parsing_records(exc, emit_output_columnar):
+                        raise
+                    raise CodecError(
+                        f"malformed run record during the output: {exc}"
+                    ) from None
                 handle = writer.finish()
 
                 # Flush the pool before the snapshot so deferred

@@ -42,6 +42,7 @@ implementation, and the accounting-parity suite reproduces every cell.
 from __future__ import annotations
 
 import struct
+import sys
 from itertools import repeat
 from math import ceil, log2
 from typing import Callable, Iterable
@@ -74,6 +75,8 @@ from ..xml.tokens import StartTag
 
 _DOUBLE_LE = struct.Struct("<d")
 _U64 = struct.Struct(">Q")
+#: A run record's length header (:mod:`repro.io.runs` framing).
+_FRAME_LEN = struct.Struct("<I")
 
 #: Keep the start-key memo bounded on high-cardinality documents.
 _MEMO_LIMIT = 1 << 16
@@ -831,6 +834,61 @@ def _text_frame(pending) -> bytes:
     return pending
 
 
+def _element_tokens(
+    rest: bytes, names_coded: bool, start_head: bytes, frame_start: bool
+) -> tuple[bytes, bytes | None, bytes]:
+    """(start token, text token or None, end token) of an element whose
+    key-path record ends in ``rest``: its tag+attributes, then its text
+    frame.  The text and end tokens are framed as a run frames them
+    (length header, type/flags head, body); the start token is framed
+    too when ``frame_start``, else it is its head and tag+attributes,
+    for the caller to append a level to.  Unchecked: a short ``rest``
+    raises ``IndexError``."""
+    if names_coded:
+        pos = 0
+        while rest[pos] >= 0x80:  # tag id varint
+            pos += 1
+        pos += 1
+    else:
+        length = rest[0]
+        pos = 1
+        if length >= 0x80:
+            length, pos = read_varint_fast(rest, 0)
+        pos += length
+    tag_end = pos
+    count = rest[pos]
+    pos += 1
+    if count >= 0x80:
+        count, pos = read_varint_fast(rest, pos - 1)
+    if names_coded:
+        for _ in range(count):
+            while rest[pos] >= 0x80:  # attr name id varint
+                pos += 1
+            length = rest[pos + 1]  # attr value frame
+            pos += 2
+            if length >= 0x80:
+                length, pos = read_varint_fast(rest, pos - 1)
+            pos += length
+    else:
+        for _ in range(count + count):
+            length = rest[pos]
+            pos += 1
+            if length >= 0x80:
+                length, pos = read_varint_fast(rest, pos - 1)
+            pos += length
+    start = start_head + rest[:pos]
+    if frame_start:
+        start = _FRAME_LEN.pack(len(start)) + start
+    text_frame = rest[pos:]
+    text = None
+    if text_frame != b"\x00":
+        text = (
+            _FRAME_LEN.pack(2 + len(text_frame)) + b"\x02\x00" + text_frame
+        )
+    end = _FRAME_LEN.pack(2 + tag_end) + b"\x03\x00" + rest[:tag_end]
+    return start, text, end
+
+
 #: Readers of the record grammar that skip bounds checks: a short record
 #: makes them raise ``IndexError``.
 _UNCHECKED_READERS = frozenset(
@@ -841,6 +899,7 @@ _UNCHECKED_READERS = frozenset(
         _skip_frame,
         _skip_tag_attrs,
         _frame_payload,
+        _element_tokens,
     )
 )
 
@@ -1262,25 +1321,28 @@ def sort_subtree_records(
 
 
 def _end_tag_annotations(
-    records: list[bytes], names_coded: bool
+    records: list[bytes], names_coded: bool, first: int = 0
 ) -> dict[int, tuple[bytes | None, int | None]]:
     """Keys that plain-mode end tags carry for under-annotated starts.
 
-    Maps the index of every start record lacking its key or position to
-    the ``(encoded atom or None, position or None)`` of its end tag -
-    where the document scan puts subtree-evaluated keys.  A start's path
-    component is needed while its children are still open, so this
-    pre-pass runs before key-path records are built.
+    Maps the index of every start record from ``first`` on that lacks its
+    key or position to the ``(encoded atom or None, position or None)``
+    of its end tag - where the document scan puts subtree-evaluated keys.
+    A start's path component is needed while its children are still
+    open, so this pre-pass reads ahead of the formation loop, over
+    records it has not consumed yet.  End tags of elements opened before
+    ``first`` are skipped: the formation loop checks the balance.
     """
     fixes: dict[int, tuple[bytes | None, int | None]] = {}
     open_starts: list[int] = []
-    for index, record in enumerate(records):
+    for index in range(first, len(records)):
+        record = records[index]
         token_type = record[0]
         if token_type == TYPE_START:
             open_starts.append(index)
         elif token_type == TYPE_END:
             if not open_starts:
-                raise CodecError("subtree tokens are unbalanced")
+                continue
             start = open_starts.pop()
             if records[start][1] & 3 == 3:
                 continue
@@ -1297,13 +1359,29 @@ def _end_tag_annotations(
     return fixes
 
 
+#: Heads of key-path pointer records, by depth.
+_POINTER_HEADS = [b"\x02" + encode_varint(depth) for depth in range(64)]
+
+#: Closes every open element of a compacted subtree: the record appended
+#: behind its last one.
+_SUBTREE_END = b"\x00"
+
+#: A close floor no element level reaches: the record closes nothing.
+_NO_CLOSE = sys.maxsize
+
+#: Entries at which a sort's memo of record splits stops growing, and
+#: stops being consulted: past it the document's elements vary too much
+#: for lookups to pay.
+_SPLIT_MEMO_LIMIT = 1 << 12
+
+
 def form_subtree_runs(
     records: list[bytes],
     compact: bool,
     names_coded: bool,
     sort_levels: int | None,
-    add,
-    charge_tokens,
+    former,
+    stats,
 ) -> tuple[int, int]:
     """Feed a popped subtree's key-path records into run formation.
 
@@ -1314,16 +1392,32 @@ def form_subtree_runs(
     slice, run-formation keys are engine-normalized ``bytes``
     (:func:`fast_path_key` of the record), texts are joined as frames,
     and a pointer contributes its run_id/count/payload body verbatim.
-    Paths are relative to the subtree root (depth 1).
+    Paths are relative to the subtree root (depth 1).  The loop
+    *consumes* ``records``: each entry is set to None once it is parsed
+    (a compacted subtree's list carries an end marker while the loop
+    runs), so the raw records are freed while their key-path records
+    are built.
 
     Emission order, record bytes and token charges match the token
-    pipeline: an element's record is added when the element closes, a
-    pointer's where it appears, and ``charge_tokens(1)`` precedes every
-    ``add`` (a device fault inside ``add`` leaves the same charge).
+    pipeline: an element's record is added to ``former`` (a
+    :class:`~repro.merge.engine.RunFormer`) when the element closes, a
+    pointer's where it appears, and one token is charged on ``stats``
+    per record.  Records collect, with their token count, while they fit
+    in the former's :attr:`~repro.merge.engine.RunFormer.room`; before
+    the add that flushes a run, they go over in one
+    :meth:`~repro.merge.engine.RunFormer.extend` and one token charge
+    that includes the flushing record.  So every formation write sees
+    the tokens one charge-then-add per record would have left, and a
+    device fault inside that add leaves the same charge.
 
     * Plain mode: keys evaluated at end tags (by the document scan) fill in
-      starts that lack a key or position, found by one pre-pass.
+      starts that lack a key or position, found by a pre-pass that reads
+      ahead from the first such start.
     * Compacted mode: elements close by ``restore_end_tags``' level rules.
+    * A plain start as the scan pushes it (key and position, no level) is
+      walked once per distinct bytes before its position varint; later
+      starts with the same bytes look up its tag+attributes, atom and
+      normalized atom.
     * ``sort_levels``: the child lists of relative levels ``1 ..
       sort_levels`` are sorted.  A component orders the child list
       above it, so only depths ``2 .. sort_levels + 1`` keep their key;
@@ -1336,96 +1430,256 @@ def form_subtree_runs(
     caller converts it to :class:`~repro.errors.CodecError`).
     """
     join = b"".join
+    heads = _ELEMENT_HEADS
+    # Normalized key atoms by encoded atom, and the fields of plain
+    # starts by the bytes before their position varint.
     memo: dict[bytes, bytes] = {}
+    splits: dict[bytes, tuple[bytes, bytes, bytes]] = {}
+    splits_get = splits.get
+    memoize = not compact
     fixes = None
-    norm_stack: list[bytes] = [b""]
-    enc_stack: list[bytes] = [b""]
-    ta_stack: list[bytes] = []
-    text_stack: list = []
-    open_levels: list[int] = []
+    # The innermost open element: its normalized and encoded paths, its
+    # tag+attributes slice and its stored level (plain mode: its depth).
+    # ``opened`` holds the same four fields of each enclosing element.
+    depth = 0
+    norm_top = enc_top = ta_top = b""
+    level_top = -1
+    opened: list[tuple] = []
+    texts: dict[int, object] = {}
     units = 0
     real = 0
-
-    def close_top() -> None:
-        tag_attrs = ta_stack.pop()
-        text_frame = _text_frame(text_stack.pop())
-        head = _element_head(len(ta_stack) + 1)
-        charge_tokens(1)
-        record = join((head, enc_stack.pop(), tag_attrs, text_frame))
-        add(norm_stack.pop(), record)
-        if compact:
-            open_levels.pop()
-
+    # Formed records not handed to the former yet, their payload bytes
+    # (``room0 - room``) and their tokens.
+    pairs: list[tuple[bytes, bytes]] = []
+    room0 = room = former.room
+    tokens = 0
+    if compact:
+        records.append(_SUBTREE_END)
     for index, record in enumerate(records):
+        records[index] = None
         token_type = record[0]
-        if token_type == TYPE_TEXT:
-            if record[1] & 4:
-                end = _skip_frame(record, 2)
-                frame = record[2:end]
-                if compact:
+        # ``floor``: open elements whose level is at or above it close
+        # before this record opens or attaches anything.
+        if token_type == TYPE_START or token_type == TYPE_POINTER:
+            flags = record[1]
+            body = None
+            head = split = None
+            if flags == 3 and token_type == TYPE_START and memoize:
+                # A plain start as the scan pushes it: tag+attrs, key
+                # atom, then the position varint last.  Its bytes up to
+                # the position (``head``) recur on every element with
+                # the same tag, attributes and key; the first such start
+                # is walked, the others look their fields up.  A head
+                # that is a prefix of this record parses the same here,
+                # so a hit is exactly what the walk would find.  The
+                # varint is read backwards from the record's last byte.
+                end = len(record)
+                cut = end - 1
+                position = record[cut]
+                if position < 0x80:
+                    byte = record[cut - 1]
+                    while byte >= 0x80:
+                        position = position << 7 | byte & 0x7F
+                        cut -= 1
+                        byte = record[cut - 1]
+                    head = record[:cut]
+                    split = splits_get(head)
+                    if split is not None:
+                        tag_attrs, atom, norm_atom = split
+                        comp_start = cut - len(atom)
+            if split is None:
+                norm_atom = None
+                if token_type == TYPE_START:
+                    # Tag and attributes: names are id varints or string
+                    # frames, attribute values string frames.
+                    if names_coded:
+                        end = 2
+                        while record[end] >= 0x80:
+                            end += 1
+                        end += 1
+                    else:
+                        end = record[2] + 3
+                        if end >= 0x83:
+                            length, end = read_varint_fast(record, 2)
+                            end += length
+                    count = record[end]
+                    end += 1
+                    if count:
+                        if count >= 0x80:
+                            count, end = read_varint_fast(record, end - 1)
+                        if names_coded:
+                            for _ in range(count):
+                                while record[end] >= 0x80:
+                                    end += 1
+                                length = record[end + 1]
+                                end += 2
+                                if length >= 0x80:
+                                    length, end = read_varint_fast(
+                                        record, end - 1
+                                    )
+                                end += length
+                        else:
+                            for _ in range(count + count):
+                                length = record[end]
+                                end += 1
+                                if length >= 0x80:
+                                    length, end = read_varint_fast(
+                                        record, end - 1
+                                    )
+                                end += length
+                    tag_attrs = record[2:end]
+                else:
+                    # run_id, element_count, payload_bytes varints.
+                    end = 2
+                    while record[end] >= 0x80:
+                        end += 1
+                    count, end = read_varint_fast(record, end + 1)
+                    while record[end] >= 0x80:
+                        end += 1
+                    end += 1
+                    body = record[2:end]
+                # Annotation fields: key atom, position, level (each by
+                # flag).  With both key and position present,
+                # ``record[comp_start:end]`` is the encoded path
+                # component, unless a fix-up or mask below replaces the
+                # atom or position.
+                comp_start = end
+                atom = None
+                if flags & 1:
+                    kind = record[end]
+                    if kind == 2:
+                        end += record[end + 1] + 2
+                        if record[comp_start + 1] >= 0x80:
+                            length, end = read_varint_fast(
+                                record, comp_start + 1
+                            )
+                            end += length
+                    elif kind == 1:
+                        end += 9
+                    elif kind:
+                        raise CodecError(f"unknown key atom kind {kind}")
+                    else:
+                        end += 1
+                    atom = record[comp_start:end]
+                if head is not None and end == cut:
+                    # Too many distinct heads: stop looking them up.
+                    memoize = len(splits) < _SPLIT_MEMO_LIMIT
+                    norm_atom = memo.get(atom)
+                    if norm_atom is None:
+                        norm_atom, _ = _normalize_encoded_atom(atom, 0)
+                        memo[atom] = norm_atom
+                    splits[head] = (tag_attrs, atom, norm_atom)
+                position = None
+                if flags & 2:
+                    position = record[end]
+                    end += 1
+                    if position >= 0x80:
+                        byte = record[end]
+                        end += 1
+                        position = position & 0x7F | (byte & 0x7F) << 7
+                        shift = 14
+                        while byte >= 0x80:
+                            byte = record[end]
+                            end += 1
+                            position |= (byte & 0x7F) << shift
+                            shift += 7
+            spliced = True
+            if compact:
+                if not flags & 4:
+                    raise CodecError(
+                        "compacted stream contains a start without a level"
+                    )
+                level = record[end]
+                if level >= 0x80:
                     level, _ = read_varint_fast(record, end)
-                    while open_levels and open_levels[-1] > level:
-                        close_top()
+                floor = level
             else:
-                frame = record[2:]
-            if text_stack:
-                text_stack[-1] = _with_frame(text_stack[-1], frame)
-            continue
-        if token_type == TYPE_END:
+                floor = _NO_CLOSE
+                if flags & 3 != 3 and body is None:
+                    if fixes is None:
+                        records[index] = record
+                        fixes = _end_tag_annotations(
+                            records, names_coded, index
+                        )
+                        records[index] = None
+                    fix = fixes.get(index)
+                    if fix is not None:
+                        if fix[0] is not None:
+                            atom = fix[0]
+                            norm_atom = None
+                        if fix[1] is not None:
+                            position = fix[1]
+                    spliced = False
+        elif token_type == TYPE_END:
             if compact:
                 raise CodecError("compacted stream already contains end tags")
-            if not ta_stack:
+            if not depth:
                 raise CodecError("subtree tokens are unbalanced")
-            close_top()
-            continue
-        flags = record[1]
-        if token_type == TYPE_START:
-            body = None
-            end = _skip_tag_attrs(record, 2, names_coded)
-            tag_attrs = record[2:end]
-        elif token_type == TYPE_POINTER:
-            end = _skip_varint(record, 2)  # run_id
-            count, end = read_varint_fast(record, end)  # element_count
-            end = _skip_varint(record, end)  # payload_bytes
-            body = record[2:end]
+            floor = level_top
+        elif token_type == TYPE_TEXT:
+            floor = _NO_CLOSE
+            if record[1] & 4:
+                end = record[2] + 3
+                if end >= 0x83:
+                    length, end = read_varint_fast(record, 2)
+                    end += length
+                frame = record[2:end]
+                if compact:
+                    level = record[end]
+                    if level >= 0x80:
+                        level, _ = read_varint_fast(record, end)
+                    floor = level + 1
+            else:
+                frame = record[2:]
+        elif record is _SUBTREE_END:
+            floor = 0
         else:
             raise CodecError(f"unknown token type byte {token_type}")
-        # Annotation fields: key atom, position, level (each by flag).
-        # With both key and position present, ``record[comp_start:end]``
-        # is the encoded path component, unless a fix-up or mask below
-        # replaces the atom or position (``spliced = False``).
-        comp_start = end
-        atom = None
-        if flags & 1:
-            end = _skip_atom(record, end)
-            atom = record[comp_start:end]
-        position = None
-        if flags & 2:
-            position, end = read_varint_fast(record, end)
-        spliced = True
-        if compact:
-            if not flags & 4:
-                raise CodecError(
-                    "compacted stream contains a start without a level"
+
+        # Close every open element at or above ``floor``: its key-path
+        # record is complete.
+        while level_top >= floor:
+            if texts and depth in texts:
+                text = _text_frame(texts.pop(depth))
+            else:
+                text = b"\x00"
+            formed = join(
+                (
+                    heads[depth] if depth < 64 else _element_head(depth),
+                    enc_top,
+                    ta_top,
+                    text,
                 )
-            level, _ = read_varint_fast(record, end)
-            while open_levels and open_levels[-1] >= level:
-                close_top()
-        elif flags & 3 != 3 and body is None:
-            if fixes is None:
-                fixes = _end_tag_annotations(records, names_coded)
-            fix = fixes.get(index)
-            if fix is not None:
-                if fix[0] is not None:
-                    atom = fix[0]
-                if fix[1] is not None:
-                    position = fix[1]
-            spliced = False
-        depth = len(ta_stack) + 1
+            )
+            size = len(formed)
+            if size <= room:
+                pairs.append((norm_top, formed))
+                room -= size
+                tokens += 1
+            else:
+                if pairs:
+                    former.extend(pairs, room0 - room)
+                    pairs = []
+                stats.record_tokens(tokens + 1)
+                tokens = 0
+                former.add(norm_top, formed)
+                room0 = room = former.room
+            norm_top, enc_top, ta_top, level_top = opened.pop()
+            depth -= 1
+
+        if token_type != TYPE_START and token_type != TYPE_POINTER:
+            if token_type == TYPE_TEXT and depth:
+                pending = texts.get(depth)
+                texts[depth] = (
+                    frame if pending is None else _with_frame(pending, frame)
+                )
+            continue
+        child = depth + 1
         if sort_levels is not None and (
-            depth == 1 or depth > sort_levels + 1
+            child == 1 or child > sort_levels + 1
         ):
             atom = b"\x00"
+            norm_atom = None
             spliced = False
         if atom is None or position is None:
             if body is not None:
@@ -1434,10 +1688,11 @@ def form_subtree_runs(
                 "key-path records need a key and position on every "
                 "element of the subtree"
             )
-        norm_atom = memo.get(atom)
         if norm_atom is None:
-            norm_atom, _ = _normalize_encoded_atom(atom, 0)
-            memo[atom] = norm_atom
+            norm_atom = memo.get(atom)
+            if norm_atom is None:
+                norm_atom, _ = _normalize_encoded_atom(atom, 0)
+                memo[atom] = norm_atom
         if spliced:
             component = record[comp_start:end]
         else:
@@ -1445,26 +1700,48 @@ def form_subtree_runs(
                 _VARINT1[position] if position < 0x80
                 else encode_varint(position)
             )
-        norm = norm_stack[-1] + norm_atom + position.to_bytes(8, "big")
-        enc = enc_stack[-1] + component
+        norm = norm_top + norm_atom + position.to_bytes(8, "big")
+        enc = enc_top + component
         units += 1
-        if body is not None:
-            real += count
-            charge_tokens(1)
-            add(norm, join((b"\x02" + encode_varint(depth), enc, body)))
+        if body is None:
+            real += 1
+            opened.append((norm_top, enc_top, ta_top, level_top))
+            norm_top = norm
+            enc_top = enc
+            ta_top = tag_attrs
+            level_top = level if compact else child
+            depth = child
             continue
-        real += 1
-        norm_stack.append(norm)
-        enc_stack.append(enc)
-        ta_stack.append(tag_attrs)
-        text_stack.append(None)
-        if compact:
-            open_levels.append(level)
+        real += count
+        formed = join(
+            (
+                _POINTER_HEADS[child] if child < 64
+                else b"\x02" + encode_varint(child),
+                enc,
+                body,
+            )
+        )
+        size = len(formed)
+        if size <= room:
+            pairs.append((norm, formed))
+            room -= size
+            tokens += 1
+        else:
+            if pairs:
+                former.extend(pairs, room0 - room)
+                pairs = []
+            stats.record_tokens(tokens + 1)
+            tokens = 0
+            former.add(norm, formed)
+            room0 = room = former.room
     if compact:
-        while ta_stack:
-            close_top()
-    elif ta_stack:
+        records.pop()  # the end marker
+    if depth:
         raise CodecError("subtree tokens are unbalanced")
+    if pairs:
+        former.extend(pairs, room0 - room)
+    if tokens:
+        stats.record_tokens(tokens)
     return units, real
 
 
@@ -1491,6 +1768,15 @@ def emit_output_columnar(
     byte stream are identical to ``tokens_from_sorted_records`` +
     ``codec.encode``.  Returns the number of tokens written.
 
+    A record's path begins with the path of its parent, the open element
+    one level up: those bytes are checked with one ``startswith`` and
+    skipped, and only the record's own (last) path component is parsed.
+    A record that does not extend its parent's path raises
+    :class:`~repro.errors.CodecError`.  Each token is framed as the run
+    stores it (length header, type/flags head, body) as it is built, an
+    element's end token once, when its start is read; the framed tokens
+    go to the writer with :meth:`~repro.io.runs.RunWriter.write_framed`.
+
     ``names_coded`` switches tag/attribute-name parsing to dictionary id
     varints (the spliced slices stay dialect-consistent end to end);
     ``emit_ends=False`` is end-tag-eliminated output - no end records,
@@ -1501,164 +1787,160 @@ def emit_output_columnar(
 
     ``chunk_records=0`` (the default) is block-aligned: tokens collect
     until their framed bytes reach the writer's :attr:`room`
-    (:attr:`repro.io.runs.RunWriter.room`), then go over in one
-    ``write_records`` call.  That call performs the device write a
-    record-at-a-time loop would have performed at the same record, and
-    each record's tokens are charged right after it, so the global
-    device-access order - and the ``tokens`` count every access sees -
-    is exactly that of one writer call per record.  This mode is safe
-    under a shared buffer pool, a recovery context and a striped clock.
-    ``chunk_records > 0`` instead writes every ``chunk_records`` tokens
-    and charges them per call; it reorders writes relative to the final
-    merge's reads, so it is for callers with no pool or recovery context
-    attached.  ``charge_tokens=False`` leaves the token charge to the
-    caller (the returned count).
+    (:attr:`repro.io.runs.RunWriter.room`), then go over in one call.
+    That call performs the device write a record-at-a-time loop would
+    have performed at the same record, and each record's tokens are
+    charged right after it, so the global device-access order - and the
+    ``tokens`` count every access sees - is exactly that of one writer
+    call per record.  This mode is safe under a shared buffer pool, a
+    recovery context and a striped clock.  ``chunk_records > 0`` instead
+    writes every ``chunk_records`` tokens and charges them per call; it
+    reorders writes relative to the final merge's reads, so it is for
+    callers with no pool or recovery context attached.
+    ``charge_tokens=False`` leaves the token charge to the caller (the
+    returned count) and keeps no per-record charge bookkeeping.
     """
     stats = device.stats
-    open_tags: list[bytes] = []
+    record_tokens = stats.record_tokens
+    pack = _FRAME_LEN.pack
+    join = b"".join
+    # Framed tokens not written yet, their framed bytes, and how many of
+    # them are charged already (``charge_tokens``).
     out: list[bytes] = []
     append = out.append
-    pending_tokens = 0
-    written = 0
-    # Framed bytes in ``out`` (each token: a 4-byte length header, its
-    # 2-byte type/flags head, its body), and the writer's room before
-    # its next device write.
     framed = 0
+    charged = 0
+    written = 0
     room = writer.room
     start_head = b"\x01\x04" if levels else b"\x01\x00"
     pointer_head = b"\x04\x04" if levels else b"\x04\x00"
+    # The tokens of text-less elements, by the record bytes they come from.
+    splits: dict[bytes, tuple] = {}
+    splits_get = splits.get
+    memoize = True
+    # The open elements: path bytes and framed end token of the innermost
+    # (``path_top``, ``end_top``), and of the enclosing ones in ``opened``.
+    depth = 0
+    path_top = b""
+    end_top = b""
+    opened: list[tuple[bytes, bytes]] = []
+    level_tails: dict[int, bytes] = {}
 
     def flush() -> None:
-        nonlocal pending_tokens, written, framed, room
-        if out:
-            # write_records frames the payloads synchronously, so the
-            # list can be reused (keeps `append` a stable bound method).
-            writer.write_records(out)
+        nonlocal framed, charged, written, room
+        count = len(out)
+        if count:
+            writer.write_framed(join(out), count, framed - 4 * count)
             out.clear()
             framed = 0
             room = writer.room
         if charge_tokens:
-            stats.record_tokens(pending_tokens)
-        written += pending_tokens
-        pending_tokens = 0
+            record_tokens(count - charged)
+            charged = 0
+        written += count
 
-    level_tails: dict[int, bytes] = {}
     for record in stream:
         record_kind = record[0]
         if record_kind != 1 and record_kind != 2:
             raise CodecError(f"unknown key-path record kind {record_kind}")
-        depth = record[1]
+        record_depth = record[1]
         pos = 2
-        if depth >= 0x80:
-            depth, pos = read_varint_fast(record, 1)
-        if depth == 0:
+        if record_depth >= 0x80:
+            record_depth, pos = read_varint_fast(record, 1)
+        if record_depth == 0:
             raise CodecError("key-path record with empty path")
-        # Skip the (atom, position) path components; varints inlined -
-        # this loop runs once per output element.
-        for _ in range(depth):
-            kind = record[pos]
-            pos += 1
-            if kind == 2:
-                length = record[pos]
-                pos += 1
-                if length >= 0x80:
-                    length, pos = read_varint_fast(record, pos - 1)
-                pos += length
-            elif kind == 1:
-                pos += 8
-            elif kind != 0:
-                raise CodecError(f"unknown key atom kind {kind}")
-            while record[pos] >= 0x80:
-                pos += 1
-            pos += 1
-        while len(open_tags) >= depth:
-            tag = open_tags.pop()
+        # Close the open elements at or below this record's depth.
+        while depth >= record_depth:
             if emit_ends:
-                append(b"\x03\x00" + tag)
-                framed += 6 + len(tag)
-                pending_tokens += 1
-        if len(open_tags) != depth - 1:
+                append(end_top)
+                framed += len(end_top)
+            path_top, end_top = opened.pop()
+            depth -= 1
+        if depth != record_depth - 1:
             raise CodecError(
                 "key-path records out of order: jumped from depth "
-                f"{len(open_tags)} to {depth}"
+                f"{depth} to {record_depth}"
             )
+        # The parent's path, then one (atom, position) component.
+        if not record.startswith(path_top, pos):
+            raise CodecError(
+                f"key-path record at depth {record_depth} does not extend "
+                "its parent's path"
+            )
+        path_start = pos
+        pos += len(path_top)
+        kind = record[pos]
+        pos += 1
+        if kind == 2:
+            length = record[pos]
+            pos += 1
+            if length >= 0x80:
+                length, pos = read_varint_fast(record, pos - 1)
+            pos += length
+        elif kind == 1:
+            pos += 8
+        elif kind:
+            raise CodecError(f"unknown key atom kind {kind}")
+        while record[pos] >= 0x80:
+            pos += 1
+        pos += 1
         # Output starts and pointers carry their absolute level, exactly
         # as tokens_from_sorted_records emits (base level 1 -> level ==
         # depth).
         if levels:
-            tail = level_tails.get(depth)
+            tail = level_tails.get(record_depth)
             if tail is None:
-                tail = encode_varint(base_level + depth - 1)
-                level_tails[depth] = tail
+                tail = encode_varint(base_level + record_depth - 1)
+                level_tails[record_depth] = tail
         else:
             tail = b""
         if record_kind == 2:  # pointer: the run_id/count/payload body
-            token = pointer_head + record[pos:] + tail
+            body = record[pos:]
+            token = join(
+                (pack(2 + len(body) + len(tail)), pointer_head, body, tail)
+            )
             append(token)
-            framed += 4 + len(token)
-            pending_tokens += 1
+            framed += len(token)
         else:
-            tag_start = pos
-            if names_coded:
-                while record[pos] >= 0x80:  # tag id varint
-                    pos += 1
-                pos += 1
-                tag_frame = record[tag_start:pos]
-                count = record[pos]
-                pos += 1
-                if count >= 0x80:
-                    count, pos = read_varint_fast(record, pos - 1)
-                for _ in range(count):
-                    while record[pos] >= 0x80:  # attr name id varint
-                        pos += 1
-                    pos += 1
-                    length = record[pos]  # attr value frame
-                    pos += 1
-                    if length >= 0x80:
-                        length, pos = read_varint_fast(record, pos - 1)
-                    pos += length
-            else:
-                length = record[pos]
-                pos += 1
-                if length >= 0x80:
-                    length, pos = read_varint_fast(record, pos - 1)
-                pos += length
-                tag_frame = record[tag_start:pos]
-                count = record[pos]
-                pos += 1
-                if count >= 0x80:
-                    count, pos = read_varint_fast(record, pos - 1)
-                for _ in range(2 * count):
-                    length = record[pos]
-                    pos += 1
-                    if length >= 0x80:
-                        length, pos = read_varint_fast(record, pos - 1)
-                    pos += length
-            tag_attrs = record[tag_start:pos]
-            text_frame = record[pos:]
-            append(start_head + tag_attrs + tail)
-            framed += 6 + len(tag_attrs) + len(tail)
-            pending_tokens += 1
-            if text_frame != b"\x00":
-                append(b"\x02\x00" + text_frame)
-                framed += 6 + len(text_frame)
-                pending_tokens += 1
-            open_tags.append(tag_frame)
+            # The element's tag+attributes and text frame: its tokens
+            # depend on these bytes alone.  Without a text they recur,
+            # so each distinct one is split and framed once.
+            rest = record[pos:]
+            tokens = splits_get(rest) if memoize else None
+            if tokens is None:
+                tokens = _element_tokens(
+                    rest, names_coded, start_head, not levels
+                )
+                if memoize and tokens[1] is None:
+                    splits[rest] = tokens
+                    # Too many distinct ones: stop looking them up.
+                    memoize = len(splits) < _SPLIT_MEMO_LIMIT
+            start, text, end = tokens
+            if levels:
+                start = join((pack(len(start) + len(tail)), start, tail))
+            append(start)
+            framed += len(start)
+            if text is not None:
+                append(text)
+                framed += len(text)
+            opened.append((path_top, end_top))
+            path_top = record[path_start:pos]
+            end_top = end
+            depth = record_depth
         # The record's tokens are in ``out``: write, then charge.
         if chunk_records:
             if len(out) >= chunk_records:
                 flush()
         elif framed >= room:
             flush()
-        else:
-            if charge_tokens:
-                stats.record_tokens(pending_tokens)
-            written += pending_tokens
-            pending_tokens = 0
-    while open_tags:
-        tag = open_tags.pop()
+        elif charge_tokens:
+            record_tokens(len(out) - charged)
+            charged = len(out)
+    while depth:
         if emit_ends:
-            append(b"\x03\x00" + tag)
-            pending_tokens += 1
+            append(end_top)
+            framed += len(end_top)
+        path_top, end_top = opened.pop()
+        depth -= 1
     flush()
     return written

@@ -41,7 +41,7 @@ from functools import partial
 
 from ..baselines.merging import merge_to_stream
 from ..errors import CodecError, DeviceFault
-from ..io.runs import RunHandle, RunStore
+from ..io.runs import RunHandle, RunStore, frame_records
 from ..obs.tracer import Tracer, maybe_span
 from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions, RunFormer
 from ..xml.codec import TokenCodec, decode_key_atom
@@ -142,7 +142,10 @@ class SubtreeSorter:
                 else MISSING_KEY
             )
             run, written = self._run_recoverably(
-                lambda: sort(records, base_level, sort_levels, counts)
+                lambda attempt_records: sort(
+                    attempt_records, base_level, sort_levels, counts
+                ),
+                records,
             )
         except (IndexError, OverflowError, struct.error,
                 UnicodeDecodeError) as exc:
@@ -176,26 +179,30 @@ class SubtreeSorter:
             sort_levels,
         )
 
-    def _run_recoverably(self, attempt) -> tuple[RunHandle, int]:
-        """Run one subtree-sort attempt, restarting it on transient faults.
+    def _run_recoverably(
+        self, attempt, records: list[bytes]
+    ) -> tuple[RunHandle, int]:
+        """Run one subtree-sort ``attempt`` on ``records``, restarting it
+        on transient faults.
 
         A subtree sort regenerates everything from its in-memory input,
         so no device hold is needed; a restart only has to clean up what
         the failed attempt left behind - runs it registered (the external
         path's formation/merge intermediates) and their ``run_lengths``
-        entries.
+        entries.  The external path consumes its records, so under a
+        recovery context each attempt gets its own copy of the list.
         """
         unit = self._sorted_subtrees
         self._sorted_subtrees += 1
         if self.recovery is None:
-            return attempt()
+            return attempt(records)
 
         runs_before = self.store.live_run_ids()
         lengths_before = len(self.run_lengths)
 
         def attempt_once() -> tuple[RunHandle, int]:
             try:
-                return attempt()
+                return attempt(list(records))
             except DeviceFault:
                 for run_id in self.store.live_run_ids() - runs_before:
                     self.store.free(run_id)
@@ -230,11 +237,11 @@ class SubtreeSorter:
         )
         counts.append((units, real))
         writer = self.store.create_writer("run_write")
-        # One call for the whole run: nothing reads or charges between
-        # its block writes, so they land exactly where a per-record loop
-        # would put them.
+        # One call for the whole run, framed in one join: nothing reads
+        # or charges between its block writes, so they land exactly where
+        # a per-record loop would put them.
         try:
-            writer.write_records(out)
+            writer.write_framed(*frame_records(out))
         except DeviceFault:
             writer.abandon()
             raise
@@ -259,7 +266,8 @@ class SubtreeSorter:
         spliced back into the run dialect
         (:func:`repro.core.columnar.emit_output_columnar`).  Tokens are
         charged where the token pipeline charged them: one per formed
-        record as it is added, and the run's tokens once it is written.
+        record by the time the write it may cause happens, and the run's
+        tokens once it is written.  Formation consumes ``records``.
         """
         device = self.store.device
         stats = device.stats
@@ -275,7 +283,7 @@ class SubtreeSorter:
             counts.append(
                 form_subtree_runs(
                     records, self.compact, names_coded, sort_levels,
-                    former.bulk_adder(), stats.record_tokens,
+                    former, stats,
                 )
             )
             runs = former.finish()

@@ -31,6 +31,20 @@ if TYPE_CHECKING:
 _LEN = struct.Struct("<I")
 
 
+def frame_records(payloads: list[bytes]) -> tuple[bytes, int, int]:
+    """(framed bytes, record count, payload bytes) of ``payloads`` framed
+    as a run stores them: each record's length header, then the record.
+
+    One join over interleaved headers and payloads: no Python step per
+    record.  The result is what :meth:`RunWriter.write_framed` takes.
+    """
+    lengths = list(map(len, payloads))
+    parts: list = [None] * (2 * len(lengths))
+    parts[0::2] = map(_LEN.pack, lengths)
+    parts[1::2] = payloads
+    return b"".join(parts), len(lengths), sum(lengths)
+
+
 def _scan_span(
     buffer: bytes, intra: int, limit: int, stop_type: int
 ) -> tuple[int, int]:
@@ -280,16 +294,13 @@ class RunWriter:
         """The one framing path: length-prefix, buffer, flush full blocks."""
         if self._finished:
             raise RunError("write to a finished run")
-        pack = _LEN.pack
-        parts: list[bytes] = []
-        payload_bytes = 0
-        count = 0
-        for payload in payloads:
-            parts.append(pack(len(payload)))
-            parts.append(payload)
-            payload_bytes += len(payload)
-            count += 1
-        self._add_framed(b"".join(parts), count, payload_bytes)
+        if len(payloads) == 1:
+            (payload,) = payloads
+            self._add_framed(
+                _LEN.pack(len(payload)) + payload, 1, len(payload)
+            )
+            return
+        self._add_framed(*frame_records(payloads))
 
     def write_framed(
         self, framed: bytes, count: int, payload_bytes: int

@@ -38,12 +38,21 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from itertools import accumulate, islice
 
 from ..errors import StackError
 from .device import BlockDevice
 
 _COUNT = struct.Struct("<H")
 _LEN = struct.Struct("<I")
+
+
+def _table(count: int) -> struct.Struct:
+    """The head of a packed block holding ``count`` records: the count,
+    then every record's length.  Built per block, not cached: a cache
+    kept for the whole sort pins the allocator memory its entries land
+    in, and peak memory rose when one did."""
+    return struct.Struct(f"<H{count}I")
 
 
 class _PackedSegment:
@@ -238,12 +247,14 @@ class ExternalStack:
         (or the current top, yielding an empty list).  This is how NEXSORT
         pops a complete subtree off the data stack (Figure 4, Line 10).
 
-        The buffered records above ``location`` come off as one slice;
-        when the buffer empties first, the last spilled segment is paged
-        in and the slicing repeats.  Page-ins happen in the same order and
-        number as a loop of :meth:`pop` calls, and a ``location`` inside a
-        record raises :class:`~repro.errors.StackError` with the stack
-        left where that loop would stop.
+        The buffered records above ``location`` come off as one slice -
+        the whole buffer, unwalked, when ``location`` lies at or below
+        its oldest record; when the buffer empties first, the last
+        spilled segment is paged in and the slicing repeats.  Page-ins
+        happen in the same order and number as a loop of :meth:`pop`
+        calls, and a ``location`` inside a record raises
+        :class:`~repro.errors.StackError` with the stack left where that
+        loop would stop.
 
         ``fields``, when given, is extended with one entry per returned
         record: the fields it was pushed with if it was never paged out,
@@ -259,12 +270,17 @@ class ExternalStack:
         while top > location:
             if not memory:
                 self._page_in_last_segment()
-            # Walk down the buffer to the first record that starts at or
-            # below ``location``; everything above it is popped.
-            cut = len(memory)
-            while cut and top > location:
-                cut -= 1
-                top -= len(memory[cut])
+            if location <= self._spilled_bytes:
+                # Everything buffered lies above ``location``.
+                cut = 0
+                top = self._spilled_bytes
+            else:
+                # Walk down the buffer to the first record that starts at
+                # or below ``location``; everything above it is popped.
+                cut = len(memory)
+                while cut and top > location:
+                    cut -= 1
+                    top -= len(memory[cut])
             slices.append(memory[cut:])
             del memory[cut:]
             self._memory_bytes = top - self._spilled_bytes
@@ -272,7 +288,9 @@ class ExternalStack:
         if len(slices) == 1:
             records = slices[0]
         else:
-            records = [record for part in reversed(slices) for record in part]
+            records = []
+            for part in reversed(slices):
+                records += part
         self._pop_fields(len(records), fields)
         if top != location:
             raise StackError(
@@ -305,9 +323,6 @@ class ExternalStack:
 
     # -- paging ------------------------------------------------------------
 
-    def _max_packed_record(self) -> int:
-        return self._device.block_size - _COUNT.size - _LEN.size
-
     def _spill(self) -> None:
         """Page out oldest buffered records until the buffer fits again."""
         while self._memory_bytes > self._capacity_bytes and len(
@@ -328,39 +343,36 @@ class ExternalStack:
                 del self._field_values[:drop]
 
     def _spill_one_block(self, allow_newest: bool = False) -> None:
-        limit = len(self._memory) if allow_newest else len(self._memory) - 1
+        memory = self._memory
+        limit = len(memory) if allow_newest else len(memory) - 1
         if limit <= 0:
             return
-        first = self._memory[0]
-        if len(first) > self._max_packed_record():
-            self._spill_big_record(first)
+        size = self._device.block_size
+        first = len(memory[0])
+        if _COUNT.size + _LEN.size + first > size:
+            self._spill_big_record(memory[0])
             return
-        # Greedily pack the oldest records into one block.
-        chunk: list[bytes] = []
-        used = _COUNT.size
-        count = 0
-        while count < limit:
-            record = self._memory[count]
-            need = _LEN.size + len(record)
-            if used + need > self._device.block_size or len(
-                record
-            ) > self._max_packed_record():
+        # Greedily pack the oldest records into one block: the longest
+        # prefix whose count, length table and payloads fit (the block
+        # layout: count, then every length, then the payloads).  A record
+        # too big for any block stops the prefix as well.
+        lengths = [first]
+        used = _COUNT.size + _LEN.size + first
+        for record in islice(memory, 1, limit):
+            length = len(record)
+            used += _LEN.size + length
+            if used > size:
                 break
-            chunk.append(record)
-            used += need
-            count += 1
-        if count == 0:
-            return
-        payload = sum(len(r) for r in chunk)
-        parts = [_COUNT.pack(count)]
-        for record in chunk:
-            parts.append(_LEN.pack(len(record)))
-            parts.append(record)
+            lengths.append(length)
+        count = len(lengths)
+        payload = sum(lengths)
+        parts = memory[:count]
+        parts.insert(0, _table(count).pack(count, *lengths))
         block_id = self._device.allocate(1, pool=self._category)
         self._device.write_block(block_id, b"".join(parts), self._category)
         self._page_outs += 1
         self._segments.append(_PackedSegment(block_id, count, payload))
-        del self._memory[:count]
+        del memory[:count]
         self._memory_bytes -= payload
         self._spilled_bytes += payload
 
@@ -430,28 +442,23 @@ class ExternalStack:
                 f"corrupt stack block: expected {expected} records, "
                 f"found {count}"
             )
-        records = []
-        pos = _COUNT.size
-        for _ in range(count):
-            if pos + _LEN.size > size:
-                raise StackError("corrupt stack block: truncated length")
-            (length,) = _LEN.unpack_from(data, pos)
-            pos += _LEN.size
-            end = pos + length
-            if end > size:
-                raise StackError(
-                    f"corrupt stack block: a {length}-byte record "
-                    f"overruns the block"
-                )
-            records.append(data[pos:end])
-            pos = end
-        found = pos - _COUNT.size - count * _LEN.size
+        table = _table(count)
+        if table.size > size:
+            raise StackError("corrupt stack block: truncated length table")
+        lengths = table.unpack_from(data, 0)[1:]
+        found = sum(lengths)
+        if table.size + found > size:
+            raise StackError(
+                f"corrupt stack block: {found} payload bytes overrun the "
+                f"block"
+            )
         if found != payload_bytes:
             raise StackError(
                 f"corrupt stack block: expected {payload_bytes} payload "
                 f"bytes, found {found}"
             )
-        return records
+        offsets = list(accumulate(lengths, initial=table.size))
+        return list(map(data.__getitem__, map(slice, offsets, offsets[1:])))
 
     def __len__(self) -> int:
         return self._record_count

@@ -36,9 +36,11 @@ import heapq
 import struct
 from dataclasses import dataclass
 from math import ceil, log2
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from ..errors import SortSpecError
+from ..errors import RunError, SortSpecError
+from ..io.runs import frame_records
 from ..xml.tokens import KEY_MISSING, KEY_NUMBER, KEY_STRING
 
 RUN_FORMATION_MODES = ("load-sort", "replacement-selection")
@@ -46,6 +48,8 @@ MERGE_KERNELS = ("heap", "loser-tree")
 
 _DOUBLE = struct.Struct(">d")
 _U64 = struct.Struct(">Q")
+_FIRST = itemgetter(0)
+_SECOND = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -180,7 +184,7 @@ def sort_keyed_batch(
     batch: list[tuple[object, bytes]], stats, counted: bool
 ) -> None:
     """Sort a ``(key, payload)`` batch by key with comparison accounting."""
-    sort_with_accounting(batch, lambda pair: pair[0], stats, counted)
+    sort_with_accounting(batch, _FIRST, stats, counted)
 
 
 def dense_ranks(keys: list, order: list[int]) -> list[int]:
@@ -407,6 +411,35 @@ class RunFormer:
         for key, payload in keyed:
             self.add(key, payload)
 
+    @property
+    def room(self) -> int:
+        """Payload bytes :meth:`extend` takes before the next flush.
+
+        Pairs totalling at most ``room`` bytes only join the pending
+        batch; the :meth:`add` that takes the total past it flushes a
+        run.  Replacement selection and capacity compression may write or
+        compress on any add, so their room is 0.
+        """
+        if self.options.replacement_selection or self._capacity_mode:
+            return 0
+        return max(0, self.capacity_bytes - 1 - self._batch_bytes)
+
+    def extend(self, pairs: list[tuple[object, bytes]], nbytes: int) -> None:
+        """Add ``(key, payload)`` pairs of ``nbytes`` payload bytes in all.
+
+        The state one :meth:`add` per pair leaves, provided ``nbytes`` is
+        within :attr:`room` - which also means no device access; pairs
+        that would not fit raise :class:`~repro.errors.RunError` and add
+        nothing.
+        """
+        if nbytes > self.room:
+            raise RunError(
+                f"extend of {nbytes} bytes exceeds the former's room of "
+                f"{self.room}"
+            )
+        self._batch += pairs
+        self._batch_bytes += nbytes
+
     def bulk_adder(self):
         """A per-record add callable with the mode checks hoisted.
 
@@ -487,14 +520,12 @@ class RunFormer:
             batch, self.store.device.stats, self.options.counted_comparisons
         )
         writer = self.store.create_writer(self.write_category)
-        writer.write_records([payload for _key, payload in batch])
+        writer.write_framed(*frame_records(list(map(_SECOND, batch))))
         handle = writer.finish()
         if batch and type(batch[0][0]) is bytes:
             # Key sidecar (host memory only): merge passes over this run
             # can reuse these keys instead of re-parsing every record.
-            self.store.key_sidecars[handle.run_id] = [
-                key for key, _payload in batch
-            ]
+            self.store.key_sidecars[handle.run_id] = list(map(_FIRST, batch))
         self._runs.append(handle)
         self.run_lengths.append(handle.record_count)
         self._batch = []

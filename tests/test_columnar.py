@@ -6,18 +6,24 @@ errors on truncated input), the stable argsort, key sidecars, and the replay mer
 fallback and the frozen record-at-a-time results.
 """
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.keypath import (
+    KeyPathRecord,
     decode_record,
     encode_record,
     records_from_annotated_events,
+    tokens_from_sorted_records,
 )
 from repro.core.columnar import (
     argsort_normalized,
     batch_path_keys,
+    emit_output_columnar,
     fast_path_key,
     form_runs_columnar,
     keyed_puller,
@@ -30,6 +36,14 @@ from repro.keys import ByAttribute, KeyEvaluator, SortSpec
 from repro.merge.engine import MergeOptions, RunFormer, normalized_path_key
 from repro.xml import TokenCodec, parse_events
 from repro.xml.codec import read_tag_attrs
+from repro.xml.compact import NameDictionary
+from repro.xml.tokens import (
+    KEY_NUMBER,
+    KEY_STRING,
+    MISSING_KEY,
+    RunPointer,
+    StartTag,
+)
 
 from .conftest import scalar_reference, sha256_records
 
@@ -329,3 +343,188 @@ class TestFusedScan:
         )
         spec = SortSpec(default=ByText())
         assert not form_runs_columnar(document, spec, former, device)
+
+
+class _LoggingDevice(BlockDevice):
+    """Logs every write with the counters the device holds before it."""
+
+    def __init__(self, block_size=64):
+        super().__init__(block_size=block_size)
+        self.log = []
+
+    def write_blocks(self, block_ids, datas, category="other", stream=None):
+        datas = list(datas)
+        self.log.append(
+            (list(block_ids), datas, self.stats.snapshot().counter_totals())
+        )
+        super().write_blocks(block_ids, datas, category, stream)
+
+
+_EMIT_ATOMS = st.one_of(
+    st.just(MISSING_KEY),
+    st.builds(lambda v: (KEY_NUMBER, float(v)), st.integers(-300, 300)),
+    st.builds(
+        lambda v: (KEY_STRING, v),
+        st.text(alphabet="abé中", max_size=3),
+    ),
+    st.builds(lambda n: (KEY_STRING, "k" * n), st.sampled_from([127, 200])),
+)
+_EMIT_TEXTS = st.sampled_from(["", "", "t", "été", "x" * 140])
+_EMIT_ATTRS = st.lists(
+    st.tuples(st.sampled_from(["id", "n"]), st.sampled_from(["", "1", "v" * 130])),
+    max_size=2,
+    unique_by=lambda pair: pair[0],
+).map(tuple)
+
+
+@st.composite
+def _key_path_streams(draw):
+    """Path-sorted key-path records of a random subtree: elements with
+    tags, attributes and texts, pointers as leaves, and sometimes one
+    chain deeper than 128 levels (a two-byte depth varint)."""
+    records = []
+    next_pos = [draw(st.integers(0, 200))]
+
+    def position():
+        next_pos[0] += draw(st.sampled_from([1, 1, 5000]))
+        return next_pos[0]
+
+    def element(path, depth_left):
+        records.append(
+            KeyPathRecord(
+                path=path,
+                tag=draw(st.sampled_from(["r", "item", "t" * 140])),
+                attrs=draw(_EMIT_ATTRS),
+                text=draw(_EMIT_TEXTS),
+            )
+        )
+        if depth_left <= 0:
+            return
+        for _ in range(draw(st.integers(0, 3))):
+            child = path + ((draw(_EMIT_ATOMS), position()),)
+            if draw(st.integers(0, 4)) == 0:
+                records.append(
+                    KeyPathRecord(
+                        path=child,
+                        run_id=draw(st.integers(0, 300)),
+                        element_count=draw(st.integers(1, 300)),
+                        payload_bytes=draw(st.integers(1, 10**5)),
+                    )
+                )
+            else:
+                element(child, depth_left - 1)
+
+    root = ((draw(_EMIT_ATOMS), position()),)
+    element(root, draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        path = root
+        for _ in range(draw(st.integers(127, 131))):
+            path = path + ((MISSING_KEY, position()),)
+            records.append(KeyPathRecord(path=path, tag="d", text=""))
+    records.sort(key=lambda record: normalized_path_key(record.path))
+    return records
+
+
+def _emitted(records, names, emit, **options):
+    """(write log, written run records, returned count, tokens charged)
+    of ``emit`` writing ``records`` to a fresh run."""
+    device = _LoggingDevice()
+    store = RunStore(device)
+    writer = store.create_writer("run_write")
+    count = emit(records, names, writer, device, **options)
+    handle = writer.finish()
+    return (
+        device.log,
+        list(store.open_reader(handle)),
+        count,
+        device.stats.tokens,
+    )
+
+
+def _emit_columnar(records, names, writer, device, **options):
+    return emit_output_columnar(
+        iter([encode_record(record, names) for record in records]),
+        writer,
+        device,
+        names_coded=names is not None,
+        **options,
+    )
+
+
+def _emit_full_walk(
+    records, names, writer, device, emit_ends=True, base_level=1,
+    levels=True, charge_tokens=True,
+):
+    """The reference: every record decoded in full, its tokens rebuilt
+    by ``tokens_from_sorted_records``, encoded, and written with one
+    writer call per record, then charged."""
+    codec = TokenCodec(names)
+    groups = []
+
+    def decoded():
+        for record in records:
+            groups.append([])
+            yield decode_record(encode_record(record, names), names)
+        groups.append([])  # the closes after the last record
+
+    for token in tokens_from_sorted_records(decoded(), base_level, emit_ends):
+        if not levels and isinstance(token, (StartTag, RunPointer)):
+            token = dataclasses.replace(token, level=None)
+        groups[-1].append(codec.encode(token))
+    count = 0
+    for group in groups:
+        writer.write_records(group)
+        if charge_tokens:
+            device.stats.record_tokens(len(group))
+        count += len(group)
+    return count
+
+
+class TestEmitOneComponent:
+    """The emit skips each record's parent path and parses one component:
+    the same stream, counters and device accesses as a full decode of
+    every record."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        records=_key_path_streams(),
+        coded=st.booleans(),
+        dialect=st.sampled_from(
+            [
+                dict(),  # merge sort's output: levels on starts
+                dict(levels=False, base_level=3, charge_tokens=False),
+                dict(emit_ends=False, base_level=2),  # compacted
+            ]
+        ),
+    )
+    def test_matches_a_full_walk(self, records, coded, dialect):
+        names = NameDictionary() if coded else None
+        assert _emitted(records, names, _emit_columnar, **dialect) == (
+            _emitted(records, names, _emit_full_walk, **dialect)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=_key_path_streams())
+    def test_chunked_writes_the_same_run(self, records):
+        _log, run, count, tokens = _emitted(
+            records, None, _emit_full_walk
+        )
+        _log, chunked, chunked_count, chunked_tokens = _emitted(
+            records, None, _emit_columnar, chunk_records=7
+        )
+        assert (chunked, chunked_count, chunked_tokens) == (
+            run, count, tokens
+        )
+
+    def test_record_off_its_parents_path_is_typed(self):
+        a = ((KEY_STRING, "a"), 0)
+        records = [
+            encode_record(KeyPathRecord(path=(a,), tag="r")),
+            encode_record(
+                KeyPathRecord(path=(((KEY_STRING, "b"), 0), a), tag="c")
+            ),
+        ]
+        device = BlockDevice(block_size=64)
+        writer = RunStore(device).create_writer("run_write")
+        with pytest.raises(CodecError, match="parent's path"):
+            emit_output_columnar(iter(records), writer, device)

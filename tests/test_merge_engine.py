@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.baselines import external_merge_sort, sort_element
 from repro.baselines.merging import merge_pass
 from repro.core import nexsort
-from repro.errors import SortSpecError
+from repro.errors import RunError, SortSpecError
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByAttribute, SortSpec
 from repro.merge.engine import (
@@ -207,6 +207,115 @@ class TestRunFormer:
         )
         assert len(runs) == 1
         assert _read_run(store, runs[0]) == payloads
+
+
+class _LoggingDevice(BlockDevice):
+    """Logs every write with the counters the device holds before it."""
+
+    def __init__(self, block_size=64):
+        super().__init__(block_size=block_size)
+        self.log = []
+
+    def write_blocks(self, block_ids, datas, category="other", stream=None):
+        datas = list(datas)
+        self.log.append(
+            (
+                category,
+                list(block_ids),
+                datas,
+                self.stats.snapshot().counter_totals(),
+            )
+        )
+        super().write_blocks(block_ids, datas, category, stream)
+
+
+def _formed(pairs, capacity, options, batched):
+    """(write log, run records, key sidecars, run_lengths) of forming
+    ``pairs``: one ``add`` per pair, or batched through ``room`` and
+    ``extend`` the way the subtree formation loop batches them."""
+    device = _LoggingDevice()
+    store = RunStore(device)
+    former = RunFormer(store, capacity, options)
+    pending, pending_bytes = [], 0
+    for key, payload in pairs:
+        if not batched:
+            former.add(key, payload)
+        elif pending_bytes + len(payload) <= former.room:
+            pending.append((key, payload))
+            pending_bytes += len(payload)
+        else:
+            if pending:
+                former.extend(pending, pending_bytes)
+                pending, pending_bytes = [], 0
+            former.add(key, payload)
+    if pending:
+        former.extend(pending, pending_bytes)
+    runs = former.finish()
+    return (
+        device.log,
+        [_read_run(store, handle) for handle in runs],
+        [store.key_sidecars.get(handle.run_id) for handle in runs],
+        former.run_lengths,
+    )
+
+
+class TestRoomAndExtend:
+    """``extend`` within ``room`` leaves what one ``add`` per pair
+    leaves: the same runs, sidecars, run lengths, and device writes
+    with the same counters before each."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 90), max_size=80),
+        capacity=st.integers(1, 400),
+        options=st.sampled_from(
+            [
+                MergeOptions(),
+                MergeOptions(merge_kernel="loser-tree"),
+                MergeOptions(run_formation="replacement-selection"),
+                MergeOptions(compress="container", compress_capacity=True),
+            ]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batched_matches_one_add_per_pair(
+        self, sizes, capacity, options, seed
+    ):
+        rng = random.Random(seed)
+        pairs = [
+            (rng.randbytes(rng.randrange(1, 4)), bytes([65 + i % 26]) * size)
+            for i, size in enumerate(sizes)
+        ]
+        assert _formed(pairs, capacity, options, True) == _formed(
+            pairs, capacity, options, False
+        )
+
+    def test_room_counts_down_to_the_flush(self, store):
+        former = RunFormer(store, 10, MergeOptions())
+        assert former.room == 9
+        former.extend([(b"a", b"abcd"), (b"b", b"efgh")], 8)
+        assert former.room == 1 and store.device.stats.total_ios == 0
+        former.add(b"c", b"i")  # fits the room: no flush
+        assert former.room == 0 and former.run_lengths == []
+        former.add(b"d", b"j")  # reaches the capacity: flushes
+        assert former.run_lengths == [4] and former.room == 9
+
+    def test_extend_past_room_raises_and_adds_nothing(self, store):
+        former = RunFormer(store, 10, MergeOptions())
+        with pytest.raises(RunError):
+            former.extend([(b"a", b"0123456789")], 10)
+        assert former.room == 9
+        assert former.finish() == []
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            MergeOptions(run_formation="replacement-selection"),
+            MergeOptions(compress="container", compress_capacity=True),
+        ],
+    )
+    def test_modes_that_write_on_any_add_have_no_room(self, store, options):
+        assert RunFormer(store, 1000, options).room == 0
 
 
 _atoms = st.one_of(

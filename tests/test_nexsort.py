@@ -470,3 +470,73 @@ class TestCorruptStoredRecords:
             output.to_string()
         except ReproError:
             pass
+
+
+class _CorruptingDevice(BlockDevice):
+    """A device that overwrites bytes of one formation or merge run block
+    as it is written: the ``target``-th block of those categories."""
+
+    def __init__(self, target, edits, block_size=512):
+        super().__init__(block_size=block_size)
+        self.target = target
+        self.edits = edits  # (offset, byte) pairs, offsets taken modulo
+        self.seen = 0
+
+    def write_blocks(self, block_ids, datas, category="other", stream=None):
+        datas = list(datas)
+        if category in ("run_write", "merge_write"):
+            for index, data in enumerate(datas):
+                if self.seen == self.target and data:
+                    block = bytearray(data)
+                    for offset, byte in self.edits:
+                        block[offset % len(block)] = byte
+                    datas[index] = bytes(block)
+                self.seen += 1
+        super().write_blocks(block_ids, datas, category, stream)
+
+
+_RUN_FUZZ_EVENTS = list(level_fanout_events([30, 4, 3], seed=3, pad_bytes=24))
+
+
+class TestCorruptRunBlocks:
+    """A run block corrupted on the device - formation runs, merge
+    outputs and the subtree runs NEXSORT writes - fails the sort with a
+    typed ``ReproError``, never ``IndexError``: both sorts' emits read
+    run records without bounds checks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        algorithm=st.sampled_from(["nexsort", "mergesort"]),
+        target=st.integers(0, 39),
+        edits=st.lists(
+            st.tuples(st.integers(0, 511), st.integers(0, 255)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_mutated_run_block_is_typed(self, algorithm, target, edits):
+        from repro.baselines import external_merge_sort
+
+        device = _CorruptingDevice(target, edits)
+        document = Document.from_events(RunStore(device), _RUN_FUZZ_EVENTS)
+        try:
+            if algorithm == "mergesort":
+                output = external_merge_sort(document, _START_KEYED, 6)[0]
+            else:
+                output = nexsort(document, _START_KEYED, 6)[0]
+            output.to_string()
+        except ReproError:
+            pass
+
+    @pytest.mark.parametrize(
+        "edit", [(7, 0x7F), (14, 0x00), (14, 0xFF), (98, 0x7F)]
+    )
+    def test_merge_sort_emit_converts_short_records(self, edit):
+        """Cases where merge sort's emit indexed past a corrupted record
+        of the first formation run and leaked ``IndexError``."""
+        from repro.baselines import external_merge_sort
+
+        device = _CorruptingDevice(0, [edit])
+        document = Document.from_events(RunStore(device), _RUN_FUZZ_EVENTS)
+        with pytest.raises(CodecError):
+            external_merge_sort(document, _START_KEYED, 6)

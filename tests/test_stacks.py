@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StackError
 from repro.io import BlockDevice, ExternalStack
-from repro.io.stacks import _COUNT, _LEN
+from repro.io.stacks import _COUNT, _LEN, _PackedSegment
 
 
 def make_stack(buffer_blocks: int = 1, block_size: int = 256):
@@ -493,11 +493,20 @@ _FUZZ_BLOCKS = _spilled_blocks(
 )
 
 
+def _block(records) -> bytes:
+    """A packed block: the count, the table of lengths, the payloads."""
+    return b"".join(
+        [_COUNT.pack(len(records))]
+        + [_LEN.pack(len(record)) for record in records]
+        + list(records)
+    )
+
+
 class TestBlockDecoder:
     """A spilled block that disagrees with its segment fails typed."""
 
     def test_length_past_the_block_is_typed(self):
-        data = _COUNT.pack(2) + _LEN.pack(1000) + b"abc"
+        data = _COUNT.pack(2) + _LEN.pack(1000) + _LEN.pack(3) + b"abc"
         with pytest.raises(StackError):
             ExternalStack._unpack_block(data, 2, 3)
 
@@ -506,11 +515,25 @@ class TestBlockDecoder:
         with pytest.raises(StackError):
             ExternalStack._unpack_block(data, 1, 10)
 
+    def test_truncated_length_table_is_typed(self):
+        data = _COUNT.pack(3) + _LEN.pack(1) + _LEN.pack(1) + b"ab"
+        with pytest.raises(StackError):
+            ExternalStack._unpack_block(data, 3, 2)
+
     def test_payload_mismatch_is_typed(self):
         data = _COUNT.pack(1) + _LEN.pack(3) + b"abc"
         assert ExternalStack._unpack_block(data, 1, 3) == [b"abc"]
         with pytest.raises(StackError):
             ExternalStack._unpack_block(data, 1, 4)
+
+    def test_table_precedes_payloads(self):
+        data = _block([b"ab", b"", b"cde"])
+        assert data[:14] == (
+            _COUNT.pack(3) + _LEN.pack(2) + _LEN.pack(0) + _LEN.pack(3)
+        )
+        assert ExternalStack._unpack_block(data, 3, 5) == [
+            b"ab", b"", b"cde",
+        ]
 
     def test_empty_block_is_typed(self):
         with pytest.raises(StackError):
@@ -539,6 +562,7 @@ class TestBlockDecoder:
     def test_fuzz_blocks_round_trip(self):
         assert len(_FUZZ_BLOCKS) > 3
         for data, count, payload, records in _FUZZ_BLOCKS:
+            assert data == _block(records)
             assert ExternalStack._unpack_block(data, count, payload) == records
 
     @settings(max_examples=400, deadline=None)
@@ -574,15 +598,118 @@ class TestBlockDecoder:
 
 
 def _framing_offsets(blob: bytes) -> list[int]:
-    """Offsets of the count and length bytes of a packed block."""
+    """Offsets of the count and length bytes of a packed block: its head,
+    the count and one length per record."""
     (count,) = _COUNT.unpack_from(blob, 0)
-    offsets = list(range(_COUNT.size))
-    pos = _COUNT.size
-    for _ in range(count):
-        (length,) = _LEN.unpack_from(blob, pos)
-        offsets.extend(range(pos, pos + _LEN.size))
-        pos += _LEN.size + length
-    return offsets
+    return list(range(_COUNT.size + count * _LEN.size))
+
+
+class _PerRecordStack(ExternalStack):
+    """The reference packing: a per-record loop that adds the oldest
+    record to the block while the count, its length and its payload still
+    fit, with the pre-table layout (each length before its payload)."""
+
+    def _spill_one_block(self, allow_newest: bool = False) -> None:
+        limit = len(self._memory) if allow_newest else len(self._memory) - 1
+        if limit <= 0:
+            return
+        size = self._device.block_size
+        max_record = size - _COUNT.size - _LEN.size
+        if len(self._memory[0]) > max_record:
+            self._spill_big_record(self._memory[0])
+            return
+        parts = []
+        used = _COUNT.size
+        count = 0
+        while count < limit:
+            record = self._memory[count]
+            need = _LEN.size + len(record)
+            if used + need > size or len(record) > max_record:
+                break
+            parts += [_LEN.pack(len(record)), record]
+            used += need
+            count += 1
+        payload = sum(map(len, self._memory[:count]))
+        block_id = self._device.allocate(1, pool=self._category)
+        self._device.write_block(
+            block_id, _COUNT.pack(count) + b"".join(parts), self._category
+        )
+        self._page_outs += 1
+        self._segments.append(_PackedSegment(block_id, count, payload))
+        del self._memory[:count]
+        self._memory_bytes -= payload
+        self._spilled_bytes += payload
+
+    @staticmethod
+    def _unpack_block(data, expected, payload_bytes):
+        records = []
+        pos = _COUNT.size
+        for _ in range(expected):
+            (length,) = _LEN.unpack_from(data, pos)
+            records.append(data[pos + _LEN.size : pos + _LEN.size + length])
+            pos += _LEN.size + length
+        return records
+
+
+def _segment_shapes(stack):
+    return [
+        (
+            type(segment).__name__,
+            segment.record_count,
+            segment.payload_bytes,
+            segment.blocks,
+        )
+        for segment in stack._segments
+    ]
+
+
+class TestBlockLayout:
+    """Whole-block packing spills the records a per-record loop spills."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 150), min_size=1, max_size=80),
+        block_size=st.sampled_from([64, 96, 128]),
+        buffer_blocks=st.integers(1, 3),
+        pops=st.lists(st.floats(0, 1), max_size=4),
+    )
+    def test_pack_matches_a_per_record_loop(
+        self, sizes, block_size, buffer_blocks, pops
+    ):
+        """Records over the packed maximum (a big extent) and a newest
+        record that alone overflows the buffer (the ``allow_newest``
+        spill) included."""
+        records = [bytes([65 + i % 26]) * size for i, size in enumerate(sizes)]
+        device = BlockDevice(block_size=block_size)
+        stack = ExternalStack(device, buffer_blocks, "test")
+        ref_device = BlockDevice(block_size=block_size)
+        reference = _PerRecordStack(ref_device, buffer_blocks, "test")
+        locations = []
+        for record in records:
+            locations.append(stack.push(record))
+            reference.push(record)
+            assert _segment_shapes(stack) == _segment_shapes(reference)
+            assert stack.page_outs == reference.page_outs
+        for segment in stack._segments:
+            if isinstance(segment, _PackedSegment):
+                data = device._blocks[segment.block_id]
+                packed = ExternalStack._unpack_block(
+                    data, segment.record_count, segment.payload_bytes
+                )
+                assert data == _block(packed)
+        for fraction in sorted(pops, reverse=True) + [0.0]:
+            index = min(int(fraction * len(locations)), len(locations))
+            target = locations[index] if index < len(locations) else (
+                stack.total_bytes
+            )
+            assert stack.pop_through(target) == reference.pop_through(
+                target
+            ) == records[index:]
+            del locations[index:], records[index:]
+            assert (stack.page_ins, stack.page_outs) == (
+                reference.page_ins, reference.page_outs,
+            )
+        assert _observed(device, stack) == _observed(ref_device, reference)
 
 
 class TestExtend:

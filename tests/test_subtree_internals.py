@@ -341,17 +341,42 @@ def compact_subtree_tokens(plain):
     return out
 
 
+class _ListFormer:
+    """A run former that only lists the pairs it receives; with no room,
+    every pair arrives through its own ``add``."""
+
+    room = 0
+
+    def __init__(self):
+        self.added = []
+
+    def add(self, key, record):
+        self.added.append((key, record))
+
+    def extend(self, pairs, nbytes):
+        raise AssertionError("extend past a room of 0")
+
+
+class _ChargeList:
+    """Stats that list each token charge."""
+
+    def __init__(self):
+        self.charges = []
+
+    def record_tokens(self, count):
+        self.charges.append(count)
+
+
 def form(tokens, compact=False, sort_levels=None, names=None):
     """(added (key, record) pairs, (units, real), token charges) of
     form_subtree_runs over the encoded tokens."""
     records = TokenCodec(names).encode_batch(tokens)
-    added = []
-    charges = []
+    former = _ListFormer()
+    stats = _ChargeList()
     counts = form_subtree_runs(
-        records, compact, names is not None, sort_levels,
-        lambda key, record: added.append((key, record)), charges.append,
+        records, compact, names is not None, sort_levels, former, stats,
     )
-    return added, counts, charges
+    return former.added, counts, stats.charges
 
 
 class TestFormSubtreeRuns:
@@ -413,6 +438,68 @@ class TestFormSubtreeRuns:
     def test_unkeyed_start_rejected(self):
         with pytest.raises(SortSpecError):
             form([StartTag("r", pos=0), EndTag("r", pos=0)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), compact=st.booleans(), coded=st.booleans())
+    def test_random_subtrees_match_token_pipeline(self, data, compact, coded):
+        """Starts that repeat their tag, attributes and key (so later ones
+        take the looked-up split), with keys whose last bytes look like a
+        position varint's (non-ASCII strings, negative numbers), and
+        positions of one to three varint bytes.  A former with room for
+        every pair takes them through ``extend`` and one token charge."""
+        heads = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["a", "b" * 130]),
+                    st.sampled_from([(), (("n", "é"),), (("n", "v" * 200),)]),
+                    st.one_of(
+                        st.just(MISSING_KEY),
+                        st.builds(number_key, st.sampled_from([-7.5, 3.0, -0.0])),
+                        st.builds(string_key, st.sampled_from(["", "k", "é", "中"])),
+                    ),
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        positions = iter(
+            sorted(data.draw(st.sets(st.integers(0, 3 * 10**5), min_size=40, max_size=40)))
+        )
+
+        def element(depth):
+            tag, attrs, key = data.draw(st.sampled_from(heads))
+            pos = next(positions)
+            out = [StartTag(tag, attrs, key=key, pos=pos)]
+            if data.draw(st.integers(0, 3)) == 0:
+                out.append(Text("t"))
+            for _ in range(data.draw(st.integers(0, 3)) if depth < 3 else 0):
+                out.extend(element(depth + 1))
+            out.append(EndTag(tag, pos=pos))
+            return out
+
+        plain = element(0)
+        tokens = compact_subtree_tokens(plain) if compact else plain
+        names = NameDictionary() if coded else None
+        added, counts, charges = form(tokens, compact, names=names)
+        events = restore_end_tags(tokens) if compact else tokens
+        expected = [
+            (normalized_path_key(record.path), encode_record(record, names))
+            for record in records_from_annotated_events(events)
+        ]
+        assert added == expected
+        assert charges == [1] * len(expected)
+        assert counts == unit_counts(tokens)
+        roomy = _ListFormer()
+        roomy.room = 1 << 30
+        roomy.extend = lambda pairs, nbytes: roomy.added.extend(pairs)
+        stats = _ChargeList()
+        records = TokenCodec(names).encode_batch(tokens)
+        assert form_subtree_runs(
+            records, compact, coded, None, roomy, stats
+        ) == counts
+        assert roomy.added == expected
+        assert stats.charges == [len(expected)]
+        assert set(records) <= {None}  # consumed
 
 
 class TestColumnarSiblingGroups:
