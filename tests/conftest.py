@@ -110,3 +110,24 @@ def sha256_records(records) -> str:
         digest.update(len(record).to_bytes(4, "big"))
         digest.update(record)
     return digest.hexdigest()
+
+
+class WriteLoggingDevice(BlockDevice):
+    """A device that logs every write: category, block ids, the bytes,
+    and the counters the device holds before it."""
+
+    def __init__(self, block_size: int = 64):
+        super().__init__(block_size=block_size)
+        self.log: list = []
+
+    def write_blocks(self, block_ids, datas, category="other", stream=None):
+        datas = list(datas)
+        self.log.append(
+            (
+                category,
+                list(block_ids),
+                datas,
+                self.stats.snapshot().counter_totals(),
+            )
+        )
+        super().write_blocks(block_ids, datas, category, stream)

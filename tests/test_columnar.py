@@ -45,7 +45,7 @@ from repro.xml.tokens import (
     StartTag,
 )
 
-from .conftest import scalar_reference, sha256_records
+from .conftest import WriteLoggingDevice, scalar_reference, sha256_records
 
 SPEC = SortSpec(default=ByAttribute("name"))
 
@@ -345,21 +345,6 @@ class TestFusedScan:
         assert not form_runs_columnar(document, spec, former, device)
 
 
-class _LoggingDevice(BlockDevice):
-    """Logs every write with the counters the device holds before it."""
-
-    def __init__(self, block_size=64):
-        super().__init__(block_size=block_size)
-        self.log = []
-
-    def write_blocks(self, block_ids, datas, category="other", stream=None):
-        datas = list(datas)
-        self.log.append(
-            (list(block_ids), datas, self.stats.snapshot().counter_totals())
-        )
-        super().write_blocks(block_ids, datas, category, stream)
-
-
 _EMIT_ATOMS = st.one_of(
     st.just(MISSING_KEY),
     st.builds(lambda v: (KEY_NUMBER, float(v)), st.integers(-300, 300)),
@@ -428,7 +413,7 @@ def _key_path_streams(draw):
 def _emitted(records, names, emit, **options):
     """(write log, written run records, returned count, tokens charged)
     of ``emit`` writing ``records`` to a fresh run."""
-    device = _LoggingDevice()
+    device = WriteLoggingDevice()
     store = RunStore(device)
     writer = store.create_writer("run_write")
     count = emit(records, names, writer, device, **options)

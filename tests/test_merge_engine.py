@@ -32,7 +32,7 @@ from repro.merge.engine import (
 from repro.xml import Document, Element
 from repro.xml.tokens import KEY_NUMBER, KEY_STRING, MISSING_KEY
 
-from .conftest import flat_tree, random_tree
+from .conftest import WriteLoggingDevice, flat_tree, random_tree
 
 SPEC = SortSpec(default=ByAttribute("name"))
 
@@ -209,31 +209,11 @@ class TestRunFormer:
         assert _read_run(store, runs[0]) == payloads
 
 
-class _LoggingDevice(BlockDevice):
-    """Logs every write with the counters the device holds before it."""
-
-    def __init__(self, block_size=64):
-        super().__init__(block_size=block_size)
-        self.log = []
-
-    def write_blocks(self, block_ids, datas, category="other", stream=None):
-        datas = list(datas)
-        self.log.append(
-            (
-                category,
-                list(block_ids),
-                datas,
-                self.stats.snapshot().counter_totals(),
-            )
-        )
-        super().write_blocks(block_ids, datas, category, stream)
-
-
 def _formed(pairs, capacity, options, batched):
     """(write log, run records, key sidecars, run_lengths) of forming
     ``pairs``: one ``add`` per pair, or batched through ``room`` and
     ``extend`` the way the subtree formation loop batches them."""
-    device = _LoggingDevice()
+    device = WriteLoggingDevice()
     store = RunStore(device)
     former = RunFormer(store, capacity, options)
     pending, pending_bytes = [], 0
