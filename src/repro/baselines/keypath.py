@@ -89,8 +89,7 @@ def records_from_annotated_events(
     tag, once all of its text is known), so elements come out in
     postorder; a pointer's record is emitted where the pointer appears.
     Run formation sees records in this order, which is why the byte-record
-    twins (:func:`repro.core.columnar.form_runs_columnar`,
-    :func:`repro.core.columnar.form_subtree_runs`) keep it.
+    twin (:func:`repro.core.columnar.form_subtree_runs`) keeps it.
     """
     path: list[PathComponent] = []
     pending_text: list[list[str]] = []

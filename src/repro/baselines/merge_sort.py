@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.columnar import (
-    _form_runs_compact,
+    StartKeyCache,
     emit_output_columnar,
     fast_path_key,
-    form_runs_columnar,
+    form_subtree_runs,
     raised_parsing_records,
 )
 from ..errors import CodecError, DeviceFault, SortSpecError
@@ -29,7 +29,7 @@ from ..io.stats import StatsSnapshot
 from ..keys import SortSpec
 from ..obs.tracer import Tracer, maybe_span
 from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions, RunFormer
-from ..xml.document import Document
+from ..xml.document import Document, record_batches
 from .merging import merge_to_stream
 
 #: Memory blocks not available for run formation: one block each for the
@@ -212,25 +212,31 @@ class ExternalMergeSorter:
             with maybe_span(
                 tracer, "run-formation", mode=options.run_formation
             ) as span:
-                # Fused scan: tokenize, key-evaluate, and encode by byte
-                # splicing in one loop, feeding the former normalized
-                # bytes keys.  It declines only keys that are not
-                # start-computable, which the constructor rejects.
+                # Fused scan: key-evaluate and encode by byte splicing in
+                # one loop, feeding the former normalized bytes keys; its
+                # tokens are charged once, after the scan.
+                compact = (
+                    document.compaction is not None
+                    and document.compaction.eliminate_end_tags
+                )
+                reader = store.open_reader(
+                    document.handle, category="input_scan"
+                )
                 try:
-                    formed = form_runs_columnar(
-                        document, self.spec, former, device
+                    units, _real = form_subtree_runs(
+                        record_batches(reader), compact,
+                        names is not None, None, former, None,
+                        start_keys=StartKeyCache(self.spec, names).pieces_for,
                     )
                 except (IndexError, UnicodeDecodeError) as exc:
                     # The fused scan indexes stored records without
                     # bounds checks.
-                    if not raised_parsing_records(
-                        exc, form_runs_columnar, _form_runs_compact
-                    ):
+                    if not raised_parsing_records(exc, form_subtree_runs):
                         raise
                     raise CodecError(
                         f"malformed stored record during the scan: {exc}"
                     ) from None
-                assert formed, "start-computable spec expected"
+                device.stats.record_tokens(units)
                 initial_runs = former.finish()
                 if span is not None:
                     span.set(runs=len(initial_runs))
@@ -256,10 +262,6 @@ class ExternalMergeSorter:
             # end-tag elimination).  The span covers the streamed final
             # merge (consumed here) and the pool detach, so deferred
             # write-backs are attributed.
-            emit_ends = not (
-                document.compaction is not None
-                and document.compaction.eliminate_end_tags
-            )
             with maybe_span(
                 tracer, "output-emit", final_merge_width=width
             ):
@@ -273,7 +275,7 @@ class ExternalMergeSorter:
                             else 0
                         ),
                         names_coded=names is not None,
-                        emit_ends=emit_ends,
+                        emit_ends=not compact,
                     )
                 except (IndexError, UnicodeDecodeError) as exc:
                     # The emit indexes run records without bounds checks.

@@ -15,19 +15,18 @@ pieces:
   reading for the heap and loser-tree merge kernels;
 * :func:`replay_merge` - a heap merge pass replayed from the runs' key
   sidecars, reading, freeing and charging where the heap loop does;
-* :func:`form_runs_columnar` / :func:`emit_output_columnar` - fused block
-  encode/decode of the token format for the external merge sort scan and
-  output phases, covering plain, dictionary-coded, and end-tag-eliminated
-  (level-annotated) storage;
+* :func:`form_subtree_runs` - the one key-path formation (paper Table
+  1): stored records spliced into key-path records for run formation,
+  from merge sort's document scan (a buffered block at a time) and from
+  NEXSORT's external subtree sorts (a popped subtree), covering plain,
+  dictionary-coded, and end-tag-eliminated (level-annotated) storage;
+* :func:`emit_output_columnar` - sorted key-path records spliced back
+  into stored tokens, for merge sort's output and NEXSORT's subtree runs;
 * :func:`argsort_groups` / :func:`sort_subtree_records` - NEXSORT's
   in-memory subtree sorts as batch kernels: sibling groups are gathered
   with their normalized keys and each ordered by a stable argsort,
   and a popped subtree's raw data-stack records are parsed, sorted, and
-  re-serialized by byte splicing without ever materializing tokens;
-* :func:`form_subtree_runs` - NEXSORT's external (key-path) subtree
-  sort: the popped records spliced into key-path records for run
-  formation; the same :func:`emit_output_columnar` writes the sorted
-  records back in the run dialect.
+  re-serialized by byte splicing without ever materializing tokens.
 
 **Accounting.**  Every kernel charges what the paper's record-at-a-time
 algorithm charges: device accesses are issued in the same per-stream order
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 import struct
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from math import ceil, log2
 from typing import Callable, Iterable
 
@@ -60,7 +59,6 @@ from ..xml.codec import (
     TYPE_START,
     TYPE_TEXT,
     encode_key_atom,
-    encode_tag_attrs,
     encode_varint,
     _name_field_end,
     _skip_atom,
@@ -568,249 +566,10 @@ def _element_head(depth: int) -> bytes:
     return b"\x01" + encode_varint(depth)
 
 
-def form_runs_columnar(document, spec, former, device) -> bool:
-    """Fused scan of a stored document into run formation.
-
-    One loop replaces ``iter_events -> KeyEvaluator.annotate ->
-    records_from_annotated_events -> encode_record``: stored token records
-    are drained block-wise, key-path records are assembled by splicing the
-    already-encoded tag/attribute/text bytes, and the former receives
-    normalized ``bytes`` keys.  Emission order (element end-tag order),
-    record bytes, token charges, and input-scan block reads are identical
-    to that token pipeline.
-
-    Every storage dialect is covered: plain, dictionary-coded names
-    (tag+attrs slices splice verbatim - key-path records use the same
-    name encoding), and end-tag-eliminated streams (a dedicated loop
-    synthesizes element closes from level transitions with
-    ``restore_end_tags``' exact rules).  Returns False, having done
-    nothing, only for non-start-computable specs.  Raises the token
-    pipeline's own error for streams it rejects (annotated pointers,
-    unbalanced nesting).
-    """
-    if not spec.start_computable:
-        return False
-    compaction = document.compaction
-    names = compaction.names if compaction is not None else None
-    if compaction is not None and compaction.eliminate_end_tags:
-        return _form_runs_compact(document, spec, former, device, names)
-    reader = document.store.open_reader(
-        document.handle, category="input_scan"
-    )
-    read_available = reader.read_available_records
-    read_one = reader.read_record
-    pieces_for = StartKeyCache(spec, names).pieces_for
-    add = former.bulk_adder()
-    join = b"".join
-
-    # Per-open-element stacks.  norm/enc hold the *cumulative* path of
-    # the open element (parent path + own component), so closing an
-    # element never re-derives ancestors.
-    norm_stack: list[bytes] = [b""]
-    enc_stack: list[bytes] = [b""]
-    ta_stack: list[bytes] = []
-    text_stack: list = []
-    next_pos = 0
-    records = 0
-
-    while True:
-        # Drain the buffered block in one batched parse; the record that
-        # needs the next block goes through read_record so the block
-        # load fires at the identical pull index (see record_puller).
-        chunk = read_available()
-        if not chunk:
-            record = read_one()
-            if record is None:
-                break
-            chunk = (record,)
-        for record in chunk:
-            token_type = record[0]
-            if token_type == TYPE_START:
-                if record[1]:
-                    # Annotated start (rare outside compaction): decode, then
-                    # re-encode the bare tag+attrs the record layout needs.
-                    token = document.codec.decode(record)
-                    tag_attrs = encode_tag_attrs(token.tag, token.attrs, names)
-                else:
-                    tag_attrs = record[2:]
-                pos = next_pos
-                next_pos += 1
-                norm_atom, enc_atom, _name, _end = pieces_for(tag_attrs)
-                if pos < 0x80:
-                    pos_varint = _VARINT1[pos]
-                else:
-                    value = pos
-                    encoded = bytearray()
-                    while value >= 0x80:
-                        encoded.append(value & 0x7F | 0x80)
-                        value >>= 7
-                    encoded.append(value)
-                    pos_varint = bytes(encoded)
-                norm_stack.append(
-                    norm_stack[-1] + norm_atom + pos.to_bytes(8, "big")
-                )
-                enc_stack.append(enc_stack[-1] + enc_atom + pos_varint)
-                ta_stack.append(tag_attrs)
-                text_stack.append(None)
-            elif token_type == TYPE_END:
-                if not ta_stack:
-                    raise CodecError("unbalanced end tag during fused scan")
-                tag_attrs = ta_stack.pop()
-                text_frame = _text_frame(text_stack.pop())
-                norm = norm_stack.pop()
-                enc = enc_stack.pop()
-                depth = len(ta_stack) + 1
-                add(
-                    norm,
-                    join(
-                        (_element_head(depth), enc, tag_attrs, text_frame)
-                    ),
-                )
-                records += 1
-            elif token_type == TYPE_TEXT:
-                if record[1]:
-                    token = document.codec.decode(record)
-                    frame = _frame_string(token.text)
-                else:
-                    frame = record[2:]
-                if text_stack:
-                    text_stack[-1] = _with_frame(text_stack[-1], frame)
-            elif token_type == TYPE_POINTER:
-                # Scalar scan rejects pointers too (KeyEvaluator.annotate).
-                raise SortSpecError(
-                    "unexpected run pointer in a document scan"
-                )
-            else:
-                raise CodecError(f"unknown token type byte {token_type}")
-    if ta_stack:
-        raise CodecError("unbalanced event stream during fused scan")
-    device.stats.record_tokens(records)
-    return True
-
-
-def _form_runs_compact(document, spec, former, device, names) -> bool:
-    """Fused scan of an end-tag-eliminated document into run formation.
-
-    The compacted twin of the plain loop in :func:`form_runs_columnar`:
-    there are no stored end tags, so element closes are synthesized from
-    level transitions with ``restore_end_tags``' exact rules (a start or
-    pointer at level ``l`` closes opens at levels ``>= l``; a text at
-    level ``l`` closes opens deeper than ``l``; end of stream closes
-    everything).  Emission order, record bytes, and token charges match
-    the ``restore_end_tags -> annotate -> records -> encode`` pipeline.
-    """
-    names_coded = names is not None
-    reader = document.store.open_reader(
-        document.handle, category="input_scan"
-    )
-    read_available = reader.read_available_records
-    read_one = reader.read_record
-    pieces_for = StartKeyCache(spec, names).pieces_for
-    add = former.bulk_adder()
-    join = b"".join
-
-    norm_stack: list[bytes] = [b""]
-    enc_stack: list[bytes] = [b""]
-    ta_stack: list[bytes] = []
-    text_stack: list = []
-    open_levels: list[int] = []
-    next_pos = 0
-    records = 0
-
-    def close_top() -> None:
-        nonlocal records
-        tag_attrs = ta_stack.pop()
-        text_frame = _text_frame(text_stack.pop())
-        depth = len(ta_stack) + 1
-        norm = norm_stack.pop()
-        enc = enc_stack.pop()
-        add(norm, join((_element_head(depth), enc, tag_attrs, text_frame)))
-        open_levels.pop()
-        records += 1
-
-    while True:
-        chunk = read_available()
-        if not chunk:
-            record = read_one()
-            if record is None:
-                break
-            chunk = (record,)
-        for record in chunk:
-            token_type = record[0]
-            if token_type == TYPE_START:
-                flags = record[1]
-                if flags == 4:  # level-annotated start, the stored form
-                    end = _skip_tag_attrs(record, 2, names_coded)
-                    tag_attrs = record[2:end]
-                    level, _ = read_varint_fast(record, end)
-                else:
-                    token = document.codec.decode(record)
-                    if token.level is None:
-                        raise CodecError(
-                            "compacted stream contains a start without a level"
-                        )
-                    tag_attrs = encode_tag_attrs(
-                        token.tag, token.attrs, names
-                    )
-                    level = token.level
-                while open_levels and open_levels[-1] >= level:
-                    close_top()
-                pos = next_pos
-                next_pos += 1
-                norm_atom, enc_atom, _name, _end = pieces_for(tag_attrs)
-                if pos < 0x80:
-                    pos_varint = _VARINT1[pos]
-                else:
-                    value = pos
-                    encoded = bytearray()
-                    while value >= 0x80:
-                        encoded.append(value & 0x7F | 0x80)
-                        value >>= 7
-                    encoded.append(value)
-                    pos_varint = bytes(encoded)
-                norm_stack.append(
-                    norm_stack[-1] + norm_atom + pos.to_bytes(8, "big")
-                )
-                enc_stack.append(enc_stack[-1] + enc_atom + pos_varint)
-                ta_stack.append(tag_attrs)
-                text_stack.append(None)
-                open_levels.append(level)
-            elif token_type == TYPE_TEXT:
-                if record[1] & 4:
-                    end = _skip_frame(record, 2)
-                    frame = record[2:end]
-                    level, _ = read_varint_fast(record, end)
-                    while open_levels and open_levels[-1] > level:
-                        close_top()
-                else:
-                    frame = record[2:]
-                if text_stack:
-                    text_stack[-1] = _with_frame(text_stack[-1], frame)
-            elif token_type == TYPE_END:
-                raise CodecError(
-                    "compacted stream already contains end tags"
-                )
-            elif token_type == TYPE_POINTER:
-                raise SortSpecError(
-                    "unexpected run pointer in a document scan"
-                )
-            else:
-                raise CodecError(f"unknown token type byte {token_type}")
-    while open_levels:
-        close_top()
-    device.stats.record_tokens(records)
-    return True
-
-
 def _frame_payload(frame: bytes) -> bytes:
     """Strip the varint length header of a string frame."""
     _, pos = read_varint_fast(frame, 0)
     return frame[pos:]
-
-
-def _frame_string(text: str) -> bytes:
-    encoded = text.encode("utf-8")
-    return encode_varint(len(encoded)) + encoded
 
 
 def _with_frame(pending, frame: bytes):
@@ -1362,9 +1121,14 @@ def _end_tag_annotations(
 #: Heads of key-path pointer records, by depth.
 _POINTER_HEADS = [b"\x02" + encode_varint(depth) for depth in range(64)]
 
-#: Closes every open element of a compacted subtree: the record appended
-#: behind its last one.
-_SUBTREE_END = b"\x00"
+#: Closes every open element of a compacted subtree: the record chained
+#: behind its last one.  Compared by identity, so it is no ``bytes``: a
+#: stored one-byte record may be the interned ``b"\x00"``.
+_SUBTREE_END = bytearray(1)
+
+#: A walked record of the document scan that does not end where its
+#: flags say (a field missing, or bytes left over).
+_FLAGS_MISMATCH = "stored record's fields do not match its flags"
 
 #: A close floor no element level reaches: the record closes nothing.
 _NO_CLOSE = sys.maxsize
@@ -1376,58 +1140,73 @@ _SPLIT_MEMO_LIMIT = 1 << 12
 
 
 def form_subtree_runs(
-    records: list[bytes],
+    chunks: Iterable[list[bytes]],
     compact: bool,
     names_coded: bool,
     sort_levels: int | None,
     former,
     stats,
+    start_keys: Callable[[bytes], tuple] | None = None,
 ) -> tuple[int, int]:
-    """Feed a popped subtree's key-path records into run formation.
+    """Feed stored records into run formation as key-path records.
 
-    One pass over the raw data-stack records replaces ``decode ->
-    restore_end_tags / move end-tag keys onto starts -> mask keys below
-    sort_levels -> records_from_annotated_events -> encode_record``:
-    a path component is the start's own encoded ``atom + position``
-    slice, run-formation keys are engine-normalized ``bytes``
-    (:func:`fast_path_key` of the record), texts are joined as frames,
-    and a pointer contributes its run_id/count/payload body verbatim.
-    Paths are relative to the subtree root (depth 1).  The loop
-    *consumes* ``records``: each entry is set to None once it is parsed
-    (a compacted subtree's list carries an end marker while the loop
-    runs), so the raw records are freed while their key-path records
-    are built.
+    The one key-path formation of the package (paper Table 1).  One pass
+    over the raw records replaces ``decode -> restore_end_tags / move
+    end-tag keys onto starts -> mask keys below sort_levels ->
+    records_from_annotated_events -> encode_record``: run-formation keys
+    are engine-normalized ``bytes`` (:func:`fast_path_key` of the
+    record), texts are joined as frames, and a pointer contributes its
+    run_id/count/payload body verbatim.  Paths are relative to the first
+    element (depth 1).  ``chunks`` yields lists of records; the next one
+    is pulled only once the previous one is formed.  The loop *consumes*
+    each chunk: an entry is set to None once it is parsed, so the raw
+    records are freed while their key-path records are built.
 
-    Emission order, record bytes and token charges match the token
-    pipeline: an element's record is added to ``former`` (a
+    Two sources feed it:
+
+    * NEXSORT's external subtree sort (``start_keys=None``) passes a
+      popped subtree as one chunk.  A path component is the start's own
+      encoded ``atom + position`` slice.  In plain mode, keys evaluated
+      at end tags (by the document scan) fill in starts that lack a key
+      or position, found by a pre-pass that reads ahead, within the
+      chunk, from the first such start.  A plain start as the scan
+      pushes it (key and position, no level) is walked once per
+      distinct bytes before its position varint; later starts with the
+      same bytes look up its tag+attributes, atom and normalized atom.
+    * Merge sort's document scan passes the stored document a buffered
+      block at a time, and ``start_keys`` is
+      :meth:`StartKeyCache.pieces_for`: keys come from the spec,
+      positions count starts in document order, and stored key and
+      position annotations are skipped.  A walked start or text must
+      end at its record's end, else :class:`~repro.errors.CodecError`;
+      a run pointer raises :class:`~repro.errors.SortSpecError`.
+
+    A bare start (flag byte 0) is its tag+attributes, unwalked.  In
+    compacted mode elements close by ``restore_end_tags``' level rules;
+    an end marker chained after the last chunk closes the rest.
+    ``sort_levels``: the child lists of relative levels ``1 ..
+    sort_levels`` are sorted.  A component orders the child list above
+    it, so only depths ``2 .. sort_levels + 1`` keep their key; the
+    others (the root's, which orders nothing, and everything deeper)
+    carry the missing atom ``b"\\x00"``, and their position tie-break
+    keeps document order.
+
+    Emission order and record bytes match the token pipeline: an
+    element's record is added to ``former`` (a
     :class:`~repro.merge.engine.RunFormer`) when the element closes, a
-    pointer's where it appears, and one token is charged on ``stats``
-    per record.  Records collect, with their token count, while they fit
-    in the former's :attr:`~repro.merge.engine.RunFormer.room`; before
-    the add that flushes a run, they go over in one
-    :meth:`~repro.merge.engine.RunFormer.extend` and one token charge
-    that includes the flushing record.  So every formation write sees
-    the tokens one charge-then-add per record would have left, and a
-    device fault inside that add leaves the same charge.
+    pointer's where it appears.  Records collect while they fit in the
+    former's :attr:`~repro.merge.engine.RunFormer.room`; before the add
+    that flushes a run, they go over in one
+    :meth:`~repro.merge.engine.RunFormer.extend`.  With ``stats``, one
+    token per record is charged there too, in one charge that includes
+    the flushing record, so every formation write sees the tokens one
+    charge-then-add per record would have left, and a device fault
+    inside that add leaves the same charge.  ``stats=None`` leaves every
+    charge to the caller.
 
-    * Plain mode: keys evaluated at end tags (by the document scan) fill in
-      starts that lack a key or position, found by a pre-pass that reads
-      ahead from the first such start.
-    * Compacted mode: elements close by ``restore_end_tags``' level rules.
-    * A plain start as the scan pushes it (key and position, no level) is
-      walked once per distinct bytes before its position varint; later
-      starts with the same bytes look up its tag+attributes, atom and
-      normalized atom.
-    * ``sort_levels``: the child lists of relative levels ``1 ..
-      sort_levels`` are sorted.  A component orders the child list
-      above it, so only depths ``2 .. sort_levels + 1`` keep their key;
-      the others (the root's, which orders nothing, and everything
-      deeper) carry the missing atom ``b"\\x00"``, and their position
-      tie-break keeps document order.
-
-    Returns ``(units, real elements)`` of the subtree.  The per-byte
-    loops are unchecked; truncated records raise ``IndexError`` (the
-    caller converts it to :class:`~repro.errors.CodecError`).
+    Returns ``(units, real elements)`` formed.  The per-byte loops are
+    unchecked; truncated records raise ``IndexError`` (the caller
+    converts it to :class:`~repro.errors.CodecError`).
     """
     join = b"".join
     heads = _ELEMENT_HEADS
@@ -1436,8 +1215,9 @@ def form_subtree_runs(
     memo: dict[bytes, bytes] = {}
     splits: dict[bytes, tuple[bytes, bytes, bytes]] = {}
     splits_get = splits.get
-    memoize = not compact
+    memoize = not compact and start_keys is None
     fixes = None
+    next_pos = 0
     # The innermost open element: its normalized and encoded paths, its
     # tag+attributes slice and its stored level (plain mode: its depth).
     # ``opened`` holds the same four fields of each enclosing element.
@@ -1454,148 +1234,169 @@ def form_subtree_runs(
     room0 = room = former.room
     tokens = 0
     if compact:
-        records.append(_SUBTREE_END)
-    for index, record in enumerate(records):
-        records[index] = None
-        token_type = record[0]
-        # ``floor``: open elements whose level is at or above it close
-        # before this record opens or attaches anything.
-        if token_type == TYPE_START or token_type == TYPE_POINTER:
-            flags = record[1]
-            body = None
-            head = split = None
-            if flags == 3 and token_type == TYPE_START and memoize:
-                # A plain start as the scan pushes it: tag+attrs, key
-                # atom, then the position varint last.  Its bytes up to
-                # the position (``head``) recur on every element with
-                # the same tag, attributes and key; the first such start
-                # is walked, the others look their fields up.  A head
-                # that is a prefix of this record parses the same here,
-                # so a hit is exactly what the walk would find.  The
-                # varint is read backwards from the record's last byte.
-                end = len(record)
-                cut = end - 1
-                position = record[cut]
-                if position < 0x80:
-                    byte = record[cut - 1]
-                    while byte >= 0x80:
-                        position = position << 7 | byte & 0x7F
-                        cut -= 1
+        chunks = chain(chunks, ([_SUBTREE_END],))
+    for records in chunks:
+        for index, record in enumerate(records):
+            records[index] = None
+            token_type = record[0]
+            # ``floor``: open elements whose level is at or above it close
+            # before this record opens or attaches anything.
+            if token_type == TYPE_START or token_type == TYPE_POINTER:
+                flags = record[1]
+                body = None
+                head = split = None
+                if flags == 3 and token_type == TYPE_START and memoize:
+                    # A plain start as the scan pushes it: tag+attrs, key
+                    # atom, then the position varint last.  Its bytes up to
+                    # the position (``head``) recur on every element with
+                    # the same tag, attributes and key; the first such start
+                    # is walked, the others look their fields up.  A head
+                    # that is a prefix of this record parses the same here,
+                    # so a hit is exactly what the walk would find.  The
+                    # varint is read backwards from the record's last byte.
+                    end = len(record)
+                    cut = end - 1
+                    position = record[cut]
+                    if position < 0x80:
                         byte = record[cut - 1]
-                    head = record[:cut]
-                    split = splits_get(head)
-                    if split is not None:
-                        tag_attrs, atom, norm_atom = split
-                        comp_start = cut - len(atom)
-            if split is None:
-                norm_atom = None
-                if token_type == TYPE_START:
-                    # Tag and attributes: names are id varints or string
-                    # frames, attribute values string frames.
-                    if names_coded:
+                        while byte >= 0x80:
+                            position = position << 7 | byte & 0x7F
+                            cut -= 1
+                            byte = record[cut - 1]
+                        head = record[:cut]
+                        split = splits_get(head)
+                        if split is not None:
+                            tag_attrs, atom, norm_atom = split
+                            comp_start = cut - len(atom)
+                if split is None:
+                    norm_atom = None
+                    if token_type == TYPE_POINTER:
+                        if start_keys is not None:
+                            raise SortSpecError(
+                                "unexpected run pointer in a document scan"
+                            )
+                        # run_id, element_count, payload_bytes varints.
                         end = 2
                         while record[end] >= 0x80:
                             end += 1
+                        count, end = read_varint_fast(record, end + 1)
+                        while record[end] >= 0x80:
+                            end += 1
                         end += 1
+                        body = record[2:end]
+                    elif not flags:
+                        # A bare start: its tag+attributes, nothing else.
+                        end = len(record)
+                        tag_attrs = record[2:]
                     else:
-                        end = record[2] + 3
-                        if end >= 0x83:
-                            length, end = read_varint_fast(record, 2)
-                            end += length
-                    count = record[end]
-                    end += 1
-                    if count:
-                        if count >= 0x80:
-                            count, end = read_varint_fast(record, end - 1)
+                        # Tag and attributes: names are id varints or string
+                        # frames, attribute values string frames.
                         if names_coded:
-                            for _ in range(count):
-                                while record[end] >= 0x80:
-                                    end += 1
-                                length = record[end + 1]
-                                end += 2
-                                if length >= 0x80:
-                                    length, end = read_varint_fast(
-                                        record, end - 1
-                                    )
-                                end += length
-                        else:
-                            for _ in range(count + count):
-                                length = record[end]
+                            end = 2
+                            while record[end] >= 0x80:
                                 end += 1
-                                if length >= 0x80:
-                                    length, end = read_varint_fast(
-                                        record, end - 1
-                                    )
+                            end += 1
+                        else:
+                            end = record[2] + 3
+                            if end >= 0x83:
+                                length, end = read_varint_fast(record, 2)
                                 end += length
-                    tag_attrs = record[2:end]
-                else:
-                    # run_id, element_count, payload_bytes varints.
-                    end = 2
-                    while record[end] >= 0x80:
+                        count = record[end]
                         end += 1
-                    count, end = read_varint_fast(record, end + 1)
-                    while record[end] >= 0x80:
+                        if count:
+                            if count >= 0x80:
+                                count, end = read_varint_fast(record, end - 1)
+                            if names_coded:
+                                for _ in range(count):
+                                    while record[end] >= 0x80:
+                                        end += 1
+                                    length = record[end + 1]
+                                    end += 2
+                                    if length >= 0x80:
+                                        length, end = read_varint_fast(
+                                            record, end - 1
+                                        )
+                                    end += length
+                            else:
+                                for _ in range(count + count):
+                                    length = record[end]
+                                    end += 1
+                                    if length >= 0x80:
+                                        length, end = read_varint_fast(
+                                            record, end - 1
+                                        )
+                                    end += length
+                        tag_attrs = record[2:end]
+                    # Annotation fields: key atom, position, level (each by
+                    # flag).  With both key and position present,
+                    # ``record[comp_start:end]`` is the encoded path
+                    # component, unless a fix-up or mask below replaces the
+                    # atom or position.
+                    comp_start = end
+                    atom = None
+                    if flags & 1:
+                        kind = record[end]
+                        if kind == 2:
+                            end += record[end + 1] + 2
+                            if record[comp_start + 1] >= 0x80:
+                                length, end = read_varint_fast(
+                                    record, comp_start + 1
+                                )
+                                end += length
+                        elif kind == 1:
+                            end += 9
+                        elif kind:
+                            raise CodecError(f"unknown key atom kind {kind}")
+                        else:
+                            end += 1
+                        atom = record[comp_start:end]
+                    if head is not None and end == cut:
+                        # Too many distinct heads: stop looking them up.
+                        memoize = len(splits) < _SPLIT_MEMO_LIMIT
+                        norm_atom = memo.get(atom)
+                        if norm_atom is None:
+                            norm_atom, _ = _normalize_encoded_atom(atom, 0)
+                            memo[atom] = norm_atom
+                        splits[head] = (tag_attrs, atom, norm_atom)
+                    position = None
+                    if flags & 2:
+                        position = record[end]
                         end += 1
-                    end += 1
-                    body = record[2:end]
-                # Annotation fields: key atom, position, level (each by
-                # flag).  With both key and position present,
-                # ``record[comp_start:end]`` is the encoded path
-                # component, unless a fix-up or mask below replaces the
-                # atom or position.
-                comp_start = end
-                atom = None
-                if flags & 1:
-                    kind = record[end]
-                    if kind == 2:
-                        end += record[end + 1] + 2
-                        if record[comp_start + 1] >= 0x80:
-                            length, end = read_varint_fast(
-                                record, comp_start + 1
-                            )
-                            end += length
-                    elif kind == 1:
-                        end += 9
-                    elif kind:
-                        raise CodecError(f"unknown key atom kind {kind}")
-                    else:
-                        end += 1
-                    atom = record[comp_start:end]
-                if head is not None and end == cut:
-                    # Too many distinct heads: stop looking them up.
-                    memoize = len(splits) < _SPLIT_MEMO_LIMIT
-                    norm_atom = memo.get(atom)
-                    if norm_atom is None:
-                        norm_atom, _ = _normalize_encoded_atom(atom, 0)
-                        memo[atom] = norm_atom
-                    splits[head] = (tag_attrs, atom, norm_atom)
-                position = None
-                if flags & 2:
-                    position = record[end]
-                    end += 1
-                    if position >= 0x80:
-                        byte = record[end]
-                        end += 1
-                        position = position & 0x7F | (byte & 0x7F) << 7
-                        shift = 14
-                        while byte >= 0x80:
+                        if position >= 0x80:
                             byte = record[end]
                             end += 1
-                            position |= (byte & 0x7F) << shift
-                            shift += 7
-            spliced = True
-            if compact:
-                if not flags & 4:
-                    raise CodecError(
-                        "compacted stream contains a start without a level"
-                    )
-                level = record[end]
-                if level >= 0x80:
-                    level, _ = read_varint_fast(record, end)
-                floor = level
-            else:
-                floor = _NO_CLOSE
-                if flags & 3 != 3 and body is None:
+                            position = position & 0x7F | (byte & 0x7F) << 7
+                            shift = 14
+                            while byte >= 0x80:
+                                byte = record[end]
+                                end += 1
+                                position |= (byte & 0x7F) << shift
+                                shift += 7
+                spliced = True
+                if compact:
+                    if not flags & 4:
+                        raise CodecError(
+                            "compacted stream contains a start without a level"
+                        )
+                    level = record[end]
+                    if level >= 0x80:
+                        level, _ = read_varint_fast(record, end)
+                    floor = level
+                else:
+                    floor = _NO_CLOSE
+                if start_keys is not None:
+                    # The document scan: the key from the spec, the
+                    # position in document order.
+                    if flags:
+                        if flags & 4:
+                            end = _skip_varint(record, end)
+                        if end != len(record):
+                            raise CodecError(_FLAGS_MISMATCH)
+                    norm_atom, atom, _name, _end = start_keys(tag_attrs)
+                    position = next_pos
+                    next_pos += 1
+                    spliced = False
+                elif flags & 3 != 3 and body is None and not compact:
                     if fixes is None:
                         records[index] = record
                         fixes = _end_tag_annotations(
@@ -1610,137 +1411,144 @@ def form_subtree_runs(
                         if fix[1] is not None:
                             position = fix[1]
                     spliced = False
-        elif token_type == TYPE_END:
-            if compact:
-                raise CodecError("compacted stream already contains end tags")
-            if not depth:
-                raise CodecError("subtree tokens are unbalanced")
-            floor = level_top
-        elif token_type == TYPE_TEXT:
-            floor = _NO_CLOSE
-            if record[1] & 4:
-                end = record[2] + 3
-                if end >= 0x83:
-                    length, end = read_varint_fast(record, 2)
-                    end += length
-                frame = record[2:end]
+            elif token_type == TYPE_END:
                 if compact:
-                    level = record[end]
-                    if level >= 0x80:
-                        level, _ = read_varint_fast(record, end)
-                    floor = level + 1
+                    raise CodecError("compacted stream already contains end tags")
+                if not depth:
+                    raise CodecError(
+                        "unbalanced tokens: an end tag closes no element"
+                    )
+                floor = level_top
+            elif token_type == TYPE_TEXT:
+                floor = _NO_CLOSE
+                if record[1] & 4:
+                    end = record[2] + 3
+                    if end >= 0x83:
+                        length, end = read_varint_fast(record, 2)
+                        end += length
+                    frame = record[2:end]
+                    if compact:
+                        level = record[end]
+                        if level >= 0x80:
+                            level, _ = read_varint_fast(record, end)
+                        floor = level + 1
+                    if (
+                        start_keys is not None
+                        and _skip_varint(record, end) != len(record)
+                    ):
+                        raise CodecError(_FLAGS_MISMATCH)
+                else:
+                    frame = record[2:]
+            elif record is _SUBTREE_END:
+                floor = 0
             else:
-                frame = record[2:]
-        elif record is _SUBTREE_END:
-            floor = 0
-        else:
-            raise CodecError(f"unknown token type byte {token_type}")
+                raise CodecError(f"unknown token type byte {token_type}")
 
-        # Close every open element at or above ``floor``: its key-path
-        # record is complete.
-        while level_top >= floor:
-            if texts and depth in texts:
-                text = _text_frame(texts.pop(depth))
+            # Close every open element at or above ``floor``: its key-path
+            # record is complete.
+            while level_top >= floor:
+                if texts and depth in texts:
+                    text = _text_frame(texts.pop(depth))
+                else:
+                    text = b"\x00"
+                formed = join(
+                    (
+                        heads[depth] if depth < 64 else _element_head(depth),
+                        enc_top,
+                        ta_top,
+                        text,
+                    )
+                )
+                size = len(formed)
+                if size <= room:
+                    pairs.append((norm_top, formed))
+                    room -= size
+                    tokens += 1
+                else:
+                    if pairs:
+                        former.extend(pairs, room0 - room)
+                        pairs = []
+                    if stats is not None:
+                        stats.record_tokens(tokens + 1)
+                    tokens = 0
+                    former.add(norm_top, formed)
+                    room0 = room = former.room
+                norm_top, enc_top, ta_top, level_top = opened.pop()
+                depth -= 1
+
+            if token_type != TYPE_START and token_type != TYPE_POINTER:
+                if token_type == TYPE_TEXT and depth:
+                    pending = texts.get(depth)
+                    texts[depth] = (
+                        frame if pending is None else _with_frame(pending, frame)
+                    )
+                continue
+            child = depth + 1
+            if sort_levels is not None and (
+                child == 1 or child > sort_levels + 1
+            ):
+                atom = b"\x00"
+                norm_atom = None
+                spliced = False
+            if atom is None or position is None:
+                if body is not None:
+                    raise CodecError("run pointer without key annotations")
+                raise SortSpecError(
+                    "key-path records need a key and position on every "
+                    "element of the subtree"
+                )
+            if norm_atom is None:
+                norm_atom = memo.get(atom)
+                if norm_atom is None:
+                    norm_atom, _ = _normalize_encoded_atom(atom, 0)
+                    memo[atom] = norm_atom
+            if spliced:
+                component = record[comp_start:end]
             else:
-                text = b"\x00"
+                component = atom + (
+                    _VARINT1[position] if position < 0x80
+                    else encode_varint(position)
+                )
+            norm = norm_top + norm_atom + position.to_bytes(8, "big")
+            enc = enc_top + component
+            units += 1
+            if body is None:
+                real += 1
+                opened.append((norm_top, enc_top, ta_top, level_top))
+                norm_top = norm
+                enc_top = enc
+                ta_top = tag_attrs
+                level_top = level if compact else child
+                depth = child
+                continue
+            real += count
             formed = join(
                 (
-                    heads[depth] if depth < 64 else _element_head(depth),
-                    enc_top,
-                    ta_top,
-                    text,
+                    _POINTER_HEADS[child] if child < 64
+                    else b"\x02" + encode_varint(child),
+                    enc,
+                    body,
                 )
             )
             size = len(formed)
             if size <= room:
-                pairs.append((norm_top, formed))
+                pairs.append((norm, formed))
                 room -= size
                 tokens += 1
             else:
                 if pairs:
                     former.extend(pairs, room0 - room)
                     pairs = []
-                stats.record_tokens(tokens + 1)
+                if stats is not None:
+                    stats.record_tokens(tokens + 1)
                 tokens = 0
-                former.add(norm_top, formed)
+                former.add(norm, formed)
                 room0 = room = former.room
-            norm_top, enc_top, ta_top, level_top = opened.pop()
-            depth -= 1
-
-        if token_type != TYPE_START and token_type != TYPE_POINTER:
-            if token_type == TYPE_TEXT and depth:
-                pending = texts.get(depth)
-                texts[depth] = (
-                    frame if pending is None else _with_frame(pending, frame)
-                )
-            continue
-        child = depth + 1
-        if sort_levels is not None and (
-            child == 1 or child > sort_levels + 1
-        ):
-            atom = b"\x00"
-            norm_atom = None
-            spliced = False
-        if atom is None or position is None:
-            if body is not None:
-                raise CodecError("run pointer without key annotations")
-            raise SortSpecError(
-                "key-path records need a key and position on every "
-                "element of the subtree"
-            )
-        if norm_atom is None:
-            norm_atom = memo.get(atom)
-            if norm_atom is None:
-                norm_atom, _ = _normalize_encoded_atom(atom, 0)
-                memo[atom] = norm_atom
-        if spliced:
-            component = record[comp_start:end]
-        else:
-            component = atom + (
-                _VARINT1[position] if position < 0x80
-                else encode_varint(position)
-            )
-        norm = norm_top + norm_atom + position.to_bytes(8, "big")
-        enc = enc_top + component
-        units += 1
-        if body is None:
-            real += 1
-            opened.append((norm_top, enc_top, ta_top, level_top))
-            norm_top = norm
-            enc_top = enc
-            ta_top = tag_attrs
-            level_top = level if compact else child
-            depth = child
-            continue
-        real += count
-        formed = join(
-            (
-                _POINTER_HEADS[child] if child < 64
-                else b"\x02" + encode_varint(child),
-                enc,
-                body,
-            )
-        )
-        size = len(formed)
-        if size <= room:
-            pairs.append((norm, formed))
-            room -= size
-            tokens += 1
-        else:
-            if pairs:
-                former.extend(pairs, room0 - room)
-                pairs = []
-            stats.record_tokens(tokens + 1)
-            tokens = 0
-            former.add(norm, formed)
-            room0 = room = former.room
-    if compact:
-        records.pop()  # the end marker
     if depth:
-        raise CodecError("subtree tokens are unbalanced")
+        raise CodecError("unbalanced tokens: elements left open")
     if pairs:
         former.extend(pairs, room0 - room)
-    if tokens:
+    if tokens and stats is not None:
         stats.record_tokens(tokens)
     return units, real
 

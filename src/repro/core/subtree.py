@@ -282,7 +282,7 @@ class SubtreeSorter:
         ) as span:
             counts.append(
                 form_subtree_runs(
-                    records, self.compact, names_coded, sort_levels,
+                    (records,), self.compact, names_coded, sort_levels,
                     former, stats,
                 )
             )

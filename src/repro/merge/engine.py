@@ -430,40 +430,28 @@ class RunFormer:
         The state one :meth:`add` per pair leaves, provided ``nbytes`` is
         within :attr:`room` - which also means no device access; pairs
         that would not fit raise :class:`~repro.errors.RunError` and add
-        nothing.
+        nothing.  The former takes ``pairs`` over: into an empty batch the
+        list itself goes, uncopied, so the caller must not touch it after.
         """
         if nbytes > self.room:
             raise RunError(
                 f"extend of {nbytes} bytes exceeds the former's room of "
                 f"{self.room}"
             )
-        self._batch += pairs
+        if self._batch:
+            self._batch += pairs
+        else:
+            self._batch = pairs
         self._batch_bytes += nbytes
 
     def bulk_adder(self):
-        """A per-record add callable with the mode checks hoisted.
+        """:meth:`add` as a per-record callable.
 
-        Same behaviour as :meth:`add`; fused scans call this once and
-        then feed millions of records through the returned closure, so
-        the per-record option lookups are paid once here instead.
+        Nothing in the package calls it since key-path formation batches
+        into :meth:`extend`; the e2e benchmark's per-layer tracer still
+        wraps it.
         """
-        if self.options.replacement_selection:
-            return self._add_replacement
-        if self._capacity_mode:
-            return self.add
-        capacity = self.capacity_bytes
-        batch_append = self._batch.append
-
-        def add(key, payload: bytes) -> None:
-            nonlocal batch_append
-            batch_append((key, payload))
-            total = self._batch_bytes + len(payload)
-            self._batch_bytes = total
-            if total >= capacity:
-                self._flush_batch()
-                batch_append = self._batch.append
-
-        return add
+        return self.add
 
     def finish(self) -> list:
         """Flush whatever is pending; returns the run handles in order."""

@@ -235,7 +235,7 @@ class Document:
         reader = self.store.open_reader(self.handle, category=category)
         return serialize(
             record_pieces(
-                _record_batches(reader),
+                record_batches(reader),
                 self.codec.names,
                 self.compaction is not None
                 and self.compaction.eliminate_end_tags,
@@ -254,9 +254,10 @@ class Document:
         )
 
 
-def _record_batches(reader):
-    """A reader's records in lists, loading blocks exactly when
-    ``read_record`` would."""
+def record_batches(reader):
+    """A reader's records in lists, a buffered block at a time, loading
+    blocks exactly when ``read_record`` would: the record that needs the
+    next block comes alone, through ``read_record``."""
     while True:
         batch = reader.read_available_records()
         if not batch:

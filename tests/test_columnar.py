@@ -21,11 +21,12 @@ from repro.baselines.keypath import (
     tokens_from_sorted_records,
 )
 from repro.core.columnar import (
+    StartKeyCache,
     argsort_normalized,
     batch_path_keys,
     emit_output_columnar,
     fast_path_key,
-    form_runs_columnar,
+    form_subtree_runs,
     keyed_puller,
     merge_sidecars,
     run_sidecar,
@@ -34,9 +35,10 @@ from repro.errors import CodecError
 from repro.io import BlockDevice, RunStore, StripedDevice
 from repro.keys import ByAttribute, KeyEvaluator, SortSpec
 from repro.merge.engine import MergeOptions, RunFormer, normalized_path_key
-from repro.xml import TokenCodec, parse_events
+from repro.xml import CompactionConfig, Document, TokenCodec, parse_events
 from repro.xml.codec import read_tag_attrs
 from repro.xml.compact import NameDictionary
+from repro.xml.document import record_batches
 from repro.xml.tokens import (
     KEY_NUMBER,
     KEY_STRING,
@@ -287,62 +289,177 @@ class TestReplayMerge:
         assert replayed_totals == heap_totals
 
 
+_SCAN_NAMES = st.sampled_from(
+    [None, "", "a", "b", "7", "-3.5", "1e3", "\u00e9\u4e2d", "k" * 130]
+)
+_SCAN_TEXTS = st.sampled_from(["", "", "t", "\u00e9t\u00e9", "a<&b", "x" * 140])
+
+
+@st.composite
+def _scan_documents(draw):
+    """XML for the fused scan: duplicate, numeric, missing and non-ASCII
+    keys, mixed content (texts between children, joined per element),
+    and sometimes a root with 130 more children (two-byte positions) or
+    a chain 70 levels deep (two-byte depths past 63)."""
+    from xml.sax.saxutils import escape, quoteattr
+
+    def attrs():
+        out = ""
+        name = draw(_SCAN_NAMES)
+        if name is not None:
+            out += f" name={quoteattr(name)}"
+        if draw(st.booleans()):
+            out += ' x="v"'
+        return out
+
+    def element(depth):
+        tag = draw(st.sampled_from(["n", "item", "t" * 130]))
+        parts = [f"<{tag}{attrs()}>"]
+        count = draw(st.integers(0, 3)) if depth < 4 else 0
+        for _ in range(count):
+            parts.append(escape(draw(_SCAN_TEXTS)))
+            parts.append(element(depth + 1))
+        parts.append(escape(draw(_SCAN_TEXTS)))
+        parts.append(f"</{tag}>")
+        return "".join(parts)
+
+    extra = draw(st.sampled_from(["", "", "wide", "deep"]))
+    body = element(2)
+    if extra == "wide":
+        body += "".join(
+            f'<w name="{draw(st.integers(0, 9))}"/>' for _ in range(130)
+        )
+    elif extra == "deep":
+        body += '<c name="d">' * 70 + "</c>" * 70
+    return f"<root{attrs()}>{body}</root>"
+
+
+_SCAN_COMPACTIONS = {
+    "plain": None,
+    "names": lambda: CompactionConfig(eliminate_end_tags=False),
+    "levels": lambda: CompactionConfig(names=None),
+    "full": CompactionConfig,
+}
+
+
+def _scan_document(xml, mode, device):
+    make = _SCAN_COMPACTIONS[mode]
+    return Document.from_events(
+        RunStore(device),
+        parse_events(xml),
+        compaction=None if make is None else make(),
+    )
+
+
+def _fused_scan(document, spec, former):
+    """Merge sort's run formation: the stored document through
+    :func:`form_subtree_runs` a block at a time, its tokens charged once
+    after the scan."""
+    compaction = document.compaction
+    names = compaction.names if compaction is not None else None
+    reader = document.store.open_reader(
+        document.handle, category="input_scan"
+    )
+    units, real = form_subtree_runs(
+        record_batches(reader),
+        compaction is not None and compaction.eliminate_end_tags,
+        names is not None,
+        None,
+        former,
+        None,
+        start_keys=StartKeyCache(spec, names).pieces_for,
+    )
+    assert units == real
+    document.store.device.stats.record_tokens(units)
+
+
+def _token_pipeline(document, spec, former):
+    """The reference: tokenize, key-evaluate, build and encode key-path
+    records, one add each, tokens charged after the scan."""
+    names = document.compaction.names if document.compaction else None
+    annotated = KeyEvaluator(spec).annotate(
+        document.iter_events("input_scan")
+    )
+    count = 0
+    for record in records_from_annotated_events(annotated):
+        former.add(
+            normalized_path_key(record.path), encode_record(record, names)
+        )
+        count += 1
+    document.store.device.stats.record_tokens(count)
+
+
 class TestFusedScan:
-    @pytest.mark.parametrize("mode", ["names", "levels", "full"])
-    def test_compacted_document_fast_path_matches_scalar(self, mode):
-        """Compacted documents no longer fall back (ISSUE 7).
+    """Merge sort's document scan through :func:`form_subtree_runs` forms
+    byte-identical runs - same records, same order, same device writes
+    with the same counters before each - as the token pipeline, in every
+    storage dialect."""
 
-        The fused scan handles dictionary-coded and level-annotated
-        (end-tag-eliminated) storage directly, forming byte-identical
-        runs - same records, same order, same counters - as the token
-        pipeline (tokenize -> key-evaluate -> encode).
-        """
-        from repro.xml import CompactionConfig, Document
+    @settings(max_examples=25, deadline=None)
+    @given(
+        xml=_scan_documents(),
+        capacity=st.sampled_from([200, 600, 1 << 20]),
+        formation=st.sampled_from(["load-sort", "replacement-selection"]),
+    )
+    @pytest.mark.parametrize("mode", ["plain", "names", "levels", "full"])
+    def test_compacted_document_fast_path_matches_scalar(
+        self, mode, xml, capacity, formation
+    ):
+        """Compacted documents take the fused scan too, and so do plain
+        ones (``plain`` mode)."""
 
-        def compaction():
-            if mode == "names":
-                return CompactionConfig(eliminate_end_tags=False)
-            if mode == "levels":
-                return CompactionConfig(names=None)
-            return CompactionConfig()
-
-        def scan(fused):
-            device = BlockDevice(block_size=128)
-            store = RunStore(device)
-            document = Document.from_events(
-                store, parse_events(XML), compaction=compaction()
+        def scan(form):
+            device = WriteLoggingDevice(block_size=128)
+            document = _scan_document(xml, mode, device)
+            former = RunFormer(
+                document.store, capacity,
+                MergeOptions(run_formation=formation),
             )
-            former = RunFormer(store, 600, MergeOptions())
-            if fused:
-                assert form_runs_columnar(document, SPEC, former, device)
-            else:
-                names = document.compaction.names
-                annotated = KeyEvaluator(SPEC).annotate(
-                    document.iter_events("input_scan")
-                )
-                for record in records_from_annotated_events(annotated):
-                    device.stats.record_tokens(1)
-                    former.add(
-                        record.sort_key(), encode_record(record, names)
-                    )
+            form(document, SPEC, former)
             runs = former.finish()
-            contents = [list(store.open_reader(run)) for run in runs]
-            return contents, device.stats.snapshot().counter_totals()
+            contents = [list(document.store.open_reader(run)) for run in runs]
+            return (
+                contents,
+                former.run_lengths,
+                device.log,
+                device.stats.snapshot().counter_totals(),
+            )
 
-        assert scan(fused=True) == scan(fused=False)
+        assert scan(_fused_scan) == scan(_token_pipeline)
 
-    def test_non_start_computable_spec_falls_back(self):
-        from repro.keys import ByText
-        from repro.xml import Document
+    @pytest.mark.parametrize(
+        "mode, kind, flags",
+        [
+            (mode, 1, flags)
+            for mode, stored in (
+                ("plain", 0), ("names", 0), ("levels", 4), ("full", 4)
+            )
+            for flags in (0, 1, 2, 4)
+            if flags != stored
+        ]
+        + [("plain", 2, 4), ("names", 2, 4)],
+    )
+    def test_flags_without_their_fields_are_typed(self, mode, kind, flags):
+        """A stored start (kind 1) or text (kind 2) whose flag byte
+        declares a field it lacks - or, in a compacted stream, not the
+        level a start has - raises ``CodecError`` in merge sort."""
+        from repro.baselines import external_merge_sort
 
         device = BlockDevice(block_size=128)
-        store = RunStore(device)
-        document = Document.from_events(store, parse_events(XML))
-        former = RunFormer(
-            store, 600, MergeOptions()
+        document = _scan_document(XML, mode, device)
+        store = document.store
+        records = list(store.open_reader(document.handle))
+        index = [i for i, r in enumerate(records) if r[0] == kind][1]
+        records[index] = records[index][:1] + bytes([flags]) + records[
+            index
+        ][2:]
+        writer = store.create_writer("load")
+        writer.write_records(records)
+        document = Document(
+            store, writer.finish(), document.stats, document.compaction
         )
-        spec = SortSpec(default=ByText())
-        assert not form_runs_columnar(document, spec, former, device)
+        with pytest.raises(CodecError):
+            external_merge_sort(document, SPEC, 4)
 
 
 _EMIT_ATOMS = st.one_of(

@@ -280,6 +280,25 @@ class TestRoomAndExtend:
         former.add(b"d", b"j")  # reaches the capacity: flushes
         assert former.run_lengths == [4] and former.room == 9
 
+    def test_extend_keeps_the_pending_batch(self, store):
+        """An empty batch takes the extended list itself; a pending one
+        keeps its pairs and gains the new ones."""
+        former = RunFormer(store, 100, MergeOptions())
+        former.extend([(b"b", b"2")], 1)
+        former.add(b"d", b"4")
+        former.extend([(b"c", b"3"), (b"a", b"1")], 2)
+        runs = former.finish()
+        assert former.run_lengths == [4]
+        assert _read_run(store, runs[0]) == [b"1", b"2", b"3", b"4"]
+
+    def test_bulk_adder_follows_an_adopted_batch(self, store):
+        former = RunFormer(store, 100, MergeOptions())
+        add = former.bulk_adder()
+        former.extend([(b"b", b"2")], 1)
+        add(b"a", b"1")
+        runs = former.finish()
+        assert _read_run(store, runs[0]) == [b"1", b"2"]
+
     def test_extend_past_room_raises_and_adds_nothing(self, store):
         former = RunFormer(store, 10, MergeOptions())
         with pytest.raises(RunError):

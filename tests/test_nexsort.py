@@ -377,14 +377,25 @@ def _with_record(document, index, record):
     return Document(store, writer.finish(), document.stats)
 
 
-def _auction_document(block_size=256):
+def _auction_document(block_size=256, compaction=None):
     from repro.generators import auction_events
 
     store = RunStore(BlockDevice(block_size=block_size))
     return Document.from_events(
         store, auction_events(auctions_per_region=2, max_bids=3, seed=4,
-                              regions=2)
+                              regions=2),
+        compaction=compaction,
     )
+
+
+#: Stored dialects of the fuzzed documents: plain, dictionary-coded
+#: names, levels in place of end tags, and both.
+_STORED_DIALECTS = {
+    "plain": lambda: None,
+    "names": lambda: CompactionConfig(eliminate_end_tags=False),
+    "levels": lambda: CompactionConfig(names=None),
+    "full": CompactionConfig,
+}
 
 
 _START_KEYED = SortSpec.parse("*=@name")
@@ -438,7 +449,7 @@ class TestCorruptStoredRecords:
             with pytest.raises(IndexError, match="injected"):
                 _sort(_auction_document(), "nexsort", _START_KEYED)
         with monkeypatch.context() as patch:
-            patch.setattr(RunFormer, "bulk_adder", lambda _self: defect)
+            patch.setattr(RunFormer, "add", defect)
             with pytest.raises(IndexError, match="injected"):
                 _sort(_auction_document(), "mergesort", _START_KEYED)
 
@@ -450,9 +461,10 @@ class TestCorruptStoredRecords:
              ("mergesort", _START_KEYED)]
         ),
         edits=st.integers(1, 3),
+        dialect=st.sampled_from(sorted(_STORED_DIALECTS)),
     )
-    def test_mutated_block_is_typed(self, data, algorithm, edits):
-        document = _auction_document()
+    def test_mutated_block_is_typed(self, data, algorithm, edits, dialect):
+        document = _auction_document(compaction=_STORED_DIALECTS[dialect]())
         device = document.store.device
         block_ids = document.handle.block_ids
         block_id = block_ids[data.draw(st.integers(0, len(block_ids) - 1))]

@@ -374,7 +374,7 @@ def form(tokens, compact=False, sort_levels=None, names=None):
     former = _ListFormer()
     stats = _ChargeList()
     counts = form_subtree_runs(
-        records, compact, names is not None, sort_levels, former, stats,
+        (records,), compact, names is not None, sort_levels, former, stats,
     )
     return former.added, counts, stats.charges
 
@@ -495,7 +495,7 @@ class TestFormSubtreeRuns:
         stats = _ChargeList()
         records = TokenCodec(names).encode_batch(tokens)
         assert form_subtree_runs(
-            records, compact, coded, None, roomy, stats
+            (records,), compact, coded, None, roomy, stats
         ) == counts
         assert roomy.added == expected
         assert stats.charges == [len(expected)]
