@@ -6,6 +6,7 @@ from .advisor import (
     profile_document,
 )
 from .bounds import (
+    ModelGeometry,
     arge_thorup_merge_depth,
     iterated_merge_depth,
     bounds_within_constant_factor,
@@ -17,14 +18,6 @@ from .bounds import (
     permutation_lower_bound_ios,
     sorting_lower_bound_ios,
     xml_permutation_conjecture_ios,
-)
-from .cost_model import (
-    ModelGeometry,
-    lower_bound_seconds,
-    measured_over_bound,
-    predicted_merge_sort_seconds,
-    predicted_nexsort_seconds,
-    predicted_seconds_from_ios,
 )
 from .planner import (
     Plan,
@@ -63,8 +56,6 @@ __all__ = [
     "log2_max_outcomes",
     "log2_outcomes_from_fanouts",
     "log2_sorting_outcomes",
-    "lower_bound_seconds",
-    "measured_over_bound",
     "iterated_merge_depth",
     "merge_sort_ios",
     "merge_sort_passes",
@@ -72,9 +63,6 @@ __all__ = [
     "nexsort_over_lower_bound_ratio",
     "nexsort_upper_bound_ios",
     "permutation_lower_bound_ios",
-    "predicted_merge_sort_seconds",
-    "predicted_nexsort_seconds",
-    "predicted_seconds_from_ios",
     "rebalance_increases_outcomes",
     "sorting_lower_bound_ios",
     "xml_permutation_conjecture_ios",

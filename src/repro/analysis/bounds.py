@@ -18,9 +18,40 @@ small C, and measured >= lower bound / C').
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import ceil, log
 
 from ..errors import ReproError
+
+
+@dataclass(frozen=True)
+class ModelGeometry:
+    """One experiment's external-memory geometry, in model units.
+
+    Attributes:
+        N: elements in the document.
+        B: elements per block (document bytes / block size, element-wise).
+        M: elements fitting in memory (``memory_blocks * B``).
+        k: maximum fan-out.
+    """
+
+    N: int
+    B: int
+    M: int
+    k: int
+
+    @classmethod
+    def from_document(cls, document, memory_blocks: int) -> "ModelGeometry":
+        """Derive the geometry from a stored document."""
+        per_block = max(
+            1, round(document.element_count / max(1, document.block_count))
+        )
+        return cls(
+            N=document.element_count,
+            B=per_block,
+            M=memory_blocks * per_block,
+            k=max(1, document.max_fanout),
+        )
 
 
 def _check(N: int, B: int, M: int) -> None:

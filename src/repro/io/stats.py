@@ -4,10 +4,14 @@ The paper measures algorithms primarily by the *number of I/Os* (Section 4)
 and reports wall-clock sort times from a real disk (Section 5).  We reproduce
 both views:
 
-* :class:`IOStats` counts every block access, split by *category* (input
-  scan, data-stack paging, subtree sorts, run reads, output...) and by access
-  pattern (sequential vs. random), mirroring the cost breakdown in the
-  paper's Lemmas 4.9-4.13.
+* :class:`StatsSnapshot` holds every counter - block accesses split by
+  *category* (input scan, data-stack paging, subtree sorts, run reads,
+  output...) and by access pattern (sequential vs. random), mirroring the
+  cost breakdown in the paper's Lemmas 4.9-4.13 - and defines, once, every
+  view derived from them, simulated seconds included.  A snapshot is
+  frozen: nothing records into it.
+* :class:`IOStats` is the live form of the same counters: a snapshot that
+  devices record into, one per device.
 * :class:`CostModel` converts those counters into simulated seconds with a
   seek + transfer disk model and a simple CPU model (per-comparison and
   per-token charges), standing in for the authors' 800 MHz Pentium III and
@@ -17,7 +21,8 @@ both views:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -126,46 +131,264 @@ class CategoryCounters:
     def random_accesses(self) -> int:
         return self.total - self.seq_reads - self.seq_writes
 
-    def merged_with(self, other: "CategoryCounters") -> "CategoryCounters":
-        return CategoryCounters(
-            reads=self.reads + other.reads,
-            writes=self.writes + other.writes,
-            seq_reads=self.seq_reads + other.seq_reads,
-            seq_writes=self.seq_writes + other.seq_writes,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            cache_evictions=self.cache_evictions + other.cache_evictions,
-        )
+
+_COUNTERS = tuple(f.name for f in fields(CategoryCounters))
 
 
-class IOStats:
-    """Mutable accumulator of block-access and CPU counters.
+@dataclass
+class StatsSnapshot:
+    """Counters frozen at one moment, and the simulated seconds they imply.
 
-    A single :class:`IOStats` lives on a :class:`~repro.io.device.BlockDevice`
-    and is shared by everything using that device.  Algorithms take snapshots
-    (:meth:`snapshot`) before and after a phase and diff them
-    (:meth:`since`) to attribute costs, as the paper's analysis does.
+    Taken from the live :class:`IOStats` by :meth:`IOStats.snapshot`;
+    nothing records into a snapshot afterwards.  Two snapshots difference
+    (:meth:`minus`) and sum (:meth:`plus`) field by field.  Every derived
+    view - block totals, cache totals, simulated seconds - is defined here
+    and only here, so the live counters report through the same code.
     """
 
+    by_category: dict[str, CategoryCounters] = field(default_factory=dict)
+    comparisons: int = 0
+    merge_comparisons: int = 0
+    tokens: int = 0
+    penalty_seconds: float = 0.0
+    # Parallel-disk accounting (repro.io.parallel): per-disk busy seconds
+    # and consumer stall seconds.  Both stay empty/zero on a serial device,
+    # keeping its serialization bit-identical.
+    disk_busy: dict[int, float] = field(default_factory=dict)
+    stall_seconds: float = 0.0
+    # Run-compression accounting: bytes before/after each way through the
+    # codec.  All four stay zero with compression off, keeping
+    # uncompressed serialization bit-identical.
+    compress_raw_bytes: int = 0
+    compress_stored_bytes: int = 0
+    decompress_stored_bytes: int = 0
+    decompress_raw_bytes: int = 0
+    cost_model: CostModel = field(default_factory=CostModel)
+
+    def minus(self, earlier: "StatsSnapshot") -> "StatsSnapshot":
+        """Counters accumulated between ``earlier`` and this snapshot.
+
+        Categories and disks whose difference is all zero are dropped.
+        """
+        return self._combine(earlier, operator.sub, keep_zero=False)
+
+    def plus(self, other: "StatsSnapshot") -> "StatsSnapshot":
+        """Componentwise sum of two snapshots (the inverse of `minus`).
+
+        Used to sum sibling span deltas when checking that a parent span's
+        delta is fully covered by its children plus its own work.  Every
+        category and disk of either operand is kept, all-zero ones too.
+        """
+        return self._combine(other, operator.add, keep_zero=True)
+
+    def _combine(
+        self, other: "StatsSnapshot", op, keep_zero: bool
+    ) -> "StatsSnapshot":
+        """``op`` applied field by field; shares this ``cost_model``."""
+        zero = CategoryCounters()
+        categories: dict[str, CategoryCounters] = {}
+        for name in {**self.by_category, **other.by_category}:
+            mine = self.by_category.get(name, zero)
+            theirs = other.by_category.get(name, zero)
+            counters = CategoryCounters(*[
+                op(getattr(mine, counter), getattr(theirs, counter))
+                for counter in _COUNTERS
+            ])
+            if keep_zero or any(
+                getattr(counters, counter) for counter in _COUNTERS
+            ):
+                categories[name] = counters
+        busy: dict[int, float] = {}
+        for disk in {**self.disk_busy, **other.disk_busy}:
+            seconds = op(
+                self.disk_busy.get(disk, 0.0), other.disk_busy.get(disk, 0.0)
+            )
+            if keep_zero or seconds:
+                busy[disk] = seconds
+        return StatsSnapshot(
+            by_category=categories,
+            disk_busy=busy,
+            cost_model=self.cost_model,
+            **{
+                name: op(getattr(self, name), getattr(other, name))
+                for name in _SCALARS
+            },
+        )
+
+    @property
+    def total_reads(self) -> int:
+        return sum(c.reads for c in self.by_category.values())
+
+    @property
+    def total_writes(self) -> int:
+        return sum(c.writes for c in self.by_category.values())
+
+    @property
+    def total_ios(self) -> int:
+        return self.total_reads + self.total_writes
+
+    @property
+    def sequential_ios(self) -> int:
+        return sum(
+            c.seq_reads + c.seq_writes for c in self.by_category.values()
+        )
+
+    @property
+    def random_ios(self) -> int:
+        return self.total_ios - self.sequential_ios
+
+    @property
+    def cache_hits(self) -> int:
+        return sum(c.cache_hits for c in self.by_category.values())
+
+    @property
+    def cache_misses(self) -> int:
+        return sum(c.cache_misses for c in self.by_category.values())
+
+    @property
+    def cache_evictions(self) -> int:
+        return sum(c.cache_evictions for c in self.by_category.values())
+
+    def category_total(self, category: str) -> int:
+        counters = self.by_category.get(category)
+        return counters.total if counters else 0
+
+    def io_breakdown(self) -> dict[str, int]:
+        """Per-category total block accesses (reads + writes)."""
+        return {
+            name: counters.total
+            for name, counters in sorted(self.by_category.items())
+        }
+
+    def io_seconds(self) -> float:
+        """Simulated disk time for these counters."""
+        return self.cost_model.io_seconds(
+            self.sequential_ios, self.random_ios
+        )
+
+    def cpu_seconds(self) -> float:
+        """Simulated CPU time for these counters."""
+        return self.cost_model.cpu_seconds(
+            self.comparisons, self.tokens
+        ) + self.cost_model.compress_seconds(
+            self.compress_raw_bytes, self.decompress_raw_bytes
+        )
+
+    def elapsed_seconds(self) -> float:
+        """Total simulated time (disk + CPU + fault-retry penalties)."""
+        return self.io_seconds() + self.cpu_seconds() + self.penalty_seconds
+
+    def model_seconds(self) -> float:
+        """Simulated time derived purely from the model counters.
+
+        Excludes retry-backoff penalties (:attr:`penalty_seconds`), so it
+        is identical between a fault-free run and a run that succeeded
+        after transient-fault retries.
+        """
+        return self.io_seconds() + self.cpu_seconds()
+
+    def disk_seconds(self) -> float:
+        """Busy time of the busiest member disk (= serial io_seconds on D=1).
+
+        On a serial device nothing populates :attr:`disk_busy`, and the
+        single disk is busy for exactly :meth:`io_seconds`.
+        """
+        if not self.disk_busy:
+            return self.io_seconds()
+        return max(self.disk_busy.values())
+
+    def overlap_seconds(self) -> float:
+        """I/O time hidden by disk parallelism: serial io minus max busy."""
+        if not self.disk_busy:
+            return 0.0
+        return max(0.0, self.io_seconds() - self.disk_seconds())
+
+    def disk_utilization(self) -> dict[int, float]:
+        """Per-disk busy time as a fraction of the busiest disk's."""
+        peak = self.disk_seconds()
+        if not self.disk_busy or peak <= 0:
+            return {}
+        return {
+            disk: busy / peak
+            for disk, busy in sorted(self.disk_busy.items())
+        }
+
+    def counter_totals(self) -> dict:
+        """Flat dictionary of every aggregate counter plus simulated times.
+
+        This is the serialization the trace sinks and the trace diff tool
+        agree on; keys are stable across formats.  ``seconds`` is
+        :meth:`model_seconds` - counter-derived and therefore comparable
+        across fault-free and recovered runs; retry backoff is reported
+        separately as ``penalty_seconds`` (which the diff tool ignores).
+        The parallel-disk keys appear only when a striped device recorded
+        per-disk busy time, so serial-device traces stay bit-identical to
+        pre-striping output.  Likewise the compression byte counters
+        appear only when a codec actually ran, so uncompressed traces
+        stay bit-identical to pre-compression output.
+        """
+        totals = {
+            "reads": self.total_reads,
+            "writes": self.total_writes,
+            "total_ios": self.total_ios,
+            "sequential_ios": self.sequential_ios,
+            "random_ios": self.random_ios,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "cache_evictions": self.cache_evictions,
+            "comparisons": self.comparisons,
+            "merge_comparisons": self.merge_comparisons,
+            "tokens": self.tokens,
+            "io_seconds": self.io_seconds(),
+            "cpu_seconds": self.cpu_seconds(),
+            "penalty_seconds": self.penalty_seconds,
+            "seconds": self.model_seconds(),
+        }
+        if self.disk_busy:
+            totals["disk_busy"] = {
+                str(disk): seconds
+                for disk, seconds in sorted(self.disk_busy.items())
+            }
+            totals["disk_seconds"] = self.disk_seconds()
+            totals["overlap_seconds"] = self.overlap_seconds()
+            totals["stall_seconds"] = self.stall_seconds
+        if (
+            self.compress_raw_bytes
+            or self.compress_stored_bytes
+            or self.decompress_stored_bytes
+            or self.decompress_raw_bytes
+        ):
+            totals["compress_raw_bytes"] = self.compress_raw_bytes
+            totals["compress_stored_bytes"] = self.compress_stored_bytes
+            totals["decompress_stored_bytes"] = self.decompress_stored_bytes
+            totals["decompress_raw_bytes"] = self.decompress_raw_bytes
+        return totals
+
+
+#: Every field that is one number (combined by plain arithmetic).
+_SCALARS = tuple(
+    f.name
+    for f in fields(StatsSnapshot)
+    if f.name not in ("by_category", "disk_busy", "cost_model")
+)
+
+
+class IOStats(StatsSnapshot):
+    """The live, mutating form of :class:`StatsSnapshot`.
+
+    A single :class:`IOStats` lives on a :class:`~repro.io.device.BlockDevice`
+    and is shared by everything using that device; its ``record_*`` methods
+    are the only writers of the counters.  Algorithms take snapshots
+    (:meth:`snapshot`) before and after a phase and diff them
+    (:meth:`since`) to attribute costs, as the paper's analysis does.
+    Live stats compare and hash by identity, unlike their snapshots.
+    """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __init__(self, cost_model: CostModel | None = None):
-        self.cost_model = cost_model or CostModel()
-        self.by_category: dict[str, CategoryCounters] = {}
-        self.comparisons = 0
-        self.merge_comparisons = 0
-        self.tokens = 0
-        self.penalty_seconds = 0.0
-        # Parallel-disk accounting (repro.io.parallel): per-disk busy
-        # seconds and consumer stall seconds.  Both stay empty/zero on a
-        # serial device, keeping its serialization bit-identical.
-        self.disk_busy: dict[int, float] = {}
-        self.stall_seconds = 0.0
-        # Run-compression accounting (ISSUE 10): bytes before/after each
-        # way through the codec.  All four stay zero with compression
-        # off, keeping uncompressed serialization bit-identical.
-        self.compress_raw_bytes = 0
-        self.compress_stored_bytes = 0
-        self.decompress_stored_bytes = 0
-        self.decompress_raw_bytes = 0
+        super().__init__(cost_model=cost_model or CostModel())
 
     # -- recording -------------------------------------------------------
 
@@ -256,119 +479,21 @@ class IOStats:
             self.by_category[category] = counters
         return counters
 
-    # -- aggregate views -------------------------------------------------
-
-    @property
-    def total_reads(self) -> int:
-        return sum(c.reads for c in self.by_category.values())
-
-    @property
-    def total_writes(self) -> int:
-        return sum(c.writes for c in self.by_category.values())
-
-    @property
-    def total_ios(self) -> int:
-        return self.total_reads + self.total_writes
-
-    @property
-    def sequential_ios(self) -> int:
-        return sum(
-            c.seq_reads + c.seq_writes for c in self.by_category.values()
-        )
-
-    @property
-    def random_ios(self) -> int:
-        return self.total_ios - self.sequential_ios
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(c.cache_hits for c in self.by_category.values())
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(c.cache_misses for c in self.by_category.values())
-
-    @property
-    def cache_evictions(self) -> int:
-        return sum(c.cache_evictions for c in self.by_category.values())
-
-    def io_seconds(self) -> float:
-        """Simulated disk time for everything recorded so far."""
-        return self.cost_model.io_seconds(self.sequential_ios, self.random_ios)
-
-    def cpu_seconds(self) -> float:
-        """Simulated CPU time for everything recorded so far."""
-        return self.cost_model.cpu_seconds(
-            self.comparisons, self.tokens
-        ) + self.cost_model.compress_seconds(
-            self.compress_raw_bytes, self.decompress_raw_bytes
-        )
-
-    def elapsed_seconds(self) -> float:
-        """Total simulated time (disk + CPU + fault-retry penalties)."""
-        return self.io_seconds() + self.cpu_seconds() + self.penalty_seconds
-
-    def disk_seconds(self) -> float:
-        """Busy time of the busiest member disk (= serial io_seconds on D=1).
-
-        On a serial device nothing populates :attr:`disk_busy`, and the
-        single disk is busy for exactly :meth:`io_seconds`.
-        """
-        if not self.disk_busy:
-            return self.io_seconds()
-        return max(self.disk_busy.values())
-
-    def overlap_seconds(self) -> float:
-        """I/O time hidden by disk parallelism: serial io minus max busy."""
-        if not self.disk_busy:
-            return 0.0
-        return max(0.0, self.io_seconds() - self.disk_seconds())
-
-    def disk_utilization(self) -> dict[int, float]:
-        """Per-disk busy time as a fraction of the busiest disk's."""
-        peak = self.disk_seconds()
-        if not self.disk_busy or peak <= 0:
-            return {}
-        return {
-            disk: busy / peak
-            for disk, busy in sorted(self.disk_busy.items())
-        }
-
     # -- snapshots ---------------------------------------------------------
 
-    def snapshot(self) -> "StatsSnapshot":
-        """Freeze the current counters for later differencing."""
-        return StatsSnapshot(
-            by_category={
-                name: CategoryCounters(
-                    c.reads,
-                    c.writes,
-                    c.seq_reads,
-                    c.seq_writes,
-                    c.cache_hits,
-                    c.cache_misses,
-                    c.cache_evictions,
-                )
-                for name, c in self.by_category.items()
-            },
-            comparisons=self.comparisons,
-            merge_comparisons=self.merge_comparisons,
-            tokens=self.tokens,
-            penalty_seconds=self.penalty_seconds,
-            disk_busy=dict(self.disk_busy),
-            stall_seconds=self.stall_seconds,
-            compress_raw_bytes=self.compress_raw_bytes,
-            compress_stored_bytes=self.compress_stored_bytes,
-            decompress_stored_bytes=self.decompress_stored_bytes,
-            decompress_raw_bytes=self.decompress_raw_bytes,
-            cost_model=self.cost_model,
-        )
+    def snapshot(self) -> StatsSnapshot:
+        """Freeze the current counters for later differencing.
 
-    def since(self, snapshot: "StatsSnapshot") -> "StatsSnapshot":
+        Every category is copied, all-zero ones included; the cost model
+        is shared.
+        """
+        return self.plus(_NOTHING)
+
+    def since(self, snapshot: StatsSnapshot) -> StatsSnapshot:
         """Counters accumulated since ``snapshot`` was taken."""
         return self.snapshot().minus(snapshot)
 
-    def delta(self, since: "StatsSnapshot") -> "StatsSnapshot":
+    def delta(self, since: StatsSnapshot) -> StatsSnapshot:
         """Alias of :meth:`since` - the span tracer's primitive.
 
         ``stats.delta(entry_snapshot)`` is everything that happened inside
@@ -381,283 +506,9 @@ class IOStats:
     def summary(self) -> dict[str, dict[str, int]]:
         """Per-category counter dictionary, useful for reports and tests."""
         return {
-            name: {
-                "reads": c.reads,
-                "writes": c.writes,
-                "seq_reads": c.seq_reads,
-                "seq_writes": c.seq_writes,
-                "cache_hits": c.cache_hits,
-                "cache_misses": c.cache_misses,
-                "cache_evictions": c.cache_evictions,
-            }
-            for name, c in sorted(self.by_category.items())
-        }
-
-
-@dataclass
-class StatsSnapshot:
-    """Immutable view of counters, supporting subtraction."""
-
-    by_category: dict[str, CategoryCounters] = field(default_factory=dict)
-    comparisons: int = 0
-    merge_comparisons: int = 0
-    tokens: int = 0
-    penalty_seconds: float = 0.0
-    disk_busy: dict[int, float] = field(default_factory=dict)
-    stall_seconds: float = 0.0
-    compress_raw_bytes: int = 0
-    compress_stored_bytes: int = 0
-    decompress_stored_bytes: int = 0
-    decompress_raw_bytes: int = 0
-    cost_model: CostModel = field(default_factory=CostModel)
-
-    def minus(self, earlier: "StatsSnapshot") -> "StatsSnapshot":
-        categories: dict[str, CategoryCounters] = {}
-        names = set(self.by_category) | set(earlier.by_category)
-        for name in names:
-            now = self.by_category.get(name, CategoryCounters())
-            before = earlier.by_category.get(name, CategoryCounters())
-            diff = CategoryCounters(
-                reads=now.reads - before.reads,
-                writes=now.writes - before.writes,
-                seq_reads=now.seq_reads - before.seq_reads,
-                seq_writes=now.seq_writes - before.seq_writes,
-                cache_hits=now.cache_hits - before.cache_hits,
-                cache_misses=now.cache_misses - before.cache_misses,
-                cache_evictions=now.cache_evictions
-                - before.cache_evictions,
-            )
-            if (
-                diff.total
-                or diff.seq_reads
-                or diff.seq_writes
-                or diff.cache_hits
-                or diff.cache_misses
-                or diff.cache_evictions
-            ):
-                categories[name] = diff
-        busy: dict[int, float] = {}
-        for disk in set(self.disk_busy) | set(earlier.disk_busy):
-            delta = self.disk_busy.get(disk, 0.0) - earlier.disk_busy.get(
-                disk, 0.0
-            )
-            if delta:
-                busy[disk] = delta
-        return StatsSnapshot(
-            by_category=categories,
-            comparisons=self.comparisons - earlier.comparisons,
-            merge_comparisons=self.merge_comparisons
-            - earlier.merge_comparisons,
-            tokens=self.tokens - earlier.tokens,
-            penalty_seconds=self.penalty_seconds - earlier.penalty_seconds,
-            disk_busy=busy,
-            stall_seconds=self.stall_seconds - earlier.stall_seconds,
-            compress_raw_bytes=self.compress_raw_bytes
-            - earlier.compress_raw_bytes,
-            compress_stored_bytes=self.compress_stored_bytes
-            - earlier.compress_stored_bytes,
-            decompress_stored_bytes=self.decompress_stored_bytes
-            - earlier.decompress_stored_bytes,
-            decompress_raw_bytes=self.decompress_raw_bytes
-            - earlier.decompress_raw_bytes,
-            cost_model=self.cost_model,
-        )
-
-    @property
-    def total_reads(self) -> int:
-        return sum(c.reads for c in self.by_category.values())
-
-    @property
-    def total_writes(self) -> int:
-        return sum(c.writes for c in self.by_category.values())
-
-    @property
-    def total_ios(self) -> int:
-        return self.total_reads + self.total_writes
-
-    @property
-    def sequential_ios(self) -> int:
-        return sum(
-            c.seq_reads + c.seq_writes for c in self.by_category.values()
-        )
-
-    @property
-    def random_ios(self) -> int:
-        return self.total_ios - self.sequential_ios
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(c.cache_hits for c in self.by_category.values())
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(c.cache_misses for c in self.by_category.values())
-
-    @property
-    def cache_evictions(self) -> int:
-        return sum(c.cache_evictions for c in self.by_category.values())
-
-    def plus(self, other: "StatsSnapshot") -> "StatsSnapshot":
-        """Componentwise sum of two snapshots (the inverse of `minus`).
-
-        Used to sum sibling span deltas when checking that a parent span's
-        delta is fully covered by its children plus its own work.
-        """
-        categories: dict[str, CategoryCounters] = {
-            name: CategoryCounters(
-                c.reads,
-                c.writes,
-                c.seq_reads,
-                c.seq_writes,
-                c.cache_hits,
-                c.cache_misses,
-                c.cache_evictions,
-            )
-            for name, c in self.by_category.items()
-        }
-        for name, counters in other.by_category.items():
-            mine = categories.get(name)
-            if mine is None:
-                categories[name] = CategoryCounters(
-                    counters.reads,
-                    counters.writes,
-                    counters.seq_reads,
-                    counters.seq_writes,
-                    counters.cache_hits,
-                    counters.cache_misses,
-                    counters.cache_evictions,
-                )
-            else:
-                categories[name] = mine.merged_with(counters)
-        busy = dict(self.disk_busy)
-        for disk, seconds in other.disk_busy.items():
-            busy[disk] = busy.get(disk, 0.0) + seconds
-        return StatsSnapshot(
-            by_category=categories,
-            comparisons=self.comparisons + other.comparisons,
-            merge_comparisons=self.merge_comparisons
-            + other.merge_comparisons,
-            tokens=self.tokens + other.tokens,
-            penalty_seconds=self.penalty_seconds + other.penalty_seconds,
-            disk_busy=busy,
-            stall_seconds=self.stall_seconds + other.stall_seconds,
-            compress_raw_bytes=self.compress_raw_bytes
-            + other.compress_raw_bytes,
-            compress_stored_bytes=self.compress_stored_bytes
-            + other.compress_stored_bytes,
-            decompress_stored_bytes=self.decompress_stored_bytes
-            + other.decompress_stored_bytes,
-            decompress_raw_bytes=self.decompress_raw_bytes
-            + other.decompress_raw_bytes,
-            cost_model=self.cost_model,
-        )
-
-    def category_total(self, category: str) -> int:
-        counters = self.by_category.get(category)
-        return counters.total if counters else 0
-
-    def io_breakdown(self) -> dict[str, int]:
-        """Per-category total block accesses (reads + writes)."""
-        return {
-            name: counters.total
+            name: asdict(counters)
             for name, counters in sorted(self.by_category.items())
         }
 
-    def io_seconds(self) -> float:
-        """Simulated disk time for the counters in this snapshot."""
-        return self.cost_model.io_seconds(
-            self.sequential_ios, self.random_ios
-        )
 
-    def cpu_seconds(self) -> float:
-        """Simulated CPU time for the counters in this snapshot."""
-        return self.cost_model.cpu_seconds(
-            self.comparisons, self.tokens
-        ) + self.cost_model.compress_seconds(
-            self.compress_raw_bytes, self.decompress_raw_bytes
-        )
-
-    def elapsed_seconds(self) -> float:
-        return self.io_seconds() + self.cpu_seconds() + self.penalty_seconds
-
-    def model_seconds(self) -> float:
-        """Simulated time derived purely from the model counters.
-
-        Excludes retry-backoff penalties (:attr:`penalty_seconds`), so it
-        is identical between a fault-free run and a run that succeeded
-        after transient-fault retries.
-        """
-        return self.io_seconds() + self.cpu_seconds()
-
-    def disk_seconds(self) -> float:
-        """Busy time of the busiest member disk (= serial io_seconds on D=1)."""
-        if not self.disk_busy:
-            return self.io_seconds()
-        return max(self.disk_busy.values())
-
-    def overlap_seconds(self) -> float:
-        """I/O time hidden by disk parallelism: serial io minus max busy."""
-        if not self.disk_busy:
-            return 0.0
-        return max(0.0, self.io_seconds() - self.disk_seconds())
-
-    def disk_utilization(self) -> dict[int, float]:
-        """Per-disk busy time as a fraction of the busiest disk's."""
-        peak = self.disk_seconds()
-        if not self.disk_busy or peak <= 0:
-            return {}
-        return {
-            disk: busy / peak
-            for disk, busy in sorted(self.disk_busy.items())
-        }
-
-    def counter_totals(self) -> dict:
-        """Flat dictionary of every aggregate counter plus simulated times.
-
-        This is the serialization the trace sinks and the trace diff tool
-        agree on; keys are stable across formats.  ``seconds`` is
-        :meth:`model_seconds` - counter-derived and therefore comparable
-        across fault-free and recovered runs; retry backoff is reported
-        separately as ``penalty_seconds`` (which the diff tool ignores).
-        The parallel-disk keys appear only when a striped device recorded
-        per-disk busy time, so serial-device traces stay bit-identical to
-        pre-striping output.  Likewise the compression byte counters
-        appear only when a codec actually ran, so uncompressed traces
-        stay bit-identical to pre-compression output.
-        """
-        totals = {
-            "reads": self.total_reads,
-            "writes": self.total_writes,
-            "total_ios": self.total_ios,
-            "sequential_ios": self.sequential_ios,
-            "random_ios": self.random_ios,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "comparisons": self.comparisons,
-            "merge_comparisons": self.merge_comparisons,
-            "tokens": self.tokens,
-            "io_seconds": self.io_seconds(),
-            "cpu_seconds": self.cpu_seconds(),
-            "penalty_seconds": self.penalty_seconds,
-            "seconds": self.model_seconds(),
-        }
-        if self.disk_busy:
-            totals["disk_busy"] = {
-                str(disk): seconds
-                for disk, seconds in sorted(self.disk_busy.items())
-            }
-            totals["disk_seconds"] = self.disk_seconds()
-            totals["overlap_seconds"] = self.overlap_seconds()
-            totals["stall_seconds"] = self.stall_seconds
-        if (
-            self.compress_raw_bytes
-            or self.compress_stored_bytes
-            or self.decompress_stored_bytes
-            or self.decompress_raw_bytes
-        ):
-            totals["compress_raw_bytes"] = self.compress_raw_bytes
-            totals["compress_stored_bytes"] = self.compress_stored_bytes
-            totals["decompress_stored_bytes"] = self.decompress_stored_bytes
-            totals["decompress_raw_bytes"] = self.decompress_raw_bytes
-        return totals
+_NOTHING = StatsSnapshot()

@@ -23,23 +23,14 @@ bounds rather than ad-hoc thresholds:
   follows the Grohe-Koch-Schweikardt lower-bound argument: below the
   boundary extra passes are *forced*, so running the job degraded would
   not serve the tenant, just burn shared disk time.
-
-Decisions carry the predicted solo seconds (from
-:mod:`repro.analysis.cost_model`) so the scheduler can report predicted
-vs. achieved latency per tenant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.advisor import DocumentProfile
-from ..analysis.bounds import arge_thorup_merge_depth
-from ..analysis.cost_model import (
-    ModelGeometry,
-    predicted_merge_sort_seconds,
-    predicted_nexsort_seconds,
-)
+from ..analysis.advisor import BASE_ELEMENT_BYTES, DocumentProfile
+from ..analysis.bounds import ModelGeometry, arge_thorup_merge_depth
 from ..analysis.planner import PlanConfig, Planner
 from ..generators.level_fanout import level_fanout_element_count
 from ..io.budget import MINIMUM_NEXSORT_BLOCKS
@@ -58,7 +49,6 @@ class AdmissionDecision:
         memory_blocks / cache_blocks: the effective grant ("admit" and
             "degrade" only; the request's own numbers otherwise).
         reason: one-line human explanation.
-        predicted_seconds: modeled solo run time at the effective grant.
         merge_depth: Arge-Thorup merge-depth bound at the effective
             grant (0 = the job sorts in one formation pass).
         plan: re-planned knobs for a degraded grant (planner-enabled
@@ -69,7 +59,6 @@ class AdmissionDecision:
     memory_blocks: int
     cache_blocks: int
     reason: str
-    predicted_seconds: float = 0.0
     merge_depth: int = 0
     plan: PlanConfig | None = None
 
@@ -119,7 +108,7 @@ class AdmissionController:
         *same* job, not cross-job accounting.
         """
         elements = level_fanout_element_count(list(job.fanouts))
-        approx_bytes = 45 + (job.pad_bytes or 0)
+        approx_bytes = BASE_ELEMENT_BYTES + (job.pad_bytes or 0)
         per_block = max(1, self.pool.block_size // approx_bytes)
         return ModelGeometry(
             N=elements,
@@ -195,46 +184,6 @@ class AdmissionController:
         })
         return plan.config
 
-    def _predicted(self, job: JobSpec, memory_blocks: int) -> float:
-        g = self._geometry(job, memory_blocks)
-        if job.algorithm == "nexsort":
-            seconds = predicted_nexsort_seconds(
-                g, cost_model=self.pool.cost_model
-            )
-        else:
-            seconds = predicted_merge_sort_seconds(
-                g, cost_model=self.pool.cost_model
-            )
-        if job.wire:
-            seconds += self._wire_ingest_seconds(job)
-        return seconds
-
-    #: Planning estimate for the container wire codec's size reduction
-    #: on generated documents.  Conservative relative to the measured
-    #: ratios (the Figure-5 shapes compress >4x) so admission never
-    #: over-promises on a wire submission.
-    WIRE_RATIO_ESTIMATE = 2.0
-
-    def _wire_ingest_seconds(self, job: JobSpec) -> float:
-        """Net admission-cost adjustment for a wire-format submission.
-
-        A wire job arrives as a container-codec blob instead of a plain
-        event stream: the service transfers ``raw / ratio`` ingest bytes
-        (a saving, charged at the block transfer rate) but pays the
-        decode CPU over the full raw footprint.  The term can be
-        negative - the whole point of the wire format is that the
-        transfer saving usually beats the decode cost.
-        """
-        elements = level_fanout_element_count(list(job.fanouts))
-        raw_bytes = elements * (45 + (job.pad_bytes or 0))
-        saved_blocks = (
-            raw_bytes * (1.0 - 1.0 / self.WIRE_RATIO_ESTIMATE)
-            / self.pool.block_size
-        )
-        model = self.pool.cost_model
-        decode_cpu = model.compress_seconds(0, raw_bytes)
-        return decode_cpu - saved_blocks * model.transfer_seconds
-
     # -- the verdict ------------------------------------------------------
 
     def decide(self, job: JobSpec) -> AdmissionDecision:
@@ -274,7 +223,6 @@ class AdmissionController:
                 memory_blocks=requested,
                 cache_blocks=job.cache_blocks,
                 reason=f"{requested} blocks fit the {free} free",
-                predicted_seconds=self._predicted(job, requested),
                 merge_depth=self._depth(job, requested),
             )
 
@@ -314,7 +262,6 @@ class AdmissionController:
                         plan.cache_blocks if plan is not None else 0
                     ),
                     reason=reason,
-                    predicted_seconds=self._predicted(job, grant),
                     merge_depth=depth,
                     plan=plan,
                 )
@@ -328,7 +275,6 @@ class AdmissionController:
                     f"{requested} blocks do not fit the {free} free now; "
                     f"an idle pool could serve the job, so it waits"
                 ),
-                predicted_seconds=self._predicted(job, requested),
                 merge_depth=self._depth(job, requested),
             )
 

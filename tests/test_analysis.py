@@ -22,7 +22,6 @@ from repro.analysis import (
     merge_sort_passes,
     nexsort_over_lower_bound_ratio,
     nexsort_upper_bound_ios,
-    predicted_seconds_from_ios,
     sorting_lower_bound_ios,
 )
 from repro.errors import ReproError
@@ -220,11 +219,6 @@ class TestBounds:
 
 
 class TestCostModel:
-    def test_predicted_seconds_scale_with_ios(self):
-        assert predicted_seconds_from_ios(2000) > predicted_seconds_from_ios(
-            1000
-        )
-
     def test_geometry_from_document(self, store):
         from repro.xml import Document
 

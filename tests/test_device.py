@@ -1,5 +1,7 @@
 """Unit tests for the simulated block device and its accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import DeviceError
@@ -7,6 +9,7 @@ from repro.faults import FaultInjector, FaultPlan, RetryingDevice
 from repro.io import BlockDevice, BufferPool, CostModel, StripedDevice
 from repro.io.file_device import FileBackedBlockDevice
 from repro.io.parallel import supports_prefetch
+from repro.io.stats import IOStats, StatsSnapshot
 
 
 class TestAllocation:
@@ -322,6 +325,70 @@ class TestAccounting:
         assert delta.total_ios == 1
         assert delta.category_total("phase2") == 1
         assert delta.category_total("phase1") == 0
+
+    @staticmethod
+    def _every_counter(stats, scale: int = 1) -> None:
+        """Record a distinct nonzero value into every counter of ``stats``.
+
+        Floats are dyadic, so sums and differences are exact.
+        """
+        stats.record_reads("alpha", 3 * scale, 2 * scale)
+        stats.record_writes("alpha", 5 * scale, 4 * scale)
+        stats.record_reads("beta", 7 * scale, 1 * scale)
+        stats.record_writes("beta", 11 * scale, 6 * scale)
+        for category, count in (("alpha", 1), ("beta", 2)):
+            stats.record_cache_hit(category, (count + 12) * scale)
+            stats.record_cache_miss(category, (count + 14) * scale)
+            stats.record_cache_eviction(category, (count + 16) * scale)
+        stats.record_comparisons(19 * scale)
+        stats.record_merge_comparisons(23 * scale)
+        stats.record_tokens(29 * scale)
+        stats.record_compression(31 * scale, 37 * scale)
+        stats.record_decompression(41 * scale, 43 * scale)
+        stats.record_penalty(0.5 * scale)
+        stats.record_disk_busy(0, 0.25 * scale)
+        stats.record_disk_busy(1, 0.125 * scale)
+        stats.record_stall(0.0625 * scale)
+
+    def test_every_counter_through_snapshot_minus_plus(self):
+        """Each counter survives snapshot, differencing and summing."""
+        names = [f.name for f in dataclasses.fields(StatsSnapshot)]
+        stats = IOStats()
+        self._every_counter(stats)
+        frozen = stats.snapshot()
+        for name in names:
+            assert getattr(frozen, name) == getattr(stats, name), name
+        for name in ("by_category", "disk_busy"):
+            assert getattr(frozen, name), name
+        alpha = dataclasses.asdict(frozen.by_category["alpha"])
+        assert all(alpha.values()), alpha
+
+        # The snapshot holds copies: recording more leaves it unchanged.
+        before = dataclasses.asdict(frozen)
+        self._every_counter(stats, scale=2)
+        assert dataclasses.asdict(frozen) == before
+
+        empty = stats.since(stats.snapshot())
+        assert empty.by_category == {}
+        assert empty.disk_busy == {}
+        for name in names:
+            if name not in ("by_category", "disk_busy", "cost_model"):
+                assert getattr(empty, name) == 0, name
+        assert empty.total_ios == 0
+
+        later = stats.snapshot()
+        delta = later.minus(frozen)
+        assert delta.by_category["alpha"].reads == 6
+        assert delta.disk_busy == {0: 0.5, 1: 0.25}
+        roundtrip = later.plus(frozen).minus(frozen)
+        for name in names:
+            assert getattr(roundtrip, name) == getattr(later, name), name
+
+    def test_live_stats_compare_by_identity(self):
+        one, two = IOStats(), IOStats()
+        assert one == one and one != two
+        assert len({one, two, one}) == 2
+        assert hash(one) == hash(one)
 
     def test_bytes_to_blocks(self):
         device = BlockDevice(block_size=256)
