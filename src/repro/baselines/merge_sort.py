@@ -29,7 +29,7 @@ from ..io.stats import StatsSnapshot
 from ..keys import SortSpec
 from ..obs.tracer import Tracer, maybe_span
 from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions, RunFormer
-from ..xml.document import Document, record_batches
+from ..xml.document import Document
 from .merging import merge_to_stream
 
 #: Memory blocks not available for run formation: one block each for the
@@ -224,7 +224,7 @@ class ExternalMergeSorter:
                 )
                 try:
                     units, _real = form_subtree_runs(
-                        record_batches(reader), compact,
+                        reader.batches(), compact,
                         names is not None, None, former, None,
                         start_keys=StartKeyCache(self.spec, names).pieces_for,
                     )

@@ -29,7 +29,7 @@ Two merge kernels are available (:class:`~repro.merge.engine.MergeOptions`):
 from __future__ import annotations
 
 import heapq
-from itertools import islice
+from itertools import chain, islice
 from math import ceil, log2
 from typing import Callable, Iterator
 
@@ -38,7 +38,6 @@ from ..core.columnar import (
     fast_path_key,
     keyed_puller,
     merge_sidecars,
-    record_puller,
     replay_merge,
     run_sidecar,
 )
@@ -388,15 +387,5 @@ def merge_to_stream(
         tracer.event("final-merge-stream", width=width, passes=passes)
     if width == 1:
         reader = store.open_reader(current[0], category=read_category)
-        return _drained(reader), passes, width
+        return chain.from_iterable(reader.batches()), passes, width
     return merge_pass(store, current, key_of, read_category, options), passes, width
-
-
-def _drained(reader) -> Iterator[bytes]:
-    """Iterate a single run with block-drain batched record parsing."""
-    pull = record_puller(reader)
-    while True:
-        record = pull()
-        if record is None:
-            return
-        yield record

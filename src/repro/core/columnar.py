@@ -11,8 +11,8 @@ pieces:
 * :func:`fast_path_key` - normalized key bytes straight from an encoded
   key-path record, parsing only the path prefix (merge passes never
   decode tags/attributes/text);
-* :func:`record_puller` / :func:`keyed_puller` - block-drain batched run
-  reading for the heap and loser-tree merge kernels;
+* :func:`keyed_puller` - ``(key, record)`` pulls over a run's
+  block-drained batches for the heap and loser-tree merge kernels;
 * :func:`replay_merge` - a heap merge pass replayed from the runs' key
   sidecars, reading, freeing and charging where the heap loop does;
 * :func:`form_subtree_runs` - the one key-path formation (paper Table
@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import struct
 import sys
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain, islice, repeat
 from math import ceil, log2
 from typing import Callable, Iterable
 
@@ -225,33 +226,6 @@ def sort_sibling_groups(
 # -- batched run reading ------------------------------------------------------
 
 
-def record_puller(reader) -> Callable[[], bytes | None]:
-    """Record-at-a-time pull over a RunReader with block-drain batching.
-
-    Serves every record of the currently buffered block from one batched
-    parse; the record that needs the next block is fetched through
-    ``read_record`` so the block load happens at exactly the pull index a
-    record-at-a-time reader would issue it - the property merge
-    prefetchers, pool eviction order, and interleaved-stream seek
-    judgments depend on.
-    """
-    queue: list[bytes] = []
-    index = 0
-
-    def pull() -> bytes | None:
-        nonlocal queue, index
-        if index >= len(queue):
-            queue = reader.read_available_records()
-            index = 0
-            if not queue:
-                return reader.read_record()
-        record = queue[index]
-        index += 1
-        return record
-
-    return pull
-
-
 def batch_keys_for(key_of) -> Callable[[list[bytes]], list]:
     """The batched form of a merge key function.
 
@@ -270,55 +244,27 @@ def batch_keys_for(key_of) -> Callable[[list[bytes]], list]:
 
 
 def keyed_puller(reader, batch_keys, sidecar=None) -> Callable[[], tuple | None]:
-    """Like :func:`record_puller`, but yields ``(key, record)`` pairs.
+    """A pull of ``(key, record)`` pairs over ``reader.batches()``; None
+    once the run is drained.
 
-    Keys for a drained block are computed in one ``batch_keys`` call -
-    this is where the merge passes' per-record key cost collapses into a
-    batch kernel.  With a key ``sidecar`` (the run's normalized keys in
-    record order, captured when the run was written) keys are not even
-    recomputed, just indexed.  Block-load timing is the same as a
-    record-at-a-time reader's (see :func:`record_puller`).
+    Keys for a batch are computed in one ``batch_keys`` call - this is
+    where the merge passes' per-record key cost collapses into a batch
+    kernel.  With a key ``sidecar`` (the run's normalized keys in record
+    order, captured when the run was written) keys are not even
+    recomputed, just taken in order.  Blocks load at the pull a
+    record-at-a-time reader would load them, because
+    :meth:`~repro.io.runs.RunReader.batches` does.
     """
-    queue: list[bytes] = []
-    keys: list = []
-    index = 0
-    consumed = 0
-
     if sidecar is not None:
+        keys = iter(sidecar)
 
-        def pull() -> tuple | None:
-            nonlocal queue, index, consumed
-            if index >= len(queue):
-                queue = reader.read_available_records()
-                if not queue:
-                    record = reader.read_record()
-                    if record is None:
-                        return None
-                    queue = [record]
-                index = 0
-            entry = (sidecar[consumed], queue[index])
-            index += 1
-            consumed += 1
-            return entry
+        def batch_keys(batch: list[bytes]):
+            return islice(keys, len(batch))
 
-        return pull
-
-    def pull() -> tuple | None:
-        nonlocal queue, keys, index
-        if index >= len(queue):
-            queue = reader.read_available_records()
-            if not queue:
-                record = reader.read_record()
-                if record is None:
-                    return None
-                queue = [record]
-            keys = batch_keys(queue)
-            index = 0
-        entry = (keys[index], queue[index])
-        index += 1
-        return entry
-
-    return pull
+    pairs = chain.from_iterable(
+        zip(batch_keys(batch), batch) for batch in reader.batches()
+    )
+    return partial(next, pairs, None)
 
 
 def run_sidecar(store, run, key_of):
@@ -400,21 +346,11 @@ def replay_merge(
       time) sees the same clock at every access.
     """
     all_keys, order, run_ids = _replay_order(sidecars)
-    # Inlined drain state per run: the head record, its block's parsed
-    # records, and the index of the next one.
-    heads: list = []
-    queues: list = []
-    indices: list[int] = []
-    for reader in readers:
-        queue = reader.read_available_records()
-        if queue:
-            heads.append(queue[0])
-            queues.append(queue)
-            indices.append(1)
-        else:
-            heads.append(reader.read_record())
-            queues.append(())
-            indices.append(0)
+    pulls = [
+        partial(next, chain.from_iterable(reader.batches()), None)
+        for reader in readers
+    ]
+    heads = [pull() for pull in pulls]
     stats = store.device.stats
     charge = stats.record_merge_comparisons
     free = store.free
@@ -429,23 +365,9 @@ def replay_merge(
             yield all_keys[j], record
         else:
             yield record
-        index = indices[r]
-        queue = queues[r]
-        if index < len(queue):
-            heads[r] = queue[index]
-            indices[r] = index + 1
-        else:
-            reader = readers[r]
-            queue = reader.read_available_records()
-            if queue:
-                heads[r] = queue[0]
-                queues[r] = queue
-                indices[r] = 1
-            else:
-                head = reader.read_record()
-                heads[r] = head
-                if head is None:
-                    free(runs[r])
+        head = heads[r] = pulls[r]()
+        if head is None:
+            free(runs[r])
     stats.record_tokens(sum(run.record_count for run in runs))
 
 

@@ -428,9 +428,10 @@ class NexSorter:
         (verbatim slice), key atom (memoized per distinct tag+attrs), pos
         varint[, level varint]``, texts are pushed verbatim (their stored
         bytes already equal the token re-encode), and plain end tags are
-        pre-spliced at the matching start.  Input block reads fire at the
-        record pull that needs them (draining an already-buffered block is
-        free in the device model).
+        pre-spliced at the matching start.  Input records come a buffered
+        block at a time from :meth:`~repro.io.runs.RunReader.batches`,
+        whose block reads fire at the record that needs them (draining an
+        already-buffered block is free in the device model).
 
         Per record the scan touches only local state.  Data-stack records
         collect in a batch while they fit in the stack's
@@ -488,8 +489,6 @@ class NexSorter:
                 return end_head + pos_varint
 
         reader = store.open_reader(document.handle, category="input_scan")
-        read_available = reader.read_available_records
-        read_one = reader.read_record
         record_tokens = device.stats.record_tokens
         join = b"".join
         next_pos = 0
@@ -631,14 +630,7 @@ class NexSorter:
             ):
                 close(frame)
 
-        while True:
-            chunk = read_available()
-            if not chunk:
-                settle()  # the next record may load a block
-                record = read_one()
-                if record is None:
-                    break
-                chunk = (record,)
+        for chunk in reader.batches():
             for record in chunk:
                 token_type = record[0]
                 if token_type == TYPE_START:
@@ -804,6 +796,7 @@ class NexSorter:
                     raise CodecError(
                         f"unknown token type byte {token_type}"
                     )
+            settle()  # the next batch may load a block
         if compact:
             while open_levels:
                 end_element()

@@ -235,7 +235,7 @@ class Document:
         reader = self.store.open_reader(self.handle, category=category)
         return serialize(
             record_pieces(
-                record_batches(reader),
+                reader.batches(),
                 self.codec.names,
                 self.compaction is not None
                 and self.compaction.eliminate_end_tags,
@@ -252,20 +252,6 @@ class Document:
             f"Document(N={self.element_count}, k={self.max_fanout}, "
             f"height={self.height}, blocks={self.block_count})"
         )
-
-
-def record_batches(reader):
-    """A reader's records in lists, a buffered block at a time, loading
-    blocks exactly when ``read_record`` would: the record that needs the
-    next block comes alone, through ``read_record``."""
-    while True:
-        batch = reader.read_available_records()
-        if not batch:
-            record = reader.read_record()
-            if record is None:
-                return
-            batch = [record]
-        yield batch
 
 
 def _store(

@@ -38,7 +38,6 @@ from repro.merge.engine import MergeOptions, RunFormer, normalized_path_key
 from repro.xml import CompactionConfig, Document, TokenCodec, parse_events
 from repro.xml.codec import read_tag_attrs
 from repro.xml.compact import NameDictionary
-from repro.xml.document import record_batches
 from repro.xml.tokens import (
     KEY_NUMBER,
     KEY_STRING,
@@ -361,7 +360,7 @@ def _fused_scan(document, spec, former):
         document.handle, category="input_scan"
     )
     units, real = form_subtree_runs(
-        record_batches(reader),
+        reader.batches(),
         compaction is not None and compaction.eliminate_end_tags,
         names is not None,
         None,
