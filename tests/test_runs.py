@@ -1,5 +1,7 @@
 """Unit and property tests for sorted runs (writer/reader/store)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -374,10 +376,254 @@ def _copy(records, block_size, compressed, corrupt, walk):
     )
 
 
+class _AccessLoggingDevice(BlockDevice):
+    """Logs every device access - kind, category, block ids (and the
+    bytes of a write) - with the counters accumulated before it since the
+    last :meth:`mark`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.mark()
+
+    def mark(self) -> None:
+        """Start a fresh log, with fresh sequentiality judgments."""
+        self.log: list = []
+        self._base = self.stats.snapshot()
+        self._last_by_category.clear()
+
+    def _counters(self) -> dict:
+        return self.stats.since(self._base).counter_totals()
+
+    def read_blocks(self, block_ids, category="other", stream=None):
+        block_ids = list(block_ids)
+        self.log.append(("read", category, block_ids, self._counters()))
+        return super().read_blocks(block_ids, category, stream)
+
+    def write_blocks(self, block_ids, datas, category="other", stream=None):
+        block_ids, datas = list(block_ids), list(datas)
+        self.log.append(
+            ("write", category, block_ids, datas, self._counters())
+        )
+        super().write_blocks(block_ids, datas, category, stream)
+
+
+#: Records for the parity draws: empty records, stop-type records, and
+#: records longer than the smallest block.
+_PARITY_RECORDS = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=40),
+        st.binary(min_size=60, max_size=300),
+        st.binary(max_size=12).map(lambda tail: b"\x04" + tail),
+        st.just(b""),
+    ),
+    max_size=40,
+)
+
+
+def _framed(records):
+    return b"".join(len(r).to_bytes(4, "little") + r for r in records)
+
+
+def _write_run(records, block_size, compressed, writes=None):
+    """A run of ``records`` written on a fresh logging device: one
+    ``write_records`` call, or the ``writes`` mix of (method, record
+    count) calls, the tail through ``write_records``."""
+    device = _AccessLoggingDevice(block_size=block_size)
+    store = RunStore(device)
+    if compressed:
+        store.compression = CompressionConfig(segment_blocks=2)
+    writer = store.create_writer("run_write")
+    at = 0
+    for method, count in writes or ():
+        chunk = records[at : at + count]
+        at += len(chunk)
+        if method == "record":
+            for record in chunk:
+                writer.write_record(record)
+        elif method == "records":
+            writer.write_records(chunk)
+        else:
+            writer.write_framed(
+                _framed(chunk), len(chunk), sum(map(len, chunk))
+            )
+    writer.write_records(records[at:])
+    return device, store, writer.finish()
+
+
+def _offsets(records):
+    """Framed-stream offset of every record, and of the end."""
+    offsets = [0]
+    for record in records:
+        offsets.append(offsets[-1] + 4 + len(record))
+    return offsets
+
+
+def _unframe(span, count, payload):
+    assert len(span) == 4 * count + payload
+    records, at = [], 0
+    for _ in range(count):
+        length = int.from_bytes(span[at : at + 4], "little")
+        records.append(span[at + 4 : at + 4 + length])
+        at += 4 + length
+    return records
+
+
+def _drain(reader, ops):
+    """Read ``reader`` to its end (or first error) cycling through
+    ``ops``, a ``read_record`` after any drain that served nothing:
+    (records read, ``tell()`` after each step and at the end, error
+    type)."""
+    out: list[bytes] = []
+    tells: list[int] = []
+    batches = reader.batches()
+    step = 0
+    try:
+        while True:
+            op = ops[step % len(ops)] if ops else "record"
+            step += 1
+            if op == "batch":
+                got = next(batches, None)
+                if got is None:
+                    break
+                assert got
+            elif op == "available":
+                got = reader.read_available_records()
+            elif op == "span":
+                got = _unframe(*reader.read_available_span(_STOP))
+            else:
+                got = []
+            if not got:
+                record = reader.read_record()
+                if record is None:
+                    break
+                got = [record]
+            out.extend(got)
+            tells.append(reader.tell())
+    except RunError as exc:
+        tells.append(reader.tell())
+        return out, tells, type(exc)
+    tells.append(reader.tell())
+    return out, tells, None
+
+
 class TestFramedSpans:
     """``read_available_span`` + ``write_framed`` copy a run exactly as
     ``read_available_records`` + ``write_records`` do: same output
-    stream, stop offsets, device counters and error types."""
+    stream, stop offsets, device counters and error types.  Writers of
+    either flush variant lay out the same blocks and segments whatever
+    mix of write calls fed them, and readers of either load variant
+    serve the same records, offsets, errors and device accesses whatever
+    mix of read calls drains them."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        records=_PARITY_RECORDS,
+        block_size=st.sampled_from([64, 128, 256]),
+        compressed=st.booleans(),
+        writes=st.lists(
+            st.tuples(
+                st.sampled_from(["record", "records", "framed"]),
+                st.integers(0, 6),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_write_mix_matches_one_write_records(
+        self, records, block_size, compressed, writes
+    ):
+        device, _, handle = _write_run(records, block_size, compressed)
+        mixed_device, _, mixed = _write_run(
+            records, block_size, compressed, writes
+        )
+        assert mixed == dataclasses.replace(handle, run_id=mixed.run_id)
+        assert mixed_device.log == device.log
+        assert (handle.codec is not None) == compressed
+        if not compressed:
+            assert handle.block_count == -(-handle.stream_bytes // block_size)
+            assert not handle.segments
+            return
+        # Each segment ends with the record that reaches two blocks.
+        expected, start = [], 0
+        for end in _offsets(records)[1:]:
+            if end - start >= 2 * block_size or end == handle.stream_bytes:
+                expected.append((start, end - start))
+                start = end
+        assert [
+            (segment.logical_start, segment.logical_bytes)
+            for segment in handle.segments
+        ] == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        records=_PARITY_RECORDS,
+        block_size=st.sampled_from([64, 128, 256]),
+        compressed=st.booleans(),
+        ops=st.lists(
+            st.sampled_from(["record", "available", "span", "batch"]),
+            max_size=8,
+        ),
+        cut=st.none() | st.floats(0, 0.999),
+    )
+    def test_read_mix_matches_a_read_record_loop(
+        self, records, block_size, compressed, ops, cut
+    ):
+        device, store, handle = _write_run(records, block_size, compressed)
+        offsets = _offsets(records)
+        if cut is not None:
+            # A truncated stream: it ends inside (or at) some record.
+            handle = dataclasses.replace(
+                handle, stream_bytes=int(cut * handle.stream_bytes)
+            )
+        whole = [
+            record
+            for record, end in zip(records, offsets[1:])
+            if end <= handle.stream_bytes
+        ]
+        for index, offset in enumerate(offsets):
+            if offset > handle.stream_bytes:
+                break
+            device.mark()
+            reference = _drain(store.open_reader(handle, offset), [])
+            reference_log = device.log
+            device.mark()
+            out, tells, error = _drain(
+                store.open_reader(handle, offset), ops
+            )
+            assert out == reference[0] == whole[index:]
+            assert tells[-1] == reference[1][-1]
+            assert error is reference[2]
+            assert error is (
+                None if offsets[len(whole)] == handle.stream_bytes
+                else RunError
+            )
+            assert set(tells[:-1]) <= set(offsets)
+            assert device.log == reference_log
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=_PARITY_RECORDS,
+        block_size=st.sampled_from([64, 128, 256]),
+        compressed=st.booleans(),
+    )
+    def test_batches_load_where_read_record_does(
+        self, records, block_size, compressed
+    ):
+        device, store, handle = _write_run(records, block_size, compressed)
+        for offset in _offsets(records):
+            device.mark()
+            looped = list(store.open_reader(handle, offset))
+            loop_log = device.log
+            device.mark()
+            reader = store.open_reader(handle, offset)
+            batches = []
+            for batch in reader.batches():
+                # Nothing loads between two batches.
+                before = len(device.log)
+                batches.append(batch)
+                assert len(device.log) == before
+            assert [r for batch in batches for r in batch] == looped
+            assert all(batches)
+            assert device.log == loop_log
 
     @settings(max_examples=150, deadline=None)
     @given(
