@@ -9,10 +9,12 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByAttribute, SortSpec
 from repro.xml import Document, Element
+from repro.xml.tokens import EndTag, StartTag, Text
 
 
 @pytest.fixture
@@ -131,3 +133,52 @@ class WriteLoggingDevice(BlockDevice):
             )
         )
         super().write_blocks(block_ids, datas, category, stream)
+
+
+#: Documents on which a streamed ``a=b/c`` key once differed from the DOM
+#: oracle's, each beside a sibling ``a`` keyed 5: a child before the
+#: matched text, text split by a child, an empty first match, and a first
+#: ``b`` without a ``c``.
+CHILD_PATH_CASES = [
+    pytest.param(xml, id=name)
+    for name, xml in (
+        (
+            "child-before-text",
+            "<r><a><b><c><d/>9</c></b></a><a><b><c>5</c></b></a></r>",
+        ),
+        (
+            "text-split-by-child",
+            "<r><a><b><c>1<d/>9</c></b></a><a><b><c>5</c></b></a></r>",
+        ),
+        (
+            "empty-first-match",
+            "<r><a><b><c/><c>9</c></b></a><a><b><c>5</c></b></a></r>",
+        ),
+        (
+            "first-step-without-next",
+            "<r><a><b/><b><c>9</c></b></a><a><b><c>5</c></b></a></r>",
+        ),
+    )
+]
+
+
+@st.composite
+def child_path_documents(draw):
+    """(token stream, child path): elements tagged from a 3-letter
+    alphabet with mixed content whose texts come split into several text
+    tokens, and a path of 1-3 steps over the same alphabet."""
+    texts = st.lists(st.sampled_from(["1", "5", "9", "x"]), max_size=2)
+
+    def element(depth: int) -> list:
+        tag = draw(st.sampled_from("abc"))
+        children = draw(st.integers(0, 3)) if depth < 4 else 0
+        tokens: list = [StartTag(tag)]
+        for index in range(children + 1):
+            tokens.extend(Text(text) for text in draw(texts))
+            if index < children:
+                tokens.extend(element(depth + 1))
+        tokens.append(EndTag(tag))
+        return tokens
+
+    path = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3))
+    return element(1), "/".join(path)

@@ -1,6 +1,7 @@
 """Unit tests for ordering criteria and the streaming key evaluator."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import SortSpecError
 from repro.keys import (
@@ -21,6 +22,8 @@ from repro.xml.tokens import (
     StartTag,
     Text,
 )
+
+from .conftest import CHILD_PATH_CASES, child_path_documents
 
 
 class TestRules:
@@ -240,6 +243,40 @@ class TestKeyEvaluator:
         spec = SortSpec(default=ByAttribute("name"))
         events = annotate("<a>hello</a>", spec)
         assert Text("hello") in events
+
+
+def _assert_end_keys_match_oracle(events, spec):
+    """Every end tag's streamed key equals the DOM oracle's key of its
+    element (end tags carry the preorder position)."""
+    end_keys = {
+        event.pos: event.key
+        for event in KeyEvaluator(spec).annotate(events)
+        if isinstance(event, EndTag)
+    }
+    elements = list(Element.from_events(events).iter())
+    assert [end_keys[pos] for pos in range(len(elements))] == [
+        spec.key_of_element(element) for element in elements
+    ]
+
+
+class TestChildPathMatchesOracle:
+    """The streamed child-path key is ``ByChildPath.key_of_element``'s:
+    each step binds the first child with its tag, and the key is every
+    direct text of the last bound element."""
+
+    @pytest.mark.parametrize("xml", CHILD_PATH_CASES)
+    def test_cases(self, xml):
+        _assert_end_keys_match_oracle(
+            list(parse_events(xml)), SortSpec.parse("a=b/c")
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=child_path_documents())
+    def test_random_documents(self, document):
+        events, path = document
+        _assert_end_keys_match_oracle(
+            events, SortSpec(default=ByChildPath(path))
+        )
 
 
 class TestByAttributes:

@@ -11,9 +11,15 @@ from repro.errors import CodecError, ReproError, SortSpecError
 from repro.generators import level_fanout_events
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByChildPath, ByText, SortSpec
-from repro.xml import CompactionConfig, Document, Element
+from repro.xml import CompactionConfig, Document, Element, parse_events
 
-from .conftest import chain_tree, flat_tree, random_tree
+from .conftest import (
+    CHILD_PATH_CASES,
+    chain_tree,
+    child_path_documents,
+    flat_tree,
+    random_tree,
+)
 
 COMPACTIONS = [None, CompactionConfig()]
 
@@ -160,6 +166,36 @@ def _depth_limit_shape(shape):
         level_fanout_events(fanouts, seed=3, pad_bytes=24),
     )
     return document.to_element(), 512, memory
+
+
+class TestChildPathKeys:
+    """NEXSORT orders by the DOM oracle's child-path keys on mixed
+    content, split texts, and repeated or empty first matches."""
+
+    @staticmethod
+    def _check(events, spec, **options):
+        events = list(events)
+        doc = Document.from_events(
+            RunStore(BlockDevice(block_size=256)), events
+        )
+        result, _report = nexsort(doc, spec, memory_blocks=8, **options)
+        assert result.to_element() == sort_element(
+            Element.from_events(events), spec
+        )
+
+    @pytest.mark.parametrize("xml", CHILD_PATH_CASES)
+    def test_cases(self, xml):
+        self._check(parse_events(xml), SortSpec.parse("a=b/c"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        document=child_path_documents(),
+        threshold=st.sampled_from([None, 64]),
+    )
+    def test_random_documents(self, document, threshold):
+        events, path = document
+        options = {} if threshold is None else {"threshold_bytes": threshold}
+        self._check(events, SortSpec(default=ByChildPath(path)), **options)
 
 
 class TestDepthLimited:
