@@ -540,9 +540,15 @@ class Planner:
                 # canonicalize so equal plans are not double-counted.
                 threshold = fixed.get("threshold_blocks", 2)
                 flat = fixed.get("flat_optimization", False)
-            prefetch = fixed.get(
-                "prefetch_depth", 2 * disks if disks > 1 else 0
-            )
+            if merge_kernel == "heap":
+                # Only loser-tree merges fetch ahead: canonicalize the
+                # prefetch window of heap plans so equal plans are not
+                # double-counted.
+                prefetch = 0
+            else:
+                prefetch = fixed.get(
+                    "prefetch_depth", 2 * disks if disks > 1 else 0
+                )
             config = PlanConfig(
                 algorithm=algorithm,
                 memory_blocks=memory,

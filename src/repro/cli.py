@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--prefetch-depth", type=int, default=0, action=_TrackedStore,
             help="blocks the striped device may hold in its prefetch "
-            "window (default 0: prefetch off); merges fetch ahead "
-            "into it (sort only)",
+            "window (default 0: prefetch off); loser-tree merges fetch "
+            "ahead into it (sort with --merge-kernel loser-tree only)",
         )
         p.add_argument(
             "--prefetch-policy",
@@ -533,6 +533,15 @@ def _print_stats(label: str, stats_obj, out=sys.stdout) -> None:
 
 
 def cmd_sort(args) -> int:
+    if (
+        args.prefetch_depth > 0
+        and args.merge_kernel != "loser-tree"
+        and args.algorithm != "xsort"
+    ):
+        raise ReproError(
+            f"--prefetch-depth {args.prefetch_depth} needs --merge-kernel "
+            f"loser-tree: the heap merge kernel never fetches ahead"
+        )
     base_device = _make_device(args)
     tracer = Tracer(base_device.stats) if args.trace else None
     device, injector, retrier, recovery = base_device, None, None, None

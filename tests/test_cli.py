@@ -121,6 +121,18 @@ class TestSortCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_prefetch_depth_needs_the_loser_tree(self, d1_file, capsys):
+        code = main([
+            "sort", d1_file, "--memory", "12", "--disks", "2",
+            "--prefetch-depth", "2",
+        ])
+        assert code == 2
+        assert "--merge-kernel loser-tree" in capsys.readouterr().err
+        assert main([
+            "sort", d1_file, "--memory", "12", "--disks", "2",
+            "--prefetch-depth", "2", "--merge-kernel", "loser-tree",
+        ]) == 0
+
     def test_plan_auto_sorts_and_reports(self, d1_file, tmp_path, capsys):
         out = tmp_path / "planned.xml"
         code = main([

@@ -266,6 +266,27 @@ class TestPlannerContract:
         assert plan.config.run_formation == "replacement-selection"
         assert plan.config.cache_blocks == 2
 
+    def test_heap_plans_prefetch_nothing(self):
+        """Only loser-tree merges fetch ahead, so heap plans carry a
+        prefetch window of 0 and loser-tree plans one of 2 per disk."""
+        planner = Planner(
+            make_profile([4, 4, 4]), memory_blocks=24, block_size=512,
+            disks=4,
+        )
+        configs = planner.enumerate_configs()
+        assert {c.merge_kernel for c in configs} == {"heap", "loser-tree"}
+        for config in configs:
+            expected = (
+                0 if config.merge_kernel == "heap" or config.disks == 1
+                else 2 * config.disks
+            )
+            assert config.prefetch_depth == expected
+        assert planner.choose(fixed={"merge_kernel": "heap"}).config == (
+            planner.choose(
+                fixed={"merge_kernel": "heap", "prefetch_depth": 8}
+            ).config
+        )
+
     def test_enumeration_skips_infeasible_cache(self):
         profile = make_profile([4, 4, 4])
         planner = Planner(profile, memory_blocks=8, block_size=512)
