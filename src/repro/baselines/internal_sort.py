@@ -28,7 +28,10 @@ def sort_element(
     keep document order - equivalent to the paper's position tie-break).
     With ``depth_limit=d``, only elements at levels 1..d have their child
     lists sorted; deeper subtrees keep their original internal order
-    (Section 3.2, depth-limited sorting; the root is level 1).
+    (Section 3.2, depth-limited sorting; the root is level 1).  Every key
+    is taken from the input subtree, as the external sorters' scan takes
+    it: a child-path key names the first matching child in document
+    order, not in sorted order.
 
     Iterative, so degenerate chain documents deeper than Python's
     recursion limit sort fine.
@@ -46,10 +49,10 @@ def sort_element(
         for child in node.children:
             stack.append((child, level + 1))
     for node, level in reversed(order):
-        copy = copies[id(node)]
-        copy.children = [copies[id(child)] for child in node.children]
+        children = node.children
         if depth_limit is None or level <= depth_limit:
-            copy.children.sort(key=spec.key_of_element)
+            children = sorted(children, key=spec.key_of_element)
+        copies[id(node)].children = [copies[id(child)] for child in children]
     return copies[id(element)]
 
 
@@ -58,17 +61,18 @@ def sort_element_in_place(
     spec: SortSpec,
     depth_limit: int | None = None,
 ) -> None:
-    """Sort ``element``'s subtree in place (pointer reordering only)."""
-    order: list[tuple[Element, int]] = []
+    """Sort ``element``'s subtree in place (pointer reordering only).
+
+    Top-down, so each child list is keyed before any subtree below it is
+    reordered - the same input-subtree keys :func:`sort_element` uses.
+    """
     stack: list[tuple[Element, int]] = [(element, 1)]
     while stack:
         node, level = stack.pop()
-        order.append((node, level))
-        for child in node.children:
-            stack.append((child, level + 1))
-    for node, level in reversed(order):
         if depth_limit is None or level <= depth_limit:
             node.children.sort(key=spec.key_of_element)
+        for child in node.children:
+            stack.append((child, level + 1))
 
 
 def comparison_count(element: Element) -> int:

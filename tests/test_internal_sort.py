@@ -7,7 +7,7 @@ from repro.baselines.internal_sort import (
 )
 from repro.core import nexsort
 from repro.io import BlockDevice, RunStore
-from repro.keys import ByAttribute, SortSpec
+from repro.keys import ByAttribute, ByChildPath, SortSpec
 from repro.xml import Document, Element
 
 from .conftest import random_tree
@@ -76,6 +76,27 @@ class TestSortElement:
         expected = sort_element(tree, spec())
         sort_element_in_place(tree, spec())
         assert tree == expected
+
+    def test_child_path_keys_come_from_input_order(self):
+        # The first <a>'s first <b> has no text, so it keys missing and
+        # stays first; keyed after its own children were sorted, its first
+        # <b> would hold 7 and it would follow the <a> keyed 5.
+        xml = "<r><a><b><b>1</b></b><b>7</b></a><a><b>5</b></a></r>"
+        child_path = SortSpec(default=ByChildPath("b"))
+        expected = Element.parse(
+            "<r><a><b>7</b><b><b>1</b></b></a><a><b>5</b></a></r>"
+        )
+        assert sort_element(Element.parse(xml), child_path) == expected
+        tree = Element.parse(xml)
+        sort_element_in_place(tree, child_path)
+        assert tree == expected
+        store = RunStore(BlockDevice(block_size=256))
+        result, _report = nexsort(
+            Document.from_element(store, Element.parse(xml)),
+            child_path,
+            memory_blocks=8,
+        )
+        assert result.to_element() == expected
 
     def test_comparison_count_positive_for_branchy_trees(self):
         tree = Element.parse('<r><a name="1"/><a name="2"/><a name="3"/></r>')
