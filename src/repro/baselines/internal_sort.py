@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..keys import SortSpec
+from ..errors import SortSpecError
+from ..keys import ByChildPath, SortSpec
 from ..xml.model import Element
 
 
@@ -93,6 +94,20 @@ def is_fully_sorted(
     spec: SortSpec,
     depth_limit: int | None = None,
 ) -> bool:
-    """True when every child list is non-decreasing under the spec."""
+    """True when every child list is non-decreasing under the spec.
+
+    A child-path key names the first matching child in *input* order,
+    and sorting reorders those children, so sortedness under such a key
+    cannot be read off the output: a spec with a
+    :class:`~repro.keys.ByChildPath` rule raises
+    :class:`~repro.errors.SortSpecError`.  Compare with
+    :func:`sort_element` instead.
+    """
+    rules = (spec.default, *spec.rules.values())
+    if any(isinstance(rule, ByChildPath) for rule in rules):
+        raise SortSpecError(
+            "is_fully_sorted cannot check a child-path key on sorted "
+            "output: the key depends on the input's child order"
+        )
     key: Callable[[Element], tuple] = spec.key_of_element
     return element.is_sorted_by(key, depth_limit=depth_limit)

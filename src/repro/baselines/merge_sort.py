@@ -36,9 +36,6 @@ from .merging import merge_to_stream
 #: input scan buffer and the run output buffer.
 _RESERVED_BLOCKS = 2
 
-#: Records per grouped writer call on the fused output path.
-_EMIT_CHUNK = 1024
-
 
 @dataclass
 class MergeSortReport:
@@ -190,8 +187,7 @@ class ExternalMergeSorter:
             from ..io.compress import CompressionConfig
 
             store.compression = CompressionConfig(
-                codec=self.merge_options.compress,
-                capacity=self.merge_options.compress_capacity,
+                codec=self.merge_options.compress
             )
 
         try:
@@ -269,11 +265,6 @@ class ExternalMergeSorter:
                 try:
                     emit_output_columnar(
                         stream, writer, device,
-                        chunk_records=(
-                            _EMIT_CHUNK
-                            if store.pool is None and recovery is None
-                            else 0
-                        ),
                         names_coded=names is not None,
                         emit_ends=not compact,
                     )

@@ -286,8 +286,7 @@ class NexSorter:
             from ..io.compress import CompressionConfig
 
             store.compression = CompressionConfig(
-                codec=options.merge.compress,
-                capacity=options.merge.compress_capacity,
+                codec=options.merge.compress
             )
 
         try:

@@ -99,17 +99,11 @@ class CompressionConfig:
             also the codec's working-set knob.
         categories: writer categories whose runs compress; anything else
             (notably ``output``) stays uncompressed.
-        capacity: opt-in run-formation capacity mode - the former
-            compresses *pending* formation batches so longer initial
-            runs fit the same memory (fewer runs, possibly fewer merge
-            passes).  Changes comparison/run counters honestly; plain
-            compression never does.
     """
 
     codec: str = "container"
     segment_blocks: int = 4
     categories: frozenset = field(default=DEFAULT_COMPRESS_CATEGORIES)
-    capacity: bool = False
 
     def __post_init__(self):
         if self.codec not in _CODEC_IDS:

@@ -316,7 +316,7 @@ class StatsSnapshot:
     def counter_totals(self) -> dict:
         """Flat dictionary of every aggregate counter plus simulated times.
 
-        This is the serialization the trace sinks and the trace diff tool
+        This is the serialization the trace writers and the trace diff tool
         agree on; keys are stable across formats.  ``seconds`` is
         :meth:`model_seconds` - counter-derived and therefore comparable
         across fault-free and recovered runs; retry backoff is reported

@@ -12,10 +12,8 @@ Three views of the same finished :class:`~repro.obs.tracer.Trace`:
 * :func:`render_tree` - a human-readable span tree with per-span I/O
   bars, for terminals and README examples.
 
-Each function also has a :class:`TraceSink` wrapper (:class:`JsonlSink`,
-:class:`ChromeTraceSink`, :class:`TreeSummarySink`) that can be
-subscribed to a :class:`~repro.obs.tracer.Tracer` and writes itself out
-on ``on_finish`` - the pluggable-sink side of the event bus.
+Each renders a trace after :meth:`~repro.obs.tracer.Tracer.finish`;
+:data:`TRACE_WRITERS` maps the ``--trace-format`` names to them.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import IO, Iterator
 
-from .tracer import Span, Trace, Tracer
+from .tracer import Span, Trace
 
 #: Microseconds per simulated second - Chrome trace timestamps are in us.
 _US = 1_000_000
@@ -253,75 +251,3 @@ TRACE_WRITERS = {
     "tree": write_tree,
 }
 
-
-# -- pluggable sinks (the event-bus side) --------------------------------------
-
-
-class TraceSink:
-    """Base sink: subscribe to a :class:`~repro.obs.tracer.Tracer`.
-
-    Subclasses override whichever callbacks they care about; the default
-    implementation ignores everything, so a sink only interested in the
-    finished trace just overrides :meth:`on_finish`.
-    """
-
-    def on_span_start(self, span: Span) -> None:  # pragma: no cover - hook
-        pass
-
-    def on_span_end(self, span: Span) -> None:  # pragma: no cover - hook
-        pass
-
-    def on_event(self, event) -> None:  # pragma: no cover - hook
-        pass
-
-    def on_finish(self, trace: Trace) -> None:  # pragma: no cover - hook
-        pass
-
-
-class _FileSink(TraceSink):
-    """Writes the finished trace to a path with one of the writers."""
-
-    writer = staticmethod(write_jsonl)
-
-    def __init__(self, path: str):
-        self.path = path
-
-    def on_finish(self, trace: Trace) -> None:
-        with open(self.path, "w", encoding="utf-8") as fp:
-            type(self).writer(trace, fp)
-
-
-class JsonlSink(_FileSink):
-    """Writes JSONL on finish."""
-
-    writer = staticmethod(write_jsonl)
-
-
-class ChromeTraceSink(_FileSink):
-    """Writes Chrome ``trace_event`` JSON on finish."""
-
-    writer = staticmethod(write_chrome_trace)
-
-
-class TreeSummarySink(_FileSink):
-    """Writes the human-readable tree summary on finish."""
-
-    writer = staticmethod(write_tree)
-
-
-def attach_sink(tracer: Tracer, format_name: str, path: str) -> TraceSink:
-    """Subscribe the sink for ``--trace-format`` ``format_name``."""
-    sinks = {
-        "jsonl": JsonlSink,
-        "chrome": ChromeTraceSink,
-        "tree": TreeSummarySink,
-    }
-    try:
-        sink = sinks[format_name](path)
-    except KeyError:
-        raise ValueError(
-            f"unknown trace format {format_name!r}; "
-            f"choose from {sorted(sinks)}"
-        ) from None
-    tracer.subscribe(sink)
-    return sink

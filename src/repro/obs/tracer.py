@@ -218,29 +218,17 @@ class Tracer:
             deltas (via snapshots) and the simulated clock (via
             ``elapsed_seconds``).
 
-    A tracer is an *event bus*: sinks subscribed with :meth:`subscribe`
-    receive ``on_span_start`` / ``on_span_end`` / ``on_event`` /
-    ``on_finish`` callbacks as the trace unfolds, so renderers can stream
-    or buffer as they prefer (see :mod:`repro.obs.sinks`).
+    :meth:`finish` seals the spans into a :class:`Trace`, which the
+    writers of :mod:`repro.obs.sinks` render.
     """
 
     def __init__(self, stats: IOStats):
         self.stats = stats
         self.roots: list[Span] = []
         self._stack: list[Span] = []
-        self._sinks: list = []
         self._origin = stats.snapshot()
         self._start_seconds = stats.elapsed_seconds()
         self._trace: Trace | None = None
-
-    # -- event bus -----------------------------------------------------------
-
-    def subscribe(self, sink) -> None:
-        """Attach a sink; it receives span lifecycle callbacks."""
-        self._sinks.append(sink)
-
-    def unsubscribe(self, sink) -> None:
-        self._sinks.remove(sink)
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -274,8 +262,6 @@ class Tracer:
         else:
             self.roots.append(span)
         self._stack.append(span)
-        for sink in self._sinks:
-            sink.on_span_start(span)
         return span
 
     def end(self, span: Span) -> Span:
@@ -289,8 +275,6 @@ class Tracer:
         self._stack.pop()
         span.delta = self.stats.delta(span._entry)
         span.end_seconds = self.stats.elapsed_seconds()
-        for sink in self._sinks:
-            sink.on_span_end(span)
         return span
 
     @contextmanager
@@ -315,8 +299,6 @@ class Tracer:
                 wrapper.events.append(event)
         else:
             owner.events.append(event)
-        for sink in self._sinks:
-            sink.on_event(event)
         return event
 
     def finish(self) -> Trace:
@@ -339,8 +321,6 @@ class Tracer:
             end_seconds=self.stats.elapsed_seconds(),
         )
         self._trace = trace
-        for sink in self._sinks:
-            sink.on_finish(trace)
         return trace
 
 

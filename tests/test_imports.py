@@ -224,20 +224,21 @@ with tempfile.TemporaryDirectory() as scratch:
 text = EXPECTED
 """),
     "tracer_sink": ("repro.obs.sinks", """
-import os
-import tempfile
+import io
 
-from repro.obs import Tracer, attach_sink
+from repro.obs import Tracer
 
-with tempfile.TemporaryDirectory() as scratch:
-    path = os.path.join(scratch, "trace.jsonl")
-    device = BlockDevice(block_size=256)
-    document = load(device)
-    tracer = Tracer(device.stats)
-    attach_sink(tracer, "jsonl", path)
-    result = repro.nexsort(document, SPEC, memory_blocks=8, tracer=tracer)[0]
-    tracer.finish()
-    assert os.path.getsize(path) > 0
+device = BlockDevice(block_size=256)
+document = load(device)
+tracer = Tracer(device.stats)
+result = repro.nexsort(document, SPEC, memory_blocks=8, tracer=tracer)[0]
+trace = tracer.finish()
+assert "repro.obs.sinks" not in sys.modules
+from repro.obs import TRACE_WRITERS
+
+written = io.StringIO()
+TRACE_WRITERS["jsonl"](trace, written)
+assert written.getvalue()
 text = result.to_string()
 """),
 }

@@ -1,11 +1,14 @@
 """Unit tests for the internal-memory recursive sort (the oracle)."""
 
+import pytest
+
 from repro.baselines import is_fully_sorted, sort_element
 from repro.baselines.internal_sort import (
     comparison_count,
     sort_element_in_place,
 )
 from repro.core import nexsort
+from repro.errors import SortSpecError
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByAttribute, ByChildPath, SortSpec
 from repro.xml import Document, Element
@@ -97,6 +100,20 @@ class TestSortElement:
             memory_blocks=8,
         )
         assert result.to_element() == expected
+
+    def test_sortedness_check_rejects_child_path_keys(self):
+        # The correct output above reads unsorted when keyed from its own
+        # (sorted) children, so the check refuses the spec.
+        tree = Element.parse(
+            "<r><a><b><b>1</b></b><b>7</b></a><a><b>5</b></a></r>"
+        )
+        for child_path in (
+            SortSpec(default=ByChildPath("b")),
+            SortSpec(rules={"a": ByChildPath("b")}),
+        ):
+            result = sort_element(tree, child_path)
+            with pytest.raises(SortSpecError, match="child-path"):
+                is_fully_sorted(result, child_path)
 
     def test_comparison_count_positive_for_branchy_trees(self):
         tree = Element.parse('<r><a name="1"/><a name="2"/><a name="3"/></r>')
