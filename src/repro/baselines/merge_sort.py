@@ -23,8 +23,8 @@ from ..core.columnar import (
     form_subtree_runs,
     raised_parsing_records,
 )
-from ..errors import CodecError, DeviceFault, SortSpecError
-from ..io.budget import MemoryBudget
+from ..errors import CodecError, SortSpecError
+from ..io.budget import sort_session
 from ..io.stats import StatsSnapshot
 from ..keys import SortSpec
 from ..obs.tracer import Tracer, maybe_span
@@ -138,59 +138,19 @@ class ExternalMergeSorter:
         device faults; unrecoverable faults surface as
         :class:`~repro.errors.SortRecoveryError`.
         """
-        if recovery is None:
-            return self._sort(document, tracer, None, lease)
-        try:
-            return self._sort(document, tracer, recovery, lease)
-        except DeviceFault as fault:
-            raise recovery.to_error(fault) from fault
-
-    def _sort(
-        self,
-        document: Document,
-        tracer: Tracer | None,
-        recovery,
-        lease=None,
-    ) -> tuple[Document, MergeSortReport]:
         store = document.store
         device = store.device
         names = (
             document.compaction.names if document.compaction else None
         )
-        if lease is not None:
-            if lease.budget.total_blocks != self.memory_blocks:
-                raise SortSpecError(
-                    f"lease grants {lease.budget.total_blocks} blocks but "
-                    f"the sorter was configured for {self.memory_blocks}"
-                )
-            budget = lease.budget
-        else:
-            budget = MemoryBudget(self.memory_blocks)
-        buffers = budget.reserve(_RESERVED_BLOCKS, "io-buffers")
-        if self.cache_blocks:
-            from ..io.bufferpool import BufferPool
-
-            store.attach_pool(
-                BufferPool(
-                    device,
-                    self.cache_blocks,
-                    budget=budget,
-                    owner="buffer-pool",
-                    tracer=tracer,
-                )
-            )
-        formation = budget.reserve_rest("run-formation")
-        capacity_bytes = formation.blocks * device.block_size
-        fan_in = max(2, self.memory_blocks - 1 - self.cache_blocks)
-        prior_compression = store.compression
-        if self.merge_options.compress is not None:
-            from ..io.compress import CompressionConfig
-
-            store.compression = CompressionConfig(
-                codec=self.merge_options.compress
-            )
-
-        try:
+        with sort_session(
+            store, self.memory_blocks, self.cache_blocks,
+            self.merge_options.compress, tracer, recovery, lease,
+        ) as budget:
+            buffers = budget.reserve(_RESERVED_BLOCKS, "io-buffers")
+            formation = budget.reserve_rest("run-formation")
+            capacity_bytes = formation.blocks * device.block_size
+            fan_in = max(2, self.memory_blocks - 1 - self.cache_blocks)
             report = MergeSortReport(
                 element_count=document.element_count,
                 input_blocks=document.block_count,
@@ -287,9 +247,6 @@ class ExternalMergeSorter:
                 store, handle, document.stats, document.compaction
             )
             return output, report
-        finally:
-            store.compression = prior_compression
-            store.detach_pool()
 
 
 def external_merge_sort(

@@ -17,12 +17,11 @@ child lists streams through untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import ceil, log2
 
 from ..errors import SortSpecError
-from ..io.budget import MemoryBudget
-from ..io.bufferpool import BufferPool
+from ..io.budget import sort_session
 from ..io.runs import RunHandle
 from ..io.stats import StatsSnapshot
 from ..keys import KeyEvaluator, SortSpec
@@ -107,22 +106,13 @@ class XSorter:
         codec = TokenCodec(
             document.compaction.names if document.compaction else None
         )
-        budget = MemoryBudget(self.memory_blocks)
-        buffers = budget.reserve(_RESERVED_BLOCKS, "io-buffers")
-        if self.cache_blocks:
-            store.attach_pool(
-                BufferPool(
-                    device,
-                    self.cache_blocks,
-                    budget=budget,
-                    owner="buffer-pool",
-                )
-            )
-        batch_memory = budget.reserve_rest("child-records")
-        capacity_bytes = batch_memory.blocks * device.block_size
-        fan_in = max(2, self.memory_blocks - 1 - self.cache_blocks)
-
-        try:
+        with sort_session(
+            store, self.memory_blocks, self.cache_blocks
+        ) as budget:
+            buffers = budget.reserve(_RESERVED_BLOCKS, "io-buffers")
+            batch_memory = budget.reserve_rest("child-records")
+            capacity_bytes = batch_memory.blocks * device.block_size
+            fan_in = max(2, self.memory_blocks - 1 - self.cache_blocks)
             report = XSortReport(
                 element_count=document.element_count,
                 input_blocks=document.block_count,
@@ -192,12 +182,13 @@ class XSorter:
             report.stats = device.stats.since(before)
             buffers.release()
             batch_memory.release()
-            output = Document(
-                store, handle, document.stats, document.compaction
-            )
+            compaction = document.compaction
+            if compaction is not None:
+                # The output is plain-dialect records (no levels, end tags
+                # written); only the name dictionary carries over.
+                compaction = replace(compaction, eliminate_end_tags=False)
+            output = Document(store, handle, document.stats, compaction)
             return output, report
-        finally:
-            store.detach_pool()
 
     def _collect(self, frame: dict, event: Token) -> bool:
         """Feed one event into a target's collection frame.

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 
 from .baselines.merge_sort import external_merge_sort
 from .core.nexsort import nexsort
@@ -78,13 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(
-        p: argparse.ArgumentParser, with_spec=True, with_depth_limit=True
-    ) -> None:
-        p.add_argument(
-            "--memory", type=int, default=24,
-            help="internal memory budget in blocks (default 24)",
-        )
+    # Option groups: each command composes the ones it reads, so an
+    # option a command would ignore is an argparse error there.
+    def add_device(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--block-size", type=int, default=4096,
             help="device block size in bytes (default 4096)",
@@ -93,31 +90,43 @@ def build_parser() -> argparse.ArgumentParser:
             "--scratch", metavar="PATH",
             help="back the device with a real file at PATH",
         )
+
+    def add_memory(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--memory", type=int, default=24,
+            help="internal memory budget in blocks (default 24)",
+        )
+
+    def add_spec(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--by", default="name", metavar="ATTR",
+            help="default ordering attribute (default: name)",
+        )
+        p.add_argument(
+            "--tag-attr", action="append", default=[],
+            metavar="TAG=ATTR",
+            help="per-tag ordering attribute, e.g. employee=ID "
+            "(repeatable)",
+        )
+        p.add_argument(
+            "--spec", default=None, metavar="CLAUSES",
+            help="full ordering spec, overriding --by/--tag-attr; "
+            "e.g. '*=@name, employee=@ID, note=text()'",
+        )
+
+    def add_sorting(p: argparse.ArgumentParser) -> None:
+        """What the commands that sort read: sort, merge and dedup."""
+        add_memory(p)
+        add_device(p)
         p.add_argument(
             "--stats", action="store_true",
             help="print the I/O accounting report",
         )
-        if with_spec:
-            p.add_argument(
-                "--by", default="name", metavar="ATTR",
-                help="default ordering attribute (default: name)",
-            )
-            p.add_argument(
-                "--tag-attr", action="append", default=[],
-                metavar="TAG=ATTR",
-                help="per-tag ordering attribute, e.g. employee=ID "
-                "(repeatable)",
-            )
-            if with_depth_limit:
-                p.add_argument(
-                    "--depth-limit", type=int, default=None,
-                    help="sort only down to this level (root = 1)",
-                )
-            p.add_argument(
-                "--spec", default=None, metavar="CLAUSES",
-                help="full ordering spec, overriding --by/--tag-attr; "
-                "e.g. '*=@name, employee=@ID, note=text()'",
-            )
+        add_spec(p)
+        p.add_argument(
+            "--depth-limit", type=int, default=None,
+            help="sort only down to this level (root = 1)",
+        )
 
     def add_tuning(p: argparse.ArgumentParser) -> None:
         """Engine tuning shared verbatim by ``sort`` and ``serve``.
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace file format: chrome (chrome://tracing / Perfetto), "
         "jsonl, or tree (human-readable summary); default chrome",
     )
-    add_common(sort_cmd)
+    add_sorting(sort_cmd)
 
     serve_cmd = sub.add_parser(
         "serve",
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preserve-order", action="store_true",
         help="keep the left document's child ordering in the result",
     )
-    add_common(merge_cmd)
+    add_sorting(merge_cmd)
 
     dedup_cmd = sub.add_parser(
         "dedup",
@@ -328,20 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dedup_cmd.add_argument("input")
     dedup_cmd.add_argument("-o", "--output")
-    add_common(dedup_cmd)
+    add_sorting(dedup_cmd)
 
     table_cmd = sub.add_parser(
         "table1", help="print the key-path representation (paper Table 1)"
     )
     table_cmd.add_argument("input")
-    add_common(table_cmd)
+    add_device(table_cmd)
+    add_spec(table_cmd)
 
     validate_cmd = sub.add_parser(
         "validate", help="validate a document against a DTD"
     )
     validate_cmd.add_argument("input")
     validate_cmd.add_argument("--dtd", required=True)
-    add_common(validate_cmd, with_spec=False)
+    add_device(validate_cmd)
 
     analyze_cmd = sub.add_parser(
         "analyze",
@@ -349,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
         "paper's bounds, and the plan `sort --plan auto` would run",
     )
     analyze_cmd.add_argument("input")
-    add_common(analyze_cmd, with_depth_limit=False)
+    add_memory(analyze_cmd)
+    add_device(analyze_cmd)
+    add_spec(analyze_cmd)
 
     trace_cmd = sub.add_parser(
         "trace", help="work with trace files written by sort --trace"
@@ -377,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_spec(args) -> SortSpec:
-    if getattr(args, "spec", None):
+    if args.spec:
         return SortSpec.parse(args.spec)
     rules = {}
     for mapping in args.tag_attr:
@@ -393,12 +405,11 @@ def _make_spec(args) -> SortSpec:
 
 
 def _make_merge_options(args) -> MergeOptions:
-    compress = getattr(args, "compress", "off")
     return MergeOptions(
-        run_formation=getattr(args, "run_formation", "load-sort"),
-        merge_kernel=getattr(args, "merge_kernel", "heap"),
-        compress=None if compress in (None, "off") else compress,
-        compress_capacity=getattr(args, "compress_capacity", False),
+        run_formation=args.run_formation,
+        merge_kernel=args.merge_kernel,
+        compress=None if args.compress == "off" else args.compress,
+        compress_capacity=args.compress_capacity,
     )
 
 
@@ -511,9 +522,20 @@ def _make_device(args):
             disks=disks,
             block_size=args.block_size,
             prefetch_depth=prefetch_depth,
-            prefetch_policy=getattr(args, "prefetch_policy", "forecast"),
+            prefetch_policy=args.prefetch_policy,
         )
     return BlockDevice(block_size=args.block_size)
+
+
+@contextmanager
+def _device(args):
+    """The command's device; a ``--scratch`` file is closed and removed."""
+    device = _make_device(args)
+    try:
+        yield device
+    finally:
+        if args.scratch:
+            device.close()
 
 
 def _load(store, path: str, compaction=None) -> Document:
@@ -549,238 +571,239 @@ def cmd_sort(args) -> int:
             f"--prefetch-depth {args.prefetch_depth} needs --merge-kernel "
             f"loser-tree: the heap merge kernel never fetches ahead"
         )
-    base_device = _make_device(args)
-    tracer = Tracer(base_device.stats) if args.trace else None
-    device, injector, retrier, recovery = base_device, None, None, None
-    if args.faults or args.retries:
-        from .faults import RecoveryContext, RetryPolicy, build_faulty_device
-
-        device, injector, retrier = build_faulty_device(
-            base_device,
-            args.faults,
-            policy=(
-                RetryPolicy(max_retries=args.retries)
-                if args.retries
-                else None
-            ),
-            tracer=tracer,
-        )
-        if args.faults:
-            recovery = RecoveryContext(
-                max_restarts=args.max_restarts, tracer=tracer
+    with _device(args) as base_device:
+        tracer = Tracer(base_device.stats) if args.trace else None
+        device, injector, retrier, recovery = base_device, None, None, None
+        if args.faults or args.retries:
+            from .faults import (
+                RecoveryContext,
+                RetryPolicy,
+                build_faulty_device,
             )
-    try:
-        store = RunStore(device)
-        spec = _make_spec(args)
-        compaction = None
-        if args.compact:
-            from .xml.compact import CompactionConfig
 
-            compaction = CompactionConfig()
-        with maybe_span(tracer, "document-load", input=args.input):
-            document = _load(store, args.input, compaction)
-        plan = None
-        if getattr(args, "plan", "off") == "auto":
-            with maybe_span(tracer, "plan", mode="auto") as plan_span:
-                plan = _plan_auto(args, document, base_device)
-                if plan_span is not None:
-                    plan_span.set(
-                        algorithm=plan.config.algorithm,
-                        cache_blocks=plan.config.cache_blocks,
-                        run_formation=plan.config.run_formation,
-                        merge_kernel=plan.config.merge_kernel,
-                        predicted_seconds=round(
-                            plan.cost.total_seconds, 6
-                        ),
-                        considered=plan.considered,
-                    )
-        merge_options = _make_merge_options(args)
-        profiler = None
-        if getattr(args, "profile", None):
-            import cProfile
-
-            profiler = cProfile.Profile()
-        wall_start = time.perf_counter()
-        if profiler is not None:
-            profiler.enable()
-        if args.algorithm == "nexsort":
-            result, report = nexsort(
-                document,
-                spec,
-                memory_blocks=args.memory,
-                threshold_bytes=args.threshold,
-                depth_limit=args.depth_limit,
-                flat_optimization=args.flat_opt,
-                cache_blocks=args.cache_blocks,
-                merge_options=merge_options,
+            device, injector, retrier = build_faulty_device(
+                base_device,
+                args.faults,
+                policy=(
+                    RetryPolicy(max_retries=args.retries)
+                    if args.retries
+                    else None
+                ),
                 tracer=tracer,
-                recovery=recovery,
             )
-        elif args.algorithm == "mergesort":
-            result, report = external_merge_sort(
-                document, spec, memory_blocks=args.memory,
-                cache_blocks=args.cache_blocks,
-                merge_options=merge_options,
-                tracer=tracer,
-                recovery=recovery,
-            )
-        else:
-            if not merge_options.is_default:
-                print(
-                    "note: xsort ignores --run-formation, --merge-kernel "
-                    "and --compress",
-                    file=sys.stderr,
+            if args.faults:
+                recovery = RecoveryContext(
+                    max_restarts=args.max_restarts, tracer=tracer
                 )
-            if recovery is not None:
-                print(
-                    "note: xsort has no checkpointed recovery; faults are "
-                    "absorbed by --retries only",
-                    file=sys.stderr,
-                )
-            from .baselines.xsort import xsort
+        try:
+            store = RunStore(device)
+            spec = _make_spec(args)
+            compaction = None
+            if args.compact:
+                from .xml.compact import CompactionConfig
 
-            # xsort is not instrumented internally; one covering span
-            # keeps its I/O attributed so the trace still tiles.
-            with maybe_span(tracer, "xsort", target=args.target or "/"):
-                result, report = xsort(
-                    document, spec, args.target, memory_blocks=args.memory,
-                    cache_blocks=args.cache_blocks,
-                )
-        if profiler is not None:
-            profiler.disable()
-        wall_seconds = time.perf_counter() - wall_start
-        if profiler is not None:
-            import pstats
+                compaction = CompactionConfig()
+            with maybe_span(tracer, "document-load", input=args.input):
+                document = _load(store, args.input, compaction)
+            plan = None
+            if args.plan == "auto":
+                with maybe_span(tracer, "plan", mode="auto") as plan_span:
+                    plan = _plan_auto(args, document, base_device)
+                    if plan_span is not None:
+                        plan_span.set(
+                            algorithm=plan.config.algorithm,
+                            cache_blocks=plan.config.cache_blocks,
+                            run_formation=plan.config.run_formation,
+                            merge_kernel=plan.config.merge_kernel,
+                            predicted_seconds=round(
+                                plan.cost.total_seconds, 6
+                            ),
+                            considered=plan.considered,
+                        )
+            merge_options = _make_merge_options(args)
+            profiler = None
+            if args.profile:
+                import cProfile
 
-            with open(args.profile, "w", encoding="utf-8") as handle:
-                pstats.Stats(profiler, stream=handle).sort_stats(
-                    "cumulative"
-                ).print_stats()
-            print(f"profile: stats -> {args.profile}", file=sys.stderr)
-        if tracer is not None:
-            from .obs.sinks import TRACE_WRITERS
-
-            trace = tracer.finish()
-            with open(args.trace, "w", encoding="utf-8") as handle:
-                TRACE_WRITERS[args.trace_format](trace, handle)
-            print(
-                f"trace: {len(list(trace.walk()))} spans covering "
-                f"{trace.totals.total_ios} I/Os -> {args.trace} "
-                f"({args.trace_format})",
-                file=sys.stderr,
-            )
-        _emit(result, args.output)
-        if args.stats:
-            from .bench.harness import peak_rss_bytes
-
-            if plan is not None:
-                for line in plan.describe().splitlines():
-                    print(line, file=sys.stderr)
-            _print_stats(args.algorithm, report, out=sys.stderr)
-            print(
-                f"  wall seconds:        {wall_seconds:.4f}",
-                file=sys.stderr,
-            )
-            rss = peak_rss_bytes()
-            if rss is not None:
-                print(
-                    f"  peak RSS:            {rss / (1 << 20):.1f} MiB",
-                    file=sys.stderr,
-                )
-            if args.algorithm in ("nexsort", "mergesort"):
-                print(
-                    f"  run length avg/max:  "
-                    f"{report.avg_run_length:.1f}/{report.max_run_length}",
-                    file=sys.stderr,
-                )
-                print(
-                    f"  merge comparisons:   {report.merge_comparisons}",
-                    file=sys.stderr,
-                )
-            if args.cache_blocks:
-                print(
-                    f"  cache hits/misses:   "
-                    f"{report.stats.cache_hits}/"
-                    f"{report.stats.cache_misses}",
-                    file=sys.stderr,
-                )
-                print(
-                    f"  cache evictions:     "
-                    f"{report.stats.cache_evictions}",
-                    file=sys.stderr,
-                )
-            if base_device.disks > 1 or base_device.prefetch_depth:
-                snap = report.stats
-                print(
-                    f"  disks:               {base_device.disks} "
-                    f"(prefetch depth {base_device.prefetch_depth}, "
-                    f"policy {base_device.prefetch_policy})",
-                    file=sys.stderr,
-                )
-                print(
-                    f"  disk/overlap time:   {snap.disk_seconds():.4f}s / "
-                    f"{snap.overlap_seconds():.4f}s",
-                    file=sys.stderr,
-                )
-                print(
-                    f"  pipeline stalls:     {snap.stall_seconds:.4f}s",
-                    file=sys.stderr,
-                )
-                utilization = snap.disk_utilization()
-                if utilization:
-                    per_disk = " ".join(
-                        f"disk{d}={u:.0%}"
-                        for d, u in sorted(utilization.items())
-                    )
-                    print(
-                        f"  disk utilization:    {per_disk}",
-                        file=sys.stderr,
-                    )
+                profiler = cProfile.Profile()
+            wall_start = time.perf_counter()
+            if profiler is not None:
+                profiler.enable()
             if args.algorithm == "nexsort":
-                print(
-                    f"  subtree sorts (x):   {report.x}", file=sys.stderr
+                result, report = nexsort(
+                    document,
+                    spec,
+                    memory_blocks=args.memory,
+                    threshold_bytes=args.threshold,
+                    depth_limit=args.depth_limit,
+                    flat_optimization=args.flat_opt,
+                    cache_blocks=args.cache_blocks,
+                    merge_options=merge_options,
+                    tracer=tracer,
+                    recovery=recovery,
                 )
-                print(
-                    f"  breakdown:           {report.io_breakdown()}",
-                    file=sys.stderr,
+            elif args.algorithm == "mergesort":
+                result, report = external_merge_sort(
+                    document, spec, memory_blocks=args.memory,
+                    cache_blocks=args.cache_blocks,
+                    merge_options=merge_options,
+                    tracer=tracer,
+                    recovery=recovery,
                 )
-            if injector is not None:
-                fault_stats = injector.fault_stats
-                print(
-                    f"  faults injected:     {fault_stats.injected} "
-                    f"(transient {fault_stats.transient}, persistent "
-                    f"{fault_stats.persistent}, torn {fault_stats.torn})",
-                    file=sys.stderr,
-                )
-                if retrier is not None:
-                    retry_stats = retrier.retry_stats
+            else:
+                if not merge_options.is_default:
                     print(
-                        f"  I/O retries:         {retry_stats.retries} "
-                        f"({retry_stats.penalty_seconds:.4f}s simulated "
-                        f"backoff)",
+                        "note: xsort ignores --run-formation, --merge-kernel "
+                        "and --compress",
                         file=sys.stderr,
                     )
                 if recovery is not None:
                     print(
-                        f"  unit restarts:       {recovery.restarts}",
+                        "note: xsort has no checkpointed recovery; faults are "
+                        "absorbed by --retries only",
+                        file=sys.stderr,
+                    )
+                from .baselines.xsort import xsort
+
+                # xsort is not instrumented internally; one covering span
+                # keeps its I/O attributed so the trace still tiles.
+                with maybe_span(tracer, "xsort", target=args.target or "/"):
+                    result, report = xsort(
+                        document, spec, args.target, memory_blocks=args.memory,
+                        cache_blocks=args.cache_blocks,
+                    )
+            if profiler is not None:
+                profiler.disable()
+            wall_seconds = time.perf_counter() - wall_start
+            if profiler is not None:
+                import pstats
+
+                with open(args.profile, "w", encoding="utf-8") as handle:
+                    pstats.Stats(profiler, stream=handle).sort_stats(
+                        "cumulative"
+                    ).print_stats()
+                print(f"profile: stats -> {args.profile}", file=sys.stderr)
+            if tracer is not None:
+                from .obs.sinks import TRACE_WRITERS
+
+                trace = tracer.finish()
+                with open(args.trace, "w", encoding="utf-8") as handle:
+                    TRACE_WRITERS[args.trace_format](trace, handle)
+                print(
+                    f"trace: {len(list(trace.walk()))} spans covering "
+                    f"{trace.totals.total_ios} I/Os -> {args.trace} "
+                    f"({args.trace_format})",
+                    file=sys.stderr,
+                )
+            _emit(result, args.output)
+            if args.stats:
+                from .bench.harness import peak_rss_bytes
+
+                if plan is not None:
+                    for line in plan.describe().splitlines():
+                        print(line, file=sys.stderr)
+                _print_stats(args.algorithm, report, out=sys.stderr)
+                print(
+                    f"  wall seconds:        {wall_seconds:.4f}",
+                    file=sys.stderr,
+                )
+                rss = peak_rss_bytes()
+                if rss is not None:
+                    print(
+                        f"  peak RSS:            {rss / (1 << 20):.1f} MiB",
+                        file=sys.stderr,
+                    )
+                if args.algorithm in ("nexsort", "mergesort"):
+                    print(
+                        f"  run length avg/max:  "
+                        f"{report.avg_run_length:.1f}/{report.max_run_length}",
                         file=sys.stderr,
                     )
                     print(
-                        f"  checkpoints:         "
-                        f"{len(recovery.checkpoints)} "
-                        f"(last: {recovery.describe_last()})",
+                        f"  merge comparisons:   {report.merge_comparisons}",
                         file=sys.stderr,
                     )
-        return 0
-    except DeviceFault as fault:
-        # A fault outside any recovery-wrapped phase (document load, the
-        # final emit, or an algorithm without checkpointing).
-        if recovery is not None:
-            raise recovery.to_error(fault) from fault
-        raise
-    finally:
-        if args.scratch:
-            base_device.close()
+                if args.cache_blocks:
+                    print(
+                        f"  cache hits/misses:   "
+                        f"{report.stats.cache_hits}/"
+                        f"{report.stats.cache_misses}",
+                        file=sys.stderr,
+                    )
+                    print(
+                        f"  cache evictions:     "
+                        f"{report.stats.cache_evictions}",
+                        file=sys.stderr,
+                    )
+                if base_device.disks > 1 or base_device.prefetch_depth:
+                    snap = report.stats
+                    print(
+                        f"  disks:               {base_device.disks} "
+                        f"(prefetch depth {base_device.prefetch_depth}, "
+                        f"policy {base_device.prefetch_policy})",
+                        file=sys.stderr,
+                    )
+                    print(
+                        f"  disk/overlap time:   {snap.disk_seconds():.4f}s / "
+                        f"{snap.overlap_seconds():.4f}s",
+                        file=sys.stderr,
+                    )
+                    print(
+                        f"  pipeline stalls:     {snap.stall_seconds:.4f}s",
+                        file=sys.stderr,
+                    )
+                    utilization = snap.disk_utilization()
+                    if utilization:
+                        per_disk = " ".join(
+                            f"disk{d}={u:.0%}"
+                            for d, u in sorted(utilization.items())
+                        )
+                        print(
+                            f"  disk utilization:    {per_disk}",
+                            file=sys.stderr,
+                        )
+                if args.algorithm == "nexsort":
+                    print(
+                        f"  subtree sorts (x):   {report.x}", file=sys.stderr
+                    )
+                    print(
+                        f"  breakdown:           {report.io_breakdown()}",
+                        file=sys.stderr,
+                    )
+                if injector is not None:
+                    fault_stats = injector.fault_stats
+                    print(
+                        f"  faults injected:     {fault_stats.injected} "
+                        f"(transient {fault_stats.transient}, persistent "
+                        f"{fault_stats.persistent}, torn {fault_stats.torn})",
+                        file=sys.stderr,
+                    )
+                    if retrier is not None:
+                        retry_stats = retrier.retry_stats
+                        print(
+                            f"  I/O retries:         {retry_stats.retries} "
+                            f"({retry_stats.penalty_seconds:.4f}s simulated "
+                            f"backoff)",
+                            file=sys.stderr,
+                        )
+                    if recovery is not None:
+                        print(
+                            f"  unit restarts:       {recovery.restarts}",
+                            file=sys.stderr,
+                        )
+                        print(
+                            f"  checkpoints:         "
+                            f"{len(recovery.checkpoints)} "
+                            f"(last: {recovery.describe_last()})",
+                            file=sys.stderr,
+                        )
+            return 0
+        except DeviceFault as fault:
+            # A fault outside any recovery-wrapped phase (document load, the
+            # final emit, or an algorithm without checkpointing).
+            if recovery is not None:
+                raise recovery.to_error(fault) from fault
+            raise
 
 
 def cmd_serve(args) -> int:
@@ -808,7 +831,7 @@ def cmd_serve(args) -> int:
         pool,
         degrade=not args.no_degrade,
         max_extra_depth=args.max_extra_depth,
-        plan=getattr(args, "plan", "off") == "auto",
+        plan=args.plan == "auto",
     )
     merge_options = _make_merge_options(args)
     scheduler = Scheduler(
@@ -927,8 +950,7 @@ def cmd_serve(args) -> int:
 def cmd_merge(args) -> int:
     from .merge import merge_preserving_order, structural_merge
 
-    device = _make_device(args)
-    try:
+    with _device(args) as device:
         store = RunStore(device)
         spec = _make_spec(args)
         left = _load(store, args.left)
@@ -958,16 +980,12 @@ def cmd_merge(args) -> int:
         if args.stats:
             _print_stats("merge", report, out=sys.stderr)
         return 0
-    finally:
-        if args.scratch:
-            device.close()
 
 
 def cmd_dedup(args) -> int:
     from .merge import deduplicate
 
-    device = _make_device(args)
-    try:
+    with _device(args) as device:
         store = RunStore(device)
         spec = _make_spec(args)
         document = _load(store, args.input)
@@ -987,24 +1005,21 @@ def cmd_dedup(args) -> int:
                 file=sys.stderr,
             )
         return 0
-    finally:
-        if args.scratch:
-            device.close()
 
 
 def cmd_table1(args) -> int:
     from .baselines.keypath import key_path_table
 
-    device = _make_device(args)
-    store = RunStore(device)
-    spec = _make_spec(args)
-    document = _load(store, args.input)
-    rows = key_path_table(document, spec)
-    width = max(len(path) for path, _content in rows)
-    print(f"{'Key path'.ljust(width)}  Element content")
-    for path, content in rows:
-        print(f"{path.ljust(width)}  {content}")
-    return 0
+    with _device(args) as device:
+        store = RunStore(device)
+        spec = _make_spec(args)
+        document = _load(store, args.input)
+        rows = key_path_table(document, spec)
+        width = max(len(path) for path, _content in rows)
+        print(f"{'Key path'.ljust(width)}  Element content")
+        for path, content in rows:
+            print(f"{path.ljust(width)}  {content}")
+        return 0
 
 
 def cmd_validate(args) -> int:
@@ -1012,17 +1027,17 @@ def cmd_validate(args) -> int:
 
     with open(args.dtd, "r", encoding="utf-8") as handle:
         dtd = DTD.parse(handle.read())
-    device = _make_device(args)
-    store = RunStore(device)
-    document = _load(store, args.input)
-    violations = dtd.validate(document.to_element())
-    if not violations:
-        print("valid")
-        return 0
-    for violation in violations:
-        print(violation, file=sys.stderr)
-    print(f"{len(violations)} violation(s)", file=sys.stderr)
-    return 1
+    with _device(args) as device:
+        store = RunStore(device)
+        document = _load(store, args.input)
+        violations = dtd.validate(document.to_element())
+        if not violations:
+            print("valid")
+            return 0
+        for violation in violations:
+            print(violation, file=sys.stderr)
+        print(f"{len(violations)} violation(s)", file=sys.stderr)
+        return 1
 
 
 def cmd_analyze(args) -> int:
@@ -1033,30 +1048,30 @@ def cmd_analyze(args) -> int:
         sorting_lower_bound_ios,
     )
 
-    device = _make_device(args)
-    store = RunStore(device)
-    document = _load(store, args.input)
-    geometry = ModelGeometry.from_document(document, args.memory)
-    lower = sorting_lower_bound_ios(
-        geometry.N, geometry.B, geometry.M, geometry.k
-    )
-    upper = nexsort_upper_bound_ios(
-        geometry.N, geometry.B, geometry.M, geometry.k, 2 * geometry.B
-    )
-    passes = merge_sort_passes(geometry.N, geometry.B, geometry.M)
-    print(f"elements (N):          {geometry.N}")
-    print(f"elements/block (B):    {geometry.B}")
-    print(f"memory elements (M):   {geometry.M} ({args.memory} blocks)")
-    print(f"max fan-out (k):       {geometry.k}")
-    print(f"height:                {document.height}")
-    print(f"document blocks:       {document.block_count}")
-    print(f"Thm 4.4 lower bound:   {lower:.0f} I/Os")
-    print(f"Thm 4.5 NEXSORT bound: {upper:.0f} I/Os")
-    print(f"merge sort passes:     {passes}")
-    planner, fixed = _make_planner(args, document, device)
-    print()
-    print(planner.choose(fixed=fixed).describe())
-    return 0
+    with _device(args) as device:
+        store = RunStore(device)
+        document = _load(store, args.input)
+        geometry = ModelGeometry.from_document(document, args.memory)
+        lower = sorting_lower_bound_ios(
+            geometry.N, geometry.B, geometry.M, geometry.k
+        )
+        upper = nexsort_upper_bound_ios(
+            geometry.N, geometry.B, geometry.M, geometry.k, 2 * geometry.B
+        )
+        passes = merge_sort_passes(geometry.N, geometry.B, geometry.M)
+        print(f"elements (N):          {geometry.N}")
+        print(f"elements/block (B):    {geometry.B}")
+        print(f"memory elements (M):   {geometry.M} ({args.memory} blocks)")
+        print(f"max fan-out (k):       {geometry.k}")
+        print(f"height:                {document.height}")
+        print(f"document blocks:       {document.block_count}")
+        print(f"Thm 4.4 lower bound:   {lower:.0f} I/Os")
+        print(f"Thm 4.5 NEXSORT bound: {upper:.0f} I/Os")
+        print(f"merge sort passes:     {passes}")
+        planner, fixed = _make_planner(args, document, device)
+        print()
+        print(planner.choose(fixed=fixed).describe())
+        return 0
 
 
 def cmd_trace(args) -> int:

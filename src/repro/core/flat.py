@@ -210,26 +210,17 @@ def groups_from_region(
     return texts, groups
 
 
-def write_partial_run(
-    store: RunStore, groups: list[ChildGroup]
-) -> RunHandle:
-    """Write one incomplete sorted run of child groups."""
-    writer = store.create_writer("partial_run")
-    for group in groups:
-        writer.write_record(encode_group(group))
-    return writer.finish()
-
-
 class PartialRunWriter:
     """An open partial run that can absorb successive group batches.
 
-    The replacement-selection analogue for graceful degeneration: each
-    memory-full flush produces a key-ordered batch of child groups, and
-    when a new batch starts at or above the last key already written, it
-    *extends* the open run instead of starting a new one - the same
-    "steal order that is already there" idea, with the data stack playing
-    the role of the selection heap.  Fewer, longer partial runs mean fewer
-    partial-merge passes when the element closes.
+    Every partial run is written through one of these.  Under load-sort
+    run formation each memory-full flush's key-ordered batch of child
+    groups is one run, finished right after it.  Replacement selection
+    keeps the run open: when a new batch starts at or above the last key
+    already written, it *extends* the open run instead of starting a new
+    one - the same "steal order that is already there" idea, with the
+    data stack playing the role of the selection heap.  Fewer, longer
+    partial runs mean fewer partial-merge passes when the element closes.
 
     Only one of these should be open at a time (it owns a one-block write
     buffer, charged to the same transfer-buffer allowance every run writer
@@ -239,14 +230,6 @@ class PartialRunWriter:
     def __init__(self, store: RunStore):
         self._writer = store.create_writer("partial_run")
         self._last: tuple | None = None
-
-    @property
-    def last_key(self) -> tuple | None:
-        return self._last
-
-    @property
-    def record_count(self) -> int:
-        return self._writer.record_count
 
     def can_extend(self, groups: list[ChildGroup]) -> bool:
         """True if ``groups`` (key-ordered) may append to the open run."""

@@ -39,8 +39,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from ..errors import CodecError, DeviceFault, SortSpecError
-from ..io.budget import MemoryBudget, MINIMUM_NEXSORT_BLOCKS
+from ..errors import CodecError, SortSpecError
+from ..io.budget import MINIMUM_NEXSORT_BLOCKS, sort_session
 from ..io.stacks import ExternalStack
 from ..keys import SortSpec, element_text, end_key, enter_element, leave_element
 from ..merge.engine import DEFAULT_MERGE_OPTIONS, MergeOptions
@@ -206,22 +206,6 @@ class NexSorter:
         as :class:`~repro.errors.SortRecoveryError` naming the last
         completed checkpoint.
         """
-        if recovery is None:
-            return self._sort(document, tracer, None, lease)
-        try:
-            return self._sort(document, tracer, recovery, lease)
-        except DeviceFault as fault:
-            # A fault escaped every retry and restartable unit (e.g. in
-            # scan-phase stack paging, which has no restartable unit).
-            raise recovery.to_error(fault) from fault
-
-    def _sort(
-        self,
-        document: Document,
-        tracer: Tracer | None,
-        recovery,
-        lease=None,
-    ) -> tuple[Document, NexsortReport]:
         compact = (
             document.compaction is not None
             and document.compaction.eliminate_end_tags
@@ -246,50 +230,20 @@ class NexSorter:
         )
         depth_limit = options.depth_limit
 
-        if lease is not None:
-            # Per-job lease (repro.io.lease): memory comes from the slice
-            # carved out of the shared pool instead of a private budget.
-            # Reservation arithmetic below is unchanged, so a lease of M
-            # blocks reproduces the ambient MemoryBudget(M) run exactly.
-            if lease.budget.total_blocks != self.memory_blocks:
-                raise SortSpecError(
-                    f"lease grants {lease.budget.total_blocks} blocks but "
-                    f"the sorter was configured for {self.memory_blocks}"
-                )
-            budget = lease.budget
-        else:
-            budget = MemoryBudget(self.memory_blocks)
-        path_reservation = budget.reserve(2, "path-stack")
-        output_reservation = budget.reserve(1, "output-location-stack")
-        buffer_reservation = budget.reserve(2, "transfer-buffers")
-        if options.cache_blocks:
-            from ..io.bufferpool import BufferPool
-
-            # The pool reserves its capacity from the same budget: cached
-            # blocks are memory the model granted, not a free lunch.
-            store.attach_pool(
-                BufferPool(
-                    device,
-                    options.cache_blocks,
-                    budget=budget,
-                    owner="buffer-pool",
-                    tracer=tracer,
-                )
-            )
-        data_reservation = budget.reserve_rest("data-stack-and-sorter")
-        data_blocks = max(1, data_reservation.blocks)
-        capacity_bytes = data_blocks * block
-        fan_in = max(2, data_blocks - 1)
-        paging_target = store.io_target
-        prior_compression = store.compression
-        if options.merge.compress is not None:
-            from ..io.compress import CompressionConfig
-
-            store.compression = CompressionConfig(
-                codec=options.merge.compress
-            )
-
-        try:
+        # A scan-phase fault (stack paging has no restartable unit) leaves
+        # the session as the recovery context's error.
+        with sort_session(
+            store, self.memory_blocks, options.cache_blocks,
+            options.merge.compress, tracer, recovery, lease,
+        ) as budget:
+            path_reservation = budget.reserve(2, "path-stack")
+            output_reservation = budget.reserve(1, "output-location-stack")
+            buffer_reservation = budget.reserve(2, "transfer-buffers")
+            data_reservation = budget.reserve_rest("data-stack-and-sorter")
+            data_blocks = max(1, data_reservation.blocks)
+            capacity_bytes = data_blocks * block
+            fan_in = max(2, data_blocks - 1)
+            paging_target = store.io_target
             report = NexsortReport(
                 element_count=document.element_count,
                 max_fanout=document.max_fanout,
@@ -395,11 +349,6 @@ class NexSorter:
                 store, handle, document.stats, document.compaction
             )
             return output, report
-        finally:
-            # Always restore the store to direct-device I/O (flushing any
-            # dirty cached blocks), even if the sort failed mid-stream.
-            store.compression = prior_compression
-            store.detach_pool()
 
     # -- sorting-phase internals ---------------------------------------------
 
@@ -982,9 +931,9 @@ class NexSorter:
         from . import flat as flat_mod
 
         if not self.options.merge.replacement_selection:
-            self._add_partial_run(
-                frame, flat_mod.write_partial_run(store, groups), report
-            )
+            writer = flat_mod.PartialRunWriter(store)
+            writer.write_groups(groups)
+            self._add_partial_run(frame, writer.finish(), report)
             return
         if self._owns_open_partial(frame):
             writer = self._open_partial[1]

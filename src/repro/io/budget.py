@@ -11,7 +11,9 @@ algorithm is quietly using memory the model does not grant it.
 
 from __future__ import annotations
 
-from ..errors import MemoryBudgetExceeded
+from contextlib import contextmanager
+
+from ..errors import DeviceFault, MemoryBudgetExceeded, SortSpecError
 
 #: Minimum memory for NEXSORT: 2 path-stack blocks, 1 data-stack block,
 #: 1 output-location block, and 2 transfer buffers (run read/write).
@@ -139,3 +141,64 @@ class CarvedBudget(MemoryBudget):
     def close(self) -> None:
         """Return the carved blocks to the parent budget (idempotent)."""
         self._parent_reservation.release()
+
+
+@contextmanager
+def sort_session(
+    store,
+    memory_blocks: int,
+    cache_blocks: int = 0,
+    compress: str | None = None,
+    tracer=None,
+    recovery=None,
+    lease=None,
+):
+    """Set up one sort's memory and store; yields its :class:`MemoryBudget`.
+
+    The budget is the lease's carved one (which must grant exactly
+    ``memory_blocks``) or a fresh ``MemoryBudget(memory_blocks)``.  A
+    ``cache_blocks`` buffer pool is reserved from it and attached to
+    ``store``, and ``compress`` becomes the store's run codec.  On exit
+    the prior compression comes back and the pool is detached - a sort
+    detaches it itself before its final snapshot, so this only cleans up
+    after a failure.  Under a :class:`~repro.faults.RecoveryContext`, a
+    :class:`~repro.errors.DeviceFault` that escaped every retry and
+    restartable unit leaves as the context's
+    :class:`~repro.errors.SortRecoveryError`.
+    """
+    if lease is None:
+        budget = MemoryBudget(memory_blocks)
+    elif lease.budget.total_blocks != memory_blocks:
+        raise SortSpecError(
+            f"lease grants {lease.budget.total_blocks} blocks but "
+            f"the sorter was configured for {memory_blocks}"
+        )
+    else:
+        budget = lease.budget
+    if cache_blocks:
+        from .bufferpool import BufferPool
+
+        store.attach_pool(
+            BufferPool(
+                store.device,
+                cache_blocks,
+                budget=budget,
+                owner="buffer-pool",
+                tracer=tracer,
+            )
+        )
+    prior_compression = store.compression
+    if compress is not None:
+        from .compress import CompressionConfig
+
+        store.compression = CompressionConfig(codec=compress)
+    try:
+        try:
+            yield budget
+        finally:
+            store.compression = prior_compression
+            store.detach_pool()
+    except DeviceFault as fault:
+        if recovery is None:
+            raise
+        raise recovery.to_error(fault) from fault

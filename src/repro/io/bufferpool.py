@@ -162,6 +162,7 @@ class BufferPool(DeviceLayer):
         if self.capacity == 0:
             self._device.write_block_behind(block_id, data, category, stream)
             return
+        self._check([block_id], [data], "write")
         self._write_cached(block_id, data, category, stream)
 
     # -- observers ---------------------------------------------------------
@@ -241,11 +242,7 @@ class BufferPool(DeviceLayer):
     ) -> None:
         block_ids = list(block_ids)
         datas = list(datas)
-        if len(block_ids) != len(datas):
-            raise DeviceError(
-                f"write_blocks got {len(block_ids)} ids but "
-                f"{len(datas)} payloads"
-            )
+        self._check(block_ids, datas, "write")
         if self.capacity == 0:
             self._device.write_blocks(block_ids, datas, category, stream)
             return
@@ -259,14 +256,7 @@ class BufferPool(DeviceLayer):
         category: str,
         stream: str | None,
     ) -> None:
-        """Write one block into the pool (write-back; see module docs)."""
-        if len(data) > self.block_size:
-            raise DeviceError(
-                f"write of {len(data)} bytes exceeds block size "
-                f"{self.block_size}"
-            )
-        if not 0 <= block_id < self._device.allocated_blocks:
-            raise DeviceError(f"write of unallocated block {block_id}")
+        """Cache one checked block, dirty (write-back; see module docs)."""
         data = bytes(data)
         entry = self._entries.get(block_id)
         if entry is not None:

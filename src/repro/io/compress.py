@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import RunCodecError
@@ -78,14 +78,6 @@ _MODE_ZLIB = 3         # raw concatenation through zlib
 _MODE_DICT = 4         # text: unique-blob dictionary + indices
 _MODE_DICT_ZLIB = 5    # text: dictionary blob through zlib
 
-#: Default write categories that produce compressed runs.  Everything
-#: that is an *intermediate* sorted run compresses; ``output`` and
-#: document staging never do (the output document is the bit-identity
-#: contract surface).
-DEFAULT_COMPRESS_CATEGORIES = frozenset(
-    {"run_write", "merge_write", "partial_run", "partial_merge_write"}
-)
-
 
 @dataclass(frozen=True)
 class CompressionConfig:
@@ -97,13 +89,14 @@ class CompressionConfig:
         segment_blocks: raw blocks gathered per compressed segment.  The
             writer buffers this much framed data before coding, so it is
             also the codec's working-set knob.
-        categories: writer categories whose runs compress; anything else
-            (notably ``output``) stays uncompressed.
+
+    Only writers of a category in
+    :data:`~repro.io.runs.DEFAULT_COMPRESS_CATEGORIES` produce compressed
+    runs.
     """
 
     codec: str = "container"
     segment_blocks: int = 4
-    categories: frozenset = field(default=DEFAULT_COMPRESS_CATEGORIES)
 
     def __post_init__(self):
         if self.codec not in _CODEC_IDS:
@@ -512,7 +505,6 @@ def decode_document_wire(blob: bytes):
 __all__ = [
     "CODEC_NAMES",
     "CompressionConfig",
-    "DEFAULT_COMPRESS_CATEGORIES",
     "RunSegment",
     "decode_document_wire",
     "decode_records",

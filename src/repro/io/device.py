@@ -148,22 +148,14 @@ class BlockDevice:
         and the rest count sequential.  ``stream`` optionally names a
         finer-grained access stream for that judgment (e.g. one run among
         many being merged); counters still accrue to ``category``.
-        Subclasses override this to move whole extents per OS call.
         """
         block_ids = list(block_ids)
         if not block_ids:
             return []
+        out = self._fetch(block_ids)
+        if None in out:
+            self._check(block_ids, out, "read")
         key = stream or category
-        out: list[bytes] = []
-        for block_id in block_ids:
-            if not 0 <= block_id < self._next_block:
-                raise DeviceError(f"read of unallocated block {block_id}")
-            data = self._blocks.get(block_id)
-            if data is None:
-                raise DeviceError(
-                    f"read of never-written block {block_id}"
-                )
-            out.append(data)
         sequential, last = classify_extent(
             block_ids, self._last_by_category.get(key)
         )
@@ -185,28 +177,45 @@ class BlockDevice:
         """
         block_ids = list(block_ids)
         datas = list(datas)
-        if len(block_ids) != len(datas):
-            raise DeviceError(
-                f"write_blocks got {len(block_ids)} ids but "
-                f"{len(datas)} payloads"
-            )
+        self._check(block_ids, datas, "write")
         if not block_ids:
             return
+        self._store(block_ids, datas)
         key = stream or category
-        for block_id, data in zip(block_ids, datas):
-            if not 0 <= block_id < self._next_block:
-                raise DeviceError(f"write of unallocated block {block_id}")
-            if len(data) > self.block_size:
-                raise DeviceError(
-                    f"write of {len(data)} bytes exceeds block size "
-                    f"{self.block_size}"
-                )
-            self._blocks[block_id] = bytes(data)
         sequential, last = classify_extent(
             block_ids, self._last_by_category.get(key)
         )
         self.stats.record_writes(category, len(block_ids), sequential)
         self._last_by_category[key] = last
+
+    def _check(self, block_ids: list, datas: list, verb: str) -> None:
+        """Raise the :class:`DeviceError` a vectored access deserves.
+
+        ``datas`` are a write's payloads, or a read's fetched contents
+        with None where a block holds nothing.  Blocks are judged in
+        order - allocation, then contents, then size - so a bad id is
+        reported before a bad payload that comes after it.
+        """
+        if len(block_ids) != len(datas):
+            raise DeviceError(
+                f"write_blocks got {len(block_ids)} ids but "
+                f"{len(datas)} payloads"
+            )
+        allocated = self.allocated_blocks
+        size = self.block_size
+        for block_id, data in zip(block_ids, datas):
+            if not 0 <= block_id < allocated:
+                if verb == "raw store":
+                    raise DeviceError(
+                        f"raw store to unallocated block {block_id}"
+                    )
+                raise DeviceError(f"{verb} of unallocated block {block_id}")
+            if data is None:
+                raise DeviceError(f"{verb} of never-written block {block_id}")
+            if len(data) > size:
+                raise DeviceError(
+                    f"{verb} of {len(data)} bytes exceeds block size {size}"
+                )
 
     def free_blocks(self, block_ids) -> None:
         """Drop the contents of blocks that are no longer needed.
@@ -222,14 +231,11 @@ class BlockDevice:
         :meth:`pop_hold` can restore them if the unit of work restarts.
         """
         block_ids = list(block_ids)
+        dropped = self._drop(block_ids)
         if self._holds:
             hold = self._holds[-1]
-            for block_id in block_ids:
-                data = self._blocks.get(block_id)
-                if data is not None and block_id not in hold:
-                    hold[block_id] = data
-        for block_id in block_ids:
-            self._blocks.pop(block_id, None)
+            for block_id, data in dropped.items():
+                hold.setdefault(block_id, data)
         self._forget_last_access(block_ids)
 
     def _forget_last_access(self, block_ids) -> None:
@@ -243,6 +249,41 @@ class BlockDevice:
         ]
         for category in stale:
             del self._last_by_category[category]
+
+    # -- storage hooks -------------------------------------------------------
+    #
+    # A storage substrate supplies only these four; the access methods
+    # above own every check, the accounting and the recovery holds.
+
+    def _fetch(self, block_ids: list) -> list:
+        """Stored contents of each block, None where it holds none."""
+        get = self._blocks.get
+        out = []
+        for block_id in block_ids:
+            out.append(get(block_id))
+        return out
+
+    def _store(self, block_ids: list, datas: list) -> None:
+        """Persist checked payloads (no accounting)."""
+        blocks = self._blocks
+        for block_id, data in zip(block_ids, datas):
+            blocks[block_id] = bytes(data)
+
+    def _drop(self, block_ids: list) -> dict:
+        """Discard contents; returns what a recovery hold keeps of them."""
+        pop = self._blocks.pop
+        dropped = {}
+        for block_id in block_ids:
+            data = pop(block_id, None)
+            if data is not None:
+                dropped[block_id] = data
+        return dropped
+
+    def _restore_held(self, held: dict) -> None:
+        """Make a hold's contents readable again (no accounting)."""
+        block_ids = [b for b, data in held.items() if data is not None]
+        if block_ids:
+            self._store(block_ids, [held[b] for b in block_ids])
 
     # -- recovery holds ----------------------------------------------------
 
@@ -276,11 +317,6 @@ class BlockDevice:
         if restore:
             self._restore_held(held)
 
-    def _restore_held(self, held: dict[int, bytes | None]) -> None:
-        for block_id, data in held.items():
-            if data is not None:
-                self._blocks[block_id] = data
-
     def stash_block(self, block_id: int, data: bytes) -> None:
         """Retain ``data`` as ``block_id``'s held contents (uncounted).
 
@@ -300,14 +336,8 @@ class BlockDevice:
         side effect must not charge the model's counters (the retried
         write is charged once, in full, exactly like a fault-free one).
         """
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"raw store to unallocated block {block_id}")
-        if len(data) > self.block_size:
-            raise DeviceError(
-                f"raw store of {len(data)} bytes exceeds block size "
-                f"{self.block_size}"
-            )
-        self._blocks[block_id] = bytes(data)
+        self._check([block_id], [data], "raw store")
+        self._store([block_id], [data])
 
     # -- parallel-disk surface ---------------------------------------------
 
@@ -454,3 +484,4 @@ class DeviceLayer:
 
     read_block = BlockDevice.read_block
     write_block = BlockDevice.write_block
+    _check = BlockDevice._check

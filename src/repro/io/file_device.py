@@ -4,17 +4,17 @@
 memory" as an accounting fiction.  :class:`FileBackedBlockDevice` stores
 blocks in an actual file with ``seek``/``read``/``write``, so experiments
 can also be run against a filesystem when genuine out-of-core behaviour is
-wanted (e.g. documents larger than RAM).  Accounting is identical; only
-the storage substrate changes.
+wanted (e.g. documents larger than RAM).  Accounting is identical: the
+base device's access methods do every check and count, and this class
+supplies only the storage hooks.
 """
 
 from __future__ import annotations
 
 import os
 
-from ..errors import DeviceError
 from .device import BlockDevice, DEFAULT_BLOCK_SIZE
-from .stats import CostModel, classify_extent
+from .stats import CostModel
 
 
 class FileBackedBlockDevice(BlockDevice):
@@ -36,122 +36,50 @@ class FileBackedBlockDevice(BlockDevice):
         self._keep_file = keep_file
         self._file = open(path, "w+b")
         self._written: set[int] = set()
-        # The dict-based storage is not used.
-        self._blocks = _RefuseDict()
 
-    # -- storage overrides ---------------------------------------------------
+    # -- storage hooks: one seek + one OS call per contiguous extent ---------
 
-    def read_blocks(
-        self,
-        block_ids,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> list[bytes]:
-        """Vectored read: one ``seek`` + ``read`` per contiguous extent.
-
-        Counters are identical to the in-memory device's; only the number
-        of OS calls changes.
-        """
-        block_ids = list(block_ids)
-        if not block_ids:
-            return []
+    def _fetch(self, block_ids: list) -> list:
+        written = self._written
+        if not written.issuperset(block_ids):
+            return [
+                self._fetch([block_id])[0] if block_id in written else None
+                for block_id in block_ids
+            ]
         size = self.block_size
-        key = stream or category
-        for block_id in block_ids:
-            if not 0 <= block_id < self._next_block:
-                raise DeviceError(f"read of unallocated block {block_id}")
-            if block_id not in self._written:
-                raise DeviceError(
-                    f"read of never-written block {block_id}"
-                )
-        sequential, last = classify_extent(
-            block_ids, self._last_by_category.get(key)
-        )
         out: list[bytes] = []
         for start, length in _contiguous_extents(block_ids):
             self._file.seek(start * size)
             chunk = self._file.read(length * size)
             for index in range(length):
                 out.append(chunk[index * size : (index + 1) * size])
-        self.stats.record_reads(category, len(block_ids), sequential)
-        self._last_by_category[key] = last
         return out
 
-    def write_blocks(
-        self,
-        block_ids,
-        datas,
-        category: str = "other",
-        stream: str | None = None,
-    ) -> None:
-        """Vectored write: one ``seek`` + ``write`` per contiguous extent."""
-        block_ids = list(block_ids)
-        datas = list(datas)
-        if len(block_ids) != len(datas):
-            raise DeviceError(
-                f"write_blocks got {len(block_ids)} ids but "
-                f"{len(datas)} payloads"
-            )
-        if not block_ids:
-            return
+    def _store(self, block_ids: list, datas: list) -> None:
         size = self.block_size
-        key = stream or category
-        for block_id, data in zip(block_ids, datas):
-            if not 0 <= block_id < self._next_block:
-                raise DeviceError(f"write of unallocated block {block_id}")
-            if len(data) > size:
-                raise DeviceError(
-                    f"write of {len(data)} bytes exceeds block size {size}"
-                )
-        sequential, last = classify_extent(
-            block_ids, self._last_by_category.get(key)
-        )
         cursor = 0
         for start, length in _contiguous_extents(block_ids):
             self._file.seek(start * size)
-            padded = b"".join(
-                data + b"\x00" * (size - len(data))
-                for data in datas[cursor : cursor + length]
+            self._file.write(
+                b"".join(
+                    data + b"\x00" * (size - len(data))
+                    for data in datas[cursor : cursor + length]
+                )
             )
-            self._file.write(padded)
             cursor += length
         self._written.update(block_ids)
-        self.stats.record_writes(category, len(block_ids), sequential)
-        self._last_by_category[key] = last
 
-    def free_blocks(self, block_ids) -> None:
-        block_ids = list(block_ids)
-        if self._holds:
-            # The file still holds the bytes; a None marker is enough to
-            # make the block readable again on restore.
-            hold = self._holds[-1]
-            for block_id in block_ids:
-                if block_id in self._written and block_id not in hold:
-                    hold[block_id] = None
-        for block_id in block_ids:
-            self._written.discard(block_id)
-        self._forget_last_access(block_ids)
+    def _drop(self, block_ids: list) -> dict:
+        # The file keeps the bytes, so a hold needs only a None marker.
+        written = self._written
+        dropped = {b: None for b in block_ids if b in written}
+        written.difference_update(block_ids)
+        return dropped
 
-    def _restore_held(self, held) -> None:
-        for block_id, data in held.items():
-            if data is not None:
-                # Dirty pool data stashed at free time: put the bytes in
-                # the file (uncounted) before marking the block readable.
-                self.store_block_raw(block_id, data)
-            else:
-                self._written.add(block_id)
-
-    def store_block_raw(self, block_id: int, data: bytes) -> None:
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"raw store to unallocated block {block_id}")
-        size = self.block_size
-        if len(data) > size:
-            raise DeviceError(
-                f"raw store of {len(data)} bytes exceeds block size {size}"
-            )
-        self._file.seek(block_id * size)
-        self._file.write(data + b"\x00" * (size - len(data)))
-        self._written.add(block_id)
+    def _restore_held(self, held: dict) -> None:
+        # Dirty pool data stashed at free time goes into the file first.
+        super()._restore_held(held)
+        self._written.update(held)
 
     @property
     def occupied_blocks(self) -> int:
@@ -184,12 +112,3 @@ def _contiguous_extents(block_ids: list[int]):
             start = block_id
             length = 1
     yield start, length
-
-
-class _RefuseDict(dict):
-    """Guards against accidental use of the in-memory storage path."""
-
-    def __setitem__(self, key, value):  # pragma: no cover - defensive
-        raise DeviceError(
-            "file-backed device must not use in-memory block storage"
-        )

@@ -99,8 +99,6 @@ class StripedDevice(BlockDevice):
             BlockDevice(block_size=block_size, cost_model=cost_model)
             for _ in range(disks)
         ]
-        # The striped address space never touches the base dict storage.
-        self._blocks.clear()
         # -- simulated-time pipeline state --------------------------------
         # The consumer's clock.  CPU charges recorded on self.stats advance
         # it lazily (_advance_cpu), so compute performed between I/Os
@@ -199,17 +197,6 @@ class StripedDevice(BlockDevice):
 
     # -- access ------------------------------------------------------------
 
-    def _check_readable(self, block_id: int) -> tuple[int, int]:
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"read of unallocated block {block_id}")
-        disk, local = self._locate(block_id)
-        if (
-            block_id not in self._prefetched
-            and local not in self._shards[disk]._blocks
-        ):
-            raise DeviceError(f"read of never-written block {block_id}")
-        return disk, local
-
     def _read_extent(
         self, disk: int, locals_: list[int], category: str, key: str
     ) -> tuple[list[bytes], float]:
@@ -241,8 +228,10 @@ class StripedDevice(BlockDevice):
         block_ids = list(block_ids)
         if not block_ids:
             return []
+        found = self._fetch(block_ids)
+        if None in found:
+            self._check(block_ids, found, "read")
         key = stream or category
-        locations = [self._check_readable(g) for g in block_ids]
         self._advance_cpu()
         out: list[bytes | None] = [None] * len(block_ids)
         per_disk: dict[int, list[tuple[int, int]]] = {}
@@ -255,7 +244,7 @@ class StripedDevice(BlockDevice):
                 out[position] = data
                 done_times.append(done)
                 continue
-            disk, local = locations[position]
+            disk, local = self._locate(block_id)
             per_disk.setdefault(disk, []).append((position, local))
         for disk, entries in per_disk.items():
             datas, done = self._read_extent(
@@ -314,22 +303,10 @@ class StripedDevice(BlockDevice):
         """Queue a vectored write per disk; returns completion times."""
         block_ids = list(block_ids)
         datas = list(datas)
-        if len(block_ids) != len(datas):
-            raise DeviceError(
-                f"write_blocks got {len(block_ids)} ids but "
-                f"{len(datas)} payloads"
-            )
+        self._check(block_ids, datas, "write")
         if not block_ids:
             return []
         key = stream or category
-        for block_id, data in zip(block_ids, datas):
-            if not 0 <= block_id < self._next_block:
-                raise DeviceError(f"write of unallocated block {block_id}")
-            if len(data) > self.block_size:
-                raise DeviceError(
-                    f"write of {len(data)} bytes exceeds block size "
-                    f"{self.block_size}"
-                )
         self._advance_cpu()
         per_disk: dict[int, tuple[list[int], list[bytes]]] = {}
         for block_id, data in zip(block_ids, datas):
@@ -379,7 +356,10 @@ class StripedDevice(BlockDevice):
                 continue
             if len(self._prefetched) >= self.prefetch_depth:
                 break
-            disk, local = self._check_readable(block_id)
+            found = self._fetch([block_id])
+            if None in found:
+                self._check([block_id], found, "read")
+            disk, local = self._locate(block_id)
             self._advance_cpu()
             (data,), done = self._read_extent(disk, [local], category, key)
             self._prefetched[block_id] = (data, done)
@@ -391,44 +371,36 @@ class StripedDevice(BlockDevice):
         """Blocks currently sitting in the prefetch window."""
         return len(self._prefetched)
 
-    # -- free / recovery ---------------------------------------------------
+    # -- storage hooks -----------------------------------------------------
+    #
+    # Contents live on the shards; a prefetched block is still on its
+    # shard, so the shards alone say what a block holds.
 
-    def free_blocks(self, block_ids) -> None:
-        block_ids = list(block_ids)
-        if self._holds:
-            hold = self._holds[-1]
-            for block_id in block_ids:
-                if block_id in hold:
-                    continue
-                disk, local = self._locate(block_id)
-                data = self._shards[disk]._blocks.get(local)
-                if data is not None:
-                    hold[block_id] = data
+    def _fetch(self, block_ids: list) -> list:
+        return [
+            self._shards[disk]._fetch([local])[0]
+            for disk, local in map(self._locate, block_ids)
+        ]
+
+    def _store(self, block_ids: list, datas: list) -> None:
+        for block_id, data in zip(block_ids, datas):
+            self._prefetched.pop(block_id, None)
+            disk, local = self._locate(block_id)
+            self._shards[disk]._store([local], [data])
+
+    def _drop(self, block_ids: list) -> dict:
+        dropped = {}
         per_disk: dict[int, list[int]] = {}
         for block_id in block_ids:
             self._prefetched.pop(block_id, None)
             disk, local = self._locate(block_id)
+            (data,) = self._shards[disk]._fetch([local])
+            if data is not None:
+                dropped.setdefault(block_id, data)
             per_disk.setdefault(disk, []).append(local)
         for disk, locals_ in per_disk.items():
             self._shards[disk].free_blocks(locals_)
-
-    def _restore_held(self, held: dict[int, bytes | None]) -> None:
-        for block_id, data in held.items():
-            if data is not None:
-                disk, local = self._locate(block_id)
-                self._shards[disk].store_block_raw(local, data)
-
-    def store_block_raw(self, block_id: int, data: bytes) -> None:
-        if not 0 <= block_id < self._next_block:
-            raise DeviceError(f"raw store to unallocated block {block_id}")
-        if len(data) > self.block_size:
-            raise DeviceError(
-                f"raw store of {len(data)} bytes exceeds block size "
-                f"{self.block_size}"
-            )
-        disk, local = self._locate(block_id)
-        self._shards[disk].store_block_raw(local, data)
-        self._prefetched.pop(block_id, None)
+        return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

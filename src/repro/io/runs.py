@@ -38,6 +38,14 @@ _LEN = struct.Struct("<I")
 #: counts ``FRAME_HEADER + len(payload)`` against :attr:`RunWriter.room`.
 FRAME_HEADER = _LEN.size
 
+#: Write categories whose runs compress when the store has a codec.
+#: Every *intermediate* sorted run compresses; ``output`` and document
+#: staging never do (the output document is the bit-identity contract
+#: surface).
+DEFAULT_COMPRESS_CATEGORIES = frozenset(
+    {"run_write", "merge_write", "partial_run", "partial_merge_write"}
+)
+
 
 def frame_records(payloads: list[bytes]) -> tuple[bytes, int, int]:
     """(framed bytes, record count, payload bytes) of ``payloads`` framed
@@ -143,8 +151,8 @@ class RunStore:
         self._pool = None
         self._runs: dict[int, RunHandle] = {}
         self._next_id = 0
-        # Run compression (ISSUE 10): when set, writers whose category is
-        # in ``compression.categories`` produce compressed runs.  Readers
+        # Run compression: when set, writers whose category is in
+        # DEFAULT_COMPRESS_CATEGORIES produce compressed runs.  Readers
         # dispatch on the handle's codec, so mixed stores (compressed
         # intermediates, plain output) just work.
         self.compression: CompressionConfig | None = None
@@ -181,7 +189,7 @@ class RunStore:
 
     def create_writer(self, category: str = "run_write") -> "RunWriter":
         config = self.compression
-        if config is not None and category in config.categories:
+        if config is not None and category in DEFAULT_COMPRESS_CATEGORIES:
             return CompressedRunWriter(self, category, config)
         return RunWriter(self, category)
 

@@ -440,6 +440,57 @@ class TestAnalyzeCommand:
         assert "--depth-limit" in capsys.readouterr().err
 
 
+class TestCommandOptions:
+    """Each subcommand takes only the options it reads, and removes its
+    ``--scratch`` file however it ends."""
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("analyze", ["--stats"]),
+            ("table1", ["--stats"]),
+            ("validate", ["--stats"]),
+            ("table1", ["--memory", "3"]),
+            ("validate", ["--memory", "3"]),
+            ("table1", ["--depth-limit", "1"]),
+        ],
+    )
+    def test_inert_option_is_rejected(
+        self, d1_file, tmp_path, capsys, command, option
+    ):
+        dtd = ["--dtd", str(tmp_path / "x.dtd")]
+        extra = dtd if command == "validate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, d1_file, *extra, *option])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["sort", "{doc}", "-o", "{out}"], 0),
+            (["sort", "{doc}", "-o", "{out}", "--algorithm", "mergesort",
+              "--spec", "*=@name,employee=name"], 2),
+            (["sort", "{doc}", "-o", "{out}", "--faults", "bogus"], 2),
+            (["merge", "{doc}", "{doc}", "-o", "{out}"], 0),
+            (["dedup", "{doc}", "-o", "{out}"], 0),
+            (["table1", "{doc}"], 0),
+            (["validate", "{doc}", "--dtd", "{dtd}"], 0),
+            (["analyze", "{doc}", "--memory", "16"], 0),
+        ],
+    )
+    def test_scratch_file_is_removed(
+        self, d1_file, tmp_path, capsys, argv, code
+    ):
+        dtd = tmp_path / "schema.dtd"
+        dtd.write_text(DTD_TEXT)
+        scratch = tmp_path / "scratch.bin"
+        paths = {"doc": d1_file, "out": tmp_path / "out.xml", "dtd": dtd}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main([*argv, "--scratch", str(scratch)]) == code
+        assert not scratch.exists()
+
+
 class TestDedupCommand:
     def test_sorts_and_removes_duplicates(self, tmp_path, capsys):
         doc = tmp_path / "dup.xml"

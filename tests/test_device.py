@@ -469,6 +469,127 @@ def _mixed_script(device) -> list[bytes]:
     return out
 
 
+def _refusals(device) -> list[str]:
+    """The error of each bad call; none may move a counter."""
+    start = device.allocate(2, "s")
+    device.write_block(start, bytes(64), "w")
+    far = start + 1000  # past every allocated extent
+    calls = [
+        lambda: device.read_block(far, "r"),
+        lambda: device.read_block(-1, "r"),
+        lambda: device.read_block(start + 1, "r"),
+        lambda: device.read_blocks([start, start + 1, far], "r"),
+        lambda: device.read_blocks([start, far, start + 1], "r"),
+        lambda: device.write_block(far, b"x", "w"),
+        lambda: device.write_block(start + 1, bytes(65), "w"),
+        lambda: device.write_blocks([start, start + 1], [b"x"], "w"),
+        lambda: device.write_blocks([far, start], [b"x", bytes(65)], "w"),
+        lambda: device.write_blocks([start, far], [bytes(65), b"x"], "w"),
+        lambda: device.store_block_raw(far, b"x"),
+        lambda: device.store_block_raw(start, bytes(65)),
+    ]
+    before = device.stats.summary()
+    messages = []
+    for call in calls:
+        with pytest.raises(DeviceError) as info:
+            call()
+        messages.append(str(info.value))
+    assert device.stats.summary() == before
+    assert device.read_block(start, "r") == bytes(64)
+    return messages
+
+
+def _raw_and_held(device) -> list[bytes]:
+    """Raw stores and stashes under holds: uncounted, then readable."""
+    full = [bytes([i]) * 64 for i in range(4)]  # no file-device padding
+    start = device.allocate(4, "s")
+    device.write_blocks(range(start, start + 3), full[:3], "w")
+    before = device.stats.summary()
+    device.store_block_raw(start, full[3])
+    device.store_block_raw(start + 3, full[0])
+    device.push_hold()
+    device.stash_block(start + 1, full[2])
+    device.free_blocks([start, start + 1, start + 1])
+    assert device.occupied_blocks == 2
+    device.pop_hold(restore=True)
+    device.push_hold()
+    device.free_blocks([start + 2])
+    device.pop_hold(restore=False)
+    assert device.stats.summary() == before
+    with pytest.raises(DeviceError, match="never-written"):
+        device.read_block(start + 2, "r")
+    return device.read_blocks([start, start + 1, start + 3], "r")
+
+
+class TestDeviceParity:
+    """Every device takes the one access path: the same refusals, raw
+    stores and holds, whatever stores the blocks."""
+
+    @pytest.mark.parametrize("base", sorted(BASES))
+    def test_bad_calls_raise_the_same_errors(self, base, tmp_path):
+        device = BASES[base](tmp_path)
+        try:
+            assert _refusals(device) == [
+                "read of unallocated block 1000",
+                "read of unallocated block -1",
+                "read of never-written block 1",
+                "read of never-written block 1",
+                "read of unallocated block 1000",
+                "write of unallocated block 1000",
+                "write of 65 bytes exceeds block size 64",
+                "write_blocks got 2 ids but 1 payloads",
+                "write of unallocated block 1000",
+                "write of 65 bytes exceeds block size 64",
+                "raw store to unallocated block 1000",
+                "raw store of 65 bytes exceeds block size 64",
+            ]
+        finally:
+            if base == "file":
+                device.close()
+
+    @pytest.mark.parametrize("base", sorted(BASES))
+    def test_raw_stores_and_holds_match(self, base, tmp_path):
+        bare = BlockDevice(block_size=64)
+        expected = _raw_and_held(bare)
+        device = BASES[base](tmp_path)
+        try:
+            assert _raw_and_held(device) == expected
+            assert expected == [bytes([3]) * 64, bytes([2]) * 64, bytes(64)]
+            assert device.stats.summary() == bare.stats.summary()
+        finally:
+            if base == "file":
+                device.close()
+
+    def test_pool_refuses_writes_like_the_device(self):
+        """A caching pool takes the devices' write check: the whole
+        write is refused before any block of it is cached."""
+        pool = BufferPool(BlockDevice(block_size=64), 4)
+        start = pool.allocate(2, "s")
+        far = start + 1000
+        calls = {
+            "write of unallocated block 1000": [
+                lambda: pool.write_block(far, bytes(65), "w"),
+                lambda: pool.write_blocks([start, far], [b"x", b"x"], "w"),
+                lambda: pool.write_block_behind(far, b"x", "w"),
+            ],
+            "write of 65 bytes exceeds block size 64": [
+                lambda: pool.write_blocks(
+                    [start, start + 1], [b"x", bytes(65)], "w"
+                ),
+            ],
+            "write_blocks got 2 ids but 1 payloads": [
+                lambda: pool.write_blocks([start, start + 1], [b"x"], "w"),
+            ],
+        }
+        for message, bad_calls in calls.items():
+            for call in bad_calls:
+                with pytest.raises(DeviceError) as info:
+                    call()
+                assert str(info.value) == message
+        assert pool.cached_blocks == 0
+        assert pool.stats.summary() == BlockDevice(64).stats.summary()
+
+
 class TestDeviceLayer:
     @pytest.mark.parametrize("base", sorted(BASES))
     @pytest.mark.parametrize("layer", sorted(LAYERS))

@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.flat import (
     ChildGroup,
+    PartialRunWriter,
     decode_group,
     encode_group,
     group_sort_key,
     groups_from_region,
     split_children,
-    write_partial_run,
 )
 from repro.errors import CodecError
 from repro.io import BlockDevice, RunStore
@@ -138,7 +138,9 @@ class TestGroupsFromRegion:
         _texts, groups = groups_from_region(
             region_records(), False, False, 2, None, device.stats
         )
-        handle = write_partial_run(store, groups)
+        writer = PartialRunWriter(store)
+        writer.write_groups(groups)
+        handle = writer.finish()
         decoded = [
             decode_group(record)
             for record in store.open_reader(handle)

@@ -11,6 +11,7 @@ trace - to the same job on the old ambient handles.
 
 import pytest
 
+from repro.baselines import external_merge_sort
 from repro.core import nexsort
 from repro.errors import (
     DeviceError,
@@ -106,6 +107,9 @@ class TestReleaseEdges:
         document = make_document(lease.store)
         with pytest.raises(SortSpecError, match="lease grants 12"):
             nexsort(document, SPEC, memory_blocks=24, lease=lease)
+        with pytest.raises(SortSpecError, match="lease grants 12"):
+            external_merge_sort(document, SPEC, memory_blocks=24, lease=lease)
+        assert lease.store.pool is None
 
 
 class TestBitIdentity:

@@ -464,6 +464,32 @@ class TestCorruptStoredRecords:
         with pytest.raises(CodecError):
             _sort(document, algorithm, spec)
 
+    @pytest.mark.parametrize("algorithm", ["nexsort", "mergesort", "xsort"])
+    def test_failed_sort_restores_the_store(self, algorithm):
+        """A sort that fails mid-stream leaves its store as it found it:
+        the buffer pool detached and the store's own run codec back."""
+        from repro.baselines import external_merge_sort, xsort
+        from repro.io.compress import CompressionConfig
+        from repro.merge.engine import MergeOptions
+
+        document = _with_record(_auction_document(), 5, b"\x01")
+        store = document.store
+        prior = CompressionConfig(codec="zlib")
+        store.compression = prior
+        pooled = {
+            "cache_blocks": 2,
+            "merge_options": MergeOptions(compress="container"),
+        }
+        with pytest.raises(CodecError):
+            if algorithm == "nexsort":
+                nexsort(document, _START_KEYED, 8, **pooled)
+            elif algorithm == "mergesort":
+                external_merge_sort(document, _START_KEYED, 6, **pooled)
+            else:
+                xsort(document, _START_KEYED, "", 6, cache_blocks=2)
+        assert store.pool is None
+        assert store.compression is prior
+
     def test_undecodable_text_is_typed(self):
         document = _with_record(_auction_document(), 5, b"\x02\x00\x01\xff")
         with pytest.raises(CodecError):

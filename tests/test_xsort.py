@@ -8,7 +8,7 @@ from repro.errors import SortSpecError
 from repro.generators import figure1_d1, figure1_spec
 from repro.io import BlockDevice, RunStore
 from repro.keys import ByText, SortSpec
-from repro.xml import Document, Element
+from repro.xml import CompactionConfig, Document, Element
 
 from .conftest import flat_tree, random_tree
 
@@ -117,6 +117,31 @@ class TestLargeChildLists:
         doc2 = Document.from_element(store2, tree)
         _result, nreport = nexsort(doc2, spec, memory_blocks=8)
         assert xreport.simulated_seconds < nreport.simulated_seconds
+
+
+class TestCompactedInput:
+    """XSort writes plain-dialect records whatever the input's dialect,
+    so a compacted input sorts to the same text as a plain one."""
+
+    @pytest.mark.parametrize("memory_blocks", [4, 64])
+    def test_compacted_matches_plain(self, spec, memory_blocks):
+        from repro.generators import level_fanout_events
+
+        texts = []
+        runs = []
+        for compaction in (None, CompactionConfig()):
+            _device, store = fresh_store(block_size=512)
+            doc = Document.from_events(
+                store,
+                level_fanout_events([6, 5, 4], seed=11, pad_bytes=24),
+                compaction=compaction,
+            )
+            result, report = xsort(doc, spec, "root", memory_blocks)
+            texts.append(result.to_string())
+            runs.append(report.initial_runs)
+        assert texts[0] == texts[1]
+        # M=4 takes the external child-list path, M=64 the in-memory one.
+        assert runs[0] == runs[1] == (6 if memory_blocks == 4 else 0)
 
 
 class TestValidation:
