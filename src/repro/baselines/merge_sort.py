@@ -182,7 +182,7 @@ class ExternalMergeSorter:
                     units, _real = form_subtree_runs(
                         reader.batches(), compact,
                         names is not None, None, former, None,
-                        start_keys=StartKeyCache(self.spec, names).pieces_for,
+                        start_keys=StartKeyCache(self.spec, names),
                     )
                 except (IndexError, UnicodeDecodeError) as exc:
                     # The fused scan indexes stored records without

@@ -59,10 +59,6 @@ class SortMetrics:
     detail: dict
     wall_seconds: float = 0.0
 
-    @property
-    def ios_per_block(self) -> float:
-        return self.total_ios / max(1, self.input_blocks)
-
 
 def peak_rss_bytes() -> int | None:
     """Peak resident set size of this process, or None if unmeasurable.

@@ -18,6 +18,7 @@ I/O accounting the paper's evaluation is built on (``--stats``).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -544,12 +545,20 @@ def _load(store, path: str, compaction=None) -> Document:
 
 
 def _emit(document: Document, output: str | None) -> None:
-    text = document.to_string(indent="  ")
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text)
+    """Write the document's text to ``output`` (stdout when None) a chunk
+    at a time, as the record writer produces it; a failed write removes
+    the partial file."""
+    chunks = document.text_chunks(indent="  ")
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
+    handle = open(output, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.writelines(chunks)
+    except BaseException:
+        os.remove(output)
+        raise
 
 
 def _print_stats(label: str, stats_obj, out=sys.stdout) -> None:
@@ -807,8 +816,6 @@ def cmd_sort(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import os
-
     from .io.lease import ResourcePool
     from .obs.sinks import TRACE_WRITERS
     from .service import (

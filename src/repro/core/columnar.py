@@ -1001,7 +1001,7 @@ def form_subtree_runs(
     sort_levels: int | None,
     former,
     stats,
-    start_keys: Callable[[bytes], tuple] | None = None,
+    start_keys: StartKeyCache | None = None,
 ) -> tuple[int, int]:
     """Feed stored records into run formation as key-path records.
 
@@ -1029,8 +1029,9 @@ def form_subtree_runs(
       distinct bytes before its position varint; later starts with the
       same bytes look up its tag+attributes, atom and normalized atom.
     * Merge sort's document scan passes the stored document a buffered
-      block at a time, and ``start_keys`` is
-      :meth:`StartKeyCache.pieces_for`: keys come from the spec,
+      block at a time, and ``start_keys`` is the spec's
+      :class:`StartKeyCache` (its memo probed in the loop, then
+      :meth:`StartKeyCache.pieces_for`): keys come from the spec,
       positions count starts in document order, and stored key and
       position annotations are skipped.  A walked start or text must
       end at its record's end, else :class:`~repro.errors.CodecError`;
@@ -1071,6 +1072,9 @@ def form_subtree_runs(
     splits: dict[bytes, tuple[bytes, bytes, bytes]] = {}
     splits_get = splits.get
     memoize = not compact and start_keys is None
+    if start_keys is not None:
+        start_memo_get = start_keys.memo.get
+        start_pieces_for = start_keys.pieces_for
     fixes = None
     next_pos = 0
     # The innermost open element: its normalized and encoded paths, its
@@ -1247,7 +1251,9 @@ def form_subtree_runs(
                             end = _skip_varint(record, end)
                         if end != len(record):
                             raise CodecError(_FLAGS_MISMATCH)
-                    norm_atom, atom, _name, _end = start_keys(tag_attrs)
+                    norm_atom, atom, _name, _end = start_memo_get(
+                        tag_attrs
+                    ) or start_pieces_for(tag_attrs)
                     position = next_pos
                     next_pos += 1
                     spliced = False
@@ -1359,11 +1365,14 @@ def form_subtree_runs(
                     memo[atom] = norm_atom
             if spliced:
                 component = record[comp_start:end]
-            else:
-                component = atom + (
-                    _VARINT1[position] if position < 0x80
-                    else encode_varint(position)
+            elif position < 0x80:
+                component = atom + _VARINT1[position]
+            elif position < 0x4000:
+                component = atom + bytes(
+                    (position & 0x7F | 0x80, position >> 7)
                 )
+            else:
+                component = atom + encode_varint(position)
             norm = norm_top + norm_atom + position.to_bytes(8, "big")
             enc = enc_top + component
             units += 1

@@ -422,9 +422,12 @@ class NexSorter:
                 key and pos the single pass evaluated."""
                 key_frame = leave_element(key_frames)
                 pos = key_frame.pos
-                pos_varint = (
-                    _VARINT1[pos] if pos < 0x80 else encode_varint(pos)
-                )
+                if pos < 0x80:
+                    pos_varint = _VARINT1[pos]
+                elif pos < 0x4000:
+                    pos_varint = bytes((pos & 0x7F | 0x80, pos >> 7))
+                else:
+                    pos_varint = encode_varint(pos)
                 if key_frame.start_key is None:
                     # A subtree-evaluated key: known only now.
                     return join(

@@ -210,21 +210,23 @@ class BufferPool(DeviceLayer):
             return self._device.read_blocks(block_ids, category, stream=stream)
         found: dict[int, bytes] = {}
         missing: list[int] = []
-        hits = 0
         for block_id in block_ids:
             if block_id in found:
                 continue
             entry = self._entries.get(block_id)
             if entry is not None:
-                self._entries.move_to_end(block_id)
                 found[block_id] = entry.data
-                hits += 1
             else:
                 missing.append(block_id)
-        if hits:
-            self.stats.record_cache_hit(category, hits)
         if missing:
             fetched = self._device.read_blocks(missing, category, stream=stream)
+        # The device served the misses: only now do the hits count and
+        # move up the LRU order, so a refused read moves nothing.
+        if found:
+            for block_id in found:
+                self._entries.move_to_end(block_id)
+            self.stats.record_cache_hit(category, len(found))
+        if missing:
             self.stats.record_cache_miss(category, len(missing))
             for block_id, data in zip(missing, fetched):
                 found[block_id] = data

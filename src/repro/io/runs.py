@@ -37,6 +37,10 @@ _LEN = struct.Struct("<I")
 #: A framed record's length header, in bytes: a batching writer's caller
 #: counts ``FRAME_HEADER + len(payload)`` against :attr:`RunWriter.room`.
 FRAME_HEADER = _LEN.size
+#: ``unpack_frame_header(buffer, offset)`` -> ``(length,)``: the payload
+#: length the framed record at ``offset`` declares (its walk in place over
+#: :meth:`RunReader.loaded`).
+unpack_frame_header = _LEN.unpack_from
 
 #: Write categories whose runs compress when the store has a codec.
 #: Every *intermediate* sorted run compresses; ``output`` and document
@@ -591,6 +595,33 @@ class RunReader:
                 batch = [record]
             yield batch
 
+    def loaded(self) -> tuple[bytes, int, int]:
+        """The loaded buffer and the span of it not read yet.
+
+        Returns (buffer, offset, limit): the framed records from the next
+        one on lie in ``buffer[offset:limit]``; ``offset == limit`` when
+        the next record is not loaded (or nothing is).  A caller walks
+        the complete records of the span in place and hands back the
+        offset it reached with :meth:`consume_to`; the record that needs
+        a load is then read with :meth:`read_record`, which loads exactly
+        when a record-at-a-time reader would.
+        """
+        offset = self._pos - self._start
+        if offset < 0 or self._pos >= self._end:
+            return self._buffer, offset, offset
+        return self._buffer, offset, self._end - self._start
+
+    def consume_to(self, offset: int) -> None:
+        """Move past the records walked in the span :meth:`loaded` gave:
+        ``offset`` is the loaded-buffer offset of the next record."""
+        pos = self._start + offset
+        if pos != self._pos and not self._pos < pos <= self._end:
+            raise RunError(
+                f"offset {offset} outside the loaded span of run "
+                f"{self._handle.run_id}"
+            )
+        self._pos = pos
+
     def read_available_records(self) -> list[bytes]:
         """Every record servable from the loaded buffer without new I/O.
 
@@ -604,14 +635,9 @@ class RunReader:
         exactly as the scalar fast path of :meth:`_read_bytes` is.
         """
         out: list[bytes] = []
-        start = self._start
-        if not start <= self._pos < self._end:
-            return out
-        buffer = self._buffer
+        buffer, intra, limit = self.loaded()
         unpack_from = _LEN.unpack_from
         header = _LEN.size
-        intra = self._pos - start
-        limit = self._end - start
         while intra + header <= limit:
             (length,) = unpack_from(buffer, intra)
             record_end = intra + header + length
@@ -619,7 +645,7 @@ class RunReader:
                 break
             out.append(buffer[intra + header : record_end])
             intra = record_end
-        self._pos = start + intra
+        self._pos = self._start + intra
         return out
 
     def read_available_span(self, stop_type: int) -> tuple[bytes, int, int]:
@@ -632,19 +658,10 @@ class RunReader:
         :meth:`read_record` returns that record next, and a record that
         needs a load is never read.
         """
-        start = self._start
-        if not start <= self._pos < self._end:
-            return b"", 0, 0
-        first = self._pos - start
-        stop, count = _scan_span(
-            self._buffer, first, self._end - start, stop_type
-        )
-        self._pos = start + stop
-        return (
-            self._buffer[first:stop],
-            count,
-            stop - first - count * _LEN.size,
-        )
+        buffer, first, limit = self.loaded()
+        stop, count = _scan_span(buffer, first, limit, stop_type)
+        self._pos = self._start + stop
+        return buffer[first:stop], count, stop - first - count * _LEN.size
 
     def _read_bytes(self, count: int) -> bytes:
         pos = self._pos

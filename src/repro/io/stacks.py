@@ -157,11 +157,6 @@ class ExternalStack:
         return self._record_count == 0
 
     @property
-    def memory_is_full(self) -> bool:
-        """True when another push is likely to force a page-out."""
-        return self._memory_bytes >= self._capacity_bytes
-
-    @property
     def room(self) -> int:
         """Payload bytes pushable before the next page-out.
 

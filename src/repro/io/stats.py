@@ -127,10 +127,6 @@ class CategoryCounters:
     def total(self) -> int:
         return self.reads + self.writes
 
-    @property
-    def random_accesses(self) -> int:
-        return self.total - self.seq_reads - self.seq_writes
-
 
 _COUNTERS = tuple(f.name for f in fields(CategoryCounters))
 

@@ -61,8 +61,12 @@ SERVICE_SPEC = SortSpec(default=ByAttribute("name"))
 
 
 def output_digest(document) -> str:
-    """Stable digest of a sorted document's serialized text."""
-    return hashlib.sha256(document.to_string().encode()).hexdigest()
+    """Stable digest of a sorted document's serialized text, hashed a
+    chunk at a time."""
+    digest = hashlib.sha256()
+    for chunk in document.text_chunks():
+        digest.update(chunk.encode())
+    return digest.hexdigest()
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .codec import TokenCodec, encode_name, encode_varint, write_tag_attrs
 from .parser import START, TEXT, tokenize
 from .streaming import DEFAULT_CHUNK_CHARS, read_chunks
 from .tokens import EndTag, StartTag, Text, Token
-from .writer import record_pieces, serialize
+from .writer import record_chunks
 
 if TYPE_CHECKING:
     from .compact import CompactionConfig
@@ -227,21 +227,25 @@ class Document:
 
         return Element.from_events(self.iter_events(category))
 
+    def text_chunks(
+        self, indent: str | None = None, category: str = "export"
+    ) -> Iterator[str]:
+        """The document's XML text in bounded chunks, straight from its
+        records a loaded block at a time (they join to
+        ``events_to_string(iter_events(), indent)``)."""
+        return record_chunks(
+            self.store.open_reader(self.handle, category=category),
+            self.codec.names,
+            self.compaction is not None and self.compaction.eliminate_end_tags,
+            indent,
+        )
+
     def to_string(
         self, indent: str | None = None, category: str = "export"
     ) -> str:
         """Serialize the document back to XML text, straight from its
         records (same text as ``events_to_string(iter_events())``)."""
-        reader = self.store.open_reader(self.handle, category=category)
-        return serialize(
-            record_pieces(
-                reader.batches(),
-                self.codec.names,
-                self.compaction is not None
-                and self.compaction.eliminate_end_tags,
-            ),
-            indent,
-        )
+        return "".join(self.text_chunks(indent, category))
 
     def free(self) -> None:
         """Release the document's blocks (bookkeeping only)."""

@@ -74,9 +74,6 @@ class ContentModel:
     mixed_names: frozenset = frozenset()
     expression: object = None
 
-    def allows_text(self) -> bool:
-        return self.kind in ("ANY", "MIXED")
-
     def allowed_children(self) -> frozenset:
         """Every tag that may appear as a child (ANY -> None sentinel)."""
         if self.kind == "EMPTY":

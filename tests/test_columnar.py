@@ -428,7 +428,7 @@ def _fused_scan(document, spec, former):
         None,
         former,
         None,
-        start_keys=StartKeyCache(spec, names).pieces_for,
+        start_keys=StartKeyCache(spec, names),
     )
     assert units == real
     document.store.device.stats.record_tokens(units)

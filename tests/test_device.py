@@ -560,6 +560,26 @@ class TestDeviceParity:
             if base == "file":
                 device.close()
 
+    @pytest.mark.parametrize("base", sorted(BASES))
+    def test_pooled_reads_are_refused_like_the_device(self, base, tmp_path):
+        """Through a caching pool every bad call raises the device's
+        error and moves no counter: a vectored read that holds a cached
+        block and a refused one counts no cache hit."""
+        device = BASES[base](tmp_path)
+        try:
+            pool = BufferPool(device, 4)
+            assert _refusals(pool) == _refusals(BlockDevice(block_size=64))
+            start = pool.allocate(2, "s")
+            pool.write_block(start, bytes(64), "w")
+            before = pool.stats.summary()
+            for bad in ([start, start + 1], [start, start + 1000]):
+                with pytest.raises(DeviceError):
+                    pool.read_blocks(bad, "r")
+            assert pool.stats.summary() == before
+        finally:
+            if base == "file":
+                device.close()
+
     def test_pool_refuses_writes_like_the_device(self):
         """A caching pool takes the devices' write check: the whole
         write is refused before any block of it is cached."""

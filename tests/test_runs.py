@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError, RunError
 from repro.io import BlockDevice, CompressionConfig, RunStore
-from repro.io.runs import RunReader
+from repro.io.runs import FRAME_HEADER, RunReader, unpack_frame_header
 
 
 def make_store(block_size: int = 256):
@@ -132,6 +132,25 @@ class TestResume:
         handle = writer.finish()
         with pytest.raises(RunError):
             store.open_reader(handle, offset=handle.stream_bytes + 1)
+
+    def test_consume_stays_inside_the_loaded_span(self):
+        """``consume_to`` moves only forward, and no further than the
+        loaded buffer: before any load the span is empty."""
+        _, store = make_store(block_size=128)
+        writer = store.create_writer()
+        writer.write_records([bytes([i]) * 40 for i in range(10)])
+        reader = store.open_reader(writer.finish())
+        buffer, offset, limit = reader.loaded()
+        assert offset == limit == 0
+        reader.read_record()
+        buffer, offset, limit = reader.loaded()
+        assert (offset, limit) == (44, 128)
+        for bad in (offset - 1, limit + 1):
+            with pytest.raises(RunError):
+                reader.consume_to(bad)
+        reader.consume_to(offset + 44)
+        assert reader.tell() == 88
+        assert reader.read_record() == bytes([2]) * 40
 
 
 class TestStore:
@@ -486,6 +505,22 @@ def _unframe(span, count, payload):
     return records
 
 
+def _walk_loaded(reader) -> list[bytes]:
+    """The complete records of the loaded span, walked in place as the
+    record writer walks them, then consumed."""
+    buffer, at, limit = reader.loaded()
+    out = []
+    while at + FRAME_HEADER <= limit:
+        (length,) = unpack_frame_header(buffer, at)
+        end = at + FRAME_HEADER + length
+        if end > limit:
+            break
+        out.append(buffer[at + FRAME_HEADER : end])
+        at = end
+    reader.consume_to(at)
+    return out
+
+
 def _drain(reader, ops):
     """Read ``reader`` to its end (or first error) cycling through
     ``ops``, a ``read_record`` after any drain that served nothing:
@@ -508,6 +543,8 @@ def _drain(reader, ops):
                 got = reader.read_available_records()
             elif op == "span":
                 got = _unframe(*reader.read_available_span(_STOP))
+            elif op == "walk":
+                got = _walk_loaded(reader)
             else:
                 got = []
             if not got:
@@ -577,7 +614,9 @@ class TestFramedSpans:
         block_size=st.sampled_from([64, 128, 256]),
         compressed=st.booleans(),
         ops=st.lists(
-            st.sampled_from(["record", "available", "span", "batch"]),
+            st.sampled_from(
+                ["record", "available", "span", "batch", "walk"]
+            ),
             max_size=8,
         ),
         cut=st.none() | st.floats(0, 0.999),
