@@ -3,11 +3,13 @@
 Both sorters move encoded records, not token objects, through scan ->
 key-evaluate -> form-runs -> merge -> output.  Keys are engine-normalized
 ``bytes`` (order- and equality-faithful, :mod:`repro.merge.engine`), records
-are spliced from the stored encodings, and sorts are batch argsorts.  The
-pieces:
+are spliced from the stored encodings, and sorts are stable sorts over
+those keys.  The pieces:
 
-* :func:`argsort_normalized` - stable argsort of normalized keys, exactly
-  the order - including stability - of ``list.sort`` over the same keys;
+* :func:`argsort_normalized` / :func:`argsort_groups` - stable argsort of
+  normalized keys, exactly the order - including stability - of
+  ``list.sort`` over the same keys: the reference order every sort here
+  keeps;
 * :func:`fast_path_key` - normalized key bytes straight from an encoded
   key-path record, parsing only the path prefix (merge passes never
   decode tags/attributes/text);
@@ -20,11 +22,10 @@ pieces:
   dictionary-coded, and end-tag-eliminated (level-annotated) storage;
 * :func:`emit_output_columnar` - sorted key-path records spliced back
   into stored tokens, for merge sort's output and NEXSORT's subtree runs;
-* :func:`argsort_groups` / :func:`sort_subtree_records` - NEXSORT's
-  in-memory subtree sorts as batch kernels: sibling groups are gathered
-  with their normalized keys and each ordered by a stable argsort,
-  and a popped subtree's raw data-stack records are parsed, sorted, and
-  re-serialized by byte splicing without ever materializing tokens.
+* :func:`sort_subtree_records` - NEXSORT's in-memory subtree sort: one
+  bottom-up pass over a popped subtree's raw data-stack records that
+  sorts each child list as its parent closes and splices the run records
+  from the stored bytes, without ever materializing tokens or a tree.
 
 **Accounting.**  Every kernel charges what the paper's record-at-a-time
 algorithm charges: device accesses are issued in the same per-stream order
@@ -42,17 +43,11 @@ import struct
 import sys
 from functools import partial
 from itertools import chain, islice, repeat
-from math import ceil, log2
 from typing import Callable, Iterable
 
 from ..errors import CodecError, RunError, SortSpecError
 from ..io.runs import FRAME_HEADER
-from ..merge.engine import (
-    _normalize_atom,
-    argsort_counted,
-    dense_ranks,
-    normalize_number,
-)
+from ..merge.engine import _normalize_atom, normalize_number, sort_keyed_batch
 from ..xml.codec import (
     TYPE_END,
     TYPE_POINTER,
@@ -67,7 +62,6 @@ from ..xml.codec import (
     _skip_varint,
     read_tag_attrs,
     read_varint_fast,
-    record_level,
 )
 from ..xml.tokens import StartTag
 
@@ -174,7 +168,9 @@ def argsort_normalized(keys: list[bytes]) -> list[int]:
 
     The result equals the order a stable ``list.sort`` of the keys
     produces, which is what keeps run contents bit-identical to the
-    paper's record-at-a-time sort.
+    paper's record-at-a-time sort.  No sorter calls it: they sort keyed
+    records in place (:func:`~repro.merge.engine.sort_keyed_batch`) in
+    this same order, which this function states for the tests.
     """
     return sorted(range(len(keys)), key=keys.__getitem__)
 
@@ -182,44 +178,6 @@ def argsort_normalized(keys: list[bytes]) -> list[int]:
 def argsort_groups(groups: list[list[bytes]]) -> list[list[int]]:
     """Per-group stable argsorts: ``[argsort_normalized(g) for g in groups]``."""
     return [sorted(range(len(keys)), key=keys.__getitem__) for keys in groups]
-
-
-def sort_sibling_groups(
-    groups: list[list],
-    group_keys: list[list[bytes]],
-    stats,
-    counted: bool = False,
-) -> None:
-    """Reorder every sibling list in place by its normalized keys.
-
-    ``group_keys[i]`` holds one order- and equality-faithful key per
-    member of ``groups[i]``; the groups are ordered by
-    :func:`argsort_groups`.  The analytic ``n * ceil(log2 n)``
-    comparison charge per group is recorded as one total (charge order
-    inside the enclosing subtree-sort span is not observable).
-
-    ``counted=True`` keys each group down to dense ranks via the batched
-    order and replays a counted timsort over the rank ints
-    (:func:`~repro.merge.engine.argsort_counted`), per group in gather
-    order.  The rank lists are order- and equality-isomorphic to the
-    keys, so the replay performs - and charges - exactly the comparison
-    sequence of a counted sort of the groups, while key derivation and
-    the heavy lifting stay batched.
-    """
-    if not groups:
-        return
-    orders = argsort_groups(group_keys)
-    if counted:
-        for children, keys, order in zip(groups, group_keys, orders):
-            replay = argsort_counted(dense_ranks(keys, order), stats)
-            children[:] = [children[i] for i in replay]
-        return
-    comparisons = 0
-    for children, order in zip(groups, orders):
-        children[:] = [children[i] for i in order]
-        n = len(children)
-        comparisons += n * max(1, ceil(log2(n)))
-    stats.record_comparisons(comparisons)
 
 
 # -- batched run reading ------------------------------------------------------
@@ -315,11 +273,12 @@ class StartKeyCache:
     use - so one cache serves every rule shape with the evaluator's exact
     semantics (including numeric coercion and missing-attribute
     fallbacks).  Entries hold the splice pieces the fused scans need,
-    never token objects: the normalized key atom (run-formation keys),
-    the codec-encoded key atom (annotated starts and key-path records),
-    the encoded name field (an end-tag record's name is exactly the
-    tag+attrs prefix, in either name dialect) and the element's run end
-    record.  Specs whose keys are evaluated at end tags use
+    never token objects: the normalized key atom (run-formation and
+    sibling-sort keys), the codec-encoded key atom (annotated starts and
+    key-path records), the encoded name field (an end-tag record's name
+    is exactly the tag+attrs prefix, in either name dialect) and the
+    element's run end and start records.  Specs whose keys are evaluated
+    at end tags use
     :meth:`rule_pieces_for` instead (one cache serves one of the two
     methods).
     """
@@ -334,10 +293,11 @@ class StartKeyCache:
 
     def pieces_for(
         self, tag_attrs: bytes
-    ) -> tuple[bytes, bytes, bytes, bytes]:
-        """(normalized atom, encoded atom, name field, run end record) of
-        one start: the run end record (``03 00`` and the name field) is
-        what a sorted run stores for the element."""
+    ) -> tuple[bytes, bytes, bytes, bytes, bytes]:
+        """(normalized atom, encoded atom, name field, run end record, run
+        start record) of one start: the run records (``03 00`` and the
+        name field, ``01 00`` and the tag+attributes) are what a sorted
+        run stores for the element."""
         entry = self.memo.get(tag_attrs)
         if entry is not None:
             return entry
@@ -353,6 +313,7 @@ class StartKeyCache:
             encoded_atom_bytes(atom),
             name_field,
             b"\x03\x00" + name_field,
+            b"\x01\x00" + tag_attrs,
         )
         if len(self.memo) >= _MEMO_LIMIT:
             self.memo.clear()
@@ -538,326 +499,20 @@ def raised_parsing_records(exc: BaseException, *scans) -> bool:
 # -- fused internal subtree sorts ----------------------------------------------
 
 
-class _RawNode:
-    """One element (or collapsed pointer) of a subtree, from raw records.
-
-    No token is materialized: ``tag_attrs`` keeps the record's encoded
-    tag+attributes slice verbatim (None for pointers), ``body`` keeps a
-    pointer's run_id/element_count/payload_bytes varint slice (None for
-    elements), ``atom`` the encoded key atom slice (None = missing),
-    ``texts`` collects encoded string frames (None / one frame / list of
-    frames) and ``end`` is the element's run end record when the scan
-    already had it (None: built from ``tag_attrs``).
-    """
-
-    __slots__ = (
-        "tag_attrs", "body", "texts", "children", "atom", "pos", "end"
-    )
-
-    def __init__(self, tag_attrs, body, atom, pos, end=None):
-        self.tag_attrs = tag_attrs
-        self.body = body
-        self.texts = None
-        self.children: list[_RawNode] = []
-        self.atom = atom
-        self.pos = pos
-        self.end = end
-
-
-def _attach_raw_text(node: _RawNode, frame: bytes) -> None:
-    node.texts = _with_frame(node.texts, frame)
-
-
-def _attach_raw_node(node, root, stack):
-    """Attach a parsed node to its parent, else make it the root; a
-    second root is an error."""
-    if stack:
-        stack[-1].children.append(node)
-        return root
-    if root is None:
-        return node
-    raise CodecError("subtree tokens have two roots")
-
-
-def _raw_pointer(record: bytes) -> tuple[_RawNode, int]:
-    """(_RawNode, element_count) of an encoded RunPointer record."""
-    flags = record[1]
-    pos = _skip_varint(record, 2)  # run_id
-    count, pos = read_varint_fast(record, pos)  # element_count
-    pos = _skip_varint(record, pos)  # payload_bytes
-    body = record[2:pos]
-    atom = None
-    position = 0
-    if flags & 1:
-        end = _skip_atom(record, pos)
-        atom = record[pos:end]
-        pos = end
-    if flags & 2:
-        position, pos = read_varint_fast(record, pos)
-    return _RawNode(None, body, atom, position), count
-
-
 #: A record's fields for a pre-spliced end tag: it overrides nothing.
 END_FIELDS = ()
 
+#: Closes every open element of a subtree: the record chained behind its
+#: last one.  Compared by identity, so it is no ``bytes``: a stored
+#: one-byte record may be the interned ``b"\x00"``.
+_SUBTREE_END = bytearray(1)
 
-def _parse_subtree_plain(
-    records: list[bytes], names_coded: bool, fields: list | None = None
-) -> tuple[_RawNode, int, int]:
-    """(root, units, real elements) of a plain-mode record subtree.
+#: A close floor no element level reaches: the record closes nothing.
+_NO_CLOSE = sys.maxsize
 
-    ``fields``, aligned with ``records``, holds what the document scan
-    already split out of a record that never left memory: ``(tag+attrs
-    end offset, encoded key atom, position, run end record)`` of an
-    annotated start, or
-    :data:`END_FIELDS` for an end tag that repeats its start's position.
-    Records without fields (None) are parsed from their bytes.
-    """
-    root: _RawNode | None = None
-    stack: list[_RawNode] = []
-    units = 0
-    real = 0
-    for record, known in zip(
-        records, repeat(None) if fields is None else fields
-    ):
-        if known is not None:
-            if known:
-                end, atom, position, end_record = known
-                node = _RawNode(
-                    record[2:end], None, atom, position, end_record
-                )
-                root = _attach_raw_node(node, root, stack)
-                stack.append(node)
-                units += 1
-                real += 1
-            elif stack:
-                stack.pop()
-            else:
-                raise CodecError("subtree tokens are unbalanced")
-            continue
-        token_type = record[0]
-        if token_type == TYPE_START:
-            flags = record[1]
-            end = _skip_tag_attrs(record, 2, names_coded)
-            tag_attrs = record[2:end]
-            atom = None
-            position = 0
-            if flags & 1:
-                stop = _skip_atom(record, end)
-                atom = record[end:stop]
-                end = stop
-            if flags & 2:
-                position, end = read_varint_fast(record, end)
-            node = _RawNode(tag_attrs, None, atom, position)
-            root = _attach_raw_node(node, root, stack)
-            stack.append(node)
-            units += 1
-            real += 1
-        elif token_type == TYPE_END:
-            if not stack:
-                raise CodecError("subtree tokens are unbalanced")
-            node = stack.pop()
-            flags = record[1]
-            end = _name_field_end(record, 2, names_coded)
-            # End tags may carry the element's key/pos (subtree-evaluated
-            # criteria); they override the start's.
-            if flags & 1:
-                stop = _skip_atom(record, end)
-                node.atom = record[end:stop]
-                end = stop
-            if flags & 2:
-                node.pos, end = read_varint_fast(record, end)
-        elif token_type == TYPE_TEXT:
-            if stack:
-                flags = record[1]
-                if flags & 4:
-                    _attach_raw_text(
-                        stack[-1], record[2 : _skip_frame(record, 2)]
-                    )
-                else:
-                    _attach_raw_text(stack[-1], record[2:])
-        elif token_type == TYPE_POINTER:
-            node, count = _raw_pointer(record)
-            root = _attach_raw_node(node, root, stack)
-            units += 1
-            real += count
-        else:
-            raise CodecError(f"unknown token type byte {token_type}")
-    if stack:
-        raise CodecError("subtree tokens are unbalanced")
-    if root is None:
-        raise CodecError("subtree tokens contain no element")
-    return root, units, real
-
-
-def _parse_subtree_compact(
-    records: list[bytes], names_coded: bool
-) -> tuple[_RawNode, int, int]:
-    """(root, units, real elements) of a compacted-mode record subtree."""
-    root: _RawNode | None = None
-    stack: list[_RawNode] = []
-    levels: list[int] = []
-    units = 0
-    real = 0
-    for record in records:
-        token_type = record[0]
-        if token_type == TYPE_TEXT:
-            flags = record[1]
-            if flags & 4:
-                end = _skip_frame(record, 2)
-                frame = record[2:end]
-                level, _ = read_varint_fast(record, end)
-                while levels and levels[-1] > level:
-                    levels.pop()
-                    stack.pop()
-            else:
-                frame = record[2:]
-            if stack:
-                _attach_raw_text(stack[-1], frame)
-            continue
-        if token_type == TYPE_START:
-            flags = record[1]
-            end = _skip_tag_attrs(record, 2, names_coded)
-            tag_attrs = record[2:end]
-            atom = None
-            position = 0
-            if flags & 1:
-                stop = _skip_atom(record, end)
-                atom = record[end:stop]
-                end = stop
-            if flags & 2:
-                position, end = read_varint_fast(record, end)
-            if not flags & 4:
-                raise CodecError("compacted token without level")
-            level, _ = read_varint_fast(record, end)
-            while levels and levels[-1] >= level:
-                levels.pop()
-                stack.pop()
-            node = _RawNode(tag_attrs, None, atom, position)
-            root = _attach_raw_node(node, root, stack)
-            stack.append(node)
-            levels.append(level)
-            units += 1
-            real += 1
-        elif token_type == TYPE_POINTER:
-            level = record_level(record, names_coded)
-            if level is None:
-                raise CodecError("compacted token without level")
-            node, count = _raw_pointer(record)
-            while levels and levels[-1] >= level:
-                levels.pop()
-                stack.pop()
-            root = _attach_raw_node(node, root, stack)
-            units += 1
-            real += count
-        else:
-            raise CodecError(
-                f"unexpected token in compact subtree records: "
-                f"type byte {token_type}"
-            )
-    if root is None:
-        raise CodecError("subtree tokens contain no element")
-    return root, units, real
-
-
-def sort_raw_tree(
-    root: _RawNode,
-    sort_levels: int | None,
-    stats,
-    counted: bool = False,
-) -> None:
-    """Sort every sibling list of a raw-record subtree, batched.
-
-    One DFS gathers every sibling group to sort (``n > 1``, level within
-    ``sort_levels``), group keys are the engine-normalized ``atom +
-    8-byte position`` bytes (order- and equality-faithful to the
-    ``(key, pos)`` tuple compare), and :func:`sort_sibling_groups`
-    orders and charges them all.
-    """
-    groups: list[list[_RawNode]] = []
-    group_keys: list[list[bytes]] = []
-    memo: dict[bytes, bytes] = {}
-    pack_pos = _U64.pack
-    work: list[tuple[_RawNode, int]] = [(root, 1)]
-    while work:
-        node, level = work.pop()
-        children = node.children
-        if (sort_levels is None or level <= sort_levels) and len(children) > 1:
-            keys = []
-            append = keys.append
-            for child in children:
-                atom = child.atom
-                if atom is None:
-                    norm = b"\x00"
-                else:
-                    norm = memo.get(atom)
-                    if norm is None:
-                        norm, _ = _normalize_encoded_atom(atom, 0)
-                        memo[atom] = norm
-                append(norm + pack_pos(child.pos))
-            groups.append(children)
-            group_keys.append(keys)
-        for child in children:
-            if child.body is None:  # pointers are leaves
-                work.append((child, level + 1))
-    sort_sibling_groups(groups, group_keys, stats, counted)
-
-
-def _serialize_raw_tree(
-    root: _RawNode, base_level: int, compact: bool, names_coded: bool
-) -> list[bytes]:
-    """Encoded run records of a sorted raw subtree (annotations stripped).
-
-    Byte-for-byte the encoding of the run's tokens: they carry no keys
-    or positions; starts/texts/pointers carry
-    levels only in compacted mode; plain mode appends end tags.
-    """
-    out: list[bytes] = []
-    append = out.append
-    level_tails: dict[int, bytes] = {}
-    work: list = [(root, base_level)]
-    while work:
-        item = work.pop()
-        if type(item) is bytes:  # pre-built end record
-            append(item)
-            continue
-        node, level = item
-        if compact:
-            tail = level_tails.get(level)
-            if tail is None:
-                tail = encode_varint(level)
-                level_tails[level] = tail
-        if node.body is not None:  # pointer
-            if compact:
-                append(b"\x04\x04" + node.body + tail)
-            else:
-                append(b"\x04\x00" + node.body)
-            continue
-        tag_attrs = node.tag_attrs
-        if compact:
-            append(b"\x01\x04" + tag_attrs + tail)
-        else:
-            append(b"\x01\x00" + tag_attrs)
-        texts = node.texts
-        if texts is not None:
-            frame = _text_frame(texts)
-            if compact:
-                append(b"\x02\x04" + frame + tail)
-            else:
-                append(b"\x02\x00" + frame)
-        if not compact:
-            end = node.end
-            if end is None:
-                end = b"\x03\x00" + tag_attrs[
-                    : _name_field_end(tag_attrs, 0, names_coded)
-                ]
-            work.append(end)
-        children = node.children
-        if children:
-            next_level = level + 1
-            for child in reversed(children):
-                work.append((child, next_level))
-    return out
+#: A subtree's records go on after its root element closed.
+_TWO_ROOTS = "subtree tokens have two roots"
+_TEXT_AFTER_ROOT = "subtree tokens have a text after the root"
 
 
 def subtree_root_summary(
@@ -911,24 +566,238 @@ def sort_subtree_records(
 ) -> tuple[list[bytes], int, int]:
     """Fused internal subtree sort over raw encoded data-stack records.
 
-    No token is decoded: records are parsed into a raw node tree by
-    field offsets, sibling groups are ordered by stable argsorts
-    (:func:`sort_raw_tree`), and output records are spliced from
-    the input's own encoded slices.  Returns ``(out_records, units,
-    real_elements)``; output bytes, order, and the comparison charge are
-    identical to sorting the decoded token tree (``counted=True`` replays
-    the counted comparison sequence exactly - see
-    :func:`sort_sibling_groups`).  ``fields`` are the plain-mode
-    records' per-record fields from the data stack
-    (:func:`_parse_subtree_plain`); they change no output.
+    One bottom-up pass, for plain and compacted records alike.  Open
+    elements sit on a stack.  An element closes at its end record, or in
+    compacted mode by ``restore_end_tags``' level rules (a start or
+    pointer at its level or above, a text above it, or the end of the
+    records).  Then its children, ``(key, records)`` pairs keyed by the
+    engine-normalized ``atom + 8-byte position`` (order- and
+    equality-faithful to the ``(key, pos)`` tuple compare), are sorted
+    stably and charged (:func:`~repro.merge.engine.sort_keyed_batch`, per
+    child list of two or more), and its start record, joined text
+    frame, children's records and end record become one list for its
+    parent.  Only the child lists of relative levels ``1 .. sort_levels``
+    are sorted.  An element's key and position come from its start
+    record; a plain-mode end record that carries them overrides them
+    (subtree-evaluated keys).
+
+    No token is decoded: the run records are the input's own slices with
+    annotations stripped - starts, texts and pointers carry the output
+    level in compacted mode (the subtree root at ``base_level``), and
+    plain mode keeps end records.  ``fields``, aligned with ``records``
+    (plain mode only), holds what the document scan already split out of
+    a record that never left memory: ``(normalized atom, position, run
+    start record, run end record)`` of a start (see
+    :meth:`StartKeyCache.pieces_for`), or :data:`END_FIELDS` for an end
+    record that repeats its start's position.  Records without fields
+    (None) are parsed from their bytes; fields change no output.
+
+    Returns ``(out_records, units, real_elements)``.  An unbalanced
+    subtree, one without an element, a second root or a text after the
+    root closed, and a compacted start or pointer without a level raise
+    :class:`~repro.errors.CodecError`.  The byte walks are unchecked: a
+    truncated record raises ``IndexError``.
     """
-    if compact:
-        root, units, real = _parse_subtree_compact(records, names_coded)
-    else:
-        root, units, real = _parse_subtree_plain(records, names_coded, fields)
-    sort_raw_tree(root, sort_levels, stats, counted=counted)
-    out = _serialize_raw_tree(root, base_level, compact, names_coded)
-    return out, units, real
+    pack_pos = _U64.pack
+    # Children of depths up to ``sorted_depth`` are sorted, so the keys of
+    # depths ``2 .. sorted_depth + 1`` order something.
+    sorted_depth = sys.maxsize - 1 if sort_levels is None else sort_levels
+    keyed_depth = sorted_depth + 1
+    norms: dict[bytes, bytes] = {}
+    tails: dict[int, bytes] = {}
+    # The innermost open element: its normalized atom, position, output
+    # start and end records, collected text frames, children and stored
+    # level (plain mode: its depth); ``opened`` holds the same fields of
+    # each enclosing element.
+    depth = 0
+    norm = start = end = text = children = None
+    pos = 0
+    level_top = -1
+    opened: list[tuple] = []
+    # Starts and pointers, and the elements pointers stand for beyond one.
+    units = folded = 0
+    root: list[bytes] | None = None
+    known_fields = (
+        repeat(None) if fields is None or compact else fields + [None]
+    )
+    for record, known in zip(records + [_SUBTREE_END], known_fields):
+        if known is not None:
+            if known:  # a start as the scan pushed it
+                if not depth and root is not None:
+                    raise CodecError(_TWO_ROOTS)
+                opened.append(
+                    (norm, pos, start, end, text, children, level_top)
+                )
+                norm, pos, start, end = known
+                text = children = None
+                depth += 1
+                level_top = depth
+                units += 1
+                continue
+            token_type = TYPE_END
+            if not depth:
+                raise CodecError("subtree tokens are unbalanced")
+            floor = level_top
+        else:
+            token_type = record[0]
+            floor = _NO_CLOSE
+            if token_type == TYPE_START or token_type == TYPE_POINTER:
+                flags = record[1]
+                if token_type == TYPE_START:
+                    stop = _skip_tag_attrs(record, 2, names_coded)
+                    tag_attrs = record[2:stop]
+                else:
+                    # run_id, element_count, payload_bytes varints.
+                    stop = _skip_varint(record, 2)
+                    count, stop = read_varint_fast(record, stop)
+                    stop = _skip_varint(record, stop)
+                    body = record[2:stop]
+                atom = None
+                position = 0
+                if flags & 1:
+                    atom_end = _skip_atom(record, stop)
+                    atom = record[stop:atom_end]
+                    stop = atom_end
+                if flags & 2:
+                    position, stop = read_varint_fast(record, stop)
+                if compact:
+                    if not flags & 4:
+                        raise CodecError("compacted token without level")
+                    level, _ = read_varint_fast(record, stop)
+                    floor = level
+            elif token_type == TYPE_TEXT:
+                if record[1] & 4:
+                    stop = _skip_frame(record, 2)
+                    frame = record[2:stop]
+                    if compact:
+                        level, _ = read_varint_fast(record, stop)
+                        floor = level + 1
+                else:
+                    frame = record[2:]
+            elif token_type == TYPE_END and not compact:
+                if not depth:
+                    raise CodecError("subtree tokens are unbalanced")
+                # End tags may carry the element's key/pos
+                # (subtree-evaluated criteria); they override the start's.
+                flags = record[1]
+                if flags & 3:
+                    stop = _name_field_end(record, 2, names_coded)
+                    if flags & 1:
+                        atom_end = _skip_atom(record, stop)
+                        norm = _normalized(norms, record[stop:atom_end])
+                        stop = atom_end
+                    if flags & 2:
+                        pos, stop = read_varint_fast(record, stop)
+                floor = level_top
+            elif record is _SUBTREE_END:
+                if depth and not compact:
+                    raise CodecError("subtree tokens are unbalanced")
+                floor = 0
+            elif compact:
+                raise CodecError(
+                    f"unexpected token in compact subtree records: "
+                    f"type byte {token_type}"
+                )
+            else:
+                raise CodecError(f"unknown token type byte {token_type}")
+
+        # Close every open element at or above ``floor``: its children
+        # are complete.
+        while level_top >= floor:
+            if text is None:
+                out = [start]
+            elif compact:
+                tail = _level_tail(tails, base_level + depth - 1)
+                out = [start, b"\x02\x04" + _text_frame(text) + tail]
+            else:
+                out = [start, b"\x02\x00" + _text_frame(text)]
+            if children is not None:
+                if depth <= sorted_depth and len(children) > 1:
+                    sort_keyed_batch(children, stats, counted)
+                for child in children:
+                    out += child[1]
+            if end is not None:
+                out.append(end)
+            key = norm + pack_pos(pos) if 1 < depth <= keyed_depth else None
+            norm, pos, start, end, text, children, level_top = opened.pop()
+            depth -= 1
+            if not depth:
+                root = out
+            elif children is None:
+                children = [(key, out)]
+            else:
+                children.append((key, out))
+
+        if token_type == TYPE_END:
+            continue
+        if token_type == TYPE_START:
+            if not depth and root is not None:
+                raise CodecError(_TWO_ROOTS)
+            opened.append((norm, pos, start, end, text, children, level_top))
+            norm = b"\x00" if atom is None else _normalized(norms, atom)
+            pos = position
+            text = children = None
+            depth += 1
+            units += 1
+            if compact:
+                start = b"\x01\x04" + tag_attrs + _level_tail(
+                    tails, base_level + depth - 1
+                )
+                end = None
+                level_top = level
+            else:
+                start = b"\x01\x00" + tag_attrs
+                end = b"\x03\x00" + tag_attrs[
+                    : _name_field_end(tag_attrs, 0, names_coded)
+                ]
+                level_top = depth
+        elif token_type == TYPE_TEXT:
+            if depth:
+                text = _with_frame(text, frame)
+            elif root is not None:
+                raise CodecError(_TEXT_AFTER_ROOT)
+        elif token_type == TYPE_POINTER:
+            if not depth and root is not None:
+                raise CodecError(_TWO_ROOTS)
+            units += 1
+            folded += count - 1
+            if compact:
+                out = [
+                    b"\x04\x04" + body + _level_tail(tails, base_level + depth)
+                ]
+            else:
+                out = [b"\x04\x00" + body]
+            if not depth:
+                root = out
+                continue
+            key = None
+            if depth <= sorted_depth:
+                key = b"\x00" if atom is None else _normalized(norms, atom)
+                key += pack_pos(position)
+            if children is None:
+                children = [(key, out)]
+            else:
+                children.append((key, out))
+    if root is None:
+        raise CodecError("subtree tokens contain no element")
+    return root, units, units + folded
+
+
+def _normalized(norms: dict[bytes, bytes], atom: bytes) -> bytes:
+    """The normalized key bytes of an encoded key atom, memoized."""
+    norm = norms.get(atom)
+    if norm is None:
+        norm, _ = _normalize_encoded_atom(atom, 0)
+        norms[atom] = norm
+    return norm
+
+
+def _level_tail(tails: dict[int, bytes], level: int) -> bytes:
+    """The level varint that ends a compacted run record, memoized."""
+    tail = tails.get(level)
+    if tail is None:
+        tail = tails[level] = encode_varint(level)
+    return tail
 
 
 # -- fused external subtree sorts ---------------------------------------------
@@ -976,17 +845,9 @@ def _end_tag_annotations(
 #: Heads of key-path pointer records, by depth.
 _POINTER_HEADS = [b"\x02" + encode_varint(depth) for depth in range(64)]
 
-#: Closes every open element of a compacted subtree: the record chained
-#: behind its last one.  Compared by identity, so it is no ``bytes``: a
-#: stored one-byte record may be the interned ``b"\x00"``.
-_SUBTREE_END = bytearray(1)
-
 #: A walked record of the document scan that does not end where its
 #: flags say (a field missing, or bytes left over).
 _FLAGS_MISMATCH = "stored record's fields do not match its flags"
-
-#: A close floor no element level reaches: the record closes nothing.
-_NO_CLOSE = sys.maxsize
 
 #: Entries at which a sort's memo of record splits stops growing, and
 #: stops being consulted: past it the document's elements vary too much
@@ -1251,7 +1112,7 @@ def form_subtree_runs(
                             end = _skip_varint(record, end)
                         if end != len(record):
                             raise CodecError(_FLAGS_MISMATCH)
-                    norm_atom, atom, _name, _end = start_memo_get(
+                    norm_atom, atom, _name, _end, _start = start_memo_get(
                         tag_attrs
                     ) or start_pieces_for(tag_attrs)
                     position = next_pos
@@ -1338,12 +1199,18 @@ def form_subtree_runs(
                 depth -= 1
 
             if token_type != TYPE_START and token_type != TYPE_POINTER:
-                if token_type == TYPE_TEXT and depth:
-                    pending = texts.get(depth)
-                    texts[depth] = (
-                        frame if pending is None else _with_frame(pending, frame)
-                    )
+                if token_type == TYPE_TEXT:
+                    if depth:
+                        pending = texts.get(depth)
+                        texts[depth] = (
+                            frame if pending is None
+                            else _with_frame(pending, frame)
+                        )
+                    elif units:
+                        raise CodecError(_TEXT_AFTER_ROOT)
                 continue
+            if not depth and units:
+                raise CodecError(_TWO_ROOTS)
             child = depth + 1
             if sort_levels is not None and (
                 child == 1 or child > sort_levels + 1

@@ -31,10 +31,11 @@ from ..xml.codec import (
     decode_key_atom,
     encode_key_atom,
     read_varint,
+    record_level,
     write_varint,
 )
 from ..xml.tokens import KeyAtom, MISSING_KEY
-from .columnar import record_level, sort_subtree_records, subtree_root_summary
+from .columnar import sort_subtree_records, subtree_root_summary
 
 
 class ChildGroup:

@@ -638,7 +638,9 @@ class NexSorter:
                         enter_element(key_frames, tag, rule, start_key, pos)
                         encoded = join((b"\x01\x02", tag_attrs, pos_varint))
                     elif compact:
-                        _norm, enc_atom, _name, _end = pieces_for(tag_attrs)
+                        _norm, enc_atom, _name, _end, _start = pieces_for(
+                            tag_attrs
+                        )
                         # The evaluator annotates depth, not the stored
                         # level (equal on any well-formed stream).
                         depth = len(frames) + 1
@@ -655,15 +657,15 @@ class NexSorter:
                         )
                         end_record = None
                     else:
-                        _norm, enc_atom, name_field, run_end = memo_get(
-                            tag_attrs
-                        ) or pieces_for(tag_attrs)
+                        norm, enc_atom, name_field, run_end, run_start = (
+                            memo_get(tag_attrs) or pieces_for(tag_attrs)
+                        )
                         encoded = join(
                             (b"\x01\x03", tag_attrs, enc_atom, pos_varint)
                         )
                         # The fields this split already found: an internal
                         # subtree sort reads them instead of the bytes.
-                        fields = (len(tag_attrs) + 2, enc_atom, pos, run_end)
+                        fields = (norm, pos, run_start, run_end)
                         end_record = join((b"\x03\x02", name_field, pos_varint))
                     size = len(encoded)
                     if size <= room:

@@ -6,9 +6,9 @@ subtree, sorting on Line 11 may use either an internal-memory algorithm or
 an external-memory algorithm, e.g., internal-memory recursive sort or
 key-path external merge sort" (Section 3.1).  Both paths live here:
 
-* **internal** - parse the popped records into a node tree by field
-  offsets, sort every child list by ``(key, position)`` with a stable
-  argsort, and splice the run records from the input's own encodings
+* **internal** - one bottom-up pass over the popped records: each child
+  list is sorted by ``(key, position)``, stably, when its parent closes,
+  and the run records are spliced from the input's own encodings
   (:func:`repro.core.columnar.sort_subtree_records`).
 * **external** - the subtree exceeds the sorter's memory: splice its
   key-path records (paths relative to the subtree root) from the same raw
@@ -113,14 +113,13 @@ class SubtreeSorter:
                 0 = none, the subtree is written through unsorted).
             fields: the records' data-stack fields, aligned with
                 ``records`` (see
-                :func:`repro.core.columnar._parse_subtree_plain`); only
+                :func:`repro.core.columnar.sort_subtree_records`); only
                 an internal sort reads them, and they change no output.
 
         No token is ever materialized.  When the subtree fits in memory
-        the records are parsed by field offsets, sibling groups are
-        ordered by stable argsorts, and run records are spliced
-        from the input's own encoded slices
-        (:func:`repro.core.columnar.sort_subtree_records`).  A larger
+        one bottom-up pass sorts each child list stably as its parent
+        closes and splices the run records from the input's own encoded
+        slices (:func:`repro.core.columnar.sort_subtree_records`).  A larger
         subtree takes the key-path external merge sort over spliced
         records (:meth:`_sort_external`).  Malformed records raise
         :class:`~repro.errors.CodecError`.

@@ -187,52 +187,6 @@ def sort_keyed_batch(
     sort_with_accounting(batch, _FIRST, stats, counted)
 
 
-def dense_ranks(keys: list, order: list[int]) -> list[int]:
-    """Map each key to its dense rank given a stable sorted ``order``.
-
-    ``order`` is a stable argsort of ``keys`` (equal keys in original
-    position order); the result assigns 0 to the smallest distinct key,
-    1 to the next, and so on.  The rank list is order- *and* equality-
-    isomorphic to the original keys: ``ranks[i] < ranks[j]`` iff
-    ``keys[i] < keys[j]`` and ``ranks[i] == ranks[j]`` iff
-    ``keys[i] == keys[j]``.  Any comparison sort run over the ranks
-    therefore performs *exactly* the comparison sequence it would have
-    performed over the keys - which is what lets counted sorts run
-    batched without perturbing the comparison charge.
-    """
-    ranks = [0] * len(keys)
-    rank = -1
-    previous = None
-    for position in order:
-        key = keys[position]
-        if rank < 0 or key != previous:
-            rank += 1
-            previous = key
-        ranks[position] = rank
-    return ranks
-
-
-def argsort_counted(ranks: list[int], stats) -> list[int]:
-    """Counted stable argsort: indices sorting ``ranks``, charging exactly
-    the comparisons timsort performs.
-
-    Sorting ``range(n)`` by counted rank reproduces the comparison
-    sequence of sorting the original items by counted key (see
-    :func:`dense_ranks`), so the charge equals a per-group
-    ``sort_with_accounting(..., counted=True)`` bit for bit while the
-    expensive key derivation stays batched.
-    """
-    n = len(ranks)
-    if n <= 1:
-        return list(range(n))
-    counter = ComparisonCounter()
-    order = sorted(
-        range(n), key=lambda i: _CountedKey(ranks[i], counter)
-    )
-    stats.record_comparisons(counter.count)
-    return order
-
-
 # -- loser-tree k-way merge ---------------------------------------------------
 
 

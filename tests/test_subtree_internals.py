@@ -1,6 +1,7 @@
 """Direct unit tests for the subtree-sorter internals."""
 
 import random
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +14,10 @@ from repro.baselines.keypath import (
     records_from_annotated_events,
 )
 from repro.core.columnar import (
-    _parse_subtree_compact,
-    _parse_subtree_plain,
+    END_FIELDS,
     fast_path_key,
     form_subtree_runs,
+    normalized_atom_bytes,
     sort_subtree_records,
 )
 from repro.core.subtree import SubtreeSorter
@@ -25,7 +26,6 @@ from repro.generators import level_fanout_events
 from repro.io import BlockDevice, RunStore
 from repro.merge.engine import MergeOptions, normalized_path_key
 from repro.xml import TokenCodec
-from repro.xml.codec import decode_key_atom
 from repro.xml.compact import NameDictionary, restore_end_tags
 from repro.xml.tokens import (
     EndTag,
@@ -57,18 +57,6 @@ def plain_tokens():
     ]
 
 
-def parse_subtree(tokens, compact):
-    """The raw-record node tree of the encoded tokens."""
-    records = TokenCodec().encode_batch(tokens)
-    parse = _parse_subtree_compact if compact else _parse_subtree_plain
-    root, _units, _real = parse(records, False)
-    return root
-
-
-def key_of(node):
-    return decode_key_atom(node.atom, 0)[0] if node.atom else MISSING_KEY
-
-
 def sorted_tokens(tokens, sort_levels=None, compact=False, base_level=1):
     """(run tokens, units, real, stats) of an internal subtree sort."""
     device = BlockDevice(block_size=256)
@@ -95,18 +83,30 @@ def unit_counts(tokens):
 
 
 class TestBuildSubtree:
-    """Parsing popped records into the raw-record node tree."""
+    """The run an internal subtree sort builds from popped records."""
 
     def test_plain_structure(self):
-        root = parse_subtree(plain_tokens(), compact=False)
-        assert root.tag_attrs == TokenCodec().encode(StartTag("r"))[2:]
-        assert [key_of(c) for c in root.children] == [
-            number_key(2),
-            number_key(9),
-            number_key(1),
+        pointer = RunPointer(run_id=7, element_count=4, payload_bytes=100)
+        unsorted = [
+            StartTag("r"),
+            StartTag("a"),
+            Text("t"),
+            EndTag("a"),
+            pointer,
+            StartTag("b"),
+            EndTag("b"),
+            EndTag("r"),
         ]
-        assert root.children[1].body is not None  # the pointer
-        assert root.children[0].texts == b"\x01t"
+        tokens, units, real, _stats = sorted_tokens(
+            plain_tokens(), sort_levels=0
+        )
+        assert tokens == unsorted
+        assert (units, real) == (4, 7)
+        # Children by key: b (1), a (2), the pointer (9).
+        tokens, _units, _real, _stats = sorted_tokens(plain_tokens())
+        assert tokens == [
+            unsorted[0], *unsorted[5:7], *unsorted[1:4], pointer, unsorted[7]
+        ]
 
     def test_compact_structure(self):
         tokens = [
@@ -119,32 +119,56 @@ class TestBuildSubtree:
             ),
             StartTag("b", key=number_key(1), pos=3, level=4),
         ]
-        root = parse_subtree(tokens, compact=True)
-        assert len(root.children) == 3
-        assert root.children[1].body is not None
+        out, units, real, _stats = sorted_tokens(
+            tokens, compact=True, base_level=3
+        )
+        assert out == [
+            StartTag("r", level=3),
+            StartTag("b", level=4),
+            StartTag("a", level=4),
+            Text("t", level=4),
+            RunPointer(
+                run_id=7, level=4, element_count=4, payload_bytes=100
+            ),
+        ]
+        assert (units, real) == (4, 7)
 
     def test_end_tag_keys_override(self):
+        """An end tag's key and position replace its start's: ``a``
+        starts keyed 1, before ``b`` (2), and ends keyed by a string,
+        which sorts after every number."""
         tokens = [
             StartTag("r", pos=0),
-            EndTag("r", key=string_key("late"), pos=0),
+            StartTag("a", key=number_key(1), pos=1),
+            EndTag("a", key=string_key("late"), pos=1),
+            StartTag("b", key=number_key(2), pos=2),
+            EndTag("b", pos=2),
+            EndTag("r", key=string_key("root"), pos=0),
         ]
-        root = parse_subtree(tokens, compact=False)
-        assert key_of(root) == string_key("late")
+        out, _units, _real, _stats = sorted_tokens(tokens)
+        assert out == [
+            StartTag("r"),
+            StartTag("b"),
+            EndTag("b"),
+            StartTag("a"),
+            EndTag("a"),
+            EndTag("r"),
+        ]
 
     def test_unbalanced_rejected(self):
         with pytest.raises(CodecError):
-            parse_subtree([StartTag("r")], compact=False)
+            sorted_tokens([StartTag("r")])
 
     def test_two_roots_rejected(self):
         tokens = [
             StartTag("a"), EndTag("a"), StartTag("b"), EndTag("b")
         ]
         with pytest.raises(CodecError):
-            parse_subtree(tokens, compact=False)
+            sorted_tokens(tokens)
 
     def test_compact_without_levels_rejected(self):
         with pytest.raises(CodecError):
-            parse_subtree([StartTag("r")], compact=True)
+            sorted_tokens([StartTag("r")], compact=True)
 
 
 class TestSortAndSerialize:
@@ -689,6 +713,227 @@ def test_internal_and_external_subtree_sorts_agree():
                 assert getattr(internal_result, field) == getattr(
                     external_result, field
                 ), (label, field)
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("case", ["two roots", "text after the root"])
+def test_records_after_the_root_are_rejected(case, compact):
+    """Internal and external subtree sorts reject the same subtrees: a
+    record after the root has closed raises CodecError on both paths,
+    instead of a run holding two roots or a text silently dropped."""
+    if case == "two roots":
+        plain = [
+            StartTag("a", key=number_key(2), pos=0),
+            EndTag("a", pos=0),
+            StartTag("b", key=number_key(1), pos=1),
+            EndTag("b", pos=1),
+        ]
+    else:
+        plain = [
+            StartTag("r", key=number_key(2), pos=0),
+            EndTag("r", pos=0),
+            Text("t"),
+        ]
+    tokens = compact_subtree_tokens(plain) if compact else plain
+    for capacity in (10**6, 16):
+        sorter = SubtreeSorter(
+            RunStore(BlockDevice(block_size=256)), TokenCodec(),
+            compact=compact, capacity_bytes=capacity, fan_in=2,
+        )
+        with pytest.raises(CodecError):
+            sorter.sort_tokens(tokens, 500, 1, None)
+
+
+class _Counting:
+    """A sort key that counts the ``<`` comparisons made on it."""
+
+    def __init__(self, value, counter):
+        self.value = value
+        self.counter = counter
+
+    def __lt__(self, other):
+        self.counter[0] += 1
+        return self.value < other.value
+
+
+class TestOnePass:
+    """The one-pass internal sort against a recursive sort of the drawn
+    tree, with the comparisons charged per sorted child list."""
+
+    KEYS = st.one_of(
+        st.none(),
+        st.just(MISSING_KEY),
+        st.builds(number_key, st.sampled_from([-1.5, 0.0, 2.0, 7.0])),
+        st.builds(string_key, st.sampled_from(["", "a", "b", "é"])),
+    )
+
+    def draw_node(self, data, depth, compact):
+        """One element or pointer: a dict with its annotations, content
+        (texts and child nodes in document order) and effective key."""
+        pos = data.draw(st.integers(0, 6))
+        key = data.draw(self.KEYS)
+        if depth > 1 and data.draw(st.integers(0, 4)) == 0:
+            return {
+                "pointer": (
+                    data.draw(st.integers(0, 300)),
+                    data.draw(st.integers(1, 5)),
+                    data.draw(st.integers(0, 200)),
+                ),
+                "key": key, "pos": pos,
+                "order": (key or MISSING_KEY, pos),
+            }
+        end_key = end_pos = None
+        if not compact:
+            end_key = data.draw(self.KEYS)
+            end_pos = data.draw(st.sampled_from([None, pos, 6 - pos]))
+        content = []
+        width = data.draw(st.integers(0, 4)) if depth < 4 else 0
+        for _ in range(width):
+            if data.draw(st.integers(0, 2)) == 0:
+                content.append(data.draw(st.sampled_from(["", "x", "&é"])))
+            else:
+                content.append(self.draw_node(data, depth + 1, compact))
+        return {
+            "pointer": None,
+            "tag": data.draw(st.sampled_from(["a", "b"])),
+            "attrs": data.draw(st.sampled_from([(), (("n", "v"),)])),
+            "key": key, "pos": pos, "end_key": end_key, "end_pos": end_pos,
+            "content": content,
+            "order": (
+                end_key or key or MISSING_KEY,
+                pos if end_pos is None else end_pos,
+            ),
+        }
+
+    def records(self, node, depth, compact):
+        """The node's data-stack tokens in document order."""
+        if node["pointer"]:
+            run_id, count, payload = node["pointer"]
+            return [
+                RunPointer(
+                    run_id=run_id, key=node["key"], pos=node["pos"],
+                    level=depth if compact else None,
+                    element_count=count, payload_bytes=payload,
+                )
+            ]
+        out = [
+            StartTag(
+                node["tag"], node["attrs"], key=node["key"], pos=node["pos"],
+                level=depth if compact else None,
+            )
+        ]
+        for item in node["content"]:
+            if type(item) is str:
+                out.append(Text(item, level=depth if compact else None))
+            else:
+                out.extend(self.records(item, depth + 1, compact))
+        if not compact:
+            out.append(
+                EndTag(node["tag"], key=node["end_key"], pos=node["end_pos"])
+            )
+        return out
+
+    def expected(self, node, depth, args, charges):
+        """(run tokens, units, real) of the recursively sorted node;
+        appends each sorted child list's charge to ``charges``."""
+        compact, base_level, sort_levels, counted = args
+        level = base_level + depth - 1 if compact else None
+        if node["pointer"]:
+            run_id, count, payload = node["pointer"]
+            pointer = RunPointer(
+                run_id=run_id, level=level, element_count=count,
+                payload_bytes=payload,
+            )
+            return [pointer], 1, count
+        out = [StartTag(node["tag"], node["attrs"], level=level)]
+        texts = [item for item in node["content"] if type(item) is str]
+        if texts:
+            out.append(Text("".join(texts), level=level))
+        children = [item for item in node["content"] if type(item) is dict]
+        n = len(children)
+        if n > 1 and (sort_levels is None or depth <= sort_levels):
+            if counted:
+                counter = [0]
+                children = sorted(
+                    children,
+                    key=lambda child: _Counting(child["order"], counter),
+                )
+                charges.append(counter[0])
+            else:
+                children = sorted(children, key=lambda child: child["order"])
+                charges.append(n * max(1, ceil(log2(n))))
+        units = real = 1
+        for child in children:
+            tokens, child_units, child_real = self.expected(
+                child, depth + 1, args, charges
+            )
+            out.extend(tokens)
+            units += child_units
+            real += child_real
+        if not compact:
+            out.append(EndTag(node["tag"]))
+        return out, units, real
+
+    def scan_fields(self, data, tokens, codec):
+        """Fields for a random set of starts as the document scan splits
+        them (a keyed, positioned start that stayed in memory), and
+        :data:`END_FIELDS` for ends that add nothing to their start."""
+        fields = []
+        opened = []
+        for token in tokens:
+            known = None
+            if type(token) is StartTag:
+                opened.append(token)
+                if (
+                    token.key is not None
+                    and token.pos is not None
+                    and data.draw(st.booleans())
+                ):
+                    known = (
+                        normalized_atom_bytes(token.key),
+                        token.pos,
+                        codec.encode(StartTag(token.tag, token.attrs)),
+                        codec.encode(EndTag(token.tag)),
+                    )
+            elif type(token) is EndTag:
+                start = opened.pop()
+                if (
+                    token.key is None
+                    and token.pos in (None, start.pos)
+                    and data.draw(st.booleans())
+                ):
+                    known = END_FIELDS
+            fields.append(known)
+        return fields
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_recursive_sort(self, data):
+        storage = data.draw(st.sampled_from(["plain", "names", "levels", "full"]))
+        compact = storage in ("levels", "full")
+        names = NameDictionary() if storage in ("names", "full") else None
+        codec = TokenCodec(names)
+        sort_levels = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+        counted = data.draw(st.booleans())
+        base_level = data.draw(st.integers(1, 3))
+        root = self.draw_node(data, 1, compact)
+        tokens = self.records(root, 1, compact)
+        fields = None
+        if not compact and data.draw(st.booleans()):
+            fields = self.scan_fields(data, tokens, codec)
+        charges = []
+        expected, units, real = self.expected(
+            root, 1, (compact, base_level, sort_levels, counted), charges
+        )
+        device = BlockDevice(block_size=256)
+        out, got_units, got_real = sort_subtree_records(
+            codec.encode_batch(tokens), compact, names is not None,
+            base_level, sort_levels, device.stats, counted=counted,
+            fields=fields,
+        )
+        assert codec.decode_batch(out) == expected
+        assert (got_units, got_real) == (units, real)
+        assert device.stats.comparisons == sum(charges)
 
 
 def mutated(records, rng):
