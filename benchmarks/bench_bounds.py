@@ -21,9 +21,9 @@ from repro.analysis import (
 from repro.bench import (
     load_document,
     record_table,
-    run_merge_sort,
-    run_nexsort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.generators import level_fanout_events
 
 GEOMETRIES = [
@@ -42,8 +42,10 @@ def _run_all():
 
         document = load_document(events())
         geometry = ModelGeometry.from_document(document, memory)
-        metrics = run_nexsort(events, memory_blocks=memory)
-        merge_metrics = run_merge_sort(events, memory_blocks=memory)
+        metrics = run_config(events, PlanConfig(memory_blocks=memory))
+        merge_metrics = run_config(
+            events, PlanConfig(algorithm="merge_sort", memory_blocks=memory)
+        )
         upper = nexsort_upper_bound_ios(
             geometry.N, geometry.B, geometry.M, geometry.k, 2 * geometry.B
         )

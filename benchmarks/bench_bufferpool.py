@@ -23,8 +23,9 @@ from repro.bench import (
     ascii_chart,
     bench_scale,
     record_table,
-    run_nexsort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.generators import level_fanout_events
 
 #: The model parameter M (blocks) the sort itself runs with.
@@ -44,10 +45,9 @@ def _events():
 def _sweep():
     rows = []
     for cache in CACHE_SWEEP:
-        metrics = run_nexsort(
+        metrics = run_config(
             _events,
-            memory_blocks=BASE_MEMORY + cache,
-            cache_blocks=cache,
+            PlanConfig(memory_blocks=BASE_MEMORY + cache, cache_blocks=cache),
         )
         rows.append((cache, metrics))
     return rows

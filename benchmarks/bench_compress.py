@@ -27,11 +27,12 @@ from pathlib import Path
 
 from repro.analysis import DocumentProfile, Planner, arge_thorup_merge_depth
 from repro.baselines.merge_sort import external_merge_sort
-from repro.bench import record_table, run_merge_sort, run_nexsort
+from repro.bench import record_table, run_config
 from repro.bench.harness import load_document
 from repro.generators import level_fanout_events
 from repro.keys import ByAttribute, SortSpec
 from repro.merge.engine import MergeOptions
+from repro.plan import PlanConfig
 
 _JSON_PATH = Path(__file__).parent / "BENCH_compress.json"
 
@@ -81,8 +82,12 @@ def _codec_sweep():
     digests = {}
     for memory in MEMORY_GRANTS:
         for codec in CODECS:
-            metrics = run_merge_sort(
-                _fig5_events, memory, merge_options=_options(codec),
+            metrics = run_config(
+                _fig5_events,
+                PlanConfig(
+                    algorithm="merge_sort", memory_blocks=memory,
+                    compress=codec,
+                ),
             )
             digest, _report = _digest(memory, _options(codec))
             digests[(memory, codec)] = digest
@@ -109,13 +114,13 @@ def _crossover_sweep():
     """
     rows = []
     for block_size in CROSSOVER_BLOCKS:
-        off = run_nexsort(
-            _fig5_events, 24, block_size=block_size,
-            merge_options=_options(None),
+        off = run_config(
+            _fig5_events, PlanConfig(memory_blocks=24), block_size=block_size
         )
-        on = run_nexsort(
-            _fig5_events, 24, block_size=block_size,
-            merge_options=_options("container"),
+        on = run_config(
+            _fig5_events,
+            PlanConfig(memory_blocks=24, compress="container"),
+            block_size=block_size,
         )
         rows.append({
             "block_size": block_size,

@@ -15,9 +15,9 @@ from repro.bench import (
     ascii_chart,
     bench_scale,
     record_table,
-    run_merge_sort,
-    run_nexsort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.generators import level_fanout_events
 
 MEMORY_SWEEP = [16, 24, 32, 48, 64, 96]
@@ -31,8 +31,10 @@ def _events():
 def _sweep():
     rows = []
     for memory in MEMORY_SWEEP:
-        nexsort_metrics = run_nexsort(_events, memory_blocks=memory)
-        merge_metrics = run_merge_sort(_events, memory_blocks=memory)
+        nexsort_metrics = run_config(_events, PlanConfig(memory_blocks=memory))
+        merge_metrics = run_config(
+            _events, PlanConfig(algorithm="merge_sort", memory_blocks=memory)
+        )
         rows.append((memory, nexsort_metrics, merge_metrics))
     return rows
 

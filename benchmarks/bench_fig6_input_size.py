@@ -15,9 +15,9 @@ from repro.bench import (
     ascii_chart,
     bench_scale,
     record_table,
-    run_merge_sort,
-    run_nexsort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.generators import level_fanout_events
 
 #: Per-size shapes; every shape has maximum fan-out exactly 85, and the
@@ -51,8 +51,13 @@ def _sweep():
         sizes.append([24, 85, 24])
     for fanouts in sizes:
         factory = _events_factory(fanouts)
-        nexsort_metrics = run_nexsort(factory, memory_blocks=MEMORY_BLOCKS)
-        merge_metrics = run_merge_sort(factory, memory_blocks=MEMORY_BLOCKS)
+        nexsort_metrics = run_config(
+            factory, PlanConfig(memory_blocks=MEMORY_BLOCKS)
+        )
+        merge_metrics = run_config(
+            factory,
+            PlanConfig(algorithm="merge_sort", memory_blocks=MEMORY_BLOCKS),
+        )
         rows.append((nexsort_metrics, merge_metrics))
     return rows
 

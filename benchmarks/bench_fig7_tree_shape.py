@@ -23,9 +23,9 @@ from repro.bench import (
     ascii_chart,
     bench_scale,
     record_table,
-    run_merge_sort,
-    run_nexsort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.generators import (
     level_fanout_element_count,
     scaled_table2_shapes,
@@ -45,11 +45,17 @@ def _sweep():
         def events(fanouts=fanouts):
             return level_fanout_events(fanouts, seed=7, pad_bytes=24)
 
-        nexsort_metrics = run_nexsort(events, memory_blocks=MEMORY_BLOCKS)
-        flatopt_metrics = run_nexsort(
-            events, memory_blocks=MEMORY_BLOCKS, flat_optimization=True
+        nexsort_metrics = run_config(
+            events, PlanConfig(memory_blocks=MEMORY_BLOCKS)
         )
-        merge_metrics = run_merge_sort(events, memory_blocks=MEMORY_BLOCKS)
+        flatopt_metrics = run_config(
+            events,
+            PlanConfig(memory_blocks=MEMORY_BLOCKS, flat_optimization=True),
+        )
+        merge_metrics = run_config(
+            events,
+            PlanConfig(algorithm="merge_sort", memory_blocks=MEMORY_BLOCKS),
+        )
         rows.append(
             (height, fanouts, nexsort_metrics, flatopt_metrics, merge_metrics)
         )

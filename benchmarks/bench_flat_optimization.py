@@ -12,9 +12,9 @@ pages.
 from repro.bench import (
     bench_scale,
     record_table,
-    run_merge_sort,
-    run_nexsort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.generators import level_fanout_events
 
 MEMORY_BLOCKS = 24
@@ -30,16 +30,19 @@ def _hierarchical_events():
 
 
 def _run_all():
+    plain = PlanConfig(memory_blocks=MEMORY_BLOCKS)
+    degenerating = PlanConfig(
+        memory_blocks=MEMORY_BLOCKS, flat_optimization=True
+    )
     return {
-        "flat_plain": run_nexsort(_flat_events, MEMORY_BLOCKS),
-        "flat_opt": run_nexsort(
-            _flat_events, MEMORY_BLOCKS, flat_optimization=True
+        "flat_plain": run_config(_flat_events, plain),
+        "flat_opt": run_config(_flat_events, degenerating),
+        "flat_merge": run_config(
+            _flat_events,
+            PlanConfig(algorithm="merge_sort", memory_blocks=MEMORY_BLOCKS),
         ),
-        "flat_merge": run_merge_sort(_flat_events, MEMORY_BLOCKS),
-        "hier_plain": run_nexsort(_hierarchical_events, MEMORY_BLOCKS),
-        "hier_opt": run_nexsort(
-            _hierarchical_events, MEMORY_BLOCKS, flat_optimization=True
-        ),
+        "hier_plain": run_config(_hierarchical_events, plain),
+        "hier_opt": run_config(_hierarchical_events, degenerating),
     }
 
 

@@ -33,7 +33,7 @@ import pytest
 from repro.analysis import arge_thorup_merge_depth
 from repro.baselines import key_path_table
 from repro.bench import ascii_chart, load_document, record_table
-from repro.bench.harness import run_merge_sort, run_nexsort
+from repro.bench.harness import run_config
 from repro.generators import (
     figure1_d1,
     figure1_spec,
@@ -41,6 +41,7 @@ from repro.generators import (
     level_fanout_events,
     scaled_table2_shapes,
 )
+from repro.plan import PlanConfig
 
 BLOCK_SIZE = 65536
 
@@ -88,12 +89,12 @@ def _factory(fanouts, seed):
 
 
 def _run(algorithm, fanouts, seed, memory_blocks, **options):
-    runner = run_nexsort if algorithm == "nexsort" else run_merge_sort
-    return runner(
+    return run_config(
         _factory(fanouts, seed),
-        memory_blocks=memory_blocks,
+        PlanConfig(
+            algorithm=algorithm, memory_blocks=memory_blocks, **options
+        ),
         block_size=BLOCK_SIZE,
-        **options,
     )
 
 

@@ -14,8 +14,9 @@ from repro.bench import (
     bench_scale,
     load_document,
     record_table,
-    run_merge_sort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.core import nexsort
 from repro.generators import auction_events, auction_spec
 
@@ -48,8 +49,10 @@ def _run():
     )
     xsort_stats = device.stats.since(before)
 
-    merge_metrics = run_merge_sort(
-        _events, memory_blocks=MEMORY_BLOCKS, spec=spec
+    merge_metrics = run_config(
+        _events,
+        PlanConfig(algorithm="merge_sort", memory_blocks=MEMORY_BLOCKS),
+        spec=spec,
     )
     return document, plan, nexsort_report, xsort_stats, merge_metrics
 

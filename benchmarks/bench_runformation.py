@@ -27,9 +27,9 @@ import json
 from pathlib import Path
 
 from repro.bench import ascii_chart, bench_scale, record_table
-from repro.bench.harness import run_merge_sort
+from repro.bench.harness import run_config
 from repro.generators import level_fanout_events
-from repro.merge.engine import MergeOptions
+from repro.plan import PlanConfig
 
 MEMORY_BLOCKS = 24
 
@@ -78,11 +78,14 @@ def _sweep():
     rows = []
     for workload, _desc, events in WORKLOADS:
         for formation, kernel in CONFIGS:
-            options = MergeOptions(
-                run_formation=formation, merge_kernel=kernel
-            )
-            metrics = run_merge_sort(
-                events, memory_blocks=MEMORY_BLOCKS, merge_options=options
+            metrics = run_config(
+                events,
+                PlanConfig(
+                    algorithm="merge_sort",
+                    memory_blocks=MEMORY_BLOCKS,
+                    run_formation=formation,
+                    merge_kernel=kernel,
+                ),
             )
             rows.append((workload, formation, kernel, metrics))
     return rows

@@ -21,9 +21,9 @@ import json
 from pathlib import Path
 
 from repro.bench import ascii_chart, bench_scale, record_table
-from repro.bench.harness import run_merge_sort, run_nexsort
+from repro.bench.harness import run_config
 from repro.generators import level_fanout_events
-from repro.merge.engine import MergeOptions
+from repro.plan import PlanConfig
 
 #: Memory for the NEXSORT striping sweep (the Figure-5 mid-range point).
 MEMORY_BLOCKS = 24
@@ -48,29 +48,35 @@ def _events():
 
 
 def _run_all():
-    golden = run_nexsort(_events, memory_blocks=MEMORY_BLOCKS)
+    golden = run_config(_events, PlanConfig(memory_blocks=MEMORY_BLOCKS))
     sweep = [
         (
             disks,
-            run_nexsort(_events, memory_blocks=MEMORY_BLOCKS, disks=disks),
+            run_config(
+                _events,
+                PlanConfig(memory_blocks=MEMORY_BLOCKS, disks=disks),
+                striped=True,
+            ),
         )
         for disks in DISK_SWEEP
     ]
 
-    options = MergeOptions(merge_kernel="loser-tree")
     policies = {}
     for name, depth, policy in (
         ("off", 0, "forecast"),
         ("round-robin", PREFETCH_DEPTH, "round-robin"),
         ("forecast", PREFETCH_DEPTH, "forecast"),
     ):
-        policies[name] = run_merge_sort(
+        policies[name] = run_config(
             _events,
-            memory_blocks=PREFETCH_MEMORY,
-            merge_options=options,
-            disks=PREFETCH_DISKS,
-            prefetch_depth=depth,
-            prefetch_policy=policy,
+            PlanConfig(
+                algorithm="merge_sort",
+                memory_blocks=PREFETCH_MEMORY,
+                merge_kernel="loser-tree",
+                disks=PREFETCH_DISKS,
+                prefetch_depth=depth,
+                prefetch_policy=policy,
+            ),
         )
     return golden, sweep, policies
 

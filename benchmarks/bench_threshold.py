@@ -16,8 +16,9 @@ from repro.bench import (
     BENCH_BLOCK_SIZE,
     bench_scale,
     record_table,
-    run_nexsort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.generators import level_fanout_events
 
 MEMORY_BLOCKS = 24
@@ -35,10 +36,9 @@ def _sweep():
     rows = []
     for multiplier in THRESHOLD_MULTIPLIERS:
         threshold = int(multiplier * BENCH_BLOCK_SIZE)
-        metrics = run_nexsort(
+        metrics = run_config(
             _events,
-            memory_blocks=MEMORY_BLOCKS,
-            threshold_bytes=threshold,
+            PlanConfig(memory_blocks=MEMORY_BLOCKS, threshold_bytes=threshold),
         )
         rows.append((multiplier, metrics))
     return rows

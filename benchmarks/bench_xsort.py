@@ -13,8 +13,9 @@ from repro.bench import (
     BENCH_SPEC,
     load_document,
     record_table,
-    run_nexsort,
+    run_config,
 )
+from repro.plan import PlanConfig
 from repro.generators import level_fanout_events
 
 MEMORY_BLOCKS = 24
@@ -35,7 +36,9 @@ def _sweep():
         )
         xsort_stats = device.stats.since(before)
 
-        nexsort_metrics = run_nexsort(events, memory_blocks=MEMORY_BLOCKS)
+        nexsort_metrics = run_config(
+            events, PlanConfig(memory_blocks=MEMORY_BLOCKS)
+        )
         fully_sorted = is_fully_sorted(xsorted.to_element(), BENCH_SPEC)
         top_sorted = is_fully_sorted(
             xsorted.to_element(), BENCH_SPEC, depth_limit=1

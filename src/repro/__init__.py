@@ -96,6 +96,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "nested_loop_merge",
         "structural_merge",
     ),
+    "plan": ("PlanConfig", "run_plan"),
     "xml": (
         "CompactionConfig",
         "Document",

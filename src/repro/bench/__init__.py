@@ -7,9 +7,6 @@ from .harness import (
     bench_scale,
     load_document,
     run_config,
-    run_merge_sort,
-    run_nexsort,
-    slowdown,
 )
 from .plotting import ascii_chart
 from .reporting import BenchReport, drain_reports, record_table
@@ -25,7 +22,4 @@ __all__ = [
     "load_document",
     "record_table",
     "run_config",
-    "run_merge_sort",
-    "run_nexsort",
-    "slowdown",
 ]

@@ -309,7 +309,11 @@ class NexSorter:
                 assert self._open_partial is None, "unclosed partial run"
                 root_record = data_stack.pop()
                 root_pointer = codec.decode(root_record)
-                assert isinstance(root_pointer, RunPointer)
+                if not isinstance(root_pointer, RunPointer):
+                    raise CodecError(
+                        "stored document does not end with its root "
+                        "element"
+                    )
             report.data_stack_page_ins = data_stack.page_ins
             report.data_stack_page_outs = data_stack.page_outs
             report.path_stack_page_ins = path_stack.page_ins

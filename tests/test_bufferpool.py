@@ -4,10 +4,11 @@ import pytest
 
 from repro.errors import DeviceError, MemoryBudgetExceeded
 from repro.io import BlockDevice, BufferPool, MemoryBudget, RunStore
-from repro.bench.harness import run_merge_sort, run_nexsort
+from repro.bench.harness import run_config
 from repro.core import nexsort
 from repro.generators import level_fanout_events
 from repro.keys import ByAttribute, SortSpec
+from repro.plan import PlanConfig
 from repro.xml.document import Document
 
 
@@ -384,8 +385,11 @@ class TestEndToEndFidelity:
     @pytest.mark.parametrize("memory", sorted(SEED_GOLDEN))
     def test_cache_zero_matches_seed_io_counts(self, memory):
         expected_nexsort, expected_merge = SEED_GOLDEN[memory]
-        n = run_nexsort(fig5_events, memory, cache_blocks=0)
-        m = run_merge_sort(fig5_events, memory, cache_blocks=0)
+        n = run_config(fig5_events, PlanConfig(memory_blocks=memory))
+        m = run_config(
+            fig5_events,
+            PlanConfig(algorithm="merge_sort", memory_blocks=memory),
+        )
         assert n.total_ios == expected_nexsort
         assert m.total_ios == expected_merge
         assert n.detail["cache_hits"] == 0
@@ -422,9 +426,10 @@ class TestEndToEndFidelity:
 
         memory = 64
         spare = memory // 4
-        base = run_nexsort(deep_events, memory)
-        cached = run_nexsort(
-            deep_events, memory + spare, cache_blocks=spare
+        base = run_config(deep_events, PlanConfig(memory_blocks=memory))
+        cached = run_config(
+            deep_events,
+            PlanConfig(memory_blocks=memory + spare, cache_blocks=spare),
         )
         base_reads = base.detail["output_reads"]
         cached_reads = cached.detail["output_reads"]
@@ -438,8 +443,10 @@ class TestEndToEndFidelity:
     def test_report_snapshot_includes_flushed_writebacks(self):
         """Deferred write-backs are flushed before the report snapshot:
         both runs moved the same data, so total writes stay comparable."""
-        base = run_nexsort(fig5_events, 24)
-        cached = run_nexsort(fig5_events, 30, cache_blocks=6)
+        base = run_config(fig5_events, PlanConfig(memory_blocks=24))
+        cached = run_config(
+            fig5_events, PlanConfig(memory_blocks=30, cache_blocks=6)
+        )
         # Every block the sort produced must eventually be written: the
         # pool can only save re-writes of freed scratch blocks.
         assert cached.detail["cache_hits"] > 0

@@ -133,6 +133,60 @@ class TestSortCommand:
             "--prefetch-depth", "2", "--merge-kernel", "loser-tree",
         ]) == 0
 
+    @pytest.mark.parametrize("algorithm", ["mergesort", "xsort"])
+    def test_depth_limit_needs_nexsort(self, d1_file, algorithm, capsys):
+        """A depth limit is honoured or refused, never ignored."""
+        code = main([
+            "sort", d1_file, "--algorithm", algorithm, "--depth-limit", "1",
+        ])
+        assert code == 2
+        assert "--depth-limit" in capsys.readouterr().err
+
+    def test_plan_auto_keeps_the_depth_limit(self, tmp_path, capsys):
+        """A depth limit pins NEXSORT: the planned run writes the same
+        partly sorted document as the plain one."""
+        doc = _fig5_file(tmp_path)
+        geometry = ["--memory", "24", "--block-size", "512"]
+        planned, plain = tmp_path / "planned.xml", tmp_path / "plain.xml"
+        assert main([
+            "sort", doc, "-o", str(planned), "--plan", "auto", "--stats",
+            "--depth-limit", "1", *geometry,
+        ]) == 0
+        assert _plan_line(capsys.readouterr().err).startswith(
+            "plan: nexsort "
+        )
+        assert main([
+            "sort", doc, "-o", str(plain), "--depth-limit", "1", *geometry,
+        ]) == 0
+        assert planned.read_text() == plain.read_text()
+
+    def test_plan_auto_sorts_with_the_exact_threshold(self, tmp_path, capsys):
+        """A pinned threshold that is not a block multiple is not rounded
+        to whole blocks: with every other axis pinned too, the planned
+        run counts what the plain run counts."""
+        from repro.generators import auction_events
+        from repro.xml.writer import events_to_string
+
+        doc = tmp_path / "auction.xml"
+        doc.write_text(events_to_string(auction_events(
+            seed=3, auctions_per_region=30, max_bids=8, regions=2
+        )))
+        flags = [
+            "sort", str(doc), "-o", str(tmp_path / "out.xml"), "--stats",
+            "--memory", "24", "--block-size", "512", "--threshold", "900",
+        ]
+        assert main(flags) == 0
+        plain = _counter_lines(capsys.readouterr().err)
+        assert main([
+            *flags, "--plan", "auto", "--algorithm", "nexsort",
+            "--cache-blocks", "0", "--run-formation", "load-sort",
+            "--merge-kernel", "heap", "--compress", "off",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "threshold=1.75781B" in _plan_line(err)
+        assert _counter_lines(err) == plain
+        assert "  subtree sorts (x):   45" in plain
+
     def test_plan_auto_sorts_and_reports(self, d1_file, tmp_path, capsys):
         out = tmp_path / "planned.xml"
         code = main([
@@ -341,6 +395,28 @@ class TestValidateCommand:
 def _plan_line(text: str) -> str:
     [line] = [line for line in text.splitlines() if line.startswith("plan:")]
     return line
+
+
+def _counter_lines(text: str) -> list[str]:
+    """``--stats`` lines after the plan, without wall time and RSS."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("["))
+    return [
+        line for line in lines[start:]
+        if "wall seconds" not in line and "peak RSS" not in line
+    ]
+
+
+def _fig5_file(tmp_path) -> str:
+    """The CI Figure-5 document as a file."""
+    from repro.generators import level_fanout_events
+    from repro.xml.writer import events_to_string
+
+    path = tmp_path / "fig5.xml"
+    path.write_text(events_to_string(
+        level_fanout_events([11, 11, 11, 5], seed=5, pad_bytes=24)
+    ))
+    return str(path)
 
 
 class TestAnalyzeCommand:

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.errors import XMLSyntaxError
+from repro.baselines import external_merge_sort
+from repro.core import nexsort
+from repro.errors import CodecError, XMLSyntaxError
+from repro.keys import SortSpec
 from repro.xml import CompactionConfig, Document, Element
-from repro.xml.tokens import EndTag, StartTag
+from repro.xml.tokens import EndTag, StartTag, Text
 
 from .conftest import random_tree
 
@@ -37,6 +40,43 @@ class TestStats:
     def test_empty_rejected(self, store):
         with pytest.raises(XMLSyntaxError):
             Document.from_events(store, [])
+
+    @pytest.mark.parametrize("sort", [nexsort, external_merge_sort])
+    @pytest.mark.parametrize(
+        "events, message",
+        [
+            ([EndTag("r")], "end tag </r> does not close <None>"),
+            ([StartTag("r"), EndTag("s")], "end tag </s> does not close <r>"),
+            (
+                [StartTag("r"), EndTag("r"), Text("t")],
+                "text outside the root element",
+            ),
+            (
+                [Text("t"), StartTag("r"), EndTag("r")],
+                "text outside the root element",
+            ),
+        ],
+        ids=["end-with-nothing-open", "wrong-end", "trailing-text",
+             "leading-text"],
+    )
+    def test_malformed_stream_is_refused_before_any_sort(
+        self, store, events, message, sort
+    ):
+        """Worded as the parser words it; no sorter sees the stream."""
+        with pytest.raises(XMLSyntaxError, match=message):
+            document = Document.from_events(store, events)
+            sort(document, SortSpec.by_attribute("name"), memory_blocks=8)
+
+    def test_stored_text_after_the_root_is_a_codec_error(self, store):
+        """A corrupt stored record stream (a text record after the root
+        closes) fails NEXSORT typed, not by assertion."""
+        document = Document.from_events(store, [StartTag("r"), EndTag("r")])
+        writer = store.create_writer("load")
+        for token in (StartTag("r"), EndTag("r"), Text("t")):
+            writer.write_record(document.codec.encode(token))
+        corrupt = Document(store, writer.finish(), document.stats)
+        with pytest.raises(CodecError):
+            nexsort(corrupt, SortSpec.by_attribute("name"), memory_blocks=8)
 
 
 class TestRoundTrips:

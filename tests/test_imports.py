@@ -24,11 +24,15 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-#: Modules a default ``nexsort``/``external_merge_sort`` never executes.
+#: Modules a default sort (``nexsort``, ``external_merge_sort`` or
+#: ``run_plan``) never executes.
 NEVER_ON_DEFAULT_PATH = (
+    "repro.analysis.planner",
     "repro.baselines.internal_sort",
     "repro.baselines.keypath",
     "repro.baselines.xsort",
+    "repro.bench.harness",
+    "repro.cli",
     "repro.core.idref",
     "repro.faults",
     "repro.io.file_device",
@@ -41,6 +45,7 @@ NEVER_ON_DEFAULT_PATH = (
     "repro.merge.structural",
     "repro.obs.diff",
     "repro.obs.sinks",
+    "repro.service.scheduler",
     "repro.xml.dtd",
 )
 
@@ -110,8 +115,22 @@ class TestDefaultPath:
         code = PRELUDE.format(path=str(xml_file)) + """
 import json
 
+from repro.plan import PlanConfig, run_plan
+
+
+def planned(algorithm):
+    def sort(document, spec, memory_blocks):
+        config = PlanConfig(algorithm=algorithm, memory_blocks=memory_blocks)
+        return run_plan(document, spec, config)
+
+    return sort
+
+
 loaded_during = []
-for sort in (repro.nexsort, repro.external_merge_sort):
+for sort in (
+    planned("nexsort"), planned("merge_sort"),
+    repro.nexsort, repro.external_merge_sort,
+):
     document = load()
     before = set(sys.modules)
     result, report = sort(document, SPEC, memory_blocks=8)

@@ -7,15 +7,17 @@ simulated second; striping and prefetching only redistribute the same
 charges across disk clocks and reduce consumer stall.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench.harness import run_merge_sort, run_nexsort
+from repro.bench.harness import BENCH_SPEC, load_document, run_config
 from repro.errors import DeviceError, DeviceFault, FaultPlanError
 from repro.faults import FaultInjector, FaultPlan
 from repro.generators import level_fanout_events
 from repro.io import BlockDevice, BufferPool, RunStore, StripedDevice
 from repro.io.parallel import MergePrefetcher, supports_prefetch
-from repro.merge.engine import MergeOptions
+from repro.plan import PlanConfig, run_plan
 
 BLOCK = 256
 
@@ -141,11 +143,14 @@ class TestSerialIdentity:
     def test_full_sort_identity_at_one_disk(self):
         factory = lambda: level_fanout_events([6, 5, 4], seed=3,
                                               pad_bytes=24)
-        plain = run_nexsort(factory, memory_blocks=12)
-        striped = run_nexsort(factory, memory_blocks=12, disks=1)
+        config = PlanConfig(memory_blocks=12)
+        _, plain = run_plan(load_document(factory()), BENCH_SPEC, config)
+        _, striped = run_plan(
+            load_document(factory(), disks=1), BENCH_SPEC, config
+        )
         assert striped.total_ios == plain.total_ios
         assert striped.simulated_seconds == plain.simulated_seconds
-        assert striped.detail["breakdown"] == plain.detail["breakdown"]
+        assert striped.io_breakdown() == plain.io_breakdown()
 
     def test_serial_counter_totals_gain_no_keys(self):
         # Golden safety: a serial device's totals (and hence every trace
@@ -567,14 +572,12 @@ class TestEndToEndMergePrefetch:
     def test_counters_identical_and_stall_reduced(self):
         factory = lambda: level_fanout_events([9, 8, 7], seed=5,
                                               pad_bytes=24)
-        options = MergeOptions(merge_kernel="loser-tree")
-        off = run_merge_sort(
-            factory, memory_blocks=12, merge_options=options, disks=4
+        config = PlanConfig(
+            algorithm="merge_sort", memory_blocks=12,
+            merge_kernel="loser-tree", disks=4,
         )
-        forecast = run_merge_sort(
-            factory, memory_blocks=12, merge_options=options, disks=4,
-            prefetch_depth=8, prefetch_policy="forecast",
-        )
+        off = run_config(factory, config)
+        forecast = run_config(factory, replace(config, prefetch_depth=8))
         assert forecast.total_ios == off.total_ios
         assert forecast.detail["breakdown"] == off.detail["breakdown"]
         assert forecast.simulated_seconds == off.simulated_seconds
@@ -585,12 +588,12 @@ class TestEndToEndMergePrefetch:
     def test_bench_rows_carry_parallel_columns(self):
         factory = lambda: level_fanout_events([6, 5, 4], seed=3,
                                               pad_bytes=24)
-        serial = run_nexsort(factory, memory_blocks=12)
+        serial = run_config(factory, PlanConfig(memory_blocks=12))
         assert serial.detail["disks"] == 1
         assert serial.detail["prefetch_depth"] == 0
         assert serial.detail["stall_seconds"] == 0.0
         assert serial.detail["disk_utilization"] == {}
-        striped = run_nexsort(factory, memory_blocks=12, disks=2)
+        striped = run_config(factory, PlanConfig(memory_blocks=12, disks=2))
         assert striped.detail["disks"] == 2
         assert striped.detail["disk_seconds"] < serial.detail[
             "disk_seconds"
