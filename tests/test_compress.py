@@ -26,6 +26,7 @@ from repro.io.compress import (
 )
 from repro.keys import ByAttribute, SortSpec
 from repro.merge.engine import MergeOptions
+from repro.plan import PlanConfig
 from repro.service.scheduler import Scheduler, run_solo
 from repro.service.workload import WorkloadSpec
 from repro.io.lease import ResourcePool
@@ -310,11 +311,11 @@ class TestFaultInteraction:
         spec = WorkloadSpec.parse(
             "jobs=1;shape=6x6x6;memory=16"
         ).jobs()[0]
-        options = MergeOptions(compress="container")
-        clean = run_solo(spec, merge_options=options, block_size=512)
+        config = PlanConfig(compress="container")
+        clean = run_solo(spec, config=config, block_size=512)
         faulty = run_solo(
             spec,
-            merge_options=options,
+            config=config,
             block_size=512,
             fault_plan="read@3;write@5",
             retries=2,
